@@ -16,7 +16,8 @@ adds a host-DRAM swap tier behind optimistic admission.  Cells:
   that beats recompute) is recorded.  Full scale asserts the crossover
   exists; capped CI runs only assert the slow-link loss.
 * ``validation`` — the correctness side: the array engine's
-  exact-accounting mode replays the shared+swap config byte-identically
+  per-iteration loop (fast paths off under sharing and swap) replays
+  the shared+swap config byte-identically
   to the object engine (event logs and pooled metrics), and the extended
   invariant checker (refcounted shares and swap residency re-derived
   from first principles) reports zero violations on every benched

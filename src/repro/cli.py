@@ -787,8 +787,8 @@ def _run_list() -> int:
         ("failure injection (--failures)", "yes", "yes"),
         ("autoscaling (--autoscaler)", "yes", "yes"),
         ("event log (--validate)", "yes", "yes (disables macro/batched fast paths)"),
-        ("prefix sharing (--prefix-share)", "yes", "yes (exact-accounting mode)"),
-        ("host-DRAM swap (--swap)", "yes", "yes (exact-accounting mode)"),
+        ("prefix sharing (--prefix-share)", "yes", "yes (per-iteration, fast paths stand down)"),
+        ("host-DRAM swap (--swap)", "yes", "yes (per-iteration, fast paths stand down)"),
         ("co-hosted model set (--models)", "yes", "yes (per-iteration, fast paths stand down)"),
         ("tenant shares (--tenant-slo)", "yes", "yes"),
         ("arrival-batched underload path", "no", "yes (events off, no sharing/swap)"),

@@ -24,7 +24,10 @@ invariant checker — page-ledger replay now re-derives refcounted shares
 and swap residency, so a forged share or a deleted swap event fails the
 cell.  Each cell also runs both engines (object reference and array) and
 requires byte-identical event logs: the sweep doubles as the
-differential oracle for the array engine's exact-accounting mode.
+differential oracle for the array engine's per-iteration loop, which
+runs with its fast paths off under sharing or swap and books pages in
+the same :class:`~repro.serving.kv_memory.KvPageAccountant` as every
+other run.
 
 Declared as a :class:`~repro.experiments.base.Sweep`;
 ``repro bench kv-hierarchy --jobs N`` shards it cell-by-cell.
@@ -130,7 +133,8 @@ def _run_cell(params: dict) -> dict:
     """Serve one sweep point on both engines and report its metrics (pure).
 
     The object engine is the reference; the array engine must reproduce
-    its event log byte for byte (exact-accounting mode), and the log must
+    its event log byte for byte (its per-iteration loop, fast paths off
+    under sharing or swap), and the log must
     replay clean through the extended checker (refcounted shares and swap
     residency re-derived from first principles).
     """
@@ -326,7 +330,7 @@ def _reduce(grid: Sweep, outputs: dict[str, dict]) -> ExperimentResult:
             )
             + "); slow link loses: " + ("yes" if slow_link_loses else "NO"),
             "array engine byte-identical to the object engine on every "
-            "cell (exact-accounting mode): "
+            "cell (per-iteration loop, fast paths off): "
             + ("yes" if engines_agree else "NO"),
             "extended page-ledger replay (refcounted shares + swap "
             "residency) holds in every cell: "

@@ -9,7 +9,7 @@ cluster layer run on it unchanged.  Three things make it two orders of
 magnitude faster than the reference object engine:
 
 **Columnar request state.**  Requests live as parallel columns
-(arrival / prompt / output / generated / held-pages / ...) indexed by a
+(arrival / prompt / output / prefilled / generated / ...) indexed by a
 *row*; the queues hold row indices.  Rows are recycled through a free
 list on completion, so resident state is O(outstanding requests) — a
 streamed million-request day never materializes, and no per-request
@@ -40,15 +40,19 @@ macro-stepping, and the per-iteration path then yields an event log
 **bit-identical** to the object engine's (the differential suite asserts
 exact equality).
 
-**Exact-accounting fallback.**  Shared-prefix requests (``prefix_id >=
-0``) and the host-DRAM swap tier need the real reference-counted
-:class:`~repro.serving.kv_memory.KvPageAccountant` — integer counters
-cannot express "these pages are held once for many requests" or "these
-pages are parked off-device".  The run then keeps the accountant as
-``self.kv``, the vectorized fast paths (absorption, bursts,
-macro-stepping) stand down, and the per-iteration loop mirrors the
+**One KV ledger.**  Every run books its pages in the simulator's
+:class:`~repro.serving.kv_memory.KvPageAccountant` (``self.kv``), the
+same reference-counting ledger the object engine uses; its running
+counters make every pool read O(1), so the per-iteration loop,
+macro-steps and the burst runner all reserve, grow and release through
+it.  The absorbers complete requests without ever holding their pages
+and only roll its ``peak_reserved_pages`` high-water mark.  Once a run
+offers a shared-prefix request (``prefix_id >= 0``), or when it has the
+host-DRAM swap tier, the vectorized fast paths (absorption, bursts,
+macro-stepping) stand down — their closed forms assume private pages
+that never leave the device — and the per-iteration loop mirrors the
 object engine operation for operation, so event logs stay bit-identical
-there too.  Traces with no sharing and no swap never pay for any of it.
+there too.
 """
 
 from __future__ import annotations
@@ -74,56 +78,6 @@ from repro.serving.simulator import (
 __all__ = ["ArraySimulationRun"]
 
 
-class _KvPool:
-    """Integer-counter view of the KV page pool.
-
-    :class:`~repro.serving.kv_memory.KvPageAccountant` keeps a dict of
-    per-request holdings and *sums it* on every ``reserved_pages`` read —
-    O(active) per event, fine for the object engine, fatal in a loop that
-    reads it millions of times.  The array run holds per-row pages in a
-    column and keeps the pool-wide counters here as plain ints; the
-    attribute names match the accountant so metric finalization and the
-    cluster's router snapshots read either interchangeably.
-    """
-
-    __slots__ = (
-        "page_tokens",
-        "total_pages",
-        "budget_bytes",
-        "reserved_pages",
-        "peak_reserved_pages",
-    )
-
-    def __init__(self, page_tokens: int, total_pages: int, budget_bytes: int) -> None:
-        self.page_tokens = page_tokens
-        self.total_pages = total_pages
-        self.budget_bytes = budget_bytes
-        self.reserved_pages = 0
-        self.peak_reserved_pages = 0
-
-    @property
-    def free_pages(self) -> int:
-        return self.total_pages - self.reserved_pages
-
-    def commit(self, pages: int) -> None:
-        """Reserve ``pages`` and roll the high-water mark — the single
-        commit hook (every fast path used to inline this pair)."""
-        self.reserved_pages += pages
-        if self.reserved_pages > self.peak_reserved_pages:
-            self.peak_reserved_pages = self.reserved_pages
-
-    def note_peak(self, pages: int) -> None:
-        """Roll the high-water mark for work applied in closed form (the
-        absorbers complete requests without ever holding their pages)."""
-        if pages > self.peak_reserved_pages:
-            self.peak_reserved_pages = pages
-
-    def resident_prefix_pages(self, prefix_id: int) -> int:
-        """Interface parity with the accountant: the integer pool only
-        serves runs with no sharing, where no prefix is ever resident."""
-        return 0
-
-
 class ArraySimulationRun:
     """Columnar drop-in for :class:`~repro.serving.simulator.SimulationRun`."""
 
@@ -145,21 +99,12 @@ class ArraySimulationRun:
         kv_bounds: "tuple[int, int] | None" = None,
     ) -> None:
         self.sim = sim
-        accountant = sim._new_accountant()
-        #: Exact-accounting mode: with the swap tier (or once a
-        #: shared-prefix request is offered) the run keeps the real
-        #: reference-counting accountant and the vectorized fast paths
-        #: stand down — the per-iteration loop then mirrors the object
-        #: engine operation for operation (see the module docstring).
+        self.kv = sim._new_accountant()
+        #: Fast-path gate: with the swap tier (or once a shared-prefix
+        #: request is offered) the vectorized fast paths stand down and
+        #: the per-iteration loop mirrors the object engine operation for
+        #: operation (see the module docstring).
         self._exact_kv = bool(sim.swap)
-        if self._exact_kv:
-            self.kv = accountant
-        else:
-            self.kv = _KvPool(
-                page_tokens=accountant.page_tokens,
-                total_pages=accountant.total_pages,
-                budget_bytes=accountant.budget_bytes,
-            )
         self.events: "list[SimEvent] | None" = [] if record_events else None
         if kv_bounds is not None:
             for provider in sim.providers.values():
@@ -190,7 +135,6 @@ class ArraySimulationRun:
         self._prefilled: list = []
         self._generated: list = []
         self._first: list = []
-        self._held: list = []
         self._pfx: list = []
         self._pft: list = []
         self._mdl: list = []
@@ -421,7 +365,6 @@ class ArraySimulationRun:
             self._prefilled[row] = 0
             self._generated[row] = 0
             self._first[row] = 0.0
-            self._held[row] = 0
             self._pfx[row] = request.prefix_id
             self._pft[row] = request.prefix_tokens
             self._mdl[row] = request.model
@@ -438,7 +381,6 @@ class ArraySimulationRun:
         self._prefilled.append(0)
         self._generated.append(0)
         self._first.append(0.0)
-        self._held.append(0)
         self._pfx.append(request.prefix_id)
         self._pft.append(request.prefix_tokens)
         self._mdl.append(request.model)
@@ -455,9 +397,6 @@ class ArraySimulationRun:
             prefix_tokens=self._pft[row],
             model=self._mdl[row],
         )
-
-    def _pages_for(self, tokens: int) -> int:
-        return -(-tokens // self._page_tokens)
 
     # ------------------------------------------------------------------
     # SimulationRun surface: offers and router-visible state
@@ -490,8 +429,8 @@ class ArraySimulationRun:
                 raise ValueError(
                     "requests must be offered in (arrival_s, request_id) order"
                 )
-        if request.prefix_id >= 0 and not self._exact_kv:
-            self._ensure_exact_kv()
+        if request.prefix_id >= 0:
+            self._exact_kv = True
         pending.append(self._new_row(request))
         self.offered += 1
         self._outstanding += request.input_tokens + request.output_tokens
@@ -528,7 +467,6 @@ class ArraySimulationRun:
         prefilled = self._prefilled
         generated = self._generated
         first = self._first
-        held = self._held
         pfx = self._pfx
         pft = self._pft
         mdl = self._mdl
@@ -564,8 +502,8 @@ class ArraySimulationRun:
                     "requests must be offered in (arrival_s, request_id) order"
                 )
             last_key = key
-            if request.prefix_id >= 0 and not self._exact_kv:
-                self._ensure_exact_kv()
+            if request.prefix_id >= 0:
+                self._exact_kv = True
             input_tokens = request.input_tokens
             if free:
                 row = pop()
@@ -580,7 +518,6 @@ class ArraySimulationRun:
                 prefilled[row] = 0
                 generated[row] = 0
                 first[row] = 0.0
-                held[row] = 0
                 pfx[row] = request.prefix_id
                 pft[row] = request.prefix_tokens
                 mdl[row] = request.model
@@ -597,7 +534,6 @@ class ArraySimulationRun:
                 prefilled.append(0)
                 generated.append(0)
                 first.append(0.0)
-                held.append(0)
                 pfx.append(request.prefix_id)
                 pft.append(request.prefix_tokens)
                 mdl.append(request.model)
@@ -654,8 +590,8 @@ class ArraySimulationRun:
             )
         inps = [r.input_tokens for r in requests]
         pfxs = [r.prefix_id for r in requests]
-        if not self._exact_kv and max(pfxs) >= 0:
-            self._ensure_exact_kv()
+        if max(pfxs) >= 0:
+            self._exact_kv = True
         n = len(requests)
         row0 = len(self._arr)
         self._arr += arrs
@@ -666,7 +602,6 @@ class ArraySimulationRun:
         self._prefilled += [0] * n
         self._generated += [0] * n
         self._first += [0.0] * n
-        self._held += [0] * n
         self._pfx += pfxs
         self._pft += [r.prefix_tokens for r in requests]
         self._mdl += mdls
@@ -680,23 +615,6 @@ class ArraySimulationRun:
         self._outstanding += int(np_inp.sum() + np_out.sum())
         if self.first_arrival is None:
             self.first_arrival = arrs[0]
-
-    def _ensure_exact_kv(self) -> None:
-        """Switch to the reference-counting accountant (first shared-prefix
-        request seen).  Current holdings carry over: every active row's
-        private pages become accountant reservations — the fast paths
-        maintained ``reserved_pages == sum(active holdings)``, so the
-        pool-wide count is unchanged — and the high-water mark survives.
-        """
-        if self._exact_kv:
-            return
-        accountant = self.sim._new_accountant()
-        rid, held = self._rid, self._held
-        for row in self.active:
-            accountant._reserved[rid[row]] = held[row]
-        accountant.peak_reserved_pages = self.kv.peak_reserved_pages
-        self.kv = accountant
-        self._exact_kv = True
 
     @property
     def outstanding_requests(self) -> int:
@@ -943,8 +861,8 @@ class ArraySimulationRun:
         swapped = self.swapped
         pending = self.pending
         cap = self._policy_cap
-        # Exact mode (sharing/swap) may have been entered by an offer since
-        # the last advance; the fast paths stand down from then on.
+        # An offer since the last advance may have brought the run's first
+        # shared-prefix request; the fast paths stand down from then on.
         macro_ok = (
             self.events is None
             and self._floor_free
@@ -1011,71 +929,24 @@ class ArraySimulationRun:
 
     # ------------------------------------------------------------------
     def _admit(self) -> None:
-        if self._exact_kv:
-            # Mirror of the object engine's _admit: swapped requests come
-            # back first (they hold completed work a recompute would
-            # repay), then new admissions; when the device is idle with
-            # the pool pinned by resident shared-prefix pages, sacrifice
-            # the youngest swapped request for recompute until the oldest
-            # fits again (each round shrinks the swap set, and a lone
-            # swapped request always fits — fits_alone held at admission).
-            self._swap_in_ready()
-            self._admit_exact()
-            while not self.active and self.swapped:
-                if self.kv.can_swap_in(self._rid[self.swapped[0]]):
-                    self._swap_in_head()
-                else:
-                    self._preempt_swapped(len(self.swapped) - 1)
-                self._admit_exact()
-            return
-        kv = self.kv
-        waiting, active = self.waiting, self.active
-        optimistic = self._optimistic
-        cap = self._policy_cap
-        arrival_order = self._arrival_order
-        page_tokens = self._page_tokens
-        shares = self._shares
-        while waiting and len(active) < cap:
-            if shares is None:
-                index = 0 if arrival_order else self._admit_index(waiting)
+        # Mirror of the object engine's _admit: swapped requests come back
+        # first (they hold completed work a recompute would repay), then
+        # new admissions; when the device is idle with the pool pinned by
+        # resident shared-prefix pages, sacrifice the youngest swapped
+        # request for recompute until the oldest fits again (each round
+        # shrinks the swap set, and a lone swapped request always fits —
+        # fits_alone held at admission).
+        self._swap_in_ready()
+        self._admit_waiting()
+        while not self.active and self.swapped:
+            if self.kv.can_swap_in(self._rid[self.swapped[0]]):
+                self._swap_in_head()
             else:
-                allowed = self._admit_allowed()
-                if not allowed:
-                    break
-                index = allowed[
-                    self._admit_index([waiting[i] for i in allowed])
-                ]
-            row = waiting[index]
-            total = self._inp[row] + self._out[row]
-            total_pages = -(-total // page_tokens)
-            if total_pages > kv.total_pages:
-                raise ValueError(
-                    f"request {self._rid[row]} needs "
-                    f"{total_pages} KV pages but the "
-                    f"pool holds {kv.total_pages}; it can never be served "
-                    f"(raise kv_fraction or the budget)"
-                )
-            pages = (
-                -(-self._inp[row] // page_tokens) if optimistic else total_pages
-            )
-            if pages > kv.free_pages:
-                break
-            kv.commit(pages)
-            self._held[row] = pages
-            if index == 0:
-                waiting.popleft()
-            else:
-                del waiting[index]
-            active.append(row)
-            self._num_prefilling += 1
-            self.admissions += 1
-            if len(active) > self.peak_active:
-                self.peak_active = len(active)
-            if self.events is not None:
-                self._emit("admit", request_id=self._rid[row], tokens=pages)
+                self._preempt_swapped(len(self.swapped) - 1)
+            self._admit_waiting()
 
-    def _admit_exact(self) -> None:
-        """Admission through the reference-counting accountant — the row
+    def _admit_waiting(self) -> None:
+        """Admit waiting rows while the policy and the pool allow — the row
         twin of the object engine's ``_admit_waiting`` (shared-prefix
         requests charge only their unique new pages)."""
         kv = self.kv
@@ -1118,7 +989,8 @@ class ArraySimulationRun:
             self.admissions += 1
             if len(active) > self.peak_active:
                 self.peak_active = len(active)
-            self._emit("admit", request_id=self._rid[row], tokens=pages)
+            if self.events is not None:
+                self._emit("admit", request_id=self._rid[row], tokens=pages)
 
     def _swap_in_ready(self) -> None:
         """Restore swapped-out rows, oldest first, while they fit."""
@@ -1178,7 +1050,6 @@ class ArraySimulationRun:
         victim = self.swapped.pop(index)
         request_id = self._rid[victim]
         pages = self.kv.release(request_id)
-        self._held[victim] = 0
         self.preemptions += 1
         lost = self._prefilled[victim] + self._generated[victim]
         self.recomputed_tokens += lost
@@ -1197,14 +1068,6 @@ class ArraySimulationRun:
     def _swap_latency(self, pages: int) -> float:
         """Transfer time of ``pages`` KV pages over the host link."""
         return pages * self.kv.page_bytes * 8.0 / (self.sim.link_gbps * 1e9)
-
-    def _release_pages(self, row: int) -> None:
-        """Return a completed/failed row's pages to the pool (both modes)."""
-        if self._exact_kv:
-            self.kv.release(self._rid[row])
-        else:
-            self.kv.reserved_pages -= self._held[row]
-        self._held[row] = 0
 
     # ------------------------------------------------------------------
     # Multi-model residency (mirror of the object engine's sticky-resident
@@ -1323,20 +1186,12 @@ class ArraySimulationRun:
             if carrier is None and not batch:
                 head = requested[0]
                 kv = self.kv
-                if self._exact_kv:
-                    held = kv.held_pages(self._rid[head])
-                    need = kv.grow_need(
-                        self._rid[head], self._inp[head] + generated[head]
-                    )
-                else:
-                    held = self._held[head]
-                    need = (
-                        self._pages_for(self._inp[head] + generated[head]) - held
-                    )
+                request_id = self._rid[head]
+                need = kv.grow_need(request_id, self._inp[head] + generated[head])
                 raise RuntimeError(
                     "KV pool exhausted with preemption disabled: request "
-                    f"{self._rid[head]} holds {held} page(s) and "
-                    f"needs {need} more for its next decode, but only "
+                    f"{request_id} holds {kv.held_pages(request_id)} page(s) "
+                    f"and needs {need} more for its next decode, but only "
                     f"{kv.free_pages} of {kv.total_pages} pool page(s) are "
                     "free and no prefill can run (enable preempt or raise "
                     "the KV budget)"
@@ -1385,7 +1240,7 @@ class ArraySimulationRun:
                 finished.append(r)
         for r in finished:
             self.active.remove(r)
-            self._release_pages(r)
+            self.kv.release(self._rid[r])
             self._record_completion(r)
             self._emit("complete", request_id=self._rid[r])
 
@@ -1411,7 +1266,7 @@ class ArraySimulationRun:
         self._first[row] = clock
         if self._out[row] <= 1:
             self.active.remove(row)
-            self._release_pages(row)
+            self.kv.release(self._rid[row])
             self._record_completion(row)
 
     # ------------------------------------------------------------------
@@ -1446,22 +1301,24 @@ class ArraySimulationRun:
         if steps < 1:
             return False
 
+        kv = self.kv
+        rid = self._rid
         optimistic = self._optimistic
-        kvs = None
         if optimistic:
             # Largest k whose total page growth fits the free pool
             # (monotone in k).  k=0 means the grant needs preemption:
             # fall back to the per-iteration path, which runs it exactly.
-            held = self._held
-            free = self.kv.free_pages
+            # Macro-steps never run under sharing, so every held page is
+            # private.
+            held = [kv.held_pages(rid[row]) for row in active]
+            free = kv.free_pages
             page_tokens = self._page_tokens
             kvs = [offset + lo for offset in offsets]
 
             def growth(j: int) -> int:
                 need = 0
-                for position, row in enumerate(active):
-                    pages = -(-(kvs[position] + j - 1) // page_tokens)
-                    delta = pages - held[row]
+                for kv_now, pages_held in zip(kvs, held):
+                    delta = -(-(kv_now + j - 1) // page_tokens) - pages_held
                     if delta > 0:
                         need += delta
                 return need
@@ -1555,23 +1412,16 @@ class ArraySimulationRun:
         self.decode_tokens += j * batch_size
         self._outstanding -= j * batch_size
 
-        kv = self.kv
         if optimistic:
-            held = self._held
-            page_tokens = self._page_tokens
-            grown = 0
-            for kv_now, row in zip(kvs, active):
-                pages = -(-(kv_now + j - 1) // page_tokens)
-                if pages > held[row]:
-                    grown += pages - held[row]
-                    held[row] = pages
-            if grown:
-                kv.commit(grown)
+            # The bisection above proved the whole growth fits, so every
+            # grant succeeds; only rows crossing a page boundary call in.
+            for kv_now, pages_held, row in zip(kvs, held, active):
+                if -(-(kv_now + j - 1) // page_tokens) > pages_held:
+                    kv.grow(rid[row], kv_now + j - 1)
         if finished is not None:
             for row in finished:
                 active.remove(row)
-                kv.reserved_pages -= self._held[row]
-                self._held[row] = 0
+                kv.release(rid[row])
                 self._record_completion(row)
         return True
 
@@ -1785,7 +1635,11 @@ class ArraySimulationRun:
                 )
             else:
                 peak_pages = total_pages[idx]
-            kv.note_peak(int(peak_pages.max()))
+            # Absorbed requests never hold pages in the ledger: only the
+            # high-water mark they would have reached is recorded.
+            peak = int(peak_pages.max())
+            if peak > kv.peak_reserved_pages:
+                kv.peak_reserved_pages = peak
             dsum = int(steps[idx].sum())
             self.decode_passes += dsum
             self.decode_tokens += dsum
@@ -1887,7 +1741,8 @@ class ArraySimulationRun:
                 peak_pages = (
                     -(-i_tok // page_tokens) if optimistic else total_pages
                 )
-            kv.note_peak(peak_pages)
+            if peak_pages > kv.peak_reserved_pages:
+                kv.peak_reserved_pages = peak_pages
             self.admissions += 1
             if not self.peak_active:
                 self.peak_active = 1
@@ -1912,7 +1767,7 @@ class ArraySimulationRun:
         pending = self.pending
         arr, inp_col, out_col = self._arr, self._inp, self._out
         generated = self._generated
-        held = self._held
+        rid = self._rid
         active = self.active
         kv = self.kv
         page_tokens = self._page_tokens
@@ -1969,12 +1824,11 @@ class ArraySimulationRun:
                     if beg < 0 or beg + o - 1 > span:
                         bail = True  # off-table: per-iteration pricing
                         break
-                if total_pages > kv.total_pages - kv.reserved_pages:
+                if total_pages > kv.free_pages:
                     bail = True  # KV-blocked: generic loop stalls it
                     break
                 pending.popleft()
-                kv.commit(total_pages)
-                held[row] = total_pages
+                kv.reserve(rid[row], i_tok + o)
                 active.append(row)
                 num_pref += 1
                 admissions += 1
@@ -2008,8 +1862,7 @@ class ArraySimulationRun:
                 self._first[row] = clock
                 if out_col[row] <= 1:
                     active.remove(row)
-                    kv.reserved_pages -= held[row]
-                    held[row] = 0
+                    kv.release(rid[row])
                     self.clock = clock
                     self._record_completion(row)
                 continue
@@ -2117,8 +1970,7 @@ class ArraySimulationRun:
                 self.clock = clock
                 for r in finished:
                     active.remove(r)
-                    kv.reserved_pages -= held[r]
-                    held[r] = 0
+                    kv.release(rid[r])
                     self._record_completion(r)
 
         if not progressed:
@@ -2141,38 +1993,6 @@ class ArraySimulationRun:
     # Optimistic admission: growth and preempt-and-recompute
     # ------------------------------------------------------------------
     def _grow_batch(
-        self, batch: "list[int]", carrier_row: "int | None"
-    ) -> "list[int]":
-        if self._exact_kv:
-            return self._grow_batch_exact(batch, carrier_row)
-        kv = self.kv
-        granted: list[int] = []
-        protected: set[int] = set()
-        if carrier_row is not None:
-            protected.add(carrier_row)
-        for row in batch:
-            if row not in self.active:
-                continue  # preempted by an earlier member's growth
-            need = (
-                self._pages_for(self._inp[row] + self._generated[row])
-                - self._held[row]
-            )
-            if need > 0 and need > kv.free_pages and self.sim.preempt:
-                protected.add(row)
-                while need > kv.free_pages:
-                    victim = self._choose_victim(protected)
-                    if victim is None:
-                        break  # everyone left is protected: stall, not deadlock
-                    self._preempt(victim)
-            if need <= kv.free_pages:
-                if need > 0:
-                    kv.commit(need)
-                    self._held[row] += need
-                granted.append(row)
-                protected.add(row)
-        return granted
-
-    def _grow_batch_exact(
         self, batch: "list[int]", carrier_row: "int | None"
     ) -> "list[int]":
         """Row twin of the object engine's ``_grow_batch``: grants route
@@ -2229,12 +2049,7 @@ class ArraySimulationRun:
         )
 
     def _preempt(self, victim: int) -> None:
-        if self._exact_kv:
-            pages = self.kv.release(self._rid[victim])
-        else:
-            pages = self._held[victim]
-            self.kv.reserved_pages -= pages
-        self._held[victim] = 0
+        pages = self.kv.release(self._rid[victim])
         self.active.remove(victim)
         if self._generated[victim] == 0:
             self._num_prefilling -= 1
@@ -2468,14 +2283,8 @@ class ArraySimulationRun:
         )
         lost = [self._request(row) for row in lost_rows]
         lost.sort(key=lambda request: (request.arrival_s, request.request_id))
-        if self._exact_kv:
-            pages = self.kv.release_all()
-        else:
-            pages = self.kv.reserved_pages
-            self.kv.reserved_pages = 0
-        for row in lost_rows:
-            self._held[row] = 0
-            self._free.append(row)
+        pages = self.kv.release_all()
+        self._free.extend(lost_rows)
         self.active.clear()
         self.swapped.clear()
         self.waiting.clear()
@@ -2505,8 +2314,8 @@ class ArraySimulationRun:
             raise ValueError("cannot resubmit a request to a finished run")
         if self.dead:
             raise ValueError("cannot resubmit a request to a failed replica")
-        if request.prefix_id >= 0 and not self._exact_kv:
-            self._ensure_exact_kv()
+        if request.prefix_id >= 0:
+            self._exact_kv = True
         self._requeue(self._new_row(request))
         self.offered += 1
         self._outstanding += request.input_tokens + request.output_tokens

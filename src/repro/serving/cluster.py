@@ -524,6 +524,28 @@ def _snapshot(
     )
 
 
+def _check_fleet_survives(schedule: FailureSchedule, num_replicas: int) -> None:
+    """Reject a fixed fleet that ``schedule`` ever takes down entirely.
+
+    Without an autoscaler nothing replaces a dead replica, so an instant
+    with every replica down leaves failover and routing nowhere to go —
+    refused here rather than discovered mid-run.
+    """
+    down: set[int] = set()
+    for event in sorted(schedule.events(num_replicas)):
+        if event.kind == "fail":
+            down.add(event.replica)
+        else:
+            down.discard(event.replica)
+        if len(down) >= num_replicas:
+            raise ValueError(
+                f"failures={schedule.name!r} ({schedule.describe()}) has all "
+                f"num_replicas={num_replicas} replica(s) down at "
+                f"{event.time_s:g}s, leaving a fixed fleet nothing to fail "
+                "over to; raise num_replicas or schedule fewer failures"
+            )
+
+
 class _OpsState:
     """Mutable production-ops bookkeeping of one ``simulate()`` call.
 
@@ -850,6 +872,8 @@ class ClusterSimulator:
             if isinstance(autoscaler, str)
             else autoscaler
         )
+        if self.failures is not None and self.autoscaler is None:
+            _check_fleet_survives(self.failures, num_replicas)
         self._simulator_kwargs = dict(simulator_kwargs)
         self._initial_count = num_replicas
         self._warmup_s = (

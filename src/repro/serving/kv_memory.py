@@ -173,6 +173,11 @@ class KvPageAccountant:
     pages.  ``swap_out``/``swap_in`` move a request's private pages between
     the device pool and host DRAM (shared pages never move — other group
     members still use them).
+
+    Every mutating call keeps running counts of resident and swapped
+    pages, so ``reserved_pages``, ``free_pages`` and ``swapped_pages`` are
+    O(1) reads — cheap enough for the array engine's hot loops, which
+    consult them once per admission and decode grant.
     """
 
     budget_bytes: int
@@ -188,6 +193,13 @@ class KvPageAccountant:
     _request_group: dict[int, int] = field(default_factory=dict, repr=False)
     #: High-water mark of committed pages over the accountant's lifetime.
     peak_reserved_pages: int = 0
+    #: Page geometry, fixed at construction.
+    page_bytes: int = field(default=0, init=False, repr=False)
+    total_pages: int = field(default=0, init=False, repr=False)
+    #: Running counts: resident pages (private plus each shared group
+    #: once) and private pages parked in host DRAM.
+    _resident: int = field(default=0, init=False, repr=False)
+    _swapped_total: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.budget_bytes <= 0:
@@ -196,6 +208,8 @@ class KvPageAccountant:
             raise ValueError("token_bytes must be positive")
         if self.page_tokens < 1:
             raise ValueError("page_tokens must be at least 1")
+        self.page_bytes = self.page_tokens * self.token_bytes
+        self.total_pages = self.budget_bytes // self.page_bytes
         if self.total_pages < 1:
             raise ValueError(
                 f"KV budget of {self.budget_bytes} bytes is smaller than one "
@@ -237,29 +251,25 @@ class KvPageAccountant:
 
     # ------------------------------------------------------------------
     @property
-    def page_bytes(self) -> int:
-        return self.page_tokens * self.token_bytes
-
-    @property
-    def total_pages(self) -> int:
-        return self.budget_bytes // self.page_bytes
-
-    @property
     def reserved_pages(self) -> int:
         """Resident pages: every request's private pages plus each shared
         group's pages counted **once**."""
-        return sum(self._reserved.values()) + sum(
-            group.pages for group in self._groups.values()
-        )
+        return self._resident
 
     @property
     def free_pages(self) -> int:
-        return self.total_pages - self.reserved_pages
+        return self.total_pages - self._resident
 
     @property
     def swapped_pages(self) -> int:
         """Private pages currently parked in host DRAM (not in the pool)."""
-        return sum(self._swapped.values())
+        return self._swapped_total
+
+    def _commit(self, pages: int) -> None:
+        """Book ``pages`` more resident pages and roll the high-water mark."""
+        self._resident += pages
+        if self._resident > self.peak_reserved_pages:
+            self.peak_reserved_pages = self._resident
 
     def pages_for(self, tokens: int) -> int:
         """Pages needed to hold ``tokens`` tokens of KV cache (ceiling)."""
@@ -369,8 +379,7 @@ class KvPageAccountant:
                 f"page(s) but only {self.free_pages} of {self.total_pages} are free"
             )
         self._reserved[request_id] += need
-        if self.reserved_pages > self.peak_reserved_pages:
-            self.peak_reserved_pages = self.reserved_pages
+        self._commit(need)
         return need
 
     def reserve(
@@ -407,8 +416,7 @@ class KvPageAccountant:
             self._request_group[request_id] = prefix_id
         else:
             self._reserved[request_id] = self.pages_for(tokens)
-        if self.reserved_pages > self.peak_reserved_pages:
-            self.peak_reserved_pages = self.reserved_pages
+        self._commit(charge)
         return charge
 
     def release(self, request_id: int) -> int:
@@ -423,7 +431,7 @@ class KvPageAccountant:
         if request_id in self._reserved:
             freed = self._reserved.pop(request_id)
         elif request_id in self._swapped:
-            self._swapped.pop(request_id)
+            self._swapped_total -= self._swapped.pop(request_id)
             freed = 0
         else:
             raise ValueError(f"request {request_id} holds no reservation")
@@ -434,6 +442,7 @@ class KvPageAccountant:
             if group.refcount <= 0:
                 freed += group.pages
                 del self._groups[gid]
+        self._resident -= freed
         return freed
 
     # ------------------------------------------------------------------
@@ -450,6 +459,8 @@ class KvPageAccountant:
             raise ValueError(f"request {request_id} is already swapped out")
         pages = self._reserved.pop(request_id)
         self._swapped[request_id] = pages
+        self._resident -= pages
+        self._swapped_total += pages
         return pages
 
     def can_swap_in(self, request_id: int) -> bool:
@@ -469,8 +480,8 @@ class KvPageAccountant:
             )
         del self._swapped[request_id]
         self._reserved[request_id] = pages
-        if self.reserved_pages > self.peak_reserved_pages:
-            self.peak_reserved_pages = self.reserved_pages
+        self._swapped_total -= pages
+        self._commit(pages)
         return pages
 
     def release_all(self) -> int:
@@ -480,9 +491,11 @@ class KvPageAccountant:
         shared prefixes and the host-DRAM copies alike — so the victims
         must recompute from scratch wherever they land next.
         """
-        pages = self.reserved_pages
+        pages = self._resident
         self._reserved.clear()
         self._swapped.clear()
         self._groups.clear()
         self._request_group.clear()
+        self._resident = 0
+        self._swapped_total = 0
         return pages

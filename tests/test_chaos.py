@@ -420,12 +420,19 @@ class TestFailover:
         assert cluster.validate_invariants() == []
 
     def test_killing_the_only_replica_raises(self):
-        trace = _trace(num=10, rate=100.0)
-        cluster = _cluster(
-            num_replicas=1, failures=SingleFailure(replica=0, at_s=0.05)
-        )
-        with pytest.raises(RuntimeError, match="no eligible replica"):
-            cluster.simulate(trace)
+        # A fixed fleet the schedule empties would die mid-run; it is
+        # refused up front, naming both knobs — even when the replica
+        # would come back later.
+        for recover_after_s in (None, 0.5):
+            with pytest.raises(ValueError, match="failures=.*num_replicas=1"):
+                _cluster(
+                    num_replicas=1,
+                    failures=SingleFailure(
+                        replica=0, at_s=0.05, recover_after_s=recover_after_s
+                    ),
+                )
+        # A survivor to fail over to makes the same schedule valid.
+        _cluster(num_replicas=2, failures=SingleFailure(replica=0, at_s=0.05))
 
 
 class TestAutoscaling:
@@ -683,6 +690,16 @@ class TestOpsCli:
             "--autoscaler", "queue-depth:bogus=1", "--no-disk-cache",
         ]) == 2
         assert "unexpected keyword" in capsys.readouterr().err.lower() or True
+
+    def test_failures_that_empty_a_fixed_fleet_exit_2(self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "serve", "--replicas", "1", "--failures", "single",
+            "--requests", "4", "--rate", "10", "--no-disk-cache",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "failures=" in err and "num_replicas=1" in err
 
     def test_list_shows_ops_registries(self, capsys):
         from repro.cli import main

@@ -3,18 +3,20 @@
 Three layers of evidence for PR 9's accountant extension:
 
 * a hypothesis property suite drives random interleavings of
-  reserve/share/grow/swap-out/swap-in/preempt/release against a
-  transparent page model re-derived from first principles — the
-  accountant's books must match after every single operation, refcounts
+  reserve/share/grow/swap-out/swap-in/preempt/release/release-all
+  against a transparent page model re-derived from first principles —
+  the accountant's books (its running counters and high-water mark
+  included) must match after every single operation, refcounts
   never go negative, and draining everything always returns the pool to
   exactly zero reserved pages;
 * tampered-ledger oracles prove the *checker* catches forged shares and
   deleted swap events (an oracle nobody has tested is not an oracle);
 * byte-identity pins: a ``prefix_share=0`` trace is identical to one
-  generated without prefix arguments, the array engine's
-  exact-accounting mode reproduces the object engine event-for-event
-  under sharing and swap, and the vectorized burst bisect is
-  byte-identical to the scalar loop it replaced.
+  generated without prefix arguments, the array engine's per-iteration
+  loop reproduces the object engine event-for-event under sharing and
+  swap (also when sharing starts mid-stream on a busy run), and the
+  vectorized burst bisect is byte-identical to the scalar loop it
+  replaced.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.costmodel import PassCost, make_cost_model
 from repro.energy.model import EnergyBreakdown
@@ -32,6 +34,7 @@ from repro.serving import (
     KvPageAccountant,
     ServingSimulator,
     check_invariants,
+    decode_kv_bounds,
     get_trace_generator,
 )
 from repro.serving.array_engine import ArraySimulationRun
@@ -127,10 +130,13 @@ def _check_books(accountant: KvPageAccountant, model: _PageModel) -> None:
 
 @given(
     ops=st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 2**20)),
+        st.tuples(st.integers(0, 6), st.integers(0, 2**20)),
         max_size=60,
     )
 )
+# Reserve, swap out, reserve again, swap back in: the swap-in alone sets
+# a new high-water mark, a path random search rarely reaches.
+@example(ops=[(0, 24), (2, 0), (0, 24), (3, 0)])
 @settings(max_examples=200, deadline=None)
 def test_random_interleavings_balance_the_books(ops):
     accountant = KvPageAccountant(
@@ -138,6 +144,7 @@ def test_random_interleavings_balance_the_books(ops):
     )
     model = _PageModel(page_tokens=4)
     next_rid = 0
+    peak = 0
     for op, value in ops:
         rids = sorted(model.members)
         if op == 0:  # reserve, possibly sharing a prefix
@@ -191,7 +198,12 @@ def test_random_interleavings_balance_the_books(ops):
             freed = accountant.release(rid)
             del model.members[rid]
             assert freed == before - model.reserved()
+        elif op == 6:  # replica failure: everything goes at once
+            assert accountant.release_all() == model.reserved()
+            model.members.clear()
         _check_books(accountant, model)
+        peak = max(peak, model.reserved())
+        assert accountant.peak_reserved_pages == peak
     # Draining everything always returns the pool to exactly zero.
     for rid in sorted(model.members):
         accountant.release(rid)
@@ -383,6 +395,72 @@ class TestByteIdentityPins:
             logs[engine] = (simulator.events, metrics.to_dict())
         assert logs["object"][0] == logs["array"][0]
         assert logs["object"][1] == logs["array"][1]
+
+    def test_first_shared_request_reaches_a_busy_run(self):
+        # A streamed run turns sharing on mid-flight: the first 30 requests
+        # are private, so without events the array engine starts on its
+        # fast paths and stands them down when the first shared-prefix
+        # request is offered while private rows still hold pages.  The
+        # pages those rows already booked must carry on in the same ledger.
+        cost_model = make_cost_model("ianus")
+        model = GPT2_CONFIGS["xl"]
+        trace = get_trace_generator("chatbot").generate(
+            60, 6.0, seed=7, prefix_share=0.5, prefix_tokens=64,
+            prefix_groups=2,
+        )
+        trace = [
+            dataclasses.replace(r, prefix_id=-1, prefix_tokens=0)
+            if index < 30
+            else r
+            for index, r in enumerate(trace)
+        ]
+        first_shared = next(
+            index for index, r in enumerate(trace) if r.prefix_id >= 0
+        )
+        bounds = decode_kv_bounds(trace)
+
+        def serve(engine, record_events):
+            simulator = ServingSimulator(
+                cost_model, model, policy="interleaved", max_batch=8,
+                kv_fraction=0.06, admission="optimistic", engine=engine,
+            )
+            busy = []
+
+            def chunks():
+                for start in range(0, len(trace), 10):
+                    if start <= first_shared < start + 10:
+                        busy.append(len(simulator.last_run.active))
+                    yield trace[start:start + 10]
+
+            metrics = simulator.simulate_stream(
+                chunks(), record_events=record_events, kv_bounds=bounds
+            )
+            assert busy and busy[0] > 0, "the switch must reach a busy run"
+            return simulator, metrics
+
+        logs = {}
+        for engine in ("object", "array"):
+            simulator, metrics = serve(engine, record_events=True)
+            assert check_invariants(
+                simulator.events, trace,
+                page_tokens=simulator.page_tokens, admission="optimistic",
+            ) == []
+            logs[engine] = (simulator.events, metrics.to_dict())
+        assert logs["object"][0] == logs["array"][0]
+        assert logs["object"][1] == logs["array"][1]
+
+        _, reference = serve("object", record_events=False)
+        _, fast = serve("array", record_events=False)
+        for field in (
+            "num_requests", "makespan_s", "busy_s", "output_tokens",
+            "latency_mean_s", "latency_p99_s", "ttft_p99_s", "energy_j",
+            "flops", "admissions", "preemptions", "recomputed_tokens",
+            "kv_peak_pages",
+        ):
+            expected = getattr(reference, field)
+            actual = getattr(fast, field)
+            scale = max(abs(expected), abs(actual), 1.0)
+            assert abs(expected - actual) / scale <= 1e-9, field
 
     def test_vectorized_bisect_matches_scalar(self):
         # The interleaved burst runner's arrival-budget cut: np.searchsorted
