@@ -9,12 +9,17 @@ the paper's Sec. 7.1 scale-out, but at *request* rather than tensor
 granularity (each replica may itself be a multi-device cluster via
 ``make_cost_model("ianus-xN")``).
 
-Routing is **online and causal**: requests are routed one at a time in
-arrival order, and before each decision every replica is advanced to the
-arrival instant (:meth:`~repro.serving.simulator.SimulationRun.advance_until`),
-so the router sees exactly the state a real load balancer would — queue
-depths, outstanding tokens and free KV pages as of that moment, never the
-future.  Routers:
+Routing is **online and causal**: every router, on every fleet, runs one
+per-arrival loop.  For each arrival in order it applies the fleet events
+due by then, advances every replica holding outstanding work to the
+arrival instant (:meth:`~repro.serving.simulator.SimulationRun.advance_until`;
+failed and idle replicas hold none, so nothing router-visible could move
+on them), consults the autoscaler, chooses the candidate replicas, and
+runs the route step — snapshot the candidates, ask the router, check its
+choice, book the request.  The router thus sees exactly the state a real
+load balancer would — queue depths, outstanding tokens and free KV pages
+as of that moment, never the future.  Failover re-routes through the same
+candidate rule and route step.  Routers:
 
 ``round-robin``
     Ignore state, rotate.  The baseline every balancer is measured against.
@@ -55,8 +60,14 @@ activates the ops layer:
   up for :func:`~repro.serving.autoscale.replica_warmup_s` (weights over
   the host link plus one priming pass, priced by the cost model) before
   it may serve; a drained replica finishes its routed work but takes no
-  new requests.  Routers therefore receive the *eligible subset* of
-  snapshots and must return the chosen snapshot's ``index`` field.
+  new requests.  Routers therefore receive a *subset* of snapshots and
+  must return the chosen snapshot's ``index`` field.
+
+One candidate rule serves arrivals and failover alike: the eligible
+replicas (alive, warmed, not draining); failing those, every in-progress
+drain is cancelled and the undrained replicas serve; failing those, the
+replicas still warming up take the work and start it no earlier than
+their warm-up ends.  Only a fleet with every replica down raises.
 
 The fleet's cost is metered in **replica-seconds** (the energy/price
 proxy the chaos benches trade against SLO attainment): each replica is
@@ -69,6 +80,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Sequence
 
 from repro.core.costmodel import CostModel
@@ -547,14 +559,15 @@ def _check_fleet_survives(schedule: FailureSchedule, num_replicas: int) -> None:
 
 
 class _OpsState:
-    """Mutable production-ops bookkeeping of one ``simulate()`` call.
+    """Mutable fleet bookkeeping of one ``simulate()`` call.
 
     Owns the fleet's liveness/draining/warm-up state, applies the failure
-    schedule (failover included), consults the autoscaler, and meters
-    replica-seconds.  Created only when a failure schedule or autoscaler
-    is configured; inert configurations (``failures="none"`` with the
-    ``fixed`` autoscaler) leave every run byte-identical to the plain
-    fixed-fleet path.
+    schedule (failover included), consults the autoscaler, meters
+    replica-seconds, and holds the candidate rule and route step that
+    arrivals and failover share.  Without a failure schedule or
+    autoscaler it is inert: every replica stays eligible, and the pooled
+    metrics bill the fixed fleet as ``R x makespan`` instead of reading
+    its meter.
     """
 
     def __init__(
@@ -606,6 +619,63 @@ class _OpsState:
             and self.ready_at[index] <= now
         ]
 
+    def candidates(self, now: float, request: Request) -> "list[int]":
+        """Replicas ``request`` may be routed to at ``now`` — the one rule
+        for arrivals and failover.
+
+        The eligible replicas if any.  Otherwise every in-progress drain
+        is cancelled: a draining replica is warm and alive, so reversing
+        its retirement is how production absorbs load mid-scale-down.
+        Otherwise the replicas still warming up take the work, starting it
+        no earlier than their warm-up ends.  Raises when every replica is
+        down.
+        """
+        candidates = self.eligible(now)
+        if not candidates:
+            for index in range(len(self.runs)):
+                if self.alive[index] and self.draining[index]:
+                    self.draining[index] = False
+                    self.scale_downs -= 1
+                    candidates.append(index)
+        if not candidates:
+            candidates = [
+                index for index in range(len(self.runs)) if self.alive[index]
+            ]
+            for index in candidates:
+                self.runs[index].catch_up(self.ready_at[index])
+        if not candidates:
+            raise RuntimeError(
+                f"no eligible replica for request {request.request_id} at "
+                f"{now:.6f}s (every replica is down)"
+            )
+        return candidates
+
+    def route(self, request: Request, candidates: "list[int]") -> int:
+        """The route step of arrivals and failover alike: snapshot the
+        candidates, ask the router, check its choice, book the request
+        there.  Returns the chosen replica; the caller hands it the work."""
+        cluster = self.cluster
+        profile = cluster._profiling
+        routed_at = perf_counter() if profile else 0.0
+        snapshots = [
+            _snapshot(
+                index, self.runs[index], self.assignments, self.routed_tokens,
+                request,
+            )
+            for index in candidates
+        ]
+        choice = cluster.router.select(snapshots, request)
+        if choice not in candidates:
+            raise ValueError(
+                f"router {cluster.router.name!r} chose replica {choice} of "
+                f"{len(self.runs)} (eligible: {candidates})"
+            )
+        self.assignments[choice].append(request)
+        self.routed_tokens[choice] += request.total_tokens
+        if profile:
+            cluster.route_s += perf_counter() - routed_at
+        return choice
+
     def apply_until(self, now: "float | None") -> None:
         """Apply every scheduled fleet event at or before ``now`` (all
         remaining ones when ``None``, at the end of the trace)."""
@@ -633,56 +703,15 @@ class _OpsState:
         self._close_segment(index, run.clock)
         if not lost:
             return
-        candidates = self.eligible(event.time_s)
-        if not candidates:
-            # Emergency failover: no serving replica survives.  Reverse
-            # any in-progress drain first — a draining replica is warm
-            # and alive, so cancelling its retirement is how production
-            # absorbs a failure mid-scale-down.
-            for i in range(len(self.runs)):
-                if self.alive[i] and self.draining[i]:
-                    self.draining[i] = False
-                    self.scale_downs -= 1
-                    candidates.append(i)
-        if not candidates:
-            # Last resort: replicas still warming up.  They take the
-            # work now but begin recomputing only once warmed.
-            candidates = [
-                i for i in range(len(self.runs)) if self.alive[i]
-            ]
-        if not candidates:
-            raise RuntimeError(
-                f"replica {index} failed at {event.time_s:.6f}s with "
-                f"{len(lost)} unfinished request(s) and no eligible "
-                "replica to fail over to"
-            )
+        candidates = self.candidates(event.time_s, lost[0])
         for survivor in candidates:
             # Survivors advance to the failure instant before receiving
             # work: resubmits bypass the pending queue, so an idle
-            # survivor must not start recomputing in the past (a warming
-            # survivor, no earlier than the end of its warm-up).
+            # survivor must not start recomputing in the past.
             self.runs[survivor].advance_until(event.time_s)
-            self.runs[survivor].catch_up(
-                max(event.time_s, self.ready_at[survivor])
-            )
-        router = self.cluster.router
+            self.runs[survivor].catch_up(event.time_s)
         for request in lost:
-            snapshots = [
-                _snapshot(
-                    i, self.runs[i], self.assignments, self.routed_tokens,
-                    request,
-                )
-                for i in candidates
-            ]
-            choice = router.select(snapshots, request)
-            if choice not in set(candidates):
-                raise ValueError(
-                    f"router {router.name!r} chose replica {choice} of "
-                    f"{len(self.runs)} (eligible: {candidates})"
-                )
-            self.runs[choice].resubmit(request)
-            self.assignments[choice].append(request)
-            self.routed_tokens[choice] += request.total_tokens
+            self.runs[self.route(request, candidates)].resubmit(request)
             self.rerouted += 1
 
     def _recover(self, event) -> None:
@@ -931,186 +960,30 @@ class ClusterSimulator:
         start = ordered[0].arrival_s if ordered else 0.0
         self.route_s = 0.0
         self._last_runs = runs
-        ops: "_OpsState | None" = None
-        if self._ops_active:
-            ops = _OpsState(
-                self, runs, assignments, routed_tokens, start,
-                record_events, bounds,
-            )
-            self._route_generic(ordered, runs, assignments, routed_tokens, ops)
-        else:
-            # Fixed fleets route through the array-native fast paths when
-            # the router's decision rule is known exactly; any Router
-            # subclass (including subclasses of the built-ins, which may
-            # override select) goes through the generic snapshot loop.
-            router_type = type(self.router)
-            if router_type is RoundRobinRouter:
-                self._route_round_robin(
-                    ordered, runs, assignments, routed_tokens
-                )
-            elif router_type in (LeastOutstandingTokensRouter, KvAwareRouter):
-                self._route_columnar(ordered, runs, assignments, routed_tokens)
-            else:
-                self._route_generic(
-                    ordered, runs, assignments, routed_tokens, None
-                )
-        if ops is not None:
-            ops.apply_until(None)
+        ops = _OpsState(
+            self, runs, assignments, routed_tokens, start, record_events, bounds
+        )
+        for request in ordered:
+            arrival = request.arrival_s
+            ops.apply_until(arrival)
+            # Failed and idle replicas hold no work, so nothing to advance
+            # (runs is shared with ops and grows when a replica spawns).
+            for run in runs:
+                if run.outstanding_requests:
+                    run.advance_until(arrival)
+            ops.autoscale(arrival)
+            choice = ops.route(request, ops.candidates(arrival, request))
+            runs[choice].offer(request)
+        ops.apply_until(None)
         per_replica = tuple(run.finish() for run in runs)
         self.events = [run.events for run in runs]
         self.assignments = [tuple(assigned) for assigned in assignments]
         self._last_trace = tuple(ordered)
         return self._pool(per_replica, ordered, routed_tokens, ops)
 
-    # -- routing paths --------------------------------------------------
     @property
     def _profiling(self) -> bool:
         return bool(self._simulator_kwargs.get("profile"))
-
-    def _route_generic(
-        self,
-        ordered: "list[Request]",
-        runs: "list[SimulationRun]",
-        assignments: "list[list[Request]]",
-        routed_tokens: "list[int]",
-        ops: "_OpsState | None",
-    ) -> None:
-        """The reference per-arrival loop: advance everything to each
-        arrival, snapshot the eligible replicas, ask the router."""
-        from time import perf_counter
-
-        profile = self._profiling
-        for request in ordered:
-            arrival = request.arrival_s
-            if ops is not None:
-                ops.apply_until(arrival)
-                for index, run in enumerate(runs):
-                    if ops.alive[index]:
-                        run.advance_until(arrival)
-                ops.autoscale(arrival)
-                candidates = ops.eligible(arrival)
-                if not candidates:
-                    raise RuntimeError(
-                        f"no eligible replica for request "
-                        f"{request.request_id} at {arrival:.6f}s (every "
-                        "replica is failed, draining or warming up)"
-                    )
-            else:
-                for run in runs:
-                    run.advance_until(arrival)
-                candidates = list(range(len(runs)))
-            routed_at = perf_counter() if profile else 0.0
-            snapshots = [
-                _snapshot(index, runs[index], assignments, routed_tokens, request)
-                for index in candidates
-            ]
-            choice = self.router.select(snapshots, request)
-            if choice not in set(candidates):
-                raise ValueError(
-                    f"router {self.router.name!r} chose replica {choice} of "
-                    f"{len(runs)} (eligible: {candidates})"
-                )
-            runs[choice].offer(request)
-            assignments[choice].append(request)
-            routed_tokens[choice] += request.total_tokens
-            if profile:
-                self.route_s += perf_counter() - routed_at
-
-    def _route_round_robin(
-        self,
-        ordered: "list[Request]",
-        runs: "list[SimulationRun]",
-        assignments: "list[list[Request]]",
-        routed_tokens: "list[int]",
-    ) -> None:
-        """Whole-trace bucketing for the round-robin router.
-
-        Round-robin is blind to replica state, so with a fixed fleet its
-        choice for the k-th arrival is ``k mod R`` no matter when the
-        decision is made — the entire trace buckets up front and each
-        replica plays its bucket independently through one
-        :meth:`~repro.serving.simulator.SimulationRun.offer_many`.  This
-        replaces ``R`` advances plus a snapshot build *per arrival* with
-        one bulk offer per replica; results are identical because a run's
-        outcome never depends on when (only in what order) its requests
-        were offered, which the cluster differential suite pins.
-        """
-        from time import perf_counter
-
-        routed_at = perf_counter() if self._profiling else 0.0
-        count = len(runs)
-        for index in range(count):
-            bucket = ordered[index::count]
-            runs[index].offer_many(bucket)
-            assignments[index].extend(bucket)
-            routed_tokens[index] = sum(
-                request.total_tokens for request in bucket
-            )
-        # Keep the rotation counter where the per-arrival loop would have
-        # left it, so external observers (and a later generic-path call on
-        # the same router instance) see the same state.
-        self.router._next += len(ordered)
-        if self._profiling:
-            self.route_s += perf_counter() - routed_at
-
-    def _route_columnar(
-        self,
-        ordered: "list[Request]",
-        runs: "list[SimulationRun]",
-        assignments: "list[list[Request]]",
-        routed_tokens: "list[int]",
-    ) -> None:
-        """Per-arrival routing over columnar replica state for the
-        built-in state-dependent routers.
-
-        Causality is identical to the generic loop — every replica with
-        live work is advanced to each arrival before the decision — but
-        the decision itself reads the two O(1) columns the built-in
-        routers score on (outstanding tokens, free KV pages — plus the
-        resident-prefix pages of the arriving request's group for the
-        kv-aware rule, looked up only when the request shares a prefix)
-        directly from the runs instead of materializing a
-        ``ReplicaSnapshot`` dataclass per replica per arrival, and idle
-        replicas (nothing queued or in flight — advancing them cannot
-        change any router-visible column) skip the advance call entirely.
-        """
-        from time import perf_counter
-
-        profile = self._profiling
-        lot = type(self.router) is LeastOutstandingTokensRouter
-        count = len(runs)
-        for request in ordered:
-            arrival = request.arrival_s
-            for run in runs:
-                if run.outstanding_requests:
-                    run.advance_until(arrival)
-            routed_at = perf_counter() if profile else 0.0
-            if lot:
-                best = 0
-                best_tokens = runs[0].outstanding_tokens
-                for index in range(1, count):
-                    tokens = runs[index].outstanding_tokens
-                    if tokens < best_tokens:
-                        best = index
-                        best_tokens = tokens
-            else:
-                prefix_id = request.prefix_id
-                best = 0
-                best_free = runs[0].kv.free_pages
-                if prefix_id >= 0:
-                    best_free += runs[0].kv.resident_prefix_pages(prefix_id)
-                for index in range(1, count):
-                    free = runs[index].kv.free_pages
-                    if prefix_id >= 0:
-                        free += runs[index].kv.resident_prefix_pages(prefix_id)
-                    if free > best_free:
-                        best = index
-                        best_free = free
-            runs[best].offer(request)
-            assignments[best].append(request)
-            routed_tokens[best] += request.total_tokens
-            if profile:
-                self.route_s += perf_counter() - routed_at
 
     def pooled_phase_s(self) -> dict[str, float]:
         """Per-phase wall breakdown of the last ``simulate()``, pooled
@@ -1176,7 +1049,7 @@ class ClusterSimulator:
         per_replica: tuple[ServingMetrics, ...],
         ordered: "list[Request]",
         routed_tokens: "list[int]",
-        ops: "_OpsState | None" = None,
+        ops: _OpsState,
     ) -> ClusterMetrics:
         pooled: list[RequestMetrics] = sorted(
             (
@@ -1192,19 +1065,17 @@ class ClusterSimulator:
             last_completion = max(m.completion_s for m in pooled)
             makespan = last_completion - ordered[0].arrival_s
         busy = sum(metrics.busy_s for metrics in per_replica)
-        # One definition of utilization for both paths: summed busy over
-        # summed provisioned replica-seconds.  The paths differ only in
+        # One definition of utilization for every fleet: summed busy over
+        # summed provisioned replica-seconds.  Fleets differ only in
         # where replica_seconds comes from — metered billing segments
         # under ops, R x makespan for a fixed fleet (a fleet with an
         # inert schedule meters to exactly R x makespan, so the two
         # agree wherever both apply).
-        if ops is not None:
+        if self._ops_active:
             ops.close_out(last_completion)
             replica_seconds = sum(ops.seconds)
-            peak_replicas = ops.peak_replicas
         else:
             replica_seconds = len(per_replica) * makespan
-            peak_replicas = len(per_replica)
         utilization = busy / replica_seconds if replica_seconds > 0 else 0.0
         output_tokens = sum(metrics.output_tokens for metrics in per_replica)
         latencies = [metrics.latency_s for metrics in pooled]
@@ -1309,14 +1180,14 @@ class ClusterSimulator:
             autoscaler=(
                 self.autoscaler.name if self.autoscaler is not None else "fixed"
             ),
-            failures=ops.failures if ops is not None else 0,
-            recoveries=ops.recoveries if ops is not None else 0,
-            rerouted_requests=ops.rerouted if ops is not None else 0,
-            dropped_kv_pages=ops.dropped_pages if ops is not None else 0,
-            scale_ups=ops.scale_ups if ops is not None else 0,
-            scale_downs=ops.scale_downs if ops is not None else 0,
+            failures=ops.failures,
+            recoveries=ops.recoveries,
+            rerouted_requests=ops.rerouted,
+            dropped_kv_pages=ops.dropped_pages,
+            scale_ups=ops.scale_ups,
+            scale_downs=ops.scale_downs,
             replica_seconds=replica_seconds,
-            peak_replicas=peak_replicas,
+            peak_replicas=ops.peak_replicas,
             warmup_s=self._warmup_s,
             models=models,
             model_swaps=sum(metrics.model_swaps for metrics in per_replica),

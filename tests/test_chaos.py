@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from repro.core.costmodel import make_cost_model
 from repro.models import GPT2_CONFIGS
 from repro.serving import (
     AUTOSCALERS,
@@ -44,6 +45,7 @@ from repro.serving import (
     replica_warmup_s,
 )
 from repro.serving.cluster import ReplicaSnapshot
+from repro.serving.simulator import mean_service_time_s
 
 from test_serving_invariants import MODEL, LinearCostModel
 
@@ -494,6 +496,94 @@ class TestAutoscaling:
         assert cluster.validate_invariants() == []
 
 
+class _ScriptedAutoscaler(Autoscaler):
+    """Returns ``script[k]`` at its k-th evaluation (0 when unscripted)."""
+
+    name = "scripted"
+
+    def __init__(self, script):
+        super().__init__(max_replicas=4)
+        self.script = script
+        self.calls = 0
+
+    def reset(self):
+        super().reset()
+        self.calls = 0
+
+    def decide(self, signal):
+        delta = self.script.get(self.calls, 0)
+        self.calls += 1
+        return delta
+
+
+class TestRouteTimeCandidates:
+    """Arrivals choose candidates by failover's rule: eligible replicas,
+    else cancelled drains, else replicas still warming up.
+
+    A replica killed while it holds no work has nothing to fail over, so
+    the next arrival is the first to find no eligible replica.
+    """
+
+    def test_arrival_cancels_a_drain(self):
+        trace = [Request(0, 0.0, 16, 4), Request(1, 0.5, 16, 4),
+                 Request(2, 1.0, 16, 4)]
+        for engine in ("object", "array"):
+            # Drain at the second arrival (the idle newest replica, 1),
+            # then kill idle replica 0 before the third arrives.
+            cluster = _cluster(
+                num_replicas=2, engine=engine,
+                failures=SingleFailure(replica=0, at_s=0.7),
+                autoscaler=_ScriptedAutoscaler({1: -1}),
+            )
+            metrics = cluster.simulate(trace, record_events=True)
+            assert metrics.num_requests == len(trace)
+            assert metrics.scale_downs == 0  # the drain was cancelled
+            assert [r.request_id for r in cluster.assignments[1]] == [2]
+            assert cluster.validate_invariants() == []
+
+    def test_arrival_waits_for_a_warming_replica(self):
+        warmup = replica_warmup_s(LinearCostModel(), MODEL)
+        trace = [Request(0, 0.0, 16, 2), Request(1, warmup / 2, 16, 2)]
+        for engine in ("object", "array"):
+            # Spawn at the first arrival, then kill the only warm replica
+            # (idle by then) while the spawned one still warms up.
+            cluster = _cluster(
+                num_replicas=1, engine=engine,
+                failures=SingleFailure(replica=0, at_s=warmup / 4),
+                autoscaler=_ScriptedAutoscaler({0: +1}),
+            )
+            metrics = cluster.simulate(trace, record_events=True)
+            assert metrics.num_requests == len(trace)
+            assert metrics.routed_requests == (1, 1)
+            assert metrics.per_request[1].first_token_s >= warmup
+            assert cluster.validate_invariants() == []
+
+    @pytest.fixture(scope="class")
+    def ianus(self):
+        return make_cost_model("ianus")
+
+    @pytest.mark.parametrize("autoscaler", ("queue-depth", "kv-pressure"))
+    @pytest.mark.parametrize("replicas", (2, 3))
+    def test_grid_completes_and_engines_agree(self, ianus, replicas, autoscaler):
+        model = GPT2_CONFIGS["xl"]
+        generator = get_trace_generator("skewed")
+        rate = replicas / mean_service_time_s(ianus, model, generator.workloads)
+        for seed in range(80, 90):
+            trace = generator.generate(28, rate, seed=seed)
+            reports = {}
+            for engine in ("object", "array"):
+                cluster = ClusterSimulator(
+                    ianus, model, num_replicas=replicas, failures="single",
+                    autoscaler=autoscaler, admission="optimistic",
+                    kv_fraction=0.25, engine=engine,
+                )
+                metrics = cluster.simulate(trace, record_events=True)
+                assert metrics.num_requests == 28, (seed, engine)
+                assert cluster.validate_invariants() == [], (seed, engine)
+                reports[engine] = json.dumps(metrics.to_dict())
+            assert reports["object"] == reports["array"], seed
+
+
 # ======================================================================
 class TestTamperedOpsLogs:
     """Every new event kind must be caught when forged or deleted."""
@@ -657,6 +747,24 @@ class TestOpsCli:
         assert code == 0
         assert "invariants      : OK" in output
         assert "ops             :" in output
+
+    @pytest.mark.parametrize("engine", ("object", "array"))
+    def test_arrival_after_idle_failure_mid_drain_validates_clean(
+        self, capsys, engine
+    ):
+        # Replica 1 is draining when replica 0 dies holding no work; the
+        # next arrival must cancel the drain rather than find no replica.
+        from repro.cli import main
+
+        code = main([
+            "serve", "--model", "gpt2-xl", "--trace", "skewed",
+            "--requests", "28", "--seed", "85", "--load", "1.0",
+            "--replicas", "2", "--failures", "single",
+            "--autoscaler", "queue-depth", "--engine", engine,
+            "--validate", "--no-disk-cache",
+        ])
+        assert code == 0
+        assert "invariants      : OK" in capsys.readouterr().out
 
     def test_ops_flags_force_cluster_path_at_one_replica(self, capsys):
         from repro.cli import main

@@ -49,7 +49,7 @@ from repro.serving import (
     get_trace_generator,
     make_router,
 )
-from repro.serving.cluster import ReplicaSnapshot, Router
+from repro.serving.cluster import ROUTERS, ReplicaSnapshot, Router
 from repro.serving.validate import SimEvent
 
 MODEL = GPT2_CONFIGS["m"]
@@ -567,6 +567,22 @@ class TestClusterPlumbing:
         )
         with pytest.raises(RuntimeError, match="simulate"):
             cluster.validate_invariants()
+
+    @pytest.mark.parametrize("name", tuple(ROUTERS))
+    def test_subclass_routes_like_its_base(self, name):
+        # Every router runs the one routing loop: a subclass overriding
+        # nothing must reproduce its base router byte for byte.
+        cost_model = make_cost_model("ianus")
+        trace = get_trace_generator("chatbot").generate(300, 80.0, seed=0)
+
+        def report(router):
+            return json.dumps(ClusterSimulator(
+                cost_model, MODEL, num_replicas=4, router=router,
+                engine="array", max_batch=4,
+            ).simulate(trace, record_events=False).to_dict())
+
+        base = ROUTERS[name]
+        assert report(type("Sub", (base,), {})()) == report(base())
 
     def test_reused_simulator_is_deterministic(self):
         # Stateful routers reset per simulation: simulating the same trace
