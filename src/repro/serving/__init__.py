@@ -32,8 +32,13 @@ Layering — who knows what:
     state lists, dense :class:`~repro.serving.decode_table.DecodeCostTable`
     pricing, prefix-sum macro-stepping over uneventful decode runs) behind
     the same ``SimulationRun`` API.  ``engine="object"`` (the default)
-    remains the reference: with events recorded the array engine is
-    bit-identical to it, and macro-stepped pooled metrics agree to 1e-9.
+    remains the reference and the only engine for custom policies: with
+    events recorded the array engine is bit-identical to it, and
+    macro-stepped pooled metrics agree to 1e-9.  The two per-iteration
+    loops share every rule that does not depend on how requests are
+    stored — policy decisions over :class:`RequestKeys`, victim choice,
+    fused-pass pricing, host-link transfer time — and differ only in the
+    admit/grow/preempt/swap/step bodies over objects or rows.
     Pick ``array`` for million-request traces and sweeps; pick ``object``
     when stepping through or debugging individual scheduling decisions.
     :data:`ENGINES` lists the valid names; unknown names raise with that
@@ -110,6 +115,7 @@ from repro.serving.simulator import (
     InterleavedPolicy,
     PassCostProvider,
     PriorityPolicy,
+    RequestKeys,
     ServingMetrics,
     ServingPolicy,
     ServingSimulator,
@@ -189,6 +195,7 @@ __all__ = [
     "backend_memory_capacity_bytes",
     "kv_budget_bytes",
     "PassCostProvider",
+    "RequestKeys",
     "ServingPolicy",
     "FcfsPolicy",
     "InterleavedPolicy",

@@ -50,9 +50,20 @@ and only roll its ``peak_reserved_pages`` high-water mark.  Once a run
 offers a shared-prefix request (``prefix_id >= 0``), or when it has the
 host-DRAM swap tier, the vectorized fast paths (absorption, bursts,
 macro-stepping) stand down — their closed forms assume private pages
-that never leave the device — and the per-iteration loop mirrors the
-object engine operation for operation, so event logs stay bit-identical
-there too.
+that never leave the device — and the per-iteration loop alone runs.
+
+**One set of per-iteration rules.**  The per-iteration loop makes no
+decision of its own: the policy's admission gate and order, prefill pick
+and decode batch (over :class:`~repro.serving.simulator.RequestKeys`
+readers of the row columns), the preemption victim, the fused-pass price
+and the host-link transfer time are the simulator module's functions,
+the same ones the object engine calls.  Only the state-bound bodies —
+admit, grow, preempt, swap and step over rows — are written here, one
+operation for each of the object engine's, which is why its event logs
+are bit-identical to the object engine's.  The fast paths read two facts
+off the policy's batching contract (:class:`~repro.serving.simulator.
+ServingPolicy`): its concurrency cap ``max_batch`` and whether it serves
+in queue order (``arrival_order``).
 """
 
 from __future__ import annotations
@@ -68,11 +79,15 @@ import numpy as np
 from repro.energy.model import EnergyBreakdown
 from repro.serving.request import Request, RequestMetrics
 from repro.serving.simulator import (
-    FcfsPolicy,
-    PriorityPolicy,
+    RequestKeys,
     ServingMetrics,
     SimEvent,
-    SrptPolicy,
+    _check_fits_alone,
+    _percentile_sorted,
+    _pool_exhausted,
+    choose_victim,
+    cost_tuple,
+    fused_pass,
 )
 
 __all__ = ["ArraySimulationRun"]
@@ -102,8 +117,7 @@ class ArraySimulationRun:
         self.kv = sim._new_accountant()
         #: Fast-path gate: with the swap tier (or once a shared-prefix
         #: request is offered) the vectorized fast paths stand down and
-        #: the per-iteration loop mirrors the object engine operation for
-        #: operation (see the module docstring).
+        #: only the per-iteration loop runs (see the module docstring).
         self._exact_kv = bool(sim.swap)
         self.events: "list[SimEvent] | None" = [] if record_events else None
         if kv_bounds is not None:
@@ -217,18 +231,25 @@ class ArraySimulationRun:
         }
         self._step_kind = "decode"
 
-        policy = sim.policy
-        self._ptype = type(policy)
-        self._arrival_order = self._ptype is not SrptPolicy and (
-            self._ptype is not PriorityPolicy
-        )
-        self._policy_cap = (
-            1 if isinstance(policy, FcfsPolicy) else policy.max_batch
-        )
-        # Per-class admission reservations (tenant isolation); None keeps
-        # the legacy admission order bit for bit.
-        self._shares = (
-            policy._reservations if self._ptype is PriorityPolicy else None
+        # The registered policies' batching contract (ServingPolicy): the
+        # fast paths read the concurrency cap and queue-order flag off the
+        # policy, and every decision the per-iteration loop makes is the
+        # policy's own, over these readers of the row columns.
+        self._policy = sim.policy
+        self._policy_cap = sim.policy.max_batch
+        self._arrival_order = sim.policy.arrival_order
+        inp, out, cls = self._inp, self._out, self._cls
+        prefilled, generated = self._prefilled, self._generated
+        arr, rid = self._arr, self._rid
+        self._keys = RequestKeys(
+            queued_total=lambda row: inp[row] + out[row],
+            queued_class=cls.__getitem__,
+            live_remaining=lambda row: (inp[row] - prefilled[row])
+            + (out[row] - generated[row]),
+            live_class=cls.__getitem__,
+            live_progress=lambda row: (
+                generated[row], prefilled[row], arr[row], rid[row]
+            ),
         )
         self._page_tokens = self.kv.page_tokens
         self._is_decoder = sim.model.is_decoder
@@ -245,8 +266,8 @@ class ArraySimulationRun:
         self._chunk_costs: dict = {}
         # Multi-model residency: the per-iteration loop restricts each
         # pass to the resident model's rows and pays a weight swap when
-        # the active model changes (the row twin of the object engine's
-        # sticky-resident scheduling).  The decode table prices the
+        # the active model changes (the object engine's sticky-resident
+        # scheduling over rows).  The decode table prices the
         # default model only, so a non-default resident stands the table
         # down and prices through its own provider; the base and
         # chunk-cost caches swap with the weights.
@@ -312,7 +333,7 @@ class ArraySimulationRun:
             self._pen,
             self._pfl,
         ) = table.prefix_sums()
-        # Numpy twins of the prefix sums (same floats: prefix_sums() is a
+        # Numpy copies of the prefix sums (same floats: prefix_sums() is a
         # tolist() of exactly this cumsum) for the vectorized arrival
         # absorber, which prices whole windows of decode runs at once.
         self._np_prefix = []
@@ -336,14 +357,7 @@ class ArraySimulationRun:
 
     def _base_cost(self) -> tuple:
         if self._base is None:
-            cost = self._provider.base()
-            self._base = (
-                cost.latency_s,
-                cost.energy.normal_memory_j,
-                cost.energy.pim_op_j,
-                cost.energy.npu_cores_j,
-                cost.flops,
-            )
+            self._base = cost_tuple(self._provider.base())
             if self._multi:
                 self._bases[self.resident_model] = self._base
         return self._base
@@ -407,18 +421,10 @@ class ArraySimulationRun:
             raise ValueError("cannot offer a request to a finished run")
         if self.dead:
             raise ValueError("cannot offer a request to a failed replica")
-        if request.model:
-            config = self.sim._config_for(request)
-            if not config.is_decoder and request.output_tokens > 1:
-                raise ValueError(
-                    f"{config.name} is not a decoder; serving traces for it "
-                    "must be summarization-only (output_tokens == 1)"
-                )
-        elif not self._is_decoder and request.output_tokens > 1:
-            raise ValueError(
-                f"{self.sim.model.name} is not a decoder; serving traces for it "
-                "must be summarization-only (output_tokens == 1)"
-            )
+        # Only a named model or a multi-token request on a non-decoder can
+        # fail the simulator's check, so the common case skips the call.
+        if request.model or (request.output_tokens > 1 and not self._is_decoder):
+            self.sim._check_servable(request)
         pending = self.pending
         if pending:
             last = pending[-1]
@@ -473,6 +479,7 @@ class ArraySimulationRun:
         free = self._free
         pop = free.pop
         is_decoder = self._is_decoder
+        check_servable = self.sim._check_servable
         if pending:
             last = pending[-1]
             last_key = (arr[last], rid[last])
@@ -484,18 +491,8 @@ class ArraySimulationRun:
             arrival = request.arrival_s
             request_id = request.request_id
             output_tokens = request.output_tokens
-            if request.model:
-                config = self.sim._config_for(request)
-                if not config.is_decoder and output_tokens > 1:
-                    raise ValueError(
-                        f"{config.name} is not a decoder; serving traces "
-                        "for it must be summarization-only (output_tokens == 1)"
-                    )
-            elif not is_decoder and output_tokens > 1:
-                raise ValueError(
-                    f"{self.sim.model.name} is not a decoder; serving traces "
-                    "for it must be summarization-only (output_tokens == 1)"
-                )
+            if request.model or (output_tokens > 1 and not is_decoder):
+                check_servable(request)
             key = (arrival, request_id)
             if last_key is not None and key < last_key:
                 raise ValueError(
@@ -574,20 +571,9 @@ class ArraySimulationRun:
                 )
         outs = [r.output_tokens for r in requests]
         mdls = [r.model for r in requests]
-        if any(mdls):
-            sim = self.sim
+        if any(mdls) or (max(outs) > 1 and not self._is_decoder):
             for r in requests:
-                config = sim._config_for(r)
-                if not config.is_decoder and r.output_tokens > 1:
-                    raise ValueError(
-                        f"{config.name} is not a decoder; serving traces "
-                        "for it must be summarization-only (output_tokens == 1)"
-                    )
-        elif not self._is_decoder and max(outs) > 1:
-            raise ValueError(
-                f"{self.sim.model.name} is not a decoder; serving traces "
-                "for it must be summarization-only (output_tokens == 1)"
-            )
+                self.sim._check_servable(r)
         inps = [r.input_tokens for r in requests]
         pfxs = [r.prefix_id for r in requests]
         if max(pfxs) >= 0:
@@ -674,101 +660,6 @@ class ArraySimulationRun:
             )
 
     # ------------------------------------------------------------------
-    # Policy decisions, re-derived over columns (bit-equal: integer keys)
-    # ------------------------------------------------------------------
-    def _admit_index(self, waiting: "deque[int]") -> int:
-        # Iterates values rather than indexing: waiting is a deque, where
-        # positional access is O(n).  First minimum wins, as in the
-        # object policies' (key, index) tie-break.
-        ptype = self._ptype
-        if ptype is SrptPolicy:
-            inp, out = self._inp, self._out
-            best, best_key = 0, None
-            for i, row in enumerate(waiting):
-                key = inp[row] + out[row]
-                if best_key is None or key < best_key:
-                    best, best_key = i, key
-            return best
-        if ptype is PriorityPolicy:
-            cls = self._cls
-            best, best_key = 0, None
-            for i, row in enumerate(waiting):
-                key = cls[row]
-                if best_key is None or key < best_key:
-                    best, best_key = i, key
-            return best
-        return 0
-
-    def _admit_allowed(self) -> "list[int]":
-        """Waiting indices admissible under the per-class reservations —
-        the row twin of ``PriorityPolicy.admit_filter`` (integer logic,
-        so the admitted order is bit-equal to the object engine's)."""
-        reserved = self._shares
-        cls = self._cls
-        active_by_class: "dict[int, int]" = {}
-        for row in self.active:
-            c = cls[row]
-            active_by_class[c] = active_by_class.get(c, 0) + 1
-        waiting_classes = {cls[row] for row in self.waiting}
-        total = len(self.active)
-        max_batch = self._policy_cap
-        allowed: "list[int]" = []
-        for index, row in enumerate(self.waiting):
-            c = cls[row]
-            quota = reserved[c] if c < len(reserved) else 0
-            if active_by_class.get(c, 0) < quota:
-                allowed.append(index)
-                continue
-            pending = sum(
-                max(
-                    0,
-                    (reserved[other] if other < len(reserved) else 0)
-                    - active_by_class.get(other, 0),
-                )
-                for other in waiting_classes
-                if other != c
-            )
-            if total + pending < max_batch:
-                allowed.append(index)
-        return allowed
-
-    def _remaining(self, row: int) -> int:
-        return (self._inp[row] - self._prefilled[row]) + (
-            self._out[row] - self._generated[row]
-        )
-
-    def _prefill_index(self, prefilling: "list[int]") -> int:
-        ptype = self._ptype
-        if ptype is SrptPolicy:
-            return min(
-                range(len(prefilling)),
-                key=lambda i: (self._remaining(prefilling[i]), i),
-            )
-        if ptype is PriorityPolicy:
-            cls = self._cls
-            return min(
-                range(len(prefilling)), key=lambda i: (cls[prefilling[i]], i)
-            )
-        return 0
-
-    def _decode_batch(self, decodable: "list[int]") -> "list[int]":
-        ptype = self._ptype
-        cap = self._policy_cap
-        if ptype is SrptPolicy:
-            order = sorted(
-                range(len(decodable)),
-                key=lambda i: (self._remaining(decodable[i]), i),
-            )
-            return [decodable[i] for i in order[:cap]]
-        if ptype is PriorityPolicy:
-            cls = self._cls
-            order = sorted(
-                range(len(decodable)), key=lambda i: (cls[decodable[i]], i)
-            )
-            return [decodable[i] for i in order[:cap]]
-        return decodable[:cap]
-
-    # ------------------------------------------------------------------
     # Costs
     # ------------------------------------------------------------------
     def _decode_cost(self, kv: int) -> tuple:
@@ -782,63 +673,15 @@ class ArraySimulationRun:
                 self._en[index],
                 self._fl[index],
             )
-        cost = self._provider.decode(kv)
-        return (
-            cost.latency_s,
-            cost.energy.normal_memory_j,
-            cost.energy.pim_op_j,
-            cost.energy.npu_cores_j,
-            cost.flops,
-        )
+        return cost_tuple(self._provider.decode(kv))
 
     def _chunk_cost(self, prefix: int, chunk: int) -> tuple:
         key = (prefix, chunk)
         cached = self._chunk_costs.get(key)
         if cached is None:
-            cost = self._provider.prefill_chunk(prefix, chunk)
-            cached = (
-                cost.latency_s,
-                cost.energy.normal_memory_j,
-                cost.energy.pim_op_j,
-                cost.energy.npu_cores_j,
-                cost.flops,
-            )
+            cached = cost_tuple(self._provider.prefill_chunk(prefix, chunk))
             self._chunk_costs[key] = cached
         return cached
-
-    def _fused_scalar(
-        self, carrier: "tuple | None", costs: "list[tuple]"
-    ) -> tuple:
-        """Scalar twin of ``ServingSimulator._fused_iteration``.
-
-        Same operations in the same order on the same values (table
-        entries are bit-equal to provider costs), so the result is
-        bit-identical to the object engine's.
-        """
-        if carrier is None and len(costs) == 1:
-            return costs[0]
-        if carrier is not None and not costs:
-            return carrier
-        base = self._base_cost()
-        if carrier is None:
-            parts = costs
-            shared = self.sim.batch_share * (len(costs) - 1)
-        else:
-            parts = [carrier, *costs]
-            shared = self.sim.batch_share * len(costs)
-        latency = sum(cost[0] for cost in parts) - shared * base[0]
-        floor = max(cost[0] for cost in parts)
-        if floor > latency:
-            latency = floor
-        out = [latency, 0.0, 0.0, 0.0, 0.0]
-        for component in (1, 2, 3):
-            saved = shared * base[component]
-            total = sum(cost[component] for cost in parts)
-            peak = max(cost[component] for cost in parts)
-            value = total - saved
-            out[component] = peak if peak > value else value
-        out[4] = sum(cost[4] for cost in parts)
-        return tuple(out)
 
     # ------------------------------------------------------------------
     # The discrete-event loop
@@ -860,7 +703,7 @@ class ArraySimulationRun:
         active = self.active
         swapped = self.swapped
         pending = self.pending
-        cap = self._policy_cap
+        admit = self._policy.admit
         # An offer since the last advance may have brought the run's first
         # shared-prefix request; the fast paths stand down from then on.
         macro_ok = (
@@ -897,7 +740,7 @@ class ArraySimulationRun:
             # _admit's own loop condition, checked inline: with a full
             # batch or an empty (waiting + swapped) queue the call would
             # be a no-op, and this loop runs once per pass.
-            if (waiting or swapped) and len(active) < cap:
+            if (waiting or swapped) and admit(len(active)):
                 if profile:
                     start = perf_counter()
                     self._admit()
@@ -929,7 +772,7 @@ class ArraySimulationRun:
 
     # ------------------------------------------------------------------
     def _admit(self) -> None:
-        # Mirror of the object engine's _admit: swapped requests come back
+        # The object engine's _admit over rows: swapped requests come back
         # first (they hold completed work a recompute would repay), then
         # new admissions; when the device is idle with the pool pinned by
         # resident shared-prefix pages, sacrifice the youngest swapped
@@ -938,7 +781,11 @@ class ArraySimulationRun:
         # fits_alone held at admission).
         self._swap_in_ready()
         self._admit_waiting()
-        while not self.active and self.swapped:
+        while (
+            not self.active
+            and self.swapped
+            and self._policy.admit(len(self.active))
+        ):
             if self.kv.can_swap_in(self._rid[self.swapped[0]]):
                 self._swap_in_head()
             else:
@@ -946,34 +793,20 @@ class ArraySimulationRun:
             self._admit_waiting()
 
     def _admit_waiting(self) -> None:
-        """Admit waiting rows while the policy and the pool allow — the row
-        twin of the object engine's ``_admit_waiting`` (shared-prefix
-        requests charge only their unique new pages)."""
+        """Admit waiting rows while the policy and the pool allow, in the
+        policy's order (shared-prefix requests charge only their unique
+        new pages)."""
         kv = self.kv
         waiting, active = self.waiting, self.active
         optimistic = self._optimistic
-        cap = self._policy_cap
-        arrival_order = self._arrival_order
-        shares = self._shares
-        while waiting and len(active) < cap:
-            if shares is None:
-                index = 0 if arrival_order else self._admit_index(waiting)
-            else:
-                allowed = self._admit_allowed()
-                if not allowed:
-                    break
-                index = allowed[
-                    self._admit_index([waiting[i] for i in allowed])
-                ]
+        policy, keys = self._policy, self._keys
+        while waiting and policy.admit(len(active)):
+            index = policy.next_admission(waiting, active, keys)
+            if index is None:
+                break
             row = waiting[index]
             total = self._inp[row] + self._out[row]
-            if not kv.fits_alone(total):
-                raise ValueError(
-                    f"request {self._rid[row]} needs "
-                    f"{kv.pages_for(total)} KV pages but the "
-                    f"pool holds {kv.total_pages}; it can never be served "
-                    f"(raise kv_fraction or the budget)"
-                )
+            _check_fits_alone(kv, self._rid[row], total)
             commit_tokens = self._inp[row] if optimistic else total
             if not kv.can_reserve(commit_tokens, self._pfx[row], self._pft[row]):
                 break
@@ -994,8 +827,8 @@ class ArraySimulationRun:
 
     def _swap_in_ready(self) -> None:
         """Restore swapped-out rows, oldest first, while they fit."""
-        cap = self._policy_cap
-        while self.swapped and len(self.active) < cap:
+        admit = self._policy.admit
+        while self.swapped and admit(len(self.active)):
             if not self.kv.can_swap_in(self._rid[self.swapped[0]]):
                 break
             self._swap_in_head()
@@ -1005,7 +838,7 @@ class ArraySimulationRun:
         row = self.swapped.pop(0)
         request_id = self._rid[row]
         pages = self.kv.swap_in(request_id)
-        latency = self._swap_latency(pages)
+        latency = self.sim._link_seconds(pages * self.kv.page_bytes)
         self.clock += latency
         self.busy += latency
         self.active.append(row)
@@ -1025,7 +858,7 @@ class ArraySimulationRun:
         self.active.remove(victim)
         if self._generated[victim] == 0:
             self._num_prefilling -= 1
-        latency = self._swap_latency(pages)
+        latency = self.sim._link_seconds(pages * self.kv.page_bytes)
         self.clock += latency
         self.busy += latency
         self.swapped.append(victim)
@@ -1065,13 +898,10 @@ class ArraySimulationRun:
         self._requeue(victim)
         self._emit("preempt", request_id=request_id, tokens=pages)
 
-    def _swap_latency(self, pages: int) -> float:
-        """Transfer time of ``pages`` KV pages over the host link."""
-        return pages * self.kv.page_bytes * 8.0 / (self.sim.link_gbps * 1e9)
-
     # ------------------------------------------------------------------
-    # Multi-model residency (mirror of the object engine's sticky-resident
-    # scheduling; only reached when the simulator hosts a model set)
+    # Multi-model residency (the object engine's sticky-resident
+    # scheduling over rows; only reached when the simulator hosts a
+    # model set)
     # ------------------------------------------------------------------
     def _model_of_row(self, row: int) -> str:
         """The model a row runs on ("" in a request means the default)."""
@@ -1086,12 +916,13 @@ class ArraySimulationRun:
             if (mdl[row] or default) == resident:
                 return
         generated = self._generated
+        policy, keys = self._policy, self._keys
         prefilling = [row for row in self.active if generated[row] == 0]
         if prefilling:
-            target = prefilling[self._prefill_index(prefilling)]
+            target = prefilling[policy.prefill_index(prefilling, keys)]
         else:
             decodable = [row for row in self.active if generated[row] > 0]
-            batch = self._decode_batch(decodable)
+            batch = policy.decode_batch(decodable, keys)
             target = batch[0] if batch else decodable[0]
         self._swap_model(mdl[target] or default)
 
@@ -1105,7 +936,7 @@ class ArraySimulationRun:
         """
         sim = self.sim
         moved = sim._weight_bytes[target]
-        latency = moved * 8.0 / (sim.link_gbps * 1e9)
+        latency = sim._link_seconds(moved)
         self.clock += latency
         self.busy += latency
         self.resident_model = target
@@ -1141,7 +972,7 @@ class ArraySimulationRun:
         if self._multi:
             # Sticky-resident scheduling: restrict the pass to the
             # resident model's rows, paying a weight swap first when the
-            # resident model has nothing runnable (object-engine mirror).
+            # resident model has nothing runnable (as the object engine).
             self._sync_model()
             resident = self.resident_model
             mdl = self._mdl
@@ -1159,12 +990,13 @@ class ArraySimulationRun:
         else:
             prefilling = [row for row in self.active if generated[row] == 0]
             decodable = [row for row in self.active if generated[row] > 0]
+        policy, keys = self._policy, self._keys
         row: "int | None" = None
         carrier: "tuple | None" = None
         chunk = 0
         batch: list[int] = []
         if prefilling:
-            row = prefilling[self._prefill_index(prefilling)]
+            row = prefilling[policy.prefill_index(prefilling, keys)]
             remaining = self._inp[row] - self._prefilled[row]
             chunk = (
                 remaining
@@ -1173,35 +1005,27 @@ class ArraySimulationRun:
             )
             carrier = self._chunk_cost(self._prefilled[row], chunk)
             if sim.chunk_tokens and decodable:
-                batch = self._decode_batch(decodable)
+                batch = policy.decode_batch(decodable, keys)
             elif sim.chunk_tokens == 0 and self.events is None:
                 self._prefill_only_step(row, chunk, carrier)
                 return
         else:
-            batch = self._decode_batch(decodable)
+            batch = policy.decode_batch(decodable, keys)
 
+        inp = self._inp
         if self._optimistic and batch:
             requested = batch
             batch = self._grow_batch(batch, row)
             if carrier is None and not batch:
                 head = requested[0]
-                kv = self.kv
-                request_id = self._rid[head]
-                need = kv.grow_need(request_id, self._inp[head] + generated[head])
-                raise RuntimeError(
-                    "KV pool exhausted with preemption disabled: request "
-                    f"{request_id} holds {kv.held_pages(request_id)} page(s) "
-                    f"and needs {need} more for its next decode, but only "
-                    f"{kv.free_pages} of {kv.total_pages} pool page(s) are "
-                    "free and no prefill can run (enable preempt or raise "
-                    "the KV budget)"
+                raise _pool_exhausted(
+                    self.kv, self._rid[head], inp[head] + generated[head]
                 )
 
-        inp = self._inp
         costs = [self._decode_cost(inp[r] + generated[r]) for r in batch]
         self._step_kind = "prefill" if carrier is not None else "decode"
-        latency, e_mem, e_pim, e_npu, pass_flops = self._fused_scalar(
-            carrier, costs
+        latency, e_mem, e_pim, e_npu, pass_flops = fused_pass(
+            carrier, costs, self._batch_share, self._base_cost
         )
         self.clock += latency
         self.busy += latency
@@ -1903,7 +1727,7 @@ class ArraySimulationRun:
                     # answer — the smallest j with elapsed(j) >= budget —
                     # is one vectorized subtract + searchsorted away.
                     # Same IEEE ops on the same floats (the numpy prefix
-                    # twins hold the cumsum prefix_sums() listified), so
+                    # copies hold the cumsum prefix_sums() listified), so
                     # the cut lands on the same step: byte-identical.
                     off = offsets[0]
                     lat_start = plat[off]
@@ -1995,7 +1819,7 @@ class ArraySimulationRun:
     def _grow_batch(
         self, batch: "list[int]", carrier_row: "int | None"
     ) -> "list[int]":
-        """Row twin of the object engine's ``_grow_batch``: grants route
+        """The object engine's ``_grow_batch`` over rows: grants route
         through the accountant (shared pages never grow), and with the
         swap tier a victim's pages move to host DRAM instead of being
         thrown away — preempting a swapped row stays the last resort when
@@ -2015,7 +1839,7 @@ class ArraySimulationRun:
             if need > 0 and need > kv.free_pages and (sim.swap or sim.preempt):
                 protected.add(row)
                 while need > kv.free_pages:
-                    victim = self._choose_victim(protected)
+                    victim = choose_victim(self.active, protected, self._keys)
                     if victim is not None:
                         if sim.swap:
                             self._swap_out(victim)
@@ -2031,22 +1855,6 @@ class ArraySimulationRun:
                 granted.append(row)
                 protected.add(row)
         return granted
-
-    def _choose_victim(self, protected: "set[int]") -> "int | None":
-        candidates = [row for row in self.active if row not in protected]
-        if not candidates:
-            return None
-        generated, prefilled = self._generated, self._prefilled
-        arr, rid = self._arr, self._rid
-        return min(
-            candidates,
-            key=lambda row: (
-                generated[row],
-                prefilled[row],
-                -arr[row],
-                -rid[row],
-            ),
-        )
 
     def _preempt(self, victim: int) -> None:
         pages = self.kv.release(self._rid[victim])
@@ -2136,15 +1944,16 @@ class ArraySimulationRun:
         return self._finalize_pooled(makespan)
 
     def _finalize_pooled(self, makespan: float) -> ServingMetrics:
-        """Pool metrics straight from the completion columns (numpy).
+        """Pool the request-level metrics straight from the completion
+        columns (numpy), then build the metrics through the simulator's
+        one ``_finalize`` path.
 
-        Same aggregate formulas as ``ServingSimulator._finalize``
-        (including the percentile interpolation rule) without building a
-        :class:`RequestMetrics` per request — at 1e6 requests that object
-        churn costs more than the simulation itself.
+        Same aggregate formulas as :func:`~repro.serving.simulator.
+        request_aggregates` (the percentile rule included) without building
+        a :class:`RequestMetrics` per request — at 1e6 requests that object
+        churn costs more than the simulation itself.  Means stay numpy's
+        (pairwise) sums, which pooled runs have always reported.
         """
-        import numpy as np
-
         sim = self.sim
         arrival = np.asarray(self._done_arrival)
         first = np.asarray(self._done_first)
@@ -2159,22 +1968,12 @@ class ArraySimulationRun:
             if count
             else np.empty(0)
         )
-        output_tokens = int(out.sum()) if count else 0
 
         def pooled_mean(values) -> float:
             return float(values.mean()) if values.size else 0.0
 
-        def pooled_percentile(values, q: float) -> float:
-            if not values.size:
-                return 0.0
-            ordered = np.sort(values)
-            position = q / 100.0 * (ordered.size - 1)
-            lower = int(position)
-            upper = min(lower + 1, ordered.size - 1)
-            weight = position - lower
-            return float(
-                ordered[lower] + weight * (ordered[upper] - ordered[lower])
-            )
+        def pooled_percentile(ordered, q: float) -> float:
+            return float(_percentile_sorted(ordered, q))
 
         slo_attainment: "float | None" = None
         slo_by_class: dict[str, float] = {}
@@ -2213,54 +2012,23 @@ class ArraySimulationRun:
 
         ordered_latencies = np.sort(latencies)
         ordered_ttfts = np.sort(ttfts)
-        kv = self.kv
-        decode_passes = self.decode_passes
-        return ServingMetrics(
-            backend=sim.cost_model.name,
-            model=sim.model.name,
-            policy=sim.policy.name,
-            num_requests=count,
-            makespan_s=makespan,
-            busy_s=self.busy,
-            utilization=self.busy / makespan if makespan > 0 else 0.0,
-            output_tokens=output_tokens,
-            tokens_per_s=output_tokens / makespan if makespan > 0 else 0.0,
-            requests_per_s=count / makespan if makespan > 0 else 0.0,
-            latency_mean_s=pooled_mean(latencies),
-            latency_p50_s=pooled_percentile(ordered_latencies, 50.0),
-            latency_p99_s=pooled_percentile(ordered_latencies, 99.0),
-            ttft_mean_s=pooled_mean(ttfts),
-            ttft_p50_s=pooled_percentile(ordered_ttfts, 50.0),
-            ttft_p99_s=pooled_percentile(ordered_ttfts, 99.0),
-            tpot_mean_s=pooled_mean(tpots),
-            energy_j=self.energy.total_j,
-            flops=self.flops,
-            prefill_passes=self.prefill_passes,
-            decode_passes=decode_passes,
-            mean_decode_batch=(
-                self.decode_tokens / decode_passes if decode_passes else 0.0
-            ),
-            admission=sim.admission,
-            admissions=self.admissions,
-            peak_active=self.peak_active,
-            preemptions=self.preemptions,
-            recomputed_tokens=self.recomputed_tokens,
-            swap_outs=self.swap_outs,
-            swap_ins=self.swap_ins,
-            swapped_pages=self.swapped_pages_total,
-            link_gbps=sim.link_gbps if sim.swap else 0.0,
-            chunk_tokens=sim.chunk_tokens,
-            kv_page_tokens=kv.page_tokens,
-            kv_pages_total=kv.total_pages,
-            kv_peak_pages=kv.peak_reserved_pages,
-            kv_budget_bytes=kv.budget_bytes,
-            slo_attainment=slo_attainment,
-            slo_by_class=slo_by_class,
-            models=self._model_names if self._multi else (),
-            model_swaps=self.model_swaps,
-            model_swap_s=self.model_swap_s,
-            slo_by_model_class=slo_by_model_class,
-            per_request=(),
+        return sim._finalize(
+            self,
+            makespan,
+            {
+                "num_requests": count,
+                "output_tokens": int(out.sum()) if count else 0,
+                "latency_mean_s": pooled_mean(latencies),
+                "latency_p50_s": pooled_percentile(ordered_latencies, 50.0),
+                "latency_p99_s": pooled_percentile(ordered_latencies, 99.0),
+                "ttft_mean_s": pooled_mean(ttfts),
+                "ttft_p50_s": pooled_percentile(ordered_ttfts, 50.0),
+                "ttft_p99_s": pooled_percentile(ordered_ttfts, 99.0),
+                "tpot_mean_s": pooled_mean(tpots),
+                "slo_attainment": slo_attainment,
+                "slo_by_class": slo_by_class,
+                "slo_by_model_class": slo_by_model_class,
+            },
         )
 
     # ------------------------------------------------------------------

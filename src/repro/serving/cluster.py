@@ -99,7 +99,7 @@ from repro.serving.simulator import (
     SimulationRun,
     _decode_kv_bounds,
     _validated_construct,
-    percentile,
+    request_aggregates,
 )
 from repro.serving.validate import check_cluster_invariants, check_invariants
 
@@ -1078,48 +1078,7 @@ class ClusterSimulator:
             replica_seconds = len(per_replica) * makespan
         utilization = busy / replica_seconds if replica_seconds > 0 else 0.0
         output_tokens = sum(metrics.output_tokens for metrics in per_replica)
-        latencies = [metrics.latency_s for metrics in pooled]
-        ttfts = [metrics.ttft_s for metrics in pooled]
-        tpots = [metrics.tpot_s for metrics in pooled if metrics.output_tokens > 1]
-        mean = lambda values: sum(values) / len(values) if values else 0.0  # noqa: E731
-        scored = [metrics for metrics in pooled if metrics.slo_s > 0.0]
         models = per_replica[0].models
-        slo_attainment: "float | None" = None
-        slo_by_class: dict[str, float] = {}
-        slo_by_model_class: dict[str, float] = {}
-        if any(metrics.slo_attainment is not None for metrics in per_replica):
-            if scored:
-                slo_attainment = mean([1.0 if m.slo_met else 0.0 for m in scored])
-                slo_by_class = {
-                    str(cls): mean(
-                        [
-                            1.0 if m.slo_met else 0.0
-                            for m in scored
-                            if m.priority_class == cls
-                        ]
-                    )
-                    for cls in sorted({m.priority_class for m in scored})
-                }
-                if len(models) > 1:
-                    pairs = sorted(
-                        {
-                            (m.model or self.model.name, m.priority_class)
-                            for m in scored
-                        }
-                    )
-                    slo_by_model_class = {
-                        f"{name}/{cls}": mean(
-                            [
-                                1.0 if m.slo_met else 0.0
-                                for m in scored
-                                if (m.model or self.model.name) == name
-                                and m.priority_class == cls
-                            ]
-                        )
-                        for name, cls in pairs
-                    }
-            else:
-                slo_attainment = 1.0
         # Imbalance is a skew ratio over the replicas that actually
         # participated in routing.  A replica that never received an
         # arrival (spawned after the trace drained, or dead before its
@@ -1150,13 +1109,6 @@ class ClusterSimulator:
             output_tokens=output_tokens,
             tokens_per_s=output_tokens / makespan if makespan > 0 else 0.0,
             requests_per_s=len(pooled) / makespan if makespan > 0 else 0.0,
-            latency_mean_s=mean(latencies),
-            latency_p50_s=percentile(latencies, 50.0),
-            latency_p99_s=percentile(latencies, 99.0),
-            ttft_mean_s=mean(ttfts),
-            ttft_p50_s=percentile(ttfts, 50.0),
-            ttft_p99_s=percentile(ttfts, 99.0),
-            tpot_mean_s=mean(tpots),
             energy_j=sum(metrics.energy_j for metrics in per_replica),
             flops=sum(metrics.flops for metrics in per_replica),
             admissions=sum(metrics.admissions for metrics in per_replica),
@@ -1172,8 +1124,6 @@ class ClusterSimulator:
             load_imbalance=imbalance,
             kv_peak_pages=kv_peak,
             kv_pages_total=sum(metrics.kv_pages_total for metrics in per_replica),
-            slo_attainment=slo_attainment,
-            slo_by_class=slo_by_class,
             failure_schedule=(
                 self.failures.name if self.failures is not None else "none"
             ),
@@ -1192,7 +1142,12 @@ class ClusterSimulator:
             models=models,
             model_swaps=sum(metrics.model_swaps for metrics in per_replica),
             model_swap_s=sum(metrics.model_swap_s for metrics in per_replica),
-            slo_by_model_class=slo_by_model_class,
             per_replica=per_replica,
             per_request=tuple(pooled),
+            **request_aggregates(
+                pooled,
+                any(metrics.slo_attainment is not None for metrics in per_replica),
+                self.model.name,
+                len(models) > 1,
+            ),
         )

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.serving.simulator import cost_tuple
+
 __all__ = [
     "DecodeCostTable",
     "build_decode_table",
@@ -162,13 +164,8 @@ def build_decode_table(provider, kv_lo: int, kv_hi: int) -> DecodeCostTable:
     if kv_lo < kv_hi and len(provider._anchors) < 2:
         raise ValueError("provider has no anchor grid; call prepare() first")
 
-    extractors = {
-        "latency": lambda cost: cost.latency_s,
-        "energy_memory": lambda cost: cost.energy.normal_memory_j,
-        "energy_pim": lambda cost: cost.energy.pim_op_j,
-        "energy_npu": lambda cost: cost.energy.npu_cores_j,
-        "flops": lambda cost: cost.flops,
-    }
+    # Column names in cost_tuple order.
+    names = ("latency", "energy_memory", "energy_pim", "energy_npu", "flops")
     columns = {}
     if kv_lo == kv_hi:
         # Single-value KV range (e.g. prompt == max context, so every
@@ -177,18 +174,18 @@ def build_decode_table(provider, kv_lo: int, kv_hi: int) -> DecodeCostTable:
         # provider's own decode path and emit a 1-row table.  A grid with
         # fewer than two anchors is fine here; decode() falls back to
         # exact pricing for it, and so do we.
-        cost = provider.decode(kv_lo)
-        for name, extract in extractors.items():
-            columns[name] = np.asarray([extract(cost)], dtype=np.float64)
+        for name, value in zip(names, cost_tuple(provider.decode(kv_lo))):
+            columns[name] = np.asarray([value], dtype=np.float64)
     else:
         anchors = np.asarray(provider._anchors, dtype=np.int64)
-        anchor_costs = [provider._decode_exact(int(anchor)) for anchor in anchors]
+        anchor_costs = [
+            cost_tuple(provider._decode_exact(int(anchor))) for anchor in anchors
+        ]
         kv = np.arange(kv_lo, kv_hi + 1, dtype=np.int64)
-        for name, extract in extractors.items():
-            values = np.asarray(
-                [extract(cost) for cost in anchor_costs], dtype=np.float64
+        for name, values in zip(names, zip(*anchor_costs)):
+            columns[name] = _interpolate_column(
+                kv, anchors, np.asarray(values, dtype=np.float64)
             )
-            columns[name] = _interpolate_column(kv, anchors, values)
 
     # decode() consults _exact_costs before interpolating, and prepare()
     # deliberately keeps exact prices across grids — mirror that override
@@ -196,17 +193,10 @@ def build_decode_table(provider, kv_lo: int, kv_hi: int) -> DecodeCostTable:
     for exact_kv, cost in provider._exact_costs.items():
         if kv_lo <= exact_kv <= kv_hi:
             index = exact_kv - kv_lo
-            for name, extract in extractors.items():
-                columns[name][index] = extract(cost)
+            for name, value in zip(names, cost_tuple(cost)):
+                columns[name][index] = value
 
-    base_cost = provider.base()
-    base = (
-        base_cost.latency_s,
-        base_cost.energy.normal_memory_j,
-        base_cost.energy.pim_op_j,
-        base_cost.energy.npu_cores_j,
-        base_cost.flops,
-    )
+    base = cost_tuple(provider.base())
     floor_free = bool(
         np.all(columns["latency"] > 0.0)
         and np.all(columns["latency"] >= base[0])

@@ -130,18 +130,27 @@ Two interchangeable implementations sit behind ``begin``/``simulate``
     ``record_events=True`` it takes the per-iteration path and reproduces
     the object engine's event log *bit for bit*; macro-stepped runs match
     pooled metrics to ~1e-9 (float accumulation order differs).  Requires
-    a registered policy (the four in :data:`POLICIES`) because policy
-    decisions are re-derived over columns.
+    a registered policy (the four in :data:`POLICIES`): its fast paths
+    rely on their batching contract (see :class:`ServingPolicy`).
+
+Both engines' per-iteration loops apply the rules of this module, each
+written once: the policy decisions (over the :class:`RequestKeys` each
+engine supplies), :func:`choose_victim`, :func:`fused_pass` over
+:func:`cost_tuple`\\ s, the host-link transfer time and the
+unservable-request, exhausted-pool and not-a-decoder errors.  What stays
+mirrored is the state-bound admit/grow/preempt/swap/step bodies, written
+once per storage layout.
 """
 
 from __future__ import annotations
 
 import bisect
 import inspect
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.core.costmodel import CostModel, PassCost, diff_pass_cost, lerp_pass_cost
 from repro.energy.model import EnergyBreakdown
@@ -154,6 +163,7 @@ from repro.serving.validate import SimEvent
 
 __all__ = [
     "PassCostProvider",
+    "RequestKeys",
     "ServingPolicy",
     "FcfsPolicy",
     "InterleavedPolicy",
@@ -161,6 +171,9 @@ __all__ = [
     "PriorityPolicy",
     "POLICIES",
     "make_policy",
+    "choose_victim",
+    "cost_tuple",
+    "fused_pass",
     "ADMISSION_MODES",
     "ENGINES",
     "ServingMetrics",
@@ -169,6 +182,7 @@ __all__ = [
     "decode_kv_bounds",
     "mean_service_time_s",
     "percentile",
+    "request_aggregates",
 ]
 
 #: Admission-control modes of the simulator (see the module docstring).
@@ -187,15 +201,13 @@ def percentile(values: Sequence[float], q: float) -> float:
 
     Deterministic and dependency-free (no numpy): sort, place ``q`` on the
     ``(n - 1)``-step rank axis, interpolate between the two bracketing
-    order statistics.
+    order statistics.  An empty input reads 0.0 (after ``q`` is checked).
     """
-    if not values:
-        return 0.0
     return _percentile_sorted(sorted(values), q)
 
 
 def _percentile_sorted(ordered: Sequence[float], q: float) -> float:
-    """:func:`percentile` over an already-sorted sequence.
+    """:func:`percentile` over an already-sorted sequence (or numpy array).
 
     Metric finalization computes several percentiles of the same value
     list; sorting once and interpolating many times is the fast path
@@ -203,7 +215,7 @@ def _percentile_sorted(ordered: Sequence[float], q: float) -> float:
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError("q must be in [0, 100]")
-    if not ordered:
+    if len(ordered) == 0:
         return 0.0
     position = q / 100.0 * (len(ordered) - 1)
     lower = int(position)
@@ -463,9 +475,12 @@ def mean_service_time_s(
 # ----------------------------------------------------------------------
 # Scheduling policies
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(eq=False)
 class _InFlight:
-    """Mutable in-flight request state (internal to the simulator)."""
+    """Mutable in-flight request state (internal to the simulator).
+
+    Compared and hashed by identity: the engine keeps one per admission.
+    """
 
     request: Request
     prefilled: int = 0
@@ -493,6 +508,47 @@ class _InFlight:
         )
 
 
+class RequestKeys(NamedTuple):
+    """How an engine reads the keys its per-iteration rules compare.
+
+    The policy decisions and :func:`choose_victim` are written once, over
+    these readers; each engine supplies readers over however it stores
+    requests (``Request``/``_InFlight`` objects here, row indices into
+    columns in the array engine).  ``queued_*`` read a waiting entry,
+    ``live_*`` an admitted one.
+    """
+
+    #: Prompt + output tokens of a waiting request.
+    queued_total: Callable[[Any], int]
+    #: Priority class of a waiting request.
+    queued_class: Callable[[Any], int]
+    #: Prompt tokens still to prefill plus output tokens still to emit.
+    live_remaining: Callable[[Any], int]
+    #: Priority class of an admitted request.
+    live_class: Callable[[Any], int]
+    #: ``(generated, prefilled, arrival_s, request_id)`` of an admitted
+    #: request — what a preemption would throw away, and its age.
+    live_progress: Callable[[Any], tuple]
+
+
+#: The object engine's readers: waiting ``Request``s, admitted ``_InFlight``s.
+_OBJECT_KEYS = RequestKeys(
+    queued_total=attrgetter("total_tokens"),
+    queued_class=attrgetter("priority_class"),
+    live_remaining=attrgetter("remaining_tokens"),
+    live_class=attrgetter("request.priority_class"),
+    live_progress=attrgetter(
+        "generated", "prefilled", "request.arrival_s", "request.request_id"
+    ),
+)
+
+
+def _first_min(keys: Iterable[int]) -> int:
+    """Position of the first smallest key (ties go to the queue head)."""
+    keys = list(keys)
+    return keys.index(min(keys))
+
+
 class ServingPolicy:
     """Decides what the device executes between two passes.
 
@@ -500,20 +556,34 @@ class ServingPolicy:
     memory); ``admit_index`` picks which waiting request is admitted next;
     ``prefill_index`` picks which admitted-but-unprefilled request runs its
     next chunk; ``decode_batch`` picks the fully-prefilled requests that
-    advance one token in the next decode iteration.  The base class admits
-    and prefills in arrival order.
+    advance one token in the next decode iteration.  Every hook reads
+    requests only through the engine's :class:`RequestKeys` (``keys``), so
+    one rule serves both engines.
+
+    The base class is the *batching contract* the array engine's fast
+    paths rely on, which every registered policy keeps: at most
+    ``max_batch`` requests are admitted at once and decoded per iteration,
+    and every decodable request joins the batch while there is room, so
+    when all admitted requests decode the batch is all of them.  With
+    ``arrival_order`` admission, prefill and the decode batch also follow
+    queue order.  At the default ``max_batch = 1`` the base class is FCFS.
     """
 
     name = "policy"
+    #: The concurrency gate: requests admitted at once (and decoded per
+    #: iteration).
+    max_batch = 1
+    #: True when admission, prefill and the decode batch follow queue order.
+    arrival_order = True
 
     def admit(self, active_count: int) -> bool:
-        raise NotImplementedError
+        return active_count < self.max_batch
 
-    def admit_index(self, waiting: "Sequence[Request]") -> int:
+    def admit_index(self, waiting: Sequence, keys: RequestKeys) -> int:
         return 0
 
     def admit_filter(
-        self, waiting: "Sequence[Request]", active: "Sequence[_InFlight]"
+        self, waiting: Sequence, active: Sequence, keys: RequestKeys
     ) -> "list[int] | None":
         """Indices of ``waiting`` that are admissible *right now*, or
         ``None`` to leave admission ungated (the default).
@@ -526,23 +596,30 @@ class ServingPolicy:
         """
         return None
 
-    def prefill_index(self, prefilling: "Sequence[_InFlight]") -> int:
+    def prefill_index(self, prefilling: Sequence, keys: RequestKeys) -> int:
         return 0
 
-    def decode_batch(self, decodable: "Sequence[_InFlight]") -> "list[_InFlight]":
-        raise NotImplementedError
+    def decode_batch(self, decodable: Sequence, keys: RequestKeys) -> list:
+        return decodable[: self.max_batch]
+
+    def next_admission(
+        self, waiting: Sequence, active: Sequence, keys: RequestKeys
+    ) -> "int | None":
+        """Index of the waiting request to admit next — ``admit_index``
+        over the ``admit_filter`` subset — or ``None`` to stop admitting
+        at this pass boundary."""
+        allowed = self.admit_filter(waiting, active, keys)
+        if allowed is None:
+            return self.admit_index(waiting, keys)
+        if not allowed:
+            return None
+        return allowed[self.admit_index([waiting[i] for i in allowed], keys)]
 
 
 class FcfsPolicy(ServingPolicy):
     """First-come-first-served, run-to-completion, one request at a time."""
 
     name = "fcfs"
-
-    def admit(self, active_count: int) -> bool:
-        return active_count == 0
-
-    def decode_batch(self, decodable):
-        return list(decodable[:1])
 
 
 class _BatchedPolicy(ServingPolicy):
@@ -553,17 +630,11 @@ class _BatchedPolicy(ServingPolicy):
             raise ValueError("max_batch must be at least 1")
         self.max_batch = max_batch
 
-    def admit(self, active_count: int) -> bool:
-        return active_count < self.max_batch
-
 
 class InterleavedPolicy(_BatchedPolicy):
     """Iteration-level continuous batching with prefill priority."""
 
     name = "interleaved"
-
-    def decode_batch(self, decodable):
-        return list(decodable[: self.max_batch])
 
 
 class SrptPolicy(_BatchedPolicy):
@@ -576,24 +647,17 @@ class SrptPolicy(_BatchedPolicy):
     """
 
     name = "srpt"
+    arrival_order = False
 
-    def admit_index(self, waiting):
-        return min(
-            range(len(waiting)), key=lambda i: (waiting[i].total_tokens, i)
-        )
+    def admit_index(self, waiting, keys):
+        return _first_min(map(keys.queued_total, waiting))
 
-    def prefill_index(self, prefilling):
-        return min(
-            range(len(prefilling)),
-            key=lambda i: (prefilling[i].remaining_tokens, i),
-        )
+    def prefill_index(self, prefilling, keys):
+        return _first_min(map(keys.live_remaining, prefilling))
 
-    def decode_batch(self, decodable):
-        order = sorted(
-            range(len(decodable)),
-            key=lambda i: (decodable[i].remaining_tokens, i),
-        )
-        return [decodable[i] for i in order[: self.max_batch]]
+    def decode_batch(self, decodable, keys):
+        # A stable sort keeps queue order among equal keys.
+        return sorted(decodable, key=keys.live_remaining)[: self.max_batch]
 
 
 class PriorityPolicy(_BatchedPolicy):
@@ -618,6 +682,7 @@ class PriorityPolicy(_BatchedPolicy):
     """
 
     name = "priority"
+    arrival_order = False
 
     def __init__(
         self, max_batch: int = 8, class_shares: "Sequence[float] | None" = None
@@ -643,55 +708,43 @@ class PriorityPolicy(_BatchedPolicy):
                 int(share * self.max_batch) for share in shares
             )
 
-    def admit_index(self, waiting):
-        return min(
-            range(len(waiting)), key=lambda i: (waiting[i].priority_class, i)
-        )
+    def admit_index(self, waiting, keys):
+        return _first_min(map(keys.queued_class, waiting))
 
-    def admit_filter(self, waiting, active):
-        if self._reservations is None:
-            return None
+    def admit_filter(self, waiting, active, keys):
         reserved = self._reservations
-        active_by_class: "dict[int, int]" = {}
-        for flight in active:
-            cls = flight.request.priority_class
-            active_by_class[cls] = active_by_class.get(cls, 0) + 1
-        waiting_classes = {request.priority_class for request in waiting}
-        total = len(active)
-        allowed: "list[int]" = []
-        for index, request in enumerate(waiting):
-            cls = request.priority_class
-            quota = reserved[cls] if cls < len(reserved) else 0
-            if active_by_class.get(cls, 0) < quota:
-                allowed.append(index)
-                continue
-            # Slots other waiting classes still have reserved but unfilled:
-            # admitting past them could eat a guaranteed slot.
-            pending = sum(
-                max(
-                    0,
-                    (reserved[other] if other < len(reserved) else 0)
-                    - active_by_class.get(other, 0),
-                )
-                for other in waiting_classes
-                if other != cls
+        if reserved is None:
+            return None
+        active_by_class = Counter(map(keys.live_class, active))
+        classes = list(map(keys.queued_class, waiting))
+        # Reservation slots each waiting class still holds unfilled.
+        unfilled = {
+            cls: max(
+                0,
+                (reserved[cls] if cls < len(reserved) else 0)
+                - active_by_class[cls],
             )
-            if total + pending < self.max_batch:
-                allowed.append(index)
-        return allowed
+            for cls in set(classes)
+        }
+        all_unfilled = sum(unfilled.values())
+        total = len(active)
+        # A class under its reservation is admissible; past it, only while
+        # the slots other waiting classes still have reserved stay free.
+        admissible = {
+            cls: (
+                unfilled[cls] > 0
+                or total + all_unfilled - unfilled[cls] < self.max_batch
+            )
+            for cls in unfilled
+        }
+        return [index for index, cls in enumerate(classes) if admissible[cls]]
 
-    def prefill_index(self, prefilling):
-        return min(
-            range(len(prefilling)),
-            key=lambda i: (prefilling[i].request.priority_class, i),
-        )
+    def prefill_index(self, prefilling, keys):
+        return _first_min(map(keys.live_class, prefilling))
 
-    def decode_batch(self, decodable):
-        order = sorted(
-            range(len(decodable)),
-            key=lambda i: (decodable[i].request.priority_class, i),
-        )
-        return [decodable[i] for i in order[: self.max_batch]]
+    def decode_batch(self, decodable, keys):
+        # A stable sort keeps arrival order within a class.
+        return sorted(decodable, key=keys.live_class)[: self.max_batch]
 
 
 #: Policy registry: CLI/experiment name -> class, in presentation order.
@@ -743,6 +796,180 @@ def make_policy(name: str, **kwargs) -> ServingPolicy:
     dropped (e.g. ``max_batch`` on FCFS, which is unbatched by definition).
     """
     return _validated_construct("policy", POLICIES, name, kwargs)
+
+
+# ----------------------------------------------------------------------
+# Per-iteration rules shared by both engines
+# ----------------------------------------------------------------------
+def choose_victim(active: Sequence, protected: set, keys: RequestKeys):
+    """The admitted request whose preemption loses the least work.
+
+    Fewest generated tokens, then fewest prefilled, then the latest
+    arrival (LIFO), then the highest id; the first such entry of
+    ``active`` outside ``protected`` wins.  ``None`` when every admitted
+    request is protected.
+    """
+    progress = keys.live_progress
+    victim = best = None
+    for entry in active:
+        if entry in protected:
+            continue
+        generated, prefilled, arrival_s, request_id = progress(entry)
+        key = (generated, prefilled, -arrival_s, -request_id)
+        if best is None or key < best:
+            victim, best = entry, key
+    return victim
+
+
+def cost_tuple(cost: PassCost) -> tuple:
+    """A pass cost as the ``(latency, mem_j, pim_j, npu_j, flops)`` tuple
+    the per-iteration rules compute over."""
+    energy = cost.energy
+    return (
+        cost.latency_s,
+        energy.normal_memory_j,
+        energy.pim_op_j,
+        energy.npu_cores_j,
+        cost.flops,
+    )
+
+
+def fused_pass(
+    carrier: "tuple | None",
+    costs: "list[tuple]",
+    share: float,
+    base: "Callable[[], tuple]",
+) -> tuple:
+    """One device iteration: an optional prefill chunk fused with decodes.
+
+    Every cost is a :func:`cost_tuple`; ``base()`` returns the decode
+    floor ``c(1)`` of the resident model as one (it is priced only when
+    the pass fuses two or more members).  Without a carrier the first
+    decode member pays the floor and the other ``B - 1`` ride along; with
+    a carrier (a prefill chunk, which streams every FC weight anyway) all
+    ``B`` decode floors are shareable, scaled by ``share``.  Latency and
+    each energy component are floored at the largest member — a fused
+    pass cannot beat its largest constituent — and FLOPs sum in full:
+    batching shares bytes, not math.
+    """
+    if carrier is None:
+        if len(costs) == 1:
+            return costs[0]
+        parts = costs
+        shared = share * (len(costs) - 1)
+    elif not costs:
+        return carrier
+    else:
+        parts = [carrier, *costs]
+        shared = share * len(costs)
+    latency, mem_j, pim_j, npu_j, flops = zip(*parts)
+    floor = base()
+    return (
+        max(sum(latency) - shared * floor[0], max(latency)),
+        max(sum(mem_j) - shared * floor[1], max(mem_j)),
+        max(sum(pim_j) - shared * floor[2], max(pim_j)),
+        max(sum(npu_j) - shared * floor[3], max(npu_j)),
+        sum(flops),
+    )
+
+
+def _check_fits_alone(
+    kv: KvPageAccountant, request_id: int, total_tokens: int
+) -> None:
+    """Raise if a request needs more KV pages than the whole pool holds."""
+    if not kv.fits_alone(total_tokens):
+        raise ValueError(
+            f"request {request_id} needs {kv.pages_for(total_tokens)} KV "
+            f"pages but the pool holds {kv.total_pages}; it can never be "
+            "served (raise kv_fraction or the budget)"
+        )
+
+
+def _pool_exhausted(
+    kv: KvPageAccountant, request_id: int, kv_length: int
+) -> RuntimeError:
+    """The error of a decode that can neither grow nor preempt while no
+    prefill can run (``kv_length`` is the decode's next KV length)."""
+    return RuntimeError(
+        "KV pool exhausted with preemption disabled: request "
+        f"{request_id} holds {kv.held_pages(request_id)} page(s) and "
+        f"needs {kv.grow_need(request_id, kv_length)} more for its next "
+        f"decode, but only {kv.free_pages} of {kv.total_pages} pool "
+        "page(s) are free and no prefill can run (enable preempt or raise "
+        "the KV budget)"
+    )
+
+
+def request_aggregates(
+    completed: "Sequence[RequestMetrics]",
+    slo_scored: bool,
+    default_model: str,
+    by_model: bool,
+) -> dict:
+    """Latency, TTFT and TPOT means and percentiles plus SLO attainment.
+
+    The request-level fields shared by :class:`ServingMetrics` and the
+    cluster's pooled metrics, computed over ``completed`` in its order
+    (request-id order).  With ``slo_scored`` (SLO targets configured)
+    attainment is reported overall, by class and — with ``by_model``, for
+    co-hosted model sets — by ``"model/class"``; a run with no scored
+    request attains 1.0.
+    """
+    latencies = [metrics.latency_s for metrics in completed]
+    ttfts = [metrics.ttft_s for metrics in completed]
+    tpots = [metrics.tpot_s for metrics in completed if metrics.output_tokens > 1]
+    ordered_latencies = sorted(latencies)
+    ordered_ttfts = sorted(ttfts)
+    slo_attainment: "float | None" = None
+    slo_by_class: dict[str, float] = {}
+    slo_by_model_class: dict[str, float] = {}
+    if slo_scored:
+        scored = [metrics for metrics in completed if metrics.slo_s > 0.0]
+        if scored:
+            slo_attainment = _mean([1.0 if m.slo_met else 0.0 for m in scored])
+            slo_by_class = {
+                str(cls): _mean(
+                    [
+                        1.0 if m.slo_met else 0.0
+                        for m in scored
+                        if m.priority_class == cls
+                    ]
+                )
+                for cls in sorted({m.priority_class for m in scored})
+            }
+            if by_model:
+                pairs = sorted(
+                    {(m.model or default_model, m.priority_class) for m in scored}
+                )
+                slo_by_model_class = {
+                    f"{name}/{cls}": _mean(
+                        [
+                            1.0 if m.slo_met else 0.0
+                            for m in scored
+                            if (m.model or default_model) == name
+                            and m.priority_class == cls
+                        ]
+                    )
+                    for name, cls in pairs
+                }
+        else:
+            slo_attainment = 1.0
+    return {
+        "latency_mean_s": _mean(latencies),
+        "latency_p50_s": _percentile_sorted(ordered_latencies, 50.0),
+        "latency_p99_s": _percentile_sorted(ordered_latencies, 99.0),
+        "ttft_mean_s": _mean(ttfts),
+        "ttft_p50_s": _percentile_sorted(ordered_ttfts, 50.0),
+        "ttft_p99_s": _percentile_sorted(ordered_ttfts, 99.0),
+        "tpot_mean_s": _mean(tpots),
+        "slo_attainment": slo_attainment,
+        "slo_by_class": slo_by_class,
+        "slo_by_model_class": slo_by_model_class,
+    }
+
+
+def _mean(values: "Sequence[float]") -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -1013,12 +1240,7 @@ class SimulationRun:
             raise ValueError("cannot offer a request to a finished run")
         if self.dead:
             raise ValueError("cannot offer a request to a failed replica")
-        config = self.sim._config_for(request)
-        if not config.is_decoder and request.output_tokens > 1:
-            raise ValueError(
-                f"{config.name} is not a decoder; serving traces for it "
-                "must be summarization-only (output_tokens == 1)"
-            )
+        self.sim._check_servable(request)
         if self.pending:
             last = self.pending[-1]
             if (request.arrival_s, request.request_id) < (
@@ -1199,7 +1421,7 @@ class SimulationRun:
         flight = self.swapped.pop(0)
         request_id = flight.request.request_id
         pages = self.kv.swap_in(request_id)
-        latency = self._swap_latency(pages)
+        latency = self.sim._link_seconds(pages * self.kv.page_bytes)
         self.clock += latency
         self.busy += latency
         self.active.append(flight)
@@ -1216,24 +1438,13 @@ class SimulationRun:
         # full input + output tokens; optimistic mode commits the prompt
         # only and grows during decode (_grow_batch).  Requests with a
         # shared prefix charge only their unique new pages.
-        sim, kv = self.sim, self.kv
-        while self.waiting and sim.policy.admit(len(self.active)):
-            allowed = sim.policy.admit_filter(self.waiting, self.active)
-            if allowed is None:
-                index = sim.policy.admit_index(self.waiting)
-            else:
-                if not allowed:
-                    break
-                subset = [self.waiting[i] for i in allowed]
-                index = allowed[sim.policy.admit_index(subset)]
+        sim, kv, policy = self.sim, self.kv, self.sim.policy
+        while self.waiting and policy.admit(len(self.active)):
+            index = policy.next_admission(self.waiting, self.active, _OBJECT_KEYS)
+            if index is None:
+                break
             request = self.waiting[index]
-            if not kv.fits_alone(request.total_tokens):
-                raise ValueError(
-                    f"request {request.request_id} needs "
-                    f"{kv.pages_for(request.total_tokens)} KV pages but the "
-                    f"pool holds {kv.total_pages}; it can never be served "
-                    f"(raise kv_fraction or the budget)"
-                )
+            _check_fits_alone(kv, request.request_id, request.total_tokens)
             commit_tokens = (
                 request.input_tokens
                 if sim.admission == "optimistic"
@@ -1275,10 +1486,10 @@ class SimulationRun:
             return
         prefilling = [f for f in self.active if not f.prefill_done]
         if prefilling:
-            target = prefilling[sim.policy.prefill_index(prefilling)]
+            target = prefilling[sim.policy.prefill_index(prefilling, _OBJECT_KEYS)]
         else:
             decodable = [f for f in self.active if f.prefill_done]
-            batch = sim.policy.decode_batch(decodable)
+            batch = sim.policy.decode_batch(decodable, _OBJECT_KEYS)
             target = batch[0] if batch else decodable[0]
         self._swap_model(self._model_of(target.request))
 
@@ -1286,7 +1497,7 @@ class SimulationRun:
         """Stream ``target``'s weights in over the host link (weight swap)."""
         sim = self.sim
         moved = sim._weight_bytes[target]
-        latency = moved * 8.0 / (sim.link_gbps * 1e9)
+        latency = sim._link_seconds(moved)
         self.clock += latency
         self.busy += latency
         self.resident_model = target
@@ -1294,6 +1505,10 @@ class SimulationRun:
         self.model_swaps += 1
         self.model_swap_s += latency
         self._emit("model_swap", latency=latency, tokens=moved, model=target)
+
+    def _base_cost(self) -> tuple:
+        """The resident model's decode floor, for :func:`fused_pass`."""
+        return cost_tuple(self._provider.base())
 
     def _step(self) -> None:
         """One device iteration: a prefill chunk and/or a fused decode batch."""
@@ -1308,52 +1523,45 @@ class SimulationRun:
             ]
         prefilling = [flight for flight in eligible if not flight.prefill_done]
         decodable = [flight for flight in eligible if flight.prefill_done]
+        provider = self._provider
         flight: "_InFlight | None" = None
-        carrier: "PassCost | None" = None
+        carrier: "tuple | None" = None
         chunk = 0
         batch: list[_InFlight] = []
         if prefilling:
-            flight = prefilling[sim.policy.prefill_index(prefilling)]
+            flight = prefilling[sim.policy.prefill_index(prefilling, _OBJECT_KEYS)]
             remaining = flight.request.input_tokens - flight.prefilled
             chunk = (
                 remaining
                 if sim.chunk_tokens == 0
                 else min(sim.chunk_tokens, remaining)
             )
-            carrier = self._provider.prefill_chunk(flight.prefilled, chunk)
+            carrier = cost_tuple(provider.prefill_chunk(flight.prefilled, chunk))
             # A chunked iteration piggybacks one decode token per batch
             # member on the chunk's weight streaming (Sarathi-style);
             # monolithic prefills keep the pass pure.
             if sim.chunk_tokens and decodable:
-                batch = sim.policy.decode_batch(decodable)
+                batch = sim.policy.decode_batch(decodable, _OBJECT_KEYS)
         else:
-            batch = sim.policy.decode_batch(decodable)
+            batch = sim.policy.decode_batch(decodable, _OBJECT_KEYS)
 
         if sim.admission == "optimistic" and batch:
             requested = batch
             batch = self._grow_batch(batch, flight)
             if carrier is None and not batch:
                 head = requested[0]
-                kv = self.kv
-                held = kv.held_pages(head.request.request_id)
-                need = kv.grow_need(head.request.request_id, head.next_kv_length)
-                raise RuntimeError(
-                    "KV pool exhausted with preemption disabled: request "
-                    f"{head.request.request_id} holds {held} page(s) and "
-                    f"needs {need} more for its next decode, but only "
-                    f"{kv.free_pages} of {kv.total_pages} pool page(s) are "
-                    "free and no prefill can run (enable preempt or raise "
-                    "the KV budget)"
+                raise _pool_exhausted(
+                    self.kv, head.request.request_id, head.next_kv_length
                 )
 
-        costs = [self._provider.decode(f.next_kv_length) for f in batch]
+        costs = [cost_tuple(provider.decode(f.next_kv_length)) for f in batch]
         self._step_kind = "prefill" if carrier is not None else "decode"
-        latency, pass_energy, pass_flops = sim._fused_iteration(
-            carrier, costs, self._provider
+        latency, mem_j, pim_j, npu_j, pass_flops = fused_pass(
+            carrier, costs, sim.batch_share, self._base_cost
         )
         self.clock += latency
         self.busy += latency
-        self.energy = self.energy + pass_energy
+        self.energy = self.energy + EnergyBreakdown(mem_j, pim_j, npu_j)
         self.flops += pass_flops
         if carrier is not None:
             self.prefill_passes += 1
@@ -1409,19 +1617,19 @@ class SimulationRun:
         """
         kv = self.kv
         granted: list[_InFlight] = []
-        protected: set[int] = set()
+        protected: set[_InFlight] = set()
         if carrier_flight is not None:
-            protected.add(id(carrier_flight))
+            protected.add(carrier_flight)
         for f in batch:
-            if not any(f is flight for flight in self.active):
+            if f not in self.active:
                 continue  # evicted by an earlier member's growth
             need = kv.grow_need(f.request.request_id, f.next_kv_length)
             if need > 0 and need > kv.free_pages and (
                 self.sim.swap or self.sim.preempt
             ):
-                protected.add(id(f))
+                protected.add(f)
                 while need > kv.free_pages:
-                    victim = self._choose_victim(protected)
+                    victim = choose_victim(self.active, protected, _OBJECT_KEYS)
                     if victim is not None:
                         if self.sim.swap:
                             self._swap_out(victim)
@@ -1435,35 +1643,14 @@ class SimulationRun:
             if need <= kv.free_pages:
                 kv.grow(f.request.request_id, f.next_kv_length)
                 granted.append(f)
-                protected.add(id(f))
+                protected.add(f)
         return granted
-
-    def _choose_victim(self, protected: "set[int]") -> "_InFlight | None":
-        """The active request losing the least work: fewest generated
-        tokens, then fewest prefilled, then the latest arrival (LIFO)."""
-        candidates = [
-            flight for flight in self.active if id(flight) not in protected
-        ]
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda f: (
-                f.generated,
-                f.prefilled,
-                -f.request.arrival_s,
-                -f.request.request_id,
-            ),
-        )
 
     def _preempt(self, victim: _InFlight) -> None:
         """Evict one request: release its pages, re-enqueue for recompute."""
         request = victim.request
         pages = self.kv.release(request.request_id)
-        for index, flight in enumerate(self.active):
-            if flight is victim:
-                del self.active[index]
-                break
+        self.active.remove(victim)
         self.preemptions += 1
         self.recomputed_tokens += victim.prefilled + victim.generated
         if self.preemptions > 50 * max(self.offered, 1):  # pragma: no cover
@@ -1504,11 +1691,8 @@ class SimulationRun:
         """
         request = victim.request
         pages = self.kv.swap_out(request.request_id)
-        for index, flight in enumerate(self.active):
-            if flight is victim:
-                del self.active[index]
-                break
-        latency = self._swap_latency(pages)
+        self.active.remove(victim)
+        latency = self.sim._link_seconds(pages * self.kv.page_bytes)
         self.clock += latency
         self.busy += latency
         self.swapped.append(victim)
@@ -1522,10 +1706,6 @@ class SimulationRun:
         self._emit(
             "swap_out", latency=latency, request_id=request.request_id, tokens=pages
         )
-
-    def _swap_latency(self, pages: int) -> float:
-        """Transfer time of ``pages`` KV pages over the host link."""
-        return pages * self.kv.page_bytes * 8.0 / (self.sim.link_gbps * 1e9)
 
     def _requeue(self, request: Request) -> None:
         """Re-insert a preempted request, keeping ``waiting`` arrival-sorted."""
@@ -1682,7 +1862,8 @@ class ServingSimulator:
     engine:
         ``"object"`` (default) or ``"array"`` — see the module docstring's
         *Engines* section.  The array engine requires a registered policy
-        name/class (its decisions are re-derived over columns) and numpy.
+        name/class (its fast paths rely on the registered policies'
+        batching contract) and numpy.
     profile:
         Record a per-phase wall-time breakdown (``admit`` / ``prefill`` /
         ``decode`` / ``metrics``) in ``run.phase_s`` — read it from
@@ -1760,8 +1941,12 @@ class ServingSimulator:
             )
         if slo_targets is not None:
             slo_targets = tuple(float(target) for target in slo_targets)
-            if not slo_targets or any(target <= 0 for target in slo_targets):
-                raise ValueError("slo_targets must be positive latencies")
+            # ``not > 0`` also rejects NaN, which every comparison fails.
+            if not slo_targets or not all(target > 0 for target in slo_targets):
+                raise ValueError(
+                    f"slo_targets must be positive latencies; got "
+                    f"{list(slo_targets)}"
+                )
         if num_classes is not None:
             if num_classes < 1:
                 raise ValueError("num_classes must be at least 1")
@@ -1820,10 +2005,10 @@ class ServingSimulator:
         if engine == "array" and type(self.policy) not in POLICIES.values():
             known = ", ".join(cls.__name__ for cls in POLICIES.values())
             raise ValueError(
-                f"engine 'array' re-derives policy decisions over columns and "
-                f"only supports the registered policies ({known}); got "
-                f"{type(self.policy).__name__} — use engine='object' for "
-                f"custom policies"
+                f"engine 'array' only supports the registered policies "
+                f"({known}): its fast paths rely on their batching contract "
+                f"(see ServingPolicy); got {type(self.policy).__name__} — "
+                f"use engine='object' for custom policies"
             )
         self.provider = PassCostProvider(
             cost_model, model, exact=exact, kv_samples=kv_samples
@@ -1856,6 +2041,21 @@ class ServingSimulator:
             budget_bytes=self.kv_budget,
             models=self.models if self.multi_model else None,
         )
+
+    def _check_servable(self, request: Request) -> None:
+        """Raise unless ``request`` targets a hosted model that can emit
+        its output tokens (a non-decoder serves one token per request)."""
+        config = self._config_for(request)
+        if not config.is_decoder and request.output_tokens > 1:
+            raise ValueError(
+                f"{config.name} is not a decoder; serving traces for it "
+                "must be summarization-only (output_tokens == 1)"
+            )
+
+    def _link_seconds(self, nbytes: int) -> float:
+        """Transfer time of ``nbytes`` over the host link (KV page swaps
+        and model weight swaps alike)."""
+        return nbytes * 8.0 / (self.link_gbps * 1e9)
 
     def _config_for(self, request: Request) -> ModelConfig:
         """The :class:`ModelConfig` a request targets ("" = the default)."""
@@ -1955,142 +2155,49 @@ class ServingSimulator:
             model=request.model,
         )
 
-    def _fused_decode(
-        self, costs: "list[PassCost]"
-    ) -> "tuple[float, EnergyBreakdown, float]":
-        """Latency, energy and FLOPs of one pure fused decode iteration."""
-        return self._fused_iteration(None, costs)
+    def _finalize(
+        self, run, makespan: float, requests: "dict | None" = None
+    ) -> ServingMetrics:
+        """The run's metrics: request-level fields plus the run's counters.
 
-    def _fused_iteration(
-        self,
-        carrier: "PassCost | None",
-        costs: "list[PassCost]",
-        provider: "PassCostProvider | None" = None,
-    ) -> "tuple[float, EnergyBreakdown, float]":
-        """One device iteration: an optional prefill chunk fused with decodes.
-
-        Without a carrier the first decode member pays the shared floor and
-        the other ``B - 1`` ride along; with a carrier (a prefill chunk,
-        which streams every FC weight anyway) all ``B`` decode floors are
-        shareable.  Latency is floored at the slowest member — a fused pass
-        cannot beat its largest constituent.  ``provider`` selects whose
-        decode floor is shared (multi-model runs pass the resident model's
-        provider; the default is the simulator's own).
+        ``requests`` holds the request-level fields (``num_requests``,
+        ``output_tokens`` and the :func:`request_aggregates` keys) when the
+        run reduced them itself; by default they come from the run's
+        completed :class:`RequestMetrics`, in request-id order.
         """
-        if carrier is None and len(costs) == 1:
-            only = costs[0]
-            return only.latency_s, only.energy, only.flops
-        if carrier is not None and not costs:
-            return carrier.latency_s, carrier.energy, carrier.flops
-        base = (self.provider if provider is None else provider).base()
-        if carrier is None:
-            parts = costs
-            shared = self.batch_share * (len(costs) - 1)
-        else:
-            parts = [carrier, *costs]
-            shared = self.batch_share * len(costs)
-        latency = sum(cost.latency_s for cost in parts) - shared * base.latency_s
-        latency = max(latency, max(cost.latency_s for cost in parts))
-        energy = EnergyBreakdown(
-            normal_memory_j=self._shared_component(
-                [c.energy.normal_memory_j for c in parts],
-                shared * base.energy.normal_memory_j,
-            ),
-            pim_op_j=self._shared_component(
-                [c.energy.pim_op_j for c in parts], shared * base.energy.pim_op_j
-            ),
-            npu_cores_j=self._shared_component(
-                [c.energy.npu_cores_j for c in parts],
-                shared * base.energy.npu_cores_j,
-            ),
-        )
-        flops = sum(cost.flops for cost in parts)  # batching shares bytes, not math
-        return latency, energy, flops
-
-    @staticmethod
-    def _shared_component(values: "list[float]", saved: float) -> float:
-        return max(sum(values) - saved, max(values))
-
-    def _finalize(self, run: "SimulationRun", makespan: float) -> ServingMetrics:
-        completed = run.completed
+        if requests is None:
+            completed = run.completed
+            requests = {
+                "num_requests": len(completed),
+                "output_tokens": sum(m.output_tokens for m in completed),
+                **request_aggregates(
+                    completed,
+                    self.slo_targets is not None,
+                    self.model.name,
+                    self.multi_model,
+                ),
+            }
         busy = run.busy
-        energy = run.energy
-        flops = run.flops
-        prefill_passes = run.prefill_passes
+        num_requests = requests["num_requests"]
+        output_tokens = requests["output_tokens"]
         decode_passes = run.decode_passes
-        decode_tokens = run.decode_tokens
         kv = run.kv
-        latencies = [metrics.latency_s for metrics in completed]
-        ttfts = [metrics.ttft_s for metrics in completed]
-        tpots = [metrics.tpot_s for metrics in completed if metrics.output_tokens > 1]
-        # Sort once per value list; percentiles interpolate over the same
-        # sorted copy (means stay over arrival order, as before).
-        ordered_latencies = sorted(latencies)
-        ordered_ttfts = sorted(ttfts)
-        output_tokens = sum(metrics.output_tokens for metrics in completed)
-        mean = lambda values: sum(values) / len(values) if values else 0.0  # noqa: E731
-        slo_attainment: "float | None" = None
-        slo_by_class: dict[str, float] = {}
-        slo_by_model_class: dict[str, float] = {}
-        if self.slo_targets is not None:
-            scored = [metrics for metrics in completed if metrics.slo_s > 0.0]
-            if scored:
-                slo_attainment = mean([1.0 if m.slo_met else 0.0 for m in scored])
-                classes = sorted({metrics.priority_class for metrics in scored})
-                slo_by_class = {
-                    str(cls): mean(
-                        [
-                            1.0 if m.slo_met else 0.0
-                            for m in scored
-                            if m.priority_class == cls
-                        ]
-                    )
-                    for cls in classes
-                }
-                if self.multi_model:
-                    default = self.model.name
-                    pairs = sorted(
-                        {
-                            (m.model or default, m.priority_class)
-                            for m in scored
-                        }
-                    )
-                    slo_by_model_class = {
-                        f"{name}/{cls}": mean(
-                            [
-                                1.0 if m.slo_met else 0.0
-                                for m in scored
-                                if (m.model or default) == name
-                                and m.priority_class == cls
-                            ]
-                        )
-                        for name, cls in pairs
-                    }
-            else:
-                slo_attainment = 1.0
         return ServingMetrics(
             backend=self.cost_model.name,
             model=self.model.name,
             policy=self.policy.name,
-            num_requests=len(completed),
             makespan_s=makespan,
             busy_s=busy,
             utilization=busy / makespan if makespan > 0 else 0.0,
-            output_tokens=output_tokens,
             tokens_per_s=output_tokens / makespan if makespan > 0 else 0.0,
-            requests_per_s=len(completed) / makespan if makespan > 0 else 0.0,
-            latency_mean_s=mean(latencies),
-            latency_p50_s=_percentile_sorted(ordered_latencies, 50.0),
-            latency_p99_s=_percentile_sorted(ordered_latencies, 99.0),
-            ttft_mean_s=mean(ttfts),
-            ttft_p50_s=_percentile_sorted(ordered_ttfts, 50.0),
-            ttft_p99_s=_percentile_sorted(ordered_ttfts, 99.0),
-            tpot_mean_s=mean(tpots),
-            energy_j=energy.total_j,
-            flops=flops,
-            prefill_passes=prefill_passes,
+            requests_per_s=num_requests / makespan if makespan > 0 else 0.0,
+            energy_j=run.energy.total_j,
+            flops=run.flops,
+            prefill_passes=run.prefill_passes,
             decode_passes=decode_passes,
-            mean_decode_batch=decode_tokens / decode_passes if decode_passes else 0.0,
+            mean_decode_batch=(
+                run.decode_tokens / decode_passes if decode_passes else 0.0
+            ),
             admission=self.admission,
             admissions=run.admissions,
             peak_active=run.peak_active,
@@ -2105,8 +2212,6 @@ class ServingSimulator:
             kv_pages_total=kv.total_pages,
             kv_peak_pages=kv.peak_reserved_pages,
             kv_budget_bytes=kv.budget_bytes,
-            slo_attainment=slo_attainment,
-            slo_by_class=slo_by_class,
             models=(
                 tuple(member.name for member in self.models)
                 if self.multi_model
@@ -2114,6 +2219,6 @@ class ServingSimulator:
             ),
             model_swaps=run.model_swaps,
             model_swap_s=run.model_swap_s,
-            slo_by_model_class=slo_by_model_class,
-            per_request=tuple(completed) if self.per_request_detail else (),
+            per_request=tuple(run.completed) if self.per_request_detail else (),
+            **requests,
         )

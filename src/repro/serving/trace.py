@@ -46,7 +46,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from repro.models.workload import PAPER_DFX_WORKLOADS, PAPER_GPT2_WORKLOADS, Workload
 from repro.serving.request import Request
@@ -393,73 +393,23 @@ class TraceGenerator:
         (seeded ``f"{name}/{seed}/models"``).  Arrivals, shapes, classes
         and prefixes are byte-identical whether or not a mix is requested.
         """
-        if num_requests < 0:
-            raise ValueError("num_requests must be non-negative")
-        if rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
-        if num_classes < 1:
-            raise ValueError("num_classes must be at least 1")
-        if isinstance(curve, str):
-            curve = make_trace_curve(curve)
-        if prefix_share > 0.0:
-            prefix_tokens = self._resolve_prefix(
-                prefix_share, prefix_tokens, prefix_groups
-            )
-        mix = (
-            self._resolve_model_mix(model_mix) if model_mix is not None else None
-        )
-        rng = random.Random(f"{self.name}/{seed}")
-        class_rng = (
-            random.Random(f"{self.name}/{seed}/classes") if num_classes > 1 else None
-        )
-        prefix_rng = (
-            random.Random(f"{self.name}/{seed}/prefix")
-            if prefix_share > 0.0
-            else None
-        )
-        model_rng = (
-            random.Random(f"{self.name}/{seed}/models") if mix is not None else None
-        )
-        requests = []
-        clock = start_s
-        for request_id in range(num_requests):
-            # Unit-rate gap scaled by the rate: the normalized arrival
-            # pattern (and the mix sequence below) is identical across rates.
-            gap = rng.expovariate(1.0) / rate_rps
-            if curve is None:
-                clock += gap
-            else:
-                clock = curve.advance(clock, gap)
-            workload = self.workloads[rng.randrange(len(self.workloads))]
-            prefix_id = -1
-            shared_tokens = 0
-            if prefix_rng is not None and prefix_rng.random() < prefix_share:
-                prefix_id = (
-                    prefix_rng.randrange(prefix_groups) if prefix_groups > 1 else 0
-                )
-                shared_tokens = prefix_tokens
-            model_name = ""
-            if model_rng is not None:
-                names, cumulative = mix
-                # min() guards the last cumulative bucket against float
-                # round-down (random() < 1, but cumulative[-1] may be too).
-                pick = bisect_right(cumulative, model_rng.random())
-                model_name = names[min(pick, len(names) - 1)]
-            requests.append(
-                Request(
-                    request_id=request_id,
-                    arrival_s=clock,
-                    input_tokens=workload.input_tokens,
-                    output_tokens=workload.output_tokens,
-                    priority_class=(
-                        class_rng.randrange(num_classes) if class_rng else 0
-                    ),
-                    prefix_id=prefix_id,
-                    prefix_tokens=shared_tokens,
-                    model=model_name,
+        return tuple(
+            chain.from_iterable(
+                self.generate_stream(
+                    num_requests,
+                    rate_rps,
+                    seed=seed,
+                    start_s=start_s,
+                    num_classes=num_classes,
+                    curve=curve,
+                    chunk_requests=max(num_requests, 1),
+                    prefix_share=prefix_share,
+                    prefix_tokens=prefix_tokens,
+                    prefix_groups=prefix_groups,
+                    model_mix=model_mix,
                 )
             )
-        return tuple(requests)
+        )
 
     def generate_stream(
         self,
@@ -477,14 +427,14 @@ class TraceGenerator:
     ):
         """:meth:`generate` as a chunked iterator — O(chunk) memory.
 
-        Yields tuples of at most ``chunk_requests`` requests.  The draw
-        order is *identical* to :meth:`generate` — one gap draw then one
-        mix draw per request, classes and prefixes on their separate
-        streams — so the concatenated chunks are byte-identical to the
-        materialized trace for every curve, seed and chunk size (the
-        streaming property test pins this).  A million-request day never
-        exists in memory at once; feed the chunks to
-        :meth:`ServingSimulator.simulate_stream`.
+        Yields tuples of at most ``chunk_requests`` requests.  This is the
+        one draw loop — one gap draw then one mix draw per request,
+        classes, prefixes and models on their separate streams — and
+        :meth:`generate` is its chunks concatenated, so the chunks are
+        byte-identical to the materialized trace for every curve, seed and
+        chunk size (the streaming property test pins this).  A
+        million-request day never exists in memory at once; feed the
+        chunks to :meth:`ServingSimulator.simulate_stream`.
 
         Arguments are validated eagerly (this returns a generator only
         after the checks), so a bad rate fails at call time, not first
@@ -510,8 +460,8 @@ class TraceGenerator:
 
         def chunks():
             # Bound-method and attribute hoisting: this loop runs once per
-            # request of a megatrace, and the draws must stay exactly
-            # those of generate() — same RNG methods in the same order.
+            # request of a megatrace.  Every trace is drawn here, so the
+            # RNG calls and their order define the traces of a seed.
             rng = random.Random(f"{self.name}/{seed}")
             class_rng = (
                 random.Random(f"{self.name}/{seed}/classes")

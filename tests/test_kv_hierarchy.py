@@ -36,6 +36,7 @@ from repro.serving import (
     check_invariants,
     decode_kv_bounds,
     get_trace_generator,
+    make_policy,
 )
 from repro.serving.array_engine import ArraySimulationRun
 
@@ -373,17 +374,34 @@ class TestByteIdentityPins:
         assert any(r.prefix_id >= 0 for r in shared)
 
     @pytest.mark.parametrize("swap", (False, True))
-    def test_array_engine_matches_object_engine(self, swap):
+    @pytest.mark.parametrize(
+        "policy",
+        (
+            "interleaved",
+            "fcfs",
+            "srpt",
+            "priority",
+            # At max_batch=4 the (2, 1) slot reservations change the
+            # admission order; at 8 the KV pool binds first.
+            make_policy("priority", max_batch=4, class_shares=(0.5, 0.25)),
+        ),
+        ids=("interleaved", "fcfs", "srpt", "priority", "priority-shares"),
+    )
+    def test_array_engine_matches_object_engine(self, policy, swap):
+        # Shared-prefix pages, growth, victim choice (preempt or swap) and
+        # fused pricing all act together here under each policy's order
+        # (srpt with swap: 12 preemptions, 34 swap-outs); the 3-class
+        # trace gives the priority policies classes to order.
         cost_model = make_cost_model("ianus")
         model = GPT2_CONFIGS["xl"]
         trace = get_trace_generator("chatbot").generate(
-            40, 6.0, seed=7, prefix_share=0.5, prefix_tokens=64,
-            prefix_groups=2,
+            40, 6.0, seed=7, num_classes=3, prefix_share=0.5,
+            prefix_tokens=64, prefix_groups=2,
         )
         logs = {}
         for engine in ("object", "array"):
             simulator = ServingSimulator(
-                cost_model, model, policy="interleaved", max_batch=8,
+                cost_model, model, policy=policy, max_batch=8,
                 kv_fraction=0.06, admission="optimistic", engine=engine,
                 swap=swap, link_gbps=8.0,
             )

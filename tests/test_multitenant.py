@@ -362,6 +362,14 @@ class TestSloTargetsValidation:
             slo_targets=(0.5, 2.0), num_classes=2,
         )
 
+    def test_nan_target_rejected_at_construction(self, cost_model):
+        # NaN fails every comparison, so a ``<= 0`` check lets it through.
+        with pytest.raises(ValueError, match="slo_targets"):
+            ServingSimulator(
+                cost_model, get_model(DEFAULT), engine="array",
+                slo_targets=(0.5, float("nan")),
+            )
+
 
 class TestReplicaSecondsAccounting:
     def test_inert_autoscaler_matches_fixed_fleet(self, cost_model):

@@ -17,6 +17,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.core.costmodel import make_cost_model
 from repro.core.system import IanusSystem
+from repro.energy.model import EnergyBreakdown
 from repro.models import BERT_CONFIGS, GPT2_CONFIGS, Workload
 from repro.serving import (
     Request,
@@ -28,6 +29,7 @@ from repro.serving import (
     percentile,
 )
 from repro.serving.request import RequestMetrics
+from repro.serving.simulator import cost_tuple, fused_pass
 
 MODEL = GPT2_CONFIGS["m"]
 
@@ -112,6 +114,8 @@ class TestPercentile:
         assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
         with pytest.raises(ValueError):
             percentile([1.0], 101)
+        with pytest.raises(ValueError):
+            percentile([], 101)
 
 
 class TestOneRequestExactness:
@@ -262,10 +266,21 @@ class TestFusedDecodeCostModel:
         simulator.provider.prepare(min(kvs), max(kvs))
         return [simulator.provider.decode(kv) for kv in kvs]
 
+    def _fused_decode(self, simulator, costs):
+        """(latency, energy, FLOPs) of a pure fused decode iteration,
+        priced by the rule both engines share."""
+        latency, mem_j, pim_j, npu_j, flops = fused_pass(
+            None,
+            [cost_tuple(cost) for cost in costs],
+            simulator.batch_share,
+            lambda: cost_tuple(simulator.provider.base()),
+        )
+        return latency, EnergyBreakdown(mem_j, pim_j, npu_j), flops
+
     def test_batch_of_one_is_exactly_the_single_pass(self):
         simulator = self._simulator()
         (cost,) = self._costs(simulator, [200])
-        latency, energy, flops = simulator._fused_decode([cost])
+        latency, energy, flops = self._fused_decode(simulator, [cost])
         assert latency == cost.latency_s
         assert energy == cost.energy
         assert flops == cost.flops
@@ -273,7 +288,7 @@ class TestFusedDecodeCostModel:
     def test_fused_batch_is_cheaper_than_serial_but_not_free(self):
         simulator = self._simulator()
         costs = self._costs(simulator, [150, 200, 250, 300])
-        latency, _, flops = simulator._fused_decode(costs)
+        latency, _, flops = self._fused_decode(simulator, costs)
         serial = sum(cost.latency_s for cost in costs)
         slowest = max(cost.latency_s for cost in costs)
         assert slowest <= latency < serial
@@ -282,7 +297,7 @@ class TestFusedDecodeCostModel:
     def test_share_zero_recovers_serial_decoding(self):
         simulator = self._simulator(batch_share=0.0)
         costs = self._costs(simulator, [150, 250])
-        latency, _, _ = simulator._fused_decode(costs)
+        latency, _, _ = self._fused_decode(simulator, costs)
         assert latency == sum(cost.latency_s for cost in costs)
 
     def test_mean_service_time_matches_fcfs_run_to_completion(self):

@@ -188,6 +188,7 @@ class TestCli:
                 ["serve", "--swap", "--admission", "worst-case", "--no-disk-cache"],
                 "optimistic admission",
             ),
+            (["serve", "--slo", "nan", "--no-disk-cache"], "slo_targets"),
         ],
     )
     def test_serve_rejects_invalid_arguments(self, argv, message, capsys):
