@@ -290,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "core; same metrics, much faster)")
     serve.add_argument("--profile", action="store_true",
                        help="print per-phase wall time (trace generation, "
-                            "admit, prefill, decode, metrics); single "
-                            "replica only")
+                            "admit, prefill, decode, metrics; absorb on the "
+                            "array engine, route on clusters)")
     serve.add_argument("--validate", action="store_true",
                        help="replay the event log through the scheduling-"
                             "invariant checker; exit nonzero on violation")
@@ -476,11 +476,12 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.replicas < 1:
         print("--replicas must be at least 1", file=sys.stderr)
         return 2
-    if args.rate is not None and args.rate <= 0:
-        print("--rate must be positive", file=sys.stderr)
+    # ``not 0 < x < inf`` also rejects NaN, which fails every comparison.
+    if args.rate is not None and not 0.0 < args.rate < float("inf"):
+        print("--rate must be positive and finite", file=sys.stderr)
         return 2
-    if args.rate is None and args.load <= 0:
-        print("--load must be positive", file=sys.stderr)
+    if args.rate is None and not 0.0 < args.load < float("inf"):
+        print("--load must be positive and finite", file=sys.stderr)
         return 2
     if args.max_batch < 1:
         print("--max-batch must be at least 1", file=sys.stderr)

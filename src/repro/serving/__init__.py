@@ -34,11 +34,15 @@ Layering — who knows what:
     the same ``SimulationRun`` API.  ``engine="object"`` (the default)
     remains the reference and the only engine for custom policies: with
     events recorded the array engine is bit-identical to it, and
-    macro-stepped pooled metrics agree to 1e-9.  The two per-iteration
-    loops share every rule that does not depend on how requests are
-    stored — policy decisions over :class:`RequestKeys`, victim choice,
-    fused-pass pricing, host-link transfer time — and differ only in the
-    admit/grow/preempt/swap/step bodies over objects or rows.
+    macro-stepped pooled metrics agree to 1e-9.  Both run classes derive
+    from one lifecycle base (counters, event log, offers and guards,
+    failure/recovery/resubmit, swap-in admission, weight-swap pricing),
+    and the two per-iteration loops share every rule that does not
+    depend on how requests are stored — policy decisions over
+    :class:`RequestKeys`, victim choice, fused-pass pricing, host-link
+    transfer time — and differ only in the admit/grow/preempt/swap/step
+    bodies over objects or rows.  ``profile=True`` books per-phase wall
+    time from outside both loops.
     Pick ``array`` for million-request traces and sweeps; pick ``object``
     when stepping through or debugging individual scheduling decisions.
     :data:`ENGINES` lists the valid names; unknown names raise with that

@@ -1,12 +1,14 @@
 """The vectorized serving-event core ("megatrace") behind ``engine="array"``.
 
-:class:`ArraySimulationRun` exposes the exact surface of
-:class:`~repro.serving.simulator.SimulationRun` (``offer`` /
-``advance_until`` / ``finish`` / ``fail`` / ``recover`` / ``resubmit`` /
-``catch_up`` / ``note_scale`` and the router-visible properties), so the
-one-shot ``simulate``, the streaming ``simulate_stream`` and the whole
-cluster layer run on it unchanged.  Three things make it two orders of
-magnitude faster than the reference object engine:
+:class:`ArraySimulationRun` derives from the same lifecycle base as
+:class:`~repro.serving.simulator.SimulationRun` and inherits everything a
+run does outside its request store: the counters and the event log, the
+lifecycle guards, ``offer``, ``fail`` / ``recover`` / ``resubmit`` /
+``catch_up`` / ``note_scale``, the swap-in admission loop and the
+weight-swap pricing.  The one-shot ``simulate``, the streaming
+``simulate_stream`` and the whole cluster layer therefore run on it
+unchanged.  Three things make it two orders of magnitude faster than the
+reference object engine:
 
 **Columnar request state.**  Requests live as parallel columns
 (arrival / prompt / output / prefilled / generated / ...) indexed by a
@@ -72,7 +74,6 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from itertools import islice
-from time import perf_counter
 
 import numpy as np
 
@@ -81,10 +82,10 @@ from repro.serving.request import Request, RequestMetrics
 from repro.serving.simulator import (
     RequestKeys,
     ServingMetrics,
-    SimEvent,
     _check_fits_alone,
     _percentile_sorted,
     _pool_exhausted,
+    _RunLifecycle,
     choose_victim,
     cost_tuple,
     fused_pass,
@@ -93,7 +94,7 @@ from repro.serving.simulator import (
 __all__ = ["ArraySimulationRun"]
 
 
-class ArraySimulationRun:
+class ArraySimulationRun(_RunLifecycle):
     """Columnar drop-in for :class:`~repro.serving.simulator.SimulationRun`."""
 
     #: Master switch for the arrival-batched underload fast path.  Class
@@ -113,16 +114,11 @@ class ArraySimulationRun:
         record_events: bool = False,
         kv_bounds: "tuple[int, int] | None" = None,
     ) -> None:
-        self.sim = sim
-        self.kv = sim._new_accountant()
+        super().__init__(sim, record_events, kv_bounds)
         #: Fast-path gate: with the swap tier (or once a shared-prefix
         #: request is offered) the vectorized fast paths stand down and
         #: only the per-iteration loop runs (see the module docstring).
         self._exact_kv = bool(sim.swap)
-        self.events: "list[SimEvent] | None" = [] if record_events else None
-        if kv_bounds is not None:
-            for provider in sim.providers.values():
-                provider.prepare(*kv_bounds)
 
         # Decode-cost table (dense lists + prefix sums); absent under
         # exact pricing or unknown KV bounds, in which case every decode
@@ -200,36 +196,10 @@ class ArraySimulationRun:
             None if self._done_cls is None else self._done_cls.append,
         )
 
-        self.clock = 0.0
-        self.busy = 0.0
         self._energy_mem = 0.0
         self._energy_pim = 0.0
         self._energy_npu = 0.0
-        self.flops = 0.0
-        self.prefill_passes = 0
-        self.decode_passes = 0
-        self.decode_tokens = 0
-        self.admissions = 0
-        self.peak_active = 0
-        self.preemptions = 0
-        self.recomputed_tokens = 0
-        self.swap_outs = 0
-        self.swap_ins = 0
-        self.swapped_pages_total = 0
-        self.offered = 0
         self._outstanding = 0
-        self.first_arrival: "float | None" = None
-        self.finished = False
-        self.dead = False
-        self._last_until: "float | None" = None
-        self.phase_s: dict[str, float] = {
-            "admit": 0.0,
-            "prefill": 0.0,
-            "decode": 0.0,
-            "absorb": 0.0,
-            "metrics": 0.0,
-        }
-        self._step_kind = "decode"
 
         # The registered policies' batching contract (ServingPolicy): the
         # fast paths read the concurrency cap and queue-order flag off the
@@ -241,6 +211,10 @@ class ArraySimulationRun:
         inp, out, cls = self._inp, self._out, self._cls
         prefilled, generated = self._prefilled, self._generated
         arr, rid = self._arr, self._rid
+        # The lifecycle base's readers of a row's request id and
+        # (arrival, id) key.
+        self._flight_id = rid.__getitem__
+        self._arrival_key = lambda row: (arr[row], rid[row])
         self._keys = RequestKeys(
             queued_total=lambda row: inp[row] + out[row],
             queued_class=cls.__getitem__,
@@ -272,10 +246,6 @@ class ArraySimulationRun:
         # down and prices through its own provider; the base and
         # chunk-cost caches swap with the weights.
         self._multi = sim.multi_model
-        self.resident_model = sim.model.name
-        self._provider = sim.provider
-        self.model_swaps = 0
-        self.model_swap_s = 0.0
         if self._multi:
             self._tbl_bounds = (self._tbl_lo, self._tbl_hi)
             self._bases: dict = (
@@ -365,7 +335,11 @@ class ArraySimulationRun:
     # ------------------------------------------------------------------
     # Row management
     # ------------------------------------------------------------------
-    def _new_row(self, request: Request) -> int:
+    def _entry(self, request: Request) -> int:
+        """A row for a request routed here (offered or resubmitted)."""
+        if request.prefix_id >= 0:
+            self._exact_kv = True
+        self._outstanding += request.input_tokens + request.output_tokens
         if self._free:
             row = self._free.pop()
             self._arr[row] = request.arrival_s
@@ -413,35 +387,12 @@ class ArraySimulationRun:
         )
 
     # ------------------------------------------------------------------
-    # SimulationRun surface: offers and router-visible state
+    # Offers and router-visible state
     # ------------------------------------------------------------------
-    def offer(self, request: Request) -> None:
-        """Inject one request; offers must come in ``(arrival, id)`` order."""
-        if self.finished:
-            raise ValueError("cannot offer a request to a finished run")
-        if self.dead:
-            raise ValueError("cannot offer a request to a failed replica")
-        # Only a named model or a multi-token request on a non-decoder can
-        # fail the simulator's check, so the common case skips the call.
-        if request.model or (request.output_tokens > 1 and not self._is_decoder):
-            self.sim._check_servable(request)
-        pending = self.pending
-        if pending:
-            last = pending[-1]
-            if (request.arrival_s, request.request_id) < (
-                self._arr[last],
-                self._rid[last],
-            ):
-                raise ValueError(
-                    "requests must be offered in (arrival_s, request_id) order"
-                )
-        if request.prefix_id >= 0:
-            self._exact_kv = True
-        pending.append(self._new_row(request))
-        self.offered += 1
-        self._outstanding += request.input_tokens + request.output_tokens
-        if self.first_arrival is None:
-            self.first_arrival = request.arrival_s
+    # The lifecycle base's offer, bound in this class body so that
+    # tracers that wrap ``ArraySimulationRun.__dict__`` entries (as
+    # perfbench/spans.py does) see it; ``finish`` below likewise.
+    offer = _RunLifecycle.offer
 
     def offer_many(self, requests) -> None:
         """Bulk :meth:`offer`: same guards and ordering check, hoisted out
@@ -449,10 +400,7 @@ class ArraySimulationRun:
         method call and four attribute lookups per arrival."""
         if not requests:
             return
-        if self.finished:
-            raise ValueError("cannot offer a request to a finished run")
-        if self.dead:
-            raise ValueError("cannot offer a request to a failed replica")
+        self._check_live("offer a request to")
         pending = self.pending
         if (
             isinstance(requests, (list, tuple))
@@ -603,16 +551,6 @@ class ArraySimulationRun:
             self.first_arrival = arrs[0]
 
     @property
-    def outstanding_requests(self) -> int:
-        """Requests routed here and not yet completed."""
-        return (
-            len(self.pending)
-            + len(self.waiting)
-            + len(self.active)
-            + len(self.swapped)
-        )
-
-    @property
     def outstanding_tokens(self) -> int:
         """Prompt + output tokens not yet computed across live requests.
 
@@ -629,35 +567,6 @@ class ArraySimulationRun:
             pim_op_j=self._energy_pim,
             npu_cores_j=self._energy_npu,
         )
-
-    # ------------------------------------------------------------------
-    # Event emission (identical shape to the object engine's)
-    # ------------------------------------------------------------------
-    def _emit(
-        self,
-        kind: str,
-        latency: float = 0.0,
-        request_id: "int | None" = None,
-        tokens: int = 0,
-        decode_ids: tuple = (),
-        model: str = "",
-    ) -> None:
-        if self.events is not None:
-            self.events.append(
-                SimEvent(
-                    kind=kind,
-                    clock_s=self.clock,
-                    latency_s=latency,
-                    request_id=request_id,
-                    tokens=tokens,
-                    decode_ids=decode_ids,
-                    active=len(self.active),
-                    waiting=len(self.waiting),
-                    kv_reserved_pages=self.kv.reserved_pages,
-                    kv_total_pages=self.kv.total_pages,
-                    model=model,
-                )
-            )
 
     # ------------------------------------------------------------------
     # Costs
@@ -688,16 +597,7 @@ class ArraySimulationRun:
     # ------------------------------------------------------------------
     def advance_until(self, until: "float | None") -> None:
         """Run every pass *starting* before ``until`` (all work if ``None``)."""
-        if self.finished:
-            raise ValueError("cannot advance a finished run")
-        if until is not None:
-            if self._last_until is not None and until < self._last_until:
-                raise ValueError(
-                    f"advance_until moved backwards: target {until:.6f}s is "
-                    f"before the previous target {self._last_until:.6f}s"
-                )
-            self._last_until = until
-        profile = self.sim.profile
+        self._check_advance(until)
         arr = self._arr
         waiting = self.waiting
         active = self.active
@@ -721,15 +621,8 @@ class ArraySimulationRun:
                 # path serves whole arrival windows in closed form and
                 # falls back here the moment a window element needs the
                 # exact per-arrival machinery.
-                if absorb_ok and pending:
-                    if profile:
-                        start = perf_counter()
-                        progressed = self._absorb_arrivals(until)
-                        self.phase_s["absorb"] += perf_counter() - start
-                    else:
-                        progressed = self._absorb_arrivals(until)
-                    if progressed:
-                        continue
+                if absorb_ok and pending and self._absorb_arrivals(until):
+                    continue
                 if pending and (until is None or arr[pending[0]] <= until):
                     self.clock = arr[pending[0]]
                     self._emit("idle")
@@ -741,12 +634,7 @@ class ArraySimulationRun:
             # batch or an empty (waiting + swapped) queue the call would
             # be a no-op, and this loop runs once per pass.
             if (waiting or swapped) and admit(len(active)):
-                if profile:
-                    start = perf_counter()
-                    self._admit()
-                    self.phase_s["admit"] += perf_counter() - start
-                else:
-                    self._admit()
+                self._admit()
             if not active:
                 raise RuntimeError(
                     f"policy {self.sim.policy.name!r} left the device idle with "
@@ -754,44 +642,11 @@ class ArraySimulationRun:
                 )  # pragma: no cover - defensive, no shipped policy does this
             # Macro-stepping: all-decode batches with an event-free run and
             # a floor-free table advance many iterations in O(B).
-            if macro_ok and not self._num_prefilling:
-                if profile:
-                    start = perf_counter()
-                    stepped = self._macro_step(until)
-                    self.phase_s["decode"] += perf_counter() - start
-                else:
-                    stepped = self._macro_step(until)
-                if stepped:
-                    continue
-            if profile:
-                start = perf_counter()
-                self._step()
-                self.phase_s[self._step_kind] += perf_counter() - start
-            else:
-                self._step()
+            if macro_ok and not self._num_prefilling and self._macro_step(until):
+                continue
+            self._step()
 
     # ------------------------------------------------------------------
-    def _admit(self) -> None:
-        # The object engine's _admit over rows: swapped requests come back
-        # first (they hold completed work a recompute would repay), then
-        # new admissions; when the device is idle with the pool pinned by
-        # resident shared-prefix pages, sacrifice the youngest swapped
-        # request for recompute until the oldest fits again (each round
-        # shrinks the swap set, and a lone swapped request always fits —
-        # fits_alone held at admission).
-        self._swap_in_ready()
-        self._admit_waiting()
-        while (
-            not self.active
-            and self.swapped
-            and self._policy.admit(len(self.active))
-        ):
-            if self.kv.can_swap_in(self._rid[self.swapped[0]]):
-                self._swap_in_head()
-            else:
-                self._preempt_swapped(len(self.swapped) - 1)
-            self._admit_waiting()
-
     def _admit_waiting(self) -> None:
         """Admit waiting rows while the policy and the pool allow, in the
         policy's order (shared-prefix requests charge only their unique
@@ -825,14 +680,6 @@ class ArraySimulationRun:
             if self.events is not None:
                 self._emit("admit", request_id=self._rid[row], tokens=pages)
 
-    def _swap_in_ready(self) -> None:
-        """Restore swapped-out rows, oldest first, while they fit."""
-        admit = self._policy.admit
-        while self.swapped and admit(len(self.active)):
-            if not self.kv.can_swap_in(self._rid[self.swapped[0]]):
-                break
-            self._swap_in_head()
-
     def _swap_in_head(self) -> None:
         """Pay the link transfer and re-activate the oldest swapped row."""
         row = self.swapped.pop(0)
@@ -864,11 +711,7 @@ class ArraySimulationRun:
         self.swapped.append(victim)
         self.swap_outs += 1
         self.swapped_pages_total += pages
-        if self.swap_outs > 50 * max(self.offered, 1):  # pragma: no cover
-            raise RuntimeError(
-                f"swap livelock: {self.swap_outs} swap-outs over "
-                f"{self.offered} offered request(s)"
-            )
+        self._check_livelock()
         self._emit(
             "swap_out", latency=latency, request_id=request_id, tokens=pages
         )
@@ -880,23 +723,7 @@ class ArraySimulationRun:
         pool — releasing the row drops its prefix reference, freeing the
         shared pages once the last member leaves.
         """
-        victim = self.swapped.pop(index)
-        request_id = self._rid[victim]
-        pages = self.kv.release(request_id)
-        self.preemptions += 1
-        lost = self._prefilled[victim] + self._generated[victim]
-        self.recomputed_tokens += lost
-        self._outstanding += lost
-        if self.preemptions > 50 * max(self.offered, 1):  # pragma: no cover
-            raise RuntimeError(
-                f"preemption livelock: {self.preemptions} preemptions over "
-                f"{self.offered} offered request(s)"
-            )
-        self._prefilled[victim] = 0
-        self._generated[victim] = 0
-        self._first[victim] = 0.0
-        self._requeue(victim)
-        self._emit("preempt", request_id=request_id, tokens=pages)
+        self._recompute(self.swapped.pop(index))
 
     # ------------------------------------------------------------------
     # Multi-model residency (the object engine's sticky-resident
@@ -929,27 +756,18 @@ class ArraySimulationRun:
     def _swap_model(self, target: str) -> None:
         """Stream ``target``'s weights in over the host link (weight swap).
 
-        Beyond the object engine's bookkeeping, the row engine re-points
-        its cost caches: the decode table prices the default model only,
-        so a non-default resident stands it down and prices through its
-        own provider, and the base/chunk caches follow the weights.
+        Beyond the shared bookkeeping, the row engine re-points its cost
+        caches: the decode table prices the default model only, so a
+        non-default resident stands it down and prices through its own
+        provider, and the base/chunk caches follow the weights.
         """
-        sim = self.sim
-        moved = sim._weight_bytes[target]
-        latency = sim._link_seconds(moved)
-        self.clock += latency
-        self.busy += latency
-        self.resident_model = target
-        self._provider = sim.providers[target]
-        self.model_swaps += 1
-        self.model_swap_s += latency
-        if target == sim.model.name:
+        super()._swap_model(target)
+        if target == self.sim.model.name:
             self._tbl_lo, self._tbl_hi = self._tbl_bounds
         else:
             self._tbl_lo, self._tbl_hi = 1, 0
         self._base = self._bases.get(target)
         self._chunk_costs = self._chunks_by_model.setdefault(target, {})
-        self._emit("model_swap", latency=latency, tokens=moved, model=target)
 
     def _step(self) -> None:
         """One device iteration — the per-iteration (bit-exact) path."""
@@ -1023,7 +841,6 @@ class ArraySimulationRun:
                 )
 
         costs = [self._decode_cost(inp[r] + generated[r]) for r in batch]
-        self._step_kind = "prefill" if carrier is not None else "decode"
         latency, e_mem, e_pim, e_npu, pass_flops = fused_pass(
             carrier, costs, self._batch_share, self._base_cost
         )
@@ -1074,7 +891,6 @@ class ArraySimulationRun:
         A monolithic chunk always covers the whole remaining prompt, so
         the pass both runs and completes the prefill.
         """
-        self._step_kind = "prefill"
         clock = self.clock + carrier[0]
         self.clock = clock
         self.busy += carrier[0]
@@ -1857,19 +1673,20 @@ class ArraySimulationRun:
         return granted
 
     def _preempt(self, victim: int) -> None:
-        pages = self.kv.release(self._rid[victim])
         self.active.remove(victim)
         if self._generated[victim] == 0:
             self._num_prefilling -= 1
+        self._recompute(victim)
+
+    def _recompute(self, victim: int) -> None:
+        """Release a victim row's pages and re-enqueue it to recompute
+        from scratch."""
+        pages = self.kv.release(self._rid[victim])
         self.preemptions += 1
         lost = self._prefilled[victim] + self._generated[victim]
         self.recomputed_tokens += lost
         self._outstanding += lost
-        if self.preemptions > 50 * max(self.offered, 1):  # pragma: no cover
-            raise RuntimeError(
-                f"preemption livelock: {self.preemptions} preemptions over "
-                f"{self.offered} offered request(s)"
-            )
+        self._check_livelock()
         # The object engine builds a fresh _InFlight at re-admission;
         # rows persist here, so reset the progress columns now.
         self._prefilled[victim] = 0
@@ -1877,12 +1694,6 @@ class ArraySimulationRun:
         self._first[victim] = 0.0
         self._requeue(victim)
         self._emit("preempt", request_id=self._rid[victim], tokens=pages)
-
-    def _requeue(self, row: int) -> None:
-        arr, rid = self._arr, self._rid
-        keys = [(arr[r], rid[r]) for r in self.waiting]
-        index = bisect_left(keys, (arr[row], rid[row]))
-        self.waiting.insert(index, row)
 
     # ------------------------------------------------------------------
     # Completion recording and finalization
@@ -1921,32 +1732,14 @@ class ArraySimulationRun:
                 )
         self._free.append(row)
 
-    def finish(self) -> ServingMetrics:
-        """Drain all remaining work and return the run's metrics."""
-        if self.finished:
-            raise ValueError("finish() called twice on the same run")
-        self.advance_until(None)
-        self.finished = True
-        makespan = (
-            self.clock - self.first_arrival if self.first_arrival is not None else 0.0
-        )
-        if self.sim.profile:
-            start = perf_counter()
-            metrics = self._finalize(makespan)
-            self.phase_s["metrics"] += perf_counter() - start
-            return metrics
-        return self._finalize(makespan)
+    # Bound here for the same reason as ``offer`` above.
+    finish = _RunLifecycle.finish
 
     def _finalize(self, makespan: float) -> ServingMetrics:
-        if self._detail:
-            self.completed.sort(key=lambda metrics: metrics.request_id)
-            return self.sim._finalize(self, makespan)
-        return self._finalize_pooled(makespan)
-
-    def _finalize_pooled(self, makespan: float) -> ServingMetrics:
-        """Pool the request-level metrics straight from the completion
-        columns (numpy), then build the metrics through the simulator's
-        one ``_finalize`` path.
+        """The run's metrics; without per-request detail, pool the
+        request-level metrics straight from the completion columns
+        (numpy), then build the metrics through the simulator's one
+        ``_finalize`` path.
 
         Same aggregate formulas as :func:`~repro.serving.simulator.
         request_aggregates` (the percentile rule included) without building
@@ -1954,6 +1747,8 @@ class ArraySimulationRun:
         churn costs more than the simulation itself.  Means stay numpy's
         (pairwise) sums, which pooled runs have always reported.
         """
+        if self._detail:
+            return super()._finalize(makespan)
         sim = self.sim
         arrival = np.asarray(self._done_arrival)
         first = np.asarray(self._done_first)
@@ -2032,75 +1827,15 @@ class ArraySimulationRun:
         )
 
     # ------------------------------------------------------------------
-    # Failure injection and failover (driven by the cluster layer)
-    # ------------------------------------------------------------------
-    def fail(self, now: float) -> "tuple[list[Request], int]":
-        """Kill this replica at instant ``now`` (see the object engine)."""
-        if self.finished:
-            raise ValueError("cannot fail a finished run")
-        if self.dead:
-            raise ValueError("replica is already dead")
-        dropped_ids = tuple(
-            sorted(self._rid[row] for row in (*self.active, *self.swapped))
-        )
-        lost_rows = (
-            list(self.active)
-            + list(self.swapped)
-            + list(self.waiting)
-            + list(self.pending)
-        )
-        lost = [self._request(row) for row in lost_rows]
-        lost.sort(key=lambda request: (request.arrival_s, request.request_id))
-        pages = self.kv.release_all()
-        self._free.extend(lost_rows)
+    def _clear_queues(self) -> "list[Request]":
+        """Empty every queue for ``fail``; the rows return to the free list."""
+        rows = [*self.active, *self.swapped, *self.waiting, *self.pending]
+        lost = [self._request(row) for row in rows]
+        self._free.extend(rows)
         self.active.clear()
         self.swapped.clear()
         self.waiting.clear()
         self.pending.clear()
         self._num_prefilling = 0
         self._outstanding = 0
-        if now > self.clock:
-            self.clock = now
-        self.dead = True
-        self._emit("fail", tokens=pages, decode_ids=dropped_ids)
-        return lost, pages
-
-    def recover(self, now: float) -> None:
-        """Bring a failed replica back (empty: its KV cache did not survive)."""
-        if self.finished:
-            raise ValueError("cannot recover a finished run")
-        if not self.dead:
-            raise ValueError("cannot recover a replica that is not dead")
-        self.dead = False
-        if now > self.clock:
-            self.clock = now
-        self._emit("recover")
-
-    def resubmit(self, request: Request) -> None:
-        """Re-inject a failed-over request for recompute from scratch."""
-        if self.finished:
-            raise ValueError("cannot resubmit a request to a finished run")
-        if self.dead:
-            raise ValueError("cannot resubmit a request to a failed replica")
-        if request.prefix_id >= 0:
-            self._exact_kv = True
-        self._requeue(self._new_row(request))
-        self.offered += 1
-        self._outstanding += request.input_tokens + request.output_tokens
-        if self.first_arrival is None or request.arrival_s < self.first_arrival:
-            self.first_arrival = request.arrival_s
-
-    def catch_up(self, now: float) -> None:
-        """Jump an idle replica's clock forward to ``now``."""
-        if (
-            now > self.clock
-            and not self.active
-            and not self.waiting
-            and not self.swapped
-        ):
-            self.clock = now
-            self._emit("idle")
-
-    def note_scale(self, delta: int) -> None:
-        """Record an autoscaling decision (+1 spawn, -1 drain) in the log."""
-        self._emit("scale", tokens=delta)
+        return lost

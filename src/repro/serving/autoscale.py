@@ -111,9 +111,11 @@ class Autoscaler:
             raise ValueError("min_replicas must be at least 1")
         if max_replicas < min_replicas:
             raise ValueError("max_replicas must be >= min_replicas")
-        if cooldown_s < 0.0:
+        # ``not x > 0`` style checks also reject NaN, which fails every
+        # comparison.
+        if not cooldown_s >= 0.0:
             raise ValueError("cooldown_s must be non-negative")
-        if window_s <= 0.0:
+        if not window_s > 0.0:
             raise ValueError("window_s must be positive")
         self.min_replicas = min_replicas
         self.max_replicas = max_replicas
@@ -185,7 +187,7 @@ class QueueDepthAutoscaler(Autoscaler):
         cooldown_s: float = 0.0,
         window_s: float = 5.0,
     ) -> None:
-        if low < 0.0 or high <= low:
+        if not 0.0 <= low < high:
             raise ValueError("need 0 <= low < high queue-depth thresholds")
         super().__init__(
             min_replicas=min_replicas,
@@ -269,7 +271,7 @@ class SloAttainmentAutoscaler(Autoscaler):
     ) -> None:
         if not 0.0 < low < high <= 1.0:
             raise ValueError("need 0 < low < high <= 1 attainment thresholds")
-        if drain_depth < 0.0:
+        if not drain_depth >= 0.0:
             raise ValueError("drain_depth must be non-negative")
         super().__init__(
             min_replicas=min_replicas,

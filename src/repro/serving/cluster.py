@@ -80,7 +80,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Sequence
 
 from repro.core.costmodel import CostModel
@@ -88,6 +87,7 @@ from repro.models.transformer import ModelConfig
 from repro.serving.autoscale import (
     Autoscaler,
     AutoscalerSignal,
+    FixedAutoscaler,
     make_autoscaler,
     replica_warmup_s,
 )
@@ -97,6 +97,7 @@ from repro.serving.simulator import (
     ServingMetrics,
     ServingSimulator,
     SimulationRun,
+    _book_phase,
     _decode_kv_bounds,
     _validated_construct,
     request_aggregates,
@@ -539,9 +540,10 @@ def _snapshot(
 def _check_fleet_survives(schedule: FailureSchedule, num_replicas: int) -> None:
     """Reject a fixed fleet that ``schedule`` ever takes down entirely.
 
-    Without an autoscaler nothing replaces a dead replica, so an instant
-    with every replica down leaves failover and routing nowhere to go —
-    refused here rather than discovered mid-run.
+    Without an autoscaler (or with the ``fixed`` one, which never spawns)
+    nothing replaces a dead replica, so an instant with every replica
+    down leaves failover and routing nowhere to go — refused here rather
+    than discovered mid-run.
     """
     down: set[int] = set()
     for event in sorted(schedule.events(num_replicas)):
@@ -655,8 +657,6 @@ class _OpsState:
         candidates, ask the router, check its choice, book the request
         there.  Returns the chosen replica; the caller hands it the work."""
         cluster = self.cluster
-        profile = cluster._profiling
-        routed_at = perf_counter() if profile else 0.0
         snapshots = [
             _snapshot(
                 index, self.runs[index], self.assignments, self.routed_tokens,
@@ -672,8 +672,6 @@ class _OpsState:
             )
         self.assignments[choice].append(request)
         self.routed_tokens[choice] += request.total_tokens
-        if profile:
-            cluster.route_s += perf_counter() - routed_at
         return choice
 
     def apply_until(self, now: "float | None") -> None:
@@ -901,7 +899,11 @@ class ClusterSimulator:
             if isinstance(autoscaler, str)
             else autoscaler
         )
-        if self.failures is not None and self.autoscaler is None:
+        # The fixed autoscaler never spawns or drains, so its fleet is a
+        # fixed fleet too.
+        if self.failures is not None and (
+            self.autoscaler is None or isinstance(self.autoscaler, FixedAutoscaler)
+        ):
             _check_fleet_survives(self.failures, num_replicas)
         self._simulator_kwargs = dict(simulator_kwargs)
         self._initial_count = num_replicas
@@ -920,6 +922,10 @@ class ClusterSimulator:
         #: Per-replica request assignments of the last simulate().
         self.assignments: "list[tuple[Request, ...]] | None" = None
         self._last_trace: "tuple[Request, ...] | None" = None
+        #: Runs and routing wall time of the last simulate(), for
+        #: :meth:`pooled_phase_s`.
+        self._last_runs: "list[SimulationRun]" = []
+        self._route_phase = {"route": 0.0}
 
     @property
     def num_replicas(self) -> int:
@@ -958,11 +964,14 @@ class ClusterSimulator:
         assignments: list[list[Request]] = [[] for _ in runs]
         routed_tokens = [0] * len(runs)
         start = ordered[0].arrival_s if ordered else 0.0
-        self.route_s = 0.0
         self._last_runs = runs
+        self._route_phase = {"route": 0.0}
         ops = _OpsState(
             self, runs, assignments, routed_tokens, start, record_events, bounds
         )
+        if self._profiling:
+            # Arrivals and failover both route through ops.route.
+            _book_phase(ops, "route", self._route_phase, "route")
         for request in ordered:
             arrival = request.arrival_s
             ops.apply_until(arrival)
@@ -994,10 +1003,10 @@ class ClusterSimulator:
         engine are simply missing from the dict.
         """
         pooled: dict[str, float] = {}
-        for run in getattr(self, "_last_runs", ()):
-            for name, seconds in getattr(run, "phase_s", {}).items():
+        for run in self._last_runs:
+            for name, seconds in run.phase_s.items():
                 pooled[name] = pooled.get(name, 0.0) + seconds
-        pooled["route"] = getattr(self, "route_s", 0.0)
+        pooled.update(self._route_phase)
         return pooled
 
     def validate_invariants(self) -> list[str]:

@@ -86,9 +86,9 @@ class SingleFailure(FailureSchedule):
     ) -> None:
         if replica < 0:
             raise ValueError("replica must be non-negative")
-        if at_s < 0.0:
+        if not at_s >= 0.0:
             raise ValueError("at_s must be non-negative")
-        if recover_after_s is not None and recover_after_s <= 0.0:
+        if recover_after_s is not None and not recover_after_s > 0.0:
             raise ValueError("recover_after_s must be positive (or None)")
         self.replica = replica
         self.at_s = at_s
@@ -137,11 +137,12 @@ class SeededFailures(FailureSchedule):
         recover_after_s: "float | None" = 5.0,
         max_failures: "int | None" = None,
     ) -> None:
-        if mtbf_s <= 0.0:
+        if not mtbf_s > 0.0:
             raise ValueError("mtbf_s must be positive")
-        if horizon_s <= 0.0:
-            raise ValueError("horizon_s must be positive")
-        if recover_after_s is not None and recover_after_s <= 0.0:
+        # An infinite horizon never ends the draw loop in events().
+        if not 0.0 < horizon_s < float("inf"):
+            raise ValueError("horizon_s must be positive and finite")
+        if recover_after_s is not None and not recover_after_s > 0.0:
             raise ValueError("recover_after_s must be positive (or None)")
         if max_failures is not None and max_failures < 0:
             raise ValueError("max_failures must be non-negative (or None)")

@@ -32,6 +32,8 @@ from repro.models.workload import Workload
 
 __all__ = ["Request", "RequestMetrics"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True, slots=True)
 class Request:
@@ -55,8 +57,10 @@ class Request:
     model: str = ""
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be non-negative")
+        # A chained range check also rejects NaN, which fails every
+        # comparison (a NaN arrival would stall the event loop).
+        if not 0.0 <= self.arrival_s < _INF:
+            raise ValueError("arrival_s must be finite and non-negative")
         if self.input_tokens <= 0:
             raise ValueError("input_tokens must be positive")
         if self.output_tokens < 1:

@@ -137,9 +137,15 @@ Both engines' per-iteration loops apply the rules of this module, each
 written once: the policy decisions (over the :class:`RequestKeys` each
 engine supplies), :func:`choose_victim`, :func:`fused_pass` over
 :func:`cost_tuple`\\ s, the host-link transfer time and the
-unservable-request, exhausted-pool and not-a-decoder errors.  What stays
-mirrored is the state-bound admit/grow/preempt/swap/step bodies, written
-once per storage layout.
+unservable-request, exhausted-pool and not-a-decoder errors.  Both run
+classes derive from one lifecycle base (``_RunLifecycle``), which holds
+everything that does not touch the request store: the clock and
+counters, the event log, offers and the lifecycle guards, failure,
+recovery and resubmission, the swap-in admission loop and the
+weight-swap pricing.  What stays mirrored is the state-bound
+admit/grow/preempt/swap/step bodies, written once per storage layout.
+``profile=True`` times the phases from outside both loops: ``begin``
+attaches a profiler that wraps the run's phase methods on the instance.
 """
 
 from __future__ import annotations
@@ -1162,22 +1168,74 @@ class ServingMetrics:
         return "\n".join(lines)
 
 
-class SimulationRun:
-    """One in-progress simulation over a :class:`ServingSimulator`.
+_ARRIVAL_KEY = attrgetter("arrival_s", "request_id")
 
-    Created by :meth:`ServingSimulator.begin`.  The one-shot
-    :meth:`ServingSimulator.simulate` offers the whole (sorted) trace and
-    drains; the cluster layer instead drives one run per replica — it
-    advances every replica to a request's arrival instant
-    (:meth:`advance_until`), reads the replicas' router-visible state, and
-    :meth:`offer`\\ s the request to the chosen one.  Offering a trace
-    incrementally at its arrival instants produces the *same* event log and
-    metrics as the one-shot path, because the scheduler only acts at pass
-    boundaries in both cases.
 
-    The run owns all mutable state (queues, clock, KV accountant, event
-    log, counters); the simulator it was created from supplies the
-    immutable configuration (policy, provider, admission mode).
+def _book_phase(owner, name: str, phase_s: dict, phase: str) -> None:
+    """Wrap ``owner``'s method ``name`` on the instance so that the wall
+    time of every call is added to ``phase_s[phase]``."""
+    method = getattr(owner, name)
+
+    def timed(*args):
+        start = perf_counter()
+        result = method(*args)
+        phase_s[phase] += perf_counter() - start
+        return result
+
+    setattr(owner, name, timed)
+
+
+def _profile_phases(run: "_RunLifecycle") -> None:
+    """The phase profiler: book ``run``'s wall time per phase in
+    ``run.phase_s`` by wrapping its phase methods on the instance.
+
+    ``_admit`` books admit.  ``_step`` books prefill when it ran a prefill
+    pass (``prefill_passes`` moved during the call) and decode otherwise.
+    The array engine's ``_macro_step`` books decode and its
+    ``_absorb_arrivals`` absorb.  ``_finalize`` books metrics.  The loops
+    themselves carry no timing code, so an unprofiled run pays nothing.
+    """
+    phase_s = run.phase_s
+    phase_s.update(admit=0.0, prefill=0.0, decode=0.0)
+    _book_phase(run, "_admit", phase_s, "admit")
+    step = run._step
+
+    def timed_step() -> None:
+        passes = run.prefill_passes
+        start = perf_counter()
+        step()
+        phase = "prefill" if run.prefill_passes != passes else "decode"
+        phase_s[phase] += perf_counter() - start
+
+    run._step = timed_step
+    if hasattr(run, "_macro_step"):
+        _book_phase(run, "_macro_step", phase_s, "decode")
+    if hasattr(run, "_absorb_arrivals"):
+        phase_s["absorb"] = 0.0
+        _book_phase(run, "_absorb_arrivals", phase_s, "absorb")
+    phase_s["metrics"] = 0.0
+    _book_phase(run, "_finalize", phase_s, "metrics")
+
+
+class _RunLifecycle:
+    """Everything a run does that does not touch its request store.
+
+    :class:`SimulationRun` (``_InFlight`` objects) and the array engine's
+    ``ArraySimulationRun`` (columnar rows) both derive from this class.
+    It owns the clock and the counters, the event log, the lifecycle
+    guards, failure and recovery bookkeeping, the swap-in admission loop
+    and the weight-swap pricing.
+
+    Each engine supplies its queues (``pending``, ``waiting``, ``active``,
+    ``swapped``) and these state-bound hooks:
+
+    - ``_flight_id(entry)`` and ``_arrival_key(entry)`` read an active or
+      swapped entry's request id and a waiting entry's ``(arrival, id)``;
+    - ``_entry(request)`` makes the queue entry of a request routed here;
+    - ``_clear_queues()`` empties every queue for :meth:`fail` and returns
+      the requests they held;
+    - ``_admit_waiting``, ``_swap_in_head``, ``_preempt_swapped`` and
+      ``_step`` do the per-iteration work.
     """
 
     def __init__(
@@ -1197,16 +1255,8 @@ class SimulationRun:
         self._provider = sim.provider
         self.model_swaps = 0
         self.model_swap_s = 0.0
-        self.pending: "deque[Request]" = deque()
-        self.waiting: list[Request] = []
-        self.active: list[_InFlight] = []
-        #: Swapped-out requests, oldest first; their private KV pages live
-        #: in host DRAM and their progress is preserved until swap-in.
-        self.swapped: list[_InFlight] = []
-        self.completed: list[RequestMetrics] = []
         self.clock = 0.0
         self.busy = 0.0
-        self.energy = EnergyBreakdown.zero()
         self.flops = 0.0
         self.prefill_passes = 0
         self.decode_passes = 0
@@ -1224,33 +1274,31 @@ class SimulationRun:
         #: Set by :meth:`fail` — a dead replica takes no work until recovery.
         self.dead = False
         self._last_until: "float | None" = None
-        #: Wall-time per simulator phase, populated when ``sim.profile``.
-        self.phase_s: dict[str, float] = {
-            "admit": 0.0,
-            "prefill": 0.0,
-            "decode": 0.0,
-            "metrics": 0.0,
-        }
-        self._step_kind = "decode"
+        #: Wall time per simulator phase, booked by the phase profiler
+        #: when ``sim.profile`` (see :meth:`ServingSimulator.begin`).
+        self.phase_s: dict[str, float] = {}
 
     # ------------------------------------------------------------------
+    # Offers, lifecycle guards and the end of a run
+    # ------------------------------------------------------------------
+    def _check_live(self, action: str) -> None:
+        """Refuse new work on a finished run or a failed replica."""
+        if self.finished:
+            raise ValueError(f"cannot {action} a finished run")
+        if self.dead:
+            raise ValueError(f"cannot {action} a failed replica")
+
     def offer(self, request: Request) -> None:
         """Inject one request; offers must come in ``(arrival, id)`` order."""
-        if self.finished:
-            raise ValueError("cannot offer a request to a finished run")
-        if self.dead:
-            raise ValueError("cannot offer a request to a failed replica")
+        self._check_live("offer a request to")
         self.sim._check_servable(request)
-        if self.pending:
-            last = self.pending[-1]
-            if (request.arrival_s, request.request_id) < (
-                last.arrival_s,
-                last.request_id,
-            ):
-                raise ValueError(
-                    "requests must be offered in (arrival_s, request_id) order"
-                )
-        self.pending.append(request)
+        if self.pending and _ARRIVAL_KEY(request) < self._arrival_key(
+            self.pending[-1]
+        ):
+            raise ValueError(
+                "requests must be offered in (arrival_s, request_id) order"
+            )
+        self.pending.append(self._entry(request))
         self.offered += 1
         if self.first_arrival is None:
             self.first_arrival = request.arrival_s
@@ -1264,9 +1312,6 @@ class SimulationRun:
         for request in requests:
             self.offer(request)
 
-    # ------------------------------------------------------------------
-    # Router-visible state (read by the cluster layer between offers)
-    # ------------------------------------------------------------------
     @property
     def outstanding_requests(self) -> int:
         """Requests routed here and not yet completed."""
@@ -1277,27 +1322,13 @@ class SimulationRun:
             + len(self.swapped)
         )
 
-    @property
-    def outstanding_tokens(self) -> int:
-        """Prompt + output tokens not yet computed across live requests."""
-        tokens = sum(request.total_tokens for request in self.pending)
-        tokens += sum(request.total_tokens for request in self.waiting)
-        tokens += sum(flight.remaining_tokens for flight in self.active)
-        tokens += sum(flight.remaining_tokens for flight in self.swapped)
-        return tokens
+    def _check_advance(self, until: "float | None") -> None:
+        """The :meth:`advance_until` guards: the run is not finished and
+        the target does not move backwards.
 
-    # ------------------------------------------------------------------
-    def advance_until(self, until: "float | None") -> None:
-        """Run every pass *starting* before ``until`` (all work if ``None``).
-
-        A pass that starts before ``until`` may end after it — exactly as
-        in the one-shot loop, where arrivals during a pass wait for the
-        next pass boundary.  Idle clock jumps stop at the last arrival
-        ``<= until``, so the run never invents knowledge of the future.
-
-        Targets must not move backwards: simulated time only advances, so
-        a caller handing a smaller ``until`` than its previous one holds a
-        stale clock and gets a ``ValueError`` rather than a silent no-op.
+        Simulated time only advances, so a caller handing a smaller
+        ``until`` than its previous one holds a stale clock and gets a
+        ``ValueError`` rather than a silent no-op.
         """
         if self.finished:
             raise ValueError("cannot advance a finished run")
@@ -1308,36 +1339,6 @@ class SimulationRun:
                     f"before the previous target {self._last_until:.6f}s"
                 )
             self._last_until = until
-        while True:
-            while self.pending and self.pending[0].arrival_s <= self.clock:
-                self.waiting.append(self.pending.popleft())
-            if not self.waiting and not self.active and not self.swapped:
-                if self.pending and (
-                    until is None or self.pending[0].arrival_s <= until
-                ):
-                    self.clock = self.pending[0].arrival_s
-                    self._emit("idle")
-                    continue
-                return
-            if until is not None and self.clock >= until:
-                return
-            if self.sim.profile:
-                start = perf_counter()
-                self._admit()
-                self.phase_s["admit"] += perf_counter() - start
-            else:
-                self._admit()
-            if not self.active:
-                raise RuntimeError(
-                    f"policy {self.sim.policy.name!r} left the device idle with "
-                    f"{len(self.waiting)} admissible request(s) waiting"
-                )  # pragma: no cover - defensive, no shipped policy does this
-            if self.sim.profile:
-                start = perf_counter()
-                self._step()
-                self.phase_s[self._step_kind] += perf_counter() - start
-            else:
-                self._step()
 
     def finish(self) -> ServingMetrics:
         """Drain all remaining work and return the run's metrics."""
@@ -1345,15 +1346,13 @@ class SimulationRun:
             raise ValueError("finish() called twice on the same run")
         self.advance_until(None)
         self.finished = True
-        self.completed.sort(key=lambda metrics: metrics.request_id)
         makespan = (
             self.clock - self.first_arrival if self.first_arrival is not None else 0.0
         )
-        if self.sim.profile:
-            start = perf_counter()
-            metrics = self.sim._finalize(self, makespan)
-            self.phase_s["metrics"] += perf_counter() - start
-            return metrics
+        return self._finalize(makespan)
+
+    def _finalize(self, makespan: float) -> ServingMetrics:
+        self.completed.sort(key=attrgetter("request_id"))
         return self.sim._finalize(self, makespan)
 
     # ------------------------------------------------------------------
@@ -1397,12 +1396,9 @@ class SimulationRun:
         # Sacrifice the youngest swapped request for recompute until the
         # oldest fits again — each round shrinks the swap set, and a lone
         # swapped request always fits (fits_alone held at admission).
-        while (
-            not self.active
-            and self.swapped
-            and self.sim.policy.admit(len(self.active))
-        ):
-            if self.kv.can_swap_in(self.swapped[0].request.request_id):
+        admit = self.sim.policy.admit
+        while not self.active and self.swapped and admit(len(self.active)):
+            if self.kv.can_swap_in(self._flight_id(self.swapped[0])):
                 self._swap_in_head()
             else:
                 self._preempt_swapped(len(self.swapped) - 1)
@@ -1410,12 +1406,221 @@ class SimulationRun:
 
     def _swap_in_ready(self) -> None:
         """Restore swapped-out requests, oldest first, while they fit."""
-        sim, kv = self.sim, self.kv
-        while self.swapped and sim.policy.admit(len(self.active)):
-            if not kv.can_swap_in(self.swapped[0].request.request_id):
+        admit = self.sim.policy.admit
+        while self.swapped and admit(len(self.active)):
+            if not self.kv.can_swap_in(self._flight_id(self.swapped[0])):
                 break
             self._swap_in_head()
 
+    def _swap_model(self, target: str) -> None:
+        """Stream ``target``'s weights in over the host link (weight swap)."""
+        sim = self.sim
+        moved = sim._weight_bytes[target]
+        latency = sim._link_seconds(moved)
+        self.clock += latency
+        self.busy += latency
+        self.resident_model = target
+        self._provider = sim.providers[target]
+        self.model_swaps += 1
+        self.model_swap_s += latency
+        self._emit("model_swap", latency=latency, tokens=moved, model=target)
+
+    def _check_livelock(self) -> None:
+        """Raise when preemptions or swap-outs outrun the offers 50 to 1."""
+        bound = 50 * max(self.offered, 1)
+        if self.preemptions > bound:  # pragma: no cover
+            raise RuntimeError(
+                f"preemption livelock: {self.preemptions} preemptions over "
+                f"{self.offered} offered request(s)"
+            )
+        if self.swap_outs > bound:  # pragma: no cover
+            raise RuntimeError(
+                f"swap livelock: {self.swap_outs} swap-outs over "
+                f"{self.offered} offered request(s)"
+            )
+
+    def _requeue(self, entry) -> None:
+        """Re-insert a preempted or resubmitted entry, keeping ``waiting``
+        arrival-sorted."""
+        key = self._arrival_key
+        index = bisect.bisect_left(self.waiting, key(entry), key=key)
+        self.waiting.insert(index, entry)
+
+    # ------------------------------------------------------------------
+    # Failure injection and failover (driven by the cluster layer)
+    # ------------------------------------------------------------------
+    def fail(self, now: float) -> "tuple[list[Request], int]":
+        """Kill this replica at instant ``now``.
+
+        Every KV page is dropped (the cache dies with the device) and every
+        request routed here but not yet completed is returned — in
+        ``(arrival, id)`` order — for the cluster to fail over to
+        survivors, which recompute them from scratch.  Failure lands at
+        pass granularity: the caller advances the run to ``now`` first, so
+        passes that started before the instant stand (their completions are
+        safe) and everything else is lost.  Returns ``(lost, pages)`` where
+        ``pages`` is the KV page count dropped.
+        """
+        if self.finished:
+            raise ValueError("cannot fail a finished run")
+        if self.dead:
+            raise ValueError("replica is already dead")
+        dropped_ids = tuple(
+            sorted(map(self._flight_id, (*self.active, *self.swapped)))
+        )
+        lost = self._clear_queues()
+        lost.sort(key=_ARRIVAL_KEY)
+        pages = self.kv.release_all()
+        if now > self.clock:
+            self.clock = now
+        self.dead = True
+        self._emit("fail", tokens=pages, decode_ids=dropped_ids)
+        return lost, pages
+
+    def recover(self, now: float) -> None:
+        """Bring a failed replica back (empty: its KV cache did not survive)."""
+        if self.finished:
+            raise ValueError("cannot recover a finished run")
+        if not self.dead:
+            raise ValueError("cannot recover a replica that is not dead")
+        self.dead = False
+        if now > self.clock:
+            self.clock = now
+        self._emit("recover")
+
+    def resubmit(self, request: Request) -> None:
+        """Re-inject a failed-over request for recompute from scratch.
+
+        Unlike :meth:`offer`, arrival order against the pending queue is
+        not enforced: the request's original arrival may predate requests
+        this replica has already seen.  It keeps that original arrival, so
+        its latency keeps accruing across the failure — failover does not
+        reset the clock.
+        """
+        self._check_live("resubmit a request to")
+        self._requeue(self._entry(request))
+        self.offered += 1
+        if self.first_arrival is None or request.arrival_s < self.first_arrival:
+            self.first_arrival = request.arrival_s
+
+    def catch_up(self, now: float) -> None:
+        """Jump an idle replica's clock forward to ``now``.
+
+        Failover resubmits bypass the pending queue (and with it the idle
+        jump in ``advance_until``), so the cluster calls this first —
+        otherwise an idle survivor would start recomputing a victim's work
+        *before* the failure instant.
+        """
+        if (
+            now > self.clock
+            and not self.active
+            and not self.waiting
+            and not self.swapped
+        ):
+            self.clock = now
+            self._emit("idle")
+
+    def note_scale(self, delta: int) -> None:
+        """Record an autoscaling decision (+1 spawn, -1 drain) in the log."""
+        self._emit("scale", tokens=delta)
+
+
+class SimulationRun(_RunLifecycle):
+    """One in-progress simulation over a :class:`ServingSimulator`.
+
+    Created by :meth:`ServingSimulator.begin`.  The one-shot
+    :meth:`ServingSimulator.simulate` offers the whole (sorted) trace and
+    drains; the cluster layer instead drives one run per replica — it
+    advances every replica to a request's arrival instant
+    (:meth:`advance_until`), reads the replicas' router-visible state, and
+    :meth:`offer`\\ s the request to the chosen one.  Offering a trace
+    incrementally at its arrival instants produces the *same* event log and
+    metrics as the one-shot path, because the scheduler only acts at pass
+    boundaries in both cases.
+
+    The run owns all mutable state (queues, clock, KV accountant, event
+    log, counters); the simulator it was created from supplies the
+    immutable configuration (policy, provider, admission mode).  This
+    class holds the request store — ``_InFlight`` objects — and the
+    per-iteration bodies over it; the rest of the lifecycle is shared
+    with the array engine (see :class:`_RunLifecycle`).
+    """
+
+    _flight_id = staticmethod(attrgetter("request.request_id"))
+    _arrival_key = staticmethod(_ARRIVAL_KEY)
+
+    def __init__(
+        self,
+        sim: "ServingSimulator",
+        record_events: bool = False,
+        kv_bounds: "tuple[int, int] | None" = None,
+    ) -> None:
+        super().__init__(sim, record_events, kv_bounds)
+        self.pending: "deque[Request]" = deque()
+        self.waiting: list[Request] = []
+        self.active: list[_InFlight] = []
+        #: Swapped-out requests, oldest first; their private KV pages live
+        #: in host DRAM and their progress is preserved until swap-in.
+        self.swapped: list[_InFlight] = []
+        self.completed: list[RequestMetrics] = []
+        self.energy = EnergyBreakdown.zero()
+
+    def _entry(self, request: Request) -> Request:
+        return request
+
+    def _clear_queues(self) -> "list[Request]":
+        lost = [flight.request for flight in (*self.active, *self.swapped)]
+        lost.extend(self.waiting)
+        lost.extend(self.pending)
+        for queue in (self.active, self.swapped, self.waiting, self.pending):
+            queue.clear()
+        return lost
+
+    # ------------------------------------------------------------------
+    # Router-visible state (read by the cluster layer between offers)
+    # ------------------------------------------------------------------
+    @property
+    def outstanding_tokens(self) -> int:
+        """Prompt + output tokens not yet computed across live requests."""
+        tokens = sum(request.total_tokens for request in self.pending)
+        tokens += sum(request.total_tokens for request in self.waiting)
+        tokens += sum(flight.remaining_tokens for flight in self.active)
+        tokens += sum(flight.remaining_tokens for flight in self.swapped)
+        return tokens
+
+    # ------------------------------------------------------------------
+    def advance_until(self, until: "float | None") -> None:
+        """Run every pass *starting* before ``until`` (all work if ``None``).
+
+        A pass that starts before ``until`` may end after it — exactly as
+        in the one-shot loop, where arrivals during a pass wait for the
+        next pass boundary.  Idle clock jumps stop at the last arrival
+        ``<= until``, so the run never invents knowledge of the future.
+        Targets must not move backwards (see :meth:`_check_advance`).
+        """
+        self._check_advance(until)
+        while True:
+            while self.pending and self.pending[0].arrival_s <= self.clock:
+                self.waiting.append(self.pending.popleft())
+            if not self.waiting and not self.active and not self.swapped:
+                if self.pending and (
+                    until is None or self.pending[0].arrival_s <= until
+                ):
+                    self.clock = self.pending[0].arrival_s
+                    self._emit("idle")
+                    continue
+                return
+            if until is not None and self.clock >= until:
+                return
+            self._admit()
+            if not self.active:
+                raise RuntimeError(
+                    f"policy {self.sim.policy.name!r} left the device idle with "
+                    f"{len(self.waiting)} admissible request(s) waiting"
+                )  # pragma: no cover - defensive, no shipped policy does this
+            self._step()
+
+    # ------------------------------------------------------------------
     def _swap_in_head(self) -> None:
         """Pay the link transfer and re-activate the oldest swapped request."""
         flight = self.swapped.pop(0)
@@ -1493,19 +1698,6 @@ class SimulationRun:
             target = batch[0] if batch else decodable[0]
         self._swap_model(self._model_of(target.request))
 
-    def _swap_model(self, target: str) -> None:
-        """Stream ``target``'s weights in over the host link (weight swap)."""
-        sim = self.sim
-        moved = sim._weight_bytes[target]
-        latency = sim._link_seconds(moved)
-        self.clock += latency
-        self.busy += latency
-        self.resident_model = target
-        self._provider = sim.providers[target]
-        self.model_swaps += 1
-        self.model_swap_s += latency
-        self._emit("model_swap", latency=latency, tokens=moved, model=target)
-
     def _base_cost(self) -> tuple:
         """The resident model's decode floor, for :func:`fused_pass`."""
         return cost_tuple(self._provider.base())
@@ -1555,7 +1747,6 @@ class SimulationRun:
                 )
 
         costs = [cost_tuple(provider.decode(f.next_kv_length)) for f in batch]
-        self._step_kind = "prefill" if carrier is not None else "decode"
         latency, mem_j, pim_j, npu_j, pass_flops = fused_pass(
             carrier, costs, sim.batch_share, self._base_cost
         )
@@ -1648,18 +1839,8 @@ class SimulationRun:
 
     def _preempt(self, victim: _InFlight) -> None:
         """Evict one request: release its pages, re-enqueue for recompute."""
-        request = victim.request
-        pages = self.kv.release(request.request_id)
         self.active.remove(victim)
-        self.preemptions += 1
-        self.recomputed_tokens += victim.prefilled + victim.generated
-        if self.preemptions > 50 * max(self.offered, 1):  # pragma: no cover
-            raise RuntimeError(
-                f"preemption livelock: {self.preemptions} preemptions over "
-                f"{self.offered} offered request(s)"
-            )
-        self._requeue(request)
-        self._emit("preempt", request_id=request.request_id, tokens=pages)
+        self._recompute(victim)
 
     def _preempt_swapped(self, index: int) -> None:
         """Preempt a swapped-out request: discard its host copy, recompute.
@@ -1668,16 +1849,16 @@ class SimulationRun:
         pool — releasing the request drops its prefix reference, freeing
         the shared pages once the last member leaves.
         """
-        victim = self.swapped.pop(index)
+        self._recompute(self.swapped.pop(index))
+
+    def _recompute(self, victim: _InFlight) -> None:
+        """Release a victim's pages and re-enqueue its request to
+        recompute from scratch."""
         request = victim.request
         pages = self.kv.release(request.request_id)
         self.preemptions += 1
         self.recomputed_tokens += victim.prefilled + victim.generated
-        if self.preemptions > 50 * max(self.offered, 1):  # pragma: no cover
-            raise RuntimeError(
-                f"preemption livelock: {self.preemptions} preemptions over "
-                f"{self.offered} offered request(s)"
-            )
+        self._check_livelock()
         self._requeue(request)
         self._emit("preempt", request_id=request.request_id, tokens=pages)
 
@@ -1698,111 +1879,10 @@ class SimulationRun:
         self.swapped.append(victim)
         self.swap_outs += 1
         self.swapped_pages_total += pages
-        if self.swap_outs > 50 * max(self.offered, 1):  # pragma: no cover
-            raise RuntimeError(
-                f"swap livelock: {self.swap_outs} swap-outs over "
-                f"{self.offered} offered request(s)"
-            )
+        self._check_livelock()
         self._emit(
             "swap_out", latency=latency, request_id=request.request_id, tokens=pages
         )
-
-    def _requeue(self, request: Request) -> None:
-        """Re-insert a preempted request, keeping ``waiting`` arrival-sorted."""
-        keys = [(r.arrival_s, r.request_id) for r in self.waiting]
-        index = bisect.bisect_left(keys, (request.arrival_s, request.request_id))
-        self.waiting.insert(index, request)
-
-    # ------------------------------------------------------------------
-    # Failure injection and failover (driven by the cluster layer)
-    # ------------------------------------------------------------------
-    def fail(self, now: float) -> "tuple[list[Request], int]":
-        """Kill this replica at instant ``now``.
-
-        Every KV page is dropped (the cache dies with the device) and every
-        request routed here but not yet completed is returned — in
-        ``(arrival, id)`` order — for the cluster to fail over to
-        survivors, which recompute them from scratch.  Failure lands at
-        pass granularity: the caller advances the run to ``now`` first, so
-        passes that started before the instant stand (their completions are
-        safe) and everything else is lost.  Returns ``(lost, pages)`` where
-        ``pages`` is the KV page count dropped.
-        """
-        if self.finished:
-            raise ValueError("cannot fail a finished run")
-        if self.dead:
-            raise ValueError("replica is already dead")
-        dropped_ids = tuple(
-            sorted(
-                flight.request.request_id
-                for flight in (*self.active, *self.swapped)
-            )
-        )
-        lost = [flight.request for flight in self.active]
-        lost.extend(flight.request for flight in self.swapped)
-        lost.extend(self.waiting)
-        lost.extend(self.pending)
-        lost.sort(key=lambda request: (request.arrival_s, request.request_id))
-        pages = self.kv.release_all()
-        self.active.clear()
-        self.swapped.clear()
-        self.waiting.clear()
-        self.pending.clear()
-        if now > self.clock:
-            self.clock = now
-        self.dead = True
-        self._emit("fail", tokens=pages, decode_ids=dropped_ids)
-        return lost, pages
-
-    def recover(self, now: float) -> None:
-        """Bring a failed replica back (empty: its KV cache did not survive)."""
-        if self.finished:
-            raise ValueError("cannot recover a finished run")
-        if not self.dead:
-            raise ValueError("cannot recover a replica that is not dead")
-        self.dead = False
-        if now > self.clock:
-            self.clock = now
-        self._emit("recover")
-
-    def resubmit(self, request: Request) -> None:
-        """Re-inject a failed-over request for recompute from scratch.
-
-        Unlike :meth:`offer`, arrival order against the pending queue is
-        not enforced: the request's original arrival may predate requests
-        this replica has already seen.  It keeps that original arrival, so
-        its latency keeps accruing across the failure — failover does not
-        reset the clock.
-        """
-        if self.finished:
-            raise ValueError("cannot resubmit a request to a finished run")
-        if self.dead:
-            raise ValueError("cannot resubmit a request to a failed replica")
-        self._requeue(request)
-        self.offered += 1
-        if self.first_arrival is None or request.arrival_s < self.first_arrival:
-            self.first_arrival = request.arrival_s
-
-    def catch_up(self, now: float) -> None:
-        """Jump an idle replica's clock forward to ``now``.
-
-        Failover resubmits bypass the pending queue (and with it the idle
-        jump in :meth:`advance_until`), so the cluster calls this first —
-        otherwise an idle survivor would start recomputing a victim's work
-        *before* the failure instant.
-        """
-        if (
-            now > self.clock
-            and not self.active
-            and not self.waiting
-            and not self.swapped
-        ):
-            self.clock = now
-            self._emit("idle")
-
-    def note_scale(self, delta: int) -> None:
-        """Record an autoscaling decision (+1 spawn, -1 drain) in the log."""
-        self._emit("scale", tokens=delta)
 
 
 class ServingSimulator:
@@ -1866,9 +1946,11 @@ class ServingSimulator:
         batching contract) and numpy.
     profile:
         Record a per-phase wall-time breakdown (``admit`` / ``prefill`` /
-        ``decode`` / ``metrics``) in ``run.phase_s`` — read it from
-        ``simulator.last_run`` after ``simulate``; ``repro serve
-        --profile`` prints it.
+        ``decode`` / ``metrics``, plus ``absorb`` on the array engine) in
+        ``run.phase_s`` — read it from ``simulator.last_run`` after
+        ``simulate``; ``repro serve --profile`` prints it.  :meth:`begin`
+        attaches the phase profiler, which wraps the run's phase methods
+        on the instance, so unprofiled runs carry no timing code.
     per_request_detail:
         When ``False``, drop per-request :class:`RequestMetrics` from the
         result (``per_request=()``) and let the array engine pool metrics
@@ -2087,10 +2169,13 @@ class ServingSimulator:
         if self.engine == "array":
             from repro.serving.array_engine import ArraySimulationRun
 
-            return ArraySimulationRun(
-                self, record_events=record_events, kv_bounds=kv_bounds
-            )
-        return SimulationRun(self, record_events=record_events, kv_bounds=kv_bounds)
+            run_class = ArraySimulationRun
+        else:
+            run_class = SimulationRun
+        run = run_class(self, record_events=record_events, kv_bounds=kv_bounds)
+        if self.profile:
+            _profile_phases(run)
+        return run
 
     def simulate(
         self, requests: Sequence[Request], record_events: bool = False

@@ -69,6 +69,14 @@ __all__ = [
 _INVERT_ITERATIONS = 100
 
 
+def _check_not_nan(name: str, value: float) -> None:
+    """Reject a NaN offset.  NaN fails every comparison: the positive
+    knobs below are checked as ``not x > 0`` so that it fails them, but
+    an unbounded offset has no range to check."""
+    if math.isnan(value):
+        raise ValueError(f"{name} must be a number, not NaN")
+
+
 class TraceCurve:
     """A dimensionless arrival-rate multiplier over time.
 
@@ -123,7 +131,7 @@ class ConstantCurve(TraceCurve):
     name = "constant"
 
     def __init__(self, scale: float = 1.0) -> None:
-        if scale <= 0.0:
+        if not scale > 0.0:
             raise ValueError("scale must be positive")
         self.scale = scale
 
@@ -161,10 +169,11 @@ class DiurnalCurve(TraceCurve):
         amplitude: float = 0.5,
         phase_s: float = 0.0,
     ) -> None:
-        if period_s <= 0.0:
+        if not period_s > 0.0:
             raise ValueError("period_s must be positive")
         if not 0.0 <= amplitude < 1.0:
             raise ValueError("amplitude must be in [0, 1) to keep the rate positive")
+        _check_not_nan("phase_s", phase_s)
         self.period_s = period_s
         self.amplitude = amplitude
         self.phase_s = phase_s
@@ -202,9 +211,10 @@ class FlashCrowdCurve(TraceCurve):
         duration_s: float = 1.0,
         magnitude: float = 4.0,
     ) -> None:
-        if duration_s <= 0.0:
+        _check_not_nan("start_s", start_s)
+        if not duration_s > 0.0:
             raise ValueError("duration_s must be positive")
-        if magnitude <= 0.0:
+        if not magnitude > 0.0:
             raise ValueError("magnitude must be positive")
         self.start_s = start_s
         self.duration_s = duration_s
@@ -238,7 +248,8 @@ class StepCurve(TraceCurve):
     def __init__(
         self, at_s: float = 1.0, before: float = 1.0, after: float = 2.0
     ) -> None:
-        if before <= 0.0 or after <= 0.0:
+        _check_not_nan("at_s", at_s)
+        if not (before > 0.0 and after > 0.0):
             raise ValueError("before and after must be positive")
         self.at_s = at_s
         self.before = before
@@ -442,8 +453,8 @@ class TraceGenerator:
         """
         if num_requests < 0:
             raise ValueError("num_requests must be non-negative")
-        if rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
+        if not 0.0 < rate_rps < math.inf:
+            raise ValueError("rate_rps must be positive and finite")
         if num_classes < 1:
             raise ValueError("num_classes must be at least 1")
         if chunk_requests < 1:

@@ -158,38 +158,121 @@ class TestTraceCurves:
 
 
 # ======================================================================
-class TestSteppingApiEdgeCases:
-    def _run(self):
-        return ServingSimulator(LinearCostModel(), MODEL, policy="fcfs").begin()
+class TestSpecKnobsRejectNan:
+    """Every float knob of a trace curve, failure schedule or autoscaler
+    rejects NaN at construction, naming the knob (NaN fails every
+    comparison, so an ``x <= 0`` check lets it through)."""
 
-    def test_offer_after_finish_raises_value_error(self):
-        run = self._run()
+    KNOBS = [
+        (make_trace_curve, "constant", "scale"),
+        (make_trace_curve, "diurnal", "period_s"),
+        (make_trace_curve, "diurnal", "amplitude"),
+        (make_trace_curve, "diurnal", "phase_s"),
+        (make_trace_curve, "flash-crowd", "start_s"),
+        (make_trace_curve, "flash-crowd", "duration_s"),
+        (make_trace_curve, "flash-crowd", "magnitude"),
+        (make_trace_curve, "step", "at_s"),
+        (make_trace_curve, "step", "before"),
+        (make_trace_curve, "step", "after"),
+        (make_failure_schedule, "single", "at_s"),
+        (make_failure_schedule, "single", "recover_after_s"),
+        (make_failure_schedule, "seeded", "mtbf_s"),
+        (make_failure_schedule, "seeded", "horizon_s"),
+        (make_failure_schedule, "seeded", "recover_after_s"),
+        (make_autoscaler, "queue-depth", "cooldown_s"),
+        (make_autoscaler, "queue-depth", "window_s"),
+        (make_autoscaler, "queue-depth", "high"),
+        (make_autoscaler, "queue-depth", "low"),
+        (make_autoscaler, "kv-pressure", "high"),
+        (make_autoscaler, "kv-pressure", "low"),
+        (make_autoscaler, "slo-attainment", "low"),
+        (make_autoscaler, "slo-attainment", "high"),
+        (make_autoscaler, "slo-attainment", "drain_depth"),
+    ]
+
+    @pytest.mark.parametrize(
+        "factory, name, knob", KNOBS,
+        ids=[f"{name}:{knob}" for _, name, knob in KNOBS],
+    )
+    def test_nan_knob_raises_naming_it(self, factory, name, knob):
+        with pytest.raises(ValueError, match=knob):
+            factory(name, **{knob: float("nan")})
+
+
+# ======================================================================
+@pytest.mark.parametrize("engine", ["object", "array"])
+class TestSteppingApiEdgeCases:
+    """The lifecycle guards every run inherits, on both engines."""
+
+    def _run(self, engine):
+        return ServingSimulator(
+            LinearCostModel(), MODEL, policy="fcfs", engine=engine
+        ).begin()
+
+    def test_offer_after_finish_raises_value_error(self, engine):
+        run = self._run(engine)
         run.offer(Request(0, 0.0, 16, 4))
         run.finish()
         with pytest.raises(ValueError, match="finished run"):
             run.offer(Request(1, 1.0, 16, 4))
 
-    def test_backwards_advance_until_raises_value_error(self):
-        run = self._run()
+    def test_backwards_advance_until_raises_value_error(self, engine):
+        run = self._run(engine)
         run.offer(Request(0, 0.0, 16, 4))
         run.advance_until(1.0)
         with pytest.raises(ValueError, match="moved backwards"):
             run.advance_until(0.5)
 
-    def test_double_finish_raises_value_error(self):
-        run = self._run()
+    def test_double_finish_raises_value_error(self, engine):
+        run = self._run(engine)
         run.offer(Request(0, 0.0, 16, 4))
         run.finish()
         with pytest.raises(ValueError, match="finish\\(\\) called twice"):
             run.finish()
 
-    def test_advance_after_finish_raises_value_error(self):
-        run = self._run()
+    def test_advance_after_finish_raises_value_error(self, engine):
+        run = self._run(engine)
         run.finish()
         with pytest.raises(ValueError, match="finished run"):
             run.advance_until(2.0)
 
-    def test_wedge_error_names_the_stuck_request(self):
+    def test_failing_a_failed_replica_raises(self, engine):
+        run = self._run(engine)
+        run.fail(0.0)
+        with pytest.raises(ValueError, match="already dead"):
+            run.fail(1.0)
+
+    def test_recovering_a_live_replica_raises(self, engine):
+        run = self._run(engine)
+        with pytest.raises(ValueError, match="not dead"):
+            run.recover(0.0)
+
+    def test_work_for_a_failed_replica_raises(self, engine):
+        run = self._run(engine)
+        run.fail(0.0)
+        request = Request(0, 0.0, 16, 4)
+        with pytest.raises(ValueError, match="offer a request to a failed"):
+            run.offer(request)
+        with pytest.raises(ValueError, match="offer a request to a failed"):
+            run.offer_many([request])
+        with pytest.raises(ValueError, match="resubmit a request to a failed"):
+            run.resubmit(request)
+        run.recover(1.0)
+        run.resubmit(request)
+        assert run.finish().num_requests == 1
+
+    def test_failing_or_recovering_a_finished_run_raises(self, engine):
+        run = self._run(engine)
+        run.offer(Request(0, 0.0, 16, 4))
+        run.finish()
+        with pytest.raises(ValueError, match="cannot fail a finished run"):
+            run.fail(1.0)
+        with pytest.raises(ValueError, match="cannot recover a finished run"):
+            run.recover(1.0)
+        with pytest.raises(ValueError, match="resubmit a request to a finished"):
+            run.resubmit(Request(1, 1.0, 16, 4))
+
+    def test_wedge_error_names_the_stuck_request(self, engine):
         # The preempt-disabled exhaustion error must identify the wedged
         # request and the page arithmetic, not just announce the wedge.
         accountant = KvPageAccountant.for_backend(LinearCostModel(), MODEL)
@@ -197,6 +280,7 @@ class TestSteppingApiEdgeCases:
         simulator = ServingSimulator(
             LinearCostModel(), MODEL, policy="interleaved",
             admission="optimistic", preempt=False, kv_budget=budget,
+            engine=engine,
         )
         trace = [Request(0, 0.0, 16, 400), Request(1, 0.0, 16, 400)]
         with pytest.raises(RuntimeError) as excinfo:
@@ -246,6 +330,12 @@ class TestFailureSchedules:
             )
             events = schedule.events(3)
             assert sum(1 for e in events if e.kind == "fail") <= 2
+
+    def test_seeded_schedule_needs_a_finite_horizon(self):
+        # events() draws failures until the horizon; an infinite one
+        # never ends the loop.
+        with pytest.raises(ValueError, match="horizon_s must be positive and finite"):
+            SeededFailures(horizon_s=float("inf"))
 
     def test_seeded_events_are_sorted_and_bounded(self):
         schedule = SeededFailures(
@@ -421,10 +511,12 @@ class TestFailover:
         assert metrics.failures > 0
         assert cluster.validate_invariants() == []
 
-    def test_killing_the_only_replica_raises(self):
+    @pytest.mark.parametrize("autoscaler", [None, "fixed"])
+    def test_killing_the_only_replica_raises(self, autoscaler):
         # A fixed fleet the schedule empties would die mid-run; it is
         # refused up front, naming both knobs — even when the replica
-        # would come back later.
+        # would come back later.  The fixed autoscaler never spawns a
+        # replica, so its fleet is a fixed fleet too.
         for recover_after_s in (None, 0.5):
             with pytest.raises(ValueError, match="failures=.*num_replicas=1"):
                 _cluster(
@@ -432,9 +524,14 @@ class TestFailover:
                     failures=SingleFailure(
                         replica=0, at_s=0.05, recover_after_s=recover_after_s
                     ),
+                    autoscaler=autoscaler,
                 )
         # A survivor to fail over to makes the same schedule valid.
-        _cluster(num_replicas=2, failures=SingleFailure(replica=0, at_s=0.05))
+        _cluster(
+            num_replicas=2,
+            failures=SingleFailure(replica=0, at_s=0.05),
+            autoscaler=autoscaler,
+        )
 
 
 class TestAutoscaling:
@@ -797,13 +894,36 @@ class TestOpsCli:
             "serve", "--requests", "4", "--rate", "10",
             "--autoscaler", "queue-depth:bogus=1", "--no-disk-cache",
         ]) == 2
-        assert "unexpected keyword" in capsys.readouterr().err.lower() or True
+        assert (
+            "autoscaler 'queue-depth' does not accept bogus"
+            in capsys.readouterr().err
+        )
 
-    def test_failures_that_empty_a_fixed_fleet_exit_2(self, capsys):
+    @pytest.mark.parametrize(
+        "flag, spec, knob",
+        [
+            ("--trace-curve", "diurnal:period-s=nan", "period_s"),
+            ("--failures", "single:at-s=nan", "at_s"),
+            ("--autoscaler", "queue-depth:cooldown-s=nan", "cooldown_s"),
+        ],
+    )
+    def test_nan_spec_knob_exits_2(self, flag, spec, knob, capsys):
         from repro.cli import main
 
         assert main([
-            "serve", "--replicas", "1", "--failures", "single",
+            "serve", "--requests", "4", "--rate", "10", flag, spec,
+            "--no-disk-cache",
+        ]) == 2
+        assert knob in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "autoscaler", [[], ["--autoscaler", "fixed"]], ids=["none", "fixed"]
+    )
+    def test_failures_that_empty_a_fixed_fleet_exit_2(self, autoscaler, capsys):
+        from repro.cli import main
+
+        assert main([
+            "serve", "--replicas", "1", "--failures", "single", *autoscaler,
             "--requests", "4", "--rate", "10", "--no-disk-cache",
         ]) == 2
         err = capsys.readouterr().err

@@ -12,6 +12,7 @@ and the CLI/cluster/experiment surfaces of the ``engine`` knob.
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
@@ -127,6 +128,11 @@ class TestStreamingTraces:
         generator = get_trace_generator("chatbot")
         with pytest.raises(ValueError):
             list(generator.generate_stream(4, 0.0))
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rate_rps"):
+                generator.generate_stream(4, rate)
+            with pytest.raises(ValueError, match="rate_rps"):
+                generator.generate(4, rate)
         with pytest.raises(ValueError):
             list(generator.generate_stream(8, 1.0, chunk_requests=0))
 
@@ -338,23 +344,28 @@ class TestServeCliEngine:
         assert code == 0
         assert "invariants      : OK" in capsys.readouterr().out
 
-    def test_profile_prints_phase_breakdown(self, capsys):
-        code = main([*self.ARGS, "--engine", "array", "--profile"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_profile_prints_phase_breakdown(self, engine, capsys):
+        code = main([*self.ARGS, "--engine", engine, "--profile"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "profile [array]" in out
+        assert f"profile [{engine}]" in out
         for phase in ("trace-gen", "admit", "prefill", "decode", "metrics"):
-            assert phase in out
+            assert f"{phase} " in out
+        # Only the array engine has an arrival absorber to book.
+        assert ("| absorb " in out) == (engine == "array")
 
-    def test_profile_covers_cluster_runs(self, capsys):
-        code = main([*self.ARGS, "--engine", "array", "--profile",
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_profile_covers_cluster_runs(self, engine, capsys):
+        code = main([*self.ARGS, "--engine", engine, "--profile",
                      "--replicas", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "profile [array, pooled x2]" in out
-        assert "route" in out
-        for phase in ("trace-gen", "admit", "prefill", "metrics"):
-            assert phase in out
+        assert f"profile [{engine}, pooled x2]" in out
+        for phase in ("trace-gen", "route", "admit", "prefill", "decode",
+                      "metrics"):
+            assert f"{phase} " in out
+        assert ("| absorb " in out) == (engine == "array")
 
     def test_engines_agree_from_the_cli(self, capsys):
         def report(engine):
@@ -382,3 +393,64 @@ class TestExperimentEngineKnob:
         array = _run_cell(dict(params, engine="array"))
         assert array["violations"] == 0
         assert array["metrics"] == reference["metrics"]
+
+
+class TestPhaseProfiler:
+    """``profile=True`` only times phases, from outside the loops: the
+    simulated output stays the unprofiled run's, byte for byte."""
+
+    BASE_PHASES = {"admit", "prefill", "decode", "metrics"}
+
+    def _trace(self):
+        return get_trace_generator("chatbot").generate(32, 8.0, seed=4)
+
+    def _phases(self, engine):
+        return self.BASE_PHASES | ({"absorb"} if engine == "array" else set())
+
+    @pytest.mark.parametrize("record_events", [False, True])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_single_replica_output_unchanged(self, engine, record_events):
+        trace = self._trace()
+        outputs = {}
+        for profile in (False, True):
+            simulator = ServingSimulator(
+                make_cost_model("ianus"), MODEL, engine=engine,
+                profile=profile,
+            )
+            metrics = simulator.simulate(trace, record_events=record_events)
+            outputs[profile] = (
+                json.dumps(metrics.to_dict(), sort_keys=True),
+                repr(simulator.events),
+            )
+            phases = simulator.last_run.phase_s
+            if not profile:
+                assert phases == {}
+        assert outputs[True] == outputs[False]
+        assert set(phases) == self._phases(engine)
+        # Without an event log the array engine absorbs this underloaded
+        # trace in closed form; with one it steps every pass.
+        absorbed = engine == "array" and not record_events
+        for phase in {"absorb", "metrics"} if absorbed else self.BASE_PHASES:
+            assert phases[phase] > 0.0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_cluster_output_unchanged_and_route_booked(self, engine):
+        trace = self._trace()
+        outputs = {}
+        for profile in (False, True):
+            cluster = ClusterSimulator(
+                make_cost_model("ianus"), MODEL, num_replicas=2,
+                engine=engine, profile=profile,
+            )
+            metrics = cluster.simulate(trace, record_events=True)
+            outputs[profile] = (
+                json.dumps(metrics.to_dict(), sort_keys=True),
+                repr(cluster.events),
+            )
+            phases = cluster.pooled_phase_s()
+            if not profile:
+                assert phases == {"route": 0.0}
+        assert outputs[True] == outputs[False]
+        assert set(phases) == self._phases(engine) | {"route"}
+        for phase in self.BASE_PHASES | {"route"}:
+            assert phases[phase] > 0.0

@@ -38,6 +38,11 @@ class TestRequest:
     def test_validation(self):
         with pytest.raises(ValueError):
             Request(0, -1.0, 128, 8)
+        # NaN fails every comparison; it used to slip through and stall
+        # the object engine's event loop.
+        for arrival_s in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="arrival_s"):
+                Request(0, arrival_s, 128, 8)
         with pytest.raises(ValueError):
             Request(0, 0.0, 0, 8)
         with pytest.raises(ValueError):

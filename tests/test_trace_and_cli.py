@@ -189,6 +189,9 @@ class TestCli:
                 "optimistic admission",
             ),
             (["serve", "--slo", "nan", "--no-disk-cache"], "slo_targets"),
+            (["serve", "--rate", "nan", "--no-disk-cache"], "--rate"),
+            (["serve", "--rate", "inf", "--no-disk-cache"], "--rate"),
+            (["serve", "--load", "nan", "--no-disk-cache"], "--load"),
         ],
     )
     def test_serve_rejects_invalid_arguments(self, argv, message, capsys):
