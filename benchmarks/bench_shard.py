@@ -39,7 +39,7 @@ def test_fig08_sharded_matches_serial_benchmark(benchmark):
     outcome = benchmark.pedantic(
         run_many,
         args=(["fig08"],),
-        kwargs={"fast": True, "jobs": 2, "shard_cells": True},
+        kwargs={"fast": True, "jobs": 2},
         rounds=1,
         iterations=1,
     )
@@ -61,8 +61,7 @@ from repro.perf import run_many
 
 jobs = int(sys.argv[1])
 outcome = run_many(
-    {figures!r}, fast=True, jobs=jobs, shard_cells=True,
-    disk_cache=True,
+    {figures!r}, fast=True, jobs=jobs, disk_cache=True,
 )
 report = outcome.report
 print(json.dumps({{

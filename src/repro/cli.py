@@ -173,9 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a BENCH_*.json-compatible timing report")
     bench.add_argument("--show-tables", action="store_true",
                        help="also print every regenerated table")
-    bench.add_argument("--no-shard-cells", action="store_true",
-                       help="with --jobs N, dispatch whole experiments instead "
-                            "of individual sweep cells")
     _add_cache_flags(bench)
 
     serve = subparsers.add_parser(
@@ -309,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    model = get_model(args.model)
     try:
+        model = get_model(args.model)
+        workload = Workload(args.input_tokens, args.output_tokens)
         backend = _make_backend(args.backend, args.devices)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
+    except (KeyError, ValueError) as error:
+        print(error.args[0], file=sys.stderr)
         return 2
-    workload = Workload(args.input_tokens, args.output_tokens)
     result = backend.run(model, workload, mode=args.mode)
 
     print(f"backend      : {result.backend}")
@@ -380,7 +377,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         ids,
         fast=not args.full,
         jobs=args.jobs,
-        shard_cells=not args.no_shard_cells,
         disk_cache=not args.no_disk_cache,
         cache_dir=args.cache_dir,
     )
@@ -584,19 +580,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             print(f"nominal capacity : {args.replicas / service_s:.3f} requests/s "
                   f"({args.replicas} replica(s)) "
                   f"-> load {args.load} = {rate_rps:.3f} requests/s")
-        trace_start = perf_counter()
-        trace = generator.generate(
-            args.requests, rate_rps, seed=args.seed, num_classes=args.classes,
-            curve=curve, prefix_share=args.prefix_share,
-            prefix_tokens=args.prefix_tokens,
-            prefix_groups=args.prefix_groups,
-            model_mix=(
-                [(member.name, 1.0) for member in model_set]
-                if model_set is not None
-                else None
-            ),
-        )
-        trace_gen_s = perf_counter() - trace_start
         if tenant_shares is not None:
             from repro.serving import make_policy
 
@@ -634,6 +617,20 @@ def _run_serve(args: argparse.Namespace) -> int:
             args.replicas > 1 or failures is not None or autoscaler is not None
         )
         try:
+            trace_start = perf_counter()
+            trace = generator.generate(
+                args.requests, rate_rps, seed=args.seed,
+                num_classes=args.classes, curve=curve,
+                prefix_share=args.prefix_share,
+                prefix_tokens=args.prefix_tokens,
+                prefix_groups=args.prefix_groups,
+                model_mix=(
+                    [(member.name, 1.0) for member in model_set]
+                    if model_set is not None
+                    else None
+                ),
+            )
+            trace_gen_s = perf_counter() - trace_start
             if use_cluster:
                 cluster = ClusterSimulator(
                     backend, model,
@@ -650,7 +647,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                     backend, model, profile=args.profile, **simulator_kwargs
                 )
                 metrics = simulator.simulate(trace, record_events=args.validate)
-        except ValueError as error:  # e.g. encoder trace, model too large
+        except ValueError as error:  # e.g. bad prefix, encoder trace, model too large
             print(str(error), file=sys.stderr)
             return 2
     finally:
@@ -790,7 +787,10 @@ def _run_list() -> int:
         ("host-DRAM swap (--swap)", "yes", "yes (per-iteration, fast paths stand down)"),
         ("co-hosted model set (--models)", "yes", "yes (per-iteration, fast paths stand down)"),
         ("tenant shares (--tenant-slo)", "yes", "yes"),
-        ("arrival-batched underload path", "no", "yes (events off, no sharing/swap)"),
+        (
+            "arrival-batched underload path", "no",
+            "yes (events off, no --chunk-tokens, no sharing/swap, no --models)",
+        ),
         ("phase profile (--profile)", "yes", "yes"),
     ]
     width = max(len(row[0]) for row in rows)

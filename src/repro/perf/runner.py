@@ -296,7 +296,6 @@ def run_many(
     experiment_ids: Sequence[str] | Iterable[str],
     fast: bool = True,
     jobs: int = 1,
-    shard_cells: bool = True,
     disk_cache: bool = False,
     cache_dir=None,
 ) -> RunManyResult:
@@ -310,12 +309,11 @@ def run_many(
         Forwarded to every experiment's ``run`` / ``sweep``.
     jobs:
         ``1`` runs serially in-process (sharing the process-wide caches
-        across experiments); ``N > 1`` fans out over ``N`` worker processes.
-    shard_cells:
-        With ``jobs > 1``, dispatch sweep-declaring experiments one task per
-        grid *cell* (work-stealing across all cells of all experiments)
-        instead of one task per experiment.  Reduction happens in the parent
-        in declared cell order, so results are identical either way.
+        across experiments); ``N > 1`` fans out over ``N`` worker processes,
+        one task per grid *cell* of each sweep-declaring experiment
+        (work-stealing across all cells of all experiments) and one task
+        per experiment without a grid.  Reduction happens in the parent in
+        declared cell order, so results equal a serial run's.
     disk_cache:
         Install the persistent pass-cost cache (both the simulator and the
         baseline sections) for this run: load it before running — and before
@@ -357,8 +355,10 @@ def run_many(
         baseline_cache.load()
 
     wall_start = time.perf_counter()
-    sharded = jobs > 1 and shard_cells
-    if jobs == 1:
+    sharded = jobs > 1
+    if sharded:
+        outcomes, cell_meta, worker_counters = _run_sharded(ids, fast, jobs, disk_cache, cache_dir)
+    else:
         outcomes = _run_serial(ids, fast)
         cell_meta = {
             identifier: len(grid.cells)
@@ -366,11 +366,6 @@ def run_many(
             if (grid := get_sweep(identifier, fast=fast)) is not None
         }
         worker_counters: dict = {}
-    elif sharded:
-        outcomes, cell_meta, worker_counters = _run_sharded(ids, fast, jobs, disk_cache, cache_dir)
-    else:
-        outcomes, worker_counters = _run_pooled(ids, fast, jobs, disk_cache, cache_dir)
-        cell_meta = {}
     total = time.perf_counter() - wall_start
 
     if disk_cache:
@@ -430,26 +425,6 @@ def _run_serial(ids, fast):
         _, elapsed, result, error, _ = _timed_run(identifier, fast)
         outcomes[identifier] = (elapsed, result, error, ())
     return outcomes
-
-
-def _run_pooled(ids, fast, jobs, disk_cache, cache_dir):
-    """Legacy one-task-per-experiment pool path (``shard_cells=False``)."""
-    outcomes = {}
-    totals: dict = {}
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(jobs, len(ids)),
-        initializer=_worker_init if disk_cache else None,
-        initargs=(cache_dir,) if disk_cache else (),
-    ) as pool:
-        futures = {
-            pool.submit(_timed_run, identifier, fast): identifier
-            for identifier in ids
-        }
-        for future in concurrent.futures.as_completed(futures):
-            identifier, elapsed, result, error, delta = future.result()
-            outcomes[identifier] = (elapsed, result, error, ())
-            _merge_counters(totals, delta)
-    return outcomes, totals
 
 
 def _run_sharded(ids, fast, jobs, disk_cache, cache_dir):

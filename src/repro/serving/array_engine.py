@@ -42,6 +42,17 @@ macro-stepping, and the per-iteration path then yields an event log
 **bit-identical** to the object engine's (the differential suite asserts
 exact equality).
 
+**Arrival absorption and bursts.**  While the device idles between
+arrivals, the absorbers serve whole stretches of isolated requests (and,
+under concurrency-1 arrival-order policies, queued ones) in closed form:
+``_absorb_window`` prices a columnar window at once in pooled mode,
+``_absorb_scalar`` one request at a time in detail mode.  An overlapping
+clump goes to the burst runner, ``_run_burst``, which specializes only
+admission (due arrivals go straight from ``pending`` to ``active`` with
+worst-case grants); it prefills and decodes through the per-iteration
+loop's own ``_step`` and ``_macro_step``.  ``arrival_batching = False``
+turns all three off and leaves the per-arrival reference path.
+
 **One KV ledger.**  Every run books its pages in the simulator's
 :class:`~repro.serving.kv_memory.KvPageAccountant` (``self.kv``), the
 same reference-counting ledger the object engine uses; its running
@@ -101,12 +112,6 @@ class ArraySimulationRun(_RunLifecycle):
     #: level so tests (and the differential harness) can pin the exact
     #: per-arrival reference path with a subclass or instance override.
     arrival_batching = True
-
-    #: Use ``np.searchsorted`` for the burst runner's lone-request budget
-    #: bisect (byte-identical to the scalar bisect — the prefix-sum
-    #: differences are the same IEEE subtractions; the suite pins it).
-    #: Instance-overridable so the pin can run both paths.
-    vector_bisect = True
 
     def __init__(
         self,
@@ -281,9 +286,9 @@ class ArraySimulationRun(_RunLifecycle):
             self._absorb_ok and self._arrival_order and self._policy_cap == 1
         )
         # _burst_ok: clumps of overlapping arrivals run through the
-        # scalar burst runner (a specialization of the generic loop),
-        # valid under arrival-order admission with worst-case KV grants
-        # and a floor-free table.
+        # burst runner (its own admission loop, then the generic loop's
+        # steps), valid under arrival-order admission with worst-case KV
+        # grants and a floor-free table.
         self._burst_ok = (
             self._absorb_ok
             and self._floor_free
@@ -395,13 +400,13 @@ class ArraySimulationRun(_RunLifecycle):
     offer = _RunLifecycle.offer
 
     def offer_many(self, requests) -> None:
-        """Bulk :meth:`offer`: same guards and ordering check, hoisted out
-        of the per-request loop so streaming a megatrace does not pay a
-        method call and four attribute lookups per arrival."""
+        """Bulk :meth:`offer`: the liveness guard runs once per batch, the
+        ordering and servability checks once per request, and every row is
+        appended through :meth:`_entry` (large fresh batches through
+        :meth:`_offer_bulk`)."""
         if not requests:
             return
         self._check_live("offer a request to")
-        pending = self.pending
         if (
             isinstance(requests, (list, tuple))
             and len(requests) >= 512
@@ -409,86 +414,25 @@ class ArraySimulationRun(_RunLifecycle):
         ):
             self._offer_bulk(requests)
             return
+        pending = self.pending
         push = pending.append
-        arr = self._arr
-        inp = self._inp
-        out = self._out
-        arr_t = self._arr_t
-        inp_t = self._inp_t
-        out_t = self._out_t
-        cls = self._cls
-        rid = self._rid
-        prefilled = self._prefilled
-        generated = self._generated
-        first = self._first
-        pfx = self._pfx
-        pft = self._pft
-        mdl = self._mdl
-        free = self._free
-        pop = free.pop
+        entry = self._entry
         is_decoder = self._is_decoder
         check_servable = self.sim._check_servable
-        if pending:
-            last = pending[-1]
-            last_key = (arr[last], rid[last])
-        else:
-            last_key = None
-        added = 0
-        outstanding = 0
+        last_key = self._arrival_key(pending[-1]) if pending else None
         for request in requests:
-            arrival = request.arrival_s
-            request_id = request.request_id
-            output_tokens = request.output_tokens
-            if request.model or (output_tokens > 1 and not is_decoder):
+            if request.model or (request.output_tokens > 1 and not is_decoder):
                 check_servable(request)
-            key = (arrival, request_id)
+            key = (request.arrival_s, request.request_id)
             if last_key is not None and key < last_key:
                 raise ValueError(
                     "requests must be offered in (arrival_s, request_id) order"
                 )
             last_key = key
-            if request.prefix_id >= 0:
-                self._exact_kv = True
-            input_tokens = request.input_tokens
-            if free:
-                row = pop()
-                arr[row] = arrival
-                inp[row] = input_tokens
-                out[row] = output_tokens
-                arr_t[row] = arrival
-                inp_t[row] = input_tokens
-                out_t[row] = output_tokens
-                cls[row] = request.priority_class
-                rid[row] = request_id
-                prefilled[row] = 0
-                generated[row] = 0
-                first[row] = 0.0
-                pfx[row] = request.prefix_id
-                pft[row] = request.prefix_tokens
-                mdl[row] = request.model
-            else:
-                row = len(arr)
-                arr.append(arrival)
-                inp.append(input_tokens)
-                out.append(output_tokens)
-                arr_t.append(arrival)
-                inp_t.append(input_tokens)
-                out_t.append(output_tokens)
-                cls.append(request.priority_class)
-                rid.append(request_id)
-                prefilled.append(0)
-                generated.append(0)
-                first.append(0.0)
-                pfx.append(request.prefix_id)
-                pft.append(request.prefix_tokens)
-                mdl.append(request.model)
-            push(row)
-            added += 1
-            outstanding += input_tokens + output_tokens
+            push(entry(request))
+            self.offered += 1
             if self.first_arrival is None:
-                self.first_arrival = arrival
-        self.offered += added
-        self._outstanding += outstanding
+                self.first_arrival = request.arrival_s
 
     def _offer_bulk(self, requests) -> None:
         """Columnar append for large sorted batches: one list comprehension
@@ -1114,7 +1058,7 @@ class ArraySimulationRun(_RunLifecycle):
         decode run) from the table prefix sums in one vectorized shot,
         then walks the window: stretches of *isolated* requests (each one
         completing before the next arrives) are applied in closed form,
-        overlapping clumps run through the scalar burst runner, and under
+        overlapping clumps run through the burst runner, and under
         concurrency-1 arrival-order policies queued stretches absorb via
         a vectorized Lindley recursion.  Returns ``(progressed,
         keep_going)``; ``keep_going`` means the whole window was consumed
@@ -1394,19 +1338,23 @@ class ArraySimulationRun(_RunLifecycle):
         return count
 
     def _run_burst(self, until: "float | None") -> int:
-        """Drain one busy period with a scalar specialization of the
-        generic loop (arrival-order policy, worst-case grants, monolithic
-        prefill, floor-free table, no events).
+        """Drain one busy period (arrival-order policy, worst-case grants,
+        monolithic prefill, floor-free table, no events).
 
-        Returns 0 (no state change), 1 (period drained, device idle
-        again), or 2 (progressed, then hit a condition the generic loop
-        must handle: the ``until`` horizon, a KV block, an off-table or
-        oversized request).  Every float operation matches the generic
-        path's, so detail-mode results stay byte-identical.
+        Only admission is specialized: due arrivals move from ``pending``
+        straight to ``active``, skipping the ``waiting`` queue and the
+        policy hooks.  Prefills run through :meth:`_step` (its
+        ``_mono_fast`` shortcut always holds here) and all-decode stretches
+        through :meth:`_macro_step`, so every float operation is the
+        generic loop's and detail-mode results stay byte-identical.
+
+        Returns 0 (nothing admitted, no state change), 1 (period drained,
+        device idle again), or 2 (progressed, then hit a condition the
+        generic loop must handle: the ``until`` horizon, a KV block, an
+        off-table or oversized request).
         """
         pending = self.pending
         arr, inp_col, out_col = self._arr, self._inp, self._out
-        generated = self._generated
         rid = self._rid
         active = self.active
         kv = self.kv
@@ -1414,220 +1362,48 @@ class ArraySimulationRun(_RunLifecycle):
         cap = self._policy_cap
         lo = self._tbl_lo
         span = self._tbl_hi - lo + 1
-        plat = self._plat
-        pem, pep, pen, pfl = self._pem, self._pep, self._pen, self._pfl
-        lat_max = self._lat_max * 1.000000001
-        base = self._base
-        share_unit = self._batch_share
-        base_lat = base[0]
-        chunk_costs = self._chunk_costs
-        chunk_cost = self._chunk_cost
         clock = self.clock
-        busy = self.busy
-        e_mem = self._energy_mem
-        e_pim = self._energy_pim
-        e_npu = self._energy_npu
-        flops = self.flops
-        prefill_passes = 0
-        decode_passes = 0
-        decode_tokens = 0
-        admissions = 0
-        outstanding = 0
-        num_pref = 0
-        progressed = False
-        result = 1
-
-        nxt_a = arr[pending[0]]
-        if until is not None and nxt_a >= until:
+        head = arr[pending[0]]
+        if until is not None and (head >= until or clock >= until):
             return 0
-        if nxt_a > clock:
-            clock = nxt_a  # the generic loop's idle jump
+        if head > clock:
+            clock = head  # the generic loop's idle jump, taken on admission
+        progressed = False
         while True:
-            if until is not None and clock >= until:
-                result = 2
-                break
             # Admit every due arrival up to the cap (worst-case grants),
             # exactly as the generic loop-top + _admit would.
-            bail = False
             while pending and len(active) < cap:
                 row = pending[0]
                 if arr[row] > clock:
                     break
-                o = out_col[row]
                 i_tok = inp_col[row]
-                total_pages = -(-(i_tok + o) // page_tokens)
-                if total_pages > kv.total_pages:
-                    bail = True  # generic path raises the diagnostic
-                    break
-                if o > 1:
-                    beg = i_tok + 1 - lo
-                    if beg < 0 or beg + o - 1 > span:
-                        bail = True  # off-table: per-iteration pricing
-                        break
-                if total_pages > kv.free_pages:
-                    bail = True  # KV-blocked: generic loop stalls it
-                    break
+                o = out_col[row]
+                beg = i_tok + 1 - lo
+                # Hand the head back when it is oversized (the generic path
+                # raises the diagnostic), KV-blocked (it stalls the head)
+                # or off the table (it prices per iteration).
+                if -(-(i_tok + o) // page_tokens) > kv.free_pages or (
+                    o > 1 and (beg < 0 or beg + o - 1 > span)
+                ):
+                    return 2 if progressed else 0
                 pending.popleft()
                 kv.reserve(rid[row], i_tok + o)
                 active.append(row)
-                num_pref += 1
-                admissions += 1
-                progressed = True
+                self._num_prefilling += 1
+                self.admissions += 1
                 if len(active) > self.peak_active:
                     self.peak_active = len(active)
-            if bail:
-                result = 2 if progressed else 0
-                break
-            if num_pref:
-                # Head prefilling row: arrival-order, so first in active.
-                row = -1
-                for r in active:
-                    if generated[r] == 0:
-                        row = r
-                        break
-                i_tok = inp_col[row]
-                pre = chunk_costs.get((0, i_tok))
-                if pre is None:
-                    pre = chunk_cost(0, i_tok)
-                clock += pre[0]
-                busy += pre[0]
-                e_mem += pre[1]
-                e_pim += pre[2]
-                e_npu += pre[3]
-                flops += pre[4]
-                prefill_passes += 1
-                generated[row] = 1
-                num_pref -= 1
-                outstanding += i_tok + 1
-                self._first[row] = clock
-                if out_col[row] <= 1:
-                    active.remove(row)
-                    kv.release(rid[row])
-                    self.clock = clock
-                    self._record_completion(row)
-                continue
-            if not active:
-                break  # busy period drained; result stays 1
-            # All-decode macro segment: same expressions, same order as
-            # _macro_step's worst-case branch.
-            batch_size = len(active)
-            steps = span
-            off_max = 0
-            offsets = []
-            oappend = offsets.append
-            for r in active:
-                off = inp_col[r] + generated[r] - lo
-                oappend(off)
-                if off > off_max:
-                    off_max = off
-                rem = out_col[r] - generated[r]
-                if rem < steps:
-                    steps = rem
-            if steps > span - off_max:
-                steps = span - off_max
-            if steps < 1:
-                result = 2
-                break
-            shared = share_unit * (batch_size - 1)
-            shared_lat = shared * base_lat
-            budget = None if until is None else until - clock
-            if pending and batch_size < cap:
-                arrival_budget = arr[pending[0]] - clock
-                if budget is None or arrival_budget < budget:
-                    budget = arrival_budget
-            if budget is not None and steps * batch_size * lat_max >= budget:
-                if batch_size == 1 and self.vector_bisect:
-                    # Lone request: shared_lat is exactly 0.0, so
-                    # elapsed(j) is the plain prefix-sum difference
-                    # plat[off + j] - plat[off] and the scalar bisect's
-                    # answer — the smallest j with elapsed(j) >= budget —
-                    # is one vectorized subtract + searchsorted away.
-                    # Same IEEE ops on the same floats (the numpy prefix
-                    # copies hold the cumsum prefix_sums() listified), so
-                    # the cut lands on the same step: byte-identical.
-                    off = offsets[0]
-                    lat_start = plat[off]
-                    if plat[off + steps] - lat_start >= budget:
-                        diffs = (
-                            self._np_prefix[0][off : off + steps + 1]
-                            - lat_start
-                        )
-                        steps = int(
-                            np.searchsorted(diffs, budget, side="left")
-                        )
-                else:
-                    lat_start = 0.0
-                    total = 0.0
-                    for off in offsets:
-                        lat_start += plat[off]
-                        total += plat[off + steps]
-                    if total - lat_start - steps * shared_lat >= budget:
-                        low, high = 0, steps
-                        while high - low > 1:
-                            mid = (low + high) // 2
-                            elapsed = 0.0
-                            for off in offsets:
-                                elapsed += plat[off + mid]
-                            elapsed = elapsed - lat_start - mid * shared_lat
-                            if elapsed < budget:
-                                low = mid
-                            else:
-                                high = mid
-                        steps = high
-            j = steps
-            sum_lat = 0.0
-            sum_em = 0.0
-            sum_ep = 0.0
-            sum_en = 0.0
-            sum_fl = 0.0
-            finished = None
-            for off, r in zip(offsets, active):
-                off_j = off + j
-                sum_lat += plat[off_j] - plat[off]
-                sum_em += pem[off_j] - pem[off]
-                sum_ep += pep[off_j] - pep[off]
-                sum_en += pen[off_j] - pen[off]
-                sum_fl += pfl[off_j] - pfl[off]
-                new_generated = generated[r] + j
-                generated[r] = new_generated
-                if new_generated >= out_col[r]:
-                    if finished is None:
-                        finished = [r]
-                    else:
-                        finished.append(r)
-            delta = sum_lat - j * shared_lat
-            clock += delta
-            busy += delta
-            e_mem += sum_em - j * shared * base[1]
-            e_pim += sum_ep - j * shared * base[2]
-            e_npu += sum_en - j * shared * base[3]
-            flops += sum_fl
-            decode_passes += j
-            decode_tokens += j * batch_size
-            outstanding += j * batch_size
-            progressed = True
-            if finished is not None:
                 self.clock = clock
-                for r in finished:
-                    active.remove(r)
-                    kv.release(rid[r])
-                    self._record_completion(r)
-
-        if not progressed:
-            return 0
-        self.clock = clock
-        self.busy = busy
-        self._energy_mem = e_mem
-        self._energy_pim = e_pim
-        self._energy_npu = e_npu
-        self.flops = flops
-        self.prefill_passes += prefill_passes
-        self.decode_passes += decode_passes
-        self.decode_tokens += decode_tokens
-        self.admissions += admissions
-        self._outstanding -= outstanding
-        self._num_prefilling = num_pref
-        return result
+                progressed = True
+            if self._num_prefilling:
+                self._step()
+            elif not active:
+                return 1
+            elif not self._macro_step(until):
+                return 2
+            clock = self.clock
+            if until is not None and clock >= until:
+                return 2
 
     # ------------------------------------------------------------------
     # Optimistic admission: growth and preempt-and-recompute

@@ -480,18 +480,17 @@ class TestByteIdentityPins:
             scale = max(abs(expected), abs(actual), 1.0)
             assert abs(expected - actual) / scale <= 1e-9, field
 
-    def test_vectorized_bisect_matches_scalar(self):
-        # The interleaved burst runner's arrival-budget cut: np.searchsorted
-        # over the latency prefix sums must reproduce the scalar bisect
-        # byte for byte (B == 1 makes the shared-latency term exactly 0.0,
-        # so elapsed(j) is a prefix-sum difference in both formulations).
+    def test_burst_runner_matches_per_arrival_path(self):
+        # The interleaved burst runner cuts macro-steps at the next arrival
+        # (most often with a lone request in the batch); its results must
+        # equal the per-arrival reference path's byte for byte.
         cost_model = make_cost_model("ianus")
         trace = get_trace_generator("chatbot").generate(300, 40.0, seed=5)
         rows = {}
-        saved = ArraySimulationRun.vector_bisect
+        saved = ArraySimulationRun.arrival_batching
         try:
             for toggle in (False, True):
-                ArraySimulationRun.vector_bisect = toggle
+                ArraySimulationRun.arrival_batching = toggle
                 simulator = ServingSimulator(
                     cost_model, MODEL, policy="interleaved", max_batch=4,
                     engine="array",
@@ -499,5 +498,5 @@ class TestByteIdentityPins:
                 metrics = simulator.simulate(trace)
                 rows[toggle] = [m.to_dict() for m in metrics.per_request]
         finally:
-            ArraySimulationRun.vector_bisect = saved
+            ArraySimulationRun.arrival_batching = saved
         assert rows[False] == rows[True]

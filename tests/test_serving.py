@@ -351,7 +351,7 @@ class TestServingExperiment:
         from repro.perf import run_many
 
         serial = run_many(["serving"], fast=True, jobs=1)
-        sharded = run_many(["serving"], fast=True, jobs=2, shard_cells=True)
+        sharded = run_many(["serving"], fast=True, jobs=2)
         assert serial.results["serving"].rows == sharded.results["serving"].rows
         assert (
             serial.results["serving"].measured_claims

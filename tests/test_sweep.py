@@ -110,7 +110,7 @@ class TestFig08FastMode:
 class TestShardedEquivalence:
     def test_sharded_rows_identical_to_serial_for_every_ported_experiment(self):
         serial = run_many(PORTED, fast=True, jobs=1)
-        sharded = run_many(PORTED, fast=True, jobs=2, shard_cells=True)
+        sharded = run_many(PORTED, fast=True, jobs=2)
         for experiment_id in PORTED:
             assert sharded.results[experiment_id].rows == serial.results[experiment_id].rows, experiment_id
             assert (
@@ -125,7 +125,7 @@ class TestShardedEquivalence:
         assert all(t.ok for t in sharded.report.timings)
 
     def test_sharded_report_carries_cell_timings(self):
-        outcome = run_many(["fig09"], fast=True, jobs=2, shard_cells=True)
+        outcome = run_many(["fig09"], fast=True, jobs=2)
         (timing,) = outcome.report.timings
         assert timing.cells == len(get_sweep("fig09", fast=True).cells)
         assert len(timing.cell_seconds) == timing.cells
@@ -133,16 +133,11 @@ class TestShardedEquivalence:
         assert timing.seconds == pytest.approx(sum(timing.cell_seconds))
 
     def test_sharded_mixes_sweep_and_plain_experiments(self):
-        outcome = run_many(["table1", "fig18"], fast=True, jobs=2, shard_cells=True)
+        outcome = run_many(["table1", "fig18"], fast=True, jobs=2)
         assert set(outcome.results) == {"table1", "fig18"}
         by_id = {t.experiment_id: t for t in outcome.report.timings}
         assert by_id["table1"].cells == 1
         assert by_id["fig18"].cells == 3
-
-    def test_shard_cells_false_keeps_per_experiment_tasks(self):
-        outcome = run_many(["fig18", "table1"], fast=True, jobs=2, shard_cells=False)
-        assert not outcome.report.sharded
-        assert outcome.results["fig18"].rows == run_experiment("fig18", fast=True).rows
 
     def test_failing_cell_reported_not_raised(self, monkeypatch):
         import repro.experiments.registry as registry
@@ -157,7 +152,7 @@ class TestShardedEquivalence:
 
         monkeypatch.setitem(registry.EXPERIMENTS, "broken", ("synthetic", lambda fast=True: None))
         monkeypatch.setitem(registry.SWEEPS, "broken", broken_sweep)
-        outcome = run_many(["broken", "table1"], fast=True, jobs=2, shard_cells=True)
+        outcome = run_many(["broken", "table1"], fast=True, jobs=2)
         statuses = {t.experiment_id: t for t in outcome.report.timings}
         assert not statuses["broken"].ok
         assert "boom" in statuses["broken"].error
@@ -173,7 +168,7 @@ def _failing_run_cell(params: dict) -> dict:
 
 class TestReportSchema:
     def test_cell_stats_land_in_json(self, tmp_path):
-        outcome = run_many(["fig18"], fast=True, jobs=2, shard_cells=True)
+        outcome = run_many(["fig18"], fast=True, jobs=2)
         path = write_report(outcome.report, tmp_path / "BENCH_cells.json")
         document = json.loads(path.read_text())
         (entry,) = document["benchmarks"]
@@ -186,7 +181,7 @@ class TestReportSchema:
         assert "cache_stats" in document
 
     def test_cache_stats_aggregated_across_workers(self):
-        outcome = run_many(["fig09"], fast=True, jobs=2, shard_cells=True)
+        outcome = run_many(["fig09"], fast=True, jobs=2)
         stats = outcome.report.cache_stats
         assert stats["pass"]["misses"] + stats["pass"]["hits"] > 0
         assert stats["baseline"]["misses"] + stats["baseline"]["hits"] > 0

@@ -192,8 +192,31 @@ class TestCli:
             (["serve", "--rate", "nan", "--no-disk-cache"], "--rate"),
             (["serve", "--rate", "inf", "--no-disk-cache"], "--rate"),
             (["serve", "--load", "nan", "--no-disk-cache"], "--load"),
+            (
+                ["serve", "--prefix-share", "0.5", "--prefix-tokens", "100000",
+                 "--no-disk-cache"],
+                "prefix_tokens must be in",
+            ),
         ],
     )
     def test_serve_rejects_invalid_arguments(self, argv, message, capsys):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--model", "nope"], "unknown model 'nope'"),
+            (["simulate", "--input-tokens", "0"], "input_tokens must be positive"),
+            (
+                ["simulate", "--output-tokens", "-1"],
+                "output_tokens must be non-negative",
+            ),
+        ],
+    )
+    def test_simulate_rejects_invalid_arguments(self, argv, message, capsys):
+        # The constructors' own messages, printed without a traceback.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
