@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -161,7 +162,9 @@ class TestTraceCurves:
 class TestSpecKnobsRejectNan:
     """Every float knob of a trace curve, failure schedule or autoscaler
     rejects NaN at construction, naming the knob (NaN fails every
-    comparison, so an ``x <= 0`` check lets it through)."""
+    comparison, so an ``x <= 0`` check lets it through).  Trace-curve
+    knobs also reject +inf, and the curve offsets -inf: an infinite knob
+    makes the exposure NaN or piles every arrival onto one instant."""
 
     KNOBS = [
         (make_trace_curve, "constant", "scale"),
@@ -197,6 +200,24 @@ class TestSpecKnobsRejectNan:
     def test_nan_knob_raises_naming_it(self, factory, name, knob):
         with pytest.raises(ValueError, match=knob):
             factory(name, **{knob: float("nan")})
+
+    INFINITE_CURVE_KNOBS = [
+        (name, knob, math.inf)
+        for factory, name, knob in KNOBS
+        if factory is make_trace_curve
+    ] + [
+        ("diurnal", "phase_s", -math.inf),
+        ("flash-crowd", "start_s", -math.inf),
+        ("step", "at_s", -math.inf),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, knob, value", INFINITE_CURVE_KNOBS,
+        ids=[f"{name}:{knob}={value}" for name, knob, value in INFINITE_CURVE_KNOBS],
+    )
+    def test_infinite_curve_knob_raises_naming_it(self, name, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            make_trace_curve(name, **{knob: value})
 
 
 # ======================================================================
@@ -903,6 +924,7 @@ class TestOpsCli:
         "flag, spec, knob",
         [
             ("--trace-curve", "diurnal:period-s=nan", "period_s"),
+            ("--trace-curve", "constant:scale=inf", "scale"),
             ("--failures", "single:at-s=nan", "at_s"),
             ("--autoscaler", "queue-depth:cooldown-s=nan", "cooldown_s"),
         ],

@@ -135,6 +135,18 @@ class TestStreamingTraces:
                 generator.generate(4, rate)
         with pytest.raises(ValueError):
             list(generator.generate_stream(8, 1.0, chunk_requests=0))
+        # Checked before the generator is returned, not at first next().
+        for kwargs, name in [
+            ({"prefix_share": float("nan")}, "prefix_share"),
+            ({"prefix_share": 1.5}, "prefix_share"),
+            ({"start_s": float("nan")}, "start_s"),
+            ({"start_s": float("inf")}, "start_s"),
+            ({"start_s": -1.0}, "start_s"),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                generator.generate_stream(4, 1.0, **kwargs)
+            with pytest.raises(ValueError, match=name):
+                generator.generate(4, 1.0, curve="diurnal", **kwargs)
 
     def test_simulate_stream_equals_simulate(self):
         generator = get_trace_generator("chatbot")

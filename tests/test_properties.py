@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from repro.ir import CommandStream, OpKind, Unit
 from repro.npu import MatrixUnitModel, VectorUnitModel
 from repro.pim import AddressMapping, PimDeviceModel, TileMapping
 from repro.scheduling import EventEngine
+from repro.serving.trace import DiurnalCurve, FlashCrowdCurve, StepCurve, TraceCurve
 
 PIM = PimConfig()
 MAPPING = AddressMapping(PIM)
@@ -219,6 +222,90 @@ def test_workload_stage_expansion_invariants(input_tokens, output_tokens):
     kv_lengths = [s.kv_length for s in stages]
     assert kv_lengths == sorted(kv_lengths)
     assert kv_lengths[-1] <= workload.total_tokens
+
+
+# ----------------------------------------------------------------------
+# Arrival-curve inversion
+# ----------------------------------------------------------------------
+def _reference_advance(curve, t0, area):
+    """The fixed 100-iteration bisection over ``curve.exposure`` that
+    ``TraceCurve.advance`` ran before it stopped early: the oracle that
+    every curve's inversion must match bit for bit."""
+    if area <= 0.0:
+        return t0
+    low = t0
+    high = t0 + area / curve.min_multiplier()
+    for _ in range(100):
+        mid = 0.5 * (low + high)
+        if curve.exposure(t0, mid) < area:
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+_KNOB = st.floats(min_value=1e-3, max_value=1e3)
+_OFFSET = st.floats(min_value=-1e3, max_value=1e4)
+
+
+@st.composite
+def curves_with_edges(draw):
+    """A random valid diurnal, flash-crowd or step curve and the instants
+    where its multiplier jumps (none for the smooth diurnal curve)."""
+    kind = draw(st.sampled_from(["diurnal", "flash-crowd", "step"]))
+    if kind == "diurnal":
+        curve = DiurnalCurve(
+            period_s=draw(st.floats(min_value=1e-3, max_value=1e6)),
+            amplitude=draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+            phase_s=draw(_OFFSET),
+        )
+        return curve, []
+    if kind == "flash-crowd":
+        curve = FlashCrowdCurve(
+            start_s=draw(_OFFSET),
+            duration_s=draw(st.floats(min_value=1e-3, max_value=1e4)),
+            magnitude=draw(_KNOB),
+        )
+        return curve, [curve.start_s, curve.start_s + curve.duration_s]
+    curve = StepCurve(at_s=draw(_OFFSET), before=draw(_KNOB), after=draw(_KNOB))
+    return curve, [curve.at_s]
+
+
+@st.composite
+def inversions(draw):
+    """(curve, t0, area): ``t0`` is a random instant or a jump edge of the
+    curve, exactly or one ulp either side; ``area`` spans 1e-300 to 1e6."""
+    curve, edges = draw(curves_with_edges())
+    random_t0 = st.floats(min_value=-1e3, max_value=1e5)
+    if edges:
+        edge = st.sampled_from(edges).flatmap(
+            lambda x: st.sampled_from(
+                [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+            )
+        )
+        t0 = draw(st.one_of(random_t0, edge))
+    else:
+        t0 = draw(random_t0)
+    area = draw(
+        st.one_of(
+            st.floats(min_value=1e-300, max_value=1e6),
+            st.floats(min_value=-300.0, max_value=6.0).map(lambda e: 10.0 ** e),
+        )
+    )
+    return curve, t0, area
+
+
+@given(case=inversions())
+@settings(max_examples=400, deadline=None)
+def test_curve_advance_equals_fixed_iteration_bisection(case):
+    """Stopping once the bracket cannot shrink (and the diurnal curve's
+    hoisted loop) returns exactly what 100 iterations return."""
+    curve, t0, area = case
+    expected = _reference_advance(curve, t0, area)
+    assert curve.advance(t0, area) == expected
+    assert TraceCurve.advance(curve, t0, area) == expected
+    assert curve.advance(t0, 0.0) == t0
+    assert curve.advance(t0, -area) == t0
 
 
 if __name__ == "__main__":  # pragma: no cover
