@@ -66,12 +66,10 @@ import sys
 from typing import Sequence
 
 from repro.analysis.trace import render_gantt
-from repro.core import IanusSystem
 from repro.core.costmodel import ALL_BACKEND_NAMES
 from repro.core.costmodel import BACKEND_NAMES as BACKENDS
 from repro.core.costmodel import make_cost_model as _make_backend
 from repro.models import ALL_MODELS, Workload, get_model
-from repro.models.workload import Stage, StagePass
 from repro.serving.cluster import ROUTERS as SERVING_ROUTERS
 from repro.serving.simulator import ADMISSION_MODES
 from repro.serving.simulator import POLICIES as SERVING_POLICIES
@@ -149,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of IANUS devices (simulator backends only)")
     simulate.add_argument("--mode", choices=("fast", "exact"), default="fast")
     simulate.add_argument("--gantt", action="store_true",
-                          help="print an ASCII Gantt chart of one generation-stage block")
+                          help="print an ASCII Gantt chart of one block of the "
+                               "last pass priced (simulator backends only)")
 
     experiment = subparsers.add_parser(
         "experiment", help="regenerate one or more paper tables/figures"
@@ -313,6 +312,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as error:
         print(error.args[0], file=sys.stderr)
         return 2
+    if args.gantt and not hasattr(backend, "block_timeline"):
+        print(f"--gantt needs a simulator backend (ianus, npu-mem, partitioned "
+              f"or their -xN spellings); {args.backend!r} is an analytical "
+              f"model with no command schedule", file=sys.stderr)
+        return 2
     result = backend.run(model, workload, mode=args.mode)
 
     print(f"backend      : {result.backend}")
@@ -327,11 +331,16 @@ def _run_simulate(args: argparse.Namespace) -> int:
     for tag, seconds in sorted(result.breakdown.items(), key=lambda item: -item[1]):
         print(f"  {tag:<26} {seconds * 1e3:10.2f} ms")
 
-    if args.gantt and isinstance(backend, IanusSystem):
-        stage_pass = StagePass(Stage.GENERATION, 1, workload.total_tokens)
+    if args.gantt:
+        # The last pass the run priced: its final generation pass, or the
+        # summarization pass when it has none (one output token, or an
+        # encoder model, which never generates).
+        passes = list(workload.stages())
+        stage_pass = passes[-1] if model.is_decoder else passes[0]
         timeline = backend.block_timeline(model, stage_pass)
         print()
-        print("One generation-stage decoder block (representative core):")
+        print(f"One block of the last pass priced: {stage_pass.stage.value} "
+              f"stage, KV length {stage_pass.kv_length} (representative core):")
         print(render_gantt(timeline))
     return 0
 

@@ -36,7 +36,14 @@ from repro.compiler.attention_schedule import (
 )
 from repro.compiler.mapping import AdaptiveMapper
 from repro.compiler.partitioner import WeightPartitioner, WorkPartition
-from repro.ir.command import Command, CommandStream, OpKind, PimScope, Unit
+from repro.ir.command import (
+    Command,
+    CommandStream,
+    OpKind,
+    PimScope,
+    ReplayedStream,
+    Unit,
+)
 from repro.models.flops import fc_flops, gelu_flops, layernorm_flops, residual_add_flops
 from repro.models.transformer import ModelConfig
 from repro.models.workload import Stage, StagePass
@@ -81,53 +88,108 @@ class Compiler:
         self.durations = durations or DurationModel(config)
         self.mapper = AdaptiveMapper(config, self.durations)
         self.num_devices = num_devices
-        # Compiled streams depend only on (model, stage, tokens, kv) for a
-        # fixed configuration/device count, so they are memoized per compiler;
-        # fast-mode generation recompiles the identical LM head and embedding
-        # for every sampled KV length otherwise.
-        self._block_cache: dict[tuple, CompiledBlock] = {}
+        # One block template per (model, stage, tokens) for a fixed
+        # configuration/device count; the embedding and LM head do not depend
+        # on the KV length at all, so their streams are memoized whole.
+        self._templates: dict[tuple, CompiledBlock] = {}
         self._embedding_cache: dict[tuple, CommandStream] = {}
         self._lm_head_cache: dict[ModelConfig, CompiledBlock] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def clear_caches(self) -> None:
-        """Drop every memoized stream (and reset the hit/miss counters)."""
-        self._block_cache.clear()
-        self._embedding_cache.clear()
-        self._lm_head_cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # ------------------------------------------------------------------
     # Block compilation
     # ------------------------------------------------------------------
     def compile_block(self, model: ModelConfig, stage_pass: StagePass) -> CompiledBlock:
-        """Compile one transformer block for one pass of one stage (memoized)."""
-        key = (model, stage_pass.stage, stage_pass.num_tokens, stage_pass.kv_length)
-        cached = self._block_cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        block = self._compile_block_uncached(model, stage_pass)
-        self._block_cache[key] = block
+        """Compile one transformer block for one pass of one stage.
+
+        A block's commands, dependencies and mapping decisions depend on the
+        model, the stage and the number of tokens, never on the KV length.
+        The first pass of each (model, stage, tokens) plans the block and
+        builds its stream command by command: that block is the template.
+        Every later KV length re-runs the same builders into a
+        :class:`~repro.ir.ReplayedStream` of the template, which records only
+        the commands' FLOPs, bytes and dimensions.
+        """
+        key = (model, stage_pass.stage, stage_pass.num_tokens)
+        label = (
+            f"{model.name}/{stage_pass.stage.value}/n{stage_pass.num_tokens}"
+            f"/kv{stage_pass.kv_length}"
+        )
+        template = self._templates.get(key)
+        if template is None:
+            partition, fc_units = self._plan_block(model, stage_pass.num_tokens)
+            stream = CommandStream(label=label)
+        else:
+            partition, fc_units = template.partition, template.fc_units
+            stream = ReplayedStream(template.stream, label)
+        self._build_block(stream, model, stage_pass, partition, fc_units)
+        stream.validate()
+        block = CompiledBlock(stream=stream, partition=partition, fc_units=fc_units)
+        if template is None:
+            self._templates[key] = block
         return block
 
-    def _compile_block_uncached(
-        self, model: ModelConfig, stage_pass: StagePass
-    ) -> CompiledBlock:
+    def _plan_block(
+        self, model: ModelConfig, num_tokens: int
+    ) -> tuple[WorkPartition, dict[str, FcMappingPolicy]]:
+        """The block's work partition and the unit of each of its four FCs.
+
+        Algorithm 1 overlaps an FC's weight loads with the preceding
+        vector-unit command: the layer normalisation before the Q/K/V and
+        FFN1 layers, the GELU before FFN2 (none when the PIM fuses GELU into
+        FFN1).
+        """
         partition = WeightPartitioner(
             self.config, model, num_devices=self.num_devices
         ).partition()
-        stream = CommandStream(
-            label=f"{model.name}/{stage_pass.stage.value}/n{stage_pass.num_tokens}"
-            f"/kv{stage_pass.kv_length}"
+        n = num_tokens
+        d = model.embedding_dim
+        d_ff = model.ffn_dim
+        ln_time = self.durations.duration_of(
+            Unit.VECTOR_UNIT, OpKind.LAYERNORM, (n, d)
         )
+        fc_units = {
+            "qkv": self.mapper.choose(
+                n, d, model.head_dim,
+                prefetch_window_s=ln_time,
+                single_chip=True,
+            ).unit,
+            "projection": self.mapper.choose(
+                n, d, d,
+                mu_cols=partition.projection_cols_per_core,
+                pim_cols=self._pim_cols(d),
+            ).unit,
+            "ffn1": self.mapper.choose(
+                n, d, d_ff,
+                mu_cols=partition.ffn1_cols_per_core,
+                pim_cols=self._pim_cols(d_ff),
+                prefetch_window_s=ln_time, fused_gelu=True,
+            ).unit,
+        }
+        gelu_time = 0.0
+        if fc_units["ffn1"] is not FcMappingPolicy.PIM:
+            gelu_time = self.durations.duration_of(
+                Unit.VECTOR_UNIT, OpKind.GELU, (n, partition.ffn1_cols_per_core)
+            )
+        fc_units["ffn2"] = self.mapper.choose(
+            n, d_ff, d,
+            mu_cols=partition.ffn2_cols_per_core,
+            pim_cols=self._pim_cols(d),
+            prefetch_window_s=gelu_time,
+        ).unit
+        return partition, fc_units
+
+    def _build_block(
+        self,
+        stream: CommandStream,
+        model: ModelConfig,
+        stage_pass: StagePass,
+        partition: WorkPartition,
+        fc_units: dict[str, FcMappingPolicy],
+    ) -> None:
+        """Append the commands of one block, mapped as ``fc_units`` says."""
         n = stage_pass.num_tokens
         d = model.embedding_dim
         d_ff = model.ffn_dim
-        fc_units: dict[str, FcMappingPolicy] = {}
 
         # ---- first layer normalisation -----------------------------------
         block_input = stream.add(
@@ -138,30 +200,17 @@ class Compiler:
             flops=layernorm_flops(n, d), dims=(n, d),
             deps=[block_input], tag=TAG_LAYERNORM,
         )
-        ln_time = self.durations.duration(ln1)
 
         # ---- multi-head attention -----------------------------------------
-        qkv_decision = self.mapper.choose(
-            n, d, model.head_dim,
-            prefetch_window_s=ln_time,
-            single_chip=True,
-        )
-        fc_units["qkv"] = qkv_decision.unit
         attention_out = self._build_attention(
-            stream, model, stage_pass, partition, ln1, qkv_decision.unit
+            stream, model, stage_pass, partition, ln1, fc_units["qkv"]
         )
 
         # ---- attention output projection + residual add --------------------
-        proj_decision = self.mapper.choose(
-            n, d, d,
-            mu_cols=partition.projection_cols_per_core,
-            pim_cols=self._pim_cols(d),
-        )
-        fc_units["projection"] = proj_decision.unit
         proj = self._build_fc(
             stream, kind=OpKind.FC_PROJ, num_tokens=n, d_in=d, d_out=d,
             mu_cols=partition.projection_cols_per_core,
-            unit=proj_decision.unit, deps=[attention_out], tag=TAG_PROJ,
+            unit=fc_units["projection"], deps=[attention_out], tag=TAG_PROJ,
         )
         add1 = stream.add(
             Unit.VECTOR_UNIT, OpKind.RESIDUAL_ADD,
@@ -177,21 +226,13 @@ class Compiler:
             flops=layernorm_flops(n, d), dims=(n, d),
             deps=[sync1], tag=TAG_LAYERNORM,
         )
-        ln2_time = self.durations.duration(ln2)
 
         # ---- feed-forward network -------------------------------------------
-        ffn1_decision = self.mapper.choose(
-            n, d, d_ff,
-            mu_cols=partition.ffn1_cols_per_core,
-            pim_cols=self._pim_cols(d_ff),
-            prefetch_window_s=ln2_time, fused_gelu=True,
-        )
-        fc_units["ffn1"] = ffn1_decision.unit
-        ffn1_on_pim = ffn1_decision.unit is FcMappingPolicy.PIM
+        ffn1_on_pim = fc_units["ffn1"] is FcMappingPolicy.PIM
         ffn1 = self._build_fc(
             stream, kind=OpKind.FC_FFN1, num_tokens=n, d_in=d, d_out=d_ff,
             mu_cols=partition.ffn1_cols_per_core,
-            unit=ffn1_decision.unit, deps=[ln2], tag=TAG_FFN,
+            unit=fc_units["ffn1"], deps=[ln2], tag=TAG_FFN,
             fused_gelu=ffn1_on_pim,
         )
         if ffn1_on_pim:
@@ -206,18 +247,10 @@ class Compiler:
             )
         sync_gelu = stream.add(Unit.SYNC, OpKind.SYNC, deps=[gelu_out], tag=TAG_FFN)
 
-        gelu_time = self.durations.duration(gelu_out) if not ffn1_on_pim else 0.0
-        ffn2_decision = self.mapper.choose(
-            n, d_ff, d,
-            mu_cols=partition.ffn2_cols_per_core,
-            pim_cols=self._pim_cols(d),
-            prefetch_window_s=gelu_time,
-        )
-        fc_units["ffn2"] = ffn2_decision.unit
         ffn2 = self._build_fc(
             stream, kind=OpKind.FC_FFN2, num_tokens=n, d_in=d_ff, d_out=d,
             mu_cols=partition.ffn2_cols_per_core,
-            unit=ffn2_decision.unit, deps=[sync_gelu], tag=TAG_FFN,
+            unit=fc_units["ffn2"], deps=[sync_gelu], tag=TAG_FFN,
         )
         add2 = stream.add(
             Unit.VECTOR_UNIT, OpKind.RESIDUAL_ADD,
@@ -226,9 +259,6 @@ class Compiler:
         )
         comm2 = self._device_communication(stream, n, d, deps=[add2], tag=TAG_FFN)
         stream.add(Unit.SYNC, OpKind.SYNC, deps=[comm2], tag=TAG_FFN)
-
-        stream.validate()
-        return CompiledBlock(stream=stream, partition=partition, fc_units=fc_units)
 
     def _device_communication(
         self,
@@ -356,9 +386,7 @@ class Compiler:
         key = (model, num_tokens)
         cached = self._embedding_cache.get(key)
         if cached is not None:
-            self.cache_hits += 1
             return cached
-        self.cache_misses += 1
         stream = CommandStream(label=f"{model.name}/embedding/n{num_tokens}")
         load = stream.add(
             Unit.DMA_LOAD, OpKind.ACTIVATION_LOAD,
@@ -379,9 +407,7 @@ class Compiler:
         """LM head: logits of the last token (matrix-vector with the vocab)."""
         cached = self._lm_head_cache.get(model)
         if cached is not None:
-            self.cache_hits += 1
             return cached
-        self.cache_misses += 1
         partition = WeightPartitioner(
             self.config, model, num_devices=self.num_devices
         ).partition()

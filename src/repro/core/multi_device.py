@@ -35,6 +35,7 @@ from repro.models.workload import Workload
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.costmodel import PassCost
     from repro.models.workload import StagePass
+    from repro.scheduling.events import Timeline
 
 __all__ = ["MultiIanusSystem", "ScalingPoint", "devices_required"]
 
@@ -91,6 +92,10 @@ class MultiIanusSystem:
 
     def run(self, model: ModelConfig, workload: Workload, mode: str = "fast") -> InferenceResult:
         return self._system.run(model, workload, mode=mode)
+
+    def block_timeline(self, model: ModelConfig, stage_pass: "StagePass") -> "Timeline":
+        """One block's timeline on one device (the representative core)."""
+        return self._system.block_timeline(model, stage_pass)
 
     # ------------------------------------------------------------------
     # CostModel protocol (repro.core.costmodel)

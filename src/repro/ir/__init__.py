@@ -1,5 +1,5 @@
 """Command intermediate representation shared by the compiler and schedulers."""
 
-from repro.ir.command import Command, CommandStream, OpKind, PimScope, Unit
+from repro.ir.command import Command, CommandStream, OpKind, PimScope, ReplayedStream, Unit
 
-__all__ = ["Command", "CommandStream", "OpKind", "PimScope", "Unit"]
+__all__ = ["Command", "CommandStream", "OpKind", "PimScope", "ReplayedStream", "Unit"]

@@ -11,6 +11,12 @@ The command granularity follows Sec. 4.3 of the paper: the NPU command
 scheduler tracks dependencies between compute, DMA and (macro) PIM commands,
 and a macro PIM command represents a full operation such as one matrix-vector
 multiplication.
+
+A block's structure (units, kinds, dependencies, tags) does not depend on the
+KV length, only some of its numbers do.  The builders that produced a stream
+can re-run into a :class:`ReplayedStream` of it, which checks each command
+against that template, keeps only the new FLOPs, bytes and dimensions, and
+builds :class:`Command` objects only when asked for them.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-__all__ = ["Unit", "OpKind", "PimScope", "Command", "CommandStream"]
+__all__ = ["Unit", "OpKind", "PimScope", "Command", "CommandStream", "ReplayedStream"]
 
 
 class Unit(str, Enum):
@@ -209,7 +215,7 @@ class CommandStream:
         (Sec. 5.1); a barrier forces every subsequent command to wait for all
         previously issued work.
         """
-        dep_list = list(deps) if deps else list(range(len(self._commands)))
+        dep_list = list(deps) if deps else list(range(len(self)))
         return self.add(Unit.SYNC, OpKind.SYNC, deps=dep_list, tag=tag)
 
     def extend(self, other: "CommandStream") -> dict[int, int]:
@@ -249,29 +255,43 @@ class CommandStream:
         return self._commands[cid]
 
     @property
+    def template(self) -> "CommandStream":
+        """The stream whose structure this one shares (itself here)."""
+        return self
+
+    def numbers(self) -> tuple[list[float], list[int], list[tuple[int, ...]]]:
+        """Per-command FLOPs, bytes moved and dimensions, in command order."""
+        commands = self._commands
+        return (
+            [c.flops for c in commands],
+            [c.bytes_moved for c in commands],
+            [c.dims for c in commands],
+        )
+
+    @property
     def commands(self) -> list[Command]:
-        return list(self._commands)
+        return list(self)
 
     def by_unit(self, unit: Unit) -> list[Command]:
-        return [c for c in self._commands if c.unit is unit]
+        return [c for c in self if c.unit is unit]
 
     def by_kind(self, kind: OpKind) -> list[Command]:
-        return [c for c in self._commands if c.kind is kind]
+        return [c for c in self if c.kind is kind]
 
     def by_tag(self, tag: str) -> list[Command]:
-        return [c for c in self._commands if c.tag == tag]
+        return [c for c in self if c.tag == tag]
 
     def tags(self) -> set[str]:
-        return {c.tag for c in self._commands if c.tag}
+        return {c.tag for c in self if c.tag}
 
     def total_flops(self) -> float:
-        return sum(c.flops for c in self._commands)
+        return sum(c.flops for c in self)
 
     def total_offchip_bytes(self) -> int:
-        return sum(c.bytes_moved for c in self._commands if c.is_offchip())
+        return sum(c.bytes_moved for c in self if c.is_offchip())
 
     def total_pim_bytes(self) -> int:
-        return sum(c.bytes_moved for c in self._commands if c.is_pim())
+        return sum(c.bytes_moved for c in self if c.is_pim())
 
     def validate(self) -> None:
         """Check structural invariants (identifiers, dependency ordering)."""
@@ -288,11 +308,118 @@ class CommandStream:
 
     def dependency_depth(self) -> int:
         """Length of the longest dependency chain (in commands)."""
-        depth = [0] * len(self._commands)
-        for command in self._commands:
+        commands = list(self)
+        depth = [0] * len(commands)
+        for command in commands:
             if command.deps:
                 depth[command.cid] = 1 + max(depth[d] for d in command.deps)
         return max(depth, default=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"CommandStream(label={self.label!r}, commands={len(self)})"
+        return f"{type(self).__name__}(label={self.label!r}, commands={len(self)})"
+
+
+class ReplayedStream(CommandStream):
+    """A stream rebuilt with the structure of an earlier one, its template.
+
+    The builders that produced the template run again with new inputs, and
+    every command must keep the template's unit, kind, dependencies, tag,
+    PIM scope and chip, fused flag and metadata: only FLOPs, bytes and
+    dimensions may change.  :meth:`add` checks the unit and kind against the
+    template, so a builder whose structure drifts raises, and records the
+    three numbers; :class:`Command` objects are built only when something
+    iterates or indexes the stream.
+    """
+
+    def __init__(self, template: CommandStream, label: str = "") -> None:
+        template = template.template
+        self.label = label
+        self._template = template
+        self._structure = template._commands
+        self._flops: list[float] = []
+        self._bytes: list[int] = []
+        self._dims: list[tuple[int, ...]] = []
+        self._materialized: list[Command] = []
+
+    def add(
+        self,
+        unit: Unit,
+        kind: OpKind,
+        *,
+        flops: float = 0.0,
+        bytes_moved: int = 0,
+        dims: tuple[int, ...] = (),
+        deps: Iterable["Command | int"] = (),
+        tag: str = "",
+        pim_scope: PimScope = PimScope.ALL_CHIPS,
+        pim_chip: int = 0,
+        fused_activation: bool = False,
+        **metadata,
+    ) -> Command:
+        """Record the next command's numbers and return the template's command.
+
+        The returned command stands for the new one as a dependency (same
+        identifier); its numbers are the template's.
+        """
+        cid = len(self._flops)
+        if cid >= len(self._structure):
+            raise ValueError(
+                f"replay of {self._template.label!r} adds command {cid}, but "
+                f"the template has only {len(self._structure)}"
+            )
+        expected = self._structure[cid]
+        if expected.unit is not unit or expected.kind is not kind:
+            raise ValueError(
+                f"replay of {self._template.label!r} diverged at command {cid}: "
+                f"the template has {expected.unit.value}/{expected.kind.value}, "
+                f"the builder added {unit.value}/{kind.value}"
+            )
+        self._flops.append(flops)
+        self._bytes.append(bytes_moved)
+        self._dims.append(tuple(dims))
+        return expected
+
+    def __len__(self) -> int:
+        return len(self._flops)
+
+    def __iter__(self) -> Iterator[Command]:
+        return iter(self._built())
+
+    def __getitem__(self, cid: int) -> Command:
+        return self._built()[cid]
+
+    @property
+    def template(self) -> CommandStream:
+        return self._template
+
+    def numbers(self) -> tuple[list[float], list[int], list[tuple[int, ...]]]:
+        return self._flops, self._bytes, self._dims
+
+    def validate(self) -> None:
+        """Check that the replay rebuilt every command of its template."""
+        if len(self) != len(self._structure):
+            raise ValueError(
+                f"replay of {self._template.label!r} has {len(self)} of the "
+                f"template's {len(self._structure)} commands"
+            )
+
+    def _built(self) -> list[Command]:
+        """The commands recorded so far, each built once on first access."""
+        built = self._materialized
+        for cid in range(len(built), len(self)):
+            shape = self._structure[cid]
+            built.append(Command(
+                cid=cid,
+                unit=shape.unit,
+                kind=shape.kind,
+                flops=self._flops[cid],
+                bytes_moved=self._bytes[cid],
+                dims=self._dims[cid],
+                deps=shape.deps,
+                tag=shape.tag,
+                pim_scope=shape.pim_scope,
+                pim_chip=shape.pim_chip,
+                fused_activation=shape.fused_activation,
+                metadata=dict(shape.metadata),
+            ))
+        return built

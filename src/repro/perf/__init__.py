@@ -55,11 +55,13 @@ number:
     rows.
 
 The third layer of the fast path lives where the hot loops are:
-:mod:`repro.scheduling.events` precomputes per-command durations and
-resource keys once per stream and builds lazy :class:`Timeline` objects
-(makespan, breakdowns and activity stats without materializing
-``ScheduledCommand`` objects), and :mod:`repro.compiler.compiler` memoizes
-compiled blocks per ``(model, stage, tokens, kv)``.
+:mod:`repro.compiler.compiler` keeps one block template per ``(model,
+stage, tokens)`` and replays it for every KV length, recording only the
+numbers that change; :mod:`repro.scheduling.events` prepares resource keys
+and dependencies once per template, prices only each stream's durations
+and activity, and builds lazy :class:`Timeline` objects (makespan,
+breakdowns and activity stats without materializing ``ScheduledCommand``
+objects).
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ class DurationModel:
     # ------------------------------------------------------------------
     def duration(self, command: Command) -> float:
         """Duration in seconds of one command."""
-        key = (
+        return self.duration_of(
             command.unit,
             command.kind,
             command.dims,
@@ -78,7 +78,25 @@ class DurationModel:
             command.pim_scope,
             command.fused_activation,
         )
-        return self._duration_cache(key)
+
+    def duration_of(
+        self,
+        unit: Unit,
+        kind: OpKind,
+        dims: tuple[int, ...] = (),
+        bytes_moved: int = 0,
+        pim_scope: PimScope = PimScope.ALL_CHIPS,
+        fused_activation: bool = False,
+    ) -> float:
+        """Duration in seconds of the command with these fields.
+
+        For callers that hold a command's fields but no :class:`Command`:
+        the engine pricing a replayed stream, the compiler sizing a prefetch
+        window before it builds the block.
+        """
+        return self._duration_cache(
+            (unit, kind, dims, bytes_moved, pim_scope, fused_activation)
+        )
 
     def _duration_uncached(self, key) -> float:
         unit, kind, dims, bytes_moved, pim_scope, fused = key

@@ -19,15 +19,18 @@ activity statistics consumed by the energy model.
 
 Fast path
 ---------
-Simulating the same stream object twice would redo work whose inputs cannot
-have changed, so the engine keeps two per-engine caches (weakly keyed by the
-stream object, guarded by the stream length so an appended-to stream is
-re-simulated):
+The engine splits the work of simulating a stream in two:
 
-* a *preparation* record — per-command durations, resource keys, policy
-  flags and the aggregate :class:`ActivityStats`, all of which depend only on
-  the stream and this engine's configuration;
-* the finished :class:`Timeline` itself.
+* a *structure* record — resource keys, dependency tuples, policy flags and
+  validation — computed once per (engine, template stream).  A stream built
+  command by command is its own template; a :class:`repro.ir.ReplayedStream`
+  (a compiled block at another KV length) shares its template's record;
+* per stream, only what its numbers decide: the durations (through
+  :class:`DurationModel`'s cache) and the :class:`ActivityStats`, before the
+  one schedule loop.
+
+The finished :class:`Timeline` is cached per stream object (weakly keyed,
+guarded by the stream length so an appended-to stream is re-simulated).
 
 :class:`Timeline` is lazy: the engine stores parallel arrays of start/end
 times and only materializes :class:`ScheduledCommand` objects when a caller
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.config import MemoryPolicy, SchedulingPolicy, SystemConfig
 from repro.ir.command import Command, CommandStream, OpKind, PimScope, Unit
@@ -310,12 +313,12 @@ class Timeline:
         return f"Timeline(label={self.label!r}, commands={len(self)})"
 
 
-class _StreamPrep:
-    """Per-(engine, stream) precomputation: everything schedule-independent."""
+class _Structure:
+    """Per-(engine, template) precomputation: everything that depends only
+    on a stream's structure, shared by the streams replayed from it."""
 
     __slots__ = (
         "length",
-        "durations",
         "resources",
         "deps",
         "is_pim",
@@ -324,42 +327,25 @@ class _StreamPrep:
         "units",
         "kinds",
         "tags",
-        "flops",
-        "bytes_moved",
-        "stats",
+        "scopes",
+        "fused",
     )
 
     def __init__(self, engine: "EventEngine", stream: CommandStream) -> None:
         stream.validate()
         num_chips = engine.config.pim.num_chips
-        duration_of = engine.durations.duration
-        self.length = len(stream)
-        self.durations = []
-        self.resources = []
-        self.deps = []
-        self.is_pim = []
-        self.is_offchip = []
-        self.cids = []
-        self.units = []
-        self.kinds = []
-        self.tags = []
-        self.flops = []
-        self.bytes_moved = []
-        stats = ActivityStats()
-        for command in stream:
-            self.durations.append(duration_of(command))
-            self.resources.append(tuple(engine._resources(command, num_chips)))
-            self.deps.append(command.deps)
-            self.is_pim.append(command.is_pim())
-            self.is_offchip.append(command.is_offchip())
-            self.cids.append(command.cid)
-            self.units.append(command.unit)
-            self.kinds.append(command.kind)
-            self.tags.append(command.tag)
-            self.flops.append(command.flops)
-            self.bytes_moved.append(command.bytes_moved)
-            engine._accumulate(stats, command)
-        self.stats = stats
+        commands = list(stream)
+        self.length = len(commands)
+        self.resources = [tuple(engine._resources(c, num_chips)) for c in commands]
+        self.deps = [c.deps for c in commands]
+        self.is_pim = [c.is_pim() for c in commands]
+        self.is_offchip = [c.is_offchip() for c in commands]
+        self.cids = [c.cid for c in commands]
+        self.units = [c.unit for c in commands]
+        self.kinds = [c.kind for c in commands]
+        self.tags = [c.tag for c in commands]
+        self.scopes = [c.pim_scope for c in commands]
+        self.fused = [c.fused_activation for c in commands]
 
 
 class EventEngine:
@@ -368,7 +354,7 @@ class EventEngine:
     def __init__(self, config: SystemConfig, durations: DurationModel | None = None) -> None:
         self.config = config
         self.durations = durations or DurationModel(config)
-        self._prep_cache: "weakref.WeakKeyDictionary[CommandStream, _StreamPrep]" = (
+        self._structure_cache: "weakref.WeakKeyDictionary[CommandStream, _Structure]" = (
             weakref.WeakKeyDictionary()
         )
         self._timeline_cache: "weakref.WeakKeyDictionary[CommandStream, tuple[int, Timeline]]" = (
@@ -381,17 +367,24 @@ class EventEngine:
         if cached is not None and cached[0] == len(stream):
             return cached[1]
 
-        prep = self._prep_cache.get(stream)
-        if prep is None or prep.length != len(stream):
-            prep = _StreamPrep(self, stream)
-            self._prep_cache[stream] = prep
+        structure = self._structure(stream.template)
+        length = structure.length
+        if len(stream) != length:
+            raise ValueError(
+                f"stream {stream.label!r} has {len(stream)} of its template's "
+                f"{length} commands"
+            )
+        flops, bytes_moved, dims = stream.numbers()
+        durations = list(map(
+            self.durations.duration_of, structure.units, structure.kinds, dims,
+            bytes_moved, structure.scopes, structure.fused,
+        ))
 
         config = self.config
         unified = config.memory_policy is MemoryPolicy.UNIFIED
         naive = config.scheduling is SchedulingPolicy.NAIVE
         pim_blocks_offchip = unified and config.pim_compute_enabled
 
-        length = prep.length
         ends: list[float] = [0.0] * length
         starts: list[float] = [0.0] * length
         unit_free: dict[object, float] = {}
@@ -408,11 +401,10 @@ class EventEngine:
         #: Running maximum end time (needed for the naive barrier semantics).
         max_end = 0.0
 
-        durations = prep.durations
-        resources = prep.resources
-        deps = prep.deps
-        is_pim = prep.is_pim
-        is_offchip = prep.is_offchip
+        resources = structure.resources
+        deps = structure.deps
+        is_pim = structure.is_pim
+        is_offchip = structure.is_offchip
 
         for i in range(length):
             start = barrier_time
@@ -452,18 +444,25 @@ class EventEngine:
 
         timeline = Timeline.from_arrays(
             label=stream.label,
-            stats=replace(prep.stats),
-            cids=prep.cids,
-            units=prep.units,
-            kinds=prep.kinds,
-            tags=prep.tags,
+            stats=self._activity(structure, flops, bytes_moved, dims),
+            cids=structure.cids,
+            units=structure.units,
+            kinds=structure.kinds,
+            tags=structure.tags,
             starts=starts,
             ends=ends,
-            flops=prep.flops,
-            bytes_moved=prep.bytes_moved,
+            flops=flops,
+            bytes_moved=bytes_moved,
         )
         self._timeline_cache[stream] = (length, timeline)
         return timeline
+
+    def _structure(self, template: CommandStream) -> _Structure:
+        structure = self._structure_cache.get(template)
+        if structure is None or structure.length != len(template):
+            structure = _Structure(self, template)
+            self._structure_cache[template] = structure
+        return structure
 
     # ------------------------------------------------------------------
     def _resources(self, command: Command, num_chips: int) -> list[object]:
@@ -476,26 +475,34 @@ class EventEngine:
             return [("pim", chip) for chip in range(num_chips)]
         return [(command.unit,)]
 
-    def _accumulate(self, stats: ActivityStats, command: Command) -> None:
-        if command.unit is Unit.DMA_LOAD:
-            stats.offchip_read_bytes += command.bytes_moved
-        elif command.unit is Unit.DMA_STORE:
-            stats.offchip_write_bytes += command.bytes_moved
-        elif command.unit is Unit.DMA_ONCHIP:
-            stats.onchip_bytes += command.bytes_moved
-        elif command.unit is Unit.PIM:
-            stats.pim_weight_bytes += command.bytes_moved
-            stats.pim_macro_commands += 1
-            if self.durations.pim is not None and len(command.dims) >= 2:
-                dims = command.dims
-                n, d_in, d_out = (dims if len(dims) == 3 else (1, *dims))
-                single = command.pim_scope is PimScope.SINGLE_CHIP
-                device = (
-                    self.durations.pim_single_chip if single else self.durations.pim
-                )
-                estimate = device.gemv(d_out, d_in, command.fused_activation)
-                stats.pim_row_activations += estimate.row_activations * max(1, n)
-        elif command.unit is Unit.MATRIX_UNIT:
-            stats.matrix_unit_flops += command.flops
-        elif command.unit is Unit.VECTOR_UNIT:
-            stats.vector_unit_flops += command.flops
+    def _activity(
+        self,
+        structure: _Structure,
+        flops: list[float],
+        bytes_moved: list[int],
+        dims: list[tuple[int, ...]],
+    ) -> ActivityStats:
+        """Activity counts of one stream, accumulated in command order."""
+        stats = ActivityStats()
+        pim = self.durations.pim
+        for i, unit in enumerate(structure.units):
+            if unit is Unit.DMA_LOAD:
+                stats.offchip_read_bytes += bytes_moved[i]
+            elif unit is Unit.DMA_STORE:
+                stats.offchip_write_bytes += bytes_moved[i]
+            elif unit is Unit.DMA_ONCHIP:
+                stats.onchip_bytes += bytes_moved[i]
+            elif unit is Unit.PIM:
+                stats.pim_weight_bytes += bytes_moved[i]
+                stats.pim_macro_commands += 1
+                if pim is not None and len(dims[i]) >= 2:
+                    n, d_in, d_out = dims[i] if len(dims[i]) == 3 else (1, *dims[i])
+                    single = structure.scopes[i] is PimScope.SINGLE_CHIP
+                    device = self.durations.pim_single_chip if single else pim
+                    estimate = device.gemv(d_out, d_in, structure.fused[i])
+                    stats.pim_row_activations += estimate.row_activations * max(1, n)
+            elif unit is Unit.MATRIX_UNIT:
+                stats.matrix_unit_flops += flops[i]
+            elif unit is Unit.VECTOR_UNIT:
+                stats.vector_unit_flops += flops[i]
+        return stats

@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ir import Command, CommandStream, OpKind, PimScope, Unit
+from repro.config import SystemConfig
+from repro.ir import Command, CommandStream, OpKind, PimScope, ReplayedStream, Unit
+from repro.scheduling import EventEngine
 
 
-def make_stream() -> CommandStream:
-    stream = CommandStream(label="test")
-    load = stream.add(Unit.DMA_LOAD, OpKind.WEIGHT_LOAD, bytes_moved=1024, tag="FFN+Add")
-    compute = stream.add(
-        Unit.MATRIX_UNIT, OpKind.FC_FFN1, flops=100.0, dims=(1, 8, 8),
-        deps=[load], tag="FFN+Add",
+def make_stream(stream: CommandStream | None = None, width: int = 8) -> CommandStream:
+    stream = CommandStream(label="test") if stream is None else stream
+    load = stream.add(
+        Unit.DMA_LOAD, OpKind.WEIGHT_LOAD, bytes_moved=128 * width, tag="FFN+Add"
     )
-    stream.add(Unit.VECTOR_UNIT, OpKind.GELU, dims=(1, 8), deps=[compute], tag="FFN+Add")
+    compute = stream.add(
+        Unit.MATRIX_UNIT, OpKind.FC_FFN1, flops=12.5 * width, dims=(1, 8, width),
+        deps=[load], tag="FFN+Add", which="up",
+    )
+    stream.add(
+        Unit.VECTOR_UNIT, OpKind.GELU, dims=(1, width), deps=[compute], tag="FFN+Add"
+    )
     return stream
 
 
@@ -116,3 +122,39 @@ class TestStreamExtend:
         # The extended compute command depends on the extended load command.
         assert first[4].deps == (3,)
         first.validate()
+
+
+class TestReplayedStream:
+    def test_replay_equals_a_fresh_build(self):
+        template = make_stream()
+        replay = make_stream(ReplayedStream(template, label="wide"), width=16)
+        fresh = make_stream(width=16)
+        assert replay.template is template
+        assert list(replay) == list(fresh)
+        assert replay[1] is list(replay)[1]
+        assert replay.numbers() == fresh.numbers()
+        replay.validate()
+
+    def test_replay_of_a_replay_shares_the_template(self):
+        template = make_stream()
+        replay = make_stream(ReplayedStream(template), width=16)
+        assert ReplayedStream(replay).template is template
+
+    def test_structural_drift_raises(self):
+        replay = ReplayedStream(make_stream())
+        replay.add(Unit.DMA_LOAD, OpKind.WEIGHT_LOAD, bytes_moved=64)
+        with pytest.raises(ValueError, match="diverged at command 1"):
+            replay.add(Unit.PIM, OpKind.PIM_GEMV, dims=(1, 8, 8))
+
+    def test_extra_command_raises(self):
+        replay = make_stream(ReplayedStream(make_stream()))
+        with pytest.raises(ValueError, match="has only 3"):
+            replay.add(Unit.SYNC, OpKind.SYNC)
+
+    def test_incomplete_replay_is_rejected(self):
+        replay = ReplayedStream(make_stream())
+        replay.add(Unit.DMA_LOAD, OpKind.WEIGHT_LOAD, bytes_moved=64)
+        with pytest.raises(ValueError, match="1 of the template's 3"):
+            replay.validate()
+        with pytest.raises(ValueError, match="1 of its template's 3"):
+            EventEngine(SystemConfig.ianus()).simulate(replay)

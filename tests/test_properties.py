@@ -8,13 +8,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import PimConfig, SystemConfig
+from repro.compiler import Compiler
+from repro.config import (
+    AttentionMappingPolicy,
+    PimConfig,
+    SchedulingPolicy,
+    SystemConfig,
+)
+from repro.core.system import IanusSystem
 from repro.functional import PimFunctionalDevice, to_bf16
 from repro.functional.reference import softmax
-from repro.ir import CommandStream, OpKind, Unit
+from repro.ir import CommandStream, OpKind, ReplayedStream, Unit
+from repro.models import get_model
+from repro.models.workload import Stage, StagePass
 from repro.npu import MatrixUnitModel, VectorUnitModel
 from repro.pim import AddressMapping, PimDeviceModel, TileMapping
-from repro.scheduling import EventEngine
+from repro.scheduling import DurationModel, EventEngine
 from repro.serving.trace import DiurnalCurve, FlashCrowdCurve, StepCurve, TraceCurve
 
 PIM = PimConfig()
@@ -155,6 +164,86 @@ def test_naive_schedule_never_faster_than_pas(stream):
         SystemConfig.ianus(scheduling=SchedulingPolicy.NAIVE)
     ).simulate(stream).makespan
     assert naive >= pas - 1e-12
+
+
+# ----------------------------------------------------------------------
+# Block templates
+# ----------------------------------------------------------------------
+#: (configuration, devices) of each design whose blocks are replayed.  The
+#: PIM-attention variant (Fig. 13) makes QK^T and SV, the KV-dependent
+#: commands, PIM commands.
+_DESIGNS = {
+    "ianus": (SystemConfig.ianus(), 1),
+    "npu-mem": (SystemConfig.npu_mem(), 1),
+    "partitioned": (SystemConfig.partitioned(), 1),
+    "ianus-x2": (SystemConfig.ianus(), 2),
+    "ianus-naive": (SystemConfig.ianus(scheduling=SchedulingPolicy.NAIVE), 1),
+    "ianus-pim-attention": (
+        SystemConfig.ianus(attention_mapping=AttentionMappingPolicy.PIM), 1
+    ),
+}
+
+
+@st.composite
+def block_passes(draw):
+    """(model, design, pass, template pass): a generation pass at KV
+    1-2048 or a summarization pass with KV >= tokens, and the same (model,
+    stage, tokens) at another KV length for the template."""
+    model = get_model(draw(st.sampled_from(["gpt2-m", "gpt2-xl", "gpt2-2.5b"])))
+    design = draw(st.sampled_from(sorted(_DESIGNS)))
+    if draw(st.booleans()):
+        stage, tokens = Stage.GENERATION, 1
+    else:
+        stage, tokens = Stage.SUMMARIZATION, draw(st.integers(1, 512))
+    kv = draw(st.integers(min_value=tokens, max_value=2048))
+    template_kv = draw(
+        st.integers(min_value=tokens, max_value=2048).filter(lambda x: x != kv)
+    )
+    return (
+        model, design, StagePass(stage, tokens, kv),
+        StagePass(stage, tokens, template_kv),
+    )
+
+
+@given(case=block_passes())
+@settings(max_examples=150, deadline=None)
+def test_replayed_block_equals_fresh_compile(case):
+    """A block replayed from a template built at another KV length equals
+    the block a fresh compiler builds: the same commands, the same schedule
+    under a PAS and a naive engine, and the same priced pass."""
+    model, design, stage_pass, template_pass = case
+    config, devices = _DESIGNS[design]
+    durations = DurationModel.shared(config)
+    compiler = Compiler(config, durations, num_devices=devices)
+    template = compiler.compile_block(model, template_pass)
+    replayed = compiler.compile_block(model, stage_pass)
+    fresh = Compiler(config, durations, num_devices=devices).compile_block(
+        model, stage_pass
+    )
+    assert isinstance(replayed.stream, ReplayedStream)
+    assert replayed.stream.template is template.stream
+    assert replayed.partition == fresh.partition
+    assert replayed.fc_units == fresh.fc_units
+    assert replayed.stream.label == fresh.stream.label
+    assert list(replayed.stream) == list(fresh.stream)
+
+    # compare_with_naive schedules one stream on a PAS and a naive engine;
+    # each engine prepares the template's structure for itself.
+    for policy in SchedulingPolicy:
+        engine_config = config.variant(scheduling=policy)
+        engine = EventEngine(engine_config)
+        engine.simulate(template.stream)
+        got = engine.simulate(replayed.stream)
+        want = EventEngine(engine_config).simulate(fresh.stream)
+        assert got.commands == want.commands
+        assert got.stats == want.stats
+        assert got.breakdown_by_tag() == want.breakdown_by_tag()
+        assert got.total_flops() == want.total_flops()
+
+    system = IanusSystem(config, num_devices=devices, pass_cache=None)
+    system._pass_cost(model, template_pass)
+    cold = IanusSystem(config, num_devices=devices, pass_cache=None)
+    assert system._pass_cost(model, stage_pass) == cold._pass_cost(model, stage_pass)
 
 
 # ----------------------------------------------------------------------

@@ -86,13 +86,49 @@ class TestCli:
         assert "total" in output
         assert "ms/token" in output
 
-    def test_simulate_with_gantt(self, capsys):
+    @pytest.mark.parametrize(
+        "backend", ["ianus", "npu-mem", "ianus-x2", "partitioned-x2"]
+    )
+    def test_simulate_with_gantt(self, backend, capsys):
         code = main([
-            "simulate", "--model", "gpt2-m", "--input-tokens", "16",
-            "--output-tokens", "2", "--gantt",
+            "simulate", "--model", "gpt2-m", "--backend", backend,
+            "--input-tokens", "16", "--output-tokens", "2", "--gantt",
         ])
         assert code == 0
-        assert "matrix unit" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "generation stage, KV length 17" in output
+        assert "matrix unit" in output
+
+    @pytest.mark.parametrize("backend", ["a100", "dfx"])
+    def test_gantt_rejected_on_analytical_backends(self, backend, capsys):
+        code = main([
+            "simulate", "--model", "gpt2-m", "--backend", backend, "--gantt",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--gantt" in captured.err and "ianus" in captured.err
+        assert "total" not in captured.out
+
+    @pytest.mark.parametrize(
+        "output_tokens, header, never_priced",
+        [
+            # Workload(32, 4) prices generation passes at KV 33-35.
+            ("4", "generation stage, KV length 35", "KV length 36"),
+            # One output token: the summarization pass is the only pass.
+            ("1", "summarization stage, KV length 32", "generation stage"),
+        ],
+    )
+    def test_gantt_charts_the_last_pass_priced(
+        self, output_tokens, header, never_priced, capsys
+    ):
+        code = main([
+            "simulate", "--model", "gpt2-m", "--input-tokens", "32",
+            "--output-tokens", output_tokens, "--gantt",
+        ])
+        assert code == 0
+        output = capsys.readouterr().out
+        assert header in output
+        assert never_priced not in output
 
     @pytest.mark.parametrize("backend", ["npu-mem", "a100", "dfx"])
     def test_simulate_other_backends(self, backend, capsys):
