@@ -42,7 +42,6 @@ from repro.core.costmodel import make_cost_model
 from repro.models import GPT2_CONFIGS
 from repro.serving import ServingSimulator, get_trace_generator
 from repro.serving.simulator import mean_service_time_s
-from repro.serving.validate import check_invariants
 
 MODEL = GPT2_CONFIGS["xl"]
 BACKEND = "ianus"
@@ -195,12 +194,7 @@ def _validation_cell(cost_model, generator, rate_rps):
             reference.events == candidate.events
             and ref_metrics.to_dict() == cand_metrics.to_dict()
         )
-        violations[label] = len(
-            check_invariants(
-                reference.events, trace,
-                page_tokens=reference.page_tokens, admission="optimistic",
-            )
-        )
+        violations[label] = len(reference.validate_invariants())
     out["engines_byte_identical"] = agree
     out["invariant_violations"] = violations
     return out

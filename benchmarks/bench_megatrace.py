@@ -15,10 +15,9 @@ correctness side of each so a perf number can never hide a wrong one:
   least-outstanding-tokens routing, array replicas throughout.
 
 Every benched configuration also runs a *capped* companion with
-``record_events=True`` whose event log replays clean through
-:func:`repro.serving.validate.check_invariants` (cluster cells through
-``validate_invariants``), so the exact configs being timed are the ones
-being verified.
+``record_events=True`` whose event log replays clean through the
+simulator's or the cluster's ``validate_invariants``, so the exact
+configs being timed are the ones being verified.
 
 Run with::
 
@@ -39,7 +38,6 @@ from repro.models import GPT2_CONFIGS
 from repro.serving import (
     ClusterSimulator,
     ServingSimulator,
-    check_invariants,
     decode_kv_bounds,
     get_trace_generator,
 )
@@ -104,11 +102,7 @@ def _validate_single() -> int:
     trace = generator.generate(VALIDATE_REQUESTS, RATE_RPS, seed=0)
     simulator = _simulator("array")
     simulator.simulate(trace, record_events=True)
-    violations = check_invariants(
-        simulator.events, trace,
-        page_tokens=simulator.page_tokens, admission=simulator.admission,
-    )
-    return len(violations)
+    return len(simulator.validate_invariants())
 
 
 def _validate_cluster() -> int:

@@ -90,14 +90,17 @@ def _coerce_spec_value(value: str):
     return value
 
 
-def _parse_spec(kind: str, text: str) -> "tuple[str, dict]":
-    """Parse a ``name:key=value,key=value`` CLI spec.
+def _from_spec(kind: str, factory, text: "str | None"):
+    """Build a registry entry from a ``name:key=value,key=value`` CLI spec
+    (``None`` when the flag is absent).
 
     Keys are kebab-case on the command line and mapped to the Python
     keyword (``recover-after-s`` -> ``recover_after_s``).  Malformed specs
-    raise ValueError; unknown names and unknown keys are left to the
-    registry factories, which already raise with the known spellings.
+    raise ValueError; unknown names, unknown keys and bad values are left
+    to ``factory``, the registry's one validation point.
     """
+    if text is None:
+        return None
     name, _, rest = text.partition(":")
     name = name.strip()
     if not name:
@@ -115,7 +118,18 @@ def _parse_spec(kind: str, text: str) -> "tuple[str, dict]":
                     f"but got segment {part.strip()!r}"
                 )
             kwargs[key.replace("-", "_")] = _coerce_spec_value(value.strip())
-    return name, kwargs
+    return factory(name, **kwargs)
+
+
+def _floats(flag: str, text: "str | None", what: str):
+    """Parse a comma-separated list of floats (``None`` when the flag is
+    absent); the consumer validates the values themselves."""
+    if text is None:
+        return None
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated {what}") from None
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -305,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
+    from repro.memory import MemoryCapacityError
+
     try:
         model = get_model(args.model)
         workload = Workload(args.input_tokens, args.output_tokens)
@@ -317,7 +333,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
               f"or their -xN spellings); {args.backend!r} is an analytical "
               f"model with no command schedule", file=sys.stderr)
         return 2
-    result = backend.run(model, workload, mode=args.mode)
+    try:
+        result = backend.run(model, workload, mode=args.mode)
+    except MemoryCapacityError as error:
+        print(error.args[0], file=sys.stderr)
+        return 2
 
     print(f"backend      : {result.backend}")
     print(f"model        : {model.describe()}")
@@ -373,22 +393,18 @@ def _run_bench(args: argparse.Namespace) -> int:
     from repro.perf import run_many, write_report
 
     ids = args.ids or list(EXPERIMENTS)
-    unknown = [identifier for identifier in ids if identifier not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {unknown}", file=sys.stderr)
-        print(f"known experiments: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
+    try:
+        # run_many checks the ids and --jobs before any work.
+        outcome = run_many(
+            ids,
+            fast=not args.full,
+            jobs=args.jobs,
+            disk_cache=not args.no_disk_cache,
+            cache_dir=args.cache_dir,
+        )
+    except (KeyError, ValueError) as error:
+        print(error.args[0], file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
-
-    outcome = run_many(
-        ids,
-        fast=not args.full,
-        jobs=args.jobs,
-        disk_cache=not args.no_disk_cache,
-        cache_dir=args.cache_dir,
-    )
     print(outcome.report.to_text())
     print(outcome.report.cache_summary())
 
@@ -418,143 +434,30 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     from repro.perf import flush_disk_caches, install_disk_caches
     from repro.serving import (
-        ENGINES,
         ClusterSimulator,
         ServingSimulator,
-        check_invariants,
         get_trace_generator,
         make_autoscaler,
         make_failure_schedule,
+        make_policy,
         make_trace_curve,
         mean_service_time_s,
     )
 
-    try:
-        model = get_model(args.model)
-    except KeyError:
-        print(f"unknown model {args.model!r}; see `repro list`", file=sys.stderr)
-        return 2
-    model_set = None
-    if args.models is not None:
-        names = [part.strip() for part in args.models.split(",") if part.strip()]
-        if not names:
-            print("--models must name at least one model", file=sys.stderr)
-            return 2
-        unknown = sorted(set(names) - set(ALL_MODELS))
-        if unknown:
-            print(
-                f"unknown model(s) in --models: {', '.join(unknown)}; "
-                f"known models: {', '.join(sorted(ALL_MODELS))}",
-                file=sys.stderr,
-            )
-            return 2
-        if len(set(names)) != len(names):
-            print("--models lists a model more than once", file=sys.stderr)
-            return 2
-        if args.model not in names:
-            print(
-                f"--model {args.model!r} must be a member of the --models "
-                f"set ({', '.join(names)})",
-                file=sys.stderr,
-            )
-            return 2
-        model_set = tuple(get_model(name) for name in names)
-    tenant_shares = None
-    if args.tenant_slo is not None:
-        if args.policy != "priority":
-            print("--tenant-slo reserves admission slots per priority class; "
-                  "it requires --policy priority", file=sys.stderr)
-            return 2
-        try:
-            tenant_shares = tuple(
-                float(part) for part in args.tenant_slo.split(",")
-            )
-        except ValueError:
-            tenant_shares = ()
-        if not tenant_shares:
-            print("--tenant-slo must be comma-separated fractions in [0, 1]",
-                  file=sys.stderr)
-            return 2
+    # Only the CLI's own rules are checked here.  Every other knob is
+    # checked once, by the constructor, generator or registry that
+    # consumes it, and its message exits 2 below.
     if args.requests < 1:
         print("--requests must be at least 1", file=sys.stderr)
         return 2
-    if args.replicas < 1:
-        print("--replicas must be at least 1", file=sys.stderr)
-        return 2
     # ``not 0 < x < inf`` also rejects NaN, which fails every comparison.
-    if args.rate is not None and not 0.0 < args.rate < float("inf"):
-        print("--rate must be positive and finite", file=sys.stderr)
-        return 2
     if args.rate is None and not 0.0 < args.load < float("inf"):
         print("--load must be positive and finite", file=sys.stderr)
         return 2
-    if args.max_batch < 1:
-        print("--max-batch must be at least 1", file=sys.stderr)
+    if args.tenant_slo is not None and args.policy != "priority":
+        print("--tenant-slo reserves admission slots per priority class; "
+              "it requires --policy priority", file=sys.stderr)
         return 2
-    if not 0.0 <= args.batch_share <= 1.0:
-        print("--batch-share must be in [0, 1]", file=sys.stderr)
-        return 2
-    if not 0.0 < args.kv_fraction <= 1.0:
-        print("--kv-fraction must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.page_tokens < 1:
-        print("--page-tokens must be at least 1", file=sys.stderr)
-        return 2
-    if args.chunk_tokens < 0:
-        print("--chunk-tokens must be non-negative", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.prefix_share <= 1.0:
-        print("--prefix-share must be in [0, 1]", file=sys.stderr)
-        return 2
-    if args.prefix_tokens is not None and args.prefix_tokens < 1:
-        print("--prefix-tokens must be at least 1", file=sys.stderr)
-        return 2
-    if args.prefix_groups < 1:
-        print("--prefix-groups must be at least 1", file=sys.stderr)
-        return 2
-    if not 0.0 < args.link_gbps < float("inf"):
-        # Catches nan (every comparison false) and +/-inf as well as <= 0.
-        print("--link-gbps must be a positive finite bandwidth in Gbit/s",
-              file=sys.stderr)
-        return 2
-    if args.classes < 1:
-        print("--classes must be at least 1", file=sys.stderr)
-        return 2
-    if args.engine not in ENGINES:
-        print(
-            f"unknown engine {args.engine!r}; known engines: "
-            + ", ".join(ENGINES),
-            file=sys.stderr,
-        )
-        return 2
-    slo_targets = None
-    if args.slo is not None:
-        # Parse only: the simulator validates the targets themselves.
-        try:
-            slo_targets = tuple(float(part) for part in args.slo.split(","))
-        except ValueError:
-            print("--slo must be comma-separated seconds", file=sys.stderr)
-            return 2
-    try:
-        generator = get_trace_generator(args.trace)
-    except KeyError as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
-    curve = failures = autoscaler = None
-    try:
-        if args.trace_curve is not None:
-            name, kwargs = _parse_spec("trace curve", args.trace_curve)
-            curve = make_trace_curve(name, **kwargs)
-        if args.failures is not None:
-            name, kwargs = _parse_spec("failure schedule", args.failures)
-            failures = make_failure_schedule(name, **kwargs)
-        if args.autoscaler is not None:
-            name, kwargs = _parse_spec("autoscaler", args.autoscaler)
-            autoscaler = make_autoscaler(name, **kwargs)
-    except (TypeError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-
     if args.preempt and args.admission == "worst-case":
         print("--preempt implies optimistic admission; it contradicts "
               "--admission worst-case", file=sys.stderr)
@@ -575,57 +478,77 @@ def _run_serve(args: argparse.Namespace) -> int:
         install_disk_caches(args.cache_dir)
     try:
         try:
-            backend = _make_backend(args.backend, args.devices)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        if args.rate is not None:
-            rate_rps = args.rate
-        else:
-            service_s = mean_service_time_s(
-                backend, model, generator.workloads, exact=args.exact
-            )
-            rate_rps = args.replicas * args.load / service_s
-            print(f"nominal capacity : {args.replicas / service_s:.3f} requests/s "
-                  f"({args.replicas} replica(s)) "
-                  f"-> load {args.load} = {rate_rps:.3f} requests/s")
-        if tenant_shares is not None:
-            from repro.serving import make_policy
-
-            try:
-                policy = make_policy(
-                    "priority", max_batch=args.max_batch,
-                    class_shares=tenant_shares,
+            model = get_model(args.model)
+            model_set = None
+            if args.models is not None:
+                model_set = tuple(
+                    get_model(name.strip())
+                    for name in args.models.split(",")
+                    if name.strip()
                 )
-            except ValueError as error:
-                print(f"--tenant-slo: {error}", file=sys.stderr)
-                return 2
-        else:
-            policy = args.policy
-        simulator_kwargs = dict(
-            policy=policy,
-            max_batch=args.max_batch,
-            exact=args.exact,
-            batch_share=args.batch_share,
-            kv_fraction=args.kv_fraction,
-            page_tokens=args.page_tokens,
-            chunk_tokens=args.chunk_tokens,
-            slo_targets=slo_targets,
-            admission=admission,
-            preempt=not args.no_preempt,
-            swap=args.swap,
-            link_gbps=args.link_gbps,
-            engine=args.engine,
-            models=model_set,
-            num_classes=args.classes,
-        )
-        cluster = None
-        # Failure injection and autoscaling live in the cluster simulator,
-        # so either flag routes through it even for a single replica.
-        use_cluster = (
-            args.replicas > 1 or failures is not None or autoscaler is not None
-        )
-        try:
+            tenant_shares = _floats(
+                "--tenant-slo", args.tenant_slo, "fractions in [0, 1]"
+            )
+            generator = get_trace_generator(args.trace)
+            curve = _from_spec("trace curve", make_trace_curve, args.trace_curve)
+            failures = _from_spec(
+                "failure schedule", make_failure_schedule, args.failures
+            )
+            autoscaler = _from_spec("autoscaler", make_autoscaler, args.autoscaler)
+            backend = _make_backend(args.backend, args.devices)
+            simulator_kwargs = dict(
+                policy=(
+                    args.policy
+                    if tenant_shares is None
+                    else make_policy(
+                        "priority", max_batch=args.max_batch,
+                        class_shares=tenant_shares,
+                    )
+                ),
+                max_batch=args.max_batch,
+                exact=args.exact,
+                batch_share=args.batch_share,
+                kv_fraction=args.kv_fraction,
+                page_tokens=args.page_tokens,
+                chunk_tokens=args.chunk_tokens,
+                slo_targets=_floats("--slo", args.slo, "seconds"),
+                admission=admission,
+                preempt=not args.no_preempt,
+                swap=args.swap,
+                link_gbps=args.link_gbps,
+                engine=args.engine,
+                models=model_set,
+                num_classes=args.classes,
+                profile=args.profile,
+            )
+            # Failure injection and autoscaling live in the cluster
+            # simulator, so either flag routes through it even for one
+            # replica.  So does every other replica count, which the
+            # cluster's constructor checks.
+            use_cluster = (
+                args.replicas != 1 or failures is not None or autoscaler is not None
+            )
+            if use_cluster:
+                simulator = ClusterSimulator(
+                    backend, model,
+                    num_replicas=args.replicas,
+                    router=args.router,
+                    failures=failures,
+                    autoscaler=autoscaler,
+                    **simulator_kwargs,
+                )
+            else:
+                simulator = ServingSimulator(backend, model, **simulator_kwargs)
+            if args.rate is not None:
+                rate_rps = args.rate
+            else:
+                service_s = mean_service_time_s(
+                    backend, model, generator.workloads, exact=args.exact
+                )
+                rate_rps = args.replicas * args.load / service_s
+                print(f"nominal capacity : {args.replicas / service_s:.3f} "
+                      f"requests/s ({args.replicas} replica(s)) "
+                      f"-> load {args.load} = {rate_rps:.3f} requests/s")
             trace_start = perf_counter()
             trace = generator.generate(
                 args.requests, rate_rps, seed=args.seed,
@@ -640,23 +563,15 @@ def _run_serve(args: argparse.Namespace) -> int:
                 ),
             )
             trace_gen_s = perf_counter() - trace_start
-            if use_cluster:
-                cluster = ClusterSimulator(
-                    backend, model,
-                    num_replicas=args.replicas,
-                    router=args.router,
-                    failures=failures,
-                    autoscaler=autoscaler,
-                    profile=args.profile,
-                    **simulator_kwargs,
-                )
-                metrics = cluster.simulate(trace, record_events=True)
-            else:
-                simulator = ServingSimulator(
-                    backend, model, profile=args.profile, **simulator_kwargs
-                )
-                metrics = simulator.simulate(trace, record_events=args.validate)
-        except ValueError as error:  # e.g. bad prefix, encoder trace, model too large
+        except (KeyError, TypeError, ValueError) as error:
+            print(error.args[0], file=sys.stderr)
+            return 2
+        try:
+            # A cluster always records events: they feed its KV peak.
+            metrics = simulator.simulate(
+                trace, record_events=use_cluster or args.validate
+            )
+        except ValueError as error:  # e.g. an encoder trace, a request that never fits
             print(str(error), file=sys.stderr)
             return 2
     finally:
@@ -668,8 +583,8 @@ def _run_serve(args: argparse.Namespace) -> int:
           f"{rate_rps:.3f} req/s (seed {args.seed}{curve_note})")
     print(metrics.summary())
     if args.profile:
-        if cluster is not None:
-            phases = cluster.pooled_phase_s()
+        if use_cluster:
+            phases = simulator.pooled_phase_s()
             scope = f"{args.engine}, pooled x{metrics.num_replicas}"
         else:
             phases = simulator.last_run.phase_s
@@ -690,16 +605,10 @@ def _run_serve(args: argparse.Namespace) -> int:
               f"({stats.get('hit_rate', 0.0):.0%} hit rate)")
     violations: list[str] = []
     if args.validate:
-        if cluster is not None:
-            violations = cluster.validate_invariants()
-            checked = sum(len(events) for events in cluster.events)
-        else:
-            violations = check_invariants(
-                simulator.events, trace,
-                page_tokens=args.page_tokens, admission=admission,
-                default_model=model.name,
-            )
-            checked = len(simulator.events)
+        violations = simulator.validate_invariants()
+        checked = (
+            sum(map(len, simulator.events)) if use_cluster else len(simulator.events)
+        )
         if violations:
             print(f"INVARIANT VIOLATIONS ({len(violations)}):", file=sys.stderr)
             for violation in violations:

@@ -206,7 +206,8 @@ def make_cost_model(name: str, num_devices: int = 1) -> CostModel:
     :class:`~repro.core.multi_device.MultiIanusSystem`, which prices passes
     with the same tensor-parallel latency model Fig. 17 / Fig. 18 use.
     The ``num_devices`` argument is the equivalent positional spelling; the
-    two must agree when both are given.
+    two must agree when both are given.  The analytical baselines
+    (``a100``, ``dfx``) model one device and reject any other count.
     """
     from repro.baselines.dfx import DfxAppliance
     from repro.baselines.gpu import A100Gpu
@@ -238,10 +239,15 @@ def make_cost_model(name: str, num_devices: int = 1) -> CostModel:
         return NpuMemSystem(num_devices=num_devices)
     if name == "partitioned":
         return IanusSystem(SystemConfig.partitioned(), num_devices=num_devices)
-    if name == "a100":
-        return A100Gpu()
-    if name == "dfx":
-        return DfxAppliance()
+    if name in ("a100", "dfx"):
+        if num_devices != 1:
+            raise ValueError(
+                f"num_devices={num_devices} is not supported by the analytical "
+                f"{name!r} baseline, which models one device; only the "
+                f"simulator backends (ianus, npu-mem, partitioned) take a "
+                f"device count"
+            )
+        return A100Gpu() if name == "a100" else DfxAppliance()
     raise ValueError(
         f"unknown backend {name!r}; known: {', '.join(ALL_BACKEND_NAMES)} "
         f"(and <simulator backend>-xN for any device count N)"

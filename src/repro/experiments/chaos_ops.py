@@ -175,7 +175,6 @@ def _run_cell(params: dict) -> dict:
     from repro.serving.failures import SeededFailures, SingleFailure
     from repro.serving.simulator import ServingSimulator
     from repro.serving.trace import DiurnalCurve, FlashCrowdCurve
-    from repro.serving.validate import check_invariants
 
     cost_model, model, generator, service_s, slo_s = _context(params)
     family = params["family"]
@@ -192,11 +191,9 @@ def _run_cell(params: dict) -> dict:
                 cost_model, model, **_simulator_kwargs(slo_s)
             )
             metrics = simulator.simulate(trace, record_events=True)
-            violations = check_invariants(
-                simulator.events, trace,
-                page_tokens=simulator.page_tokens, admission="optimistic",
+            return _cell_metrics(
+                metrics, trace, simulator.validate_invariants()
             )
-            return _cell_metrics(metrics, trace, violations)
         cluster = ClusterSimulator(
             cost_model, model, num_replicas=1,
             failures="none", autoscaler="fixed",

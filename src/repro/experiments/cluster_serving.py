@@ -155,7 +155,6 @@ def _run_cell(params: dict) -> dict:
     """
     from repro.serving.cluster import ClusterSimulator
     from repro.serving.simulator import ServingSimulator
-    from repro.serving.validate import check_invariants
 
     admission = params["admission"]
     engine = params.get("engine", "object")
@@ -165,12 +164,7 @@ def _run_cell(params: dict) -> dict:
             cost_model, model, **_simulator_kwargs(admission, engine)
         )
         metrics = simulator.simulate(trace, record_events=True)
-        violations = check_invariants(
-            simulator.events,
-            trace,
-            page_tokens=simulator.page_tokens,
-            admission=admission,
-        )
+        violations = simulator.validate_invariants()
         return {
             "capacity_rps": 1.0 / service_s,
             "rate_rps": rate_rps,

@@ -142,7 +142,6 @@ def _run_cell(params: dict) -> dict:
     from repro.models import GPT2_CONFIGS
     from repro.serving.simulator import ServingSimulator, mean_service_time_s
     from repro.serving.trace import get_trace_generator
-    from repro.serving.validate import check_invariants
 
     model = GPT2_CONFIGS[MODEL_KEY]
     cost_model = make_cost_model(BACKEND)
@@ -167,12 +166,7 @@ def _run_cell(params: dict) -> dict:
     )
     reference = ServingSimulator(cost_model, model, engine="object", **kwargs)
     metrics = reference.simulate(trace, record_events=True)
-    violations = check_invariants(
-        reference.events,
-        trace,
-        page_tokens=reference.page_tokens,
-        admission="optimistic",
-    )
+    violations = reference.validate_invariants()
     candidate = ServingSimulator(cost_model, model, engine="array", **kwargs)
     candidate_metrics = candidate.simulate(trace, record_events=True)
     engines_agree = (

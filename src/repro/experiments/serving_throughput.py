@@ -26,8 +26,9 @@ prefill chunking × KV-cache budget**:
 Traces carry two priority classes; the SLO targets are per-class multiples
 of the mix's mean service time (:data:`SLO_SCALES`), so attainment is
 comparable across backends.  Every cell also replays its own event log
-through :func:`repro.serving.validate.check_invariants` and reports the
-violation count (always 0) — the sweep doubles as an invariant oracle.
+through :meth:`~repro.serving.simulator.ServingSimulator.validate_invariants`
+(page-ledger replay included) and reports the violation count (always 0)
+— the sweep doubles as an invariant oracle.
 
 Because trace generation rescales one normalized arrival pattern per seed
 (see :mod:`repro.serving.trace`), every point of a backend's curve serves
@@ -118,7 +119,6 @@ def _run_cell(params: dict) -> dict:
     from repro.models import GPT2_CONFIGS
     from repro.serving.simulator import ServingSimulator, mean_service_time_s
     from repro.serving.trace import get_trace_generator
-    from repro.serving.validate import check_invariants
 
     model = GPT2_CONFIGS[MODEL_KEY]
     cost_model = make_cost_model(params["backend"])
@@ -142,7 +142,7 @@ def _run_cell(params: dict) -> dict:
         engine=params.get("engine", "object"),
     )
     metrics = simulator.simulate(trace, record_events=True)
-    violations = check_invariants(simulator.events, trace)
+    violations = simulator.validate_invariants()
     return {
         "capacity_rps": 1.0 / service_s,
         "rate_rps": rate_rps,

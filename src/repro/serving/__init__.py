@@ -54,7 +54,9 @@ Layering — who knows what:
 :mod:`repro.serving.validate`
     :func:`check_invariants`: replays a recorded event log against the
     trace and reports scheduling-invariant violations (``repro serve
-    --validate`` and the invariant test suite use it as an oracle).
+    --validate`` and the invariant test suite use it as an oracle;
+    ``ServingSimulator.validate_invariants`` configures it from the
+    simulator that recorded the log).
     :func:`check_cluster_invariants` extends the replay across replica
     failures, failover and autoscaling.
 :mod:`repro.serving.failures`

@@ -102,7 +102,7 @@ from repro.serving.simulator import (
     _validated_construct,
     request_aggregates,
 )
-from repro.serving.validate import check_cluster_invariants, check_invariants
+from repro.serving.validate import check_cluster_invariants
 
 __all__ = [
     "ReplicaSnapshot",
@@ -1013,7 +1013,8 @@ class ClusterSimulator:
         """Replay the last run's event logs through the invariant checker.
 
         Fixed fleets replay each replica's log against its exact
-        assignment (:func:`~repro.serving.validate.check_invariants`);
+        assignment (:meth:`ServingSimulator.check_events
+        <repro.serving.simulator.ServingSimulator.check_events>`);
         with a failure schedule or autoscaler active, failover
         legitimately moves requests between replicas, so the cross-replica
         books are balanced instead
@@ -1035,22 +1036,13 @@ class ClusterSimulator:
                 initial_replicas=self._initial_count,
                 default_model=self.model.name,
             )
-        violations: list[str] = []
-        for index, (events, assigned) in enumerate(
-            zip(self.events, self.assignments)
-        ):
-            replica = self.replicas[index]
-            violations.extend(
-                f"replica {index}: {violation}"
-                for violation in check_invariants(
-                    events,
-                    assigned,
-                    page_tokens=replica.page_tokens,
-                    admission=replica.admission,
-                    default_model=self.model.name,
-                )
+        return [
+            f"replica {index}: {violation}"
+            for index, (replica, events, assigned) in enumerate(
+                zip(self.replicas, self.events, self.assignments)
             )
-        return violations
+            for violation in replica.check_events(events, assigned)
+        ]
 
     # ------------------------------------------------------------------
     def _pool(

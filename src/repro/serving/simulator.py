@@ -165,7 +165,7 @@ from repro.models.transformer import ModelConfig
 from repro.models.workload import Stage, StagePass
 from repro.serving.kv_memory import DEFAULT_PAGE_TOKENS, KvPageAccountant
 from repro.serving.request import Request, RequestMetrics
-from repro.serving.validate import SimEvent
+from repro.serving.validate import SimEvent, check_invariants
 
 __all__ = [
     "PassCostProvider",
@@ -1899,7 +1899,8 @@ class ServingSimulator:
         A name in :data:`POLICIES` (``"fcfs"``, ``"interleaved"``,
         ``"srpt"``, ``"priority"``) or a :class:`ServingPolicy` instance.
     max_batch:
-        Decode-batch cap of the batching policies (ignored by FCFS).
+        Decode-batch cap of the batching policies (ignored by FCFS, but
+        at least 1 under every policy).
     exact:
         Price every decode KV length exactly instead of interpolating over
         ``kv_samples`` anchors (see :class:`PassCostProvider`).
@@ -1908,7 +1909,8 @@ class ServingSimulator:
         the module docstring); 1.0 models fully shared weight streaming.
     kv_fraction:
         Fraction of the backend's weight-free memory granted to the KV page
-        pool (admission control; see :mod:`repro.serving.kv_memory`).
+        pool (admission control; see :mod:`repro.serving.kv_memory`), in
+        ``(0, 1]`` even when ``kv_budget`` overrides it.
     page_tokens:
         Tokens per KV page.
     kv_budget:
@@ -2000,8 +2002,13 @@ class ServingSimulator:
         models: "Sequence[ModelConfig] | None" = None,
         num_classes: "int | None" = None,
     ) -> None:
+        if max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
         if not 0.0 <= batch_share <= 1.0:
             raise ValueError("batch_share must be in [0, 1]")
+        # Chained range checks also reject NaN, which fails every comparison.
+        if not 0.0 < kv_fraction <= 1.0:
+            raise ValueError("kv_fraction must be in (0, 1]")
         if chunk_tokens < 0:
             raise ValueError("chunk_tokens must be non-negative (0 = unchunked)")
         if admission not in ADMISSION_MODES:
@@ -2113,6 +2120,8 @@ class ServingSimulator:
         #: The run behind the last one-shot ``simulate``/``simulate_stream``
         #: (profiling reads ``last_run.phase_s``).
         self.last_run: "SimulationRun | None" = None
+        #: The trace of the last ``simulate``, for :meth:`validate_invariants`.
+        self._last_trace: "list[Request] | None" = None
 
     def _new_accountant(self) -> KvPageAccountant:
         return KvPageAccountant.for_backend(
@@ -2187,6 +2196,7 @@ class ServingSimulator:
         )
         self.events = run.events
         self.last_run = run
+        self._last_trace = ordered
         run.offer_many(ordered)
         return run.finish()
 
@@ -2215,11 +2225,45 @@ class ServingSimulator:
         run = self.begin(record_events=record_events, kv_bounds=kv_bounds)
         self.events = run.events
         self.last_run = run
+        self._last_trace = None
         for chunk in chunks:
             if chunk:
                 run.offer_many(chunk)
                 run.advance_until(chunk[-1].arrival_s)
         return run.finish()
+
+    def validate_invariants(self) -> list[str]:
+        """Replay the last ``simulate``'s event log through the invariant
+        checker; returns the violations (empty = sound).
+
+        The twin of :meth:`ClusterSimulator.validate_invariants
+        <repro.serving.cluster.ClusterSimulator.validate_invariants>`.  A
+        streamed run keeps no trace to replay against, so it needs a
+        ``simulate`` as much as a fresh simulator does.
+        """
+        if self._last_trace is None:
+            raise RuntimeError("validate_invariants() needs a simulate() first")
+        if self.events is None:
+            raise RuntimeError(
+                "validate_invariants() needs simulate(record_events=True)"
+            )
+        return self.check_events(self.events, self._last_trace)
+
+    def check_events(
+        self, events: "Sequence[SimEvent]", requests: "Sequence[Request]"
+    ) -> list[str]:
+        """:func:`~repro.serving.validate.check_invariants` of a log this
+        simulator recorded while serving ``requests``, configured from the
+        simulator itself: its ``page_tokens`` and ``admission`` enable the
+        exact page-ledger replay, and its default model the resident-model
+        replay."""
+        return check_invariants(
+            events,
+            requests,
+            page_tokens=self.page_tokens,
+            admission=self.admission,
+            default_model=self.model.name,
+        )
 
     # ------------------------------------------------------------------
     def _completed(self, flight: _InFlight, completion_s: float) -> RequestMetrics:

@@ -342,18 +342,15 @@ class TraceGenerator:
         if not self.workloads:
             raise ValueError(f"trace generator {self.name!r} needs a non-empty mix")
 
-    def _resolve_prefix(
-        self, prefix_tokens: "int | None", prefix_groups: int
-    ) -> int:
-        """Validate the shared-prefix knobs; returns the prefix length."""
-        if prefix_groups < 1:
-            raise ValueError("prefix_groups must be at least 1")
+    def _resolve_prefix(self, prefix_tokens: "int | None") -> int:
+        """The shared prefix length of a sharing trace: the default, or
+        ``prefix_tokens`` if every prompt of the mix can hold it."""
         shortest = self.min_input_tokens
         if prefix_tokens is None:
             # Half the shortest prompt of the mix: shareable by every
             # request, long enough to span whole pages at default size.
             prefix_tokens = max(1, shortest // 2)
-        if not 1 <= prefix_tokens <= shortest:
+        if prefix_tokens > shortest:
             raise ValueError(
                 f"prefix_tokens must be in [1, {shortest}] (the shortest "
                 f"prompt of the {self.name!r} mix) so every member of a "
@@ -494,6 +491,10 @@ class TraceGenerator:
             )
         if not 0.0 <= prefix_share <= 1.0:
             raise ValueError(f"prefix_share must be in [0, 1], got {prefix_share!r}")
+        if prefix_tokens is not None and prefix_tokens < 1:
+            raise ValueError("prefix_tokens must be at least 1")
+        if prefix_groups < 1:
+            raise ValueError("prefix_groups must be at least 1")
         if num_classes < 1:
             raise ValueError("num_classes must be at least 1")
         if chunk_requests < 1:
@@ -501,7 +502,7 @@ class TraceGenerator:
         if isinstance(curve, str):
             curve = make_trace_curve(curve)
         if prefix_share > 0.0:
-            prefix_tokens = self._resolve_prefix(prefix_tokens, prefix_groups)
+            prefix_tokens = self._resolve_prefix(prefix_tokens)
         mix = (
             self._resolve_model_mix(model_mix) if model_mix is not None else None
         )

@@ -60,6 +60,16 @@ class TestProtocolConformance:
         with pytest.raises(ValueError, match="unknown backend"):
             make_cost_model("tpu")
 
+    @pytest.mark.parametrize("name", ["a100", "dfx"])
+    def test_analytical_baselines_reject_a_device_count(self, name):
+        # They model one device; a count they would ignore is an error.
+        for devices in (0, 4):
+            with pytest.raises(
+                ValueError, match=f"num_devices={devices} .* simulator backends"
+            ):
+                make_cost_model(name, num_devices=devices)
+        assert make_cost_model(name, num_devices=1).name == make_cost_model(name).name
+
     @pytest.mark.parametrize("name", EVALUATED_BACKENDS)
     def test_generation_cost_grows_with_kv_length(self, name):
         backend = make_cost_model(name)

@@ -142,11 +142,22 @@ class TestStreamingTraces:
             ({"start_s": float("nan")}, "start_s"),
             ({"start_s": float("inf")}, "start_s"),
             ({"start_s": -1.0}, "start_s"),
+            # Lower bounds hold with or without sharing.
+            ({"prefix_tokens": 0}, "prefix_tokens"),
+            ({"prefix_groups": 0}, "prefix_groups"),
+            ({"prefix_share": 0.5, "prefix_tokens": -1}, "prefix_tokens"),
         ]:
             with pytest.raises(ValueError, match=name):
                 generator.generate_stream(4, 1.0, **kwargs)
             with pytest.raises(ValueError, match=name):
                 generator.generate(4, 1.0, curve="diurnal", **kwargs)
+        # The upper bound (the mix's shortest prompt) binds only a sharing
+        # trace, since nothing else uses the prefix length.
+        assert generator.generate(4, 1.0, prefix_tokens=100_000) == (
+            generator.generate(4, 1.0)
+        )
+        with pytest.raises(ValueError, match="prefix_tokens must be in"):
+            generator.generate(4, 1.0, prefix_share=0.5, prefix_tokens=100_000)
 
     def test_simulate_stream_equals_simulate(self):
         generator = get_trace_generator("chatbot")

@@ -245,6 +245,20 @@ class TestSimulatorInvariants:
             ServingSimulator(make_cost_model("ianus"), MODEL, chunk_tokens=-1)
         with pytest.raises(ValueError, match="slo_targets"):
             ServingSimulator(make_cost_model("ianus"), MODEL, slo_targets=(0.0,))
+        # FCFS ignores the cap, but the simulator still owns its range.
+        with pytest.raises(ValueError, match="max_batch"):
+            ServingSimulator(
+                make_cost_model("ianus"), MODEL, policy="fcfs", max_batch=0
+            )
+        # An explicit budget overrides kv_fraction without excusing it, and
+        # the error names the simulator's keyword, not the helper's.
+        for budget in (None, 1 << 30):
+            for fraction in (0.0, 1.5, float("nan")):
+                with pytest.raises(ValueError, match=r"kv_fraction must be in \(0, 1\]"):
+                    ServingSimulator(
+                        make_cost_model("ianus"), MODEL,
+                        kv_fraction=fraction, kv_budget=budget,
+                    )
 
     def test_every_registered_policy_constructs(self):
         from repro.serving import POLICIES

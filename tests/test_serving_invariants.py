@@ -205,6 +205,49 @@ class TestValidatorCatchesViolations:
         )
 
 
+class TestValidateInvariants:
+    """``ServingSimulator.validate_invariants`` replays the last
+    ``simulate`` configured from the simulator itself."""
+
+    def test_needs_a_simulate_that_recorded_events(self):
+        trace = get_trace_generator("chatbot").generate(4, 10.0, seed=0)
+        simulator = ServingSimulator(LinearCostModel(), MODEL)
+        with pytest.raises(RuntimeError, match=r"simulate\(\) first"):
+            simulator.validate_invariants()
+        simulator.simulate(trace)
+        with pytest.raises(RuntimeError, match=r"record_events=True"):
+            simulator.validate_invariants()
+        # A streamed run keeps no trace to replay its log against.
+        simulator.simulate_stream([trace], record_events=True)
+        with pytest.raises(RuntimeError, match=r"simulate\(\) first"):
+            simulator.validate_invariants()
+
+    def test_replays_the_page_ledger_and_resident_model(self):
+        trace, simulator, _ = _simulate(
+            "interleaved", 7, chunk_tokens=96, admission="optimistic",
+            page_tokens=8,
+        )
+        events = simulator.events
+        assert simulator.validate_invariants() == []
+        assert simulator.validate_invariants() == check_invariants(
+            events, trace, page_tokens=8, admission="optimistic",
+            default_model=MODEL.name,
+        )
+        # One reservation misreported by a page passes the checker without
+        # a ledger, but not the ledger the simulator configures.
+        index = next(
+            i for i, e in enumerate(events)
+            if e.kind == "step" and e.kv_reserved_pages > 0
+        )
+        events[index] = dataclasses.replace(
+            events[index], kv_reserved_pages=events[index].kv_reserved_pages - 1
+        )
+        assert check_invariants(events, trace) == []
+        assert any(
+            "page ledger mismatch" in v for v in simulator.validate_invariants()
+        )
+
+
 class TestChunkedPrefillExactness:
     """Chunking is cost-conserving: chunk costs telescope to the whole pass."""
 

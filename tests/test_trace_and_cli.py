@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.trace import overlap_matrix, render_gantt, timeline_to_records
 from repro.cli import build_parser, main
@@ -62,6 +65,41 @@ class TestTraceExport:
     def test_overlap_matrix_symmetric_by_construction(self, generation_timeline):
         matrix = overlap_matrix(generation_timeline)
         assert all(first < second for (first, second) in matrix)
+
+
+#: Every numeric ``repro serve`` flag: (its flag and keyword spellings,
+#: finite out-of-range values, one in-range value).  Every flag also
+#: rejects the non-finite values; ``--flag=value`` keeps argparse from
+#: reading ``-inf`` as an option.
+SERVE_NUMERIC_FLAGS = {
+    "--requests": (("--requests",), ("0", "-3"), "3"),
+    "--replicas": (("--replicas", "num_replicas"), ("0", "-2"), "2"),
+    "--rate": (("--rate", "rate_rps"), ("0", "-1.5"), "5"),
+    "--load": (("--load",), ("0", "-0.5"), "0.8"),
+    "--max-batch": (("--max-batch", "max_batch"), ("0", "-1"), "2"),
+    "--batch-share": (("--batch-share", "batch_share"), ("-0.5", "1.5"), "0.5"),
+    "--kv-fraction": (("--kv-fraction", "kv_fraction"), ("0", "-0.5", "1.5"), "0.5"),
+    "--page-tokens": (("--page-tokens", "page_tokens"), ("0", "-16"), "8"),
+    "--chunk-tokens": (("--chunk-tokens", "chunk_tokens"), ("-1", "-64"), "32"),
+    "--prefix-share": (("--prefix-share", "prefix_share"), ("-0.1", "1.5"), "0.5"),
+    "--prefix-tokens": (("--prefix-tokens", "prefix_tokens"), ("0", "-8"), "8"),
+    "--prefix-groups": (("--prefix-groups", "prefix_groups"), ("0", "-2"), "2"),
+    "--link-gbps": (("--link-gbps", "link_gbps"), ("0", "-8"), "8"),
+    "--classes": (("--classes", "num_classes"), ("0", "-2"), "2"),
+    "--devices": (("--devices", "num_devices"), ("0", "-1"), "2"),
+}
+
+
+def _run_cli(argv) -> "tuple[int, str]":
+    """Exit code and standard error of one in-process CLI run (argparse
+    rejects an unparseable value by raising ``SystemExit``)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, err.getvalue()
 
 
 class TestCli:
@@ -193,10 +231,10 @@ class TestCli:
         "argv, message",
         [
             (["serve", "--requests", "0", "--no-disk-cache"], "--requests"),
-            (["serve", "--rate", "-1", "--no-disk-cache"], "--rate"),
+            (["serve", "--rate", "-1", "--no-disk-cache"], "rate_rps"),
             (["serve", "--load", "0", "--no-disk-cache"], "--load"),
-            (["serve", "--max-batch", "0", "--no-disk-cache"], "--max-batch"),
-            (["serve", "--batch-share", "1.5", "--no-disk-cache"], "--batch-share"),
+            (["serve", "--max-batch", "0", "--no-disk-cache"], "max_batch"),
+            (["serve", "--batch-share", "1.5", "--no-disk-cache"], "batch_share"),
             (["serve", "--trace", "nope", "--no-disk-cache"], "unknown trace"),
             (["serve", "--model", "nope", "--no-disk-cache"], "unknown model"),
             (
@@ -204,14 +242,17 @@ class TestCli:
                  "--rate", "2.0", "--requests", "2", "--no-disk-cache"],
                 "not a decoder",
             ),
-            (["serve", "--kv-fraction", "0", "--no-disk-cache"], "--kv-fraction"),
-            (["serve", "--kv-fraction", "1.5", "--no-disk-cache"], "(0, 1]"),
-            (["serve", "--page-tokens", "0", "--no-disk-cache"], "--page-tokens"),
-            (["serve", "--prefix-share", "1.2", "--no-disk-cache"], "--prefix-share"),
+            (["serve", "--kv-fraction", "0", "--no-disk-cache"], "kv_fraction"),
+            (
+                ["serve", "--kv-fraction", "1.5", "--no-disk-cache"],
+                "kv_fraction must be in (0, 1]",
+            ),
+            (["serve", "--page-tokens", "0", "--no-disk-cache"], "page_tokens"),
+            (["serve", "--prefix-share", "1.2", "--no-disk-cache"], "prefix_share"),
             (["serve", "--prefix-share", "-0.1", "--no-disk-cache"], "[0, 1]"),
-            (["serve", "--prefix-tokens", "0", "--no-disk-cache"], "--prefix-tokens"),
-            (["serve", "--prefix-groups", "0", "--no-disk-cache"], "--prefix-groups"),
-            (["serve", "--swap", "--link-gbps", "0", "--no-disk-cache"], "--link-gbps"),
+            (["serve", "--prefix-tokens", "0", "--no-disk-cache"], "prefix_tokens"),
+            (["serve", "--prefix-groups", "0", "--no-disk-cache"], "prefix_groups"),
+            (["serve", "--swap", "--link-gbps", "0", "--no-disk-cache"], "link_gbps"),
             (
                 ["serve", "--swap", "--link-gbps", "nan", "--no-disk-cache"],
                 "positive finite",
@@ -225,13 +266,17 @@ class TestCli:
                 "optimistic admission",
             ),
             (["serve", "--slo", "nan", "--no-disk-cache"], "slo_targets"),
-            (["serve", "--rate", "nan", "--no-disk-cache"], "--rate"),
-            (["serve", "--rate", "inf", "--no-disk-cache"], "--rate"),
+            (["serve", "--rate", "nan", "--no-disk-cache"], "rate_rps"),
+            (["serve", "--rate", "inf", "--no-disk-cache"], "rate_rps"),
             (["serve", "--load", "nan", "--no-disk-cache"], "--load"),
             (
                 ["serve", "--prefix-share", "0.5", "--prefix-tokens", "100000",
                  "--no-disk-cache"],
                 "prefix_tokens must be in",
+            ),
+            (
+                ["serve", "--backend", "dfx", "--devices", "4", "--no-disk-cache"],
+                "num_devices=4",
             ),
         ],
     )
@@ -248,6 +293,13 @@ class TestCli:
                 ["simulate", "--output-tokens", "-1"],
                 "output_tokens must be non-negative",
             ),
+            # The analytical baselines model one device.
+            (
+                ["simulate", "--backend", "a100", "--devices", "-1"],
+                "num_devices=-1 is not supported",
+            ),
+            # GPT-13B needs ~24.6 GiB: more than one IANUS device holds.
+            (["simulate", "--model", "gpt-13b"], "gpt-13b needs"),
         ],
     )
     def test_simulate_rejects_invalid_arguments(self, argv, message, capsys):
@@ -256,3 +308,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert "Traceback" not in err
+
+    def test_simulate_a_model_that_fits_only_across_devices(self, capsys):
+        assert main([
+            "simulate", "--model", "gpt-13b", "--backend", "ianus-x4",
+            "--input-tokens", "32", "--output-tokens", "2",
+        ]) == 0
+        assert "total" in capsys.readouterr().out
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from([
+            (flag, value)
+            for flag, (_, bad_values, _) in SERVE_NUMERIC_FLAGS.items()
+            for value in (*bad_values, "nan", "inf", "-inf")
+        ]),
+        policy=st.sampled_from(("fcfs", "interleaved", "srpt", "priority")),
+        backend=st.sampled_from(("ianus", "a100")),
+    )
+    @example(case=("--devices", "0"), policy="fcfs", backend="a100")
+    def test_numeric_serve_flags_reject_out_of_range_values(
+        self, case, policy, backend
+    ):
+        # Each numeric flag is validated in one place (the CLI, a
+        # constructor, the trace generator or argparse's int parsing);
+        # wherever that is, an out-of-range value exits 2 naming the knob.
+        flag, bad = case
+        names, _, good = SERVE_NUMERIC_FLAGS[flag]
+        if flag == "--devices" and backend == "a100":
+            good = "1"  # the analytical baselines model exactly one device
+        base = [
+            "serve", "--model", "gpt2-m", "--requests", "4", "--no-disk-cache",
+            "--policy", policy, "--backend", backend,
+        ]
+        code, err = _run_cli([*base, f"{flag}={bad}"])
+        assert code == 2, err
+        assert "Traceback" not in err
+        assert any(name in err for name in names), err
+        code, err = _run_cli([*base, f"{flag}={good}"])
+        assert code == 0, err
+
