@@ -1,10 +1,11 @@
 """Benchmark-harness configuration.
 
-Each ``bench_*.py`` module regenerates one table or figure of the paper via
-``repro.experiments.registry`` and times the regeneration with
-pytest-benchmark.  Run the whole harness with::
+Each ``bench_*.py`` module times one serving scenario or runner mode with
+pytest-benchmark and asserts the claims that scenario exists to show; a CI
+step runs every one of them (at a capped size where its module reads a
+``REPRO_BENCH_*_REQUESTS`` cap).  Run the whole harness with::
 
     pytest benchmarks/ --benchmark-only
 
-Add ``-s`` to print every regenerated table next to the paper's claims.
+Per-experiment timing comes from ``repro bench <ids> [--jobs N] [--json PATH]``.
 """

@@ -1,10 +1,24 @@
-"""Legacy setuptools entry point.
+"""Package metadata for the IANUS reproduction (the ``repro`` package).
 
-Kept so that ``pip install -e .`` works in offline environments whose
-setuptools/wheel combination cannot build PEP 660 editable wheels; all
-project metadata lives in ``pyproject.toml``.
+All project metadata lives here.  The version has one source,
+``__version__`` in ``src/repro/__init__.py``, which this script reads
+without importing the package.  ``PYTHONPATH=src`` runs everything from a
+checkout; ``pip install -e .`` installs the package in place.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(r'^__version__ = "([^"]+)"$', _INIT.read_text(), re.MULTILINE)
+
+setup(
+    name="repro",
+    version=_VERSION.group(1),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

@@ -8,10 +8,11 @@ command becomes ready, the scheduler forwards it to the PIM control unit and
 puts DMA commands that target off-chip memory into a "wait" state so PIM
 execution is not interrupted.
 
-This module implements the queue bookkeeping; the event engine drives it with
-simulated time.  It is deliberately separate from
-:mod:`repro.scheduling.events` so the queue-capacity behaviour (Table 1: four
-issue slots per unit, 256 pending slots) can be unit tested on its own.
+This module implements the queue bookkeeping as a standalone model of the
+queue-capacity behaviour (Table 1: four issue slots per unit, 256 pending
+slots), unit tested on its own.  Nothing in the simulation drives it: the
+event engine in :mod:`repro.scheduling.events` assigns every command its
+execution window without it.
 """
 
 from __future__ import annotations

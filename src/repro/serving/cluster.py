@@ -98,8 +98,8 @@ from repro.serving.simulator import (
     ServingSimulator,
     SimulationRun,
     _book_phase,
-    _decode_kv_bounds,
     _validated_construct,
+    decode_kv_bounds,
     request_aggregates,
 )
 from repro.serving.validate import check_cluster_invariants
@@ -948,7 +948,7 @@ class ClusterSimulator:
         peaks, an upper bound).
         """
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        bounds = _decode_kv_bounds(ordered)
+        bounds = decode_kv_bounds(ordered)
         # A reused simulator must stay deterministic: stateful routers
         # (round-robin's rotation) restart with every simulation, and the
         # fleet shrinks back to its initial replicas (autoscaling grows

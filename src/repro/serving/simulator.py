@@ -410,7 +410,7 @@ class PassCostProvider:
         return cost
 
 
-def _decode_kv_bounds(items) -> "tuple[int, int] | None":
+def decode_kv_bounds(items) -> "tuple[int, int] | None":
     """(min, max) decode KV length over requests or workloads, or ``None``.
 
     A request's decode passes span KV lengths ``input+1 .. input+output-1``
@@ -418,6 +418,12 @@ def _decode_kv_bounds(items) -> "tuple[int, int] | None":
     token contribute no decode pass.  Works on anything exposing
     ``input_tokens``/``output_tokens`` (:class:`~repro.serving.request.Request`,
     :class:`~repro.models.workload.Workload`).
+
+    Streaming callers cannot derive bounds from a trace they have not
+    materialized; pass the generator's *workloads* here instead (the mix
+    bounds cover every request drawn from it) and hand the result to
+    :meth:`ServingSimulator.simulate_stream` or
+    :meth:`ServingSimulator.begin`.
     """
     bounds = [
         bound
@@ -433,24 +439,11 @@ def _decode_kv_bounds(items) -> "tuple[int, int] | None":
     return min(bounds), max(bounds)
 
 
-def decode_kv_bounds(items) -> "tuple[int, int] | None":
-    """Public form of :func:`_decode_kv_bounds`.
-
-    Streaming callers cannot derive bounds from a trace they have not
-    materialized; pass the generator's *workloads* here instead (the mix
-    bounds cover every request drawn from it) and hand the result to
-    :meth:`ServingSimulator.simulate_stream` or
-    :meth:`ServingSimulator.begin`.
-    """
-    return _decode_kv_bounds(items)
-
-
 def mean_service_time_s(
     cost_model: CostModel,
     model: ModelConfig,
     workloads: "Sequence",
     exact: bool = False,
-    kv_samples: int = DEFAULT_KV_SAMPLES,
 ) -> float:
     """Mean run-to-completion service time of a workload mix (uniform weights).
 
@@ -462,8 +455,8 @@ def mean_service_time_s(
     """
     if not workloads:
         raise ValueError("workloads must be non-empty")
-    provider = PassCostProvider(cost_model, model, exact=exact, kv_samples=kv_samples)
-    kv_bounds = _decode_kv_bounds(workloads)
+    provider = PassCostProvider(cost_model, model, exact=exact)
+    kv_bounds = decode_kv_bounds(workloads)
     if kv_bounds is not None:
         provider.prepare(*kv_bounds)
     total = 0.0
@@ -1903,7 +1896,7 @@ class ServingSimulator:
         at least 1 under every policy).
     exact:
         Price every decode KV length exactly instead of interpolating over
-        ``kv_samples`` anchors (see :class:`PassCostProvider`).
+        :data:`DEFAULT_KV_SAMPLES` anchors (see :class:`PassCostProvider`).
     batch_share:
         Fraction of the decode cost floor shared across a fused batch (see
         the module docstring); 1.0 models fully shared weight streaming.
@@ -1985,7 +1978,6 @@ class ServingSimulator:
         policy: "ServingPolicy | str" = "interleaved",
         max_batch: int = 8,
         exact: bool = False,
-        kv_samples: int = DEFAULT_KV_SAMPLES,
         batch_share: float = 1.0,
         kv_fraction: float = 1.0,
         page_tokens: int = DEFAULT_PAGE_TOKENS,
@@ -2099,16 +2091,14 @@ class ServingSimulator:
                 f"(see ServingPolicy); got {type(self.policy).__name__} — "
                 f"use engine='object' for custom policies"
             )
-        self.provider = PassCostProvider(
-            cost_model, model, exact=exact, kv_samples=kv_samples
-        )
+        self.provider = PassCostProvider(cost_model, model, exact=exact)
         #: Per-model pass-cost providers (the default model reuses
         #: ``self.provider`` so single-model costing is untouched).
         self.providers = {model.name: self.provider}
         for member in model_set:
             if member.name not in self.providers:
                 self.providers[member.name] = PassCostProvider(
-                    cost_model, member, exact=exact, kv_samples=kv_samples
+                    cost_model, member, exact=exact
                 )
         self._weight_bytes = {
             member.name: model_weight_bytes(member) for member in model_set
@@ -2192,7 +2182,7 @@ class ServingSimulator:
         """Play a trace to completion and return its metrics."""
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
         run = self.begin(
-            record_events=record_events, kv_bounds=_decode_kv_bounds(ordered)
+            record_events=record_events, kv_bounds=decode_kv_bounds(ordered)
         )
         self.events = run.events
         self.last_run = run

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: long-running test (exhaustive sweeps, exact-mode runs)"
-    )
 
 
 @pytest.fixture(autouse=True)
@@ -23,9 +19,28 @@ def _isolated_cache_dir(tmp_path, monkeypatch):
 
 from repro.config import SystemConfig
 from repro.core.system import IanusSystem
+from repro.experiments.registry import SWEEPS, run_experiment
 from repro.models import GPT2_CONFIGS, Workload
 from repro.models.workload import Stage, StagePass
+from repro.perf import run_many
 from repro.scheduling.durations import DurationModel
+
+
+@pytest.fixture(scope="session")
+def experiment_result():
+    """``experiment_result(id)``: a registered experiment's fast-mode result.
+
+    Each experiment is evaluated at most once per session, on first use, so
+    every test of an experiment's rows or claims reads the same run.  The
+    results are shared: read them, never mutate them.
+    """
+    return functools.cache(functools.partial(run_experiment, fast=True))
+
+
+@pytest.fixture(scope="session")
+def sharded_run():
+    """One cell-sharded ``run_many`` over every experiment with a sweep grid."""
+    return run_many(tuple(SWEEPS), fast=True, jobs=2)
 
 
 @pytest.fixture(scope="session")

@@ -3,13 +3,16 @@
 Covers the correctness contract of the pass-cost cache (identical results
 with the cache enabled, disabled, and across fast/exact modes), the cache
 bookkeeping (hit/miss counters, clear, fingerprint invalidation), the lazy
-timeline fast path, the slots pass over the hot classes, and the parallel
-experiment runner with its BENCH_*.json-compatible timing report.
+timeline fast path, the slots pass over the hot classes, the parallel
+experiment runner with its BENCH_*.json-compatible timing report, and that
+every ``benchmarks/bench_*.py`` module has a CI step.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -347,3 +350,13 @@ class TestCliBench:
         from repro.cli import main
 
         assert main(["bench", "nope"]) == 2
+
+
+class TestBenchmarksInCi:
+    def test_every_bench_module_has_a_ci_step_and_every_step_a_module(self):
+        root = Path(__file__).resolve().parents[1]
+        workflow = (root / ".github" / "workflows" / "ci.yml").read_text()
+        in_ci = set(re.findall(r"benchmarks/(bench_\w+\.py)", workflow))
+        on_disk = {path.name for path in (root / "benchmarks").glob("bench_*.py")}
+        assert sorted(on_disk - in_ci) == [], "benches that no CI step runs"
+        assert sorted(in_ci - on_disk) == [], "CI steps naming a missing bench"

@@ -4,7 +4,9 @@ Covers the :class:`repro.experiments.base.Sweep` contract (unique cell ids,
 missing-output detection, ``execute`` == ``run``), the registry's sweep
 index, the runner's cell-sharded pool path (byte-identical rows vs serial,
 per-cell timings and cache counters in the report), and the Fig. 8 fast-mode
-trim.
+trim.  The serial side of each comparison is the session's one fast-mode
+evaluation (the ``experiment_result`` fixture), and the sharded side the
+session's one ``sharded_run``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import pytest
 
 from repro.experiments.base import Cell, ExperimentResult, Sweep
-from repro.experiments.registry import SWEEPS, get_sweep, run_experiment
+from repro.experiments.registry import SWEEPS, get_sweep
 from repro.perf import run_many, write_report
 
 #: Every experiment ported to the sweep abstraction (PR 2 + PR 3).
@@ -82,9 +84,9 @@ class TestRegistrySweeps:
         assert get_sweep("table1", fast=True) is None
 
     @pytest.mark.parametrize("experiment_id", PORTED)
-    def test_sweep_execute_equals_run(self, experiment_id):
+    def test_sweep_execute_equals_run(self, experiment_result, experiment_id):
         via_sweep = get_sweep(experiment_id, fast=True).execute()
-        via_run = run_experiment(experiment_id, fast=True)
+        via_run = experiment_result(experiment_id)
         assert via_sweep.rows == via_run.rows
         assert via_sweep.measured_claims == via_run.measured_claims
 
@@ -108,25 +110,22 @@ class TestFig08FastMode:
 
 
 class TestShardedEquivalence:
-    def test_sharded_rows_identical_to_serial_for_every_ported_experiment(self):
-        serial = run_many(PORTED, fast=True, jobs=1)
-        sharded = run_many(PORTED, fast=True, jobs=2)
+    def test_sharded_rows_identical_to_serial_for_every_ported_experiment(
+        self, experiment_result, sharded_run
+    ):
         for experiment_id in PORTED:
-            assert sharded.results[experiment_id].rows == serial.results[experiment_id].rows, experiment_id
-            assert (
-                sharded.results[experiment_id].measured_claims
-                == serial.results[experiment_id].measured_claims
-            )
-            assert (
-                sharded.results[experiment_id].paper_claims
-                == serial.results[experiment_id].paper_claims
-            )
-        assert sharded.report.sharded
-        assert all(t.ok for t in sharded.report.timings)
+            sharded = sharded_run.results[experiment_id]
+            serial = experiment_result(experiment_id)
+            assert sharded.rows == serial.rows, experiment_id
+            assert sharded.measured_claims == serial.measured_claims
+            assert sharded.paper_claims == serial.paper_claims
+        assert sharded_run.report.sharded
+        assert all(t.ok for t in sharded_run.report.timings)
 
-    def test_sharded_report_carries_cell_timings(self):
-        outcome = run_many(["fig09"], fast=True, jobs=2)
-        (timing,) = outcome.report.timings
+    def test_sharded_report_carries_cell_timings(self, sharded_run):
+        (timing,) = [
+            t for t in sharded_run.report.timings if t.experiment_id == "fig09"
+        ]
         assert timing.cells == len(get_sweep("fig09", fast=True).cells)
         assert len(timing.cell_seconds) == timing.cells
         assert all(s >= 0 for s in timing.cell_seconds)
@@ -180,9 +179,8 @@ class TestReportSchema:
         )
         assert "cache_stats" in document
 
-    def test_cache_stats_aggregated_across_workers(self):
-        outcome = run_many(["fig09"], fast=True, jobs=2)
-        stats = outcome.report.cache_stats
+    def test_cache_stats_aggregated_across_workers(self, sharded_run):
+        stats = sharded_run.report.cache_stats
         assert stats["pass"]["misses"] + stats["pass"]["hits"] > 0
         assert stats["baseline"]["misses"] + stats["baseline"]["hits"] > 0
 
