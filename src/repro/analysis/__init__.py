@@ -1,4 +1,4 @@
-"""Analysis helpers: breakdowns, speedups, rooflines, traces, formatting."""
+"""Analysis helpers: breakdowns, speedups, timeline traces, formatting."""
 
 from repro.analysis.breakdown import (
     BREAKDOWN_CATEGORIES,
@@ -14,14 +14,7 @@ from repro.analysis.report import (
     speedup,
     total_latency_ratio,
 )
-from repro.analysis.roofline import (
-    OperatorIntensity,
-    Platform,
-    block_operator_intensities,
-    bound_fraction,
-    classify_operator,
-)
-from repro.analysis.trace import overlap_matrix, render_gantt, timeline_to_records
+from repro.analysis.trace import render_gantt, timeline_to_records
 
 __all__ = [
     "BREAKDOWN_CATEGORIES",
@@ -34,12 +27,6 @@ __all__ = [
     "geometric_mean",
     "speedup",
     "total_latency_ratio",
-    "OperatorIntensity",
-    "Platform",
-    "block_operator_intensities",
-    "bound_fraction",
-    "classify_operator",
-    "overlap_matrix",
     "render_gantt",
     "timeline_to_records",
 ]

@@ -7,9 +7,7 @@ module turns them into artefacts a person (or another tool) can consume:
   command) suitable for JSON export or conversion to a Chrome-trace file;
 * :func:`render_gantt` — a fixed-width ASCII Gantt chart with one lane per
   execution unit, which makes the PAS overlaps (and the serialisation the
-  naive policy suffers) directly visible in a terminal;
-* :func:`overlap_matrix` — pairwise busy-time overlap between units, the
-  quantity the scheduling ablation reasons about.
+  naive policy suffers) directly visible in a terminal.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from collections import defaultdict
 from repro.ir.command import Unit
 from repro.scheduling.events import Timeline
 
-__all__ = ["timeline_to_records", "render_gantt", "overlap_matrix"]
+__all__ = ["timeline_to_records", "render_gantt"]
 
 #: Lane order used by the Gantt rendering (sync commands are omitted).
 _LANE_ORDER = [
@@ -68,6 +66,8 @@ def render_gantt(timeline: Timeline, width: int = 80) -> str:
 
     Each lane shows ``#`` where the unit is busy; the time axis spans the
     timeline's makespan.  Sync commands are not drawn (they carry no work).
+    Numbers are never cut: the header's run of dots shrinks to fit the
+    makespan, and each lane ends with its full busy time.
     """
     if width < 20:
         raise ValueError("width must be at least 20 characters")
@@ -78,8 +78,9 @@ def render_gantt(timeline: Timeline, width: int = 80) -> str:
     label_width = max(len(label) for label in _LANE_LABELS.values()) + 2
     chart_width = width - label_width
     lines = []
-    header = " " * label_width + f"0 {'.' * (chart_width - 12)} {makespan * 1e6:,.1f} us"
-    lines.append(header[:width])
+    end_label = f"{makespan * 1e6:,.1f} us"
+    dots = "." * max(1, chart_width - len(end_label) - 3)
+    lines.append(" " * label_width + f"0 {dots} {end_label}")
 
     by_unit: dict[Unit, list] = defaultdict(list)
     for command in timeline.commands:
@@ -98,34 +99,6 @@ def render_gantt(timeline: Timeline, width: int = 80) -> str:
                 lane[position] = "#"
         busy = timeline.busy_time(unit)
         label = f"{_LANE_LABELS[unit]:<{label_width - 2}}"
-        lines.append(f"{label}  {''.join(lane)}  ({busy * 1e6:,.1f} us busy)"[: width + 20])
+        lines.append(f"{label}  {''.join(lane)}  ({busy * 1e6:,.1f} us busy)")
     return "\n".join(lines)
 
-
-def overlap_matrix(timeline: Timeline) -> dict[tuple[str, str], float]:
-    """Pairwise overlapped busy time (seconds) between execution units."""
-    intervals: dict[Unit, list[tuple[float, float]]] = defaultdict(list)
-    for command in timeline.commands:
-        if command.unit in _LANE_LABELS and command.duration > 0:
-            intervals[command.unit].append((command.start, command.end))
-
-    def merged(unit: Unit) -> list[tuple[float, float]]:
-        spans = sorted(intervals[unit])
-        result: list[tuple[float, float]] = []
-        for start, end in spans:
-            if result and start <= result[-1][1]:
-                result[-1] = (result[-1][0], max(result[-1][1], end))
-            else:
-                result.append((start, end))
-        return result
-
-    units = sorted(intervals, key=lambda u: u.value)
-    matrix: dict[tuple[str, str], float] = {}
-    for i, first in enumerate(units):
-        for second in units[i + 1:]:
-            overlap = 0.0
-            for s1, e1 in merged(first):
-                for s2, e2 in merged(second):
-                    overlap += max(0.0, min(e1, e2) - max(s1, s2))
-            matrix[(first.value, second.value)] = overlap
-    return matrix

@@ -31,7 +31,6 @@ __all__ = [
     "NpuCoreConfig",
     "DramTimingConfig",
     "PimConfig",
-    "NocConfig",
     "EnergyConfig",
     "MemoryPolicy",
     "FcMappingPolicy",
@@ -106,17 +105,12 @@ class ScratchpadConfig:
 
     Table 1 lists 12 MB of activation scratch-pad and 4 MB of weight
     scratch-pad per core (48 MB / 16 MB across the four cores, matching the
-    on-chip capacities in Table 2).  The AM entry is twice the size of the WM
-    entry (Sec. 4.1), which is why the on-chip key transpose needs the
-    streaming buffer between the two DMAs.
+    on-chip capacities in Table 2).  ``table1`` prints both capacities; the
+    timing models allocate no scratch-pad space.
     """
 
     activation_bytes: int = 12 * MiB
     weight_bytes: int = 4 * MiB
-    #: A WM entry feeds one systolic-array column dimension: 128 BF16 values.
-    weight_entry_bytes: int = 128 * BYTES_PER_ELEMENT
-    #: The AM entry is twice the WM entry (Sec. 4.2.1).
-    activation_entry_bytes: int = 2 * 128 * BYTES_PER_ELEMENT
 
 
 @dataclass(frozen=True)
@@ -138,7 +132,12 @@ class DmaConfig:
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Command scheduler queue dimensions (Table 1)."""
+    """Command scheduler queue dimensions: Table 1's values.
+
+    ``table1`` prints them.  :class:`repro.scheduling.EventEngine` models no
+    queue capacity: it issues every command in order on its unit as soon as
+    the unit, its dependencies and the scheduling policy allow.
+    """
 
     issue_slots_per_unit: int = 4
     pending_slots: int = 256
@@ -254,22 +253,6 @@ class PimConfig:
 
 
 @dataclass(frozen=True)
-class NocConfig:
-    """All-to-all network-on-chip between NPU cores and PIM memory controllers."""
-
-    #: Per-hop latency of the crossbar (seconds).
-    hop_latency_s: float = 20e-9
-    #: Per-link bandwidth (bytes/s); sized so the NoC never limits a single
-    #: channel's external bandwidth.
-    link_bandwidth: float = 64e9
-    #: PIM macro commands are broadcast to all PIM memory controllers, so one
-    #: command message reaches every channel in a single hop (Sec. 4.3).
-    supports_broadcast: bool = True
-    #: Size of one PIM micro-command message on the NoC (bytes).
-    command_bytes: int = 32
-
-
-@dataclass(frozen=True)
 class EnergyConfig:
     """Dynamic-energy coefficients used for the Fig. 11 reproduction.
 
@@ -361,7 +344,6 @@ class SystemConfig:
     num_pim_controllers: int = 8
     core: NpuCoreConfig = field(default_factory=NpuCoreConfig)
     pim: PimConfig = field(default_factory=PimConfig)
-    noc: NocConfig = field(default_factory=NocConfig)
     energy: EnergyConfig = field(default_factory=EnergyConfig)
     memory_policy: MemoryPolicy = MemoryPolicy.UNIFIED
     fc_mapping: FcMappingPolicy = FcMappingPolicy.ADAPTIVE

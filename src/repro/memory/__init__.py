@@ -1,13 +1,11 @@
-"""Memory-system models: NoC, unified and partitioned organisations."""
+"""Memory-system models: capacity accounting of the unified and partitioned
+organisations."""
 
 from repro.config import MemoryPolicy, SystemConfig
-from repro.memory.noc import NocModel, NocTransferEstimate
 from repro.memory.partitioned import PartitionedMemorySystem
 from repro.memory.unified import MemoryCapacityError, MemoryPlacement, UnifiedMemorySystem
 
 __all__ = [
-    "NocModel",
-    "NocTransferEstimate",
     "PartitionedMemorySystem",
     "MemoryCapacityError",
     "MemoryPlacement",

@@ -1,14 +1,8 @@
-"""NPU substrate: matrix unit, vector unit, scratch-pads, DMA, scheduler."""
+"""NPU substrate: timing models of the matrix unit, vector unit and DMA engines."""
 
 from repro.npu.core import NpuCoreModel
 from repro.npu.dma import DmaModel
 from repro.npu.matrix_unit import MatrixUnitEstimate, MatrixUnitModel
-from repro.npu.scheduler import CommandSchedulerState, SchedulerFullError
-from repro.npu.scratchpad import (
-    ScratchpadAllocation,
-    ScratchpadAllocator,
-    ScratchpadOverflowError,
-)
 from repro.npu.vector_unit import VectorUnitEstimate, VectorUnitModel
 
 __all__ = [
@@ -16,11 +10,6 @@ __all__ = [
     "DmaModel",
     "MatrixUnitEstimate",
     "MatrixUnitModel",
-    "CommandSchedulerState",
-    "SchedulerFullError",
-    "ScratchpadAllocation",
-    "ScratchpadAllocator",
-    "ScratchpadOverflowError",
     "VectorUnitEstimate",
     "VectorUnitModel",
 ]

@@ -1,4 +1,4 @@
-"""An NPU core: compute units, scratch-pads and DMA engines bundled together.
+"""An NPU core: the compute units and DMA engines bundled together.
 
 The :class:`NpuCoreModel` is the timing-model facade used by the compiler
 (for Algorithm 1's analytical estimates) and by the event engine (to compute
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from repro.config import NpuCoreConfig
 from repro.npu.dma import DmaModel
 from repro.npu.matrix_unit import MatrixUnitModel
-from repro.npu.scratchpad import ScratchpadAllocator
 from repro.npu.vector_unit import VectorUnitModel
 
 __all__ = ["NpuCoreModel"]
@@ -40,7 +39,6 @@ class NpuCoreModel:
         self.matrix_unit = MatrixUnitModel(self.config.matrix_unit)
         self.vector_unit = VectorUnitModel(self.config.vector_unit)
         self.dma = DmaModel(self.config.dma, self.offchip_bandwidth)
-        self.scratchpad = ScratchpadAllocator(self.config.scratchpad)
 
     # ------------------------------------------------------------------
     # Convenience estimates used by Algorithm 1

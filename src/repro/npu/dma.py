@@ -34,9 +34,6 @@ class DmaModel:
     def load_time(self, num_bytes: int) -> float:
         return self.offchip_time(num_bytes)
 
-    def store_time(self, num_bytes: int) -> float:
-        return self.offchip_time(num_bytes)
-
     # ------------------------------------------------------------------
     def onchip_move_time(self, num_bytes: int) -> float:
         """Scratch-pad to scratch-pad streaming transfer."""

@@ -2,13 +2,12 @@
 
 from repro.pim.address_mapping import AddressMapping, DecodedAddress, Tile, TileMapping
 from repro.pim.commands import MacroKind, MacroPimCommand, MicroKind, MicroPimCommand
-from repro.pim.controller import MicroProgramResult, NormalAccessResult, PimMemoryController
+from repro.pim.controller import MicroProgramResult, PimMemoryController
 from repro.pim.dram import BankState, DramBank, DramChannelState, DramTimingError
 from repro.pim.global_buffer import GlobalBuffer
-from repro.pim.layout import LayoutError, ModelLayout, PimLayoutPlanner, WeightRegion
 from repro.pim.pcu import DecodedMacro, PimControlUnit
 from repro.pim.pim_chip import PimDeviceModel, PimOperationEstimate
-from repro.pim.processing_unit import ProcessingUnitModel, gelu_lookup_table, gelu_via_lut
+from repro.pim.processing_unit import gelu_lookup_table, gelu_via_lut
 
 __all__ = [
     "AddressMapping",
@@ -20,22 +19,16 @@ __all__ = [
     "MicroKind",
     "MicroPimCommand",
     "MicroProgramResult",
-    "NormalAccessResult",
     "PimMemoryController",
     "BankState",
     "DramBank",
     "DramChannelState",
     "DramTimingError",
     "GlobalBuffer",
-    "LayoutError",
-    "ModelLayout",
-    "PimLayoutPlanner",
-    "WeightRegion",
     "DecodedMacro",
     "PimControlUnit",
     "PimDeviceModel",
     "PimOperationEstimate",
-    "ProcessingUnitModel",
     "gelu_lookup_table",
     "gelu_via_lut",
 ]

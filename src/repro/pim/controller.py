@@ -3,11 +3,13 @@
 The PIM MC supports both PIM micro commands and normal memory commands
 (Sec. 4.3).  Like a conventional memory controller it tracks the state of
 every bank and only issues commands that respect the GDDR6 timing constraints
-plus the additional PIM states; when all micro commands of one macro PIM
-command have finished, completion is signalled back to the NPU command
-scheduler so parked DMA commands can resume.
+plus the additional PIM states.  In the paper, the MC signals the NPU command
+scheduler when a macro PIM command completes, so parked DMA commands can
+resume; here :class:`repro.scheduling.EventEngine` applies that rule itself,
+starting an off-chip DMA issued after a PIM macro no earlier than the
+macro's end.  Normal accesses are priced by :class:`repro.npu.DmaModel`.
 
-The controller model executes a decoded micro-command program against the
+The controller model executes a macro command's micro program against the
 bank state machines of one channel and reports the elapsed time together with
 statistics (row activations, column accesses, bus bytes) that feed the energy
 model.
@@ -21,7 +23,7 @@ from repro.config import BYTES_PER_ELEMENT, PimConfig
 from repro.pim.commands import MicroKind, MicroPimCommand
 from repro.pim.dram import DramBank
 
-__all__ = ["PimMemoryController", "MicroProgramResult", "NormalAccessResult"]
+__all__ = ["PimMemoryController", "MicroProgramResult"]
 
 
 @dataclass(frozen=True)
@@ -33,19 +35,6 @@ class MicroProgramResult:
     mac_column_commands: int
     bus_bytes: int
     activation_function_commands: int
-
-    @property
-    def elapsed_s(self) -> float:
-        return self.elapsed_ns * 1e-9
-
-
-@dataclass(frozen=True)
-class NormalAccessResult:
-    """Outcome of a normal (non-PIM) memory access burst on one channel."""
-
-    elapsed_ns: float
-    row_activations: int
-    column_accesses: int
 
     @property
     def elapsed_s(self) -> float:
@@ -178,32 +167,4 @@ class PimMemoryController:
             mac_column_commands=mac_columns,
             bus_bytes=bus_bytes,
             activation_function_commands=af_commands,
-        )
-
-    # ------------------------------------------------------------------
-    # Normal memory accesses
-    # ------------------------------------------------------------------
-    def normal_access(self, num_bytes: int, is_write: bool = False) -> NormalAccessResult:
-        """Time a streaming normal access of ``num_bytes`` on one channel.
-
-        Sequential accesses stream at the channel's external bandwidth with a
-        row activation every ``row_bytes`` (open-page, perfectly sequential
-        layout — the weight and KV-cache layouts are sequential by
-        construction of the address mapping).
-        """
-        if num_bytes <= 0:
-            return NormalAccessResult(elapsed_ns=0.0, row_activations=0, column_accesses=0)
-        timing = self.config.timing
-        rows = -(-num_bytes // self.config.row_bytes)
-        columns = -(-num_bytes // 32)
-        transfer_ns = num_bytes / self.config.channel_external_bandwidth * 1e9
-        # Row activations across banks are pipelined with the data transfer;
-        # only the first activation is exposed, the rest hide behind the
-        # transfer of the previous row (standard open-page streaming).
-        activate_ns = timing.tRCD_WR if is_write else timing.tRCD_RD
-        elapsed = activate_ns + transfer_ns + timing.tRP
-        return NormalAccessResult(
-            elapsed_ns=elapsed,
-            row_activations=rows,
-            column_accesses=columns,
         )

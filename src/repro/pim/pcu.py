@@ -5,6 +5,12 @@ decodes it into the micro command sequence for every tile of the operation and
 streams those micro commands to the PIM memory controllers over the NoC.  The
 PCU's own operation is pipelined with PIM computation, so it contributes only
 a small fixed decode latency per macro command (Sec. 6.1).
+
+The timing model builds no micro commands: :class:`repro.pim.PimDeviceModel`
+prices each GEMV with :meth:`repro.pim.PimMemoryController.run_gemv_program`,
+which fuses decoding and execution.  :meth:`PimControlUnit.decode`, run by
+:meth:`~repro.pim.PimMemoryController.run_micro_program`, is the reference
+that fused path is tested against.
 """
 
 from __future__ import annotations

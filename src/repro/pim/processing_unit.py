@@ -6,18 +6,17 @@ consumes one 32-byte column access (16 BF16 weights) per MAC command and
 multiplies it against the matching slice of the input vector held in the
 channel's global buffer.
 
-This module provides both the throughput constants used by the timing model
-and a small functional implementation used by :mod:`repro.functional` to
-verify numerical equivalence of the tiled GEMV.
+The PU's timing is part of :class:`repro.pim.PimDeviceModel` and its MAC
+numerics are part of :mod:`repro.functional.pim_functional`.  This module
+provides the activation-function unit's GELU lookup table, which both
+functional devices of :mod:`repro.functional` apply.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.config import PimConfig
-
-__all__ = ["ProcessingUnitModel", "gelu_lookup_table", "gelu_via_lut"]
+__all__ = ["gelu_lookup_table", "gelu_via_lut"]
 
 
 def gelu_lookup_table(num_entries: int = 256, x_min: float = -8.0, x_max: float = 8.0):
@@ -37,34 +36,3 @@ def gelu_via_lut(x: np.ndarray, table=None) -> np.ndarray:
     xs, ys = table
     clipped = np.clip(x.astype(np.float32), xs[0], xs[-1])
     return np.interp(clipped, xs, ys).astype(np.float32)
-
-
-class ProcessingUnitModel:
-    """Throughput model and functional MAC of one bank processing unit."""
-
-    def __init__(self, config: PimConfig) -> None:
-        self.config = config
-
-    @property
-    def macs_per_command(self) -> int:
-        """MAC operations performed per column (MAC) micro command."""
-        return self.config.elements_per_mac
-
-    @property
-    def peak_flops(self) -> float:
-        return self.config.pu_flops
-
-    def mac_time_s(self, num_elements: int) -> float:
-        """Time for the PU to multiply-accumulate ``num_elements`` weights."""
-        commands = -(-num_elements // self.config.elements_per_mac)
-        return commands * self.config.timing.tCCD_L * 1e-9
-
-    # ------------------------------------------------------------------
-    # Functional behaviour (used by repro.functional.pim_functional)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def mac(weights: np.ndarray, inputs: np.ndarray, accumulator: float = 0.0) -> float:
-        """Multiply-accumulate one row chunk against the input-vector chunk."""
-        if weights.shape != inputs.shape:
-            raise ValueError("weight and input chunks must have the same shape")
-        return float(accumulator + np.dot(weights.astype(np.float32), inputs.astype(np.float32)))

@@ -1,17 +1,15 @@
-"""Command scheduling: duration models, event engine, PAS and naive policies."""
+"""Command scheduling: the duration model, the event engine that applies the
+PAS and naive policies, and the checker of the engine's timelines."""
 
+from repro.scheduling.check import check_timeline
 from repro.scheduling.durations import DurationModel
 from repro.scheduling.events import ActivityStats, EventEngine, ScheduledCommand, Timeline
-from repro.scheduling.naive import NaiveScheduler
-from repro.scheduling.pas import PimAccessScheduler, SchedulingReport
 
 __all__ = [
+    "check_timeline",
     "DurationModel",
     "ActivityStats",
     "EventEngine",
     "ScheduledCommand",
     "Timeline",
-    "NaiveScheduler",
-    "PimAccessScheduler",
-    "SchedulingReport",
 ]

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.config import BYTES_PER_ELEMENT, SystemConfig
+from repro.config import SystemConfig
 from repro.ir.command import Command, OpKind, PimScope, Unit
-from repro.memory.noc import NocModel
 from repro.npu.core import NpuCoreModel
-from repro.pim.controller import PimMemoryController
 from repro.pim.pim_chip import PimDeviceModel
 
 __all__ = ["DurationModel"]
@@ -52,8 +50,6 @@ class DurationModel:
         self.config = config
         per_core_bandwidth = config.offchip_bandwidth / config.num_cores
         self.npu = NpuCoreModel(config.core, offchip_bandwidth=per_core_bandwidth)
-        self.noc = NocModel(config.noc, config.num_cores, config.num_pim_controllers)
-        self.controller = PimMemoryController(config.pim)
         if config.pim_compute_enabled:
             self.pim = PimDeviceModel(
                 config.pim, compute_channels=config.pim_compute_channels
@@ -198,11 +194,3 @@ class DurationModel:
             return float("inf")
         device = self.pim_single_chip if single_chip else self.pim
         return device.repeated_gemv_time(num_tokens, d_out, d_in, fused_gelu=fused_gelu)
-
-    def weight_load_time(self, d_in: int, d_out: int) -> float:
-        return self.npu.dma.load_time(d_in * d_out * BYTES_PER_ELEMENT)
-
-    def normal_memory_access_time(self, num_bytes: int, is_write: bool = False) -> float:
-        """Latency of a streaming normal access spread across all channels."""
-        per_channel = -(-num_bytes // self.config.pim.channels)
-        return self.controller.normal_access(per_channel, is_write=is_write).elapsed_s

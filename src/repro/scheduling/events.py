@@ -16,6 +16,8 @@ The engine assigns a start and end time to every command of a
 The result is a :class:`Timeline` with the makespan, per-unit busy times, a
 per-tag interval union used for the Fig. 10 latency breakdown, and the
 activity statistics consumed by the energy model.
+:func:`repro.scheduling.check_timeline` states these rules once more,
+declaratively, and checks a finished timeline against them.
 
 Fast path
 ---------

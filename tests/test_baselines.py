@@ -54,6 +54,64 @@ class TestGpuKernelModel:
         assert "kv_concat" not in {k.name for k in kernels}
 
 
+#: The four FC kernels of a GPT-2 block.
+_FC_KERNELS = ("qkv", "attn_proj", "ffn1", "ffn2")
+
+#: The A100's ridge point: FLOPs per byte of DRAM traffic above which a
+#: kernel is compute-bound.
+_GPU_RIDGE = GpuConfig().peak_flops / GpuConfig().memory_bandwidth
+
+
+def _intensity(kernel: GpuKernel) -> float:
+    """FLOPs per byte of DRAM traffic."""
+    return kernel.flops / kernel.bytes_total
+
+
+def _kernel(gpu: A100Gpu, name: str, stage_pass: StagePass) -> GpuKernel:
+    kernels = gpu.block_kernels(GPT2_CONFIGS["xl"], stage_pass)
+    return next(kernel for kernel in kernels if kernel.name == name)
+
+
+class TestGpuRoofline:
+    """Sec. 3.1: on the A100, generation-stage FCs sit far below the ridge
+    point and summarization-stage FCs above it."""
+
+    @pytest.mark.parametrize("name", _FC_KERNELS)
+    def test_generation_fc_is_memory_bound(self, gpu, name):
+        """A matrix-vector product reads each BF16 weight once for two
+        FLOPs: about one FLOP per byte."""
+        kernel = _kernel(gpu, name, StagePass(Stage.GENERATION, 1, 256))
+        assert 0.5 <= _intensity(kernel) <= 2.0
+        assert _intensity(kernel) < _GPU_RIDGE / 10
+
+    @pytest.mark.parametrize("name", _FC_KERNELS)
+    def test_summarization_fc_is_compute_bound(self, gpu, name):
+        kernel = _kernel(gpu, name, StagePass(Stage.SUMMARIZATION, 512, 512))
+        assert _intensity(kernel) > _GPU_RIDGE
+
+    def test_fc_intensity_scales_with_tokens(self, gpu):
+        few = _kernel(gpu, "ffn1", StagePass(Stage.SUMMARIZATION, 16, 16))
+        many = _kernel(gpu, "ffn1", StagePass(Stage.SUMMARIZATION, 512, 512))
+        assert _intensity(many) > 10 * _intensity(few)
+
+    def test_vector_and_reorder_kernels_have_tiny_intensity(self, gpu):
+        for stage_pass in (
+            StagePass(Stage.GENERATION, 1, 256), StagePass(Stage.SUMMARIZATION, 512, 512)
+        ):
+            kernels = gpu.block_kernels(GPT2_CONFIGS["xl"], stage_pass)
+            small = [k for k in kernels if k.kernel_class in ("vector", "reorder")]
+            assert small
+            assert all(_intensity(k) < 5.0 for k in small)
+
+    def test_generation_block_time_is_memory_bound(self, gpu):
+        """Fig. 2: generation spends over 90% of its kernel time below the
+        ridge point."""
+        kernels = gpu.block_kernels(GPT2_CONFIGS["xl"], StagePass(Stage.GENERATION, 1, 256))
+        total = sum(gpu.kernel_time(k) for k in kernels)
+        memory_bound = sum(gpu.kernel_time(k) for k in kernels if _intensity(k) < _GPU_RIDGE)
+        assert memory_bound > 0.9 * total
+
+
 class TestGpuEndToEnd:
     def test_generation_per_token_latency_in_paper_range(self, gpu):
         """Sec. 6.2: the A100 takes ~29.9 ms/token for GPT-2 2.5B."""
@@ -122,6 +180,12 @@ class TestDfx:
 
     def test_name_mentions_fpga_count(self):
         assert "4fpga" in DfxAppliance(DfxConfig(num_fpgas=4)).name
+
+    def test_ridge_point_far_below_gpu(self):
+        """DFX matches its FLOPS to its HBM bandwidth: its ridge point is
+        below one FLOP per byte, two orders of magnitude under the A100's."""
+        config = DfxConfig()
+        assert config.peak_flops / config.memory_bandwidth < _GPU_RIDGE / 10
 
 
 class TestNpuMem:

@@ -1,46 +1,18 @@
-"""Tests for the NoC model and the unified / partitioned memory organisations."""
+"""Tests for the unified and partitioned memory organisations: model placement,
+capacity limits and the FC-parameter duplication of Fig. 13."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import NocConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.memory import (
     MemoryCapacityError,
-    NocModel,
     PartitionedMemorySystem,
     UnifiedMemorySystem,
     make_memory_system,
 )
 from repro.models import GPT2_CONFIGS, LARGE_GPT_CONFIGS
-
-
-class TestNocModel:
-    @pytest.fixture
-    def noc(self) -> NocModel:
-        return NocModel(NocConfig(), num_cores=4, num_controllers=8)
-
-    def test_zero_bytes_is_free(self, noc):
-        assert noc.data_transfer_time(0) == 0.0
-
-    def test_transfer_time_includes_hop_latency(self, noc):
-        assert noc.data_transfer_time(1024) >= NocConfig().hop_latency_s
-
-    def test_broadcast_cheaper_than_unicast_replication(self):
-        with_broadcast = NocModel(NocConfig(supports_broadcast=True), 4, 8)
-        without_broadcast = NocModel(NocConfig(supports_broadcast=False), 4, 8)
-        assert (
-            with_broadcast.command_broadcast_time(1000)
-            < without_broadcast.command_broadcast_time(1000)
-        )
-
-    def test_broadcast_estimate_message_count(self, noc):
-        estimate = noc.estimate_broadcast(10)
-        assert estimate.messages == 10
-        assert estimate.bytes_moved == 10 * NocConfig().command_bytes
-
-    def test_bisection_bandwidth_positive(self, noc):
-        assert noc.bisection_bandwidth() > 0
 
 
 class TestUnifiedMemorySystem:
@@ -97,6 +69,52 @@ class TestPartitionedMemorySystem:
         system = PartitionedMemorySystem(SystemConfig.partitioned())
         with pytest.raises(MemoryCapacityError):
             system.place(LARGE_GPT_CONFIGS["6.7b"], max_sequence_length=512)
+
+
+#: Each organisation, built with the configuration that selects it.
+_SYSTEMS = {
+    "unified": lambda: UnifiedMemorySystem(SystemConfig.ianus()),
+    "partitioned": lambda: PartitionedMemorySystem(SystemConfig.partitioned()),
+}
+
+
+class TestPlacementAccounting:
+    @pytest.mark.parametrize("key", sorted(GPT2_CONFIGS))
+    @pytest.mark.parametrize("system", sorted(_SYSTEMS))
+    def test_every_fc_byte_is_placed_once_plus_its_duplicates(self, system, key):
+        """Each FC byte is shared (unified) or lives in the PIM region,
+        duplicated or not (partitioned); the NPU-region duplicates and the
+        other data (non-FC parameters, KV cache) make up the rest."""
+        model = GPT2_CONFIGS[key]
+        placement = _SYSTEMS[system]().place(model, max_sequence_length=1024)
+        assert placement.fits
+        assert (
+            placement.shared_fc_bytes
+            + placement.duplicated_fc_bytes
+            + placement.non_duplicated_fc_bytes
+        ) == model.fc_param_bytes
+        assert placement.total_bytes == (
+            model.fc_param_bytes + placement.duplicated_fc_bytes + placement.other_bytes
+        )
+        assert placement.other_bytes > model.kv_cache_bytes(1024)
+
+    @pytest.mark.parametrize("system", sorted(_SYSTEMS))
+    def test_kv_cache_budget_grows_with_sequence_length(self, system):
+        memory = _SYSTEMS[system]()
+        model = GPT2_CONFIGS["xl"]
+        short = memory.place(model, max_sequence_length=256)
+        long = memory.place(model, max_sequence_length=2048)
+        assert long.other_bytes - short.other_bytes == (
+            model.kv_cache_bytes(2048) - model.kv_cache_bytes(256)
+        )
+        assert long.footprint_fraction > short.footprint_fraction
+
+    @pytest.mark.parametrize("key", sorted(LARGE_GPT_CONFIGS))
+    @pytest.mark.parametrize("system", sorted(_SYSTEMS))
+    def test_large_models_rejected_by_name(self, system, key):
+        model = LARGE_GPT_CONFIGS[key]
+        with pytest.raises(MemoryCapacityError, match=model.name):
+            _SYSTEMS[system]().place(model, max_sequence_length=1024)
 
 
 class TestFactory:

@@ -1,5 +1,5 @@
-"""Tests for the NPU substrate: matrix unit, vector unit, scratch-pads, DMA,
-command scheduler."""
+"""Tests for the NPU substrate's timing models: matrix unit, vector unit, DMA
+and the core facade, plus Table 1's scratch-pad capacities."""
 
 from __future__ import annotations
 
@@ -9,21 +9,10 @@ from repro.config import (
     DmaConfig,
     MatrixUnitConfig,
     NpuCoreConfig,
-    SchedulerConfig,
     ScratchpadConfig,
     VectorUnitConfig,
 )
-from repro.ir import Command, OpKind, Unit
-from repro.npu import (
-    CommandSchedulerState,
-    DmaModel,
-    MatrixUnitModel,
-    NpuCoreModel,
-    SchedulerFullError,
-    ScratchpadAllocator,
-    ScratchpadOverflowError,
-    VectorUnitModel,
-)
+from repro.npu import DmaModel, MatrixUnitModel, NpuCoreModel, VectorUnitModel
 
 
 class TestMatrixUnitModel:
@@ -111,42 +100,6 @@ class TestScratchpad:
         assert config.activation_bytes == 12 * 1024**2
         assert config.weight_bytes == 4 * 1024**2
 
-    def test_activation_entry_is_twice_weight_entry(self):
-        config = ScratchpadConfig()
-        assert config.activation_entry_bytes == 2 * config.weight_entry_bytes
-
-    def test_allocation_and_overflow(self):
-        allocator = ScratchpadAllocator(ScratchpadConfig())
-        allocation = allocator.allocate_weight("w0", 1024 * 1024)
-        assert allocation.size >= 1024 * 1024
-        with pytest.raises(ScratchpadOverflowError):
-            allocator.allocate_weight("too-big", 4 * 1024 * 1024)
-
-    def test_reset_frees_everything(self):
-        allocator = ScratchpadAllocator(ScratchpadConfig())
-        allocator.allocate_activation("a", 1024)
-        allocator.allocate_weight("w", 1024)
-        allocator.reset()
-        assert allocator.activation.used == 0
-        assert allocator.weight.used == 0
-
-    def test_alignment_to_entry_size(self):
-        allocator = ScratchpadAllocator(ScratchpadConfig())
-        allocation = allocator.allocate_weight("tiny", 1)
-        assert allocation.size == ScratchpadConfig().weight_entry_bytes
-
-    def test_double_buffered_tile_is_half_capacity(self):
-        allocator = ScratchpadAllocator(ScratchpadConfig())
-        assert allocator.max_weight_tile_bytes() == 2 * 1024**2
-        assert allocator.max_weight_tile_bytes(double_buffered=False) == 4 * 1024**2
-
-    def test_utilization_report(self):
-        allocator = ScratchpadAllocator(ScratchpadConfig())
-        allocator.allocate_activation("a", 6 * 1024**2)
-        util = allocator.utilization()
-        assert util["activation"] == pytest.approx(0.5)
-        assert util["weight"] == 0.0
-
 
 class TestDmaModel:
     def test_offchip_time_includes_latency_and_bandwidth(self):
@@ -184,56 +137,3 @@ class TestNpuCoreModel:
         without = core.fc_on_matrix_unit_time(1, 1024, 1024)
         with_prefetch = core.fc_on_matrix_unit_time(1, 1024, 1024, prefetch_window_s=5e-6)
         assert with_prefetch <= without
-
-
-class TestCommandSchedulerState:
-    def _command(self, cid: int, unit: Unit = Unit.MATRIX_UNIT, deps=()):
-        return Command(cid, unit, OpKind.FC_QKV, deps=tuple(deps))
-
-    def test_ready_command_is_issued(self):
-        state = CommandSchedulerState(SchedulerConfig())
-        assert state.submit(self._command(0)) is True
-
-    def test_command_with_unmet_deps_goes_pending(self):
-        state = CommandSchedulerState(SchedulerConfig())
-        assert state.submit(self._command(1, deps=[0])) is False
-        assert len(state.pending) == 1
-
-    def test_issue_queue_capacity_is_respected(self):
-        state = CommandSchedulerState(SchedulerConfig())
-        for cid in range(4):
-            assert state.submit(self._command(cid)) is True
-        # Fifth command for the same unit must wait in the pending queue.
-        assert state.submit(self._command(4)) is False
-
-    def test_completion_promotes_pending_commands(self):
-        state = CommandSchedulerState(SchedulerConfig())
-        first = self._command(0)
-        state.submit(first)
-        dependent = self._command(1, deps=[0])
-        state.submit(dependent)
-        promoted = state.complete(first)
-        assert dependent in promoted
-
-    def test_pending_queue_overflow_raises(self):
-        state = CommandSchedulerState(SchedulerConfig(pending_slots=2))
-        state.submit(self._command(1, deps=[0]))
-        state.submit(self._command(2, deps=[0]))
-        with pytest.raises(SchedulerFullError):
-            state.submit(self._command(3, deps=[0]))
-
-    def test_park_and_release_offchip_dma(self):
-        state = CommandSchedulerState(SchedulerConfig())
-        dma = Command(0, Unit.DMA_LOAD, OpKind.WEIGHT_LOAD)
-        compute = Command(1, Unit.MATRIX_UNIT, OpKind.FC_QKV)
-        state.park_offchip_dma([dma, compute])
-        released = state.release_offchip_dma()
-        assert released == [dma]
-        assert state.release_offchip_dma() == []
-
-    def test_occupancy_report(self):
-        state = CommandSchedulerState(SchedulerConfig())
-        state.submit(self._command(0))
-        occupancy = state.occupancy()
-        assert occupancy["mu"] == 1
-        assert occupancy["pending"] == 0

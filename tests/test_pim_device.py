@@ -1,10 +1,14 @@
-"""Tests for PIM commands, the PCU, the memory controller and the device model."""
+"""Tests for PIM commands, the PCU, the memory controller, the device model
+and the GELU lookup table of the activation-function unit."""
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.config import PimConfig
+from repro.config import PimConfig, SystemConfig
 from repro.pim import (
     GlobalBuffer,
     MacroKind,
@@ -13,7 +17,8 @@ from repro.pim import (
     PimControlUnit,
     PimDeviceModel,
     PimMemoryController,
-    ProcessingUnitModel,
+    gelu_lookup_table,
+    gelu_via_lut,
 )
 
 
@@ -87,18 +92,6 @@ class TestPimMemoryController:
         lower_bound = timing.tRCD_RD + 64 * timing.tCCD_L + timing.tRP
         assert result.elapsed_ns >= lower_bound
 
-    def test_normal_access_streaming_time(self, pim):
-        controller = PimMemoryController(pim)
-        result = controller.normal_access(2 * 1024 * 1024)
-        expected_transfer = 2 * 1024 * 1024 / pim.channel_external_bandwidth * 1e9
-        assert result.elapsed_ns == pytest.approx(
-            pim.timing.tRCD_RD + expected_transfer + pim.timing.tRP
-        )
-
-    def test_normal_access_zero_bytes(self, pim):
-        result = PimMemoryController(pim).normal_access(0)
-        assert result.elapsed_ns == 0.0
-
 
 class TestPimDeviceModel:
     def test_gemv_effective_bandwidth_below_internal_peak(self, pim):
@@ -151,22 +144,46 @@ class TestPimDeviceModel:
         second = device.gemv(1536, 1536)
         assert first == second
 
+    def test_peak_flops_is_one_pu_per_bank(self, pim):
+        device = PimDeviceModel(pim, compute_channels=4)
+        assert device.peak_flops == 4 * pim.banks_per_channel * pim.pu_flops
+        assert PimDeviceModel(pim).peak_flops == pim.peak_pim_flops
 
-class TestProcessingUnitAndGlobalBuffer:
-    def test_pu_peak_flops_matches_config(self, pim):
-        assert ProcessingUnitModel(pim).peak_flops == pim.pu_flops
+    def test_ridge_point_matches_gemv_intensity(self, pim):
+        """The PIM is balanced for matrix-vector work: its ridge point is the
+        one FLOP per byte of a GEMV over BF16 weights, far below the NPU's."""
+        device = PimDeviceModel(pim)
+        ridge = device.peak_flops / device.internal_bandwidth
+        assert ridge == pytest.approx(1.0)
+        npu = SystemConfig.ianus()
+        assert ridge < npu.peak_npu_flops / npu.offchip_bandwidth / 10
 
-    def test_pu_mac_time(self, pim):
-        pu = ProcessingUnitModel(pim)
-        assert pu.mac_time_s(1024) == pytest.approx(64 * pim.timing.tCCD_L * 1e-9)
+    def test_macro_command_overhead_is_paid_once_per_macro(self, pim):
+        """The NoC delivery of a macro command costs its fixed overhead once
+        per GEMV; repeating the GEMV over tokens pays it per token."""
+        slower = dataclasses.replace(
+            pim, macro_command_overhead_ns=pim.macro_command_overhead_ns + 1000.0
+        )
+        base, padded = PimDeviceModel(pim), PimDeviceModel(slower)
+        assert padded.gemv_time(1024, 1024) - base.gemv_time(1024, 1024) == pytest.approx(1e-6)
+        assert padded.repeated_gemv_time(8, 1024, 1024) - base.repeated_gemv_time(
+            8, 1024, 1024
+        ) == pytest.approx(8e-6)
 
-    def test_pu_functional_mac(self):
-        import numpy as np
 
-        weights = np.array([1.0, 2.0, 3.0], dtype=np.float32)
-        inputs = np.array([4.0, 5.0, 6.0], dtype=np.float32)
-        assert ProcessingUnitModel(PimConfig()).mac(weights, inputs, accumulator=1.0) == pytest.approx(33.0)
+class TestGeluLookupTable:
+    def test_lut_tracks_tanh_gelu_inside_its_range(self):
+        xs = np.linspace(-8.0, 8.0, 1001, dtype=np.float32)
+        exact = 0.5 * xs * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (xs + 0.044715 * xs**3)))
+        assert np.max(np.abs(gelu_via_lut(xs) - exact)) < 1e-2
 
+    def test_lut_clamps_outside_its_range(self):
+        xs, ys = gelu_lookup_table()
+        out = gelu_via_lut(np.array([-100.0, 100.0], dtype=np.float32))
+        assert out.tolist() == [ys[0], ys[-1]]
+
+
+class TestGlobalBuffer:
     def test_global_buffer_capacity_is_one_row(self, pim):
         buffer = GlobalBuffer(pim)
         assert buffer.capacity_elements == 1024

@@ -18,12 +18,12 @@ from repro.config import (
 from repro.core.system import IanusSystem
 from repro.functional import PimFunctionalDevice, to_bf16
 from repro.functional.reference import softmax
-from repro.ir import CommandStream, OpKind, ReplayedStream, Unit
+from repro.ir import CommandStream, OpKind, PimScope, ReplayedStream, Unit
 from repro.models import get_model
 from repro.models.workload import Stage, StagePass
 from repro.npu import MatrixUnitModel, VectorUnitModel
 from repro.pim import AddressMapping, PimDeviceModel, TileMapping
-from repro.scheduling import DurationModel, EventEngine
+from repro.scheduling import DurationModel, EventEngine, check_timeline
 from repro.serving.trace import DiurnalCurve, FlashCrowdCurve, StepCurve, TraceCurve
 
 PIM = PimConfig()
@@ -107,21 +107,49 @@ def test_vector_unit_time_monotone_in_elements(elements, ops):
 # ----------------------------------------------------------------------
 # Event engine invariants
 # ----------------------------------------------------------------------
+#: (configuration, devices) of each design whose blocks are compiled.  The
+#: PIM-attention variant (Fig. 13) makes QK^T and SV, the KV-dependent
+#: commands, PIM commands.
+_DESIGNS = {
+    "ianus": (SystemConfig.ianus(), 1),
+    "npu-mem": (SystemConfig.npu_mem(), 1),
+    "partitioned": (SystemConfig.partitioned(), 1),
+    "partitioned-naive": (
+        SystemConfig.partitioned(scheduling=SchedulingPolicy.NAIVE), 1
+    ),
+    "ianus-x2": (SystemConfig.ianus(), 2),
+    "ianus-naive": (SystemConfig.ianus(scheduling=SchedulingPolicy.NAIVE), 1),
+    "ianus-pim-attention": (
+        SystemConfig.ianus(attention_mapping=AttentionMappingPolicy.PIM), 1
+    ),
+}
+
+#: The designs with PIM compute, which random streams (with PIM commands)
+#: are scheduled under.
+_PIM_DESIGNS = sorted(
+    name for name, (config, _) in _DESIGNS.items() if config.pim_compute_enabled
+)
+
+
 @st.composite
 def random_streams(draw):
     """Random small DAGs of commands across all unit types."""
     stream = CommandStream(label="random")
     length = draw(st.integers(min_value=1, max_value=25))
     units = [
-        (Unit.MATRIX_UNIT, OpKind.FC_QKV, (4, 256, 256)),
-        (Unit.VECTOR_UNIT, OpKind.LAYERNORM, (4, 256)),
-        (Unit.DMA_LOAD, OpKind.WEIGHT_LOAD, ()),
-        (Unit.DMA_STORE, OpKind.KV_STORE, ()),
-        (Unit.PIM, OpKind.PIM_GEMV, (1, 256, 256)),
-        (Unit.SYNC, OpKind.SYNC, ()),
+        (Unit.MATRIX_UNIT, OpKind.FC_QKV, (4, 256, 256), {}),
+        (Unit.VECTOR_UNIT, OpKind.LAYERNORM, (4, 256), {}),
+        (Unit.DMA_LOAD, OpKind.WEIGHT_LOAD, (), {}),
+        (Unit.DMA_STORE, OpKind.KV_STORE, (), {}),
+        (Unit.DMA_ONCHIP, OpKind.ONCHIP_MOVE, (), {}),
+        (Unit.PIM, OpKind.PIM_GEMV, (1, 256, 256), {}),
+        (Unit.PIM, OpKind.PIM_GEMV, (1, 256, 64), {"pim_scope": PimScope.SINGLE_CHIP}),
+        (Unit.SYNC, OpKind.SYNC, (), {}),
     ]
     for index in range(length):
-        unit, kind, dims = draw(st.sampled_from(units))
+        unit, kind, dims, scope = draw(st.sampled_from(units))
+        if scope:
+            scope = {**scope, "pim_chip": draw(st.integers(min_value=0, max_value=7))}
         num_deps = draw(st.integers(min_value=0, max_value=min(3, index)))
         deps = draw(
             st.lists(
@@ -129,29 +157,42 @@ def random_streams(draw):
                 min_size=num_deps, max_size=num_deps, unique=True,
             )
         ) if index else []
-        stream.add(unit, kind, dims=dims, bytes_moved=4096, deps=deps)
+        stream.add(unit, kind, dims=dims, bytes_moved=4096, deps=deps, **scope)
     return stream
 
 
-@given(stream=random_streams())
-@settings(max_examples=60, deadline=None)
-def test_event_engine_respects_dependencies_and_resources(stream):
-    engine = EventEngine(SystemConfig.ianus())
-    timeline = engine.simulate(stream)
-    scheduled = {c.cid: c for c in timeline.commands}
-    # Dependencies are respected.
-    for command in stream:
-        for dep in command.deps:
-            assert scheduled[command.cid].start >= scheduled[dep].end - 1e-12
-    # Commands on the same single-instance unit never overlap.
-    for unit in (Unit.MATRIX_UNIT, Unit.VECTOR_UNIT, Unit.DMA_LOAD, Unit.DMA_STORE):
-        windows = sorted(
-            (c.start, c.end) for c in timeline.commands if c.unit is unit
-        )
-        for (s1, e1), (s2, _) in zip(windows, windows[1:]):
-            assert s2 >= e1 - 1e-12
-    # The makespan bounds every command.
-    assert all(c.end <= timeline.makespan + 1e-12 for c in timeline.commands)
+@st.composite
+def random_design_streams(draw):
+    """(configuration, stream): a random stream under a design with PIM."""
+    config, _ = _DESIGNS[draw(st.sampled_from(_PIM_DESIGNS))]
+    return config, draw(random_streams())
+
+
+@st.composite
+def compiled_blocks(draw):
+    """(configuration, stream): a compiled block of one design, GPT-2 size,
+    stage and KV length."""
+    config, devices = _DESIGNS[draw(st.sampled_from(sorted(_DESIGNS)))]
+    model = get_model(draw(st.sampled_from(["gpt2-m", "gpt2-xl", "gpt2-2.5b"])))
+    if draw(st.booleans()):
+        stage, tokens = Stage.GENERATION, 1
+    else:
+        stage, tokens = Stage.SUMMARIZATION, draw(st.integers(1, 512))
+    kv = draw(st.integers(min_value=tokens, max_value=2048))
+    compiler = Compiler(config, DurationModel.shared(config), num_devices=devices)
+    return config, compiler.compile_block(model, StagePass(stage, tokens, kv)).stream
+
+
+@given(case=st.one_of(compiled_blocks(), random_design_streams()))
+@settings(max_examples=300, deadline=None)
+def test_event_engine_timelines_pass_the_checker(case):
+    """Every timeline the engine builds keeps the contract check_timeline
+    states.  Both halves are needed: in compiled blocks a compiler
+    dependency always gives an off-chip DMA the start the DMA-after-PIM
+    wait gives it, so only random streams tell that wait apart."""
+    config, stream = case
+    timeline = EventEngine(config).simulate(stream)
+    assert check_timeline(stream, timeline, config) == []
 
 
 @given(stream=random_streams())
@@ -169,21 +210,6 @@ def test_naive_schedule_never_faster_than_pas(stream):
 # ----------------------------------------------------------------------
 # Block templates
 # ----------------------------------------------------------------------
-#: (configuration, devices) of each design whose blocks are replayed.  The
-#: PIM-attention variant (Fig. 13) makes QK^T and SV, the KV-dependent
-#: commands, PIM commands.
-_DESIGNS = {
-    "ianus": (SystemConfig.ianus(), 1),
-    "npu-mem": (SystemConfig.npu_mem(), 1),
-    "partitioned": (SystemConfig.partitioned(), 1),
-    "ianus-x2": (SystemConfig.ianus(), 2),
-    "ianus-naive": (SystemConfig.ianus(scheduling=SchedulingPolicy.NAIVE), 1),
-    "ianus-pim-attention": (
-        SystemConfig.ianus(attention_mapping=AttentionMappingPolicy.PIM), 1
-    ),
-}
-
-
 @st.composite
 def block_passes(draw):
     """(model, design, pass, template pass): a generation pass at KV
@@ -227,8 +253,8 @@ def test_replayed_block_equals_fresh_compile(case):
     assert replayed.stream.label == fresh.stream.label
     assert list(replayed.stream) == list(fresh.stream)
 
-    # compare_with_naive schedules one stream on a PAS and a naive engine;
-    # each engine prepares the template's structure for itself.
+    # One stream scheduled on a PAS and a naive engine: each engine prepares
+    # the template's structure for itself.
     for policy in SchedulingPolicy:
         engine_config = config.variant(scheduling=policy)
         engine = EventEngine(engine_config)

@@ -1,27 +1,30 @@
-"""Tests for the duration model, the event engine and the PAS/naive policies."""
+"""Tests for the duration model, the event engine under the PAS and naive
+policies, and the timeline checker: one forged timeline per rule, and every
+design's compiled blocks as a system schedules them."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.compiler import Compiler
 from repro.config import (
+    AttentionMappingPolicy,
     MemoryPolicy,
+    SchedulerConfig,
     SchedulingPolicy,
     SystemConfig,
 )
+from repro.core import IanusSystem
 from repro.ir import CommandStream, OpKind, PimScope, Unit
 from repro.models import GPT2_CONFIGS
 from repro.models.workload import Stage, StagePass
-from repro.scheduling import (
-    DurationModel,
-    EventEngine,
-    NaiveScheduler,
-    PimAccessScheduler,
-    SchedulingReport,
-)
+from repro.scheduling import DurationModel, EventEngine, Timeline, check_timeline
+from repro.scheduling.durations import SYNC_LATENCY_S
 
 GEN_PASS = StagePass(Stage.GENERATION, 1, 256)
+SUM_PASS = StagePass(Stage.SUMMARIZATION, 128, 128)
 
 
 class TestDurationModel:
@@ -76,6 +79,21 @@ class TestDurationModel:
     def test_fc_on_pim_time_infinite_without_pim(self, npu_mem_config):
         durations = DurationModel(npu_mem_config)
         assert durations.fc_on_pim_time(1, 1024, 1024) == float("inf")
+
+    @pytest.mark.parametrize(
+        "unit, kind",
+        [(Unit.DMA_LOAD, OpKind.WEIGHT_LOAD), (Unit.DMA_STORE, OpKind.KV_STORE)],
+        ids=["load", "store"],
+    )
+    def test_offchip_dma_priced_by_the_dma_model(self, durations, unit, kind):
+        """Every normal off-chip access, read or write, streams at the core's
+        bandwidth share after one access latency; an empty one is free."""
+        stream = CommandStream()
+        empty = stream.add(unit, kind, bytes_moved=0)
+        two_mib = stream.add(unit, kind, bytes_moved=2 * 2**20)
+        assert durations.duration(empty) == 0.0
+        assert durations.duration(two_mib) == durations.npu.dma.offchip_time(2 * 2**20)
+        assert durations.duration(two_mib) > 2 * 2**20 / durations.config.offchip_bandwidth
 
 
 class _StreamBuilder:
@@ -199,28 +217,6 @@ class TestEventEngine:
         engine = EventEngine(ianus_config)
         assert engine.simulate(CommandStream()).makespan == 0.0
 
-
-class TestSchedulers:
-    def test_pas_beats_naive_on_generation_block(self, gpt2_xl):
-        config = SystemConfig.ianus()
-        stream = Compiler(config).compile_block(gpt2_xl, GEN_PASS).stream
-        pas = PimAccessScheduler(config)
-        comparison = pas.compare_with_naive(stream)
-        assert comparison["speedup"] > 1.0
-
-    def test_naive_scheduler_forces_policy(self):
-        scheduler = NaiveScheduler(SystemConfig.ianus())
-        assert scheduler.config.scheduling is SchedulingPolicy.NAIVE
-
-    def test_scheduling_report_overlap_fraction(self, gpt2_xl):
-        config = SystemConfig.ianus()
-        stream = Compiler(config).compile_block(gpt2_xl, GEN_PASS).stream
-        report = PimAccessScheduler(config).report(stream)
-        assert isinstance(report, SchedulingReport)
-        assert 0.0 <= report.overlap_fraction < 1.0
-        assert report.makespan > 0
-        assert report.pim_busy > 0
-
     def test_core_scaling_of_stats(self, ianus_config, gpt2_xl):
         config = ianus_config
         stream = Compiler(config).compile_block(gpt2_xl, GEN_PASS).stream
@@ -231,3 +227,256 @@ class TestSchedulers:
 
     def test_unified_policy_consistency(self, ianus_config):
         assert ianus_config.memory_policy is MemoryPolicy.UNIFIED
+
+    def test_ready_commands_start_at_zero(self, ianus_config):
+        """A command with no dependency issues at once on its idle unit."""
+        timeline = EventEngine(ianus_config).simulate(_StreamBuilder.independent_mu_and_vu())
+        assert [c.start for c in timeline.commands] == [0.0, 0.0]
+
+    def test_dependent_command_starts_when_its_dependency_ends(self, ianus_config):
+        stream = CommandStream()
+        first = stream.add(Unit.MATRIX_UNIT, OpKind.FC_QKV, dims=(128, 2048, 2048))
+        stream.add(Unit.VECTOR_UNIT, OpKind.LAYERNORM, dims=(128, 2048), deps=[first])
+        timeline = EventEngine(ianus_config).simulate(stream)
+        assert timeline.commands[1].start == timeline.commands[0].end
+
+    def test_queue_dimensions_change_no_schedule(self, ianus_config, gpt2_xl):
+        """The engine models no issue- or pending-queue capacity: one slot
+        of each gives the same block schedule as Table 1's values."""
+        core = dataclasses.replace(
+            ianus_config.core,
+            scheduler=SchedulerConfig(issue_slots_per_unit=1, pending_slots=1),
+        )
+        one_slot = ianus_config.variant(core=core)
+        windows = []
+        for config in (ianus_config, one_slot):
+            stream = Compiler(config).compile_block(gpt2_xl, GEN_PASS).stream
+            timeline = EventEngine(config).simulate(stream)
+            windows.append([(c.start, c.end) for c in timeline.commands])
+        assert windows[0] == windows[1]
+
+    @pytest.mark.parametrize(
+        "unit, kind",
+        [(Unit.DMA_LOAD, OpKind.WEIGHT_LOAD), (Unit.DMA_STORE, OpKind.KV_STORE)],
+        ids=["load", "store"],
+    )
+    def test_parked_dma_resumes_when_the_macro_ends(self, ianus_config, unit, kind):
+        """PAS parks an independent off-chip DMA, load or store, for exactly
+        as long as the PIM macro runs."""
+        stream = CommandStream()
+        stream.add(Unit.PIM, OpKind.PIM_GEMV, dims=(1, 2048, 2048),
+                   bytes_moved=2048 * 2048 * 2)
+        stream.add(unit, kind, bytes_moved=2**20)
+        timeline = EventEngine(ianus_config).simulate(stream)
+        assert timeline.commands[1].start == timeline.commands[0].end
+
+    def test_onchip_dma_runs_during_a_pim_macro(self, ianus_config):
+        """Only the off-chip interface is shared with the PIM: a
+        scratch-pad to scratch-pad move is not parked."""
+        stream = CommandStream()
+        stream.add(Unit.PIM, OpKind.PIM_GEMV, dims=(1, 2048, 2048),
+                   bytes_moved=2048 * 2048 * 2)
+        stream.add(Unit.DMA_ONCHIP, OpKind.ONCHIP_MOVE, bytes_moved=2**20)
+        timeline = EventEngine(ianus_config).simulate(stream)
+        assert timeline.commands[1].start == 0.0
+
+    @pytest.mark.parametrize("policy", [MemoryPolicy.UNIFIED, MemoryPolicy.PARTITIONED])
+    def test_pim_macro_after_an_offchip_dma(self, policy):
+        """A PIM macro waits for an earlier DMA only when both share the
+        devices (unified memory)."""
+        config = (
+            SystemConfig.ianus() if policy is MemoryPolicy.UNIFIED
+            else SystemConfig.partitioned()
+        )
+        stream = CommandStream()
+        stream.add(Unit.DMA_LOAD, OpKind.WEIGHT_LOAD, bytes_moved=2**20)
+        stream.add(Unit.PIM, OpKind.PIM_GEMV, dims=(1, 2048, 2048),
+                   bytes_moved=2048 * 2048 * 2)
+        timeline = EventEngine(config).simulate(stream)
+        dma_end = timeline.commands[0].end
+        expected = dma_end if policy is MemoryPolicy.UNIFIED else 0.0
+        assert timeline.commands[1].start == expected
+
+    @pytest.mark.parametrize("stage_pass", [GEN_PASS, SUM_PASS], ids=["generation", "summarization"])
+    def test_block_sync_points_each_pay_one_noc_round_trip(
+        self, ianus_config, gpt2_xl, stage_pass
+    ):
+        """Each block waits for its input, then synchronises the cores at
+        Fig. 6's four points (heads merged, after the projection, after GELU
+        and at the block's end); the NoC is priced by SYNC_LATENCY_S apiece."""
+        stream = Compiler(ianus_config).compile_block(gpt2_xl, stage_pass).stream
+        timeline = EventEngine(ianus_config).simulate(stream)
+        syncs = [c for c in timeline.commands if c.unit is Unit.SYNC]
+        assert [c.tag for c in syncs] == [
+            "LayerNorm", "Self-attention", "FC for Attention + Add", "FFN+Add", "FFN+Add",
+        ]
+        assert all(c.duration == pytest.approx(SYNC_LATENCY_S) for c in syncs)
+
+
+def _pim_overlap(timeline: Timeline) -> float:
+    """Seconds of non-PIM work that run while a PIM macro executes."""
+    commands = timeline.commands
+    macros = [c for c in commands if c.unit is Unit.PIM]
+    return sum(
+        max(0.0, min(macro.end, other.end) - max(macro.start, other.start))
+        for macro in macros
+        for other in commands
+        if other.unit is not Unit.PIM
+    )
+
+
+class TestSchedulingPolicies:
+    @pytest.mark.parametrize("key", sorted(GPT2_CONFIGS))
+    def test_pas_beats_naive_on_generation_block(self, key):
+        model = GPT2_CONFIGS[key]
+        makespans = {}
+        for policy in SchedulingPolicy:
+            config = SystemConfig.ianus(scheduling=policy)
+            stream = Compiler(config).compile_block(model, GEN_PASS).stream
+            makespans[policy] = EventEngine(config).simulate(stream).makespan
+        assert makespans[SchedulingPolicy.PAS] < makespans[SchedulingPolicy.NAIVE]
+
+    @pytest.mark.parametrize("policy", list(SchedulingPolicy), ids=lambda p: p.value)
+    def test_npu_work_overlaps_pim_only_under_pas(self, gpt2_xl, policy):
+        """PAS runs NPU compute beside a PIM macro; the naive policy makes
+        every macro a barrier, so nothing overlaps it."""
+        config = SystemConfig.ianus(scheduling=policy)
+        stream = Compiler(config).compile_block(gpt2_xl, GEN_PASS).stream
+        timeline = EventEngine(config).simulate(stream)
+        assert timeline.busy_time(Unit.PIM) > 0
+        if policy is SchedulingPolicy.PAS:
+            assert _pim_overlap(timeline) > 0
+        else:
+            assert _pim_overlap(timeline) == 0
+
+
+#: (configuration, devices) of each design a system can be built for.
+_SYSTEM_DESIGNS = {
+    "ianus": (SystemConfig.ianus(), 1),
+    "ianus-naive": (SystemConfig.ianus(scheduling=SchedulingPolicy.NAIVE), 1),
+    "ianus-pim-attention": (
+        SystemConfig.ianus(attention_mapping=AttentionMappingPolicy.PIM), 1
+    ),
+    "ianus-x2": (SystemConfig.ianus(), 2),
+    "npu-mem": (SystemConfig.npu_mem(), 1),
+    "partitioned": (SystemConfig.partitioned(), 1),
+    "partitioned-naive": (
+        SystemConfig.partitioned(scheduling=SchedulingPolicy.NAIVE), 1
+    ),
+}
+
+
+@pytest.mark.parametrize("stage_pass", [GEN_PASS, SUM_PASS], ids=["generation", "summarization"])
+@pytest.mark.parametrize("design", sorted(_SYSTEM_DESIGNS))
+def test_system_block_timeline_passes_the_checker(design, stage_pass, gpt2_xl):
+    """The compiler and engine a system prices passes with build timelines
+    that keep every rule of the engine's contract."""
+    config, devices = _SYSTEM_DESIGNS[design]
+    system = IanusSystem(config, num_devices=devices, pass_cache=None)
+    stream = system.compiler.compile_block(gpt2_xl, stage_pass).stream
+    timeline = system.engine.simulate(stream)
+    assert check_timeline(stream, timeline, config) == []
+
+
+#: Kind and numbers of the one command the forgery streams put on each unit.
+_FORGERY_COMMANDS = {
+    Unit.MATRIX_UNIT: (OpKind.FC_QKV, dict(dims=(128, 2048, 2048))),
+    Unit.VECTOR_UNIT: (OpKind.LAYERNORM, dict(dims=(128, 2048))),
+    Unit.DMA_LOAD: (OpKind.WEIGHT_LOAD, dict(bytes_moved=2**20)),
+    Unit.PIM: (OpKind.PIM_GEMV, dict(dims=(1, 2048, 2048), bytes_moved=2048 * 2048 * 2)),
+}
+
+_NAIVE = SystemConfig.ianus(scheduling=SchedulingPolicy.NAIVE)
+
+#: (rule, configuration, stream as (unit, deps) pairs): moving the stream's
+#: last command to start at 0.0, for its full duration, breaks the rule.
+_FORGERIES = {
+    "start before a dependency ends": (
+        "dependency", SystemConfig.ianus(),
+        [(Unit.MATRIX_UNIT, ()), (Unit.VECTOR_UNIT, (0,))],
+    ),
+    "overlap on one resource": (
+        "resource", SystemConfig.ianus(),
+        [(Unit.MATRIX_UNIT, ()), (Unit.MATRIX_UNIT, ())],
+    ),
+    "dma inside a pim macro": (
+        "dma-after-pim", SystemConfig.ianus(),
+        [(Unit.PIM, ()), (Unit.DMA_LOAD, ())],
+    ),
+    "pim macro inside a dma": (
+        "pim-after-dma", SystemConfig.ianus(),
+        [(Unit.DMA_LOAD, ()), (Unit.PIM, ())],
+    ),
+    "pim macro inside a naive barrier": (
+        "naive barrier", _NAIVE,
+        [(Unit.MATRIX_UNIT, ()), (Unit.PIM, ())],
+    ),
+    "command inside a naive barrier": (
+        "naive barrier", _NAIVE,
+        [(Unit.PIM, ()), (Unit.VECTOR_UNIT, ())],
+    ),
+}
+
+
+def _forgery_stream(spec) -> CommandStream:
+    stream = CommandStream(label="forgery")
+    for unit, deps in spec:
+        kind, numbers = _FORGERY_COMMANDS[unit]
+        stream.add(unit, kind, deps=deps, **numbers)
+    return stream
+
+
+def _forged(timeline: Timeline, cid: int, **fields) -> Timeline:
+    """``timeline`` with the given fields of command ``cid`` replaced."""
+    commands = list(timeline.commands)
+    commands[cid] = dataclasses.replace(commands[cid], **fields)
+    return Timeline(commands, timeline.stats)
+
+
+class TestCheckTimeline:
+    @pytest.mark.parametrize("forgery", sorted(_FORGERIES))
+    def test_forged_start_names_the_broken_rule(self, forgery):
+        rule, config, spec = _FORGERIES[forgery]
+        stream = _forgery_stream(spec)
+        timeline = EventEngine(config).simulate(stream)
+        assert check_timeline(stream, timeline, config) == []
+
+        last = len(stream) - 1
+        duration = DurationModel.shared(config).duration(stream[last])
+        forged = _forged(timeline, last, start=0.0, end=duration)
+        violations = check_timeline(stream, forged, config)
+        assert violations
+        assert all(v.startswith(f"{rule}: command {last} ") for v in violations), violations
+
+    def test_idle_start_breaks_greedy(self, ianus_config):
+        stream = _forgery_stream([(Unit.MATRIX_UNIT, ()), (Unit.VECTOR_UNIT, (0,))])
+        timeline = EventEngine(ianus_config).simulate(stream)
+        late = timeline.commands[1].start + 1e-9
+        duration = DurationModel.shared(ianus_config).duration(stream[1])
+        forged = _forged(timeline, 1, start=late, end=late + duration)
+        violations = check_timeline(stream, forged, ianus_config)
+        assert len(violations) == 1 and violations[0].startswith("greedy: command 1 ")
+
+    def test_wrong_end_breaks_duration(self, ianus_config):
+        stream = _forgery_stream([(Unit.MATRIX_UNIT, ()), (Unit.VECTOR_UNIT, (0,))])
+        timeline = EventEngine(ianus_config).simulate(stream)
+        forged = _forged(timeline, 1, end=timeline.commands[1].end + 1e-9)
+        violations = check_timeline(stream, forged, ianus_config)
+        assert len(violations) == 1 and violations[0].startswith("duration: command 1 ")
+
+    def test_wrong_counter_breaks_stats(self, ianus_config):
+        stream = _forgery_stream([(Unit.DMA_LOAD, ()), (Unit.PIM, ())])
+        timeline = EventEngine(ianus_config).simulate(stream)
+        stats = dataclasses.replace(
+            timeline.stats, offchip_read_bytes=timeline.stats.offchip_read_bytes + 1
+        )
+        violations = check_timeline(stream, Timeline(timeline.commands, stats), ianus_config)
+        assert len(violations) == 1
+        assert violations[0].startswith("stats: offchip_read_bytes ")
+
+    def test_timeline_of_another_stream_is_reported(self, ianus_config):
+        stream = _forgery_stream([(Unit.MATRIX_UNIT, ()), (Unit.VECTOR_UNIT, (0,))])
+        other = _forgery_stream([(Unit.MATRIX_UNIT, ())])
+        timeline = EventEngine(ianus_config).simulate(other)
+        violations = check_timeline(stream, timeline, ianus_config)
+        assert len(violations) == 1 and violations[0].startswith("commands: ")

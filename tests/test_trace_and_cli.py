@@ -9,13 +9,14 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis.trace import overlap_matrix, render_gantt, timeline_to_records
+from repro.analysis.trace import render_gantt, timeline_to_records
 from repro.cli import build_parser, main
 from repro.compiler import Compiler
 from repro.config import SystemConfig
+from repro.ir import OpKind, Unit
 from repro.models import GPT2_CONFIGS
 from repro.models.workload import Stage, StagePass
-from repro.scheduling import EventEngine, Timeline
+from repro.scheduling import ActivityStats, EventEngine, ScheduledCommand, Timeline
 
 
 @pytest.fixture(scope="module")
@@ -51,20 +52,20 @@ class TestTraceExport:
             render_gantt(generation_timeline, width=10)
 
     def test_gantt_of_empty_timeline(self):
-        from repro.scheduling.events import ActivityStats
-
         empty = Timeline(commands=[], stats=ActivityStats())
         assert "empty" in render_gantt(empty)
 
-    def test_overlap_matrix_shows_pim_npu_overlap(self, generation_timeline):
-        matrix = overlap_matrix(generation_timeline)
-        pim_pairs = {pair: value for pair, value in matrix.items() if "pim" in pair}
-        assert pim_pairs
-        assert any(value > 0 for value in pim_pairs.values())
-
-    def test_overlap_matrix_symmetric_by_construction(self, generation_timeline):
-        matrix = overlap_matrix(generation_timeline)
-        assert all(first < second for (first, second) in matrix)
+    @pytest.mark.parametrize("makespan", [50e-6, 2.69e-3, 1.23])
+    def test_gantt_prints_whole_numbers(self, makespan):
+        """No label is cut, however many digits the makespan has."""
+        timeline = Timeline([
+            ScheduledCommand(0, Unit.MATRIX_UNIT, OpKind.FC_QKV, "", 0.0, makespan, 0.0, 0),
+            ScheduledCommand(1, Unit.PIM, OpKind.PIM_GEMV, "", 0.0, makespan / 3, 0.0, 0),
+        ])
+        header, *lanes = render_gantt(timeline).splitlines()
+        assert header.endswith(f" {makespan * 1e6:,.1f} us")
+        assert len(lanes) == 2
+        assert all(lane.endswith(" us busy)") for lane in lanes)
 
 
 #: Every numeric ``repro serve`` flag: (its flag and keyword spellings,
