@@ -70,6 +70,9 @@ class PimDeviceModel:
             )
         self.pcu = PimControlUnit(config)
         self.controller = PimMemoryController(config)
+        #: This device's estimates keyed by shape alone, in front of the
+        #: shared cache: a hit skips hashing the whole configuration.
+        self._estimates: dict = {}
 
     # ------------------------------------------------------------------
     def gemv(
@@ -81,11 +84,15 @@ class PimDeviceModel:
     ) -> PimOperationEstimate:
         """Estimate one matrix-vector multiplication ``y = W x`` on the PIM."""
         channels = channels or self.compute_channels
+        shape = (out_features, in_features, fused_gelu, channels)
+        estimate = self._estimates.get(shape)
+        if estimate is not None:
+            return estimate
         # The estimate depends only on the (frozen) PIM configuration and the
         # operation shape, so it is cached process-wide: parameter sweeps
         # build many device models for equal configurations, and rebuilding a
         # model must not discard the (expensive) micro-program simulations.
-        key = (self.config, out_features, in_features, fused_gelu, channels)
+        key = (self.config, *shape)
         estimate = _ESTIMATE_CACHE.get(key)
         if estimate is None:
             estimate = self._estimate_uncached(
@@ -94,6 +101,7 @@ class PimDeviceModel:
             if len(_ESTIMATE_CACHE) >= _ESTIMATE_CACHE_MAXSIZE:
                 _ESTIMATE_CACHE.pop(next(iter(_ESTIMATE_CACHE)))
             _ESTIMATE_CACHE[key] = estimate
+        self._estimates[shape] = estimate
         return estimate
 
     def gemv_time(self, out_features: int, in_features: int, fused_gelu: bool = False) -> float:

@@ -19,28 +19,39 @@ Python object survives its own lifetime.
 
 **Dense decode-cost tables.**  All decode pricing goes through a
 :class:`~repro.serving.decode_table.DecodeCostTable` built once per
-(model, backend, anchor grid) by the cost provider: the inner loop reads
-plain Python floats out of dense lists and never touches the cost model.
-Table entries are bit-identical to ``provider.decode``, so per-iteration
-stepping reproduces the object engine's floating-point results *exactly*.
+(model, backend, anchor grid) by the cost provider, one per co-hosted
+model: the inner loop reads plain Python floats out of dense lists and
+never touches the cost model.  Table entries are bit-identical to
+``provider.decode``, so per-iteration stepping reproduces the object
+engine's floating-point results *exactly*.
 
-**Macro-stepping.**  When every active request is decoding, the batch
-membership is provably stable until the next completion (admission caps
-``len(active)`` at the policy's concurrency gate, so every policy's batch
-is the whole active set), and the fused-batch floors provably never bind
-(:attr:`~repro.serving.decode_table.DecodeCostTable.floor_free`).  The
-engine then executes *k* decode iterations in O(B) arithmetic from the
-table's prefix sums — clock, energy, FLOPs and KV growth all advance in
-closed form — stopping exactly where the object engine's loop would have
-changed behavior: the next completion, the next arrival that could be
-admitted, the ``until`` horizon, the table edge, or a KV grant that no
-longer fits (which falls back to one per-iteration step so preemption
-runs the reference path).  Prefix-sum differences reorder float
-additions, which is why macro-stepped aggregate metrics are pinned to
-~1e-9 instead of bit-identical; ``record_events=True`` disables
-macro-stepping, and the per-iteration path then yields an event log
-**bit-identical** to the object engine's (the differential suite asserts
-exact equality).
+**Decode runs and macro-steps.**  When every active request is decoding,
+the batch membership is provably stable until the next completion
+(admission caps ``len(active)`` at the policy's concurrency gate, so
+every policy's batch is the whole active set, in an order that holds
+while each member gains one token per iteration).  The engine then
+advances the batch *k* iterations in one call, stopping exactly where
+the per-iteration loop would have changed behavior: the next completion,
+the next arrival that could be admitted, the ``until`` horizon, the
+table edge, or a KV grant that no longer fits (which falls back to one
+per-iteration step, so a preemption or swap-out runs the reference
+path).  Two methods do it:
+
+- ``_decode_run`` prices each iteration with ``fused_pass``'s own float
+  operations and advances every running total by sequential adds, so
+  its results are bit-identical to stepping.  It serves shared
+  prefixes, the swap tier, co-hosted models (the resident model's rows),
+  tables whose fused-batch floors may bind, and batches with a member
+  stalled on a page no victim can free.
+- ``_macro_step`` prices the private-page regime under a floor-free
+  table (:attr:`~repro.serving.decode_table.DecodeCostTable.floor_free`)
+  in O(B) from the table's prefix sums, which is faster.  Prefix-sum
+  differences reorder float additions, which is why macro-stepped
+  aggregate metrics are pinned to ~1e-9 instead of bit-identical.
+
+``record_events=True`` disables both, and the per-iteration path then
+yields an event log **bit-identical** to the object engine's (the
+differential suite asserts exact equality).
 
 **Arrival absorption and bursts.**  While the device idles between
 arrivals, the absorbers serve whole stretches of isolated requests (and,
@@ -56,14 +67,16 @@ turns all three off and leaves the per-arrival reference path.
 **One KV ledger.**  Every run books its pages in the simulator's
 :class:`~repro.serving.kv_memory.KvPageAccountant` (``self.kv``), the
 same reference-counting ledger the object engine uses; its running
-counters make every pool read O(1), so the per-iteration loop,
-macro-steps and the burst runner all reserve, grow and release through
-it.  The absorbers complete requests without ever holding their pages
-and only roll its ``peak_reserved_pages`` high-water mark.  Once a run
-offers a shared-prefix request (``prefix_id >= 0``), or when it has the
-host-DRAM swap tier, the vectorized fast paths (absorption, bursts,
-macro-stepping) stand down — their closed forms assume private pages
-that never leave the device — and the per-iteration loop alone runs.
+counters make every pool read O(1), so the per-iteration loop, decode
+runs, macro-steps and the burst runner all reserve, grow and release
+through it.  The absorbers complete requests without ever holding their
+pages and only roll its ``peak_reserved_pages`` high-water mark.  Once a
+run offers a shared-prefix request (``prefix_id >= 0``), or when it has
+the host-DRAM swap tier, the absorbers, the burst runner and the
+macro-steps stand down — their closed forms assume private pages that
+never leave the device — and the per-iteration loop runs with the decode
+runs, which read each member's held pages, shared ones included, from
+the ledger.
 
 **One set of per-iteration rules.**  The per-iteration loop makes no
 decision of its own: the policy's admission gate and order, prefill pick
@@ -84,7 +97,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from itertools import islice
+from functools import reduce
+from itertools import accumulate, islice, repeat
+from operator import add, sub
 
 import numpy as np
 
@@ -104,6 +119,11 @@ from repro.serving.simulator import (
 
 __all__ = ["ArraySimulationRun"]
 
+#: The decode-pricing state of a model without a table: KV range, the
+#: five columns, and whether decode runs may price from the columns (the
+#: order in which ``_swap_model`` installs a model's state).
+_NO_TABLE = (1, 0, None, None, None, None, None, False)
+
 
 class ArraySimulationRun(_RunLifecycle):
     """Columnar drop-in for :class:`~repro.serving.simulator.SimulationRun`."""
@@ -121,15 +141,24 @@ class ArraySimulationRun(_RunLifecycle):
     ) -> None:
         super().__init__(sim, record_events, kv_bounds)
         #: Fast-path gate: with the swap tier (or once a shared-prefix
-        #: request is offered) the vectorized fast paths stand down and
-        #: only the per-iteration loop runs (see the module docstring).
+        #: request is offered) the absorbers, bursts and macro-steps stand
+        #: down and only the per-iteration loop and the decode runs run
+        #: (see the module docstring).
         self._exact_kv = bool(sim.swap)
 
         # Decode-cost table (dense lists + prefix sums); absent under
         # exact pricing or unknown KV bounds, in which case every decode
         # is priced through the provider (correct, per-iteration only).
-        self._tbl_lo, self._tbl_hi = 1, 0
-        self._lat = None
+        (
+            self._tbl_lo,
+            self._tbl_hi,
+            self._lat,
+            self._em,
+            self._ep,
+            self._en,
+            self._fl,
+            self._run_table,
+        ) = _NO_TABLE
         self._lat_max = 0.0
         self._floor_free = False
         self._base: "tuple | None" = None
@@ -243,19 +272,43 @@ class ArraySimulationRun(_RunLifecycle):
             and not sim.multi_model
         )
         self._chunk_costs: dict = {}
-        # Multi-model residency: the per-iteration loop restricts each
-        # pass to the resident model's rows and pays a weight swap when
-        # the active model changes (the object engine's sticky-resident
-        # scheduling over rows).  The decode table prices the
-        # default model only, so a non-default resident stands the table
-        # down and prices through its own provider; the base and
-        # chunk-cost caches swap with the weights.
+        # Multi-model residency: the per-iteration loop and decode runs
+        # restrict each pass to the resident model's rows, and a weight
+        # swap is paid when the active model changes (the object engine's
+        # sticky-resident scheduling over rows).  Every co-hosted model
+        # gets its own decode table up front; its columns, base and
+        # chunk-cost cache swap in with the weights.  Only the default
+        # model's table carries the prefix sums, which the macro-steps and
+        # absorbers read, and those stand down on multi-model runs.
         self._multi = sim.multi_model
         if self._multi:
-            self._tbl_bounds = (self._tbl_lo, self._tbl_hi)
+            self._tables = {
+                sim.model.name: (
+                    self._tbl_lo,
+                    self._tbl_hi,
+                    self._lat,
+                    self._em,
+                    self._ep,
+                    self._en,
+                    self._fl,
+                    self._run_table,
+                )
+            }
             self._bases: dict = (
                 {} if self._base is None else {sim.model.name: self._base}
             )
+            if self._lat is not None:
+                for name, provider in sim.providers.items():
+                    if name not in self._tables:
+                        table = provider.decode_table(*kv_bounds)
+                        columns = table.columns()
+                        self._tables[name] = (
+                            table.kv_lo,
+                            table.kv_hi,
+                            *columns,
+                            min(columns[0]) >= 0.0,
+                        )
+                        self._bases[name] = table.base
             self._chunks_by_model = {sim.model.name: self._chunk_costs}
             self._model_names = tuple(member.name for member in sim.models)
             self._model_pos = {
@@ -329,6 +382,10 @@ class ArraySimulationRun(_RunLifecycle):
         # can never exceed batch * max - shared, so macro budget caps that
         # provably cannot bind are dismissed with one multiply.
         self._lat_max = max(self._lat)
+        # A fused pass costs at least its largest member, so with no
+        # negative latency a decode run's clock sequence never decreases
+        # and its budget stop may bisect it.
+        self._run_table = min(self._lat) >= 0.0
 
     def _base_cost(self) -> tuple:
         if self._base is None:
@@ -548,10 +605,14 @@ class ArraySimulationRun(_RunLifecycle):
         swapped = self.swapped
         pending = self.pending
         admit = self._policy.admit
-        # An offer since the last advance may have brought the run's first
-        # shared-prefix request; the fast paths stand down from then on.
+        # Without an event log, all-decode iterations run in bulk: by
+        # prefix-sum macro-steps on private pages under a floor-free
+        # table, by exact decode runs everywhere else.  An offer since the
+        # last advance may have brought the run's first shared-prefix
+        # request; the macro-steps and absorbers stand down from then on.
+        runs_ok = self.events is None
         macro_ok = (
-            self.events is None
+            runs_ok
             and self._floor_free
             and not self._exact_kv
             and not self._multi
@@ -584,9 +645,10 @@ class ArraySimulationRun(_RunLifecycle):
                     f"policy {self.sim.policy.name!r} left the device idle with "
                     f"{len(self.waiting)} admissible request(s) waiting"
                 )  # pragma: no cover - defensive, no shipped policy does this
-            # Macro-stepping: all-decode batches with an event-free run and
-            # a floor-free table advance many iterations in O(B).
-            if macro_ok and not self._num_prefilling and self._macro_step(until):
+            if macro_ok:
+                if not self._num_prefilling and self._macro_step(until):
+                    continue
+            elif runs_ok and self._decode_run(until):
                 continue
             self._step()
 
@@ -701,15 +763,20 @@ class ArraySimulationRun(_RunLifecycle):
         """Stream ``target``'s weights in over the host link (weight swap).
 
         Beyond the shared bookkeeping, the row engine re-points its cost
-        caches: the decode table prices the default model only, so a
-        non-default resident stands it down and prices through its own
-        provider, and the base/chunk caches follow the weights.
+        caches: the target's decode-table columns, its base and its
+        chunk-cost cache follow the weights.
         """
         super()._swap_model(target)
-        if target == self.sim.model.name:
-            self._tbl_lo, self._tbl_hi = self._tbl_bounds
-        else:
-            self._tbl_lo, self._tbl_hi = 1, 0
+        (
+            self._tbl_lo,
+            self._tbl_hi,
+            self._lat,
+            self._em,
+            self._ep,
+            self._en,
+            self._fl,
+            self._run_table,
+        ) = self._tables.get(target, _NO_TABLE)
         self._base = self._bases.get(target)
         self._chunk_costs = self._chunks_by_model.setdefault(target, {})
 
@@ -800,13 +867,14 @@ class ArraySimulationRun(_RunLifecycle):
             self.decode_passes += 1
             self.decode_tokens += len(batch)
             self._outstanding -= len(batch)
-        self._emit(
-            "step",
-            latency=latency,
-            request_id=None if row is None else self._rid[row],
-            tokens=chunk,
-            decode_ids=tuple(self._rid[r] for r in batch),
-        )
+        if self.events is not None:
+            self._emit(
+                "step",
+                latency=latency,
+                request_id=None if row is None else self._rid[row],
+                tokens=chunk,
+                decode_ids=tuple(self._rid[r] for r in batch),
+            )
 
         finished: list[int] = []
         if row is not None:
@@ -854,6 +922,93 @@ class ArraySimulationRun(_RunLifecycle):
             self._record_completion(row)
 
     # ------------------------------------------------------------------
+    # All-decode stretches in bulk: the shared step bounds, the
+    # prefix-sum macro-step and the exact decode run
+    # ------------------------------------------------------------------
+    def _run_bounds(self, batch: "list[int]") -> "tuple[list[int], int]":
+        """Each member's table offset, and the most decode iterations the
+        batch can price from the table before its first completion.
+
+        The count is below 1 when a member sits below the table or at its
+        top edge; the caller then runs one per-iteration step.
+        """
+        lo = self._tbl_lo
+        span = self._tbl_hi - lo + 1
+        inp, out, generated = self._inp, self._out, self._generated
+        offsets = []
+        append = offsets.append
+        steps = span
+        off_max = 0
+        for row in batch:
+            offset = inp[row] + generated[row] - lo
+            if offset < 0:
+                return offsets, 0
+            append(offset)
+            if offset > off_max:
+                off_max = offset
+            remaining = out[row] - generated[row]
+            if remaining < steps:
+                steps = remaining
+        if steps > span - off_max:
+            steps = span - off_max
+        return offsets, steps
+
+    def _fit_growth(
+        self, batch: "list[int]", offsets: "list[int]", steps: int
+    ) -> "tuple[int, list[int], list[int]]":
+        """Cap ``steps`` at the largest k whose KV growth fits the free pool.
+
+        Under optimistic admission, iteration j grants each member the
+        pages of KV length ``kv + j - 1``.  Free pages only fall until the
+        next completion, so while the whole growth fits, every grant of
+        the per-iteration ``_grow_batch`` succeeds without a victim.
+        Returns ``(k, kvs, held)``; k = 0 means the next grant needs a
+        preemption, a swap-out or a stall, which the per-iteration path
+        runs.  ``held`` counts a member's shared-prefix pages too: they
+        back its KV but never grow.
+        """
+        kv = self.kv
+        rid = self._rid
+        lo = self._tbl_lo
+        page_tokens = self._page_tokens
+        kvs = [offset + lo for offset in offsets]
+        held = [
+            kv.held_pages(rid[row]) + kv.shared_held_pages(rid[row])
+            for row in batch
+        ]
+        free = kv.free_pages
+
+        def growth(j: int) -> int:
+            need = 0
+            for kv_now, pages_held in zip(kvs, held):
+                delta = -(-(kv_now + j - 1) // page_tokens) - pages_held
+                if delta > 0:
+                    need += delta
+            return need
+
+        if growth(steps) > free:
+            low, high = 0, steps  # growth(low) fits, growth(high) doesn't
+            while high - low > 1:
+                mid = (low + high) // 2
+                if growth(mid) > free:
+                    high = mid
+                else:
+                    low = mid
+            steps = low
+        return steps, kvs, held
+
+    def _grant_growth(
+        self, batch: "list[int]", kvs: "list[int]", held: "list[int]", steps: int
+    ) -> None:
+        """Book the growth of ``steps`` iterations that :meth:`_fit_growth`
+        proved fits; only members crossing a page boundary call in."""
+        kv = self.kv
+        rid = self._rid
+        page_tokens = self._page_tokens
+        for kv_now, pages_held, row in zip(kvs, held, batch):
+            if -(-(kv_now + steps - 1) // page_tokens) > pages_held:
+                kv.grow(rid[row], kv_now + steps - 1)
+
     def _macro_step(self, until: "float | None") -> bool:
         """Advance up to the next behavior boundary in O(B) per probe.
 
@@ -863,62 +1018,18 @@ class ArraySimulationRun(_RunLifecycle):
         """
         active = self.active
         batch_size = len(active)
-        lo, hi = self._tbl_lo, self._tbl_hi
-        inp, out, generated = self._inp, self._out, self._generated
-        offsets = []
-        append = offsets.append
-        span = hi - lo + 1
-        steps = span
-        off_max = 0
-        for row in active:
-            offset = inp[row] + generated[row] - lo
-            if offset < 0:
-                return False
-            append(offset)
-            if offset > off_max:
-                off_max = offset
-            remaining = out[row] - generated[row]
-            if remaining < steps:
-                steps = remaining
-        if steps > span - off_max:
-            steps = span - off_max
+        offsets, steps = self._run_bounds(active)
         if steps < 1:
             return False
+        optimistic = self._optimistic
+        if optimistic:
+            steps, kvs, held = self._fit_growth(active, offsets, steps)
+            if steps < 1:
+                return False
 
         kv = self.kv
         rid = self._rid
-        optimistic = self._optimistic
-        if optimistic:
-            # Largest k whose total page growth fits the free pool
-            # (monotone in k).  k=0 means the grant needs preemption:
-            # fall back to the per-iteration path, which runs it exactly.
-            # Macro-steps never run under sharing, so every held page is
-            # private.
-            held = [kv.held_pages(rid[row]) for row in active]
-            free = kv.free_pages
-            page_tokens = self._page_tokens
-            kvs = [offset + lo for offset in offsets]
-
-            def growth(j: int) -> int:
-                need = 0
-                for kv_now, pages_held in zip(kvs, held):
-                    delta = -(-(kv_now + j - 1) // page_tokens) - pages_held
-                    if delta > 0:
-                        need += delta
-                return need
-
-            if growth(steps) > free:
-                low, high = 0, steps  # growth(low) fits, growth(high) doesn't
-                while high - low > 1:
-                    mid = (low + high) // 2
-                    if growth(mid) > free:
-                        high = mid
-                    else:
-                        low = mid
-                steps = low
-                if steps < 1:
-                    return False
-
+        out, generated = self._out, self._generated
         base = self._base  # a table is installed whenever macros run
         shared = self._batch_share * (batch_size - 1)
         prefix_lat = self._plat
@@ -997,17 +1108,205 @@ class ArraySimulationRun(_RunLifecycle):
         self._outstanding -= j * batch_size
 
         if optimistic:
-            # The bisection above proved the whole growth fits, so every
-            # grant succeeds; only rows crossing a page boundary call in.
-            for kv_now, pages_held, row in zip(kvs, held, active):
-                if -(-(kv_now + j - 1) // page_tokens) > pages_held:
-                    kv.grow(rid[row], kv_now + j - 1)
+            self._grant_growth(active, kvs, held, j)
         if finished is not None:
             for row in finished:
                 active.remove(row)
                 kv.release(rid[row])
                 self._record_completion(row)
         return True
+
+    def _decode_run(self, until: "float | None") -> bool:
+        """Advance a stable all-decode batch to its next behavior boundary
+        in one call, with :func:`fused_pass`'s own float operations.
+
+        The batch is the policy's decode batch over the active rows (the
+        resident model's, on a multi-model run), none of them prefilling,
+        less the members the next grants leave stalled (:meth:`_granted`).
+        Until the next boundary the per-iteration loop would decode that
+        batch in the same order, admit nothing and grant every page
+        without a victim, so the run decodes k iterations at once.  It
+        stops where that loop would change behavior:
+
+        - at the batch's first completion, or where a member reaches the
+          table's top edge;
+        - at the largest k whose KV growth fits the free pool;
+        - after the first iteration that ends at or past ``until``;
+        - after the first iteration that ends at or past the next pending
+          arrival, while the admission gate is open and that arrival could
+          be admitted: ``waiting`` is empty, or the policy does not serve
+          in queue order.  Otherwise the blocked queue head stays blocked,
+          because free pages only fall during a run.
+
+        Each iteration is priced as ``fused_pass`` prices it: builtin
+        ``sum`` and ``max`` over the members' cost values in batch order,
+        then ``max(sum - shared * floor, max)``, and a lone member's values
+        as they are.  Clock, busy time, the energies and FLOPs advance by
+        sequential adds, and the budget stop bisects the exact clock
+        sequence, so every number is bit-identical to stepping.  Returns
+        ``False`` when not even one iteration can run here; the caller
+        then runs one per-iteration step.
+        """
+        if not self._run_table:
+            return False
+        active = self.active
+        generated = self._generated
+        if self._multi:
+            resident = self.resident_model
+            mdl = self._mdl
+            default = self.sim.model.name
+            decodable = [
+                row for row in active if (mdl[row] or default) == resident
+            ]
+            # No resident row means a weight swap, and a prefilling one a
+            # carrier pass: both belong to the per-iteration loop.
+            if not decodable or not all(generated[row] for row in decodable):
+                return False
+        elif self._num_prefilling:
+            return False
+        else:
+            decodable = active
+        batch = self._policy.decode_batch(decodable, self._keys)
+        optimistic = self._optimistic
+        if optimistic:
+            batch = self._granted(batch)
+            if not batch:
+                return False
+        offsets, steps = self._run_bounds(batch)
+        if steps < 1:
+            return False
+        lat = self._lat
+        threshold = until
+        pending = self.pending
+        if (
+            pending
+            and len(active) < self._policy_cap
+            and (not self.waiting or not self._arrival_order)
+        ):
+            arrival = self._arr[pending[0]]
+            if threshold is None or arrival < threshold:
+                threshold = arrival
+        if threshold is not None:
+            # Price no further than the threshold can reach, taking each
+            # pass to cost at least its slowest member's first latency.
+            # The guess only sizes the work: a run that stops short of
+            # every boundary is exact too, and the next call carries on.
+            first = max([lat[offset] for offset in offsets])
+            if first > 0.0:
+                reach = (threshold - self.clock) / first + 2.0
+                if reach < steps:
+                    steps = max(1, int(reach))
+        if optimistic:
+            steps, kvs, held = self._fit_growth(batch, offsets, steps)
+            if steps < 1:
+                return False
+
+        size = len(batch)
+        fused = self._fused_column
+        if size == 1:
+            offset = offsets[0]
+            latencies = lat[offset:offset + steps]
+        else:
+            shared = self._batch_share * (size - 1)
+            floor = self._base_cost()
+            latencies = list(fused(lat, offsets, steps, shared * floor[0]))
+        if threshold is None:
+            end = reduce(add, latencies, self.clock)
+        else:
+            clocks = list(accumulate(latencies, initial=self.clock))
+            crossing = bisect_left(clocks, threshold, 1)
+            if crossing < steps:
+                steps = crossing
+                del latencies[crossing:]
+            end = clocks[steps]
+
+        if size == 1:
+            stop = offset + steps
+            e_mem = self._em[offset:stop]
+            e_pim = self._ep[offset:stop]
+            e_npu = self._en[offset:stop]
+            flops = self._fl[offset:stop]
+        else:
+            e_mem = fused(self._em, offsets, steps, shared * floor[1])
+            e_pim = fused(self._ep, offsets, steps, shared * floor[2])
+            e_npu = fused(self._en, offsets, steps, shared * floor[3])
+            column = self._fl
+            flops = map(
+                sum, zip(*[column[offset:offset + steps] for offset in offsets])
+            )
+        self.clock = end
+        self.busy = reduce(add, latencies, self.busy)
+        self._energy_mem = reduce(add, e_mem, self._energy_mem)
+        self._energy_pim = reduce(add, e_pim, self._energy_pim)
+        self._energy_npu = reduce(add, e_npu, self._energy_npu)
+        self.flops = reduce(add, flops, self.flops)
+        self.decode_passes += steps
+        self.decode_tokens += steps * size
+        self._outstanding -= steps * size
+
+        if optimistic:
+            self._grant_growth(batch, kvs, held, steps)
+        out = self._out
+        finished = []
+        for row in batch:
+            done = generated[row] + steps
+            generated[row] = done
+            if done >= out[row]:
+                finished.append(row)
+        if finished:
+            kv = self.kv
+            rid = self._rid
+            for row in finished:
+                active.remove(row)
+                kv.release(rid[row])
+                self._record_completion(row)
+        return True
+
+    def _granted(self, batch: "list[int]") -> "list[int]":
+        """The members the next ``_grow_batch`` grants, in batch order;
+        ``[]`` when it would take a victim (or grant no one).
+
+        A member whose next page does not fit stalls when no victim is
+        left: every other active row was granted or stalled before it, and
+        no swapped row can be preempted (or the run neither preempts nor
+        swaps).  Free pages only fall until the next completion, so the
+        member stays stalled, and a decode run decodes the others.
+        """
+        kv = self.kv
+        rid, inp, generated = self._rid, self._inp, self._generated
+        sim = self.sim
+        victims = sim.swap or sim.preempt
+        # Active rows outside the batch (other models' rows) are victims.
+        outside = len(self.active) - len(batch)
+        last = len(batch) - 1
+        free = kv.free_pages
+        granted = []
+        for index, row in enumerate(batch):
+            need = kv.grow_need(rid[row], inp[row] + generated[row])
+            if need <= free:
+                if need > 0:
+                    free -= need
+                granted.append(row)
+            elif victims and (
+                index < last or outside or (sim.swap and self.swapped)
+            ):
+                return []
+        return granted
+
+    @staticmethod
+    def _fused_column(
+        column: list, offsets: "list[int]", steps: int, shared_floor: float
+    ):
+        """One cost component of ``steps`` fused decode iterations, as
+        ``fused_pass`` computes it: ``max(sum(values) - shared_floor,
+        max(values))`` per iteration over the members' values in batch
+        order, where ``shared_floor`` is ``shared * floor``."""
+        parts = [column[offset:offset + steps] for offset in offsets]
+        return map(
+            max,
+            map(sub, map(sum, zip(*parts)), repeat(shared_floor)),
+            map(max, zip(*parts)),
+        )
 
     # ------------------------------------------------------------------
     # Underload fast path: arrival-batched absorption

@@ -278,19 +278,18 @@ def cluster_kv_peak(event_logs: "Sequence[Sequence]") -> int:
     is lower than the sum of per-replica peaks whenever the replicas peak
     at different times.
     """
+    # (clock, replica, sequence) is unique, so the tuples sort by it
+    # without a key function.
     merged = sorted(
-        (
-            (event.clock_s, replica_index, sequence, event.kv_reserved_pages)
-            for replica_index, events in enumerate(event_logs)
-            for sequence, event in enumerate(events)
-        ),
-        key=lambda item: (item[0], item[1], item[2]),
+        (event.clock_s, replica_index, sequence, event.kv_reserved_pages)
+        for replica_index, events in enumerate(event_logs)
+        for sequence, event in enumerate(events)
     )
     current = [0] * len(event_logs)
-    peak = 0
+    total = peak = 0
     for _, replica_index, _, reserved in merged:
+        total += reserved - current[replica_index]
         current[replica_index] = reserved
-        total = sum(current)
         if total > peak:
             peak = total
     return peak
@@ -335,7 +334,10 @@ class ClusterMetrics:
     #: max/min routed tokens over the replicas that received at least one
     #: request (1.0 when fewer than two replicas did).
     load_imbalance: float
-    #: Cluster-wide instantaneous KV peak (summed across replicas).
+    #: Cluster-wide KV peak.  With event logs recorded it is the merged
+    #: instantaneous peak (:func:`cluster_kv_peak`); without them it is the
+    #: sum of the per-replica peaks, an upper bound that is higher whenever
+    #: the replicas peak at different times.
     kv_peak_pages: int
     kv_pages_total: int
     slo_attainment: "float | None" = None

@@ -1184,8 +1184,8 @@ def _profile_phases(run: "_RunLifecycle") -> None:
 
     ``_admit`` books admit.  ``_step`` books prefill when it ran a prefill
     pass (``prefill_passes`` moved during the call) and decode otherwise.
-    The array engine's ``_macro_step`` books decode and its
-    ``_absorb_arrivals`` absorb.  ``_finalize`` books metrics.  The loops
+    The array engine's ``_macro_step`` and ``_decode_run`` book decode and
+    its ``_absorb_arrivals`` absorb.  ``_finalize`` books metrics.  The loops
     themselves carry no timing code, so an unprofiled run pays nothing.
     """
     phase_s = run.phase_s
@@ -1201,8 +1201,9 @@ def _profile_phases(run: "_RunLifecycle") -> None:
         phase_s[phase] += perf_counter() - start
 
     run._step = timed_step
-    if hasattr(run, "_macro_step"):
-        _book_phase(run, "_macro_step", phase_s, "decode")
+    for name in ("_macro_step", "_decode_run"):
+        if hasattr(run, name):
+            _book_phase(run, name, phase_s, "decode")
     if hasattr(run, "_absorb_arrivals"):
         phase_s["absorb"] = 0.0
         _book_phase(run, "_absorb_arrivals", phase_s, "absorb")
@@ -1752,13 +1753,14 @@ class SimulationRun(_RunLifecycle):
         if batch:
             self.decode_passes += 1
             self.decode_tokens += len(batch)
-        self._emit(
-            "step",
-            latency=latency,
-            request_id=None if flight is None else flight.request.request_id,
-            tokens=chunk,
-            decode_ids=tuple(f.request.request_id for f in batch),
-        )
+        if self.events is not None:
+            self._emit(
+                "step",
+                latency=latency,
+                request_id=None if flight is None else flight.request.request_id,
+                tokens=chunk,
+                decode_ids=tuple(f.request.request_id for f in batch),
+            )
 
         finished: list[_InFlight] = []
         if flight is not None:

@@ -39,6 +39,8 @@ from repro.serving import (
     make_policy,
 )
 from repro.serving.array_engine import ArraySimulationRun
+from repro.serving.request import Request
+from repro.serving.validate import _Ledger
 
 MODEL = GPT2_CONFIGS["m"]
 
@@ -215,6 +217,54 @@ def test_random_interleavings_balance_the_books(ops):
     assert accountant.free_pages == accountant.total_pages
     for prefix_id in PREFIX_TOKENS:
         assert accountant.prefix_refcount(prefix_id) == 0
+
+
+@given(
+    admission=st.sampled_from(("worst-case", "optimistic")),
+    ops=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 2**20)), max_size=60
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_replay_ledger_keeps_its_reserved_count(admission, ops):
+    # The invariant replay's ledger keeps a running ``reserved`` count;
+    # after any interleaving it must equal the sum it stands for: every
+    # held private page plus each resident group's shared pages once.
+    ledger = _Ledger(page_tokens=4, admission=admission)
+    requests = {}
+    steps = {}
+    for op, value in ops:
+        rids = sorted(requests)
+        if op == 0:  # admit a new request, possibly sharing a prefix
+            prefix_id = value % 3 - 1
+            prefix_tokens = PREFIX_TOKENS.get(prefix_id, 0)
+            request = Request(
+                request_id=len(steps), arrival_s=0.0,
+                input_tokens=prefix_tokens + 1 + value % 20,
+                output_tokens=1 + value % 9, prefix_id=prefix_id,
+                prefix_tokens=prefix_tokens,
+            )
+            requests[request.request_id] = request
+            steps[request.request_id] = 0
+            ledger.admit(request)
+        elif op == 1 and rids:  # one more decode pass
+            rid = rids[value % len(rids)]
+            steps[rid] += 1
+            ledger.decode(requests[rid], steps[rid])
+        elif op == 2 and rids:  # swap out
+            ledger.swap_out(rids[value % len(rids)])
+        elif op == 3 and rids:  # swap back in
+            ledger.swap_in(rids[value % len(rids)])
+        elif op == 4 and rids:  # complete or preempt
+            rid = rids[value % len(rids)]
+            ledger.release(rid)
+            del requests[rid]
+        elif op == 5:  # replica failure
+            ledger.clear()
+            requests.clear()
+        assert ledger.reserved == sum(ledger.held.values()) + sum(
+            pages for pages, _refcount in ledger.groups.values()
+        )
 
 
 def test_shared_prefix_charges_once_and_frees_last():
