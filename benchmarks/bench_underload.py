@@ -53,7 +53,6 @@ from repro.serving import (
     decode_kv_bounds,
     get_trace_generator,
 )
-from repro.serving.array_engine import ArraySimulationRun
 from repro.serving.simulator import mean_service_time_s
 from repro.serving.trace import DiurnalCurve
 
@@ -100,8 +99,11 @@ def _underload_rate(cost_model, generator) -> float:
 
 
 def _timed_run(cost_model, trace, *, batching, policy, detail=False):
-    """begin/offer/advance/finish with per-phase walls (no trace prep)."""
-    ArraySimulationRun.arrival_batching = batching
+    """begin/offer/advance/finish with per-phase walls (no trace prep).
+
+    ``batching=False`` switches off the run's ``_absorb_arrivals``, the one
+    entry to the absorbers and the burst runner, leaving the per-arrival
+    reference path."""
     simulator = ServingSimulator(
         cost_model, MODEL, engine="array", max_batch=MAX_BATCH,
         policy=policy, per_request_detail=detail,
@@ -110,6 +112,8 @@ def _timed_run(cost_model, trace, *, batching, policy, detail=False):
     start = perf_counter()
     run = simulator.begin(kv_bounds=bounds)
     begin_s = perf_counter() - start
+    if not batching:
+        run._absorb_arrivals = lambda until: False
     start = perf_counter()
     run.offer_many(trace)
     offer_s = perf_counter() - start
@@ -175,7 +179,6 @@ def _diurnal_day_cell(cost_model, generator, requested):
         per_request_detail=False,
     )
     bounds = decode_kv_bounds(generator.workloads)
-    ArraySimulationRun.arrival_batching = True
     start = perf_counter()
     metrics = simulator.simulate_stream(
         generator.generate_stream(
@@ -234,7 +237,6 @@ def _validation_cells(cost_model, generator, rate_rps):
     # Event-recorded runs: byte-identical to the object engine (recording
     # events disables absorption by construction, so this also proves the
     # batched engine never silently changes the evented path).
-    ArraySimulationRun.arrival_batching = True
     array_sim = ServingSimulator(
         cost_model, MODEL, engine="array", max_batch=MAX_BATCH
     )
@@ -269,7 +271,6 @@ def _validation_cells(cost_model, generator, rate_rps):
     # as metric-identical (1 ulp of clock drift can appear on
     # multi-thousand-request traces, on the generic route too), so the
     # full trace is additionally held to 1e-9 pooled agreement.
-    ArraySimulationRun.arrival_batching = True
     prefix = trace[:300]
     single = ServingSimulator(
         cost_model, MODEL, engine="array", max_batch=MAX_BATCH
@@ -318,30 +319,26 @@ def _validation_cells(cost_model, generator, rate_rps):
 def run_underload() -> dict:
     requested = _requested_size()
     full_scale = requested >= SPEEDUP_REQUESTS
-    saved = ArraySimulationRun.arrival_batching
-    try:
-        cost_model = make_cost_model(BACKEND)
-        generator = get_trace_generator(TRACE)
-        rate_rps = _underload_rate(cost_model, generator)
-        size = min(SPEEDUP_REQUESTS, requested)
-        cells = {
-            "underload_speedup": _speedup_cell(
-                cost_model, generator, rate_rps, size, "fcfs"
-            ),
-            "underload_interleaved": _speedup_cell(
-                cost_model, generator, rate_rps, size, "interleaved"
-            ),
-            "diurnal_day": _diurnal_day_cell(
-                cost_model, generator,
-                requested * 5 if not full_scale else (1 << 62)
-            ),
-            "cluster_100k": _cluster_cell(
-                cost_model, generator, min(CLUSTER_REQUESTS, requested)
-            ),
-            "validation": _validation_cells(cost_model, generator, rate_rps),
-        }
-    finally:
-        ArraySimulationRun.arrival_batching = saved
+    cost_model = make_cost_model(BACKEND)
+    generator = get_trace_generator(TRACE)
+    rate_rps = _underload_rate(cost_model, generator)
+    size = min(SPEEDUP_REQUESTS, requested)
+    cells = {
+        "underload_speedup": _speedup_cell(
+            cost_model, generator, rate_rps, size, "fcfs"
+        ),
+        "underload_interleaved": _speedup_cell(
+            cost_model, generator, rate_rps, size, "interleaved"
+        ),
+        "diurnal_day": _diurnal_day_cell(
+            cost_model, generator,
+            requested * 5 if not full_scale else (1 << 62)
+        ),
+        "cluster_100k": _cluster_cell(
+            cost_model, generator, min(CLUSTER_REQUESTS, requested)
+        ),
+        "validation": _validation_cells(cost_model, generator, rate_rps),
+    }
     return {
         "benchmark": "underload",
         "backend": BACKEND,

@@ -32,8 +32,7 @@ def write_markdown(path: str, results: dict) -> None:
         "",
         "Absolute latencies come from this repository's command-level simulator, not the",
         "authors' validated in-house simulator or hardware, so only the *shapes* (who wins,",
-        "by roughly what factor, where crossovers fall) are expected to match; see DESIGN.md",
-        "for the substitution table.",
+        "by roughly what factor, where crossovers fall) are expected to match.",
         "",
     ]
     for experiment_id, result in results.items():

@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import LARGE_GPT_CONFIGS, MultiIanusSystem, SystemConfig, Workload, devices_required
+from repro import IanusSystem, LARGE_GPT_CONFIGS, SystemConfig, Workload, devices_required
 from repro.analysis import format_table
 from repro.baselines import A100Gpu
 
@@ -30,7 +30,7 @@ def main() -> None:
     rows = []
     for key, model in LARGE_GPT_CONFIGS.items():
         devices = devices_required(model, config)
-        cluster = MultiIanusSystem(config, devices)
+        cluster = IanusSystem(config, num_devices=devices)
         ianus_result = cluster.run(model, workload)
         gpu_result = gpu.run(model, workload)
         perf_per_tdp = (1.0 / ianus_result.total_latency_s) / cluster.tdp_w
@@ -59,17 +59,17 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Fig. 18: strong scaling of the 6.7B model.
     # ------------------------------------------------------------------
-    points = MultiIanusSystem.strong_scaling(
-        config, LARGE_GPT_CONFIGS["6.7b"], workload, device_counts=(2, 4, 8)
-    )
     rows = []
     previous = None
-    for point in points:
-        gain = "" if previous is None else f"{point.tokens_per_second / previous:.2f}x"
-        previous = point.tokens_per_second
+    for devices in (2, 4, 8):
+        result = IanusSystem(config, num_devices=devices).run(
+            LARGE_GPT_CONFIGS["6.7b"], workload
+        )
+        gain = "" if previous is None else f"{result.tokens_per_second / previous:.2f}x"
+        previous = result.tokens_per_second
         rows.append(
-            [point.num_devices, round(point.tokens_per_second, 1),
-             round(point.latency_ms, 1), gain]
+            [devices, round(result.tokens_per_second, 1),
+             round(result.total_latency_ms, 1), gain]
         )
     print(
         format_table(

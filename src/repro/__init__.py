@@ -30,7 +30,6 @@ from repro.config import (
 from repro.core import (
     IanusSystem,
     InferenceResult,
-    MultiIanusSystem,
     StageResult,
     devices_required,
 )
@@ -66,7 +65,6 @@ __all__ = [
     # system models
     "IanusSystem",
     "InferenceResult",
-    "MultiIanusSystem",
     "StageResult",
     "devices_required",
     # models and workloads

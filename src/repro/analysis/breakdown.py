@@ -5,18 +5,12 @@ layer normalisation, self-attention, the FC that generates Q/K/V, the FC that
 projects the attention output (measured together with its residual addition),
 and the FFN (measured together with its residual addition).  The compiler
 tags every command with one of those categories; this module fixes the
-canonical ordering and provides normalisation/formatting helpers shared by
-the experiments.
+canonical ordering the experiments report them in.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "BREAKDOWN_CATEGORIES",
-    "normalize_breakdown",
-    "ordered_breakdown",
-    "breakdown_fractions",
-]
+__all__ = ["BREAKDOWN_CATEGORIES", "ordered_breakdown"]
 
 #: Canonical category order, matching the Fig. 10 legend.
 BREAKDOWN_CATEGORIES: tuple[str, ...] = (
@@ -27,30 +21,8 @@ BREAKDOWN_CATEGORIES: tuple[str, ...] = (
     "FC for Q,K,V",
 )
 
-#: Categories reported by the system models that are not part of the decoder
-#: breakdown (they are still part of end-to-end latency).
-EXTRA_CATEGORIES: tuple[str, ...] = ("LM head", "Embedding", "Sync")
-
-
 def ordered_breakdown(breakdown: dict[str, float]) -> dict[str, float]:
     """Return the decoder categories of a breakdown in canonical order."""
     return {
         category: breakdown.get(category, 0.0) for category in BREAKDOWN_CATEGORIES
     }
-
-
-def normalize_breakdown(breakdown: dict[str, float]) -> dict[str, float]:
-    """Scale a breakdown so the decoder categories sum to one."""
-    ordered = ordered_breakdown(breakdown)
-    total = sum(ordered.values())
-    if total <= 0:
-        return {category: 0.0 for category in BREAKDOWN_CATEGORIES}
-    return {category: value / total for category, value in ordered.items()}
-
-
-def breakdown_fractions(breakdown: dict[str, float]) -> dict[str, float]:
-    """Fraction of the *total* (including extra categories) per category."""
-    total = sum(breakdown.values())
-    if total <= 0:
-        return {}
-    return {category: value / total for category, value in breakdown.items()}

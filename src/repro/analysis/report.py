@@ -1,37 +1,15 @@
-"""Reporting helpers: speedups, means, and paper-style text tables.
+"""Reporting helpers: means, latency ratios and paper-style text tables.
 
 Every experiment module renders its result as rows similar to the figure or
 table it reproduces; these helpers keep that formatting consistent across the
-benchmark harness, the examples and ``EXPERIMENTS.md``.
+experiments, the benchmark harness and the examples.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
-__all__ = [
-    "speedup",
-    "geometric_mean",
-    "arithmetic_mean",
-    "total_latency_ratio",
-    "format_table",
-    "format_series",
-]
-
-
-def speedup(baseline: float, improved: float) -> float:
-    """How much faster ``improved`` is than ``baseline`` (both latencies)."""
-    if improved <= 0:
-        return float("inf")
-    return baseline / improved
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+__all__ = ["arithmetic_mean", "total_latency_ratio", "format_table"]
 
 
 def arithmetic_mean(values: Iterable[float]) -> float:
@@ -73,13 +51,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
             "  ".join(_format_cell(cell).rjust(w) for cell, w in zip(row, widths))
         )
     return "\n".join(lines)
-
-
-def format_series(name: str, xs: Sequence[object], ys: Sequence[float],
-                  unit: str = "") -> str:
-    """Render one figure series as ``name: x=y`` pairs."""
-    pairs = ", ".join(f"{x}={_format_cell(y)}{unit}" for x, y in zip(xs, ys))
-    return f"{name}: {pairs}"
 
 
 def _format_cell(value: object) -> str:

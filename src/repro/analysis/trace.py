@@ -1,13 +1,9 @@
-"""Timeline traces: export and ASCII Gantt rendering of schedules.
+"""ASCII Gantt rendering of schedules.
 
-The event engine produces :class:`repro.scheduling.Timeline` objects; this
-module turns them into artefacts a person (or another tool) can consume:
-
-* :func:`timeline_to_records` — a list of plain dictionaries (one per
-  command) suitable for JSON export or conversion to a Chrome-trace file;
-* :func:`render_gantt` — a fixed-width ASCII Gantt chart with one lane per
-  execution unit, which makes the PAS overlaps (and the serialisation the
-  naive policy suffers) directly visible in a terminal.
+The event engine produces :class:`repro.scheduling.Timeline` objects;
+:func:`render_gantt` draws one as a fixed-width chart with one lane per
+execution unit, which makes the PAS overlaps (and the serialisation the
+naive policy suffers) directly visible in a terminal.
 """
 
 from __future__ import annotations
@@ -17,7 +13,10 @@ from collections import defaultdict
 from repro.ir.command import Unit
 from repro.scheduling.events import Timeline
 
-__all__ = ["timeline_to_records", "render_gantt"]
+__all__ = ["render_gantt"]
+
+#: Characters per line of the Gantt chart.
+GANTT_WIDTH = 80
 
 #: Lane order used by the Gantt rendering (sync commands are omitted).
 _LANE_ORDER = [
@@ -41,27 +40,7 @@ _LANE_LABELS = {
 }
 
 
-def timeline_to_records(timeline: Timeline) -> list[dict]:
-    """Flatten a timeline into JSON-serialisable per-command records."""
-    records = []
-    for command in timeline.commands:
-        records.append(
-            {
-                "cid": command.cid,
-                "unit": command.unit.value,
-                "kind": command.kind.value,
-                "tag": command.tag,
-                "start_us": command.start * 1e6,
-                "end_us": command.end * 1e6,
-                "duration_us": command.duration * 1e6,
-                "flops": command.flops,
-                "bytes": command.bytes_moved,
-            }
-        )
-    return records
-
-
-def render_gantt(timeline: Timeline, width: int = 80) -> str:
+def render_gantt(timeline: Timeline) -> str:
     """Render a fixed-width ASCII Gantt chart, one lane per execution unit.
 
     Each lane shows ``#`` where the unit is busy; the time axis spans the
@@ -69,14 +48,12 @@ def render_gantt(timeline: Timeline, width: int = 80) -> str:
     Numbers are never cut: the header's run of dots shrinks to fit the
     makespan, and each lane ends with its full busy time.
     """
-    if width < 20:
-        raise ValueError("width must be at least 20 characters")
     makespan = timeline.makespan
     if makespan <= 0:
         return "(empty timeline)"
 
     label_width = max(len(label) for label in _LANE_LABELS.values()) + 2
-    chart_width = width - label_width
+    chart_width = GANTT_WIDTH - label_width
     lines = []
     end_label = f"{makespan * 1e6:,.1f} us"
     dots = "." * max(1, chart_width - len(end_label) - 3)
@@ -101,4 +78,3 @@ def render_gantt(timeline: Timeline, width: int = 80) -> str:
         label = f"{_LANE_LABELS[unit]:<{label_width - 2}}"
         lines.append(f"{label}  {''.join(lane)}  ({busy * 1e6:,.1f} us busy)")
     return "\n".join(lines)
-

@@ -15,7 +15,7 @@ inter-FPGA synchronisation overheads.
 
 from __future__ import annotations
 
-from repro.config import BYTES_PER_ELEMENT, DfxConfig
+from repro.config import DfxConfig
 from repro.core.costmodel import PassCost
 from repro.core.results import InferenceResult, StageResult
 from repro.energy.model import EnergyBreakdown
@@ -56,10 +56,6 @@ class DfxAppliance:
     @property
     def name(self) -> str:
         return f"{self.config.name}-{self.config.num_fpgas}fpga"
-
-    @property
-    def tdp_w(self) -> float:
-        return self.config.tdp_w
 
     # ------------------------------------------------------------------
     def _per_layer_overhead(self, model: ModelConfig) -> float:
@@ -192,12 +188,3 @@ class DfxAppliance:
             pim_op_j=0.0,
             npu_cores_j=0.6 * self.config.tdp_w * dynamic_fraction * latency_s,
         )
-
-    # ------------------------------------------------------------------
-    def tokens_per_second(self, model: ModelConfig, kv_length: int) -> float:
-        per_token = self.generation_latency_per_token(model, kv_length)
-        return 1.0 / per_token if per_token > 0 else 0.0
-
-    def weight_streaming_bytes(self, model: ModelConfig) -> int:
-        """Bytes streamed from HBM per generated token (for documentation)."""
-        return model.fc_param_bytes + model.kv_bytes_per_token_per_block * model.num_blocks

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.config import BYTES_PER_ELEMENT, GpuConfig
 from repro.core.costmodel import PassCost
-from repro.core.results import InferenceResult, StageResult, merge_breakdowns
+from repro.core.results import InferenceResult, StageResult
 from repro.energy.model import EnergyBreakdown
 from repro.models.flops import (
     attention_context_flops,

@@ -571,7 +571,10 @@ def _run_serve(args: argparse.Namespace) -> int:
             metrics = simulator.simulate(
                 trace, record_events=use_cluster or args.validate
             )
-        except ValueError as error:  # e.g. an encoder trace, a request that never fits
+        except (RuntimeError, ValueError) as error:
+            # ValueError: e.g. an encoder trace, a request that never fits.
+            # RuntimeError: the simulator's documented mid-run stops (a pool
+            # wedged without preemption, a livelock, every replica down).
             print(str(error), file=sys.stderr)
             return 2
     finally:

@@ -25,7 +25,6 @@ from repro.config import (
     AttentionMappingPolicy,
     BYTES_PER_ELEMENT,
     FcMappingPolicy,
-    SchedulingPolicy,
     SystemConfig,
 )
 from repro.compiler.attention_schedule import (
@@ -67,10 +66,6 @@ class CompiledBlock:
     stream: CommandStream
     partition: WorkPartition
     fc_units: dict[str, FcMappingPolicy]
-
-    @property
-    def uses_pim(self) -> bool:
-        return any(unit is FcMappingPolicy.PIM for unit in self.fc_units.values())
 
 
 class Compiler:
@@ -285,7 +280,6 @@ class Compiler:
             Unit.HOST, OpKind.DEVICE_COMM, bytes_moved=exchanged,
             dims=(self.num_devices,), deps=deps, tag=tag,
         )
-
 
     def _pim_cols(self, d_out: int) -> int:
         """Output columns this device's PIM computes for a column-split FC."""

@@ -31,16 +31,6 @@ class FcMappingDecision:
     matrix_unit_time: float
     pim_time: float
 
-    @property
-    def on_pim(self) -> bool:
-        return self.unit is FcMappingPolicy.PIM
-
-    @property
-    def speedup_over_alternative(self) -> float:
-        chosen = self.pim_time if self.on_pim else self.matrix_unit_time
-        other = self.matrix_unit_time if self.on_pim else self.pim_time
-        return other / chosen if chosen > 0 else float("inf")
-
 
 class AdaptiveMapper:
     """Implements Algorithm 1 on top of the shared duration models."""

@@ -28,12 +28,8 @@ __all__ = ["WorkPartition", "WeightPartitioner"]
 class WorkPartition:
     """Static division of one block's work across cores and PIM chips."""
 
-    num_cores: int
-    num_pim_chips: int
     #: Attention heads processed by the representative core (core 0).
     heads_on_core: int
-    #: Total attention heads of the model.
-    total_heads: int
     #: Output-feature slice of column-wise partitioned FC layers per core.
     projection_cols_per_core: int
     ffn1_cols_per_core: int
@@ -41,11 +37,6 @@ class WorkPartition:
     lm_head_cols_per_core: int
     #: PIM chip that stores the representative core's head-wise weights.
     pim_chip_for_core: int
-
-    @property
-    def head_fraction(self) -> float:
-        """Fraction of all heads handled by the representative core."""
-        return self.heads_on_core / self.total_heads if self.total_heads else 0.0
 
 
 class WeightPartitioner:
@@ -67,37 +58,14 @@ class WeightPartitioner:
         self.num_devices = num_devices
 
     def partition(self) -> WorkPartition:
-        cores = self.config.num_cores
-        chips = self.config.pim.num_chips
         model = self.model
-        workers = cores * self.num_devices
+        workers = self.config.num_cores * self.num_devices
         heads_on_core = max(1, math.ceil(model.num_heads / workers))
         return WorkPartition(
-            num_cores=cores,
-            num_pim_chips=chips,
             heads_on_core=heads_on_core,
-            total_heads=model.num_heads,
             projection_cols_per_core=math.ceil(model.embedding_dim / workers),
             ffn1_cols_per_core=math.ceil(model.ffn_dim / workers),
             ffn2_cols_per_core=math.ceil(model.embedding_dim / workers),
             lm_head_cols_per_core=math.ceil(model.vocab_size / workers),
             pim_chip_for_core=0,
         )
-
-    # ------------------------------------------------------------------
-    def head_weight_bytes(self) -> int:
-        """Weight bytes of one head's Q, K and V projections."""
-        return 3 * self.model.embedding_dim * self.model.head_dim * 2
-
-    def chip_for_head(self, head_index: int) -> int:
-        """PIM chip storing a given head's projection weights (head-wise)."""
-        chips = self.config.pim.num_chips
-        return head_index % chips
-
-    def core_for_head(self, head_index: int) -> int:
-        """NPU core responsible for a given attention head."""
-        return head_index % self.config.num_cores
-
-    def sync_points_per_block(self) -> int:
-        """Synchronisations per block: after MHA, both residual adds, GELU."""
-        return 4

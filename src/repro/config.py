@@ -72,10 +72,6 @@ class MatrixUnitConfig:
         """Peak floating point throughput of a single matrix unit."""
         return self.rows * self.cols * self.macs_per_pe * 2 * self.frequency_hz
 
-    @property
-    def macs_per_cycle(self) -> int:
-        return self.rows * self.cols * self.macs_per_pe
-
 
 @dataclass(frozen=True)
 class VectorUnitConfig:
@@ -93,10 +89,6 @@ class VectorUnitConfig:
     @property
     def lanes(self) -> int:
         return self.num_processors * self.lanes_per_processor
-
-    @property
-    def peak_flops(self) -> float:
-        return self.lanes * self.flops_per_lane_per_cycle * self.frequency_hz
 
 
 @dataclass(frozen=True)
@@ -167,11 +159,6 @@ class DramTimingConfig:
     tRCD_RD: float = 36.0
     tRCD_WR: float = 24.0
 
-    @property
-    def tRC(self) -> float:
-        """Minimum time between activations of different rows in a bank."""
-        return self.tRAS + self.tRP
-
 
 @dataclass(frozen=True)
 class PimConfig:
@@ -233,23 +220,9 @@ class PimConfig:
         return self.channels * self.channel_internal_bandwidth
 
     @property
-    def peak_pim_flops(self) -> float:
-        return self.channels * self.banks_per_channel * self.pu_flops
-
-    @property
     def row_elements(self) -> int:
         """BF16 elements held in one DRAM row (1024 for a 2 KB row)."""
         return self.row_bytes // BYTES_PER_ELEMENT
-
-    @property
-    def tile_rows(self) -> int:
-        """Weight-matrix rows covered by one PIM tile (Fig. 4)."""
-        return self.banks_per_channel * self.channels
-
-    @property
-    def tile_bytes(self) -> int:
-        """Bytes of weight data covered by one full PIM tile."""
-        return self.tile_rows * self.row_bytes
 
 
 @dataclass(frozen=True)
@@ -371,13 +344,6 @@ class SystemConfig:
     def peak_npu_flops(self) -> float:
         """Aggregate matrix-unit throughput (184 TFLOPS in Table 2)."""
         return self.num_cores * self.core.matrix_unit.peak_flops
-
-    @property
-    def peak_pim_flops(self) -> float:
-        if not self.pim_compute_enabled:
-            return 0.0
-        per_chip = self.pim.peak_pim_flops / self.pim.num_chips
-        return per_chip * self.pim_compute_chips
 
     @property
     def pim_compute_channels(self) -> int:

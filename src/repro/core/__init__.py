@@ -7,9 +7,8 @@ from repro.core.costmodel import (
     lerp_pass_cost,
     make_cost_model,
 )
-from repro.core.multi_device import MultiIanusSystem, ScalingPoint, devices_required
 from repro.core.results import InferenceResult, StageResult, merge_breakdowns
-from repro.core.system import IanusSystem
+from repro.core.system import IanusSystem, devices_required
 
 __all__ = [
     "BACKEND_NAMES",
@@ -17,8 +16,6 @@ __all__ = [
     "PassCost",
     "lerp_pass_cost",
     "make_cost_model",
-    "MultiIanusSystem",
-    "ScalingPoint",
     "devices_required",
     "InferenceResult",
     "StageResult",

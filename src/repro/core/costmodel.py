@@ -202,11 +202,10 @@ def make_cost_model(name: str, num_devices: int = 1) -> CostModel:
 
     Multi-device clusters are spelled ``"<backend>-xN"`` (e.g.
     ``"ianus-x4"``) for the simulator backends; ``"ianus-xN"`` and
-    ``"partitioned-xN"`` return a
-    :class:`~repro.core.multi_device.MultiIanusSystem`, which prices passes
-    with the same tensor-parallel latency model Fig. 17 / Fig. 18 use.
-    The ``num_devices`` argument is the equivalent positional spelling; the
-    two must agree when both are given.  The analytical baselines
+    ``"partitioned-xN"`` return an :class:`~repro.core.system.IanusSystem`
+    with ``num_devices=N``, the tensor-parallel model Fig. 17 / Fig. 18
+    price with.  The ``num_devices`` argument is the equivalent positional
+    spelling; the two must agree when both are given.  The analytical baselines
     (``a100``, ``dfx``) model one device and reject any other count.
     """
     from repro.baselines.dfx import DfxAppliance
@@ -217,7 +216,7 @@ def make_cost_model(name: str, num_devices: int = 1) -> CostModel:
 
     match = _MULTI_DEVICE_PATTERN.match(name)
     if match:
-        base, devices = match.group(1), int(match.group(2))
+        devices = int(match.group(2))
         if devices < 1:
             raise ValueError(f"backend {name!r} names a zero-device cluster")
         if num_devices != 1 and num_devices != devices:
@@ -225,14 +224,8 @@ def make_cost_model(name: str, num_devices: int = 1) -> CostModel:
                 f"backend {name!r} names {devices} device(s) but "
                 f"num_devices={num_devices} was also given"
             )
-        if base == "npu-mem":
-            return NpuMemSystem(num_devices=devices)
-        from repro.core.multi_device import MultiIanusSystem
-
-        config = (
-            SystemConfig.ianus() if base == "ianus" else SystemConfig.partitioned()
-        )
-        return MultiIanusSystem(config, devices)
+        # The same backend as the plain name with num_devices=N.
+        name, num_devices = match.group(1), devices
     if name == "ianus":
         return IanusSystem(SystemConfig.ianus(), num_devices=num_devices)
     if name == "npu-mem":

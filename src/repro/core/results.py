@@ -45,15 +45,6 @@ class StageResult:
             return 0.0
         return self.latency_ms / self.num_tokens
 
-    def scaled(self, factor: float) -> "StageResult":
-        return StageResult(
-            latency_s=self.latency_s * factor,
-            breakdown={k: v * factor for k, v in self.breakdown.items()},
-            energy=self.energy.scaled(factor),
-            flops=self.flops * factor,
-            num_tokens=int(self.num_tokens * factor),
-        )
-
 
 @dataclass(frozen=True)
 class InferenceResult:
@@ -74,10 +65,6 @@ class InferenceResult:
     @property
     def total_latency_ms(self) -> float:
         return self.total_latency_s * 1e3
-
-    @property
-    def generation_latency_per_token_ms(self) -> float:
-        return self.generation.latency_per_token_ms
 
     @property
     def tokens_per_second(self) -> float:
@@ -115,13 +102,3 @@ class InferenceResult:
         if peak_flops <= 0 or self.total_latency_s <= 0:
             return 0.0
         return min(1.0, self.total_flops / (self.total_latency_s * peak_flops))
-
-    def summary(self) -> str:
-        """Single-line summary for reports and examples."""
-        return (
-            f"{self.backend:<12} {self.model.name:<10} {self.workload.label():>10}  "
-            f"total={self.total_latency_ms:10.2f} ms  "
-            f"summarization={self.summarization.latency_ms:9.2f} ms  "
-            f"generation={self.generation.latency_ms:10.2f} ms  "
-            f"energy={self.energy.total_mj:8.1f} mJ"
-        )

@@ -27,7 +27,7 @@ from repro.compiler.compiler import Compiler
 from repro.config import MemoryPolicy, SystemConfig
 from repro.core.costmodel import PassCost
 from repro.core.results import InferenceResult, StageResult, merge_breakdowns
-from repro.energy.model import EnergyBreakdown, EnergyModel
+from repro.energy.model import EnergyModel
 from repro.memory import make_memory_system
 from repro.memory.unified import MemoryCapacityError
 from repro.models.transformer import ModelConfig
@@ -41,10 +41,29 @@ from repro.perf.cache import (
 from repro.scheduling.durations import DurationModel
 from repro.scheduling.events import ActivityStats, EventEngine, Timeline
 
-__all__ = ["IanusSystem"]
+__all__ = ["IanusSystem", "devices_required"]
 
 #: Number of KV-length sample points used by the fast generation mode.
 FAST_MODE_SAMPLES = 5
+
+#: Sequence length whose KV cache :func:`devices_required` budgets for.
+MAX_SEQUENCE = 1024
+
+
+def devices_required(model: ModelConfig, config: SystemConfig) -> int:
+    """Smallest power-of-two device count whose aggregate memory fits the model.
+
+    The paper selects two, four and eight devices for the 6.7B, 13B and 30B
+    models respectively (Sec. 7.1); this reproduces that selection from the
+    model footprint (weights plus a :data:`MAX_SEQUENCE`-token KV cache) and
+    the per-device capacity.
+    """
+    footprint = model.memory_footprint_bytes(MAX_SEQUENCE)
+    capacity = config.npu_visible_capacity_bytes
+    devices = 1
+    while devices * capacity < footprint:
+        devices *= 2
+    return devices
 
 
 class IanusSystem:
@@ -92,10 +111,6 @@ class IanusSystem:
     def name(self) -> str:
         suffix = f" x{self.num_devices}" if self.num_devices > 1 else ""
         return f"{self.config.name}{suffix}"
-
-    @property
-    def peak_flops(self) -> float:
-        return (self.config.peak_npu_flops + self.config.peak_pim_flops) * self.num_devices
 
     @property
     def npu_peak_flops(self) -> float:

@@ -48,24 +48,6 @@ class EnergyBreakdown:
             npu_cores_j=self.npu_cores_j + other.npu_cores_j,
         )
 
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            normal_memory_j=self.normal_memory_j * factor,
-            pim_op_j=self.pim_op_j * factor,
-            npu_cores_j=self.npu_cores_j * factor,
-        )
-
-    def normalized_to(self, reference_total_j: float) -> dict[str, float]:
-        """Express each component relative to a reference total energy."""
-        if reference_total_j <= 0:
-            raise ValueError("reference energy must be positive")
-        return {
-            "normal_memory": self.normal_memory_j / reference_total_j,
-            "pim_op": self.pim_op_j / reference_total_j,
-            "npu_cores": self.npu_cores_j / reference_total_j,
-            "total": self.total_j / reference_total_j,
-        }
-
     @classmethod
     def zero(cls) -> "EnergyBreakdown":
         return cls(0.0, 0.0, 0.0)

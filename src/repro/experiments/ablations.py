@@ -1,4 +1,4 @@
-"""Ablation studies of design choices called out in DESIGN.md.
+"""Ablation studies of the design choices behind IANUS's mechanisms.
 
 These go beyond the paper's figures and quantify individual mechanisms of
 PIM Access Scheduling and of the PIM data layout:

@@ -3,8 +3,8 @@
 Every ``figXX_*`` module exposes a ``run(fast: bool = True) -> ExperimentResult``
 function that regenerates one table or figure of the paper's evaluation: the
 same rows/series the paper reports, plus the paper's published values (where
-the paper states them) so ``EXPERIMENTS.md`` and the benchmark harness can
-print paper-vs-measured side by side.
+the paper states them) so ``repro experiment``, ``repro bench`` and
+``examples/reproduce_paper.py`` can print paper-vs-measured side by side.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ class ExperimentResult:
             lines.append("Measured (this reproduction):")
             lines.extend(f"  - {claim}" for claim in self.measured_claims)
         return "\n".join(lines)
-
-    def column(self, header: str) -> list:
-        """Extract one column of the result table by header name."""
-        index = self.headers.index(header)
-        return [row[index] for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -102,9 +97,6 @@ class Sweep:
             seen.add(cell.cell_id)
 
     # ------------------------------------------------------------------
-    def cell_ids(self) -> list[str]:
-        return [cell.cell_id for cell in self.cells]
-
     def cells_per_group(self, param: str) -> int:
         """Grid points per group when cells are grouped by one parameter.
 

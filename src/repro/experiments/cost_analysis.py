@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.baselines.gpu import A100Gpu
 from repro.config import SystemConfig
-from repro.core.multi_device import MultiIanusSystem, devices_required
+from repro.core.system import IanusSystem, devices_required
 from repro.experiments.base import ExperimentResult
 from repro.models import LARGE_GPT_CONFIGS, Workload
 
@@ -31,7 +31,7 @@ def run(fast: bool = True) -> ExperimentResult:
     improvements: dict[str, float] = {}
     for key, model in LARGE_GPT_CONFIGS.items():
         devices = devices_required(model, config)
-        cluster = MultiIanusSystem(config, devices)
+        cluster = IanusSystem(config, num_devices=devices)
         gpu_result = gpu.run(model, WORKLOAD)
         ianus_result = cluster.run(model, WORKLOAD)
         gpu_perf_per_watt = (1.0 / gpu_result.total_latency_s) / gpu.tdp_w

@@ -56,14 +56,14 @@ def _run_cell(params: dict) -> dict:
     """A100 vs multi-device IANUS latency of one (model, workload) (pure)."""
     from repro.baselines.gpu import A100Gpu
     from repro.config import SystemConfig
-    from repro.core.multi_device import MultiIanusSystem, devices_required
+    from repro.core.system import IanusSystem, devices_required
     from repro.models import LARGE_GPT_CONFIGS, Workload
 
     config = SystemConfig.ianus()
     model = LARGE_GPT_CONFIGS[params["model_key"]]
     workload = Workload(params["input"], params["output"])
     devices = devices_required(model, config)
-    cluster = MultiIanusSystem(config, devices)
+    cluster = IanusSystem(config, num_devices=devices)
     return {
         "devices": devices,
         "gpu_ms": A100Gpu().run(model, workload).total_latency_ms,
@@ -119,4 +119,3 @@ def _reduce(grid: Sweep, outputs: dict[str, dict]) -> ExperimentResult:
         ],
         data={"average_speedups": avg_speedups, "device_counts": chosen_devices},
     )
-

@@ -39,11 +39,11 @@ def run(fast: bool = True) -> ExperimentResult:
 def _run_cell(params: dict) -> dict:
     """One point of the strong-scaling curve (pure)."""
     from repro.config import SystemConfig
-    from repro.core.multi_device import MultiIanusSystem
+    from repro.core.system import IanusSystem
     from repro.models import LARGE_GPT_CONFIGS
 
     model = LARGE_GPT_CONFIGS["6.7b"]
-    cluster = MultiIanusSystem(SystemConfig.ianus(), params["devices"])
+    cluster = IanusSystem(SystemConfig.ianus(), num_devices=params["devices"])
     result = cluster.run(model, WORKLOAD)
     return {
         "tokens_per_second": result.tokens_per_second,

@@ -1,9 +1,9 @@
 """Registry of every paper-reproduction experiment.
 
 Maps experiment identifiers (``"fig08"``, ``"table1"``, ...) to their
-``run(fast=True)`` callables.  Used by the benchmark harness, the
-``examples/reproduce_paper.py`` script and the EXPERIMENTS.md generator so
-all three stay in sync with DESIGN.md's per-experiment index.
+``run(fast=True)`` callables.  ``repro experiment``, ``repro bench`` (through
+:func:`repro.perf.runner.run_many`), the tier-1 experiment checks and
+``examples/reproduce_paper.py`` all read this one table.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ __all__ = [
     "EXPERIMENTS",
     "SWEEPS",
     "run_experiment",
-    "run_all",
-    "run_many",
     "get_sweep",
 ]
 
@@ -126,15 +124,3 @@ def run_experiment(experiment_id: str, fast: bool = True) -> ExperimentResult:
         )
     _, runner = EXPERIMENTS[experiment_id]
     return runner(fast=fast)
-
-
-def run_all(fast: bool = True) -> dict[str, ExperimentResult]:
-    """Run every registered experiment (used to regenerate EXPERIMENTS.md)."""
-    return {experiment_id: run_experiment(experiment_id, fast=fast) for experiment_id in EXPERIMENTS}
-
-
-def run_many(experiment_ids, fast: bool = True, jobs: int = 1):
-    """Timed (optionally parallel) runner; see :func:`repro.perf.runner.run_many`."""
-    from repro.perf.runner import run_many as _run_many
-
-    return _run_many(experiment_ids, fast=fast, jobs=jobs)

@@ -13,7 +13,7 @@ from repro.functional.reference import (
     layer_norm,
     softmax,
 )
-from repro.functional.tensors import BF16_EPSILON, bf16_error, bf16_matmul, to_bf16
+from repro.functional.tensors import BF16_EPSILON, to_bf16
 from repro.functional.verify import (
     FunctionalComparison,
     IanusFunctionalBackend,
@@ -31,8 +31,6 @@ __all__ = [
     "layer_norm",
     "softmax",
     "BF16_EPSILON",
-    "bf16_error",
-    "bf16_matmul",
     "to_bf16",
     "FunctionalComparison",
     "IanusFunctionalBackend",

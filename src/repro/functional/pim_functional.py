@@ -115,14 +115,3 @@ class PimFunctionalDevice:
         """FC over multiple tokens, executed as one GEMV per token (Sec. 6.2)."""
         xs = np.atleast_2d(xs)
         return np.stack([self.gemv(name, row, fused_gelu=fused_gelu) for row in xs])
-
-    # ------------------------------------------------------------------
-    def memory_utilization(self) -> float:
-        """Fraction of reserved DRAM rows carrying useful weight data."""
-        if not self._layouts:
-            return 0.0
-        useful = sum(
-            self._shapes[name][0] * self._shapes[name][1] * 2 for name in self._layouts
-        )
-        reserved = sum(m.storage_bytes() for m in self._layouts.values())
-        return useful / reserved

@@ -129,10 +129,6 @@ class ReferenceTransformer:
         self._cache = [KvCache() for _ in range(self.model.num_blocks)]
         self._position = 0
 
-    @property
-    def context_length(self) -> int:
-        return self._position
-
     # ------------------------------------------------------------------
     def forward(self, token_ids: np.ndarray) -> np.ndarray:
         """Process ``token_ids`` (appending to the cached context), return logits.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["to_bf16", "bf16_matmul", "bf16_error", "BF16_EPSILON"]
+__all__ = ["to_bf16", "BF16_EPSILON"]
 
 #: Relative precision of BF16 (8-bit mantissa including the implicit bit).
 BF16_EPSILON = 2.0 ** -8
@@ -32,16 +32,3 @@ def to_bf16(array: np.ndarray) -> np.ndarray:
     rounding_bias = 0x7FFF + ((bits >> 16) & 1)
     rounded = (bits + rounding_bias) & np.uint32(0xFFFF0000)
     return rounded.view(np.float32)
-
-
-def bf16_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix multiply with BF16 inputs and FP32 accumulation."""
-    return to_bf16(np.matmul(to_bf16(a).astype(np.float32), to_bf16(b).astype(np.float32)))
-
-
-def bf16_error(reference: np.ndarray, value: np.ndarray) -> float:
-    """Maximum relative error of ``value`` against ``reference``."""
-    reference = np.asarray(reference, dtype=np.float32)
-    value = np.asarray(value, dtype=np.float32)
-    scale = np.maximum(np.abs(reference), 1e-6)
-    return float(np.max(np.abs(reference - value) / scale))

@@ -208,40 +208,6 @@ class CommandStream:
         self._commands.append(command)
         return command
 
-    def barrier(self, tag: str = "Sync", deps: Iterable["Command | int"] = ()) -> Command:
-        """Add a synchronisation command depending on everything so far.
-
-        Synchronisation across NPU cores happens four times per block
-        (Sec. 5.1); a barrier forces every subsequent command to wait for all
-        previously issued work.
-        """
-        dep_list = list(deps) if deps else list(range(len(self)))
-        return self.add(Unit.SYNC, OpKind.SYNC, deps=dep_list, tag=tag)
-
-    def extend(self, other: "CommandStream") -> dict[int, int]:
-        """Append another stream, remapping its command identifiers.
-
-        Returns the mapping from the other stream's identifiers to the
-        identifiers assigned in this stream.
-        """
-        mapping: dict[int, int] = {}
-        for command in other:
-            new = self.add(
-                command.unit,
-                command.kind,
-                flops=command.flops,
-                bytes_moved=command.bytes_moved,
-                dims=command.dims,
-                deps=[mapping[d] for d in command.deps],
-                tag=command.tag,
-                pim_scope=command.pim_scope,
-                pim_chip=command.pim_chip,
-                fused_activation=command.fused_activation,
-                **command.metadata,
-            )
-            mapping[command.cid] = new.cid
-        return mapping
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
@@ -250,9 +216,6 @@ class CommandStream:
 
     def __iter__(self) -> Iterator[Command]:
         return iter(self._commands)
-
-    def __getitem__(self, cid: int) -> Command:
-        return self._commands[cid]
 
     @property
     def template(self) -> "CommandStream":
@@ -268,31 +231,6 @@ class CommandStream:
             [c.dims for c in commands],
         )
 
-    @property
-    def commands(self) -> list[Command]:
-        return list(self)
-
-    def by_unit(self, unit: Unit) -> list[Command]:
-        return [c for c in self if c.unit is unit]
-
-    def by_kind(self, kind: OpKind) -> list[Command]:
-        return [c for c in self if c.kind is kind]
-
-    def by_tag(self, tag: str) -> list[Command]:
-        return [c for c in self if c.tag == tag]
-
-    def tags(self) -> set[str]:
-        return {c.tag for c in self if c.tag}
-
-    def total_flops(self) -> float:
-        return sum(c.flops for c in self)
-
-    def total_offchip_bytes(self) -> int:
-        return sum(c.bytes_moved for c in self if c.is_offchip())
-
-    def total_pim_bytes(self) -> int:
-        return sum(c.bytes_moved for c in self if c.is_pim())
-
     def validate(self) -> None:
         """Check structural invariants (identifiers, dependency ordering)."""
         for index, command in enumerate(self._commands):
@@ -305,15 +243,6 @@ class CommandStream:
                     raise ValueError(
                         f"command {command.cid} depends on later command {dep}"
                     )
-
-    def dependency_depth(self) -> int:
-        """Length of the longest dependency chain (in commands)."""
-        commands = list(self)
-        depth = [0] * len(commands)
-        for command in commands:
-            if command.deps:
-                depth[command.cid] = 1 + max(depth[d] for d in command.deps)
-        return max(depth, default=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(label={self.label!r}, commands={len(self)})"
@@ -384,9 +313,6 @@ class ReplayedStream(CommandStream):
 
     def __iter__(self) -> Iterator[Command]:
         return iter(self._built())
-
-    def __getitem__(self, cid: int) -> Command:
-        return self._built()[cid]
 
     @property
     def template(self) -> CommandStream:

@@ -23,10 +23,13 @@ __all__ = ["PartitionedMemorySystem"]
 
 
 class PartitionedMemorySystem:
-    """Capacity accounting and concurrency rules of the partitioned organisation."""
+    """Capacity accounting of the partitioned organisation.
 
-    #: Normal accesses and PIM computation target different devices.
-    allows_concurrent_pim_and_dma = True
+    Its concurrency rule (normal accesses and PIM computation target
+    different devices, so they may overlap) is applied by
+    :class:`~repro.scheduling.events.EventEngine` from
+    ``config.memory_policy``.
+    """
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
@@ -38,11 +41,6 @@ class PartitionedMemorySystem:
     @property
     def pim_region_bytes(self) -> int:
         return self.config.pim.capacity_bytes // 2
-
-    @property
-    def pim_compute_channels(self) -> int:
-        """Only the PIM-region channels contribute compute throughput."""
-        return self.config.pim_compute_channels
 
     def place(self, model: ModelConfig, max_sequence_length: int) -> MemoryPlacement:
         """Compute the duplicated / non-duplicated split of the FC parameters.

@@ -43,26 +43,20 @@ class MemoryPlacement:
     capacity_bytes: int
 
     @property
-    def footprint_fraction(self) -> float:
-        return self.total_bytes / self.capacity_bytes
-
-    @property
     def fits(self) -> bool:
         return self.total_bytes <= self.capacity_bytes
 
 
 class UnifiedMemorySystem:
-    """Capacity accounting and concurrency rules of the unified organisation."""
+    """Capacity accounting of the unified organisation.
 
-    #: PIM computation and normal accesses are mutually exclusive.
-    allows_concurrent_pim_and_dma = False
+    Its concurrency rule (PIM computation and normal accesses exclude each
+    other) is applied by :class:`~repro.scheduling.events.EventEngine` from
+    ``config.memory_policy``.
+    """
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-
-    @property
-    def pim_compute_channels(self) -> int:
-        return self.config.pim_compute_channels
 
     def place(self, model: ModelConfig, max_sequence_length: int) -> MemoryPlacement:
         """Compute the memory layout of a model plus its KV-cache budget."""
@@ -85,9 +79,3 @@ class UnifiedMemorySystem:
                 f"memory provides {capacity / 2**30:.2f} GiB"
             )
         return placement
-
-    def footprint_reduction_vs_partitioned(self, model: ModelConfig) -> float:
-        """Footprint ratio of partitioned (duplicated) to unified placement."""
-        unified = model.param_bytes
-        partitioned = model.param_bytes + model.fc_param_bytes
-        return partitioned / unified

@@ -4,9 +4,7 @@ from repro.models.flops import (
     BlockFlops,
     block_flops,
     fc_flops,
-    fc_weight_bytes,
     stage_flops,
-    workload_flops,
 )
 from repro.models.transformer import (
     ALL_MODELS,
@@ -49,7 +47,5 @@ __all__ = [
     "BlockFlops",
     "block_flops",
     "fc_flops",
-    "fc_weight_bytes",
     "stage_flops",
-    "workload_flops",
 ]

@@ -18,14 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import BYTES_PER_ELEMENT
 from repro.models.transformer import ModelConfig
-from repro.models.workload import Stage, StagePass, Workload
+from repro.models.workload import StagePass
 
 __all__ = [
     "fc_flops",
-    "fc_weight_bytes",
-    "fc_activation_bytes",
     "attention_score_flops",
     "attention_context_flops",
     "softmax_flops",
@@ -35,7 +32,6 @@ __all__ = [
     "BlockFlops",
     "block_flops",
     "stage_flops",
-    "workload_flops",
     "model_weight_bytes",
     "FLOPS_PER_SOFTMAX_ELEMENT",
     "FLOPS_PER_LAYERNORM_ELEMENT",
@@ -56,16 +52,6 @@ FLOPS_PER_ROPE_ELEMENT = 3
 def fc_flops(num_tokens: int, d_in: int, d_out: int) -> float:
     """FLOPs of a fully-connected layer applied to ``num_tokens`` tokens."""
     return 2.0 * num_tokens * d_in * d_out
-
-
-def fc_weight_bytes(d_in: int, d_out: int) -> int:
-    """Weight bytes that must be read for one FC layer."""
-    return d_in * d_out * BYTES_PER_ELEMENT
-
-
-def fc_activation_bytes(num_tokens: int, d_in: int, d_out: int) -> int:
-    """Activation bytes read and written by one FC layer."""
-    return num_tokens * (d_in + d_out) * BYTES_PER_ELEMENT
 
 
 def attention_score_flops(num_tokens: int, kv_length: int, head_dim: int) -> float:
@@ -178,21 +164,6 @@ def stage_flops(model: ModelConfig, stage_pass: StagePass) -> float:
     total = model.num_blocks * per_block.total
     if model.is_decoder:
         total += lm_head_flops(model)
-    return total
-
-
-def workload_flops(model: ModelConfig, workload: Workload) -> float:
-    """Total FLOPs of an end-to-end inference request."""
-    return sum(stage_flops(model, p) for p in workload.stages())
-
-
-def stage_weight_bytes(model: ModelConfig, stage: Stage) -> int:
-    """Weight bytes that one full pass must read (all blocks + LM head)."""
-    per_block = model.fc_params_per_block * BYTES_PER_ELEMENT
-    total = model.num_blocks * per_block
-    if model.is_decoder:
-        total += model.lm_head_params * BYTES_PER_ELEMENT
-    del stage  # the same weights are read in both stages
     return total
 
 

@@ -201,10 +201,6 @@ class ModelConfig:
         return self.num_blocks * self.fc_params_per_block + self.lm_head_params
 
     @property
-    def fc_param_fraction(self) -> float:
-        return self.fc_params / (self.num_params + self.lm_head_params)
-
-    @property
     def param_bytes(self) -> int:
         """Total model footprint in bytes at BF16."""
         return self.num_params * BYTES_PER_ELEMENT

@@ -62,21 +62,18 @@ class Workload:
     """An inference request: ``input_tokens`` in, ``output_tokens`` out.
 
     The paper evaluates batch size 1 throughout (Sec. 6.1) because datacenter
-    NLP services prefer non-batched requests; larger batch sizes are accepted
-    here for completeness and simply scale token counts.
+    NLP services prefer non-batched requests; batching is modelled by the
+    serving layer (:mod:`repro.serving`).
     """
 
     input_tokens: int
     output_tokens: int = 1
-    batch_size: int = 1
 
     def __post_init__(self) -> None:
         if self.input_tokens <= 0:
             raise ValueError("input_tokens must be positive")
         if self.output_tokens < 0:
             raise ValueError("output_tokens must be non-negative")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
 
     @property
     def total_tokens(self) -> int:

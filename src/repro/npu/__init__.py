@@ -2,14 +2,12 @@
 
 from repro.npu.core import NpuCoreModel
 from repro.npu.dma import DmaModel
-from repro.npu.matrix_unit import MatrixUnitEstimate, MatrixUnitModel
-from repro.npu.vector_unit import VectorUnitEstimate, VectorUnitModel
+from repro.npu.matrix_unit import MatrixUnitModel
+from repro.npu.vector_unit import VectorUnitModel
 
 __all__ = [
     "NpuCoreModel",
     "DmaModel",
-    "MatrixUnitEstimate",
     "MatrixUnitModel",
-    "VectorUnitEstimate",
     "VectorUnitModel",
 ]

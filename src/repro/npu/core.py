@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import NpuCoreConfig
+from repro.config import BYTES_PER_ELEMENT, NpuCoreConfig
 from repro.npu.dma import DmaModel
 from repro.npu.matrix_unit import MatrixUnitModel
 from repro.npu.vector_unit import VectorUnitModel
@@ -43,9 +43,9 @@ class NpuCoreModel:
     # ------------------------------------------------------------------
     # Convenience estimates used by Algorithm 1
     # ------------------------------------------------------------------
-    def fc_weight_load_time(self, d_in: int, d_out: int, bytes_per_element: int = 2) -> float:
-        """Time to stream an FC weight slice from main memory into the WM."""
-        return self.dma.load_time(d_in * d_out * bytes_per_element)
+    def fc_weight_load_time(self, d_in: int, d_out: int) -> float:
+        """Time to stream a BF16 FC weight slice from main memory into the WM."""
+        return self.dma.load_time(d_in * d_out * BYTES_PER_ELEMENT)
 
     def fc_on_matrix_unit_time(
         self, num_tokens: int, d_in: int, d_out: int, prefetch_window_s: float = 0.0

@@ -21,23 +21,10 @@ generation FC during attention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.config import MatrixUnitConfig
 
-__all__ = ["MatrixUnitModel", "MatrixUnitEstimate"]
-
-
-@dataclass(frozen=True)
-class MatrixUnitEstimate:
-    """Timing estimate for one matrix-unit operation."""
-
-    cycles: int
-    seconds: float
-    flops: float
-    utilization: float
-    row_tiles: int
-    col_tiles: int
+__all__ = ["MatrixUnitModel"]
 
 
 class MatrixUnitModel:
@@ -64,42 +51,9 @@ class MatrixUnitModel:
         """Seconds to execute one matrix multiplication on the matrix unit."""
         return self.matmul_cycles(num_tokens, d_in, d_out) / self.config.frequency_hz
 
-    def estimate(self, num_tokens: int, d_in: int, d_out: int) -> MatrixUnitEstimate:
-        """Full estimate including achieved utilisation."""
-        cfg = self.config
-        cycles = self.matmul_cycles(num_tokens, d_in, d_out)
-        seconds = cycles / cfg.frequency_hz
-        flops = 2.0 * num_tokens * d_in * d_out
-        peak = cfg.peak_flops
-        utilization = flops / (seconds * peak) if seconds > 0 else 0.0
-        return MatrixUnitEstimate(
-            cycles=cycles,
-            seconds=seconds,
-            flops=flops,
-            utilization=min(1.0, utilization),
-            row_tiles=math.ceil(num_tokens / cfg.rows) if num_tokens else 0,
-            col_tiles=math.ceil(d_out / cfg.cols) if d_out else 0,
-        )
-
     # ------------------------------------------------------------------
     # Operator-specific wrappers
     # ------------------------------------------------------------------
-    def fc_time(self, num_tokens: int, d_in: int, d_out: int) -> float:
-        """Fully-connected layer latency (weights already in the WM)."""
-        return self.matmul_time(num_tokens, d_in, d_out)
-
-    def attention_score_time(
-        self, num_tokens: int, kv_length: int, head_dim: int
-    ) -> float:
-        """QK^T latency for one attention head."""
-        return self.matmul_time(num_tokens, head_dim, kv_length)
-
-    def attention_context_time(
-        self, num_tokens: int, kv_length: int, head_dim: int
-    ) -> float:
-        """SV latency for one attention head."""
-        return self.matmul_time(num_tokens, kv_length, head_dim)
-
     def pipelined_fc_time(
         self, num_tokens: int, d_in: int, d_out: int, weight_load_time: float
     ) -> float:

@@ -9,8 +9,6 @@ key/value concatenation of the generation stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import VectorUnitConfig
 from repro.models.flops import (
     FLOPS_PER_GELU_ELEMENT,
@@ -18,14 +16,7 @@ from repro.models.flops import (
     FLOPS_PER_SOFTMAX_ELEMENT,
 )
 
-__all__ = ["VectorUnitModel", "VectorUnitEstimate"]
-
-
-@dataclass(frozen=True)
-class VectorUnitEstimate:
-    cycles: int
-    seconds: float
-    flops: float
+__all__ = ["VectorUnitModel"]
 
 
 class VectorUnitModel:
@@ -54,8 +45,9 @@ class VectorUnitModel:
     def _to_seconds(self, cycles: int) -> float:
         return cycles / self.config.frequency_hz
 
-    def elementwise_time(self, elements: int, ops_per_element: float = 1.0) -> float:
-        return self._to_seconds(self._kernel_cycles(elements, ops_per_element))
+    def elementwise_time(self, elements: int) -> float:
+        """One operation per element, one pass (e.g. the residual add)."""
+        return self._to_seconds(self._kernel_cycles(elements, 1.0))
 
     # ------------------------------------------------------------------
     # Operator-specific kernels
@@ -88,11 +80,3 @@ class VectorUnitModel:
     def concat_time(self, elements: int) -> float:
         """Key/value concatenation executed in the vector unit (Fig. 7c)."""
         return self._to_seconds(self._kernel_cycles(elements, 0.5))
-
-    def estimate(self, elements: int, ops_per_element: float) -> VectorUnitEstimate:
-        cycles = self._kernel_cycles(elements, ops_per_element)
-        return VectorUnitEstimate(
-            cycles=cycles,
-            seconds=self._to_seconds(cycles),
-            flops=elements * ops_per_element,
-        )

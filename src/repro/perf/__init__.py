@@ -22,12 +22,10 @@ number:
     (shared by every :class:`~repro.core.system.IanusSystem` in the process)
     and survive across experiments.
 
-    Invalidation is explicit: :meth:`PassCostCache.clear` empties the cache,
-    :meth:`PassCostCache.invalidate` drops every entry of one configuration
-    fingerprint.  There is no implicit invalidation to reason about because
-    every key ingredient is immutable (frozen dataclasses and ints).  Hit and
-    miss counters (:meth:`PassCostCache.stats`) make cache behaviour
-    observable from the CLI (``repro bench``) and the tests.
+    Nothing is ever invalidated: every key ingredient is immutable (frozen
+    dataclasses and ints), so an entry stays right for the life of the
+    process.  Hit and miss counters (:meth:`PassCostCache.stats`) make
+    cache behaviour observable from the CLI (``repro bench``) and the tests.
 
     Two cache *layers* exist since PR 2.  In-process, two shared
     :class:`PassCostCache` instances memoize the simulator

@@ -132,30 +132,6 @@ class PassCostCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def invalidate(self, fingerprint: str) -> int:
-        """Drop every entry belonging to one configuration fingerprint.
-
-        Returns the number of entries removed.  Because keys embed the
-        fingerprint of an immutable configuration this is only needed when a
-        timing *model* changes underneath an identical configuration (e.g. a
-        monkeypatched duration model in a test).
-        """
-        with self._lock:
-            stale = [key for key in self._entries if key[0] == fingerprint]
-            for key in stale:
-                del self._entries[key]
-        return len(stale)
-
     def stats(self) -> dict:
         """Hit/miss/size counters (for ``repro bench`` and the tests)."""
         total = self.hits + self.misses

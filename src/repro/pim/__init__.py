@@ -1,6 +1,6 @@
-"""PIM substrate: GDDR6-AiM banks, address mapping, PCU, controller, device."""
+"""PIM substrate: GDDR6-AiM banks, weight tiling, PCU, controller, device."""
 
-from repro.pim.address_mapping import AddressMapping, DecodedAddress, Tile, TileMapping
+from repro.pim.address_mapping import Tile, TileMapping
 from repro.pim.commands import MacroKind, MacroPimCommand, MicroKind, MicroPimCommand
 from repro.pim.controller import MicroProgramResult, PimMemoryController
 from repro.pim.dram import BankState, DramBank, DramChannelState, DramTimingError
@@ -10,8 +10,6 @@ from repro.pim.pim_chip import PimDeviceModel, PimOperationEstimate
 from repro.pim.processing_unit import gelu_lookup_table, gelu_via_lut
 
 __all__ = [
-    "AddressMapping",
-    "DecodedAddress",
     "Tile",
     "TileMapping",
     "MacroKind",

@@ -22,103 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.config import BYTES_PER_ELEMENT, PimConfig
+from repro.config import PimConfig
 
-__all__ = ["AddressMapping", "DecodedAddress", "Tile", "TileMapping"]
-
-
-@dataclass(frozen=True)
-class DecodedAddress:
-    """A physical address decomposed into DRAM coordinates."""
-
-    row: int
-    channel: int
-    bank: int
-    column: int
-    offset: int
-
-
-@dataclass(frozen=True)
-class AddressMapping:
-    """Bit-level Row-Channel-Bank-Column-Offset address mapping (Fig. 5)."""
-
-    config: PimConfig
-    #: Bytes covered by one column address (the DRAM burst / access granule).
-    access_bytes: int = 32
-
-    # ------------------------------------------------------------------
-    @property
-    def offset_bits(self) -> int:
-        return (self.access_bytes - 1).bit_length()
-
-    @property
-    def column_bits(self) -> int:
-        columns = self.config.row_bytes // self.access_bytes
-        return (columns - 1).bit_length()
-
-    @property
-    def bank_bits(self) -> int:
-        return (self.config.banks_per_channel - 1).bit_length()
-
-    @property
-    def channel_bits(self) -> int:
-        return (self.config.channels - 1).bit_length()
-
-    @property
-    def row_bits(self) -> int:
-        rows = self.config.capacity_bytes // (
-            self.config.row_bytes
-            * self.config.banks_per_channel
-            * self.config.channels
-        )
-        return (rows - 1).bit_length()
-
-    @property
-    def num_rows(self) -> int:
-        return self.config.capacity_bytes // (
-            self.config.row_bytes
-            * self.config.banks_per_channel
-            * self.config.channels
-        )
-
-    # ------------------------------------------------------------------
-    def encode(self, row: int, channel: int, bank: int, column: int, offset: int = 0) -> int:
-        """Compose a physical address from DRAM coordinates."""
-        self._check(row, channel, bank, column, offset)
-        address = row
-        address = (address << self.channel_bits) | channel
-        address = (address << self.bank_bits) | bank
-        address = (address << self.column_bits) | column
-        address = (address << self.offset_bits) | offset
-        return address
-
-    def decode(self, address: int) -> DecodedAddress:
-        """Split a physical address into DRAM coordinates."""
-        offset = address & ((1 << self.offset_bits) - 1)
-        address >>= self.offset_bits
-        column = address & ((1 << self.column_bits) - 1)
-        address >>= self.column_bits
-        bank = address & ((1 << self.bank_bits) - 1)
-        address >>= self.bank_bits
-        channel = address & ((1 << self.channel_bits) - 1)
-        address >>= self.channel_bits
-        return DecodedAddress(row=address, channel=channel, bank=bank, column=column, offset=offset)
-
-    def _check(self, row: int, channel: int, bank: int, column: int, offset: int) -> None:
-        if not 0 <= channel < self.config.channels:
-            raise ValueError(f"channel {channel} out of range")
-        if not 0 <= bank < self.config.banks_per_channel:
-            raise ValueError(f"bank {bank} out of range")
-        if not 0 <= column < self.config.row_bytes // self.access_bytes:
-            raise ValueError(f"column {column} out of range")
-        if not 0 <= offset < self.access_bytes:
-            raise ValueError(f"offset {offset} out of range")
-        if not 0 <= row < max(1, self.num_rows):
-            raise ValueError(f"row {row} out of range")
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.config.capacity_bytes
+__all__ = ["Tile", "TileMapping"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,14 +42,6 @@ class Tile:
     col_start: int
     used_rows: int
     used_cols: int
-
-    @property
-    def weight_elements(self) -> int:
-        return self.used_rows * self.used_cols
-
-    @property
-    def weight_bytes(self) -> int:
-        return self.weight_elements * BYTES_PER_ELEMENT
 
 
 class TileMapping:
@@ -212,16 +110,9 @@ class TileMapping:
         bank = within // self.compute_channels
         return channel, bank
 
-    def weight_bytes(self) -> int:
-        return self.out_features * self.in_features * BYTES_PER_ELEMENT
-
     def storage_bytes(self) -> int:
         """Bytes of DRAM rows reserved by the tiling (including padding)."""
         return self.num_tiles * self.tile_rows * self.config.row_bytes
-
-    def utilization(self) -> float:
-        """Fraction of reserved DRAM capacity holding real weight data."""
-        return self.weight_bytes() / self.storage_bytes()
 
     def mac_commands_per_tile(self, tile: Tile) -> int:
         """Per-bank MAC micro commands needed to cover one tile's columns."""

@@ -67,10 +67,6 @@ class MacroPimCommand:
     fused_gelu: bool = False
     label: str = ""
 
-    @property
-    def weight_elements(self) -> int:
-        return self.out_features * self.in_features
-
 
 @dataclass(frozen=True, slots=True)
 class MicroPimCommand:

@@ -45,7 +45,3 @@ class GlobalBuffer:
         if start + count > self._valid_elements:
             raise ValueError("read beyond the valid segment")
         return self._data[start : start + count]
-
-    @property
-    def valid_elements(self) -> int:
-        return self._valid_elements

@@ -39,11 +39,6 @@ class PimOperationEstimate:
     tiles: int
     channels: int
 
-    @property
-    def effective_bandwidth(self) -> float:
-        """Weight bytes streamed per second (the PIM's effective bandwidth)."""
-        return self.weight_bytes / self.seconds if self.seconds > 0 else 0.0
-
 
 class PimDeviceModel:
     """Timing model of the PIM memory system used for compute.
@@ -80,10 +75,9 @@ class PimDeviceModel:
         out_features: int,
         in_features: int,
         fused_gelu: bool = False,
-        channels: int | None = None,
     ) -> PimOperationEstimate:
         """Estimate one matrix-vector multiplication ``y = W x`` on the PIM."""
-        channels = channels or self.compute_channels
+        channels = self.compute_channels
         shape = (out_features, in_features, fused_gelu, channels)
         estimate = self._estimates.get(shape)
         if estimate is not None:
@@ -152,24 +146,3 @@ class PimDeviceModel:
             tiles=mapping.num_tiles,
             channels=channels,
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def peak_flops(self) -> float:
-        per_channel = self.config.banks_per_channel * self.config.pu_flops
-        return per_channel * self.compute_channels
-
-    @property
-    def internal_bandwidth(self) -> float:
-        return self.config.channel_internal_bandwidth * self.compute_channels
-
-    def efficiency(self, out_features: int, in_features: int) -> float:
-        """Fraction of internal bandwidth achieved by one GEMV.
-
-        The paper discusses this efficiency when motivating why QK^T and SV
-        map poorly to PIM (head dimension of 64 uses only 6.25% of a DRAM
-        row) and why embedding dimensions that are multiples of 1024 utilise
-        the PIM fully (Fig. 12 discussion).
-        """
-        estimate = self.gemv(out_features, in_features)
-        return estimate.effective_bandwidth / self.internal_bandwidth

@@ -18,13 +18,18 @@ import numpy as np
 
 __all__ = ["gelu_lookup_table", "gelu_via_lut"]
 
+#: Entries of the GELU lookup table, evenly spaced over ``GELU_LUT_RANGE``.
+GELU_LUT_ENTRIES = 256
+#: Input range the table covers; inputs outside it are clipped.
+GELU_LUT_RANGE = (-8.0, 8.0)
 
-def gelu_lookup_table(num_entries: int = 256, x_min: float = -8.0, x_max: float = 8.0):
+
+def gelu_lookup_table():
     """Build the GELU lookup table stored in reserved DRAM rows (Sec. 4.2.2).
 
     Returns ``(xs, ys)`` arrays; the PU linearly interpolates between entries.
     """
-    xs = np.linspace(x_min, x_max, num_entries, dtype=np.float32)
+    xs = np.linspace(*GELU_LUT_RANGE, GELU_LUT_ENTRIES, dtype=np.float32)
     ys = 0.5 * xs * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (xs + 0.044715 * xs**3)))
     return xs, ys.astype(np.float32)
 

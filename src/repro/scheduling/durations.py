@@ -156,12 +156,12 @@ class DurationModel:
             return vu.concat_time(elements)
         if kind is OpKind.EMBEDDING:
             n, d = dims
-            return vu.elementwise_time(n * d, 1.0)
+            return vu.elementwise_time(n * d)
         # Generic element-wise fallback.
         elements = 1
         for dim in dims:
             elements *= dim
-        return vu.elementwise_time(elements, 1.0)
+        return vu.elementwise_time(elements)
 
     def _pim_duration(
         self, dims: tuple[int, ...], pim_scope: PimScope, fused: bool

@@ -67,10 +67,6 @@ class ScheduledCommand:
     flops: float
     bytes_moved: int
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass(slots=True)
 class ActivityStats:
@@ -235,9 +231,6 @@ class Timeline:
         return timeline
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._starts)
-
     @property
     def commands(self) -> list[ScheduledCommand]:
         """The full schedule (materialized on first access)."""
@@ -277,10 +270,6 @@ class Timeline:
             self._busy_by_unit[unit] = cached
         return cached
 
-    def utilization(self, unit: Unit) -> float:
-        makespan = self.makespan
-        return self.busy_time(unit) / makespan if makespan > 0 else 0.0
-
     def breakdown_by_tag(self) -> dict[str, float]:
         """Latency attributed to each breakdown tag (interval union per tag)."""
         if self._breakdown_by_tag is None:
@@ -296,23 +285,13 @@ class Timeline:
             }
         return dict(self._breakdown_by_tag)
 
-    def breakdown_by_unit(self) -> dict[str, float]:
-        present = set(self._units)
-        return {
-            unit.value: self.busy_time(unit) for unit in Unit if unit in present
-        }
-
     def total_flops(self) -> float:
         if self._total_flops is None:
             self._total_flops = sum(self._flops)
         return self._total_flops
 
-    def achieved_flops(self) -> float:
-        makespan = self.makespan
-        return self.total_flops() / makespan if makespan > 0 else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Timeline(label={self.label!r}, commands={len(self)})"
+        return f"Timeline(label={self.label!r}, commands={len(self._starts)})"
 
 
 class _Structure:

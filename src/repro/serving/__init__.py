@@ -30,11 +30,14 @@ Layering — who knows what:
     The *megatrace* engine.  ``ServingSimulator(..., engine="array")``
     swaps the per-request object hot loop for a columnar one (parallel
     state lists, dense :class:`~repro.serving.decode_table.DecodeCostTable`
-    pricing, prefix-sum macro-stepping over uneventful decode runs) behind
-    the same ``SimulationRun`` API.  ``engine="object"`` (the default)
-    remains the reference and the only engine for custom policies: with
-    events recorded the array engine is bit-identical to it, and
-    macro-stepped pooled metrics agree to 1e-9.  Both run classes derive
+    pricing) behind the same ``SimulationRun`` API.  Without an event log
+    it advances a stable all-decode batch to its next event in one call:
+    an exact decode run (``_decode_run``) performs ``fused_pass``'s own
+    float operations and changes no number, while a prefix-sum macro-step
+    (``_macro_step``, private-page batches on a floor-free table) agrees
+    with stepping to 1e-9.  ``engine="object"`` (the default) remains the
+    reference and the only engine for custom policies: with events
+    recorded the array engine is bit-identical to it.  Both run classes derive
     from one lifecycle base (counters, event log, offers and guards,
     failure/recovery/resubmit, swap-in admission, weight-swap pricing),
     and the two per-iteration loops share every rule that does not
@@ -130,7 +133,6 @@ from repro.serving.simulator import (
     decode_kv_bounds,
     make_policy,
     mean_service_time_s,
-    percentile,
 )
 from repro.serving.trace import (
     TRACE_CURVES,
@@ -212,7 +214,6 @@ __all__ = [
     "ServingMetrics",
     "ServingSimulator",
     "mean_service_time_s",
-    "percentile",
     "SimEvent",
     "check_invariants",
     "check_cluster_invariants",

@@ -61,8 +61,9 @@ under concurrency-1 arrival-order policies, queued ones) in closed form:
 clump goes to the burst runner, ``_run_burst``, which specializes only
 admission (due arrivals go straight from ``pending`` to ``active`` with
 worst-case grants); it prefills and decodes through the per-iteration
-loop's own ``_step`` and ``_macro_step``.  ``arrival_batching = False``
-turns all three off and leaves the per-arrival reference path.
+loop's own ``_step`` and ``_macro_step``.  All three are entered through
+``_absorb_arrivals``; a run whose ``_absorb_arrivals`` returns ``False``
+(tests monkeypatch it) takes the per-arrival reference path.
 
 **One KV ledger.**  Every run books its pages in the simulator's
 :class:`~repro.serving.kv_memory.KvPageAccountant` (``self.kv``), the
@@ -127,11 +128,6 @@ _NO_TABLE = (1, 0, None, None, None, None, None, False)
 
 class ArraySimulationRun(_RunLifecycle):
     """Columnar drop-in for :class:`~repro.serving.simulator.SimulationRun`."""
-
-    #: Master switch for the arrival-batched underload fast path.  Class
-    #: level so tests (and the differential harness) can pin the exact
-    #: per-arrival reference path with a subclass or instance override.
-    arrival_batching = True
 
     def __init__(
         self,
@@ -326,8 +322,7 @@ class ArraySimulationRun(_RunLifecycle):
         # reference path would run per-iteration there and absorption
         # must not change which path produced the numbers.
         self._absorb_ok = (
-            self.arrival_batching
-            and self.events is None
+            self.events is None
             and sim.chunk_tokens == 0
             and not self._exact_kv
             and not sim.multi_model
@@ -736,10 +731,6 @@ class ArraySimulationRun(_RunLifecycle):
     # scheduling over rows; only reached when the simulator hosts a
     # model set)
     # ------------------------------------------------------------------
-    def _model_of_row(self, row: int) -> str:
-        """The model a row runs on ("" in a request means the default)."""
-        return self._mdl[row] or self.sim.model.name
-
     def _sync_model(self) -> None:
         """Swap weights when no resident-model work is runnable."""
         resident = self.resident_model

@@ -46,28 +46,22 @@ __all__ = [
     "AUTOSCALERS",
     "make_autoscaler",
     "replica_warmup_s",
-    "DEFAULT_WEIGHT_LINK_BYTES_PER_S",
+    "WEIGHT_LINK_BYTES_PER_S",
 ]
 
 #: Host-to-accelerator link bandwidth for streaming weights into a freshly
-#: spawned replica — a PCIe-gen4-x16-class 16 GB/s unless overridden.
-DEFAULT_WEIGHT_LINK_BYTES_PER_S = 16e9
+#: spawned replica — a PCIe-gen4-x16-class 16 GB/s.
+WEIGHT_LINK_BYTES_PER_S = 16e9
 
 
-def replica_warmup_s(
-    cost_model: "CostModel",
-    model: "ModelConfig",
-    link_bytes_per_s: float = DEFAULT_WEIGHT_LINK_BYTES_PER_S,
-) -> float:
+def replica_warmup_s(cost_model: "CostModel", model: "ModelConfig") -> float:
     """Modeled warm-up of a freshly spawned replica, in seconds.
 
     Streaming ``model.param_bytes`` of weights over the host link, plus one
     KV-length-1 decode pass priced by the cost model to prime the pipeline.
     The cluster holds a spawned replica out of routing for this long.
     """
-    if link_bytes_per_s <= 0.0:
-        raise ValueError("link_bytes_per_s must be positive")
-    load_s = model.param_bytes / link_bytes_per_s
+    load_s = model.param_bytes / WEIGHT_LINK_BYTES_PER_S
     prime_s = cost_model.pass_cost(
         model, StagePass(Stage.GENERATION, 1, 1)
     ).latency_s

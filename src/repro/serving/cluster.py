@@ -930,10 +930,6 @@ class ClusterSimulator:
         self._route_phase = {"route": 0.0}
 
     @property
-    def num_replicas(self) -> int:
-        return len(self.replicas)
-
-    @property
     def _ops_active(self) -> bool:
         return self.failures is not None or self.autoscaler is not None
 

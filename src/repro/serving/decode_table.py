@@ -91,9 +91,6 @@ class DecodeCostTable:
                     f"[{self.kv_lo}, {self.kv_hi}]"
                 )
 
-    def __len__(self) -> int:
-        return self.kv_hi - self.kv_lo + 1
-
     def columns(self) -> "tuple[list, list, list, list, list]":
         """The five columns as Python float lists (scalar hot-loop form)."""
         return (

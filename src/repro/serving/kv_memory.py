@@ -174,10 +174,10 @@ class KvPageAccountant:
     the device pool and host DRAM (shared pages never move — other group
     members still use them).
 
-    Every mutating call keeps running counts of resident and swapped
-    pages, so ``reserved_pages``, ``free_pages`` and ``swapped_pages`` are
-    O(1) reads — cheap enough for the array engine's hot loops, which
-    consult them once per admission and decode grant.
+    Every mutating call keeps a running count of resident pages, so
+    ``reserved_pages`` and ``free_pages`` are O(1) reads — cheap enough
+    for the array engine's hot loops, which consult them once per
+    admission and decode grant.
     """
 
     budget_bytes: int
@@ -196,10 +196,9 @@ class KvPageAccountant:
     #: Page geometry, fixed at construction.
     page_bytes: int = field(default=0, init=False, repr=False)
     total_pages: int = field(default=0, init=False, repr=False)
-    #: Running counts: resident pages (private plus each shared group
-    #: once) and private pages parked in host DRAM.
+    #: Running count of resident pages (private plus each shared group
+    #: once).
     _resident: int = field(default=0, init=False, repr=False)
-    _swapped_total: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.budget_bytes <= 0:
@@ -260,11 +259,6 @@ class KvPageAccountant:
     def free_pages(self) -> int:
         return self.total_pages - self._resident
 
-    @property
-    def swapped_pages(self) -> int:
-        """Private pages currently parked in host DRAM (not in the pool)."""
-        return self._swapped_total
-
     def _commit(self, pages: int) -> None:
         """Book ``pages`` more resident pages and roll the high-water mark."""
         self._resident += pages
@@ -301,11 +295,6 @@ class KvPageAccountant:
         group = self._groups.get(prefix_id)
         return group.pages if group is not None else 0
 
-    def prefix_refcount(self, prefix_id: int) -> int:
-        """Reference count of a resident shared prefix (0 when absent)."""
-        group = self._groups.get(prefix_id)
-        return group.refcount if group is not None else 0
-
     # ------------------------------------------------------------------
     def _charge_pages(
         self, tokens: int, prefix_id: int, prefix_tokens: int
@@ -339,10 +328,6 @@ class KvPageAccountant:
         """Private resident pages of one request (0 when none)."""
         return self._reserved.get(request_id, 0)
 
-    def request_swapped_pages(self, request_id: int) -> int:
-        """Private pages of one request parked in host DRAM (0 when none)."""
-        return self._swapped.get(request_id, 0)
-
     def shared_held_pages(self, request_id: int) -> int:
         """Shared pages backing one request (0 for private requests)."""
         gid = self._request_group.get(request_id)
@@ -354,10 +339,6 @@ class KvPageAccountant:
         """Pages a reservation still lacks to cover ``tokens`` tokens."""
         held = self.held_pages(request_id) + self.shared_held_pages(request_id)
         return self.pages_for(tokens) - held
-
-    def can_grow(self, request_id: int, tokens: int) -> bool:
-        """Whether a reservation can grow to cover ``tokens`` tokens."""
-        return self.grow_need(request_id, tokens) <= self.free_pages
 
     def grow(self, request_id: int, tokens: int) -> int:
         """Grow a reservation to cover ``tokens`` tokens; returns added pages.
@@ -431,7 +412,7 @@ class KvPageAccountant:
         if request_id in self._reserved:
             freed = self._reserved.pop(request_id)
         elif request_id in self._swapped:
-            self._swapped_total -= self._swapped.pop(request_id)
+            del self._swapped[request_id]
             freed = 0
         else:
             raise ValueError(f"request {request_id} holds no reservation")
@@ -460,7 +441,6 @@ class KvPageAccountant:
         pages = self._reserved.pop(request_id)
         self._swapped[request_id] = pages
         self._resident -= pages
-        self._swapped_total += pages
         return pages
 
     def can_swap_in(self, request_id: int) -> bool:
@@ -480,7 +460,6 @@ class KvPageAccountant:
             )
         del self._swapped[request_id]
         self._reserved[request_id] = pages
-        self._swapped_total -= pages
         self._commit(pages)
         return pages
 
@@ -497,5 +476,4 @@ class KvPageAccountant:
         self._groups.clear()
         self._request_group.clear()
         self._resident = 0
-        self._swapped_total = 0
         return pages

@@ -4,8 +4,7 @@ A :class:`Request` is one inference job in a multi-user trace: it arrives at
 ``arrival_s``, carries ``input_tokens`` of prompt and wants ``output_tokens``
 of completion.  It is the serving-level counterpart of
 :class:`repro.models.workload.Workload` (which describes the *shape* of a
-request with no notion of time); :meth:`Request.workload` converts back for
-code that speaks the single-request vocabulary.
+request with no notion of time).
 
 :class:`RequestMetrics` is what the simulator records once a request
 completes: the three timestamps every serving study cares about (arrival,
@@ -27,8 +26,6 @@ reference-counted (:mod:`repro.serving.kv_memory`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.models.workload import Workload
 
 __all__ = ["Request", "RequestMetrics"]
 
@@ -78,18 +75,6 @@ class Request:
     @property
     def total_tokens(self) -> int:
         return self.input_tokens + self.output_tokens
-
-    @property
-    def num_generation_passes(self) -> int:
-        """Decode passes after the prefill (which produces the first token)."""
-        return self.output_tokens - 1
-
-    def workload(self) -> Workload:
-        """The single-request workload shape of this request."""
-        return Workload(self.input_tokens, self.output_tokens)
-
-    def label(self) -> str:
-        return f"#{self.request_id}@{self.arrival_s:.3f}s ({self.input_tokens},{self.output_tokens})"
 
 
 @dataclass(frozen=True, slots=True)

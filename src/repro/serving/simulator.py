@@ -105,7 +105,7 @@ Pass-cost provider
 :class:`PassCostProvider` fronts the cost model: prefill costs are always
 priced exactly (few distinct prompt lengths per mix), decode costs either
 exactly per KV length (``exact=True``) or by piecewise-linear interpolation
-over ``kv_samples`` anchor lengths — the serving-level counterpart of the
+over :data:`KV_SAMPLES` anchor lengths — the serving-level counterpart of the
 fast generation mode of :meth:`repro.core.system.IanusSystem.run`, and the
 reason a load sweep touches a handful of simulated passes instead of
 thousands.  Every anchor evaluation routes through the backend's shared
@@ -187,7 +187,6 @@ __all__ = [
     "ServingSimulator",
     "decode_kv_bounds",
     "mean_service_time_s",
-    "percentile",
     "request_aggregates",
 ]
 
@@ -198,26 +197,18 @@ ADMISSION_MODES = ("worst-case", "optimistic")
 #: object-graph loop, and the vectorized array core behind the same API.
 ENGINES = ("object", "array")
 
-#: Default number of KV-length anchors of the interpolating provider.
-DEFAULT_KV_SAMPLES = 9
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile with linear interpolation between ranks.
-
-    Deterministic and dependency-free (no numpy): sort, place ``q`` on the
-    ``(n - 1)``-step rank axis, interpolate between the two bracketing
-    order statistics.  An empty input reads 0.0 (after ``q`` is checked).
-    """
-    return _percentile_sorted(sorted(values), q)
+#: Number of KV-length anchors of the interpolating provider.
+KV_SAMPLES = 9
 
 
 def _percentile_sorted(ordered: Sequence[float], q: float) -> float:
-    """:func:`percentile` over an already-sorted sequence (or numpy array).
+    """The ``q``-th percentile of a sorted sequence (or numpy array).
 
-    Metric finalization computes several percentiles of the same value
-    list; sorting once and interpolating many times is the fast path
-    (:func:`percentile` used to re-sort per call).
+    Deterministic and dependency-free: place ``q`` on the ``(n - 1)``-step
+    rank axis and interpolate linearly between the two bracketing order
+    statistics.  An empty input reads 0.0 (after ``q`` is checked).
+    Metric finalization sorts each value list once and reads several
+    percentiles of it.
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError("q must be in [0, 100]")
@@ -241,14 +232,10 @@ class PassCostProvider:
         cost_model: CostModel,
         model: ModelConfig,
         exact: bool = False,
-        kv_samples: int = DEFAULT_KV_SAMPLES,
     ) -> None:
-        if kv_samples < 2:
-            raise ValueError("kv_samples must be at least 2")
         self.cost_model = cost_model
         self.model = model
         self.exact = exact
-        self.kv_samples = kv_samples
         self._prefill_costs: dict[int, PassCost] = {}
         #: Exactly-priced decode costs — valid forever, kept across prepare().
         self._exact_costs: dict[int, PassCost] = {}
@@ -274,9 +261,9 @@ class PassCostProvider:
             raise ValueError("kv_max must be at least kv_min")
         anchors = {1, kv_min, kv_max}
         if kv_max > kv_min:
-            step = (kv_max - kv_min) / (self.kv_samples - 1)
+            step = (kv_max - kv_min) / (KV_SAMPLES - 1)
             anchors.update(
-                int(round(kv_min + i * step)) for i in range(self.kv_samples)
+                int(round(kv_min + i * step)) for i in range(KV_SAMPLES)
             )
         self._anchors = sorted(anchors)
         self._interp_costs.clear()
@@ -1898,7 +1885,7 @@ class ServingSimulator:
         at least 1 under every policy).
     exact:
         Price every decode KV length exactly instead of interpolating over
-        :data:`DEFAULT_KV_SAMPLES` anchors (see :class:`PassCostProvider`).
+        :data:`KV_SAMPLES` anchors (see :class:`PassCostProvider`).
     batch_share:
         Fraction of the decode cost floor shared across a fused batch (see
         the module docstring); 1.0 models fully shared weight streaming.
@@ -2195,7 +2182,6 @@ class ServingSimulator:
     def simulate_stream(
         self,
         chunks: "Iterable[Sequence[Request]]",
-        record_events: bool = False,
         kv_bounds: "tuple[int, int] | None" = None,
     ) -> ServingMetrics:
         """Play a *streamed* trace to completion — O(active) memory.
@@ -2214,7 +2200,7 @@ class ServingSimulator:
         bounds cover every request the generator can draw).  Without it
         the provider prices decodes exactly, which is correct but slow.
         """
-        run = self.begin(record_events=record_events, kv_bounds=kv_bounds)
+        run = self.begin(kv_bounds=kv_bounds)
         self.events = run.events
         self.last_run = run
         self._last_trace = None

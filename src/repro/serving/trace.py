@@ -581,11 +581,6 @@ class TraceGenerator:
 
     # ------------------------------------------------------------------
     @property
-    def max_total_tokens(self) -> int:
-        """Largest input+output any request of this mix can reach."""
-        return max(workload.total_tokens for workload in self.workloads)
-
-    @property
     def min_input_tokens(self) -> int:
         """Shortest prompt of the mix (upper bound of a shared prefix)."""
         return min(workload.input_tokens for workload in self.workloads)

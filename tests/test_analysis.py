@@ -7,13 +7,8 @@ import pytest
 from repro.analysis import (
     BREAKDOWN_CATEGORIES,
     arithmetic_mean,
-    breakdown_fractions,
-    format_series,
     format_table,
-    geometric_mean,
-    normalize_breakdown,
     ordered_breakdown,
-    speedup,
     total_latency_ratio,
 )
 
@@ -26,34 +21,26 @@ class TestBreakdownHelpers:
         assert ordered["FFN+Add"] == 2.0
         assert ordered["Self-attention"] == 0.0
 
-    def test_normalisation_sums_to_one(self):
-        breakdown = {"FFN+Add": 3.0, "LayerNorm": 1.0}
-        normalized = normalize_breakdown(breakdown)
-        assert sum(normalized.values()) == pytest.approx(1.0)
+    def test_empty_breakdown_reads_zero_in_every_category(self):
+        assert ordered_breakdown({}) == dict.fromkeys(BREAKDOWN_CATEGORIES, 0.0)
 
-    def test_normalisation_of_empty_breakdown(self):
-        assert all(v == 0.0 for v in normalize_breakdown({}).values())
-
-    def test_fractions_include_extra_categories(self):
-        fractions = breakdown_fractions({"LM head": 1.0, "FFN+Add": 1.0})
-        assert fractions["LM head"] == pytest.approx(0.5)
-
-    def test_fractions_of_empty_breakdown(self):
-        assert breakdown_fractions({}) == {}
+    def test_categories_outside_the_decoder_are_left_out(self):
+        """Fig. 10 splits decoder latency: the LM head's share is not a
+        decoder category."""
+        ordered = ordered_breakdown({"LM head": 1.0, "FFN+Add": 1.0})
+        assert "LM head" not in ordered
+        assert ordered["FFN+Add"] == 1.0
 
 
 class TestMeansAndSpeedups:
-    def test_speedup(self):
-        assert speedup(10.0, 2.0) == pytest.approx(5.0)
-        assert speedup(10.0, 0.0) == float("inf")
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
-
     def test_arithmetic_mean(self):
         assert arithmetic_mean([1.0, 3.0]) == pytest.approx(2.0)
         assert arithmetic_mean([]) == 0.0
+
+    def test_speedup(self):
+        """One configuration's speedup is the ratio of its latencies."""
+        assert total_latency_ratio([10.0], [2.0]) == pytest.approx(5.0)
+        assert total_latency_ratio([10.0], [0.0]) == float("inf")
 
     def test_total_latency_ratio_matches_paper_average_definition(self):
         """The paper's 'average speedup over DFX' is a total-latency ratio."""
@@ -71,8 +58,3 @@ class TestFormatting:
         assert "a" in table and "b" in table
         assert "2.500" in table
         assert "10,000" in table
-
-    def test_format_series(self):
-        series = format_series("latency", [1, 2], [0.5, 1.5], unit="ms")
-        assert "latency" in series
-        assert "1=0.500ms" in series

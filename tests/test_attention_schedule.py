@@ -14,6 +14,8 @@ from repro.config import FcMappingPolicy, SchedulingPolicy, SystemConfig
 from repro.ir import CommandStream, OpKind, Unit
 from repro.models import GPT2_CONFIGS
 
+from test_compiler import dependency_depth, of_kind, on_unit, with_tag
+
 
 def make_context(
     *,
@@ -47,12 +49,12 @@ class TestSummarizationSchedule:
         ctx = make_context(stage_tokens=128, kv_length=128,
                            qkv_unit=FcMappingPolicy.MATRIX_UNIT, heads=4)
         build_summarization_attention(stream, ctx, root)
-        assert len(stream.by_kind(OpKind.QKT)) == 4
-        assert len(stream.by_kind(OpKind.SV)) == 4
-        assert len(stream.by_kind(OpKind.SOFTMAX)) == 4
-        assert len(stream.by_kind(OpKind.KEY_TRANSPOSE)) == 4
+        assert len(of_kind(stream, OpKind.QKT)) == 4
+        assert len(of_kind(stream, OpKind.SV)) == 4
+        assert len(of_kind(stream, OpKind.SOFTMAX)) == 4
+        assert len(of_kind(stream, OpKind.KEY_TRANSPOSE)) == 4
         # Q, K, V projections per head, all on the matrix unit.
-        assert len(stream.by_kind(OpKind.FC_QKV)) == 12
+        assert len(of_kind(stream, OpKind.FC_QKV)) == 12
 
     def test_returns_merge_sync_depending_on_all_heads(self):
         stream, root = fresh_stream()
@@ -60,7 +62,7 @@ class TestSummarizationSchedule:
                            qkv_unit=FcMappingPolicy.MATRIX_UNIT, heads=2)
         merge = build_summarization_attention(stream, ctx, root)
         assert merge.unit is Unit.SYNC
-        sv_ids = {c.cid for c in stream.by_kind(OpKind.SV)}
+        sv_ids = {c.cid for c in of_kind(stream, OpKind.SV)}
         assert sv_ids <= set(merge.deps)
 
     def test_pas_prefetches_next_head_weights(self):
@@ -76,7 +78,7 @@ class TestSummarizationSchedule:
         build_summarization_attention(naive_stream, naive_ctx, naive_root)
         # The overlap-aware schedule has a shallower dependency chain because
         # prefetching breaks the serial head-to-head dependency.
-        assert pas_stream.dependency_depth() <= naive_stream.dependency_depth()
+        assert dependency_depth(pas_stream) <= dependency_depth(naive_stream)
 
     def test_stream_is_valid(self):
         stream, root = fresh_stream()
@@ -91,16 +93,16 @@ class TestGenerationScheduleMu:
         stream, root = fresh_stream()
         ctx = make_context(stage_tokens=1, kv_length=192)
         build_generation_attention_mu(stream, ctx, root)
-        qkv = [c for c in stream.by_tag("FC for Q,K,V") if c.unit is Unit.PIM]
+        qkv = [c for c in with_tag(stream, "FC for Q,K,V") if c.unit is Unit.PIM]
         assert len(qkv) == 3 * ctx.heads_on_core
-        assert all(c.unit is Unit.MATRIX_UNIT for c in stream.by_kind(OpKind.QKT))
-        assert all(c.unit is Unit.MATRIX_UNIT for c in stream.by_kind(OpKind.SV))
+        assert all(c.unit is Unit.MATRIX_UNIT for c in of_kind(stream, OpKind.QKT))
+        assert all(c.unit is Unit.MATRIX_UNIT for c in of_kind(stream, OpKind.SV))
 
     def test_kv_concat_on_vector_unit(self):
         stream, root = fresh_stream()
         ctx = make_context(stage_tokens=1, kv_length=192)
         build_generation_attention_mu(stream, ctx, root)
-        concats = stream.by_kind(OpKind.KV_CONCAT)
+        concats = of_kind(stream, OpKind.KV_CONCAT)
         assert len(concats) == ctx.heads_on_core
         assert all(c.unit is Unit.VECTOR_UNIT for c in concats)
 
@@ -109,7 +111,7 @@ class TestGenerationScheduleMu:
         kv_length = 192
         ctx = make_context(stage_tokens=1, kv_length=kv_length)
         build_generation_attention_mu(stream, ctx, root)
-        loads = stream.by_kind(OpKind.KV_LOAD)
+        loads = of_kind(stream, OpKind.KV_LOAD)
         expected = (kv_length - 1) * ctx.head_dim * 2
         assert all(c.bytes_moved == expected for c in loads)
 
@@ -118,8 +120,8 @@ class TestGenerationScheduleMu:
         ctx = make_context(stage_tokens=1, kv_length=64,
                            qkv_unit=FcMappingPolicy.MATRIX_UNIT)
         build_generation_attention_mu(stream, ctx, root)
-        assert not stream.by_unit(Unit.PIM)
-        assert stream.by_kind(OpKind.FC_QKV)
+        assert not on_unit(stream, Unit.PIM)
+        assert of_kind(stream, OpKind.FC_QKV)
 
     def test_naive_variant_emits_same_operators(self):
         pas_stream, pas_root = fresh_stream()
@@ -147,21 +149,21 @@ class TestGenerationSchedulePim:
         stream, root = fresh_stream()
         ctx = make_context(stage_tokens=1, kv_length=192)
         build_generation_attention_pim(stream, ctx, root)
-        assert all(c.unit is Unit.PIM for c in stream.by_kind(OpKind.QKT))
-        assert all(c.unit is Unit.PIM for c in stream.by_kind(OpKind.SV))
+        assert all(c.unit is Unit.PIM for c in of_kind(stream, OpKind.QKT))
+        assert all(c.unit is Unit.PIM for c in of_kind(stream, OpKind.SV))
 
     def test_no_kv_cache_loads(self):
         """Fig. 7b avoids loading previously generated keys/values."""
         stream, root = fresh_stream()
         build_generation_attention_pim(stream, make_context(stage_tokens=1, kv_length=192), root)
-        assert not stream.by_kind(OpKind.KV_LOAD)
+        assert not of_kind(stream, OpKind.KV_LOAD)
 
     def test_scores_round_trip_through_memory_for_softmax(self):
         stream, root = fresh_stream()
         ctx = make_context(stage_tokens=1, kv_length=192)
         build_generation_attention_pim(stream, ctx, root)
-        assert len(stream.by_kind(OpKind.ACTIVATION_LOAD)) >= ctx.heads_on_core
-        assert len(stream.by_kind(OpKind.ACTIVATION_STORE)) == ctx.heads_on_core
+        assert len(of_kind(stream, OpKind.ACTIVATION_LOAD)) >= ctx.heads_on_core
+        assert len(of_kind(stream, OpKind.ACTIVATION_STORE)) == ctx.heads_on_core
 
     def test_stream_is_valid(self):
         stream, root = fresh_stream()

@@ -176,7 +176,8 @@ class TestDfx:
             dfx.run(LARGE_GPT_CONFIGS["30b"], Workload(128, 8))
 
     def test_tokens_per_second(self, dfx, gpt2_xl):
-        assert dfx.tokens_per_second(gpt2_xl, 256) > 0
+        result = dfx.run(gpt2_xl, Workload(256, 8))
+        assert result.tokens_per_second == 8 / result.total_latency_s > 0
 
     def test_name_mentions_fpga_count(self):
         assert "4fpga" in DfxAppliance(DfxConfig(num_fpgas=4)).name

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.costmodel import make_cost_model
 from repro.models import GPT2_CONFIGS
+from repro.models.workload import Stage, StagePass
 from repro.serving import (
     AUTOSCALERS,
     FAILURE_SCHEDULES,
@@ -45,6 +46,7 @@ from repro.serving import (
     make_trace_curve,
     replica_warmup_s,
 )
+from repro.serving.autoscale import WEIGHT_LINK_BYTES_PER_S
 from repro.serving.cluster import ReplicaSnapshot
 from repro.serving.simulator import mean_service_time_s
 
@@ -424,15 +426,18 @@ class TestAutoscalerUnits:
         assert scaler.evaluate(_signal(clock_s=2.0, depths=(9, 9))) == 0
         assert scaler.evaluate(_signal(clock_s=6.0, depths=(9, 9))) == 1
 
+    def test_warmup_streams_the_weights_then_primes_one_pass(self):
+        model = GPT2_CONFIGS["m"]
+        cost_model = LinearCostModel()
+        prime = cost_model.pass_cost(model, StagePass(Stage.GENERATION, 1, 1))
+        assert replica_warmup_s(cost_model, model) == (
+            model.param_bytes / WEIGHT_LINK_BYTES_PER_S + prime.latency_s
+        )
+
     def test_warmup_is_priced_through_the_cost_model(self):
         model = GPT2_CONFIGS["m"]
         warmup = replica_warmup_s(LinearCostModel(), model)
         assert warmup > model.param_bytes / 16e9  # load + a priming pass
-        assert replica_warmup_s(
-            LinearCostModel(), model, link_bytes_per_s=1e9
-        ) > warmup
-        with pytest.raises(ValueError):
-            replica_warmup_s(LinearCostModel(), model, link_bytes_per_s=0.0)
 
     def test_subclasses_must_reject_unknown_kwargs(self):
         with pytest.raises(ValueError, match="does not accept"):

@@ -32,10 +32,10 @@ from repro.cli import main
 from repro.config import SystemConfig
 from repro.core.costmodel import (
     ALL_BACKEND_NAMES,
+    MULTI_DEVICE_BACKEND_NAMES,
     CostModel,
     make_cost_model,
 )
-from repro.core.multi_device import MultiIanusSystem
 from repro.core.system import IanusSystem
 from repro.models import GPT2_CONFIGS
 from repro.models.workload import Stage, StagePass
@@ -46,10 +46,11 @@ from repro.serving import (
     ServingSimulator,
     check_invariants,
     cluster_kv_peak,
+    decode_kv_bounds,
     get_trace_generator,
     make_router,
 )
-from repro.serving.cluster import ROUTERS, ReplicaSnapshot, Router
+from repro.serving.cluster import ROUTERS, ReplicaSnapshot, Router, _snapshot
 from repro.serving.validate import SimEvent
 
 MODEL = GPT2_CONFIGS["m"]
@@ -99,19 +100,42 @@ class TestMultiDeviceCostModels:
         assert backend.cache_stats() is not None
 
     def test_cluster_prices_passes_like_fig17(self):
-        # MultiIanusSystem.pass_cost must be the same tensor-parallel
-        # pricing the Fig. 17/18 experiments integrate over workloads.
+        # "ianus-x4" is the tensor-parallel IanusSystem the Fig. 17/18
+        # experiments integrate over workloads, as is ("ianus", 4).
         cluster = make_cost_model("ianus-x4")
-        assert isinstance(cluster, MultiIanusSystem)
+        positional = make_cost_model("ianus", 4)
+        assert type(cluster) is type(positional) is IanusSystem
+        assert cluster.name == positional.name == "ianus x4"
         reference = IanusSystem(SystemConfig.ianus(), num_devices=4)
         for stage_pass in (
             StagePass(Stage.SUMMARIZATION, 128, 128),
             StagePass(Stage.GENERATION, 1, 256),
         ):
             ours = cluster.pass_cost(MODEL, stage_pass)
+            assert ours == positional.pass_cost(MODEL, stage_pass)
             theirs = reference.pass_cost(MODEL, stage_pass)
             assert ours.latency_s == theirs.latency_s
             assert ours.flops == theirs.flops
+
+    @pytest.mark.parametrize(
+        "name", MULTI_DEVICE_BACKEND_NAMES + ("partitioned-x2", "npu-mem-x2")
+    )
+    def test_suffix_spelling_is_the_positional_backend(self, name):
+        backend_name, devices = name.rsplit("-x", 1)
+        suffixed = make_cost_model(name)
+        positional = make_cost_model(backend_name, int(devices))
+        assert type(suffixed) is type(positional)
+        assert suffixed.name == positional.name == f"{backend_name} x{devices}"
+        assert suffixed.tdp_w == positional.tdp_w
+        stage_pass = StagePass(Stage.GENERATION, 1, 256)
+        assert suffixed.pass_cost(MODEL, stage_pass) == positional.pass_cost(
+            MODEL, stage_pass
+        )
+
+    def test_one_device_suffix_is_the_plain_backend(self):
+        one = make_cost_model("ianus-x1")
+        assert one.name == make_cost_model("ianus").name == "ianus"
+        assert one.num_devices == 1
 
     def test_multi_device_is_faster_per_pass(self):
         one = make_cost_model("ianus")
@@ -510,6 +534,38 @@ class TestClusterPlumbing:
             router="least-outstanding-tokens", policy="interleaved",
         ).simulate(trace)
         assert jsq.load_imbalance <= rr.load_imbalance * (1 + 1e-9)
+
+    @pytest.mark.parametrize("engine", ("object", "array"))
+    def test_snapshot_reports_the_arriving_requests_resident_prefix(self, engine):
+        simulator = ServingSimulator(LinearCostModel(), MODEL, engine=engine)
+        first = Request(0, 0.0, 128, 64, prefix_id=7, prefix_tokens=64)
+        run = simulator.begin(kv_bounds=decode_kv_bounds([first]))
+        run.offer(first)
+        run.advance_until(1e-4)  # admitted: its prefix pages are resident
+        follower = Request(1, 1e-4, 128, 8, prefix_id=7, prefix_tokens=64)
+        stranger = Request(2, 1e-4, 128, 8)
+        prefix_pages = 64 // simulator.page_tokens
+
+        def resident(request):
+            return _snapshot(0, run, [[first]], [192], request).resident_prefix_pages
+
+        assert run.kv.resident_prefix_pages(7) == prefix_pages
+        assert resident(follower) == prefix_pages
+        assert resident(stranger) == resident(None) == 0
+
+    def test_kv_aware_router_counts_resident_prefix_pages(self):
+        def state(index, free, resident):
+            return ReplicaSnapshot(
+                index=index, outstanding_requests=1, outstanding_tokens=100,
+                free_kv_pages=free, total_kv_pages=64, routed_requests=1,
+                routed_tokens=100, resident_prefix_pages=resident,
+            )
+
+        request = Request(3, 0.0, 128, 8, prefix_id=7, prefix_tokens=64)
+        router = make_router("kv-aware")
+        # Replica 1 has more free pages; replica 0 holds the prefix.
+        assert router.select([state(0, 30, 4), state(1, 32, 0)], request) == 0
+        assert router.select([state(0, 27, 4), state(1, 32, 0)], request) == 1
 
     def test_cluster_kv_peak_is_instantaneous_not_summed(self):
         # Replica 0 peaks at t=1 then drains; replica 1 peaks at t=3.  The

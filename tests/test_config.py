@@ -18,6 +18,7 @@ from repro.config import (
     SystemConfig,
     VectorUnitConfig,
 )
+from repro.pim import DramBank, TileMapping
 
 
 class TestMatrixUnitConfig:
@@ -32,7 +33,11 @@ class TestMatrixUnitConfig:
         assert MatrixUnitConfig().peak_flops == pytest.approx(45.9e12, rel=0.02)
 
     def test_macs_per_cycle(self):
-        assert MatrixUnitConfig().macs_per_cycle == 128 * 64 * 4
+        """The peak is 128 x 64 PEs of four MACs, two FLOPs a MAC, per cycle."""
+        mu = MatrixUnitConfig()
+        macs_per_cycle = mu.rows * mu.cols * mu.macs_per_pe
+        assert macs_per_cycle == 128 * 64 * 4
+        assert mu.peak_flops == macs_per_cycle * 2 * mu.frequency_hz
 
 
 class TestVectorUnitConfig:
@@ -41,9 +46,6 @@ class TestVectorUnitConfig:
         assert vu.num_processors == 16
         assert vu.lanes_per_processor == 4
         assert vu.lanes == 64
-
-    def test_peak_flops_positive(self):
-        assert VectorUnitConfig().peak_flops > 0
 
 
 class TestDramTiming:
@@ -58,8 +60,12 @@ class TestDramTiming:
         assert timing.tRCD_WR == 24.0
 
     def test_trc_is_tras_plus_trp(self):
+        """A bank may activate a new row tRC = tRAS + tRP after the last one."""
         timing = DramTimingConfig()
-        assert timing.tRC == timing.tRAS + timing.tRP
+        bank = DramBank(timing)
+        bank.activate(0, 0.0)
+        bank.precharge(0.0)
+        assert bank.next_activate_ns == timing.tRAS + timing.tRP
 
 
 class TestPimConfig:
@@ -73,7 +79,10 @@ class TestPimConfig:
         assert PimConfig().internal_bandwidth == pytest.approx(4096e9)
 
     def test_peak_pim_flops_is_4_tflops(self):
-        assert PimConfig().peak_pim_flops == pytest.approx(4.096e12)
+        """One 32 GFLOPS processing unit per bank, 16 banks by 8 channels."""
+        pim = PimConfig()
+        peak = pim.channels * pim.banks_per_channel * pim.pu_flops
+        assert peak == pytest.approx(4.096e12)
 
     def test_capacity_is_8_gib(self):
         assert PimConfig().capacity_bytes == 8 * 1024**3
@@ -82,9 +91,11 @@ class TestPimConfig:
         assert PimConfig().row_elements == 1024
 
     def test_tile_covers_128_rows(self):
+        """Fig. 4: a tile is one row of every bank of every channel."""
         pim = PimConfig()
-        assert pim.tile_rows == 128
-        assert pim.tile_bytes == 128 * 2048
+        mapping = TileMapping(pim, out_features=1024, in_features=1024)
+        assert mapping.tile_rows == 128
+        assert mapping.tile_rows * mapping.tile_cols * 2 == 128 * 2048
 
     def test_four_chips_of_two_channels(self):
         pim = PimConfig()
@@ -108,7 +119,6 @@ class TestSystemConfig:
     def test_npu_mem_disables_pim(self):
         config = SystemConfig.npu_mem()
         assert not config.pim_compute_enabled
-        assert config.peak_pim_flops == 0.0
         assert config.fc_mapping is FcMappingPolicy.MATRIX_UNIT
 
     def test_partitioned_halves_visible_capacity(self):
@@ -124,7 +134,7 @@ class TestSystemConfig:
     def test_partitioned_halves_pim_compute(self):
         unified = SystemConfig.ianus()
         partitioned = SystemConfig.partitioned()
-        assert partitioned.peak_pim_flops == pytest.approx(unified.peak_pim_flops / 2)
+        assert partitioned.pim_compute_channels == unified.pim_compute_channels // 2
 
     def test_variant_replaces_fields(self):
         config = SystemConfig.ianus().variant(num_cores=2, name="half")

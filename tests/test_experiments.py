@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, run_all, run_experiment
+from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 #: The boolean ``result.data`` claims of each experiment, every one of which
 #: must hold.  Experiments not listed carry none.
@@ -47,9 +47,6 @@ class TestRegistry:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
-
-    def test_run_all_signature(self):
-        assert callable(run_all)
 
 
 @pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))

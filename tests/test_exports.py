@@ -1,4 +1,5 @@
-"""Every ``repro`` module's ``__all__`` names objects the module has, once each.
+"""Every ``repro`` module's ``__all__`` names objects the module has, once
+each, and every document a module cites is in the repository.
 
 A stale entry breaks only ``from repro.<package> import *``, which nothing
 else runs, so this test imports every module and resolves each name.
@@ -7,6 +8,7 @@ else runs, so this test imports every module and resolves each name.
 from __future__ import annotations
 
 import importlib
+import re
 from pathlib import Path
 
 import repro
@@ -36,3 +38,13 @@ def test_every_export_resolves_once():
             if not hasattr(module, export):
                 problems.append(f"{name}.__all__ lists {export!r}, which it does not define")
     assert problems == []
+
+
+def test_modules_cite_only_documents_in_the_repository():
+    repo = ROOT.parents[1]
+    missing = []
+    for path in sorted(ROOT.rglob("*.py")):
+        for name in re.findall(r"[\w./-]+\.md\b", path.read_text()):
+            if not (repo / name).is_file():
+                missing.append(f"{path.relative_to(repo)} cites {name}")
+    assert missing == []

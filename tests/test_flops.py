@@ -4,18 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import NpuCoreConfig
 from repro.models import GPT2_CONFIGS, Workload
-from repro.models.flops import (
-    block_flops,
-    fc_activation_bytes,
-    fc_flops,
-    fc_weight_bytes,
-    lm_head_flops,
-    stage_flops,
-    stage_weight_bytes,
-    workload_flops,
-)
+from repro.models.flops import block_flops, fc_flops, lm_head_flops, stage_flops
 from repro.models.workload import Stage, StagePass
+from repro.npu import NpuCoreModel
 
 
 class TestFcAccounting:
@@ -23,10 +16,11 @@ class TestFcAccounting:
         assert fc_flops(4, 8, 16) == 2 * 4 * 8 * 16
 
     def test_fc_weight_bytes_bf16(self):
-        assert fc_weight_bytes(1024, 1024) == 1024 * 1024 * 2
-
-    def test_fc_activation_bytes(self):
-        assert fc_activation_bytes(2, 8, 16) == 2 * (8 + 16) * 2
+        """Algorithm 1 prices a weight load as two bytes per parameter."""
+        core = NpuCoreModel(NpuCoreConfig(), offchip_bandwidth=256e9)
+        assert core.fc_weight_load_time(1024, 1024) == core.dma.load_time(
+            1024 * 1024 * 2
+        )
 
 
 class TestBlockFlops:
@@ -67,15 +61,20 @@ class TestStageFlops:
         model = GPT2_CONFIGS["m"]
         assert lm_head_flops(model) == 2 * model.embedding_dim * model.vocab_size
 
-    def test_workload_flops_accumulates_all_passes(self):
+    def test_workload_flops_accumulates_all_passes(self, ianus_system):
         model = GPT2_CONFIGS["m"]
-        single = workload_flops(model, Workload(32, 1))
-        multi = workload_flops(model, Workload(32, 4))
-        assert multi > single
+        single = ianus_system.run(model, Workload(32, 1))
+        multi = ianus_system.run(model, Workload(32, 4))
+        assert multi.summarization.flops == single.summarization.flops
+        assert multi.generation.flops > 0 == single.generation.flops
+        assert multi.total_flops == multi.summarization.flops + multi.generation.flops
+        assert multi.total_flops > single.total_flops
 
     def test_stage_weight_bytes_counts_all_blocks_and_lm_head(self):
+        """The FC weights a generation pass streams: every block's plus the
+        LM head's, at BF16."""
         model = GPT2_CONFIGS["m"]
         expected = (
             model.num_blocks * model.fc_params_per_block + model.lm_head_params
         ) * 2
-        assert stage_weight_bytes(model, Stage.GENERATION) == expected
+        assert model.fc_param_bytes == expected

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compiler import Compiler
 from repro.config import SystemConfig
 from repro.ir import Command, CommandStream, OpKind, PimScope, ReplayedStream, Unit
+from repro.models import GPT2_CONFIGS
+from repro.models.workload import Stage, StagePass
 from repro.scheduling import EventEngine
 
 
@@ -22,6 +25,30 @@ def make_stream(stream: CommandStream | None = None, width: int = 8) -> CommandS
         Unit.VECTOR_UNIT, OpKind.GELU, dims=(1, width), deps=[compute], tag="FFN+Add"
     )
     return stream
+
+
+class TestCommandStreamQueries:
+    """What a scheduled stream reports about its commands."""
+
+    def test_totals(self):
+        """A scheduled block reports the FLOPs and bytes of its stream."""
+        config = SystemConfig.ianus()
+        stream = Compiler(config).compile_block(
+            GPT2_CONFIGS["m"], StagePass(Stage.GENERATION, 1, 128)
+        ).stream
+        timeline = EventEngine(config).simulate(stream)
+        commands = list(stream)
+
+        def total(unit, field):
+            return sum(getattr(c, field) for c in commands if c.unit is unit)
+
+        assert timeline.total_flops() == sum(c.flops for c in commands)
+        assert timeline.stats.matrix_unit_flops == pytest.approx(
+            total(Unit.MATRIX_UNIT, "flops")
+        )
+        assert timeline.stats.offchip_read_bytes == total(Unit.DMA_LOAD, "bytes_moved")
+        assert timeline.stats.offchip_write_bytes == total(Unit.DMA_STORE, "bytes_moved")
+        assert timeline.stats.pim_weight_bytes == total(Unit.PIM, "bytes_moved") > 0
 
 
 class TestCommandStreamConstruction:
@@ -55,12 +82,6 @@ class TestCommandStreamConstruction:
         second = stream.add(Unit.SYNC, OpKind.SYNC, deps=[first, first, 0])
         assert second.deps == (0,)
 
-    def test_barrier_depends_on_everything(self):
-        stream = make_stream()
-        barrier = stream.barrier()
-        assert barrier.deps == (0, 1, 2)
-        assert barrier.unit is Unit.SYNC
-
     def test_metadata_is_stored(self):
         stream = CommandStream()
         command = stream.add(Unit.SYNC, OpKind.SYNC, head=3, which="K")
@@ -68,33 +89,6 @@ class TestCommandStreamConstruction:
 
     def test_validate_passes_for_well_formed_stream(self):
         make_stream().validate()
-
-
-class TestCommandStreamQueries:
-    def test_by_unit(self):
-        stream = make_stream()
-        assert len(stream.by_unit(Unit.MATRIX_UNIT)) == 1
-        assert len(stream.by_unit(Unit.PIM)) == 0
-
-    def test_by_kind_and_tag(self):
-        stream = make_stream()
-        assert len(stream.by_kind(OpKind.GELU)) == 1
-        assert len(stream.by_tag("FFN+Add")) == 3
-        assert stream.tags() == {"FFN+Add"}
-
-    def test_totals(self):
-        stream = make_stream()
-        assert stream.total_flops() == pytest.approx(100.0)
-        assert stream.total_offchip_bytes() == 1024
-        assert stream.total_pim_bytes() == 0
-
-    def test_dependency_depth(self):
-        stream = make_stream()
-        assert stream.dependency_depth() == 2
-
-    def test_getitem(self):
-        stream = make_stream()
-        assert stream[1].unit is Unit.MATRIX_UNIT
 
 
 class TestCommandProperties:
@@ -112,18 +106,6 @@ class TestCommandProperties:
         assert Command(0, Unit.PIM, OpKind.PIM_GEMV).pim_scope is PimScope.ALL_CHIPS
 
 
-class TestStreamExtend:
-    def test_extend_remaps_dependencies(self):
-        first = make_stream()
-        second = make_stream()
-        mapping = first.extend(second)
-        assert len(first) == 6
-        assert mapping == {0: 3, 1: 4, 2: 5}
-        # The extended compute command depends on the extended load command.
-        assert first[4].deps == (3,)
-        first.validate()
-
-
 class TestReplayedStream:
     def test_replay_equals_a_fresh_build(self):
         template = make_stream()
@@ -131,7 +113,7 @@ class TestReplayedStream:
         fresh = make_stream(width=16)
         assert replay.template is template
         assert list(replay) == list(fresh)
-        assert replay[1] is list(replay)[1]
+        assert list(replay)[1] is list(replay)[1]
         assert replay.numbers() == fresh.numbers()
         replay.validate()
 

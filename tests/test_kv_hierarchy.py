@@ -118,15 +118,21 @@ class _PageModel:
         )
 
 
+def _refcount(accountant: KvPageAccountant, prefix_id: int) -> int:
+    """Members holding a resident shared prefix (0 when absent)."""
+    group = accountant._groups.get(prefix_id)
+    return group.refcount if group is not None else 0
+
+
 def _check_books(accountant: KvPageAccountant, model: _PageModel) -> None:
     assert accountant.reserved_pages == model.reserved()
-    assert accountant.swapped_pages == model.swapped_pages()
+    assert sum(accountant._swapped.values()) == model.swapped_pages()
     assert accountant.free_pages == accountant.total_pages - model.reserved()
     assert accountant.free_pages >= 0
     for prefix_id in PREFIX_TOKENS:
         refcount = model.refcount(prefix_id)
         assert refcount >= 0
-        assert accountant.prefix_refcount(prefix_id) == refcount
+        assert _refcount(accountant, prefix_id) == refcount
         expected = model.shared(prefix_id) if refcount > 0 else 0
         assert accountant.resident_prefix_pages(prefix_id) == expected
 
@@ -170,7 +176,7 @@ def test_random_interleavings_balance_the_books(ops):
             tokens, prefix_id, swapped = model.members[rid]
             if not swapped:
                 target = tokens + 1 + value % 8
-                if accountant.can_grow(rid, target):
+                if accountant.grow_need(rid, target) <= accountant.free_pages:
                     need = accountant.grow_need(rid, target)
                     added = accountant.grow(rid, target)
                     assert added == max(0, need)
@@ -213,10 +219,10 @@ def test_random_interleavings_balance_the_books(ops):
         del model.members[rid]
         _check_books(accountant, model)
     assert accountant.reserved_pages == 0
-    assert accountant.swapped_pages == 0
+    assert not accountant._swapped
     assert accountant.free_pages == accountant.total_pages
     for prefix_id in PREFIX_TOKENS:
-        assert accountant.prefix_refcount(prefix_id) == 0
+        assert _refcount(accountant, prefix_id) == 0
 
 
 @given(
@@ -276,14 +282,14 @@ def test_shared_prefix_charges_once_and_frees_last():
     # Second member rides the resident prefix: private pages only.
     assert accountant.reserve(1, 16, prefix_id=7, prefix_tokens=8) == 2
     assert accountant.reserved_pages == 6
-    assert accountant.prefix_refcount(7) == 2
+    assert _refcount(accountant, 7) == 2
     # First leaver frees only its private pages; the prefix stays.
     assert accountant.release(0) == 2
     assert accountant.resident_prefix_pages(7) == 2
     # The last member takes the shared pages down with it.
     assert accountant.release(1) == 4
     assert accountant.reserved_pages == 0
-    assert accountant.prefix_refcount(7) == 0
+    assert _refcount(accountant, 7) == 0
 
 
 def test_prefix_length_mismatch_rejected():
@@ -305,10 +311,10 @@ def test_swap_keeps_shared_pages_resident():
     # shared pages stay resident (member 1 still decodes against them).
     assert accountant.swap_out(0) == 2
     assert accountant.resident_prefix_pages(2) == 2
-    assert accountant.swapped_pages == 2
+    assert accountant._swapped == {0: 2}
     assert accountant.can_swap_in(0)
     assert accountant.swap_in(0) == 2
-    assert accountant.swapped_pages == 0
+    assert not accountant._swapped
 
 
 # ----------------------------------------------------------------------
@@ -488,37 +494,36 @@ class TestByteIdentityPins:
         bounds = decode_kv_bounds(trace)
 
         def serve(engine, record_events):
+            # simulate_stream's loop, on a run that may record events.
             simulator = ServingSimulator(
                 cost_model, model, policy="interleaved", max_batch=8,
                 kv_fraction=0.06, admission="optimistic", engine=engine,
             )
+            run = simulator.begin(record_events=record_events, kv_bounds=bounds)
             busy = []
-
-            def chunks():
-                for start in range(0, len(trace), 10):
-                    if start <= first_shared < start + 10:
-                        busy.append(len(simulator.last_run.active))
-                    yield trace[start:start + 10]
-
-            metrics = simulator.simulate_stream(
-                chunks(), record_events=record_events, kv_bounds=bounds
-            )
+            for start in range(0, len(trace), 10):
+                if start <= first_shared < start + 10:
+                    busy.append(len(run.active))
+                chunk = trace[start:start + 10]
+                run.offer_many(chunk)
+                run.advance_until(chunk[-1].arrival_s)
+            metrics = run.finish()
             assert busy and busy[0] > 0, "the switch must reach a busy run"
-            return simulator, metrics
+            return simulator, run.events, metrics
 
         logs = {}
         for engine in ("object", "array"):
-            simulator, metrics = serve(engine, record_events=True)
+            simulator, events, metrics = serve(engine, record_events=True)
             assert check_invariants(
-                simulator.events, trace,
+                events, trace,
                 page_tokens=simulator.page_tokens, admission="optimistic",
             ) == []
-            logs[engine] = (simulator.events, metrics.to_dict())
+            logs[engine] = (events, metrics.to_dict())
         assert logs["object"][0] == logs["array"][0]
         assert logs["object"][1] == logs["array"][1]
 
-        _, reference = serve("object", record_events=False)
-        _, fast = serve("array", record_events=False)
+        _, _, reference = serve("object", record_events=False)
+        _, _, fast = serve("array", record_events=False)
         for field in (
             "num_requests", "makespan_s", "busy_s", "output_tokens",
             "latency_mean_s", "latency_p99_s", "ttft_p99_s", "energy_j",
@@ -537,16 +542,17 @@ class TestByteIdentityPins:
         cost_model = make_cost_model("ianus")
         trace = get_trace_generator("chatbot").generate(300, 40.0, seed=5)
         rows = {}
-        saved = ArraySimulationRun.arrival_batching
-        try:
-            for toggle in (False, True):
-                ArraySimulationRun.arrival_batching = toggle
-                simulator = ServingSimulator(
-                    cost_model, MODEL, policy="interleaved", max_batch=4,
-                    engine="array",
-                )
+        for toggle in (False, True):
+            simulator = ServingSimulator(
+                cost_model, MODEL, policy="interleaved", max_batch=4,
+                engine="array",
+            )
+            with pytest.MonkeyPatch.context() as patch:
+                if not toggle:
+                    patch.setattr(
+                        ArraySimulationRun, "_absorb_arrivals",
+                        lambda self, until: False,
+                    )
                 metrics = simulator.simulate(trace)
-                rows[toggle] = [m.to_dict() for m in metrics.per_request]
-        finally:
-            ArraySimulationRun.arrival_batching = saved
+            rows[toggle] = [m.to_dict() for m in metrics.per_request]
         assert rows[False] == rows[True]

@@ -66,7 +66,10 @@ class TestAlgorithm1:
 
     def test_speedup_over_alternative_at_least_one(self, mapper):
         decision = mapper.estimate(1, 1536, 1536)
-        assert decision.speedup_over_alternative >= 1.0
+        on_pim = decision.unit is FcMappingPolicy.PIM
+        chosen = decision.pim_time if on_pim else decision.matrix_unit_time
+        other = decision.matrix_unit_time if on_pim else decision.pim_time
+        assert other / chosen >= 1.0
 
     def test_pim_cols_reduce_pim_time(self, mapper):
         full = mapper.estimate(1, 4096, 16384).pim_time
@@ -100,7 +103,6 @@ class TestWeightPartitioner:
     def test_heads_divide_across_cores(self):
         partition = WeightPartitioner(SystemConfig.ianus(), GPT2_CONFIGS["xl"]).partition()
         assert partition.heads_on_core == 6  # 24 heads over 4 cores
-        assert partition.head_fraction == pytest.approx(0.25)
 
     def test_columns_divide_across_cores(self):
         model = GPT2_CONFIGS["m"]
@@ -114,16 +116,6 @@ class TestWeightPartitioner:
         dual = WeightPartitioner(SystemConfig.ianus(), model, num_devices=2).partition()
         assert dual.heads_on_core == single.heads_on_core // 2
         assert dual.projection_cols_per_core == single.projection_cols_per_core // 2
-
-    def test_four_sync_points_per_block(self):
-        partitioner = WeightPartitioner(SystemConfig.ianus(), GPT2_CONFIGS["m"])
-        assert partitioner.sync_points_per_block() == 4
-
-    def test_heads_map_round_robin_to_chips_and_cores(self):
-        partitioner = WeightPartitioner(SystemConfig.ianus(), GPT2_CONFIGS["xl"])
-        assert partitioner.chip_for_head(0) == 0
-        assert partitioner.chip_for_head(5) == 1
-        assert partitioner.core_for_head(7) == 3
 
     def test_invalid_device_count_rejected(self):
         with pytest.raises(ValueError):

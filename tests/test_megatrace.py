@@ -23,13 +23,14 @@ from repro.serving import (
     ENGINES,
     ClusterSimulator,
     DecodeCostTable,
+    RequestMetrics,
     ServingSimulator,
     build_decode_table,
     decode_kv_bounds,
     get_trace_generator,
-    percentile,
 )
 from repro.serving.decode_table import table_matches_provider
+from repro.serving.simulator import _percentile_sorted, request_aggregates
 from repro.serving.trace import TRACE_CURVES
 from repro.serving.validate import check_invariants
 
@@ -181,7 +182,7 @@ class TestDecodeTable:
         simulator.provider.prepare(1, 600)
         table = build_decode_table(simulator.provider, 1, 600)
         assert isinstance(table, DecodeCostTable)
-        assert len(table) == 600
+        assert (table.kv_hi - table.kv_lo + 1) == 600
         for kv in itertools.chain(range(1, 40), (128, 256, 555, 600)):
             cost = simulator.provider.decode(kv)
             index = kv - table.kv_lo
@@ -211,8 +212,8 @@ class TestDecodeTable:
         table = simulator.provider.decode_table(1, 200)
         prefix_lat = table.prefix_sums()[0]
         assert prefix_lat[0] == 0.0
-        assert len(prefix_lat) == len(table) + 1
-        span = prefix_lat[len(table)] - prefix_lat[0]
+        assert len(prefix_lat) == (table.kv_hi - table.kv_lo + 1) + 1
+        span = prefix_lat[(table.kv_hi - table.kv_lo + 1)] - prefix_lat[0]
         assert span == pytest.approx(float(table.latency.sum()), rel=1e-12)
 
 
@@ -336,19 +337,26 @@ class TestArrayEngineDifferential:
 
 class TestPercentileSortOnce:
     def test_percentile_does_not_require_presorted_input(self):
-        values = [5.0, 1.0, 4.0, 2.0, 3.0]
-        copy = list(values)
-        assert percentile(values, 50) == 3.0
-        assert percentile(values, 99) == pytest.approx(4.96)
-        # sort-once micro-assert: the caller's list is left untouched.
-        assert values == copy
+        # Completed requests arrive in request-id order, not latency order.
+        latencies = [5.0, 1.0, 4.0, 2.0, 3.0]
+        completed = [
+            RequestMetrics(i, 0.0, latency / 2, latency, 16, 4)
+            for i, latency in enumerate(latencies)
+        ]
+        copy = list(completed)
+        aggregates = request_aggregates(completed, False, MODEL.name, False)
+        assert aggregates["latency_p50_s"] == 3.0
+        assert aggregates["latency_p99_s"] == pytest.approx(4.96)
+        assert aggregates["ttft_p50_s"] == 1.5
+        # Sort-once micro-assert: the caller's list is left untouched.
+        assert completed == copy
 
     def test_finalize_percentiles_match_manual(self):
         trace = get_trace_generator("chatbot").generate(32, 6.0, seed=1)
         metrics, _ = _simulate("object", trace, False)
         latencies = [request.latency_s for request in metrics.per_request]
-        assert metrics.latency_p50_s == percentile(latencies, 50)
-        assert metrics.latency_p99_s == percentile(latencies, 99)
+        assert metrics.latency_p50_s == _percentile_sorted(sorted(latencies), 50)
+        assert metrics.latency_p99_s == _percentile_sorted(sorted(latencies), 99)
 
 
 class TestServeCliEngine:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
+from repro.core import IanusSystem
+from repro.ir import Unit
 from repro.memory import (
     MemoryCapacityError,
     PartitionedMemorySystem,
@@ -13,6 +15,24 @@ from repro.memory import (
     make_memory_system,
 )
 from repro.models import GPT2_CONFIGS, LARGE_GPT_CONFIGS
+from repro.models.workload import Stage, StagePass
+
+#: A GPT-2 M generation pass: its QKV GEMVs run on the PIM while the
+#: attention's KV traffic needs the off-chip interface.
+_GENERATION = StagePass(Stage.GENERATION, num_tokens=1, kv_length=128)
+
+
+def _pim_dma_overlaps(config: SystemConfig) -> tuple[int, int, int]:
+    """(overlapping PIM/DMA pairs, PIM macros, off-chip DMAs) of one block."""
+    timeline = IanusSystem(config).block_timeline(GPT2_CONFIGS["m"], _GENERATION)
+    pim = [(c.start, c.end) for c in timeline.commands if c.unit is Unit.PIM]
+    dma = [
+        (c.start, c.end)
+        for c in timeline.commands
+        if c.unit in (Unit.DMA_LOAD, Unit.DMA_STORE)
+    ]
+    overlaps = sum(1 for a in pim for b in dma if a[0] < b[1] and b[0] < a[1])
+    return overlaps, len(pim), len(dma)
 
 
 class TestUnifiedMemorySystem:
@@ -30,13 +50,20 @@ class TestUnifiedMemorySystem:
             system.place(LARGE_GPT_CONFIGS["6.7b"], max_sequence_length=1024)
 
     def test_no_concurrent_pim_and_dma(self):
-        assert UnifiedMemorySystem.allows_concurrent_pim_and_dma is False
+        """Sec. 4.3: PIM computation and normal accesses share the devices,
+        so the event engine never runs the two at once."""
+        overlaps, pim, dma = _pim_dma_overlaps(SystemConfig.ianus())
+        assert pim > 0 and dma > 0
+        assert overlaps == 0
 
     def test_footprint_reduction_is_about_2x(self):
         """Sec. 3.2: unified memory roughly halves the footprint."""
-        system = UnifiedMemorySystem(SystemConfig.ianus())
-        reduction = system.footprint_reduction_vs_partitioned(GPT2_CONFIGS["xl"])
-        assert 1.7 <= reduction <= 2.0
+        model = GPT2_CONFIGS["xl"]
+        unified = UnifiedMemorySystem(SystemConfig.ianus()).place(model, 1024)
+        partitioned = PartitionedMemorySystem(SystemConfig.partitioned()).place(
+            model, 1024
+        )
+        assert 1.7 <= partitioned.total_bytes / unified.total_bytes <= 2.0
 
 
 class TestPartitionedMemorySystem:
@@ -54,7 +81,11 @@ class TestPartitionedMemorySystem:
         assert fraction > 0.1
 
     def test_concurrent_pim_and_dma_allowed(self):
-        assert PartitionedMemorySystem.allows_concurrent_pim_and_dma is True
+        """Normal accesses and PIM computation target different devices, so
+        the event engine overlaps them."""
+        overlaps, pim, dma = _pim_dma_overlaps(SystemConfig.partitioned())
+        assert pim > 0 and dma > 0
+        assert overlaps > 0
 
     def test_partitioned_footprint_larger_than_unified(self):
         unified = UnifiedMemorySystem(SystemConfig.ianus())
@@ -107,7 +138,7 @@ class TestPlacementAccounting:
         assert long.other_bytes - short.other_bytes == (
             model.kv_cache_bytes(2048) - model.kv_cache_bytes(256)
         )
-        assert long.footprint_fraction > short.footprint_fraction
+        assert long.total_bytes > short.total_bytes
 
     @pytest.mark.parametrize("key", sorted(LARGE_GPT_CONFIGS))
     @pytest.mark.parametrize("system", sorted(_SYSTEMS))

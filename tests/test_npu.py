@@ -10,9 +10,20 @@ from repro.config import (
     MatrixUnitConfig,
     NpuCoreConfig,
     ScratchpadConfig,
+    SystemConfig,
     VectorUnitConfig,
 )
+from repro.core import IanusSystem
+from repro.ir import OpKind, Unit
+from repro.models import GPT2_CONFIGS
+from repro.models.workload import Stage, StagePass
 from repro.npu import DmaModel, MatrixUnitModel, NpuCoreModel, VectorUnitModel
+
+
+def _utilization(mu: MatrixUnitModel, tokens: int, d_in: int, d_out: int) -> float:
+    """Achieved fraction of the matrix unit's peak on one matmul."""
+    flops = 2.0 * tokens * d_in * d_out
+    return flops / (mu.matmul_time(tokens, d_in, d_out) * mu.config.peak_flops)
 
 
 class TestMatrixUnitModel:
@@ -43,16 +54,37 @@ class TestMatrixUnitModel:
         )
 
     def test_utilization_bounded_by_one(self, mu):
-        estimate = mu.estimate(128, 4096, 4096)
-        assert 0 < estimate.utilization <= 1.0
+        assert 0 < _utilization(mu, 128, 4096, 4096) <= 1.0
 
     def test_large_matmul_approaches_peak(self, mu):
-        estimate = mu.estimate(128, 8192, 4096)
-        assert estimate.utilization > 0.7
+        assert _utilization(mu, 128, 8192, 4096) > 0.7
 
     def test_tiny_matmul_has_low_utilization(self, mu):
-        estimate = mu.estimate(1, 64, 64)
-        assert estimate.utilization < 0.1
+        assert _utilization(mu, 1, 64, 64) < 0.1
+
+    def test_attention_wrappers_match_matmul(self):
+        """A summarization block's QK^T is an (n, head_dim) x (head_dim, kv)
+        matmul and its SV an (n, kv) x (kv, head_dim) one, each priced by
+        the matrix unit as such."""
+        system = IanusSystem(SystemConfig.ianus())
+        model = GPT2_CONFIGS["m"]
+        stream = system.compiler.compile_block(
+            model, StagePass(Stage.SUMMARIZATION, num_tokens=64, kv_length=64)
+        ).stream
+        shapes = {
+            OpKind.QKT: (64, model.head_dim, 64),
+            OpKind.SV: (64, 64, model.head_dim),
+        }
+        matrix_unit = system.durations.npu.matrix_unit
+        seen = set()
+        for command in stream:
+            if command.unit is Unit.MATRIX_UNIT and command.kind in shapes:
+                assert command.dims == shapes[command.kind]
+                assert system.durations.duration(command) == matrix_unit.matmul_time(
+                    *shapes[command.kind]
+                )
+                seen.add(command.kind)
+        assert seen == set(shapes)
 
     def test_pipelined_fc_bounded_below_by_compute_and_load(self, mu):
         compute = mu.matmul_time(128, 1024, 1024)
@@ -60,10 +92,6 @@ class TestMatrixUnitModel:
         pipelined = mu.pipelined_fc_time(128, 1024, 1024, load)
         assert pipelined >= load
         assert pipelined <= load + compute
-
-    def test_attention_wrappers_match_matmul(self, mu):
-        assert mu.attention_score_time(1, 256, 64) == mu.matmul_time(1, 64, 256)
-        assert mu.attention_context_time(1, 256, 64) == mu.matmul_time(1, 256, 64)
 
 
 class TestVectorUnitModel:
@@ -74,12 +102,18 @@ class TestVectorUnitModel:
     def test_zero_elements_take_zero_time(self, vu):
         assert vu.elementwise_time(0) == 0.0
 
+    def test_elementwise_kernels_take_one_op_per_element(self, vu):
+        """The residual add (and the embedding) do one operation per
+        element in one pass; GELU does several."""
+        assert vu.elementwise_time(64 * 1024) == vu.residual_add_time(64, 1024)
+        assert vu.elementwise_time(64 * 1024) < vu.gelu_time(64, 1024)
+
     def test_layernorm_scales_with_elements(self, vu):
         assert vu.layernorm_time(8, 4096) > vu.layernorm_time(1, 4096)
 
     def test_layernorm_two_phase_costs_more_than_single_pass(self, vu):
-        single_pass = vu.elementwise_time(1024, 3.5)
-        assert vu.layernorm_time(1, 1024) > single_pass
+        single_pass = vu._to_seconds(vu._kernel_cycles(1024, 3.5))
+        assert vu.layernorm_time(1, 1024) == pytest.approx(2 * single_pass)
 
     def test_softmax_scales_with_kv_length(self, vu):
         assert vu.softmax_time(1, 2048) > vu.softmax_time(1, 128)
@@ -87,11 +121,6 @@ class TestVectorUnitModel:
     def test_kernel_overhead_dominates_tiny_kernels(self, vu):
         tiny = vu.residual_add_time(1, 64)
         assert tiny >= VectorUnitConfig().kernel_overhead_cycles / VectorUnitConfig().frequency_hz
-
-    def test_estimate_reports_flops(self, vu):
-        estimate = vu.estimate(1024, 2.0)
-        assert estimate.flops == pytest.approx(2048.0)
-        assert estimate.seconds > 0
 
 
 class TestScratchpad:

@@ -16,7 +16,7 @@ from repro.config import (
     SchedulingPolicy,
     SystemConfig,
 )
-from repro.core import IanusSystem, MultiIanusSystem
+from repro.core import IanusSystem
 from repro.models import BERT_CONFIGS, GPT2_CONFIGS, LARGE_GPT_CONFIGS, Workload
 
 
@@ -208,7 +208,7 @@ class TestScalabilityClaims:
         for key, devices in (("6.7b", 2), ("13b", 4), ("30b", 8)):
             model = LARGE_GPT_CONFIGS[key]
             workload = Workload(256, 16)
-            cluster = MultiIanusSystem(config, devices)
+            cluster = IanusSystem(config, num_devices=devices)
             assert (
                 cluster.run(model, workload).total_latency_s
                 < gpu.run(model, workload).total_latency_s
@@ -216,10 +216,12 @@ class TestScalabilityClaims:
 
     def test_strong_scaling_monotone_but_sublinear(self):
         """Fig. 18: more devices help, but not linearly."""
-        points = MultiIanusSystem.strong_scaling(
-            SystemConfig.ianus(), LARGE_GPT_CONFIGS["6.7b"], Workload(256, 16)
-        )
-        tokens_per_second = [p.tokens_per_second for p in points]
+        tokens_per_second = [
+            IanusSystem(SystemConfig.ianus(), num_devices=devices)
+            .run(LARGE_GPT_CONFIGS["6.7b"], Workload(256, 16))
+            .tokens_per_second
+            for devices in (2, 4, 8)
+        ]
         assert tokens_per_second[0] < tokens_per_second[1] < tokens_per_second[2]
         assert tokens_per_second[2] < 4 * tokens_per_second[0]
 
@@ -230,7 +232,7 @@ class TestScalabilityClaims:
         improvements = []
         for key, devices in (("6.7b", 2), ("30b", 8)):
             model = LARGE_GPT_CONFIGS[key]
-            cluster = MultiIanusSystem(config, devices)
+            cluster = IanusSystem(config, num_devices=devices)
             gpu_result = gpu.run(model, workload)
             ianus_result = cluster.run(model, workload)
             gpu_perf_per_watt = 1.0 / (gpu_result.total_latency_s * gpu.tdp_w)

@@ -104,33 +104,14 @@ class TestPassCostCacheBookkeeping:
         assert stats["size"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
 
-    def test_clear_resets(self):
-        cache = PassCostCache()
-        cache.put("k", 1)
-        cache.get("k")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats() == {
-            "hits": 0, "misses": 0, "size": 0,
-            "maxsize": cache.maxsize, "hit_rate": 0.0,
-        }
-
     def test_eviction_respects_maxsize(self):
         cache = PassCostCache(maxsize=2)
         cache.put(("a",), 1)
         cache.put(("b",), 2)
         cache.put(("c",), 3)
-        assert len(cache) == 2
-        assert ("a",) not in cache
-
-    def test_invalidate_by_fingerprint(self):
-        cache = PassCostCache()
-        cache.put(("fp1", "x"), 1)
-        cache.put(("fp1", "y"), 2)
-        cache.put(("fp2", "x"), 3)
-        removed = cache.invalidate("fp1")
-        assert removed == 2
-        assert ("fp2", "x") in cache and ("fp1", "x") not in cache
+        assert cache.stats()["size"] == 2
+        assert cache.get(("a",)) is None
+        assert cache.get(("c",)) == 3
 
     def test_fingerprint_stability(self):
         a = SystemConfig.ianus()
@@ -184,7 +165,7 @@ class TestTimelineFastPath:
         # A mutated (appended-to) stream must be re-simulated.
         stream.add(Unit.VECTOR_UNIT, OpKind.RESIDUAL_ADD, flops=1.0, dims=(1, 64))
         third = engine.simulate(stream)
-        assert third is not first and len(third) == 4
+        assert third is not first and len(third.commands) == 4
 
     def test_breakdown_matches_commands(self, ianus_config):
         timeline = EventEngine(ianus_config).simulate(self._stream())

@@ -1,54 +1,16 @@
-"""Tests for the DRAM address mapping and PIM tile layout (Figs. 4 and 5)."""
+"""Tests for the PIM weight-tile layout (Figs. 4 and 5)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.config import PimConfig
-from repro.pim import AddressMapping, TileMapping
+from repro.pim import TileMapping
 
 
 @pytest.fixture
 def pim() -> PimConfig:
     return PimConfig()
-
-
-class TestAddressMapping:
-    def test_round_trip(self, pim):
-        mapping = AddressMapping(pim)
-        address = mapping.encode(row=5, channel=3, bank=9, column=17, offset=4)
-        decoded = mapping.decode(address)
-        assert (decoded.row, decoded.channel, decoded.bank, decoded.column, decoded.offset) == (
-            5, 3, 9, 17, 4,
-        )
-
-    def test_row_bits_are_most_significant(self, pim):
-        """Fig. 5: the row index occupies the MSBs of the address."""
-        mapping = AddressMapping(pim)
-        low_row = mapping.encode(row=0, channel=7, bank=15, column=63, offset=31)
-        high_row = mapping.encode(row=1, channel=0, bank=0, column=0, offset=0)
-        assert high_row > low_row
-
-    def test_column_bits_are_least_significant(self, pim):
-        mapping = AddressMapping(pim)
-        base = mapping.encode(row=0, channel=0, bank=0, column=0, offset=0)
-        next_column = mapping.encode(row=0, channel=0, bank=0, column=1, offset=0)
-        assert next_column - base == mapping.access_bytes
-
-    def test_out_of_range_rejected(self, pim):
-        mapping = AddressMapping(pim)
-        with pytest.raises(ValueError):
-            mapping.encode(row=0, channel=pim.channels, bank=0, column=0)
-        with pytest.raises(ValueError):
-            mapping.encode(row=0, channel=0, bank=pim.banks_per_channel, column=0)
-
-    def test_capacity_consistent_with_bit_widths(self, pim):
-        mapping = AddressMapping(pim)
-        total_bits = (
-            mapping.row_bits + mapping.channel_bits + mapping.bank_bits
-            + mapping.column_bits + mapping.offset_bits
-        )
-        assert 2 ** total_bits == pim.capacity_bytes
 
 
 class TestTileMapping:
@@ -71,7 +33,7 @@ class TestTileMapping:
         for tile in mapping.tiles():
             assert 0 < tile.used_rows <= mapping.tile_rows
             assert 0 < tile.used_cols <= mapping.tile_cols
-            covered += tile.weight_elements
+            covered += tile.used_rows * tile.used_cols
         assert covered == 300 * 1500
 
     def test_tiles_have_distinct_row_addresses(self, pim):
@@ -94,11 +56,11 @@ class TestTileMapping:
 
     def test_utilization_perfect_for_aligned_shapes(self, pim):
         aligned = TileMapping(pim, 1024, 1024)
-        assert aligned.utilization() == pytest.approx(1.0)
+        assert aligned.storage_bytes() == 1024 * 1024 * 2
 
     def test_utilization_degrades_for_ragged_shapes(self, pim):
         ragged = TileMapping(pim, 1280, 1280)
-        assert ragged.utilization() < 0.7
+        assert 1280 * 1280 * 2 / ragged.storage_bytes() < 0.7
 
     def test_mac_commands_per_tile(self, pim):
         mapping = TileMapping(pim, 128, 1024)

@@ -20,6 +20,7 @@ from repro.pim import (
     gelu_lookup_table,
     gelu_via_lut,
 )
+from repro.pim.processing_unit import GELU_LUT_ENTRIES, GELU_LUT_RANGE
 
 
 @pytest.fixture
@@ -93,27 +94,33 @@ class TestPimMemoryController:
         assert result.elapsed_ns >= lower_bound
 
 
+def _effective_bandwidth(device: PimDeviceModel, out_features: int, in_features: int) -> float:
+    """Weight bytes one GEMV streams per second on ``device``."""
+    estimate = device.gemv(out_features, in_features)
+    return estimate.weight_bytes / estimate.seconds
+
+
 class TestPimDeviceModel:
     def test_gemv_effective_bandwidth_below_internal_peak(self, pim):
         device = PimDeviceModel(pim)
-        estimate = device.gemv(1024, 1024)
-        assert 0 < estimate.effective_bandwidth < device.internal_bandwidth
+        assert 0 < _effective_bandwidth(device, 1024, 1024) < pim.internal_bandwidth
 
     def test_gemv_effective_bandwidth_above_external_bandwidth(self, pim):
         """The whole point of PIM: beat the 256 GB/s external interface."""
         device = PimDeviceModel(pim)
-        estimate = device.gemv(1536, 1536)
-        assert estimate.effective_bandwidth > pim.external_bandwidth
+        assert _effective_bandwidth(device, 1536, 1536) > pim.external_bandwidth
 
     def test_aligned_dimension_more_efficient_than_ragged(self, pim):
         """d=1024 fills DRAM rows; d=1280 does not (Fig. 12 discussion)."""
         device = PimDeviceModel(pim)
-        assert device.efficiency(1024, 1024) > device.efficiency(1280, 1280)
+        assert _effective_bandwidth(device, 1024, 1024) > _effective_bandwidth(
+            device, 1280, 1280
+        )
 
     def test_small_head_dim_gemv_is_inefficient(self, pim):
         """Sec. 5.3: QK^T with head_dim=64 uses 6.25% of a DRAM row."""
         device = PimDeviceModel(pim)
-        assert device.efficiency(64, 64) < 0.05
+        assert _effective_bandwidth(device, 64, 64) < 0.05 * pim.internal_bandwidth
 
     def test_repeated_gemv_scales_linearly_with_tokens(self, pim):
         device = PimDeviceModel(pim)
@@ -138,22 +145,31 @@ class TestPimDeviceModel:
         with pytest.raises(ValueError):
             PimDeviceModel(pim, compute_channels=9)
 
+    def test_gemv_runs_on_the_device_compute_channels(self, pim):
+        """Each estimate is priced on the device's own channels: the
+        partitioned organisation's PIM region, half the channels, tiles a
+        matrix into twice as many tiles and takes longer."""
+        from repro.scheduling import DurationModel
+
+        half = DurationModel.shared(SystemConfig.partitioned()).pim.compute_channels
+        assert half == pim.channels // 2
+        full = PimDeviceModel(pim).gemv(1024, 4096)
+        halved = PimDeviceModel(pim, compute_channels=half).gemv(1024, 4096)
+        assert (full.channels, halved.channels) == (pim.channels, half)
+        assert halved.tiles == 2 * full.tiles
+        assert halved.seconds > full.seconds
+
     def test_estimates_are_cached_and_consistent(self, pim):
         device = PimDeviceModel(pim)
         first = device.gemv(1536, 1536)
         second = device.gemv(1536, 1536)
         assert first == second
 
-    def test_peak_flops_is_one_pu_per_bank(self, pim):
-        device = PimDeviceModel(pim, compute_channels=4)
-        assert device.peak_flops == 4 * pim.banks_per_channel * pim.pu_flops
-        assert PimDeviceModel(pim).peak_flops == pim.peak_pim_flops
-
     def test_ridge_point_matches_gemv_intensity(self, pim):
         """The PIM is balanced for matrix-vector work: its ridge point is the
         one FLOP per byte of a GEMV over BF16 weights, far below the NPU's."""
-        device = PimDeviceModel(pim)
-        ridge = device.peak_flops / device.internal_bandwidth
+        peak_flops = pim.channels * pim.banks_per_channel * pim.pu_flops
+        ridge = peak_flops / pim.internal_bandwidth
         assert ridge == pytest.approx(1.0)
         npu = SystemConfig.ianus()
         assert ridge < npu.peak_npu_flops / npu.offchip_bandwidth / 10
@@ -176,6 +192,13 @@ class TestGeluLookupTable:
         xs = np.linspace(-8.0, 8.0, 1001, dtype=np.float32)
         exact = 0.5 * xs * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (xs + 0.044715 * xs**3)))
         assert np.max(np.abs(gelu_via_lut(xs) - exact)) < 1e-2
+
+    def test_lut_is_evenly_spaced_over_its_range(self):
+        xs, ys = gelu_lookup_table()
+        assert len(xs) == len(ys) == GELU_LUT_ENTRIES
+        assert (float(xs[0]), float(xs[-1])) == GELU_LUT_RANGE
+        steps = np.diff(xs)
+        assert np.allclose(steps, steps[0])
 
     def test_lut_clamps_outside_its_range(self):
         xs, ys = gelu_lookup_table()

@@ -310,7 +310,7 @@ class TestEventEngine:
         assert [c.tag for c in syncs] == [
             "LayerNorm", "Self-attention", "FC for Attention + Add", "FFN+Add", "FFN+Add",
         ]
-        assert all(c.duration == pytest.approx(SYNC_LATENCY_S) for c in syncs)
+        assert all(c.end - c.start == pytest.approx(SYNC_LATENCY_S) for c in syncs)
 
 
 def _pim_overlap(timeline: Timeline) -> float:
@@ -442,7 +442,7 @@ class TestCheckTimeline:
         assert check_timeline(stream, timeline, config) == []
 
         last = len(stream) - 1
-        duration = DurationModel.shared(config).duration(stream[last])
+        duration = DurationModel.shared(config).duration(list(stream)[last])
         forged = _forged(timeline, last, start=0.0, end=duration)
         violations = check_timeline(stream, forged, config)
         assert violations
@@ -452,7 +452,7 @@ class TestCheckTimeline:
         stream = _forgery_stream([(Unit.MATRIX_UNIT, ()), (Unit.VECTOR_UNIT, (0,))])
         timeline = EventEngine(ianus_config).simulate(stream)
         late = timeline.commands[1].start + 1e-9
-        duration = DurationModel.shared(ianus_config).duration(stream[1])
+        duration = DurationModel.shared(ianus_config).duration(list(stream)[1])
         forged = _forged(timeline, 1, start=late, end=late + duration)
         violations = check_timeline(stream, forged, ianus_config)
         assert len(violations) == 1 and violations[0].startswith("greedy: command 1 ")

@@ -26,10 +26,9 @@ from repro.serving import (
     get_trace_generator,
     make_policy,
     mean_service_time_s,
-    percentile,
 )
 from repro.serving.request import RequestMetrics
-from repro.serving.simulator import cost_tuple, fused_pass
+from repro.serving.simulator import _percentile_sorted, cost_tuple, fused_pass
 
 MODEL = GPT2_CONFIGS["m"]
 
@@ -48,10 +47,8 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(0, 0.0, 128, 0)
 
-    def test_workload_roundtrip(self):
+    def test_total_tokens(self):
         request = Request(3, 1.5, 128, 64)
-        assert request.workload() == Workload(128, 64)
-        assert request.num_generation_passes == 63
         assert request.total_tokens == 192
 
     def test_metrics_derivations(self):
@@ -73,7 +70,6 @@ class TestTraceGenerators:
         }
         for name, generator in TRACES.items():
             assert generator.name == name
-            assert generator.max_total_tokens > 0
         with pytest.raises(KeyError, match="unknown trace generator"):
             get_trace_generator("nope")
 
@@ -112,15 +108,15 @@ class TestTraceGenerators:
 
 class TestPercentile:
     def test_basics(self):
-        assert percentile([], 99) == 0.0
-        assert percentile([5.0], 50) == 5.0
-        assert percentile([1.0, 2.0, 3.0, 4.0], 0) == 1.0
-        assert percentile([1.0, 2.0, 3.0, 4.0], 100) == 4.0
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
+        assert _percentile_sorted([], 99) == 0.0
+        assert _percentile_sorted([5.0], 50) == 5.0
+        assert _percentile_sorted([1.0, 2.0, 3.0, 4.0], 0) == 1.0
+        assert _percentile_sorted([1.0, 2.0, 3.0, 4.0], 100) == 4.0
+        assert _percentile_sorted([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
         with pytest.raises(ValueError):
-            percentile([1.0], 101)
+            _percentile_sorted([1.0], 101)
         with pytest.raises(ValueError):
-            percentile([], 101)
+            _percentile_sorted([], 101)
 
 
 class TestOneRequestExactness:
@@ -346,5 +342,6 @@ class TestServingExperiment:
         # 2 chunkings x 2 KV budgets grid.
         assert len(result.rows) == 64
         # The violation column is all zeros.
-        violations = result.column("viol")
+        column = result.headers.index("viol")
+        violations = [row[column] for row in result.rows]
         assert set(violations) == {0}

@@ -60,6 +60,10 @@ class TestSweepContract:
         with pytest.raises(KeyError, match="missing cell output"):
             grid.reduce({"c0": {"double": 0}})
 
+    def test_run_cell_by_id_evaluates_only_the_named_cell(self):
+        # The sharded runner's workers evaluate cells by id.
+        assert _toy_sweep().run_cell_by_id("c3") == {"double": 6}
+
     def test_unknown_cell_id_rejected(self):
         with pytest.raises(KeyError, match="unknown cell"):
             _toy_sweep().run_cell_by_id("nope")

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
-from repro.core import IanusSystem, MultiIanusSystem, devices_required
+from repro.core import IanusSystem, devices_required
+from repro.core.system import MAX_SEQUENCE
 from repro.core.results import StageResult, merge_breakdowns
 from repro.memory.unified import MemoryCapacityError
 from repro.models import BERT_CONFIGS, GPT2_CONFIGS, LARGE_GPT_CONFIGS, Workload
@@ -21,7 +22,6 @@ class TestInferenceResults:
         assert result.total_flops > 0
         assert result.energy.total_j > 0
         assert result.backend == "ianus"
-        assert "ianus" in result.summary()
 
     def test_summarization_only_workload(self, ianus_system, gpt2_m):
         result = ianus_system.run(gpt2_m, Workload(128, 1))
@@ -106,6 +106,21 @@ class TestCapacityChecks:
         assert devices_required(LARGE_GPT_CONFIGS["13b"], config) == 4
         assert devices_required(LARGE_GPT_CONFIGS["30b"], config) == 8
 
+    @pytest.mark.parametrize("key", sorted(LARGE_GPT_CONFIGS))
+    def test_devices_required_is_the_fewest_devices_that_fit(self, key):
+        """The selection agrees with the system's own capacity check on a
+        ``MAX_SEQUENCE``-token request: it fits, and half as many do not."""
+        model = LARGE_GPT_CONFIGS[key]
+        config = SystemConfig.ianus()
+        devices = devices_required(model, config)
+        assert devices & (devices - 1) == 0
+        workload = Workload(MAX_SEQUENCE - 64, 64)
+        IanusSystem(config, num_devices=devices).check_capacity(model, workload)
+        with pytest.raises(MemoryCapacityError):
+            IanusSystem(config, num_devices=devices // 2).check_capacity(
+                model, workload
+            )
+
     def test_gpt2_fits_one_device(self, ianus_system):
         for model in GPT2_CONFIGS.values():
             ianus_system.check_capacity(model, Workload(512, 512))
@@ -116,9 +131,9 @@ class TestMultiDevice:
         model = LARGE_GPT_CONFIGS["6.7b"]
         workload = Workload(256, 16)
         config = SystemConfig.ianus()
-        two = MultiIanusSystem(config, 2).run(model, workload)
-        four = MultiIanusSystem(config, 4).run(model, workload)
-        eight = MultiIanusSystem(config, 8).run(model, workload)
+        two = IanusSystem(config, num_devices=2).run(model, workload)
+        four = IanusSystem(config, num_devices=4).run(model, workload)
+        eight = IanusSystem(config, num_devices=8).run(model, workload)
         assert four.total_latency_s < two.total_latency_s
         assert eight.total_latency_s < four.total_latency_s
 
@@ -127,30 +142,48 @@ class TestMultiDevice:
         model = LARGE_GPT_CONFIGS["6.7b"]
         workload = Workload(256, 16)
         config = SystemConfig.ianus()
-        two = MultiIanusSystem(config, 2).run(model, workload)
-        eight = MultiIanusSystem(config, 8).run(model, workload)
+        two = IanusSystem(config, num_devices=2).run(model, workload)
+        eight = IanusSystem(config, num_devices=8).run(model, workload)
         assert two.total_latency_s / eight.total_latency_s < 4.0
 
     def test_strong_scaling_points(self):
-        points = MultiIanusSystem.strong_scaling(
-            SystemConfig.ianus(), LARGE_GPT_CONFIGS["6.7b"], Workload(256, 16),
-            device_counts=(2, 4),
+        """Fig. 18's sweep: one cell per device count, each the tensor-parallel
+        ``IanusSystem`` running GPT 6.7B at (256, 64)."""
+        from repro.experiments.fig18_strong_scaling import WORKLOAD, sweep
+
+        grid = sweep()
+        assert [cell.params["devices"] for cell in grid.cells] == [2, 4, 8]
+        two = grid.run_cell_by_id("devices/2")
+        four = grid.run_cell_by_id("devices/4")
+        assert four["tokens_per_second"] > two["tokens_per_second"]
+        direct = IanusSystem(SystemConfig.ianus(), num_devices=2).run(
+            LARGE_GPT_CONFIGS["6.7b"], WORKLOAD
         )
-        assert [p.num_devices for p in points] == [2, 4]
-        assert points[1].tokens_per_second > points[0].tokens_per_second
+        assert two["tokens_per_second"] == direct.tokens_per_second
 
     def test_cost_efficiency_positive(self):
-        cluster = MultiIanusSystem(SystemConfig.ianus(), 2)
-        assert cluster.cost_efficiency(LARGE_GPT_CONFIGS["6.7b"], Workload(256, 8)) > 0
+        """Sec. 7.2 prices performance per TDP watt, and a cluster's TDP is
+        the sum of its devices'."""
+        config = SystemConfig.ianus()
+        cluster = IanusSystem(config, num_devices=2)
+        result = cluster.run(LARGE_GPT_CONFIGS["6.7b"], Workload(256, 8))
+        assert cluster.tdp_w == 2 * config.tdp_w
+        assert (1.0 / result.total_latency_s) / cluster.tdp_w > 0
+
+    @pytest.mark.parametrize("devices", (1, 2, 8))
+    def test_device_count_scales_name_tdp_and_peak(self, devices):
+        config = SystemConfig.ianus()
+        system = IanusSystem(config, num_devices=devices)
+        assert system.name == ("ianus" if devices == 1 else f"ianus x{devices}")
+        assert system.tdp_w == devices * config.tdp_w
+        assert system.npu_peak_flops == devices * config.peak_npu_flops
 
     def test_cluster_naming_and_tdp(self):
-        cluster = MultiIanusSystem(SystemConfig.ianus(), 4)
+        cluster = IanusSystem(SystemConfig.ianus(), num_devices=4)
         assert cluster.name == "ianus x4"
         assert cluster.tdp_w == pytest.approx(480.0)
 
     def test_invalid_device_count_rejected(self):
-        with pytest.raises(ValueError):
-            MultiIanusSystem(SystemConfig.ianus(), 0)
         with pytest.raises(ValueError):
             IanusSystem(SystemConfig.ianus(), num_devices=0)
 
@@ -159,13 +192,6 @@ class TestStageResultHelpers:
     def test_merge_breakdowns(self):
         merged = merge_breakdowns({"a": 1.0, "b": 2.0}, {"b": 3.0, "c": 4.0})
         assert merged == {"a": 1.0, "b": 5.0, "c": 4.0}
-
-    def test_stage_result_scaling(self):
-        stage = StageResult(latency_s=1.0, breakdown={"a": 0.5}, flops=10.0, num_tokens=2)
-        scaled = stage.scaled(2.0)
-        assert scaled.latency_s == 2.0
-        assert scaled.breakdown["a"] == 1.0
-        assert scaled.flops == 20.0
 
     def test_per_token_latency(self):
         stage = StageResult(latency_s=1.0, num_tokens=4)

@@ -1,4 +1,4 @@
-"""Tests for timeline traces (Gantt/export) and the command-line interface."""
+"""Tests for the timeline Gantt chart and the command-line interface."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis.trace import render_gantt, timeline_to_records
+from repro.analysis.trace import GANTT_WIDTH, render_gantt
 from repro.cli import build_parser, main
 from repro.compiler import Compiler
 from repro.config import SystemConfig
@@ -29,27 +29,19 @@ def generation_timeline() -> Timeline:
 
 
 class TestTraceExport:
-    def test_records_cover_every_command(self, generation_timeline):
-        records = timeline_to_records(generation_timeline)
-        assert len(records) == len(generation_timeline.commands)
-        first = records[0]
-        assert {"cid", "unit", "kind", "tag", "start_us", "end_us", "duration_us"} <= set(first)
-
-    def test_records_are_json_serialisable(self, generation_timeline):
-        import json
-
-        encoded = json.dumps(timeline_to_records(generation_timeline))
-        assert isinstance(encoded, str) and len(encoded) > 100
-
     def test_gantt_has_one_lane_per_active_unit(self, generation_timeline):
-        chart = render_gantt(generation_timeline, width=100)
+        chart = render_gantt(generation_timeline)
         assert "matrix unit" in chart
         assert "pim" in chart
         assert "#" in chart
 
-    def test_gantt_rejects_tiny_width(self, generation_timeline):
-        with pytest.raises(ValueError):
-            render_gantt(generation_timeline, width=10)
+    def test_gantt_spans_the_chart_width(self, generation_timeline):
+        header, *lanes = render_gantt(generation_timeline).splitlines()
+        assert len(header) == GANTT_WIDTH
+        for lane in lanes:
+            assert "#" in lane[:GANTT_WIDTH]
+            assert lane[GANTT_WIDTH:].startswith("  (")
+            assert lane.endswith(" us busy)")
 
     def test_gantt_of_empty_timeline(self):
         empty = Timeline(commands=[], stats=ActivityStats())
@@ -285,6 +277,29 @@ class TestCli:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    def test_serve_reports_every_replica_down_without_a_traceback(self):
+        # An autoscaled fleet may lose its last replica; a request that
+        # arrives before a replacement is spawned has nowhere to go.
+        code, err = _run_cli([
+            "serve", "--replicas", "1", "--autoscaler", "queue-depth",
+            "--failures", "single:at-s=0.5", "--requests", "16", "--no-disk-cache",
+        ])
+        assert code == 2, err
+        assert "every replica is down" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("replicas", ("1", "2"))
+    def test_serve_reports_a_wedged_pool_without_a_traceback(self, replicas):
+        # Optimistic admission without preemption wedges a 5% pool mid-run;
+        # the simulator stops with a RuntimeError naming the way out.
+        code, err = _run_cli([
+            "serve", "--admission", "optimistic", "--no-preempt",
+            "--kv-fraction", "0.05", "--replicas", replicas, "--no-disk-cache",
+        ])
+        assert code == 2, err
+        assert "preempt" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -348,4 +363,3 @@ class TestCli:
         assert any(name in err for name in names), err
         code, err = _run_cli([*base, f"{flag}={good}"])
         assert code == 0, err
-

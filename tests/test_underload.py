@@ -50,20 +50,21 @@ def underload_rate(cost_model):
     return 0.3 / service
 
 
-@pytest.fixture(autouse=True)
-def restore_arrival_batching():
-    saved = ArraySimulationRun.arrival_batching
-    yield
-    ArraySimulationRun.arrival_batching = saved
+def _no_absorption(self, until):
+    return False
 
 
 def _simulate(cost_model, trace, *, batching, detail=True, **kwargs):
-    ArraySimulationRun.arrival_batching = batching
+    """One array-engine run; ``batching=False`` pins the per-arrival
+    reference path by switching off ``_absorb_arrivals``."""
     simulator = ServingSimulator(
         cost_model, MODEL, engine="array", max_batch=4,
         per_request_detail=detail, **kwargs,
     )
-    return simulator.simulate(trace)
+    with pytest.MonkeyPatch.context() as patch:
+        if not batching:
+            patch.setattr(ArraySimulationRun, "_absorb_arrivals", _no_absorption)
+        return simulator.simulate(trace)
 
 
 def _rows(metrics):
@@ -126,7 +127,6 @@ class TestArrivalBatchedByteIdentity:
         """Event-recorded runs take the per-iteration path and stay
         byte-identical to the object engine even with batching enabled."""
         trace = TRACES["chatbot"].generate(300, underload_rate, seed=5)
-        ArraySimulationRun.arrival_batching = True
         array_sim = ServingSimulator(
             cost_model, MODEL, engine="array", max_batch=4
         )
@@ -197,7 +197,7 @@ class TestSingleValueKvTable:
         provider = PassCostProvider(cost_model, MODEL)
         provider.prepare(513, 513)
         table = build_decode_table(provider, 513, 513)
-        assert len(table) == 1
+        assert (table.kv_hi - table.kv_lo + 1) == 1
         assert table_matches_provider(table, provider)
 
     def test_single_anchor_grid_builds_one_row(self, cost_model):
@@ -207,7 +207,7 @@ class TestSingleValueKvTable:
         provider.prepare(1, 1)
         assert len(provider._anchors) == 1
         table = build_decode_table(provider, 1, 1)
-        assert len(table) == 1
+        assert (table.kv_hi - table.kv_lo + 1) == 1
         assert table_matches_provider(table, provider)
 
     def test_single_value_trace_serves_on_both_engines(self, cost_model):
