@@ -436,6 +436,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.serving import (
         ClusterSimulator,
         ServingSimulator,
+        ServingStall,
         get_trace_generator,
         make_autoscaler,
         make_failure_schedule,
@@ -571,10 +572,11 @@ def _run_serve(args: argparse.Namespace) -> int:
             metrics = simulator.simulate(
                 trace, record_events=use_cluster or args.validate
             )
-        except (RuntimeError, ValueError) as error:
+        except (ServingStall, ValueError) as error:
             # ValueError: e.g. an encoder trace, a request that never fits.
-            # RuntimeError: the simulator's documented mid-run stops (a pool
+            # ServingStall: the simulator's documented mid-run stops (a pool
             # wedged without preemption, a livelock, every replica down).
+            # Any other error is a defect and keeps its traceback.
             print(str(error), file=sys.stderr)
             return 2
     finally:

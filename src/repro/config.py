@@ -80,8 +80,6 @@ class VectorUnitConfig:
     num_processors: int = 16
     lanes_per_processor: int = 4
     frequency_hz: float = 700e6
-    #: Fused multiply-add issue per lane per cycle.
-    flops_per_lane_per_cycle: int = 2
     #: Fixed start-up cost charged once per vector kernel invocation
     #: (instruction fetch, loop set-up) in cycles.
     kernel_overhead_cycles: int = 64

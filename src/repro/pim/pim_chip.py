@@ -65,8 +65,9 @@ class PimDeviceModel:
             )
         self.pcu = PimControlUnit(config)
         self.controller = PimMemoryController(config)
-        #: This device's estimates keyed by shape alone, in front of the
-        #: shared cache: a hit skips hashing the whole configuration.
+        #: This device's estimates keyed by shape alone (its compute
+        #: channels are fixed), in front of the shared cache: a hit skips
+        #: hashing the whole configuration.
         self._estimates: dict = {}
 
     # ------------------------------------------------------------------
@@ -77,20 +78,20 @@ class PimDeviceModel:
         fused_gelu: bool = False,
     ) -> PimOperationEstimate:
         """Estimate one matrix-vector multiplication ``y = W x`` on the PIM."""
-        channels = self.compute_channels
-        shape = (out_features, in_features, fused_gelu, channels)
+        shape = (out_features, in_features, fused_gelu)
         estimate = self._estimates.get(shape)
         if estimate is not None:
             return estimate
-        # The estimate depends only on the (frozen) PIM configuration and the
-        # operation shape, so it is cached process-wide: parameter sweeps
-        # build many device models for equal configurations, and rebuilding a
-        # model must not discard the (expensive) micro-program simulations.
-        key = (self.config, *shape)
+        # The estimate depends only on the (frozen) PIM configuration, the
+        # compute channels and the operation shape, so it is cached
+        # process-wide: parameter sweeps build many device models for equal
+        # configurations, and rebuilding a model must not discard the
+        # (expensive) micro-program simulations.
+        key = (self.config, self.compute_channels, *shape)
         estimate = _ESTIMATE_CACHE.get(key)
         if estimate is None:
             estimate = self._estimate_uncached(
-                out_features, in_features, fused_gelu, channels
+                out_features, in_features, fused_gelu, self.compute_channels
             )
             if len(_ESTIMATE_CACHE) >= _ESTIMATE_CACHE_MAXSIZE:
                 _ESTIMATE_CACHE.pop(next(iter(_ESTIMATE_CACHE)))

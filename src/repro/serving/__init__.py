@@ -26,6 +26,9 @@ Layering — who knows what:
     NPU-MEM, A100, DFX), with memory-aware admission, optional chunked
     prefill, and FCFS / interleaved / SRPT / priority-class policies.  The
     only layer that touches cost models, and only through the protocol.
+    A run that cannot go on under its settings (a pool wedged without
+    preemption, a livelock, every replica down) raises
+    :class:`ServingStall`.
 :mod:`repro.serving.array_engine` / :mod:`repro.serving.decode_table`
     The *megatrace* engine.  ``ServingSimulator(..., engine="array")``
     swaps the per-request object hot loop for a columnar one (parallel
@@ -128,6 +131,7 @@ from repro.serving.simulator import (
     ServingMetrics,
     ServingPolicy,
     ServingSimulator,
+    ServingStall,
     SimulationRun,
     SrptPolicy,
     decode_kv_bounds,
@@ -213,6 +217,7 @@ __all__ = [
     "make_policy",
     "ServingMetrics",
     "ServingSimulator",
+    "ServingStall",
     "mean_service_time_s",
     "SimEvent",
     "check_invariants",

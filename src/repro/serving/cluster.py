@@ -96,6 +96,7 @@ from repro.serving.request import Request, RequestMetrics
 from repro.serving.simulator import (
     ServingMetrics,
     ServingSimulator,
+    ServingStall,
     SimulationRun,
     _book_phase,
     _validated_construct,
@@ -648,7 +649,7 @@ class _OpsState:
             for index in candidates:
                 self.runs[index].catch_up(self.ready_at[index])
         if not candidates:
-            raise RuntimeError(
+            raise ServingStall(
                 f"no eligible replica for request {request.request_id} at "
                 f"{now:.6f}s (every replica is down)"
             )

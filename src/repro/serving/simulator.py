@@ -185,6 +185,7 @@ __all__ = [
     "ServingMetrics",
     "SimulationRun",
     "ServingSimulator",
+    "ServingStall",
     "decode_kv_bounds",
     "mean_service_time_s",
     "request_aggregates",
@@ -199,6 +200,13 @@ ENGINES = ("object", "array")
 
 #: Number of KV-length anchors of the interpolating provider.
 KV_SAMPLES = 9
+
+
+class ServingStall(RuntimeError):
+    """A run that cannot go on under its settings: a KV pool wedged with
+    preemption disabled, a preemption or swap livelock, or every replica of
+    a fleet down.  Any other ``RuntimeError`` mid-run is a simulator defect.
+    """
 
 
 def _percentile_sorted(ordered: Sequence[float], q: float) -> float:
@@ -873,10 +881,10 @@ def _check_fits_alone(
 
 def _pool_exhausted(
     kv: KvPageAccountant, request_id: int, kv_length: int
-) -> RuntimeError:
+) -> ServingStall:
     """The error of a decode that can neither grow nor preempt while no
     prefill can run (``kv_length`` is the decode's next KV length)."""
-    return RuntimeError(
+    return ServingStall(
         "KV pool exhausted with preemption disabled: request "
         f"{request_id} holds {kv.held_pages(request_id)} page(s) and "
         f"needs {kv.grow_need(request_id, kv_length)} more for its next "
@@ -1410,12 +1418,12 @@ class _RunLifecycle:
         """Raise when preemptions or swap-outs outrun the offers 50 to 1."""
         bound = 50 * max(self.offered, 1)
         if self.preemptions > bound:  # pragma: no cover
-            raise RuntimeError(
+            raise ServingStall(
                 f"preemption livelock: {self.preemptions} preemptions over "
                 f"{self.offered} offered request(s)"
             )
         if self.swap_outs > bound:  # pragma: no cover
-            raise RuntimeError(
+            raise ServingStall(
                 f"swap livelock: {self.swap_outs} swap-outs over "
                 f"{self.offered} offered request(s)"
             )
@@ -1910,7 +1918,8 @@ class ServingSimulator:
         Under optimistic admission, whether pool exhaustion may preempt
         (and later recompute) the least-progressed request.  With
         ``preempt=False`` a decode that cannot grow stalls instead, and the
-        simulator raises ``RuntimeError`` if the pool wedges completely.
+        simulator raises :class:`ServingStall` if the pool wedges
+        completely.
         Ignored under worst-case admission, which never needs to grow.
     swap:
         Enable the host-DRAM swap tier (optimistic admission only): on

@@ -37,6 +37,7 @@ from repro.serving import (
     Request,
     SeededFailures,
     ServingSimulator,
+    ServingStall,
     SingleFailure,
     StepCurve,
     check_cluster_invariants,
@@ -306,7 +307,7 @@ class TestSteppingApiEdgeCases:
             engine=engine,
         )
         trace = [Request(0, 0.0, 16, 400), Request(1, 0.0, 16, 400)]
-        with pytest.raises(RuntimeError) as excinfo:
+        with pytest.raises(ServingStall) as excinfo:
             simulator.simulate(trace)
         message = str(excinfo.value)
         assert "KV pool exhausted with preemption disabled" in message

@@ -44,6 +44,7 @@ from repro.serving import (
     KvPageAccountant,
     Request,
     ServingSimulator,
+    ServingStall,
     check_invariants,
     cluster_kv_peak,
     decode_kv_bounds,
@@ -331,7 +332,7 @@ class TestOptimisticAdmissionProperties:
             LinearCostModel(), MODEL, policy="interleaved",
             admission="optimistic", preempt=False, kv_budget=budget,
         )
-        with pytest.raises(RuntimeError, match="KV pool exhausted"):
+        with pytest.raises(ServingStall, match="KV pool exhausted"):
             without.simulate(trace)
 
     def test_stalled_decodes_resume_without_preemption(self):

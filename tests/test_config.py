@@ -32,13 +32,6 @@ class TestMatrixUnitConfig:
     def test_peak_flops_is_about_46_tflops(self):
         assert MatrixUnitConfig().peak_flops == pytest.approx(45.9e12, rel=0.02)
 
-    def test_macs_per_cycle(self):
-        """The peak is 128 x 64 PEs of four MACs, two FLOPs a MAC, per cycle."""
-        mu = MatrixUnitConfig()
-        macs_per_cycle = mu.rows * mu.cols * mu.macs_per_pe
-        assert macs_per_cycle == 128 * 64 * 4
-        assert mu.peak_flops == macs_per_cycle * 2 * mu.frequency_hz
-
 
 class TestVectorUnitConfig:
     def test_table1_shape(self):
@@ -77,12 +70,6 @@ class TestPimConfig:
 
     def test_internal_bandwidth_is_4096_gbps(self):
         assert PimConfig().internal_bandwidth == pytest.approx(4096e9)
-
-    def test_peak_pim_flops_is_4_tflops(self):
-        """One 32 GFLOPS processing unit per bank, 16 banks by 8 channels."""
-        pim = PimConfig()
-        peak = pim.channels * pim.banks_per_channel * pim.pu_flops
-        assert peak == pytest.approx(4.096e12)
 
     def test_capacity_is_8_gib(self):
         assert PimConfig().capacity_bytes == 8 * 1024**3

@@ -100,11 +100,34 @@ def test_matrix_unit_time_positive_and_monotone_in_tokens(tokens, d_in, d_out):
     assert mu.matmul_time(tokens + 128, d_in, d_out) >= time
 
 
-@given(elements=st.integers(min_value=1, max_value=10**6))
+@given(elements=st.integers(min_value=1, max_value=10**6),
+       ops=st.floats(min_value=0.5, max_value=8.0))
 @settings(max_examples=100, deadline=None)
-def test_vector_unit_time_monotone_in_elements(elements):
+def test_vector_unit_time_monotone_in_elements(elements, ops):
+    # The operator kernels charge 0.5 (concat) to 5 (softmax) operations
+    # an element; the drawn range covers them all.
     vu = VectorUnitModel(SystemConfig.ianus().core.vector_unit)
-    assert vu.elementwise_time(elements) <= vu.elementwise_time(elements * 2)
+    assert vu._kernel_cycles(elements, ops) <= vu._kernel_cycles(elements * 2, ops)
+
+
+#: Every vector-unit operator, as a function of its element count.
+VECTOR_KERNELS = {
+    "elementwise": lambda vu, n: vu.elementwise_time(n),
+    "residual_add": lambda vu, n: vu.residual_add_time(1, n),
+    "concat": lambda vu, n: vu.concat_time(n),
+    "softmax": lambda vu, n: vu.softmax_time(1, n),
+    "gelu": lambda vu, n: vu.gelu_time(1, n),
+    "layernorm": lambda vu, n: vu.layernorm_time(1, n),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(VECTOR_KERNELS))
+@given(elements=st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=50, deadline=None)
+def test_vector_kernel_time_positive_and_monotone_in_elements(kernel, elements):
+    vu = VectorUnitModel(SystemConfig.ianus().core.vector_unit)
+    time = VECTOR_KERNELS[kernel]
+    assert 0 < time(vu, elements) <= time(vu, elements * 2)
 
 
 # ----------------------------------------------------------------------

@@ -161,15 +161,6 @@ class TestMultiDevice:
         )
         assert two["tokens_per_second"] == direct.tokens_per_second
 
-    def test_cost_efficiency_positive(self):
-        """Sec. 7.2 prices performance per TDP watt, and a cluster's TDP is
-        the sum of its devices'."""
-        config = SystemConfig.ianus()
-        cluster = IanusSystem(config, num_devices=2)
-        result = cluster.run(LARGE_GPT_CONFIGS["6.7b"], Workload(256, 8))
-        assert cluster.tdp_w == 2 * config.tdp_w
-        assert (1.0 / result.total_latency_s) / cluster.tdp_w > 0
-
     @pytest.mark.parametrize("devices", (1, 2, 8))
     def test_device_count_scales_name_tdp_and_peak(self, devices):
         config = SystemConfig.ianus()

@@ -291,7 +291,7 @@ class TestCli:
     @pytest.mark.parametrize("replicas", ("1", "2"))
     def test_serve_reports_a_wedged_pool_without_a_traceback(self, replicas):
         # Optimistic admission without preemption wedges a 5% pool mid-run;
-        # the simulator stops with a RuntimeError naming the way out.
+        # the simulator stops with a ServingStall naming the way out.
         code, err = _run_cli([
             "serve", "--admission", "optimistic", "--no-preempt",
             "--kv-fraction", "0.05", "--replicas", replicas, "--no-disk-cache",
@@ -299,6 +299,18 @@ class TestCli:
         assert code == 2, err
         assert "preempt" in err
         assert "Traceback" not in err
+
+    def test_serve_keeps_the_traceback_of_a_simulator_defect(self, monkeypatch):
+        # Only the documented stops (ServingStall) read as a usage error; any
+        # other RuntimeError mid-run is a defect and must surface as one.
+        from repro.serving import ServingSimulator
+
+        def broken(self, trace, record_events=False):
+            raise RuntimeError("internal consistency check failed")
+
+        monkeypatch.setattr(ServingSimulator, "simulate", broken)
+        with pytest.raises(RuntimeError, match="internal consistency"):
+            _run_cli(["serve", "--requests", "4", "--no-disk-cache"])
 
     @pytest.mark.parametrize(
         "argv, message",
