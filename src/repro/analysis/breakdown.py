@@ -10,15 +10,17 @@ canonical ordering the experiments report them in.
 
 from __future__ import annotations
 
+from repro.ir.command import TAG_ATTENTION, TAG_FFN, TAG_LAYERNORM, TAG_PROJ, TAG_QKV
+
 __all__ = ["BREAKDOWN_CATEGORIES", "ordered_breakdown"]
 
 #: Canonical category order, matching the Fig. 10 legend.
 BREAKDOWN_CATEGORIES: tuple[str, ...] = (
-    "LayerNorm",
-    "Self-attention",
-    "FC for Attention + Add",
-    "FFN+Add",
-    "FC for Q,K,V",
+    TAG_LAYERNORM,
+    TAG_ATTENTION,
+    TAG_PROJ,
+    TAG_FFN,
+    TAG_QKV,
 )
 
 def ordered_breakdown(breakdown: dict[str, float]) -> dict[str, float]:

@@ -27,6 +27,15 @@ from repro.config import BYTES_PER_ELEMENT, GpuConfig
 from repro.core.costmodel import PassCost
 from repro.core.results import InferenceResult, StageResult
 from repro.energy.model import EnergyBreakdown
+from repro.ir.command import (
+    TAG_ATTENTION,
+    TAG_EMBEDDING,
+    TAG_FFN,
+    TAG_LAYERNORM,
+    TAG_LM_HEAD,
+    TAG_PROJ,
+    TAG_QKV,
+)
 from repro.models.flops import (
     attention_context_flops,
     attention_score_flops,
@@ -46,16 +55,6 @@ from repro.perf.cache import (
 )
 
 __all__ = ["GpuKernel", "A100Gpu"]
-
-#: Breakdown tags shared with the IANUS simulator (Fig. 10) plus the
-#: self-attention sub-categories of Fig. 2b.
-TAG_LAYERNORM = "LayerNorm"
-TAG_ATTENTION = "Self-attention"
-TAG_QKV = "FC for Q,K,V"
-TAG_PROJ = "FC for Attention + Add"
-TAG_FFN = "FFN+Add"
-TAG_LM_HEAD = "LM head"
-TAG_EMBEDDING = "Embedding"
 
 
 @dataclass(frozen=True)
@@ -363,7 +362,7 @@ class A100Gpu:
             gen_flops = (flops_first + flops_last) / 2 * count
             gen_breakdown = {
                 tag: (brk_first.get(tag, 0.0) + brk_last.get(tag, 0.0)) / 2 * count
-                for tag in set(brk_first) | set(brk_last)
+                for tag in dict.fromkeys([*brk_first, *brk_last])
             }
         generation = StageResult(
             latency_s=gen_latency,

@@ -705,10 +705,10 @@ def _run_list() -> int:
         ("cluster (--replicas/--router)", "yes", "yes"),
         ("failure injection (--failures)", "yes", "yes"),
         ("autoscaling (--autoscaler)", "yes", "yes"),
-        ("event log (--validate)", "yes", "yes (disables macro/batched fast paths)"),
-        ("prefix sharing (--prefix-share)", "yes", "yes (per-iteration, fast paths stand down)"),
-        ("host-DRAM swap (--swap)", "yes", "yes (per-iteration, fast paths stand down)"),
-        ("co-hosted model set (--models)", "yes", "yes (per-iteration, fast paths stand down)"),
+        ("event log (--validate)", "yes", "yes (per-iteration only: every fast path stands down)"),
+        ("prefix sharing (--prefix-share)", "yes", "yes (exact decode runs; other fast paths stand down)"),
+        ("host-DRAM swap (--swap)", "yes", "yes (exact decode runs; other fast paths stand down)"),
+        ("co-hosted model set (--models)", "yes", "yes (exact decode runs; other fast paths stand down)"),
         ("tenant shares (--tenant-slo)", "yes", "yes"),
         (
             "arrival-batched underload path", "no",
@@ -721,7 +721,9 @@ def _run_list() -> int:
         print(f"  {feature:<{width}}  {object_support:<8} {array_support}")
     print("  (unsupported combinations fall back or raise with the reason; "
           "the array engine matches the object engine bit-for-bit with "
-          "events recorded, 1e-9 pooled on its fast paths)")
+          "events recorded; only prefix-sum totals (macro-steps and the "
+          "arrival absorber) carry a 1e-9 tolerance, and per-request detail "
+          "changes no number)")
     return 0
 
 

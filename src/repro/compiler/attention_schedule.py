@@ -34,7 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import BYTES_PER_ELEMENT, FcMappingPolicy, SchedulingPolicy, SystemConfig
-from repro.ir.command import Command, CommandStream, OpKind, PimScope, Unit
+from repro.ir.command import (
+    TAG_ATTENTION,
+    TAG_QKV,
+    Command,
+    CommandStream,
+    OpKind,
+    PimScope,
+    Unit,
+)
 from repro.models.flops import (
     attention_context_flops,
     attention_score_flops,
@@ -49,9 +57,6 @@ __all__ = [
     "build_generation_attention_mu",
     "build_generation_attention_pim",
 ]
-
-TAG_ATTENTION = "Self-attention"
-TAG_QKV = "FC for Q,K,V"
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,11 @@ from repro.compiler.attention_schedule import (
 from repro.compiler.mapping import AdaptiveMapper
 from repro.compiler.partitioner import WeightPartitioner, WorkPartition
 from repro.ir.command import (
+    TAG_EMBEDDING,
+    TAG_FFN,
+    TAG_LAYERNORM,
+    TAG_LM_HEAD,
+    TAG_PROJ,
     Command,
     CommandStream,
     OpKind,
@@ -49,14 +54,6 @@ from repro.models.workload import Stage, StagePass
 from repro.scheduling.durations import DurationModel
 
 __all__ = ["CompiledBlock", "Compiler"]
-
-TAG_LAYERNORM = "LayerNorm"
-TAG_ATTENTION = "Self-attention"
-TAG_QKV = "FC for Q,K,V"
-TAG_PROJ = "FC for Attention + Add"
-TAG_FFN = "FFN+Add"
-TAG_LM_HEAD = "LM head"
-TAG_EMBEDDING = "Embedding"
 
 
 @dataclass(frozen=True)

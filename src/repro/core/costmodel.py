@@ -103,7 +103,7 @@ def lerp_pass_cost(low: PassCost, high: PassCost, weight: float) -> PassCost:
 
     breakdown = {
         tag: mix(low.breakdown.get(tag, 0.0), high.breakdown.get(tag, 0.0))
-        for tag in set(low.breakdown) | set(high.breakdown)
+        for tag in dict.fromkeys([*low.breakdown, *high.breakdown])
     }
     energy = EnergyBreakdown(
         normal_memory_j=mix(low.energy.normal_memory_j, high.energy.normal_memory_j),
@@ -135,7 +135,7 @@ def diff_pass_cost(total: PassCost, prefix: PassCost) -> PassCost:
 
     breakdown = {
         tag: clamp(total.breakdown.get(tag, 0.0) - prefix.breakdown.get(tag, 0.0))
-        for tag in set(total.breakdown) | set(prefix.breakdown)
+        for tag in dict.fromkeys([*total.breakdown, *prefix.breakdown])
     }
     energy = EnergyBreakdown(
         normal_memory_j=clamp(

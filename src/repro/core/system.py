@@ -235,7 +235,7 @@ class IanusSystem:
             segment_breakdown = {
                 tag: count * brk_l.get(tag, 0.0)
                 + weight_sum * (brk_h.get(tag, 0.0) - brk_l.get(tag, 0.0))
-                for tag in set(brk_l) | set(brk_h)
+                for tag in dict.fromkeys([*brk_l, *brk_h])
             }
             breakdown_acc = merge_breakdowns(breakdown_acc, segment_breakdown)
             total_stats = total_stats.merge(stats_l.scaled(count - weight_sum)).merge(

@@ -27,6 +27,17 @@ from typing import Iterable, Iterator
 
 __all__ = ["Unit", "OpKind", "PimScope", "Command", "CommandStream", "ReplayedStream"]
 
+#: The breakdown categories a command's ``tag`` books it under (Figs. 2
+#: and 10), one definition for the compiler, the GPU baseline and the
+#: reports.
+TAG_LAYERNORM = "LayerNorm"
+TAG_ATTENTION = "Self-attention"
+TAG_QKV = "FC for Q,K,V"
+TAG_PROJ = "FC for Attention + Add"
+TAG_FFN = "FFN+Add"
+TAG_LM_HEAD = "LM head"
+TAG_EMBEDDING = "Embedding"
+
 
 class Unit(str, Enum):
     """Execution unit a command occupies."""
@@ -117,8 +128,9 @@ class Command:
     deps:
         Identifiers of commands that must complete before this one starts.
     tag:
-        Breakdown category (Fig. 10): ``"LayerNorm"``, ``"Self-attention"``,
-        ``"FC for Q,K,V"``, ``"FC for Attention + Add"``, ``"FFN+Add"``, ...
+        Breakdown category (Fig. 10), one of the ``TAG_*`` constants above:
+        ``"LayerNorm"``, ``"Self-attention"``, ``"FC for Q,K,V"``,
+        ``"FC for Attention + Add"``, ``"FFN+Add"``, ...
     pim_scope / pim_chip:
         For PIM commands, whether the macro occupies all chips or one chip
         (and which one).

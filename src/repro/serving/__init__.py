@@ -42,9 +42,10 @@ Layering — who knows what:
     reference and the only engine for custom policies: with events
     recorded the array engine is bit-identical to it.  Both run classes derive
     from one lifecycle base (counters, event log, offers and guards,
-    failure/recovery/resubmit, swap-in admission, weight-swap pricing),
-    and the two per-iteration loops share every rule that does not
-    depend on how requests are stored — policy decisions over
+    failure/recovery/resubmit, swap-in admission, weight-swap pricing,
+    the :class:`~repro.serving.request.CompletionRecord` every completion
+    is appended to), and the two per-iteration loops share every rule
+    that does not depend on how requests are stored — policy decisions over
     :class:`RequestKeys`, victim choice, fused-pass pricing, host-link
     transfer time — and differ only in the admit/grow/preempt/swap/step
     bodies over objects or rows.  ``profile=True`` books per-phase wall
@@ -52,9 +53,10 @@ Layering — who knows what:
     Pick ``array`` for million-request traces and sweeps; pick ``object``
     when stepping through or debugging individual scheduling decisions.
     :data:`ENGINES` lists the valid names; unknown names raise with that
-    list.  ``per_request_detail=False`` additionally pools metrics without
-    materializing a ``RequestMetrics`` row per request (single replica
-    only), and ``TraceGenerator.generate_stream`` feeds
+    list.  ``per_request_detail=False`` leaves the ``RequestMetrics`` rows
+    out of a run's or a fleet's result and changes no other number: one
+    aggregator, :func:`~repro.serving.simulator.request_aggregates`,
+    reduces every completion record.  ``TraceGenerator.generate_stream`` feeds
     ``ServingSimulator.simulate_stream`` arrivals in O(chunk) memory —
     byte-identical to ``generate`` under every trace curve.
 :mod:`repro.serving.validate`

@@ -54,16 +54,24 @@ yields an event log **bit-identical** to the object engine's (the
 differential suite asserts exact equality).
 
 **Arrival absorption and bursts.**  While the device idles between
-arrivals, the absorbers serve whole stretches of isolated requests (and,
-under concurrency-1 arrival-order policies, queued ones) in closed form:
-``_absorb_window`` prices a columnar window at once in pooled mode,
-``_absorb_scalar`` one request at a time in detail mode.  An overlapping
-clump goes to the burst runner, ``_run_burst``, which specializes only
-admission (due arrivals go straight from ``pending`` to ``active`` with
-worst-case grants); it prefills and decodes through the per-iteration
-loop's own ``_step`` and ``_macro_step``.  All three are entered through
-``_absorb_arrivals``; a run whose ``_absorb_arrivals`` returns ``False``
-(tests monkeypatch it) takes the per-arrival reference path.
+arrivals, the absorber, ``_absorb_window``, serves whole stretches of
+isolated requests (and, under concurrency-1 arrival-order policies,
+queued ones) in closed form: it prices a columnar window of pending
+arrivals at once, and every per-request time and running total it books
+comes out of the per-arrival path's own float operations, in that path's
+order.  An overlapping clump goes to the burst runner, ``_run_burst``,
+which specializes only admission (due arrivals go straight from
+``pending`` to ``active`` with worst-case grants); it prefills and
+decodes through the per-iteration loop's own ``_step`` and
+``_macro_step``.  Both are entered through ``_absorb_arrivals``; a run
+whose ``_absorb_arrivals`` returns ``False`` (tests monkeypatch it) takes
+the per-arrival reference path.
+
+**One completion record.**  Every completion, whichever path served it,
+is appended to the lifecycle base's
+:class:`~repro.serving.request.CompletionRecord`, and the simulator
+reduces the run's request-level metrics from it; ``per_request_detail``
+only decides whether its rows come back as well.
 
 **One KV ledger.**  Every run books its pages in the simulator's
 :class:`~repro.serving.kv_memory.KvPageAccountant` (``self.kv``), the
@@ -98,19 +106,17 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, islice, repeat
 from operator import add, sub
 
 import numpy as np
 
 from repro.energy.model import EnergyBreakdown
-from repro.serving.request import Request, RequestMetrics
+from repro.serving.request import Request
 from repro.serving.simulator import (
     RequestKeys,
-    ServingMetrics,
     _check_fits_alone,
-    _percentile_sorted,
     _pool_exhausted,
     _RunLifecycle,
     choose_victim,
@@ -158,7 +164,7 @@ class ArraySimulationRun(_RunLifecycle):
         self._lat_max = 0.0
         self._floor_free = False
         self._base: "tuple | None" = None
-        self._np_prefix: "list | None" = None
+        self._np_prefix: "np.ndarray | None" = None
         # Prefix-sum columns; absent on table-less runs (the absorbers
         # only index them for decode segments, which a table-less run
         # never prices in closed form — the ``plat is None`` guards).
@@ -180,12 +186,15 @@ class ArraySimulationRun(_RunLifecycle):
         self._mdl: list = []
         self._free: list = []
         # Typed shadows of the immutable-per-row columns (arrival, prompt,
-        # output).  They expose the buffer protocol, so the arrival
-        # absorber reads a whole pending window through one zero-copy
+        # output, request id, class).  They expose the buffer protocol, so
+        # the arrival absorber reads a whole pending window, and records
+        # the requests it completes, through one zero-copy
         # ``np.frombuffer`` + fancy index instead of a Python loop.
         self._arr_t = array("d")
         self._inp_t = array("q")
         self._out_t = array("q")
+        self._rid_t = array("q")
+        self._cls_t = array("q")
 
         self.pending: "deque[int]" = deque()
         # A deque, not a list: under backlog (the regime megatrace
@@ -200,31 +209,6 @@ class ArraySimulationRun(_RunLifecycle):
         #: Active rows still prefilling (generated == 0), maintained
         #: incrementally so the macro-eligibility test is O(1).
         self._num_prefilling = 0
-
-        self._detail = sim.per_request_detail
-        self.completed: list[RequestMetrics] = []
-        # Pooled-only completion columns (no-detail mode): compact typed
-        # arrays, converted to numpy once at finalization.
-        self._done_arrival = array("d")
-        self._done_first = array("d")
-        self._done_completion = array("d")
-        self._done_out = array("q")
-        self._done_cls = array("q") if sim.slo_targets is not None else None
-        # Pooled model indices (multi-model runs with SLO targets only):
-        # feeds the per-(model, class) attainment table at finalization.
-        self._done_mdl = (
-            array("q")
-            if sim.multi_model and sim.slo_targets is not None
-            else None
-        )
-        # Bound append methods: _record_completion runs once per request.
-        self._push_done = (
-            self._done_arrival.append,
-            self._done_first.append,
-            self._done_completion.append,
-            self._done_out.append,
-            None if self._done_cls is None else self._done_cls.append,
-        )
 
         self._energy_mem = 0.0
         self._energy_pim = 0.0
@@ -306,11 +290,6 @@ class ArraySimulationRun(_RunLifecycle):
                         )
                         self._bases[name] = table.base
             self._chunks_by_model = {sim.model.name: self._chunk_costs}
-            self._model_names = tuple(member.name for member in sim.models)
-            self._model_pos = {
-                name: position
-                for position, name in enumerate(self._model_names)
-            }
         # Arrival-batched absorption gates (fixed for the run's lifetime).
         # _absorb_ok: whole idle-device arrival windows may be served in
         # closed form.  Requires monolithic prefill and no event log; a
@@ -356,21 +335,22 @@ class ArraySimulationRun(_RunLifecycle):
             self._pen,
             self._pfl,
         ) = table.prefix_sums()
-        # Numpy copies of the prefix sums (same floats: prefix_sums() is a
-        # tolist() of exactly this cumsum) for the vectorized arrival
+        # The prefix sums as one numpy matrix, a row per KV offset and a
+        # column per cost component (same floats: prefix_sums() is a
+        # tolist() of exactly this sequential cumsum), for the arrival
         # absorber, which prices whole windows of decode runs at once.
-        self._np_prefix = []
-        for column in (
-            table.latency,
-            table.energy_memory,
-            table.energy_pim,
-            table.energy_npu,
-            table.flops,
-        ):
-            prefix = np.empty(len(column) + 1, dtype=np.float64)
-            prefix[0] = 0.0
-            np.cumsum(column, out=prefix[1:])
-            self._np_prefix.append(prefix)
+        columns = np.stack(
+            (
+                table.latency,
+                table.energy_memory,
+                table.energy_pim,
+                table.energy_npu,
+                table.flops,
+            ),
+            axis=1,
+        )
+        self._np_prefix = np.zeros((len(columns) + 1, 5))
+        np.cumsum(columns, axis=0, out=self._np_prefix[1:])
         self._floor_free = table.floor_free
         self._base = table.base
         # Largest single-iteration latency on the table: a per-step cost
@@ -405,6 +385,8 @@ class ArraySimulationRun(_RunLifecycle):
             self._arr_t[row] = request.arrival_s
             self._inp_t[row] = request.input_tokens
             self._out_t[row] = request.output_tokens
+            self._rid_t[row] = request.request_id
+            self._cls_t[row] = request.priority_class
             self._cls[row] = request.priority_class
             self._rid[row] = request.request_id
             self._prefilled[row] = 0
@@ -421,6 +403,8 @@ class ArraySimulationRun(_RunLifecycle):
         self._arr_t.append(request.arrival_s)
         self._inp_t.append(request.input_tokens)
         self._out_t.append(request.output_tokens)
+        self._rid_t.append(request.request_id)
+        self._cls_t.append(request.priority_class)
         self._cls.append(request.priority_class)
         self._rid.append(request.request_id)
         self._prefilled.append(0)
@@ -524,10 +508,11 @@ class ArraySimulationRun(_RunLifecycle):
             self._exact_kv = True
         n = len(requests)
         row0 = len(self._arr)
+        clss = [r.priority_class for r in requests]
         self._arr += arrs
         self._inp += inps
         self._out += outs
-        self._cls += [r.priority_class for r in requests]
+        self._cls += clss
         self._rid += rids
         self._prefilled += [0] * n
         self._generated += [0] * n
@@ -540,6 +525,8 @@ class ArraySimulationRun(_RunLifecycle):
         np_out = np.array(outs, dtype=np.int64)
         self._inp_t.frombytes(np_inp.tobytes())
         self._out_t.frombytes(np_out.tobytes())
+        self._rid_t.fromlist(rids)
+        self._cls_t.fromlist(clss)
         pending.extend(range(row0, row0 + n))
         self.offered += n
         self._outstanding += int(np_inp.sum() + np_out.sum())
@@ -1129,10 +1116,10 @@ class ArraySimulationRun(_RunLifecycle):
           in queue order.  Otherwise the blocked queue head stays blocked,
           because free pages only fall during a run.
 
-        Each iteration is priced as ``fused_pass`` prices it: builtin
-        ``sum`` and ``max`` over the members' cost values in batch order,
-        then ``max(sum - shared * floor, max)``, and a lone member's values
-        as they are.  Clock, busy time, the energies and FLOPs advance by
+        Each iteration is priced as ``fused_pass`` prices it: a
+        left-to-right sum from 0.0 and ``max`` over the members' cost values
+        in batch order, then ``max(sum - shared * floor, max)``, and a lone
+        member's values as they are.  Clock, busy time, the energies and FLOPs advance by
         sequential adds, and the budget stop bisects the exact clock
         sequence, so every number is bit-identical to stepping.  Returns
         ``False`` when not even one iteration can run here; the caller
@@ -1222,8 +1209,10 @@ class ArraySimulationRun(_RunLifecycle):
             e_pim = fused(self._ep, offsets, steps, shared * floor[2])
             e_npu = fused(self._en, offsets, steps, shared * floor[3])
             column = self._fl
-            flops = map(
-                sum, zip(*[column[offset:offset + steps] for offset in offsets])
+            flops = reduce(
+                partial(map, add),
+                [column[offset:offset + steps] for offset in offsets],
+                repeat(0.0),
             )
         self.clock = end
         self.busy = reduce(add, latencies, self.busy)
@@ -1289,13 +1278,16 @@ class ArraySimulationRun(_RunLifecycle):
         column: list, offsets: "list[int]", steps: int, shared_floor: float
     ):
         """One cost component of ``steps`` fused decode iterations, as
-        ``fused_pass`` computes it: ``max(sum(values) - shared_floor,
+        ``fused_pass`` computes it: ``max(total - shared_floor,
         max(values))`` per iteration over the members' values in batch
-        order, where ``shared_floor`` is ``shared * floor``."""
+        order, where ``total`` adds them left to right from 0.0 and
+        ``shared_floor`` is ``shared * floor``."""
         parts = [column[offset:offset + steps] for offset in offsets]
+        # Member by member, each iteration's running sum from 0.0.
+        totals = reduce(partial(map, add), parts, repeat(0.0))
         return map(
             max,
-            map(sub, map(sum, zip(*parts)), repeat(shared_floor)),
+            map(sub, totals, repeat(shared_floor)),
             map(max, zip(*parts)),
         )
 
@@ -1318,21 +1310,6 @@ class ArraySimulationRun(_RunLifecycle):
         the absorber refused (KV-blocked, off-table, preempting, or
         past-``until`` requests) on the exact per-arrival path.
         """
-        if self._detail:
-            progressed = False
-            pending = self.pending
-            while pending:
-                if self._absorb_scalar(until):
-                    progressed = True
-                    continue
-                if self._burst_ok:
-                    status = self._run_burst(until)
-                    if status:
-                        progressed = True
-                    if status == 1:
-                        continue
-                break
-            return progressed
         progressed = False
         while self.pending:
             did, keep = self._absorb_window(until)
@@ -1342,17 +1319,23 @@ class ArraySimulationRun(_RunLifecycle):
         return progressed
 
     def _absorb_window(self, until: "float | None") -> "tuple[bool, bool]":
-        """Absorb one columnar window of pending arrivals (pooled mode).
+        """Absorb one columnar window of pending arrivals.
 
         Prices every request's whole lifetime (monolithic prefill + full
         decode run) from the table prefix sums in one vectorized shot,
         then walks the window: stretches of *isolated* requests (each one
-        completing before the next arrives) are applied in closed form,
+        completing before the next arrives) are served in closed form,
         overlapping clumps run through the burst runner, and under
-        concurrency-1 arrival-order policies queued stretches absorb via
-        a vectorized Lindley recursion.  Returns ``(progressed,
-        keep_going)``; ``keep_going`` means the whole window was consumed
-        and another window may follow.
+        concurrency-1 arrival-order policies queued stretches absorb
+        through the Lindley recursion.  Every float operation that reaches
+        a number is the per-arrival path's: a request starts at the later
+        of its arrival and the clock, its first token adds the prefill to
+        that start and its completion adds the decode run to the first
+        token; a stretch adds its passes to busy time, the energies and
+        FLOPs one at a time, prefill then decode run per request, before
+        the burst after it runs.  Returns ``(progressed, keep_going)``;
+        ``keep_going`` means the whole window was consumed and another
+        window may follow.
         """
         pending = self.pending
         arr = self._arr
@@ -1419,6 +1402,8 @@ class ArraySimulationRun(_RunLifecycle):
         eligible = total_pages <= self.kv.total_pages
         steps = out - 1
         single = steps == 0
+        # Each request's decode run, one column per cost component
+        # (latency, memory, PIM and NPU energy, FLOPs).
         prefix = self._np_prefix
         if prefix is not None:
             lo = self._tbl_lo
@@ -1426,44 +1411,53 @@ class ArraySimulationRun(_RunLifecycle):
             beg_v = inp + 1 - lo
             run = ~single & (beg_v >= 0) & (beg_v + steps <= span)
             eligible &= single | run
-            b = np.where(run, beg_v, 0)
-            e = np.where(run, beg_v + steps, 0)
-            dec_lat = prefix[0][e] - prefix[0][b]
-            dec_em = prefix[1][e] - prefix[1][b]
-            dec_ep = prefix[2][e] - prefix[2][b]
-            dec_en = prefix[3][e] - prefix[3][b]
-            dec_fl = prefix[4][e] - prefix[4][b]
+            dec = (
+                prefix[np.where(run, beg_v + steps, 0)]
+                - prefix[np.where(run, beg_v, 0)]
+            )
         else:
             eligible &= single
-            dec_lat = np.zeros(take, dtype=np.float64)
-            dec_em = dec_ep = dec_en = dec_fl = dec_lat
+            dec = np.zeros((take, 5))
         uniq, inverse = np.unique(inp, return_inverse=True)
         chunk_cost = self._chunk_cost
         pre = np.array(
             [chunk_cost(0, int(v)) for v in uniq], dtype=np.float64
         )[inverse]
-        service = pre[:, 0] + dec_lat
-        fcfs = self._fcfs_absorb
-        if fcfs:
-            # Lindley recursion, vectorized: completion_i =
-            # max(arrival_i, completion_{i-1}) + service_i, with the
-            # cumulative-max rewrite c = t + cummax(a - t_prev) over the
-            # service prefix sums t.  The recursion seeds from the clock
-            # (completion_{-1} = self.clock): across window boundaries
-            # the previous window's tail may still be in service when
-            # this window's head arrived.
-            totals = np.cumsum(service)
-            slack = a - totals
-            slack += service
-            if slack[0] < self.clock:
-                slack[0] = self.clock
-            completion = totals + np.maximum.accumulate(slack)
-            first = completion - dec_lat
+        if self._fcfs_absorb:
+            # The Lindley recursion completion_i = max(arrival_i,
+            # completion_{i-1}) + prefill_i + decode_i, a request at a time
+            # and added left to right as the per-arrival path adds it, up
+            # to the first request the window refuses.  It seeds from the
+            # clock (completion_{-1} = self.clock): across window
+            # boundaries the previous window's tail may still be in
+            # service when this window's head arrived.
+            refused = np.flatnonzero(~eligible)
+            served = int(refused[0]) if refused.size else take
+            completions = [self.clock]
+            push = completions.append
+            clock = self.clock
+            for arrival, prefill, decode in zip(
+                a[:served].tolist(),
+                pre[:served, 0].tolist(),
+                dec[:served, 0].tolist(),
+            ):
+                start = arrival if arrival > clock else clock
+                clock = (start + prefill) + decode
+                push(clock)
+            # The clock, then every request's completion.  Completions
+            # never decrease, so the ones past ``until`` are a suffix.
+            completion = np.fromiter(completions, np.float64, served + 1)
             if until is not None:
-                eligible &= completion <= until
+                served = int(np.searchsorted(completion[1:], until, "right"))
+            eligible[served:] = False
+            # Each request starts at the later of its arrival and the
+            # previous completion; its first token is that start plus its
+            # prefill, the loop's own first add.
+            first = np.maximum(a[:served], completion[:served]) + pre[:served, 0]
+            completion = completion[1:served + 1]
         else:
             first = a + pre[:, 0]
-            completion = first + dec_lat
+            completion = first + dec[:, 0]
             if until is not None:
                 eligible &= completion <= until
             # Isolation: the request must complete before the next
@@ -1473,6 +1467,11 @@ class ArraySimulationRun(_RunLifecycle):
             nxt[: take - 1] = a[1:]
             nxt[take - 1] = arr[peek] if peek >= 0 else np.inf
             eligible &= completion <= nxt
+        # The passes in the order the per-arrival path runs them: each
+        # request's prefill, then its decode run.
+        passes = np.empty((2 * take, 5))
+        passes[0::2] = pre
+        passes[1::2] = dec
         bad = np.flatnonzero(~eligible).tolist()
         mask = np.zeros(take, dtype=bool)
         burst_ok = self._burst_ok
@@ -1486,6 +1485,24 @@ class ArraySimulationRun(_RunLifecycle):
                 for _ in range(j - i):
                     pending.popleft()
                 self.clock = float(completion[j - 1])
+                # Add the stretch's passes one at a time: np.cumsum adds
+                # sequentially (np.sum would add pairwise).
+                totals = np.empty((2 * (j - i) + 1, 5))
+                totals[0] = (
+                    self.busy,
+                    self._energy_mem,
+                    self._energy_pim,
+                    self._energy_npu,
+                    self.flops,
+                )
+                totals[1:] = passes[2 * i:2 * j]
+                (
+                    self.busy,
+                    self._energy_mem,
+                    self._energy_pim,
+                    self._energy_npu,
+                    self.flops,
+                ) = np.cumsum(totals, axis=0)[-1].tolist()
                 i = j
                 continue
             if burst_ok:
@@ -1522,110 +1539,25 @@ class ArraySimulationRun(_RunLifecycle):
             self._outstanding -= int((inp[idx] + out[idx]).sum())
             if not self.peak_active:
                 self.peak_active = 1
-            self.busy += float(service[idx].sum())
-            self._energy_mem += float(pre[idx, 1].sum() + dec_em[idx].sum())
-            self._energy_pim += float(pre[idx, 2].sum() + dec_ep[idx].sum())
-            self._energy_npu += float(pre[idx, 3].sum() + dec_en[idx].sum())
-            self.flops += float(pre[idx, 4].sum() + dec_fl[idx].sum())
-            self._done_arrival.frombytes(a[idx].tobytes())
-            self._done_first.frombytes(first[idx].tobytes())
-            self._done_completion.frombytes(completion[idx].tobytes())
-            self._done_out.frombytes(out[idx].tobytes())
-            if self._done_cls is not None:
-                cls_col = self._cls
-                self._done_cls.extend([cls_col[r] for r in rows[idx]])
-            self._free.extend(rows[idx].tolist())
+            absorbed = rows[idx]
+            record = self.completions
+            record.request_id.frombytes(
+                np.frombuffer(self._rid_t, dtype=np.int64)[absorbed].tobytes()
+            )
+            record.arrival_s.frombytes(a[idx].tobytes())
+            record.first_token_s.frombytes(first[idx].tobytes())
+            record.completion_s.frombytes(completion[idx].tobytes())
+            record.input_tokens.frombytes(inp[idx].tobytes())
+            record.output_tokens.frombytes(out[idx].tobytes())
+            record.priority_class.frombytes(
+                np.frombuffer(self._cls_t, dtype=np.int64)[absorbed].tobytes()
+            )
+            absorbed = absorbed.tolist()
+            mdl = self._mdl
+            record.model.extend([mdl[row] for row in absorbed])
+            self._free.extend(absorbed)
         keep = (not aborted) and i >= take and bool(pending)
         return (k > 0 or i > 0), keep
-
-    def _absorb_scalar(self, until: "float | None") -> int:
-        """Absorb the maximal stretch of head arrivals, one scalar closed
-        form per request (detail mode).
-
-        Every float operation matches the per-arrival path's operation
-        sequence on the same values, so recorded per-request metrics are
-        byte-identical to the generic loop's.
-        """
-        pending = self.pending
-        arr, inp_col, out_col = self._arr, self._inp, self._out
-        plat = self._plat
-        pem, pep, pen, pfl = self._pem, self._pep, self._pen, self._pfl
-        lo = self._tbl_lo
-        span = self._tbl_hi - lo + 1
-        kv = self.kv
-        page_tokens = self._page_tokens
-        pool_pages = kv.total_pages
-        optimistic = self._optimistic
-        fcfs = self._fcfs_absorb
-        chunk_costs = self._chunk_costs
-        chunk_cost = self._chunk_cost
-        clock = self.clock
-        count = 0
-        while pending:
-            row = pending[0]
-            a = arr[row]
-            if not fcfs and a < clock:
-                break  # overlapping clump: the burst runner's regime
-            i_tok = inp_col[row]
-            o = out_col[row]
-            total_pages = -(-(i_tok + o) // page_tokens)
-            if total_pages > pool_pages:
-                break  # the generic path raises the diagnostic
-            if o > 1:
-                beg = i_tok + 1 - lo
-                end = beg + o - 1
-                if plat is None or beg < 0 or end > span:
-                    break
-                dec_lat = plat[end] - plat[beg]
-            else:
-                dec_lat = 0.0
-            pre = chunk_costs.get((0, i_tok))
-            if pre is None:
-                pre = chunk_cost(0, i_tok)
-            start = a if a > clock else clock
-            first = start + pre[0]
-            completion = first + dec_lat
-            if until is not None and completion > until:
-                break
-            if not fcfs and len(pending) > 1 and arr[pending[1]] < completion:
-                break
-            pending.popleft()
-            self.busy += pre[0]
-            self._energy_mem += pre[1]
-            self._energy_pim += pre[2]
-            self._energy_npu += pre[3]
-            self.flops += pre[4]
-            self.prefill_passes += 1
-            self._outstanding -= i_tok + 1
-            if o > 1:
-                self.busy += dec_lat
-                self._energy_mem += pem[end] - pem[beg]
-                self._energy_pim += pep[end] - pep[beg]
-                self._energy_npu += pen[end] - pen[beg]
-                self.flops += pfl[end] - pfl[beg]
-                self.decode_passes += o - 1
-                self.decode_tokens += o - 1
-                self._outstanding -= o - 1
-                peak_pages = (
-                    -(-(i_tok + o - 1) // page_tokens)
-                    if optimistic
-                    else total_pages
-                )
-            else:
-                peak_pages = (
-                    -(-i_tok // page_tokens) if optimistic else total_pages
-                )
-            if peak_pages > kv.peak_reserved_pages:
-                kv.peak_reserved_pages = peak_pages
-            self.admissions += 1
-            if not self.peak_active:
-                self.peak_active = 1
-            clock = completion
-            self.clock = completion
-            self._first[row] = first
-            self._record_completion(row)
-            count += 1
-        return count
 
     def _run_burst(self, until: "float | None") -> int:
         """Drain one busy period (arrival-order policy, worst-case grants,
@@ -1636,7 +1568,7 @@ class ArraySimulationRun(_RunLifecycle):
         policy hooks.  Prefills run through :meth:`_step` (its
         ``_mono_fast`` shortcut always holds here) and all-decode stretches
         through :meth:`_macro_step`, so every float operation is the
-        generic loop's and detail-mode results stay byte-identical.
+        generic loop's and per-request results stay byte-identical.
 
         Returns 0 (nothing admitted, no state change), 1 (period drained,
         device idle again), or 2 (progressed, then hit a condition the
@@ -1762,135 +1694,23 @@ class ArraySimulationRun(_RunLifecycle):
         self._emit("preempt", request_id=self._rid[victim], tokens=pages)
 
     # ------------------------------------------------------------------
-    # Completion recording and finalization
+    # Completion recording
     # ------------------------------------------------------------------
     def _record_completion(self, row: int) -> None:
-        if self._detail:
-            sim = self.sim
-            slo_s = 0.0
-            if sim.slo_targets:
-                index = min(self._cls[row], len(sim.slo_targets) - 1)
-                slo_s = sim.slo_targets[index]
-            self.completed.append(
-                RequestMetrics(
-                    request_id=self._rid[row],
-                    arrival_s=self._arr[row],
-                    first_token_s=self._first[row],
-                    completion_s=self.clock,
-                    input_tokens=self._inp[row],
-                    output_tokens=self._out[row],
-                    priority_class=self._cls[row],
-                    slo_s=slo_s,
-                    model=self._mdl[row],
-                )
-            )
-        else:
-            push_arr, push_first, push_done, push_out, push_cls = self._push_done
-            push_arr(self._arr[row])
-            push_first(self._first[row])
-            push_done(self.clock)
-            push_out(self._out[row])
-            if push_cls is not None:
-                push_cls(self._cls[row])
-            if self._done_mdl is not None:
-                self._done_mdl.append(
-                    self._model_pos[self._mdl[row] or self.sim.model.name]
-                )
+        self.completions.append(
+            self._rid[row],
+            self._arr[row],
+            self._first[row],
+            self.clock,
+            self._inp[row],
+            self._out[row],
+            self._cls[row],
+            self._mdl[row],
+        )
         self._free.append(row)
 
     # Bound here for the same reason as ``offer`` above.
     finish = _RunLifecycle.finish
-
-    def _finalize(self, makespan: float) -> ServingMetrics:
-        """The run's metrics; without per-request detail, pool the
-        request-level metrics straight from the completion columns
-        (numpy), then build the metrics through the simulator's one
-        ``_finalize`` path.
-
-        Same aggregate formulas as :func:`~repro.serving.simulator.
-        request_aggregates` (the percentile rule included) without building
-        a :class:`RequestMetrics` per request — at 1e6 requests that object
-        churn costs more than the simulation itself.  Means stay numpy's
-        (pairwise) sums, which pooled runs have always reported.
-        """
-        if self._detail:
-            return super()._finalize(makespan)
-        sim = self.sim
-        arrival = np.asarray(self._done_arrival)
-        first = np.asarray(self._done_first)
-        completion = np.asarray(self._done_completion)
-        out = np.asarray(self._done_out)
-        count = int(arrival.size)
-        latencies = completion - arrival
-        ttfts = first - arrival
-        multi = out > 1
-        tpots = (
-            (completion[multi] - first[multi]) / (out[multi] - 1)
-            if count
-            else np.empty(0)
-        )
-
-        def pooled_mean(values) -> float:
-            return float(values.mean()) if values.size else 0.0
-
-        def pooled_percentile(ordered, q: float) -> float:
-            return float(_percentile_sorted(ordered, q))
-
-        slo_attainment: "float | None" = None
-        slo_by_class: dict[str, float] = {}
-        slo_by_model_class: dict[str, float] = {}
-        if sim.slo_targets is not None:
-            if count:
-                classes = np.asarray(self._done_cls)
-                targets = np.asarray(sim.slo_targets, dtype=np.float64)
-                slo = targets[np.minimum(classes, len(targets) - 1)]
-                met = latencies <= slo
-                slo_attainment = float(met.mean())
-                slo_by_class = {
-                    str(int(cls)): float(met[classes == cls].mean())
-                    for cls in np.unique(classes)
-                }
-                if self._done_mdl is not None:
-                    names = self._model_names
-                    model_idx = np.asarray(self._done_mdl)
-                    pairs = sorted(
-                        {
-                            (names[int(m)], int(c))
-                            for m, c in zip(model_idx, classes)
-                        }
-                    )
-                    slo_by_model_class = {
-                        f"{name}/{cls}": float(
-                            met[
-                                (model_idx == self._model_pos[name])
-                                & (classes == cls)
-                            ].mean()
-                        )
-                        for name, cls in pairs
-                    }
-            else:
-                slo_attainment = 1.0
-
-        ordered_latencies = np.sort(latencies)
-        ordered_ttfts = np.sort(ttfts)
-        return sim._finalize(
-            self,
-            makespan,
-            {
-                "num_requests": count,
-                "output_tokens": int(out.sum()) if count else 0,
-                "latency_mean_s": pooled_mean(latencies),
-                "latency_p50_s": pooled_percentile(ordered_latencies, 50.0),
-                "latency_p99_s": pooled_percentile(ordered_latencies, 99.0),
-                "ttft_mean_s": pooled_mean(ttfts),
-                "ttft_p50_s": pooled_percentile(ordered_ttfts, 50.0),
-                "ttft_p99_s": pooled_percentile(ordered_ttfts, 99.0),
-                "tpot_mean_s": pooled_mean(tpots),
-                "slo_attainment": slo_attainment,
-                "slo_by_class": slo_by_class,
-                "slo_by_model_class": slo_by_model_class,
-            },
-        )
 
     # ------------------------------------------------------------------
     def _clear_queues(self) -> "list[Request]":

@@ -80,6 +80,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from repro.core.costmodel import CostModel
@@ -92,7 +94,7 @@ from repro.serving.autoscale import (
     replica_warmup_s,
 )
 from repro.serving.failures import FailureSchedule, make_failure_schedule
-from repro.serving.request import Request, RequestMetrics
+from repro.serving.request import CompletionRecord, Request, RequestMetrics
 from repro.serving.simulator import (
     ServingMetrics,
     ServingSimulator,
@@ -767,18 +769,25 @@ class _OpsState:
     def _window_attainment(
         self, now: float, window_s: float
     ) -> "float | None":
-        """Causal SLO attainment: scored completions inside the window."""
+        """Causal SLO attainment: completions inside the window that met
+        their class's target."""
         if not self._has_slo:
             return None
+        targets = self.cluster.replicas[0].slo_targets
+        last = len(targets) - 1
+        start = now - window_s
         met = 0
         total = 0
         for run in self.runs:
-            for metrics in run.completed:
-                if metrics.slo_s <= 0.0:
-                    continue
-                if now - window_s <= metrics.completion_s <= now:
+            completions = run.completions
+            for arrival, completion, cls in zip(
+                completions.arrival_s,
+                completions.completion_s,
+                completions.priority_class,
+            ):
+                if start <= completion <= now:
                     total += 1
-                    if metrics.slo_met:
+                    if completion - arrival <= targets[min(cls, last)]:
                         met += 1
         if total == 0:
             return None
@@ -882,13 +891,6 @@ class ClusterSimulator:
     ) -> None:
         if num_replicas < 1:
             raise ValueError("num_replicas must be at least 1")
-        if simulator_kwargs.get("per_request_detail") is False:
-            # Cluster metrics are pooled across replicas FROM the
-            # per-request rows, so replicas must keep them.
-            raise ValueError(
-                "per_request_detail=False is not supported for cluster "
-                "replicas; the cluster pools metrics from per-request rows"
-            )
         self.cost_model = cost_model
         self.model = model
         self.router = make_router(router) if isinstance(router, str) else router
@@ -1051,6 +1053,11 @@ class ClusterSimulator:
         routed_tokens: "list[int]",
         ops: _OpsState,
     ) -> ClusterMetrics:
+        # Every replica's completions, the source of the pooled
+        # request-level metrics (runs and per_replica share one order).
+        completions = CompletionRecord()
+        for run in ops.runs:
+            completions.extend(run.completions)
         pooled: list[RequestMetrics] = sorted(
             (
                 request_metrics
@@ -1061,10 +1068,12 @@ class ClusterSimulator:
         )
         makespan = 0.0
         last_completion = ordered[0].arrival_s if ordered else 0.0
-        if pooled and ordered:
-            last_completion = max(m.completion_s for m in pooled)
+        if completions and ordered:
+            last_completion = max(completions.completion_s)
             makespan = last_completion - ordered[0].arrival_s
-        busy = sum(metrics.busy_s for metrics in per_replica)
+        # Float totals add left to right from 0.0 on every Python (the
+        # builtin sum compensates from 3.12 on).
+        busy = reduce(add, (metrics.busy_s for metrics in per_replica), 0.0)
         # One definition of utilization for every fleet: summed busy over
         # summed provisioned replica-seconds.  Fleets differ only in
         # where replica_seconds comes from — metered billing segments
@@ -1073,7 +1082,7 @@ class ClusterSimulator:
         # agree wherever both apply).
         if self._ops_active:
             ops.close_out(last_completion)
-            replica_seconds = sum(ops.seconds)
+            replica_seconds = reduce(add, ops.seconds, 0.0)
         else:
             replica_seconds = len(per_replica) * makespan
         utilization = busy / replica_seconds if replica_seconds > 0 else 0.0
@@ -1102,15 +1111,17 @@ class ClusterSimulator:
             router=self.router.name,
             admission=per_replica[0].admission,
             num_replicas=len(per_replica),
-            num_requests=len(pooled),
+            num_requests=len(completions),
             makespan_s=makespan,
             busy_s=busy,
             utilization=utilization,
             output_tokens=output_tokens,
             tokens_per_s=output_tokens / makespan if makespan > 0 else 0.0,
-            requests_per_s=len(pooled) / makespan if makespan > 0 else 0.0,
-            energy_j=sum(metrics.energy_j for metrics in per_replica),
-            flops=sum(metrics.flops for metrics in per_replica),
+            requests_per_s=len(completions) / makespan if makespan > 0 else 0.0,
+            energy_j=reduce(
+                add, (metrics.energy_j for metrics in per_replica), 0.0
+            ),
+            flops=reduce(add, (metrics.flops for metrics in per_replica), 0.0),
             admissions=sum(metrics.admissions for metrics in per_replica),
             peak_active=sum(metrics.peak_active for metrics in per_replica),
             preemptions=sum(metrics.preemptions for metrics in per_replica),
@@ -1141,12 +1152,14 @@ class ClusterSimulator:
             warmup_s=self._warmup_s,
             models=models,
             model_swaps=sum(metrics.model_swaps for metrics in per_replica),
-            model_swap_s=sum(metrics.model_swap_s for metrics in per_replica),
+            model_swap_s=reduce(
+                add, (metrics.model_swap_s for metrics in per_replica), 0.0
+            ),
             per_replica=per_replica,
             per_request=tuple(pooled),
             **request_aggregates(
-                pooled,
-                any(metrics.slo_attainment is not None for metrics in per_replica),
+                completions,
+                self.replicas[0].slo_targets,
                 self.model.name,
                 len(models) > 1,
             ),

@@ -21,13 +21,20 @@ Requests may also declare a shared prompt prefix (``prefix_id`` names the
 group, ``prefix_tokens`` its length): every member of a group opens with
 the same system prefix, and the KV page accountant stores those pages once,
 reference-counted (:mod:`repro.serving.kv_memory`).
+
+A run keeps its completed requests in one :class:`CompletionRecord`:
+parallel columns that the simulator reduces to its aggregate metrics and,
+when the caller asks for per-request detail, turns into
+:class:`RequestMetrics` rows.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from operator import attrgetter
 
-__all__ = ["Request", "RequestMetrics"]
+__all__ = ["Request", "RequestMetrics", "CompletionRecord"]
 
 _INF = float("inf")
 
@@ -143,3 +150,97 @@ class RequestMetrics:
         if self.model:
             document["model"] = self.model
         return document
+
+
+class CompletionRecord:
+    """A run's completed requests as parallel columns, in completion order.
+
+    Both serving engines append every completion here, one at a time or
+    (the array engine's arrival absorber) a window at once; the numeric
+    columns are typed arrays (:mod:`array`), which numpy reads without a
+    copy.  The aggregate metrics are reduced from the columns whether or
+    not the caller wants per-request detail, and :meth:`rows` builds the
+    :class:`RequestMetrics` only when it does.
+    """
+
+    __slots__ = (
+        "request_id",
+        "arrival_s",
+        "first_token_s",
+        "completion_s",
+        "input_tokens",
+        "output_tokens",
+        "priority_class",
+        "model",
+    )
+
+    def __init__(self) -> None:
+        self.request_id = array("q")
+        self.arrival_s = array("d")
+        self.first_token_s = array("d")
+        self.completion_s = array("d")
+        self.input_tokens = array("q")
+        self.output_tokens = array("q")
+        self.priority_class = array("q")
+        self.model: list[str] = []
+
+    def __len__(self) -> int:
+        return len(self.request_id)
+
+    def append(
+        self,
+        request_id: int,
+        arrival_s: float,
+        first_token_s: float,
+        completion_s: float,
+        input_tokens: int,
+        output_tokens: int,
+        priority_class: int,
+        model: str,
+    ) -> None:
+        """Record one completed request."""
+        self.request_id.append(request_id)
+        self.arrival_s.append(arrival_s)
+        self.first_token_s.append(first_token_s)
+        self.completion_s.append(completion_s)
+        self.input_tokens.append(input_tokens)
+        self.output_tokens.append(output_tokens)
+        self.priority_class.append(priority_class)
+        self.model.append(model)
+
+    def extend(self, other: "CompletionRecord") -> None:
+        """Append every completion of ``other`` (a cluster pools its
+        replicas' records this way)."""
+        for column in self.__slots__:
+            getattr(self, column).extend(getattr(other, column))
+
+    def rows(self, slo_targets: "tuple[float, ...] | None") -> "list[RequestMetrics]":
+        """The completions as :class:`RequestMetrics`, in request-id order.
+
+        Class ``c`` carries the SLO target ``slo_targets[min(c, len - 1)]``,
+        or 0.0 (no target) without targets.
+        """
+        last = len(slo_targets) - 1 if slo_targets else -1
+        rows = [
+            RequestMetrics(
+                request_id=request_id,
+                arrival_s=arrival_s,
+                first_token_s=first_token_s,
+                completion_s=completion_s,
+                input_tokens=input_tokens,
+                output_tokens=output_tokens,
+                priority_class=priority_class,
+                slo_s=slo_targets[min(priority_class, last)] if last >= 0 else 0.0,
+                model=model,
+            )
+            for (
+                request_id, arrival_s, first_token_s, completion_s,
+                input_tokens, output_tokens, priority_class, model,
+            ) in zip(
+                self.request_id, self.arrival_s, self.first_token_s,
+                self.completion_s, self.input_tokens, self.output_tokens,
+                self.priority_class, self.model,
+            )
+        ]
+        rows.sort(key=attrgetter("request_id"))
+        return rows

@@ -124,14 +124,17 @@ Two interchangeable implementations sit behind ``begin``/``simulate``
 ``engine="array"``
     The vectorized fast core (:mod:`repro.serving.array_engine`): columnar
     request state, decode costs from a dense per-(model, backend) lookup
-    table (:mod:`repro.serving.decode_table`), and macro-stepping that
-    prices whole runs of decode iterations from prefix sums.  Simulates a
-    day of production traffic — a million requests — in seconds.  With
-    ``record_events=True`` it takes the per-iteration path and reproduces
-    the object engine's event log *bit for bit*; macro-stepped runs match
-    pooled metrics to ~1e-9 (float accumulation order differs).  Requires
-    a registered policy (the four in :data:`POLICIES`): its fast paths
-    rely on their batching contract (see :class:`ServingPolicy`).
+    table (:mod:`repro.serving.decode_table`), exact decode runs that
+    advance a stable all-decode batch to its next event in one call, and
+    prefix-sum macro-steps and arrival absorption that price whole runs
+    of decode iterations at once.  Simulates a day of production traffic
+    — a million requests — in seconds.  With ``record_events=True`` it
+    takes the per-iteration path and reproduces the object engine's event
+    log *bit for bit*; the decode runs change no number, while runs that
+    macro-step or absorb match to ~1e-9 (a prefix-sum difference rounds
+    differently from the adds it replaces).  Requires a registered policy
+    (the four in :data:`POLICIES`): its fast paths rely on their batching
+    contract (see :class:`ServingPolicy`).
 
 Both engines' per-iteration loops apply the rules of this module, each
 written once: the policy decisions (over the :class:`RequestKeys` each
@@ -141,9 +144,13 @@ unservable-request, exhausted-pool and not-a-decoder errors.  Both run
 classes derive from one lifecycle base (``_RunLifecycle``), which holds
 everything that does not touch the request store: the clock and
 counters, the event log, offers and the lifecycle guards, failure,
-recovery and resubmission, the swap-in admission loop and the
-weight-swap pricing.  What stays mirrored is the state-bound
-admit/grow/preempt/swap/step bodies, written once per storage layout.
+recovery and resubmission, the swap-in admission loop, the weight-swap
+pricing and the one :class:`~repro.serving.request.CompletionRecord`
+every completion is appended to.  :func:`request_aggregates` reduces
+that record for both engines and for the cluster's pooled metrics, so
+``per_request_detail`` only decides whether the rows come back.  What
+stays mirrored is the state-bound admit/grow/preempt/swap/step bodies,
+written once per storage layout.
 ``profile=True`` times the phases from outside both loops: ``begin``
 attaches a profiler that wraps the run's phase methods on the instance.
 """
@@ -152,11 +159,15 @@ from __future__ import annotations
 
 import bisect
 import inspect
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.costmodel import CostModel, PassCost, diff_pass_cost, lerp_pass_cost
 from repro.energy.model import EnergyBreakdown
@@ -164,7 +175,7 @@ from repro.models.flops import model_weight_bytes
 from repro.models.transformer import ModelConfig
 from repro.models.workload import Stage, StagePass
 from repro.serving.kv_memory import DEFAULT_PAGE_TOKENS, KvPageAccountant
-from repro.serving.request import Request, RequestMetrics
+from repro.serving.request import CompletionRecord, Request, RequestMetrics
 from repro.serving.validate import SimEvent, check_invariants
 
 __all__ = [
@@ -844,7 +855,10 @@ def fused_pass(
     ``B`` decode floors are shareable, scaled by ``share``.  Latency and
     each energy component are floored at the largest member — a fused
     pass cannot beat its largest constituent — and FLOPs sum in full:
-    batching shares bytes, not math.
+    batching shares bytes, not math.  Every sum adds left to right from
+    0.0, as the builtin ``sum`` does before Python 3.12 (from 3.12 on it
+    compensates float sums, which would move the numbers); the array
+    engine's decode runs repeat these operations.
     """
     if carrier is None:
         if len(costs) == 1:
@@ -859,11 +873,11 @@ def fused_pass(
     latency, mem_j, pim_j, npu_j, flops = zip(*parts)
     floor = base()
     return (
-        max(sum(latency) - shared * floor[0], max(latency)),
-        max(sum(mem_j) - shared * floor[1], max(mem_j)),
-        max(sum(pim_j) - shared * floor[2], max(pim_j)),
-        max(sum(npu_j) - shared * floor[3], max(npu_j)),
-        sum(flops),
+        max(reduce(add, latency, 0.0) - shared * floor[0], max(latency)),
+        max(reduce(add, mem_j, 0.0) - shared * floor[1], max(mem_j)),
+        max(reduce(add, pim_j, 0.0) - shared * floor[2], max(pim_j)),
+        max(reduce(add, npu_j, 0.0) - shared * floor[3], max(npu_j)),
+        reduce(add, flops, 0.0),
     )
 
 
@@ -895,75 +909,74 @@ def _pool_exhausted(
 
 
 def request_aggregates(
-    completed: "Sequence[RequestMetrics]",
-    slo_scored: bool,
+    completions: CompletionRecord,
+    slo_targets: "tuple[float, ...] | None",
     default_model: str,
     by_model: bool,
 ) -> dict:
     """Latency, TTFT and TPOT means and percentiles plus SLO attainment.
 
     The request-level fields shared by :class:`ServingMetrics` and the
-    cluster's pooled metrics, computed over ``completed`` in its order
-    (request-id order).  With ``slo_scored`` (SLO targets configured)
-    attainment is reported overall, by class and — with ``by_model``, for
-    co-hosted model sets — by ``"model/class"``; a run with no scored
-    request attains 1.0.
+    cluster's pooled metrics, reduced from a completion record.  No field
+    depends on the order of the record: the means divide a ``math.fsum``
+    (the correctly rounded sum, on every Python), the percentiles read
+    sorted copies and attainment counts.  With ``slo_targets`` class ``c``
+    is scored against ``slo_targets[min(c, len - 1)]``, and attainment is
+    reported overall, by class and — with ``by_model``, for co-hosted
+    model sets — by ``"model/class"``; a run with no completed request
+    attains 1.0.
     """
-    latencies = [metrics.latency_s for metrics in completed]
-    ttfts = [metrics.ttft_s for metrics in completed]
-    tpots = [metrics.tpot_s for metrics in completed if metrics.output_tokens > 1]
-    ordered_latencies = sorted(latencies)
-    ordered_ttfts = sorted(ttfts)
+
+    def mean(values: np.ndarray) -> float:
+        return math.fsum(values.tolist()) / len(values) if len(values) else 0.0
+
+    arrival = np.asarray(completions.arrival_s)
+    first = np.asarray(completions.first_token_s)
+    completion = np.asarray(completions.completion_s)
+    out = np.asarray(completions.output_tokens)
+    latencies = completion - arrival
+    ttfts = first - arrival
+    multi = out > 1
+    tpots = (completion[multi] - first[multi]) / (out[multi] - 1)
+    ordered_latencies = np.sort(latencies)
+    ordered_ttfts = np.sort(ttfts)
     slo_attainment: "float | None" = None
     slo_by_class: dict[str, float] = {}
     slo_by_model_class: dict[str, float] = {}
-    if slo_scored:
-        scored = [metrics for metrics in completed if metrics.slo_s > 0.0]
-        if scored:
-            slo_attainment = _mean([1.0 if m.slo_met else 0.0 for m in scored])
+    if slo_targets is not None:
+        if len(completions):
+            classes = np.asarray(completions.priority_class)
+            targets = np.asarray(slo_targets, dtype=np.float64)
+            met = latencies <= targets[np.minimum(classes, len(targets) - 1)]
+            slo_attainment = np.count_nonzero(met) / met.size
             slo_by_class = {
-                str(cls): _mean(
-                    [
-                        1.0 if m.slo_met else 0.0
-                        for m in scored
-                        if m.priority_class == cls
-                    ]
-                )
-                for cls in sorted({m.priority_class for m in scored})
+                str(cls): np.count_nonzero(met[classes == cls])
+                / np.count_nonzero(classes == cls)
+                for cls in np.unique(classes).tolist()
             }
             if by_model:
-                pairs = sorted(
-                    {(m.model or default_model, m.priority_class) for m in scored}
+                models = np.array(
+                    [name or default_model for name in completions.model]
                 )
-                slo_by_model_class = {
-                    f"{name}/{cls}": _mean(
-                        [
-                            1.0 if m.slo_met else 0.0
-                            for m in scored
-                            if (m.model or default_model) == name
-                            and m.priority_class == cls
-                        ]
+                for name, cls in sorted(set(zip(models.tolist(), classes.tolist()))):
+                    group = (models == name) & (classes == cls)
+                    slo_by_model_class[f"{name}/{cls}"] = (
+                        np.count_nonzero(met[group]) / np.count_nonzero(group)
                     )
-                    for name, cls in pairs
-                }
         else:
             slo_attainment = 1.0
     return {
-        "latency_mean_s": _mean(latencies),
-        "latency_p50_s": _percentile_sorted(ordered_latencies, 50.0),
-        "latency_p99_s": _percentile_sorted(ordered_latencies, 99.0),
-        "ttft_mean_s": _mean(ttfts),
-        "ttft_p50_s": _percentile_sorted(ordered_ttfts, 50.0),
-        "ttft_p99_s": _percentile_sorted(ordered_ttfts, 99.0),
-        "tpot_mean_s": _mean(tpots),
+        "latency_mean_s": mean(latencies),
+        "latency_p50_s": float(_percentile_sorted(ordered_latencies, 50.0)),
+        "latency_p99_s": float(_percentile_sorted(ordered_latencies, 99.0)),
+        "ttft_mean_s": mean(ttfts),
+        "ttft_p50_s": float(_percentile_sorted(ordered_ttfts, 50.0)),
+        "ttft_p99_s": float(_percentile_sorted(ordered_ttfts, 99.0)),
+        "tpot_mean_s": mean(tpots),
         "slo_attainment": slo_attainment,
         "slo_by_class": slo_by_class,
         "slo_by_model_class": slo_by_model_class,
     }
-
-
-def _mean(values: "Sequence[float]") -> float:
-    return sum(values) / len(values) if values else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -1266,6 +1279,9 @@ class _RunLifecycle:
         #: Wall time per simulator phase, booked by the phase profiler
         #: when ``sim.profile`` (see :meth:`ServingSimulator.begin`).
         self.phase_s: dict[str, float] = {}
+        #: Every request completed here, the one source of the run's
+        #: request-level metrics (and of its per-request rows).
+        self.completions = CompletionRecord()
 
     # ------------------------------------------------------------------
     # Offers, lifecycle guards and the end of a run
@@ -1341,7 +1357,6 @@ class _RunLifecycle:
         return self._finalize(makespan)
 
     def _finalize(self, makespan: float) -> ServingMetrics:
-        self.completed.sort(key=attrgetter("request_id"))
         return self.sim._finalize(self, makespan)
 
     # ------------------------------------------------------------------
@@ -1551,7 +1566,6 @@ class SimulationRun(_RunLifecycle):
         #: Swapped-out requests, oldest first; their private KV pages live
         #: in host DRAM and their progress is preserved until swap-in.
         self.swapped: list[_InFlight] = []
-        self.completed: list[RequestMetrics] = []
         self.energy = EnergyBreakdown.zero()
 
     def _entry(self, request: Request) -> Request:
@@ -1770,10 +1784,20 @@ class SimulationRun(_RunLifecycle):
             if f.done:
                 finished.append(f)
         for f in finished:
+            request = f.request
             self.active.remove(f)
-            self.kv.release(f.request.request_id)
-            self.completed.append(sim._completed(f, self.clock))
-            self._emit("complete", request_id=f.request.request_id)
+            self.kv.release(request.request_id)
+            self.completions.append(
+                request.request_id,
+                request.arrival_s,
+                f.first_token_s,
+                self.clock,
+                request.input_tokens,
+                request.output_tokens,
+                request.priority_class,
+                request.model,
+            )
+            self._emit("complete", request_id=request.request_id)
 
     # ------------------------------------------------------------------
     # Optimistic admission: on-demand growth, preempt-and-recompute,
@@ -1945,12 +1969,11 @@ class ServingSimulator:
         attaches the phase profiler, which wraps the run's phase methods
         on the instance, so unprofiled runs carry no timing code.
     per_request_detail:
-        When ``False``, drop per-request :class:`RequestMetrics` from the
-        result (``per_request=()``) and let the array engine pool metrics
-        columnar-only — at a million requests materializing a metrics
-        object per request costs more than the whole simulation.  Pooled
-        aggregates are unaffected.  The cluster layer requires detail
-        (it re-pools per-request rows across replicas).
+        When ``False``, leave the per-request :class:`RequestMetrics` out
+        of the result (``per_request=()``): at a million requests building
+        a metrics object per request costs more than the whole simulation.
+        Nothing else changes — every other field is reduced from the run's
+        completion record either way.
     models:
         Optional *co-hosted model set*: every member's weights live in
         device memory budget terms (the KV pool is sized against the
@@ -2253,49 +2276,14 @@ class ServingSimulator:
         )
 
     # ------------------------------------------------------------------
-    def _completed(self, flight: _InFlight, completion_s: float) -> RequestMetrics:
-        request = flight.request
-        slo_s = 0.0
-        if self.slo_targets:
-            index = min(request.priority_class, len(self.slo_targets) - 1)
-            slo_s = self.slo_targets[index]
-        return RequestMetrics(
-            request_id=request.request_id,
-            arrival_s=request.arrival_s,
-            first_token_s=flight.first_token_s,
-            completion_s=completion_s,
-            input_tokens=request.input_tokens,
-            output_tokens=request.output_tokens,
-            priority_class=request.priority_class,
-            slo_s=slo_s,
-            model=request.model,
-        )
-
-    def _finalize(
-        self, run, makespan: float, requests: "dict | None" = None
-    ) -> ServingMetrics:
-        """The run's metrics: request-level fields plus the run's counters.
-
-        ``requests`` holds the request-level fields (``num_requests``,
-        ``output_tokens`` and the :func:`request_aggregates` keys) when the
-        run reduced them itself; by default they come from the run's
-        completed :class:`RequestMetrics`, in request-id order.
-        """
-        if requests is None:
-            completed = run.completed
-            requests = {
-                "num_requests": len(completed),
-                "output_tokens": sum(m.output_tokens for m in completed),
-                **request_aggregates(
-                    completed,
-                    self.slo_targets is not None,
-                    self.model.name,
-                    self.multi_model,
-                ),
-            }
+    def _finalize(self, run, makespan: float) -> ServingMetrics:
+        """The run's metrics: the request-level fields of its completion
+        record plus its counters, and — with ``per_request_detail`` — the
+        record's rows."""
+        completions = run.completions
+        num_requests = len(completions)
+        output_tokens = sum(completions.output_tokens)
         busy = run.busy
-        num_requests = requests["num_requests"]
-        output_tokens = requests["output_tokens"]
         decode_passes = run.decode_passes
         kv = run.kv
         return ServingMetrics(
@@ -2335,6 +2323,14 @@ class ServingSimulator:
             ),
             model_swaps=run.model_swaps,
             model_swap_s=run.model_swap_s,
-            per_request=tuple(run.completed) if self.per_request_detail else (),
-            **requests,
+            num_requests=num_requests,
+            output_tokens=output_tokens,
+            per_request=(
+                tuple(completions.rows(self.slo_targets))
+                if self.per_request_detail
+                else ()
+            ),
+            **request_aggregates(
+                completions, self.slo_targets, self.model.name, self.multi_model
+            ),
         )

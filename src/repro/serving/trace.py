@@ -46,7 +46,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain
+from operator import add
 
 from repro.models.workload import PAPER_DFX_WORKLOADS, PAPER_GPT2_WORKLOADS, Workload
 from repro.serving.request import Request
@@ -384,7 +386,10 @@ class TraceGenerator:
             weights.append(weight)
         if not names:
             raise ValueError("model_mix must name at least one model")
-        total = sum(weights)
+        # Left to right, as accumulate adds (the last cumulative weight is
+        # exactly 1.0), on every Python: the builtin sum compensates float
+        # sums from 3.12 on.
+        total = reduce(add, weights, 0.0)
         cumulative = tuple(weight / total for weight in accumulate(weights))
         return tuple(names), cumulative
 

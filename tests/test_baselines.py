@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.baselines import A100Gpu, DfxAppliance, GpuKernel, NpuMemSystem
 from repro.config import DfxConfig, GpuConfig, SystemConfig
@@ -133,6 +140,29 @@ class TestGpuEndToEnd:
     def test_decoder_breakdown_fractions_sum_to_one(self, gpu, gpt2_xl):
         breakdown = gpu.decoder_latency_breakdown(gpt2_xl, Workload(512, 2))
         assert sum(breakdown.values()) == pytest.approx(1.0)
+
+    def test_breakdown_tag_order_does_not_follow_the_string_hash(self, tmp_path):
+        """Per-tag breakdowns list tags in first-seen order, so fig02's
+        fractions (summed over those dicts) are the same numbers, keys in
+        the same order, under every ``PYTHONHASHSEED``."""
+        script = (
+            "from repro.experiments.registry import run_experiment\n"
+            "fractions = run_experiment('fig02', fast=True).data['latency_fractions']\n"
+            "print([(tag, float(value).hex()) for tag, value in fractions.items()])\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        printed = [
+            subprocess.run(
+                [sys.executable, "-c", script], check=True, capture_output=True,
+                text=True, env={
+                    **os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src,
+                    "REPRO_CACHE_DIR": str(tmp_path / seed),
+                },
+            ).stdout
+            for seed in ("0", "3")
+        ]
+        assert printed[0] == printed[1]
+        assert "FC for Q,K,V" in printed[0]
 
     def test_bert_on_gpu_has_low_utilization(self, gpu):
         """Fig. 14: the GPU utilises a small fraction of its peak on BERT."""

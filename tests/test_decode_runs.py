@@ -10,7 +10,8 @@ by sequential adds.  It must therefore change no number at all:
   streamed and clustered runs) every metric and per-request row equals,
   with ``==``, the same run with the decode runs switched off; where no
   other fast path runs (the swap tier, co-hosted models, or a one-shot
-  trace with shared prefixes) it also equals the object engine;
+  trace with shared prefixes) it also equals the object engine, with
+  per-request detail on or off;
 * on the regime it exists for (overload, shared prefixes, host swap) it
   must keep carrying the decode passes, or the speed it buys is gone.
 
@@ -65,8 +66,7 @@ def serving_configs(draw) -> dict:
         "mode": mode,
         "replicas": draw(st.integers(min_value=2, max_value=3)),
         "router": draw(st.sampled_from(tuple(ROUTERS))),
-        # Clusters pool their metrics from per-request rows.
-        "detail": mode == "cluster" or draw(st.booleans()),
+        "detail": draw(st.booleans()),
         "load": draw(st.sampled_from((0.5, 1.0, 2.0))),
         "requests": draw(st.integers(min_value=8, max_value=60)),
         "chunk": draw(st.integers(min_value=1, max_value=9)),
@@ -97,7 +97,8 @@ def _serve(config: dict, trace: tuple, engine: str):
         else config["policy"]
     )
     kwargs = dict(
-        policy=policy, admission=config["admission"],
+        policy=policy, per_request_detail=config["detail"],
+        admission=config["admission"],
         preempt=config["preempt"], swap=config["swap"],
         chunk_tokens=config["chunk_tokens"],
         batch_share=config["batch_share"], kv_fraction=config["kv_fraction"],
@@ -114,9 +115,7 @@ def _serve(config: dict, trace: tuple, engine: str):
             metrics = cluster.simulate(trace, record_events=False)
             rows = [replica.per_request for replica in metrics.per_replica]
             return metrics.to_dict(), rows
-        simulator = ServingSimulator(
-            COST_MODEL, MODEL, per_request_detail=config["detail"], **kwargs
-        )
+        simulator = ServingSimulator(COST_MODEL, MODEL, **kwargs)
         if config["mode"] == "stream":
             size = config["chunk"]
             metrics = simulator.simulate_stream(
@@ -158,13 +157,27 @@ def test_decode_runs_change_no_number(config):
     assert fast == stepped
     # Only the per-iteration loop and the decode runs serve these
     # configurations from the first offer on, so the object engine's
-    # numbers are the same ones.  (Pooled-only runs reduce their means
-    # with numpy instead of the object engine's sums.)
+    # numbers are the same ones.
     shared = config["mode"] == "simulate" and any(
         request.prefix_id >= 0 for request in trace
     )
-    if config["detail"] and (config["swap"] or config["multi"] or shared):
+    if config["swap"] or config["multi"] or shared:
         assert _serve(config, trace, "object") == fast
+
+
+@given(config=serving_configs())
+@settings(max_examples=40, deadline=None)
+def test_detail_only_chooses_the_returned_rows(config):
+    """``per_request_detail`` decides whether the rows come back and
+    nothing else: every other field is the same number either way."""
+    trace = _trace(config)
+    on = _serve(dict(config, detail=True), trace, "array")
+    off = _serve(dict(config, detail=False), trace, "array")
+    if isinstance(on[0], dict) and isinstance(off[0], dict):
+        assert not any(off[1])
+        on, off = on[0], off[0]
+        del on["per_request"], off["per_request"]
+    assert on == off
 
 
 def test_decode_runs_carry_the_overloaded_shared_prefix_regime():

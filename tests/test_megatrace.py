@@ -23,13 +23,13 @@ from repro.serving import (
     ENGINES,
     ClusterSimulator,
     DecodeCostTable,
-    RequestMetrics,
     ServingSimulator,
     build_decode_table,
     decode_kv_bounds,
     get_trace_generator,
 )
 from repro.serving.decode_table import table_matches_provider
+from repro.serving.request import CompletionRecord
 from repro.serving.simulator import _percentile_sorted, request_aggregates
 from repro.serving.trace import TRACE_CURVES
 from repro.serving.validate import check_invariants
@@ -308,12 +308,20 @@ class TestArrayEngineDifferential:
             failures[engine] = str(info.value)
         assert failures["object"] == failures["array"]
 
-    def test_pooled_detail_false_rejected_by_cluster(self):
-        with pytest.raises(ValueError, match="per_request_detail"):
-            ClusterSimulator(
+    def test_cluster_without_detail_returns_no_rows(self):
+        trace = get_trace_generator("chatbot").generate(40, 10.0, seed=9)
+        results = {}
+        for detail in (True, False):
+            cluster = ClusterSimulator(
                 make_cost_model("ianus"), MODEL, num_replicas=2,
-                per_request_detail=False,
+                engine="array", per_request_detail=detail,
             )
+            results[detail] = cluster.simulate(trace, record_events=False)
+        assert len(results[True].per_request) == 40
+        assert results[False].per_request == ()
+        assert results[True].to_dict(include_requests=False) == results[
+            False
+        ].to_dict(include_requests=False)
 
     def test_cluster_replicas_run_array_engine(self):
         trace = get_trace_generator("chatbot").generate(40, 10.0, seed=9)
@@ -339,17 +347,15 @@ class TestPercentileSortOnce:
     def test_percentile_does_not_require_presorted_input(self):
         # Completed requests arrive in request-id order, not latency order.
         latencies = [5.0, 1.0, 4.0, 2.0, 3.0]
-        completed = [
-            RequestMetrics(i, 0.0, latency / 2, latency, 16, 4)
-            for i, latency in enumerate(latencies)
-        ]
-        copy = list(completed)
-        aggregates = request_aggregates(completed, False, MODEL.name, False)
+        completed = CompletionRecord()
+        for i, latency in enumerate(latencies):
+            completed.append(i, 0.0, latency / 2, latency, 16, 4, 0, "")
+        aggregates = request_aggregates(completed, None, MODEL.name, False)
         assert aggregates["latency_p50_s"] == 3.0
         assert aggregates["latency_p99_s"] == pytest.approx(4.96)
         assert aggregates["ttft_p50_s"] == 1.5
-        # Sort-once micro-assert: the caller's list is left untouched.
-        assert completed == copy
+        # Sort-once micro-assert: the record's columns are left untouched.
+        assert list(completed.completion_s) == latencies
 
     def test_finalize_percentiles_match_manual(self):
         trace = get_trace_generator("chatbot").generate(32, 6.0, seed=1)

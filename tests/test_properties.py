@@ -25,7 +25,7 @@ from repro.models.workload import Stage, StagePass
 from repro.npu import MatrixUnitModel, VectorUnitModel
 from repro.pim import PimDeviceModel, TileMapping
 from repro.scheduling import DurationModel, EventEngine, check_timeline
-from repro.serving import RequestMetrics
+from repro.serving.request import CompletionRecord
 from repro.serving.simulator import request_aggregates
 from repro.serving.trace import (
     ConstantCurve,
@@ -141,18 +141,25 @@ def test_vector_kernel_time_positive_and_monotone_in_elements(kernel, elements):
 )
 @settings(max_examples=60, deadline=None)
 def test_request_percentiles_ignore_completion_order(latencies, seed):
-    """Percentiles depend on the latencies, not on the order requests
-    completed in."""
-    completed = [
-        RequestMetrics(i, 0.0, latency / 2, latency, 16, 4)
-        for i, latency in enumerate(latencies)
-    ]
-    shuffled = list(completed)
+    """Means and percentiles depend on the latencies, not on the order
+    requests completed in."""
+    order = list(range(len(latencies)))
+    shuffled = list(order)
     random.Random(seed).shuffle(shuffled)
-    ours = request_aggregates(completed, False, "m", False)
-    theirs = request_aggregates(shuffled, False, "m", False)
-    for key in ("latency_p50_s", "latency_p99_s", "ttft_p50_s", "ttft_p99_s"):
-        assert ours[key] == theirs[key]
+    records = []
+    for ids in (order, shuffled):
+        record = CompletionRecord()
+        for i in ids:
+            record.append(i, 0.0, latencies[i] / 2, latencies[i], 16, 4, 0, "")
+        records.append(record)
+    ours, theirs = (
+        request_aggregates(record, None, "m", False) for record in records
+    )
+    for key in (
+        "latency_mean_s", "latency_p50_s", "latency_p99_s",
+        "ttft_mean_s", "ttft_p50_s", "ttft_p99_s", "tpot_mean_s",
+    ):
+        assert ours[key] == theirs[key], key
     assert min(latencies) <= ours["latency_p50_s"] <= max(latencies)
 
 

@@ -315,6 +315,14 @@ class TestFusedDecodeCostModel:
         latency, _, _ = self._fused_decode(simulator, costs)
         assert latency == sum(cost.latency_s for cost in costs)
 
+    def test_members_add_left_to_right_on_every_python(self):
+        # From Python 3.12 the builtin sum compensates float sums:
+        # sum([1.0, 1e-16, 1e-16]) reads 1.0000000000000002 there, 1.0
+        # on 3.10 and 3.11.  A fused pass must price the same everywhere.
+        members = [(latency, 0.0, 0.0, 0.0, 0.0) for latency in (1.0, 1e-16, 1e-16)]
+        latency, *_ = fused_pass(None, members, 0.0, lambda: (1.0,) * 5)
+        assert latency == (1.0 + 1e-16) + 1e-16
+
     def test_mean_service_time_matches_fcfs_run_to_completion(self):
         backend = make_cost_model("ianus")
         workloads = (Workload(128, 8),)
