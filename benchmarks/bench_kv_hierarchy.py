@@ -16,9 +16,10 @@ adds a host-DRAM swap tier behind optimistic admission.  Cells:
   that beats recompute) is recorded.  Full scale asserts the crossover
   exists; capped CI runs only assert the slow-link loss.
 * ``validation`` — the correctness side: the array engine's
-  per-iteration loop (fast paths off under sharing and swap) replays
-  the shared+swap config byte-identically
-  to the object engine (event logs and pooled metrics), and the extended
+  per-iteration loop and exact decode runs (the other fast paths stand
+  down under sharing and swap) replay the shared+swap config
+  byte-identically to the object engine (pooled metrics, and event logs
+  with the decode runs expanded), and the extended
   invariant checker (refcounted shares and swap residency re-derived
   from first principles) reports zero violations on every benched
   configuration.
@@ -42,6 +43,7 @@ from repro.core.costmodel import make_cost_model
 from repro.models import GPT2_CONFIGS
 from repro.serving import ServingSimulator, get_trace_generator
 from repro.serving.simulator import mean_service_time_s
+from repro.serving.validate import expand_runs
 
 MODEL = GPT2_CONFIGS["xl"]
 BACKEND = "ianus"
@@ -190,8 +192,11 @@ def _validation_cell(cost_model, generator, rate_rps):
         candidate, cand_metrics, _ = _serve(
             cost_model, trace, engine="array", record_events=True, **kwargs
         )
+        # The array log aggregates its decode runs; expanded, it is the
+        # object engine's per-iteration log.
         agree[label] = (
-            reference.events == candidate.events
+            any(event.kind == "decode_run" for event in candidate.events)
+            and reference.events == expand_runs(candidate.events)
             and ref_metrics.to_dict() == cand_metrics.to_dict()
         )
         violations[label] = len(reference.validate_invariants())

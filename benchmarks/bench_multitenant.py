@@ -15,7 +15,9 @@ consolidation frontier:
   a consolidated fleet.
 * validation rides along in every cell: the array engine must reproduce
   the object engine's per-replica event logs byte for byte (multi-model
-  runs take the per-iteration path on both engines), and the logs must
+  runs take the per-iteration path on both engines, and the array
+  engine's exact decode runs, whose events are expanded for the
+  comparison), and the logs must
   replay clean through the model-tracking invariant checker (forged or
   deleted ``model_swap`` events fail the cell).
 

@@ -23,11 +23,12 @@ Every cell records its event log and replays it through the **extended**
 invariant checker — page-ledger replay now re-derives refcounted shares
 and swap residency, so a forged share or a deleted swap event fails the
 cell.  Each cell also runs both engines (object reference and array) and
-requires byte-identical event logs: the sweep doubles as the
-differential oracle for the array engine's per-iteration loop, which
-runs with its fast paths off under sharing or swap and books pages in
-the same :class:`~repro.serving.kv_memory.KvPageAccountant` as every
-other run.
+requires byte-identical event logs once the array log's decode runs are
+expanded (:func:`~repro.serving.validate.expand_runs`): the sweep
+doubles as the differential oracle for the array engine's per-iteration
+loop and exact decode runs, which serve sharing and swap (the other fast
+paths stand down) and book pages in the same
+:class:`~repro.serving.kv_memory.KvPageAccountant` as every other run.
 
 Declared as a :class:`~repro.experiments.base.Sweep`;
 ``repro bench kv-hierarchy --jobs N`` shards it cell-by-cell.
@@ -132,16 +133,18 @@ def run(fast: bool = True) -> ExperimentResult:
 def _run_cell(params: dict) -> dict:
     """Serve one sweep point on both engines and report its metrics (pure).
 
-    The object engine is the reference; the array engine must reproduce
-    its event log byte for byte (its per-iteration loop, fast paths off
-    under sharing or swap), and the log must
-    replay clean through the extended checker (refcounted shares and swap
-    residency re-derived from first principles).
+    The object engine is the reference; the array engine's event log,
+    its decode runs expanded, must equal it byte for byte (the
+    per-iteration loop and exact decode runs serve sharing and swap),
+    and the log must replay clean through the extended checker
+    (refcounted shares and swap residency re-derived from first
+    principles).
     """
     from repro.core.costmodel import make_cost_model
     from repro.models import GPT2_CONFIGS
     from repro.serving.simulator import ServingSimulator, mean_service_time_s
     from repro.serving.trace import get_trace_generator
+    from repro.serving.validate import expand_runs
 
     model = GPT2_CONFIGS[MODEL_KEY]
     cost_model = make_cost_model(BACKEND)
@@ -169,8 +172,11 @@ def _run_cell(params: dict) -> dict:
     violations = reference.validate_invariants()
     candidate = ServingSimulator(cost_model, model, engine="array", **kwargs)
     candidate_metrics = candidate.simulate(trace, record_events=True)
+    # The array log aggregates its decode runs; expanded, it is the
+    # object engine's per-iteration log.
     engines_agree = (
-        reference.events == candidate.events
+        any(event.kind == "decode_run" for event in candidate.events)
+        and reference.events == expand_runs(candidate.events)
         and metrics.to_dict() == candidate_metrics.to_dict()
     )
     return {
@@ -324,7 +330,8 @@ def _reduce(grid: Sweep, outputs: dict[str, dict]) -> ExperimentResult:
             )
             + "); slow link loses: " + ("yes" if slow_link_loses else "NO"),
             "array engine byte-identical to the object engine on every "
-            "cell (per-iteration loop, fast paths off): "
+            "cell (per-iteration loop and exact decode runs, event log "
+            "expanded): "
             + ("yes" if engines_agree else "NO"),
             "extended page-ledger replay (refcounted shares + swap "
             "residency) holds in every cell: "

@@ -33,14 +33,16 @@ Layering — who knows what:
     The *megatrace* engine.  ``ServingSimulator(..., engine="array")``
     swaps the per-request object hot loop for a columnar one (parallel
     state lists, dense :class:`~repro.serving.decode_table.DecodeCostTable`
-    pricing) behind the same ``SimulationRun`` API.  Without an event log
-    it advances a stable all-decode batch to its next event in one call:
-    an exact decode run (``_decode_run``) performs ``fused_pass``'s own
-    float operations and changes no number, while a prefix-sum macro-step
-    (``_macro_step``, private-page batches on a floor-free table) agrees
-    with stepping to 1e-9.  ``engine="object"`` (the default) remains the
+    pricing) behind the same ``SimulationRun`` API.  It advances a stable
+    all-decode batch to its next event in one call: an exact decode run
+    (``_decode_run``) performs ``fused_pass``'s own float operations and
+    changes no number, while a prefix-sum macro-step (``_macro_step``,
+    private-page batches on a floor-free table, no event log) agrees with
+    stepping to 1e-9.  ``engine="object"`` (the default) remains the
     reference and the only engine for custom policies: with events
-    recorded the array engine is bit-identical to it.  Both run classes derive
+    recorded the array engine is bit-identical to it, once each
+    ``decode_run`` event is expanded into its steps
+    (:func:`~repro.serving.validate.expand_runs`).  Both run classes derive
     from one lifecycle base (counters, event log, offers and guards,
     failure/recovery/resubmit, swap-in admission, weight-swap pricing,
     the :class:`~repro.serving.request.CompletionRecord` every completion
@@ -66,7 +68,9 @@ Layering — who knows what:
     ``ServingSimulator.validate_invariants`` configures it from the
     simulator that recorded the log).
     :func:`check_cluster_invariants` extends the replay across replica
-    failures, failover and autoscaling.
+    failures, failover and autoscaling.  Both check a ``decode_run``
+    event in closed form, with the verdict of the steps
+    :func:`~repro.serving.validate.expand_runs` rebuilds from it.
 :mod:`repro.serving.failures`
     Seeded :class:`FailureSchedule` registry: deterministic replica
     deaths and recoveries the cluster applies mid-run.

@@ -41,17 +41,19 @@ path).  Two methods do it:
   operations and advances every running total by sequential adds, so
   its results are bit-identical to stepping.  It serves shared
   prefixes, the swap tier, co-hosted models (the resident model's rows),
-  tables whose fused-batch floors may bind, and batches with a member
-  stalled on a page no victim can free.
+  tables whose fused-batch floors may bind, batches with a member
+  stalled on a page no victim can free, and every run with an event log.
 - ``_macro_step`` prices the private-page regime under a floor-free
   table (:attr:`~repro.serving.decode_table.DecodeCostTable.floor_free`)
   in O(B) from the table's prefix sums, which is faster.  Prefix-sum
   differences reorder float additions, which is why macro-stepped
   aggregate metrics are pinned to ~1e-9 instead of bit-identical.
 
-``record_events=True`` disables both, and the per-iteration path then
-yields an event log **bit-identical** to the object engine's (the
-differential suite asserts exact equality).
+``record_events=True`` disables the macro-steps and keeps the decode
+runs, which then record one ``decode_run`` event per run (see
+``_decode_run``).  :func:`~repro.serving.validate.expand_runs` turns that
+log into the per-iteration one, **bit-identical** to the object engine's
+(the differential suite asserts exact equality).
 
 **Arrival absorption and bursts.**  While the device idles between
 arrivals, the absorber, ``_absorb_window``, serves whole stretches of
@@ -94,8 +96,9 @@ readers of the row columns), the preemption victim, the fused-pass price
 and the host-link transfer time are the simulator module's functions,
 the same ones the object engine calls.  Only the state-bound bodies —
 admit, grow, preempt, swap and step over rows — are written here, one
-operation for each of the object engine's, which is why its event logs
-are bit-identical to the object engine's.  The fast paths read two facts
+operation for each of the object engine's, which is why its event logs,
+decode runs expanded, are bit-identical to the object engine's.  The
+fast paths read two facts
 off the policy's batching contract (:class:`~repro.serving.simulator.
 ServingPolicy`): its concurrency cap ``max_batch`` and whether it serves
 in queue order (``arrival_order``).
@@ -587,14 +590,14 @@ class ArraySimulationRun(_RunLifecycle):
         swapped = self.swapped
         pending = self.pending
         admit = self._policy.admit
-        # Without an event log, all-decode iterations run in bulk: by
-        # prefix-sum macro-steps on private pages under a floor-free
-        # table, by exact decode runs everywhere else.  An offer since the
-        # last advance may have brought the run's first shared-prefix
-        # request; the macro-steps and absorbers stand down from then on.
-        runs_ok = self.events is None
+        # All-decode iterations run in bulk: by prefix-sum macro-steps on
+        # private pages under a floor-free table without an event log, by
+        # exact decode runs everywhere else (one event per run).  An offer
+        # since the last advance may have brought the run's first
+        # shared-prefix request; the macro-steps and absorbers stand down
+        # from then on.
         macro_ok = (
-            runs_ok
+            self.events is None
             and self._floor_free
             and not self._exact_kv
             and not self._multi
@@ -630,7 +633,7 @@ class ArraySimulationRun(_RunLifecycle):
             if macro_ok:
                 if not self._num_prefilling and self._macro_step(until):
                     continue
-            elif runs_ok and self._decode_run(until):
+            elif self._decode_run(until):
                 continue
             self._step()
 
@@ -1116,6 +1119,14 @@ class ArraySimulationRun(_RunLifecycle):
           in queue order.  Otherwise the blocked queue head stays blocked,
           because free pages only fall during a run.
 
+        With an event log the run records one ``decode_run`` event (its
+        batch, each iteration's latency and the end clock) and a
+        ``complete`` event per finished member, and it keeps what the
+        event reports the same at every iteration with two more stops:
+        every pending arrival ends it (the loop then moves the arrival to
+        ``waiting``), and under optimistic admission an iteration that
+        grants a page runs alone, so a run stops before the next grant.
+
         Each iteration is priced as ``fused_pass`` prices it: a
         left-to-right sum from 0.0 and ``max`` over the members' cost values
         in batch order, then ``max(sum - shared * floor, max)``, and a lone
@@ -1156,10 +1167,13 @@ class ArraySimulationRun(_RunLifecycle):
         lat = self._lat
         threshold = until
         pending = self.pending
-        if (
-            pending
-            and len(active) < self._policy_cap
-            and (not self.waiting or not self._arrival_order)
+        events = self.events
+        if pending and (
+            events is not None
+            or (
+                len(active) < self._policy_cap
+                and (not self.waiting or not self._arrival_order)
+            )
         ):
             arrival = self._arr[pending[0]]
             if threshold is None or arrival < threshold:
@@ -1178,6 +1192,15 @@ class ArraySimulationRun(_RunLifecycle):
             steps, kvs, held = self._fit_growth(batch, offsets, steps)
             if steps < 1:
                 return False
+            if events is not None:
+                # Iteration j grants a member a page once its KV length
+                # kv + j - 1 outgrows the pages it holds.
+                page_tokens = self._page_tokens
+                grant = min(
+                    pages * page_tokens - kv_now + 2
+                    for kv_now, pages in zip(kvs, held)
+                )
+                steps = 1 if grant <= 1 else min(steps, grant - 1)
 
         size = len(batch)
         fused = self._fused_column
@@ -1226,6 +1249,13 @@ class ArraySimulationRun(_RunLifecycle):
 
         if optimistic:
             self._grant_growth(batch, kvs, held, steps)
+        rid = self._rid
+        if events is not None:
+            self._emit(
+                "decode_run",
+                decode_ids=tuple(rid[row] for row in batch),
+                latencies=tuple(latencies),
+            )
         out = self._out
         finished = []
         for row in batch:
@@ -1235,11 +1265,11 @@ class ArraySimulationRun(_RunLifecycle):
                 finished.append(row)
         if finished:
             kv = self.kv
-            rid = self._rid
             for row in finished:
                 active.remove(row)
                 kv.release(rid[row])
                 self._record_completion(row)
+                self._emit("complete", request_id=rid[row])
         return True
 
     def _granted(self, batch: "list[int]") -> "list[int]":

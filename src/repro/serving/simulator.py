@@ -128,11 +128,14 @@ Two interchangeable implementations sit behind ``begin``/``simulate``
     advance a stable all-decode batch to its next event in one call, and
     prefix-sum macro-steps and arrival absorption that price whole runs
     of decode iterations at once.  Simulates a day of production traffic
-    — a million requests — in seconds.  With ``record_events=True`` it
-    takes the per-iteration path and reproduces the object engine's event
-    log *bit for bit*; the decode runs change no number, while runs that
-    macro-step or absorb match to ~1e-9 (a prefix-sum difference rounds
-    differently from the adds it replaces).  Requires a registered policy
+    — a million requests — in seconds.  With ``record_events=True`` the
+    macro-steps and arrival absorption stand down and the decode runs
+    keep running, each recorded as one ``decode_run`` event;
+    :func:`~repro.serving.validate.expand_runs` turns that log into the
+    object engine's per-iteration one *bit for bit*.  The decode runs
+    change no number, while runs that macro-step or absorb match to ~1e-9
+    (a prefix-sum difference rounds differently from the adds it
+    replaces).  Requires a registered policy
     (the four in :data:`POLICIES`): its fast paths rely on their batching
     contract (see :class:`ServingPolicy`).
 
@@ -1368,6 +1371,7 @@ class _RunLifecycle:
         tokens: int = 0,
         decode_ids: tuple = (),
         model: str = "",
+        latencies: tuple = (),
     ) -> None:
         if self.events is not None:
             self.events.append(
@@ -1383,6 +1387,7 @@ class _RunLifecycle:
                     kv_reserved_pages=self.kv.reserved_pages,
                     kv_total_pages=self.kv.total_pages,
                     model=model,
+                    latencies=latencies,
                 )
             )
 

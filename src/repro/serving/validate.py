@@ -23,8 +23,9 @@ no KV over-subscription
 work conservation
     The device never idles while an admitted request has a runnable pass:
     an ``idle`` clock jump is only legal when nothing is in flight, and
-    every ``step`` must start exactly where the previous event left the
-    clock whenever work was in flight.
+    every ``step`` (and every iteration of a decode run) must start
+    exactly where the previous one left the clock whenever work was in
+    flight.
 token conservation (across preemption)
     Per in-flight *episode* (admit → complete/preempt), prefill chunk
     tokens never exceed the prompt and decodes never start before the
@@ -49,19 +50,39 @@ exactly once across all replicas, and every admission is explained by a
 preemption or a failure drop (``admits == preempts + drops + 1``).  A
 forged or deleted failure event breaks either the per-replica ledger or
 the global accounting and is reported.
+
+The array engine records a stable all-decode stretch as one
+``decode_run`` event, and :func:`expand_runs` rebuilds the ``step``
+events it stands for, byte for byte.  The replay checks a run in closed
+form, O(batch) per run plus one pass over its latencies: the same batch,
+counts and reservation hold at every iteration, so each check runs once,
+and the decode counts and the ledger advance by the run's length.  Its
+verdict is the one its steps would get (a log has violations exactly
+when its expansion has).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from itertools import islice
+from operator import add
+from typing import Iterator, Sequence
 
 from repro.serving.request import Request
 
-__all__ = ["SimEvent", "check_invariants", "check_cluster_invariants"]
+__all__ = ["SimEvent", "check_invariants", "check_cluster_invariants", "expand_runs"]
 
 #: Relative slack for floating-point clock comparisons.
 _CLOCK_EPS = 1e-9
+
+#: Longest iteration, in seconds, whose start the closed-form replay takes
+#: on trust.  Below it, ``(clock + latency) - latency`` rounds to within
+#: ``_CLOCK_EPS`` of ``clock``, so no step inside a run can show a gap; a
+#: run with a longer, non-positive or non-finite latency is replayed step
+#: by step instead.
+_RUN_LATENCY_BOUND_S = 1e6
 
 
 @dataclass(frozen=True)
@@ -83,6 +104,15 @@ class SimEvent:
         (``tokens`` chunk tokens; ``request_id`` is ``None`` for a pure
         decode iteration) fused with one decode token for each request in
         ``decode_ids``.  ``latency_s`` is the iteration's device time.
+    ``decode_run``
+        Consecutive pure-decode iterations of one batch: each decoded one
+        token for every request in ``decode_ids``.  ``latencies`` holds
+        the iterations' device times, in order (its length is the
+        iteration count); ``clock_s`` is the clock after the last one,
+        and ``active``, ``waiting`` and ``kv_reserved_pages`` held after
+        every one of them.  ``latency_s`` is 0 and ``request_id`` is
+        ``None``.  Stands for the ``step`` events :func:`expand_runs`
+        rebuilds.
     ``preempt``
         ``request_id`` was evicted to free KV pages (``tokens`` is the
         page count released) and re-enqueued for recompute from scratch.
@@ -134,10 +164,80 @@ class SimEvent:
     #: Target model of a ``model_swap`` event; "" on every other kind (so
     #: single-model event logs keep their pre-multi-model shape).
     model: str = ""
+    #: Per-iteration device times of a ``decode_run``; () on every other
+    #: kind.
+    latencies: tuple[float, ...] = ()
 
 
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= _CLOCK_EPS * max(1.0, abs(a), abs(b))
+
+
+def _expandable(event: SimEvent) -> bool:
+    """Whether ``event`` is a decode run that stands for steps: at least
+    one iteration, and no prefill (a malformed run stays in the log as
+    it is, and the replay reports it)."""
+    return (
+        event.kind == "decode_run"
+        and bool(event.latencies)
+        and event.request_id is None
+        and event.tokens == 0
+    )
+
+
+def _steps(run: SimEvent, clock: float) -> Iterator[SimEvent]:
+    """The ``step`` events of a decode run that starts at ``clock``: each
+    iteration's clock is the previous one plus its latency, as the engine
+    advances it, and the last one ends at the run's ``clock_s``."""
+    *head, last = run.latencies
+    shared = dict(
+        decode_ids=run.decode_ids,
+        active=run.active,
+        waiting=run.waiting,
+        kv_reserved_pages=run.kv_reserved_pages,
+        kv_total_pages=run.kv_total_pages,
+    )
+    for latency in head:
+        clock += latency
+        yield SimEvent("step", clock, latency, **shared)
+    yield SimEvent("step", run.clock_s, last, **shared)
+
+
+def expand_runs(events: Sequence[SimEvent]) -> list[SimEvent]:
+    """The per-iteration log that ``events`` stands for: every decode run
+    replaced by its ``step`` events.
+
+    A run starts at the clock of the event before it (0.0 at the head of
+    a log, where a run's replay starts too).  On an engine's log this is
+    byte for byte the log the same run records with its decode runs off.
+    """
+    expanded: list[SimEvent] = []
+    clock = 0.0
+    for event in events:
+        if _expandable(event):
+            expanded.extend(_steps(event, clock))
+        else:
+            expanded.append(event)
+        clock = event.clock_s
+    return expanded
+
+
+def _replayed(events: Sequence[SimEvent]) -> Iterator[tuple[int, SimEvent]]:
+    """``(index, event)`` over a log, with every decode run whose steps
+    the closed form cannot vouch for replaced by those steps (under the
+    run's index): one that starts at a non-finite clock or holds a latency
+    outside ``(0, _RUN_LATENCY_BOUND_S]``."""
+    clock = 0.0
+    for index, event in enumerate(events):
+        if _expandable(event) and not (
+            math.isfinite(clock)
+            and all(0.0 < latency <= _RUN_LATENCY_BOUND_S for latency in event.latencies)
+        ):
+            for step in _steps(event, clock):
+                yield index, step
+        else:
+            yield index, event
+        clock = event.clock_s
 
 
 def _pages_for(tokens: int, page_tokens: int) -> int:
@@ -318,7 +418,53 @@ def _replay(
         # names it.
         return f"event {index} ({event.kind} @ {event.clock_s:.6f}s)"
 
-    for index, event in enumerate(events):
+    def decode(decode_ids: "tuple[int, ...]") -> None:
+        """One decode token for each of ``decode_ids``."""
+        for decode_id in decode_ids:
+            if decode_id not in in_flight:
+                violations.append(
+                    f"{where()}: decoded request {decode_id} before admission"
+                )
+                continue
+            if decode_id in swapped:
+                violations.append(
+                    f"{where()}: decoded request {decode_id} while its "
+                    "pages were swapped out"
+                )
+                continue
+            request = by_id.get(decode_id)
+            if (
+                request is not None
+                and prefill_tokens.get(decode_id, 0) < request.input_tokens
+            ):
+                violations.append(
+                    f"{where()}: decoded request {decode_id} before its "
+                    "prefill completed"
+                )
+            decode_steps[decode_id] = decode_steps.get(decode_id, 0) + 1
+            if ledger is not None and request is not None:
+                ledger.decode(request, decode_steps[decode_id])
+
+    def check_models(ran: "tuple[int, ...]") -> None:
+        """Every request in ``ran`` belongs to the resident model."""
+        for rid in ran:
+            request = by_id.get(rid)
+            model = _model_of(request)
+            if request is not None and model != resident:
+                violations.append(
+                    f"{where()}: request {rid} targets model "
+                    f"{model!r} but {resident!r} was resident"
+                )
+
+    def check_ledger() -> None:
+        if ledger is not None and event.kv_reserved_pages != ledger.reserved:
+            violations.append(
+                f"{where()}: page ledger mismatch — event reports "
+                f"{event.kv_reserved_pages} reserved page(s), replay holds "
+                f"{ledger.reserved}"
+            )
+
+    for index, event in _replayed(events):
         if event.clock_s < prev_clock - _CLOCK_EPS:
             violations.append(f"{where()}: clock moved backwards from {prev_clock:.6f}s")
         if event.kv_reserved_pages > event.kv_total_pages:
@@ -400,47 +546,66 @@ def _replay(
                             f"{prefill_tokens[event.request_id]} tokens of a "
                             f"{request.input_tokens}-token prompt"
                         )
-            for decode_id in event.decode_ids:
-                if decode_id not in in_flight:
-                    violations.append(
-                        f"{where()}: decoded request {decode_id} before admission"
-                    )
-                    continue
-                if decode_id in swapped:
-                    violations.append(
-                        f"{where()}: decoded request {decode_id} while its "
-                        "pages were swapped out"
-                    )
-                    continue
-                request = by_id.get(decode_id)
-                if (
-                    request is not None
-                    and prefill_tokens.get(decode_id, 0) < request.input_tokens
-                ):
-                    violations.append(
-                        f"{where()}: decoded request {decode_id} before its "
-                        "prefill completed"
-                    )
-                decode_steps[decode_id] = decode_steps.get(decode_id, 0) + 1
-                if ledger is not None and request is not None:
-                    ledger.decode(request, decode_steps[decode_id])
+            decode(event.decode_ids)
             if event.request_id is not None and event.request_id in event.decode_ids:
                 violations.append(
                     f"{where()}: request {event.request_id} prefilled and "
                     "decoded in the same step"
                 )
             if track_models:
-                ran = (
-                    () if event.request_id is None else (event.request_id,)
-                ) + tuple(event.decode_ids)
-                for rid in ran:
-                    request = by_id.get(rid)
-                    model = _model_of(request)
-                    if request is not None and model != resident:
-                        violations.append(
-                            f"{where()}: request {rid} targets model "
-                            f"{model!r} but {resident!r} was resident"
-                        )
+                check_models(
+                    (() if event.request_id is None else (event.request_id,))
+                    + tuple(event.decode_ids)
+                )
+        elif event.kind == "decode_run":
+            # A well-formed run gets here only when its latencies all lie
+            # in (0, bound] and it starts at a finite clock (_replayed
+            # expands the others), so no iteration's latency is flagged,
+            # no clock falls and no iteration but the last can start away
+            # from where the previous one ended: the checks below are
+            # those of its steps.
+            latencies = event.latencies
+            if not _expandable(event):
+                violations.append(
+                    f"{where()}: malformed decode run ({len(latencies)} "
+                    f"iteration(s), prefill of request {event.request_id}, "
+                    f"{event.tokens} token(s))"
+                )
+            else:
+                if not event.decode_ids:
+                    violations.append(f"{where()}: decode run scheduled no work")
+                rest = len(latencies) - 1
+                # The clock before the last iteration, added up as the
+                # engine adds it.
+                before_last = reduce(add, islice(latencies, rest), prev_clock)
+                if event.clock_s < before_last - _CLOCK_EPS:
+                    violations.append(
+                        f"{where()}: clock moved backwards within the run, "
+                        f"from {before_last:.6f}s"
+                    )
+                # The last iteration follows the run's own first ones, if
+                # it has any.
+                in_flight_before = event.active if rest else prev_active
+                start = event.clock_s - latencies[-1]
+                if in_flight_before > 0 and not _close(start, before_last):
+                    violations.append(
+                        f"{where()}: idle gap of {start - before_last:.9f}s "
+                        f"while {in_flight_before} request(s) were in flight"
+                    )
+                decode(event.decode_ids)
+                if rest:
+                    # The reservation only grows over a run, so matching
+                    # it after the first and the last iteration matches it
+                    # after every one.
+                    check_ledger()
+                    for decode_id in event.decode_ids:
+                        if decode_id in in_flight and decode_id not in swapped:
+                            decode_steps[decode_id] += rest
+                            request = by_id.get(decode_id)
+                            if ledger is not None and request is not None:
+                                ledger.decode(request, decode_steps[decode_id])
+                if track_models:
+                    check_models(event.decode_ids)
         elif event.kind == "preempt":
             if not _close(event.clock_s, prev_clock):
                 violations.append(f"{where()}: preemption consumed device time")
@@ -630,16 +795,8 @@ def _replay(
         # evictions inside one iteration; the released/moved page count is
         # still verified above, and the very next step event re-pins the
         # full ledger.
-        if (
-            ledger is not None
-            and event.kind not in ("preempt", "swap_out")
-            and event.kv_reserved_pages != ledger.reserved
-        ):
-            violations.append(
-                f"{where()}: page ledger mismatch — event reports "
-                f"{event.kv_reserved_pages} reserved page(s), replay holds "
-                f"{ledger.reserved}"
-            )
+        if event.kind not in ("preempt", "swap_out"):
+            check_ledger()
         prev_clock = event.clock_s
         prev_active = event.active
 

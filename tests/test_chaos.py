@@ -17,12 +17,14 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.costmodel import make_cost_model
 from repro.models import GPT2_CONFIGS
 from repro.models.workload import Stage, StagePass
 from repro.serving import (
     AUTOSCALERS,
+    ENGINES,
     FAILURE_SCHEDULES,
     TRACE_CURVES,
     Autoscaler,
@@ -48,7 +50,7 @@ from repro.serving import (
     replica_warmup_s,
 )
 from repro.serving.autoscale import WEIGHT_LINK_BYTES_PER_S
-from repro.serving.cluster import ReplicaSnapshot
+from repro.serving.cluster import ReplicaSnapshot, _OpsState
 from repro.serving.simulator import mean_service_time_s
 
 from test_serving_invariants import MODEL, LinearCostModel
@@ -618,6 +620,79 @@ class TestAutoscaling:
         assert metrics.num_requests == len(trace)
         assert metrics.output_tokens == sum(r.output_tokens for r in trace)
         assert cluster.validate_invariants() == []
+
+
+def _scanned_attainment(ops, now: float, window_s: float) -> "float | None":
+    """The SLO window as a scan of every completion of every run: the
+    oracle that ``_OpsState._window_attainment``'s cursors must match."""
+    targets = ops.cluster.replicas[0].slo_targets
+    last = len(targets) - 1
+    start = now - window_s
+    met = total = 0
+    for run in ops.runs:
+        record = run.completions
+        for arrival, completion, cls in zip(
+            record.arrival_s, record.completion_s, record.priority_class
+        ):
+            if start <= completion <= now:
+                total += 1
+                if completion - arrival <= targets[min(cls, last)]:
+                    met += 1
+    return None if total == 0 else met / total
+
+
+@given(
+    engine=st.sampled_from(ENGINES),
+    record_events=st.booleans(),
+    autoscaler=st.sampled_from(("queue-depth", "slo-attainment", "kv-pressure")),
+    policy=st.sampled_from(("fcfs", "interleaved", "srpt")),
+    router=st.sampled_from(("round-robin", "least-outstanding-tokens")),
+    failures=st.booleans(),
+    window=st.sampled_from((0.05, 0.2, 1.0)),
+    load=st.sampled_from((0.5, 1.0, 2.0)),
+    requests=st.integers(min_value=20, max_value=80),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_slo_window_cursors_match_the_scan(
+    engine, record_events, autoscaler, policy, router, failures, window, load,
+    requests, seed,
+):
+    """Every autoscaler signal's SLO attainment equals the scan's, on both
+    engines, with and without events (without them the array engine's
+    absorbers and bursts append completions a window at a time), with
+    and without replica failures."""
+    cost_model = make_cost_model("ianus")
+    model = GPT2_CONFIGS["m"]
+    generator = get_trace_generator("chatbot")
+    rate = 2 * load / mean_service_time_s(cost_model, model, generator.workloads)
+    horizon = requests / rate
+    trace = generator.generate(requests, rate, seed=seed, num_classes=2)
+    cluster = ClusterSimulator(
+        cost_model, model, num_replicas=2, engine=engine, router=router,
+        policy=policy, slo_targets=(0.03 * horizon, 2.0), num_classes=2,
+        failures=SeededFailures(
+            seed=seed, mtbf_s=horizon / 4, horizon_s=horizon,
+            recover_after_s=horizon / 8, max_failures=1,
+        ) if failures else None,
+        autoscaler=make_autoscaler(
+            autoscaler, max_replicas=4, window_s=window * horizon,
+            cooldown_s=horizon / 10,
+        ),
+    )
+    calls = []
+    cursors = _OpsState._window_attainment
+
+    def checked(ops, now, window_s):
+        attainment = cursors(ops, now, window_s)
+        calls.append((attainment, _scanned_attainment(ops, now, window_s)))
+        return attainment
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_OpsState, "_window_attainment", checked)
+        cluster.simulate(trace, record_events=record_events)
+    assert len(calls) == requests
+    assert [got for got, _ in calls] == [expected for _, expected in calls]
 
 
 class _ScriptedAutoscaler(Autoscaler):
