@@ -62,15 +62,18 @@ Layering — who knows what:
     ``ServingSimulator.simulate_stream`` arrivals in O(chunk) memory —
     byte-identical to ``generate`` under every trace curve.
 :mod:`repro.serving.validate`
-    :func:`check_invariants`: replays a recorded event log against the
-    trace and reports scheduling-invariant violations (``repro serve
-    --validate`` and the invariant test suite use it as an oracle;
-    ``ServingSimulator.validate_invariants`` configures it from the
-    simulator that recorded the log).
-    :func:`check_cluster_invariants` extends the replay across replica
-    failures, failover and autoscaling.  Both check a ``decode_run``
-    event in closed form, with the verdict of the steps
-    :func:`~repro.serving.validate.expand_runs` rebuilds from it.
+    :func:`check_cluster_invariants`: replays every replica's recorded
+    event log against the trace and balances one set of books against
+    each replica's routing record, across failures, failover and
+    autoscaling; it reports scheduling-invariant violations (``repro
+    serve --validate`` and the invariant test suite use it as an
+    oracle).  :func:`check_invariants` is its one-log case.
+    ``ServingSimulator.validate_invariants`` and
+    ``ClusterSimulator.validate_invariants`` configure it from the
+    simulator that recorded the logs, for every kind of fleet.  A
+    ``decode_run`` event is checked in closed form, with the verdict of
+    the steps :func:`~repro.serving.validate.expand_runs` rebuilds from
+    it.
 :mod:`repro.serving.failures`
     Seeded :class:`FailureSchedule` registry: deterministic replica
     deaths and recoveries the cluster applies mid-run.

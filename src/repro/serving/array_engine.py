@@ -50,7 +50,8 @@ path).  Two methods do it:
   aggregate metrics are pinned to ~1e-9 instead of bit-identical.
 
 ``record_events=True`` disables the macro-steps and keeps the decode
-runs, which then record one ``decode_run`` event per run (see
+runs, which then record one ``decode_run`` event per run and take one
+events-only stop, before each page grant under optimistic admission (see
 ``_decode_run``).  :func:`~repro.serving.validate.expand_runs` turns that
 log into the per-iteration one, **bit-identical** to the object engine's
 (the differential suite asserts exact equality).
@@ -1121,10 +1122,10 @@ class ArraySimulationRun(_RunLifecycle):
 
         With an event log the run records one ``decode_run`` event (its
         batch, each iteration's latency and the end clock) and a
-        ``complete`` event per finished member, and it keeps what the
-        event reports the same at every iteration with two more stops:
-        every pending arrival ends it (the loop then moves the arrival to
-        ``waiting``), and under optimistic admission an iteration that
+        ``complete`` event per finished member.  The batch and the active
+        count the event reports hold at every iteration by the stops
+        above; its reservation holds through one more stop, the only one
+        that reads the log: under optimistic admission an iteration that
         grants a page runs alone, so a run stops before the next grant.
 
         Each iteration is priced as ``fused_pass`` prices it: a
@@ -1167,13 +1168,10 @@ class ArraySimulationRun(_RunLifecycle):
         lat = self._lat
         threshold = until
         pending = self.pending
-        events = self.events
-        if pending and (
-            events is not None
-            or (
-                len(active) < self._policy_cap
-                and (not self.waiting or not self._arrival_order)
-            )
+        if (
+            pending
+            and len(active) < self._policy_cap
+            and (not self.waiting or not self._arrival_order)
         ):
             arrival = self._arr[pending[0]]
             if threshold is None or arrival < threshold:
@@ -1188,6 +1186,7 @@ class ArraySimulationRun(_RunLifecycle):
                 reach = (threshold - self.clock) / first + 2.0
                 if reach < steps:
                     steps = max(1, int(reach))
+        events = self.events
         if optimistic:
             steps, kvs, held = self._fit_growth(batch, offsets, steps)
             if steps < 1:
@@ -1362,10 +1361,11 @@ class ArraySimulationRun(_RunLifecycle):
         of its arrival and the clock, its first token adds the prefill to
         that start and its completion adds the decode run to the first
         token; a stretch adds its passes to busy time, the energies and
-        FLOPs one at a time, prefill then decode run per request, before
-        the burst after it runs.  Returns ``(progressed, keep_going)``;
-        ``keep_going`` means the whole window was consumed and another
-        window may follow.
+        FLOPs one at a time, prefill then decode run per request, and
+        appends its completions to the record before the burst after it
+        runs, so the record stays in completion order.  Returns
+        ``(progressed, keep_going)``; ``keep_going`` means the whole
+        window was consumed and another window may follow.
         """
         pending = self.pending
         arr = self._arr
@@ -1505,6 +1505,10 @@ class ArraySimulationRun(_RunLifecycle):
         bad = np.flatnonzero(~eligible).tolist()
         mask = np.zeros(take, dtype=bool)
         burst_ok = self._burst_ok
+        record = self.completions
+        rid = np.frombuffer(self._rid_t, dtype=np.int64)[rows]
+        cls = np.frombuffer(self._cls_t, dtype=np.int64)[rows]
+        mdl, free = self._mdl, self._free
         i = 0
         aborted = False
         while i < take:
@@ -1515,6 +1519,18 @@ class ArraySimulationRun(_RunLifecycle):
                 for _ in range(j - i):
                     pending.popleft()
                 self.clock = float(completion[j - 1])
+                # The stretch completes before the burst after it starts,
+                # so its completions go on the record now, in clock order.
+                record.request_id.frombytes(rid[i:j].tobytes())
+                record.arrival_s.frombytes(a[i:j].tobytes())
+                record.first_token_s.frombytes(first[i:j].tobytes())
+                record.completion_s.frombytes(completion[i:j].tobytes())
+                record.input_tokens.frombytes(inp[i:j].tobytes())
+                record.output_tokens.frombytes(out[i:j].tobytes())
+                record.priority_class.frombytes(cls[i:j].tobytes())
+                absorbed = rows_list[i:j]
+                record.model.extend([mdl[row] for row in absorbed])
+                free.extend(absorbed)
                 # Add the stretch's passes one at a time: np.cumsum adds
                 # sequentially (np.sum would add pairwise).
                 totals = np.empty((2 * (j - i) + 1, 5))
@@ -1569,23 +1585,6 @@ class ArraySimulationRun(_RunLifecycle):
             self._outstanding -= int((inp[idx] + out[idx]).sum())
             if not self.peak_active:
                 self.peak_active = 1
-            absorbed = rows[idx]
-            record = self.completions
-            record.request_id.frombytes(
-                np.frombuffer(self._rid_t, dtype=np.int64)[absorbed].tobytes()
-            )
-            record.arrival_s.frombytes(a[idx].tobytes())
-            record.first_token_s.frombytes(first[idx].tobytes())
-            record.completion_s.frombytes(completion[idx].tobytes())
-            record.input_tokens.frombytes(inp[idx].tobytes())
-            record.output_tokens.frombytes(out[idx].tobytes())
-            record.priority_class.frombytes(
-                np.frombuffer(self._cls_t, dtype=np.int64)[absorbed].tobytes()
-            )
-            absorbed = absorbed.tolist()
-            mdl = self._mdl
-            record.model.extend([mdl[row] for row in absorbed])
-            self._free.extend(absorbed)
         keep = (not aborted) and i >= take and bool(pending)
         return (k > 0 or i > 0), keep
 

@@ -137,9 +137,6 @@ class ReplicaSnapshot:
     #: Uncommitted pages of the replica's KV pool right now.
     free_kv_pages: int
     total_kv_pages: int
-    #: Requests / total tokens ever routed to this replica.
-    routed_requests: int
-    routed_tokens: int
     #: Pages of the *arriving request's* shared prefix already resident on
     #: this replica (0 when the request shares nothing or the prefix is
     #: absent) — those pages would cost the request nothing here.
@@ -508,11 +505,7 @@ class ClusterMetrics:
 # Cluster simulator
 # ----------------------------------------------------------------------
 def _snapshot(
-    index: int,
-    run: SimulationRun,
-    assignments: "list[list[Request]]",
-    routed_tokens: "list[int]",
-    request: "Request | None" = None,
+    index: int, run: SimulationRun, request: "Request | None" = None
 ) -> ReplicaSnapshot:
     """The router-visible state of one replica at this instant.
 
@@ -535,8 +528,6 @@ def _snapshot(
         outstanding_tokens=run.outstanding_tokens,
         free_kv_pages=run.kv.free_pages,
         total_kv_pages=run.kv.total_pages,
-        routed_requests=len(assignments[index]),
-        routed_tokens=routed_tokens[index],
         resident_prefix_pages=resident,
         resident_model=resident_model,
     )
@@ -667,11 +658,7 @@ class _OpsState:
         there.  Returns the chosen replica; the caller hands it the work."""
         cluster = self.cluster
         snapshots = [
-            _snapshot(
-                index, self.runs[index], self.assignments, self.routed_tokens,
-                request,
-            )
-            for index in candidates
+            _snapshot(index, self.runs[index], request) for index in candidates
         ]
         choice = cluster.router.select(snapshots, request)
         if choice not in candidates:
@@ -749,10 +736,7 @@ class _OpsState:
         if autoscaler is None:
             return
         candidates = self.eligible(now)
-        snapshots = tuple(
-            _snapshot(i, self.runs[i], self.assignments, self.routed_tokens)
-            for i in candidates
-        )
+        snapshots = tuple(_snapshot(i, self.runs[i]) for i in candidates)
         provisioned = sum(
             1
             for index in range(len(self.runs))
@@ -942,7 +926,9 @@ class ClusterSimulator:
         #: Per-replica event logs of the last simulate() (None entries when
         #: events were not recorded).
         self.events: "list[list] | None" = None
-        #: Per-replica request assignments of the last simulate().
+        #: Per-replica routing record of the last simulate(): every
+        #: request routed to each replica, once per route (failover
+        #: re-routes included), in routing order.
         self.assignments: "list[tuple[Request, ...]] | None" = None
         self._last_trace: "tuple[Request, ...] | None" = None
         #: Runs and routing wall time of the last simulate(), for
@@ -1029,15 +1015,15 @@ class ClusterSimulator:
         return pooled
 
     def validate_invariants(self) -> list[str]:
-        """Replay the last run's event logs through the invariant checker.
+        """Replay the last run's event logs through the invariant checker;
+        returns the violations (empty = sound).
 
-        Fixed fleets replay each replica's log against its exact
-        assignment (:meth:`ServingSimulator.check_events
-        <repro.serving.simulator.ServingSimulator.check_events>`);
-        with a failure schedule or autoscaler active, failover
-        legitimately moves requests between replicas, so the cross-replica
-        books are balanced instead
-        (:func:`~repro.serving.validate.check_cluster_invariants`).
+        Every fleet, fixed, failing over or autoscaled, is checked by one
+        call of :func:`~repro.serving.validate.check_cluster_invariants`
+        against its routing record (``assignments``, which lists a request
+        once per route): each replica admits only what was routed to it,
+        and a request is dropped by failures no more often than failover
+        re-routed it.
         """
         if self.events is None or self.assignments is None:
             raise RuntimeError("validate_invariants() needs a simulate() first")
@@ -1045,23 +1031,16 @@ class ClusterSimulator:
             raise RuntimeError(
                 "validate_invariants() needs simulate(record_events=True)"
             )
-        if self._ops_active:
-            reference = self.replicas[0]
-            return check_cluster_invariants(
-                self.events,
-                self._last_trace or (),
-                page_tokens=reference.page_tokens,
-                admission=reference.admission,
-                initial_replicas=self._initial_count,
-                default_model=self.model.name,
-            )
-        return [
-            f"replica {index}: {violation}"
-            for index, (replica, events, assigned) in enumerate(
-                zip(self.replicas, self.events, self.assignments)
-            )
-            for violation in replica.check_events(events, assigned)
-        ]
+        reference = self.replicas[0]
+        return check_cluster_invariants(
+            self.events,
+            self._last_trace or (),
+            self.assignments,
+            page_tokens=reference.page_tokens,
+            admission=reference.admission,
+            initial_replicas=self._initial_count,
+            default_model=self.model.name,
+        )
 
     # ------------------------------------------------------------------
     def _pool(

@@ -951,10 +951,12 @@ def request_aggregates(
             classes = np.asarray(completions.priority_class)
             targets = np.asarray(slo_targets, dtype=np.float64)
             met = latencies <= targets[np.minimum(classes, len(targets) - 1)]
-            slo_attainment = np.count_nonzero(met) / met.size
+            # Python ints, so each share is a Python float (NumPy counts
+            # would make it a numpy.float64, and comparisons numpy.bool).
+            slo_attainment = int(np.count_nonzero(met)) / met.size
             slo_by_class = {
-                str(cls): np.count_nonzero(met[classes == cls])
-                / np.count_nonzero(classes == cls)
+                str(cls): int(np.count_nonzero(met[classes == cls]))
+                / int(np.count_nonzero(classes == cls))
                 for cls in np.unique(classes).tolist()
             }
             if by_model:
@@ -964,7 +966,8 @@ def request_aggregates(
                 for name, cls in sorted(set(zip(models.tolist(), classes.tolist()))):
                     group = (models == name) & (classes == cls)
                     slo_by_model_class[f"{name}/{cls}"] = (
-                        np.count_nonzero(met[group]) / np.count_nonzero(group)
+                        int(np.count_nonzero(met[group]))
+                        / int(np.count_nonzero(group))
                     )
         else:
             slo_attainment = 1.0
@@ -1383,7 +1386,6 @@ class _RunLifecycle:
                     tokens=tokens,
                     decode_ids=decode_ids,
                     active=len(self.active),
-                    waiting=len(self.waiting),
                     kv_reserved_pages=self.kv.reserved_pages,
                     kv_total_pages=self.kv.total_pages,
                     model=model,
@@ -2251,8 +2253,13 @@ class ServingSimulator:
         """Replay the last ``simulate``'s event log through the invariant
         checker; returns the violations (empty = sound).
 
-        The twin of :meth:`ClusterSimulator.validate_invariants
-        <repro.serving.cluster.ClusterSimulator.validate_invariants>`.  A
+        The checker is :func:`~repro.serving.validate.check_invariants`,
+        the one-replica case of the books
+        :meth:`ClusterSimulator.validate_invariants
+        <repro.serving.cluster.ClusterSimulator.validate_invariants>`
+        balances, configured from the simulator itself: its
+        ``page_tokens`` and ``admission`` enable the exact page-ledger
+        replay, and its default model the resident-model replay.  A
         streamed run keeps no trace to replay against, so it needs a
         ``simulate`` as much as a fresh simulator does.
         """
@@ -2262,19 +2269,9 @@ class ServingSimulator:
             raise RuntimeError(
                 "validate_invariants() needs simulate(record_events=True)"
             )
-        return self.check_events(self.events, self._last_trace)
-
-    def check_events(
-        self, events: "Sequence[SimEvent]", requests: "Sequence[Request]"
-    ) -> list[str]:
-        """:func:`~repro.serving.validate.check_invariants` of a log this
-        simulator recorded while serving ``requests``, configured from the
-        simulator itself: its ``page_tokens`` and ``admission`` enable the
-        exact page-ledger replay, and its default model the resident-model
-        replay."""
         return check_invariants(
-            events,
-            requests,
+            self.events,
+            self._last_trace,
             page_tokens=self.page_tokens,
             admission=self.admission,
             default_model=self.model.name,

@@ -34,22 +34,37 @@ token conservation (across preemption)
     passes — preempted work is re-done exactly, from scratch.
 completion
     Every request of the trace is completed exactly once, every admission
-    beyond the first is preceded by a preemption (``admits == preempts +
-    1``), and nothing is left in flight at the end of the log.
+    beyond the first is explained by a preemption or a failure drop, and
+    nothing is left in flight at the end of a log (the books below).
 monotone time
     Event clocks never move backwards; ``admit``, ``preempt`` and
     ``complete`` consume no device time.
 
-Production-ops events (``fail``, ``recover``, ``scale``) extend the
-contract across a cluster: :func:`check_cluster_invariants` replays every
-replica's log independently (a failure must drop exactly the pages and
-requests the replica held, a dead replica must stay silent until its
-recovery, an autoscaled replica's log must open with its scale-up marker)
-and then checks the *global* books — every request of the trace completes
-exactly once across all replicas, and every admission is explained by a
-preemption or a failure drop (``admits == preempts + drops + 1``).  A
-forged or deleted failure event breaks either the per-replica ledger or
-the global accounting and is reported.
+One set of books serves a run and a fleet alike.
+:func:`check_cluster_invariants` replays every replica's log
+independently and balances the global books against each replica's
+*routing record* (``routed``: the requests routed to it, once per route,
+failover re-routes included); :func:`check_invariants` is its one-log
+case, whose routing record is the whole trace.  Production-ops events
+(``fail``, ``recover``, ``scale``) extend the contract across a fleet: a
+failure must drop exactly the pages and requests the replica held, a dead
+replica must stay silent until its recovery, and an autoscaled replica's
+log must open with its scale-up marker.  The books then require:
+
+- every request of the trace completes exactly once across all replicas;
+- every admission is explained by a preemption or a failure drop
+  (``admits == preempts + drops + 1``);
+- no replica's log ends with a request in flight;
+- a replica admits only requests routed to it;
+- a request's failure drops never exceed its re-routes (its routes
+  beyond the first), since failover re-routes every request a failure
+  drops.
+
+A forged or deleted failure event therefore breaks the per-replica
+ledger, the global accounting or the routing record on every fleet, and
+is reported: a forged ``fail`` that explains a second admission drops a
+request that was never re-routed, and a request served away from where
+it was routed is admitted by a replica it was never routed to.
 
 The array engine records a stable all-decode stretch as one
 ``decode_run`` event, and :func:`expand_runs` rebuilds the ``step``
@@ -64,6 +79,7 @@ when its expansion has).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
@@ -109,10 +125,9 @@ class SimEvent:
         token for every request in ``decode_ids``.  ``latencies`` holds
         the iterations' device times, in order (its length is the
         iteration count); ``clock_s`` is the clock after the last one,
-        and ``active``, ``waiting`` and ``kv_reserved_pages`` held after
-        every one of them.  ``latency_s`` is 0 and ``request_id`` is
-        ``None``.  Stands for the ``step`` events :func:`expand_runs`
-        rebuilds.
+        and ``active`` and ``kv_reserved_pages`` held after every one of
+        them.  ``latency_s`` is 0 and ``request_id`` is ``None``.  Stands
+        for the ``step`` events :func:`expand_runs` rebuilds.
     ``preempt``
         ``request_id`` was evicted to free KV pages (``tokens`` is the
         page count released) and re-enqueued for recompute from scratch.
@@ -147,8 +162,8 @@ class SimEvent:
         spawned — must be its log's first event) or -1 (this replica was
         marked draining: it finishes its work but takes no new routes).
 
-    ``clock_s`` is the simulation time *after* the event; ``active`` and
-    ``waiting`` are the in-flight/queued request counts after it.
+    ``clock_s`` is the simulation time *after* the event; ``active`` is
+    the in-flight request count after it.
     """
 
     kind: str
@@ -158,7 +173,6 @@ class SimEvent:
     tokens: int = 0
     decode_ids: tuple[int, ...] = ()
     active: int = 0
-    waiting: int = 0
     kv_reserved_pages: int = 0
     kv_total_pages: int = 0
     #: Target model of a ``model_swap`` event; "" on every other kind (so
@@ -193,7 +207,6 @@ def _steps(run: SimEvent, clock: float) -> Iterator[SimEvent]:
     shared = dict(
         decode_ids=run.decode_ids,
         active=run.active,
-        waiting=run.waiting,
         kv_reserved_pages=run.kv_reserved_pages,
         kv_total_pages=run.kv_total_pages,
     )
@@ -405,9 +418,9 @@ def _replay(
     #: Per-episode counters, reset by admit, discarded by preempt.
     prefill_tokens: dict[int, int] = {}
     decode_steps: dict[int, int] = {}
-    admit_count: dict[int, int] = {}
-    preempt_count: dict[int, int] = {}
-    fail_drops: dict[int, int] = {}
+    admit_count: "Counter[int]" = Counter()
+    preempt_count: "Counter[int]" = Counter()
+    fail_drops: "Counter[int]" = Counter()
     prev_clock = 0.0
     prev_active = 0
     dead = False
@@ -456,6 +469,27 @@ def _replay(
                     f"{model!r} but {resident!r} was resident"
                 )
 
+    def took_no_time(noun: str) -> None:
+        """The zero-duration rule: the event spent no device time."""
+        if not _close(event.clock_s, prev_clock):
+            violations.append(f"{where()}: {noun} consumed device time")
+
+    def latency_sign(noun: str, strict: bool = False) -> None:
+        """The latency-sign rule: a step takes positive device time
+        (``strict``), a transfer a non-negative one."""
+        if (event.latency_s <= 0.0) if strict else (event.latency_s < 0.0):
+            sign = "non-positive" if strict else "negative"
+            violations.append(f"{where()}: {noun} with {sign} latency")
+
+    def no_gap(start: float, before: float, in_flight: int) -> None:
+        """The work-conservation gap rule: while requests are in flight,
+        a pass starts where the previous one left the clock."""
+        if in_flight > 0 and not _close(start, before):
+            violations.append(
+                f"{where()}: idle gap of {start - before:.9f}s while "
+                f"{in_flight} request(s) were in flight"
+            )
+
     def check_ledger() -> None:
         if ledger is not None and event.kv_reserved_pages != ledger.reserved:
             violations.append(
@@ -484,8 +518,7 @@ def _replay(
                     "request(s) had runnable passes"
                 )
         elif event.kind == "admit":
-            if not _close(event.clock_s, prev_clock):
-                violations.append(f"{where()}: admission consumed device time")
+            took_no_time("admission")
             if event.request_id in in_flight:
                 violations.append(f"{where()}: request {event.request_id} admitted twice")
             elif event.request_id in completed:
@@ -498,9 +531,7 @@ def _replay(
                 in_flight.add(event.request_id)
                 prefill_tokens[event.request_id] = 0
                 decode_steps[event.request_id] = 0
-                admit_count[event.request_id] = (
-                    admit_count.get(event.request_id, 0) + 1
-                )
+                admit_count[event.request_id] += 1
                 if ledger is not None:
                     request = by_id[event.request_id]
                     expected = ledger.commit_pages(request)
@@ -511,16 +542,10 @@ def _replay(
                         )
                     ledger.admit(request)
         elif event.kind == "step":
-            if event.latency_s <= 0.0:
-                violations.append(f"{where()}: step with non-positive latency")
+            latency_sign("step", strict=True)
             if event.request_id is None and not event.decode_ids:
                 violations.append(f"{where()}: step scheduled no work")
-            start = event.clock_s - event.latency_s
-            if prev_active > 0 and not _close(start, prev_clock):
-                violations.append(
-                    f"{where()}: idle gap of {start - prev_clock:.9f}s while "
-                    f"{prev_active} request(s) were in flight"
-                )
+            no_gap(event.clock_s - event.latency_s, prev_clock, prev_active)
             if event.request_id is not None:
                 if event.request_id not in in_flight:
                     violations.append(
@@ -585,13 +610,11 @@ def _replay(
                     )
                 # The last iteration follows the run's own first ones, if
                 # it has any.
-                in_flight_before = event.active if rest else prev_active
-                start = event.clock_s - latencies[-1]
-                if in_flight_before > 0 and not _close(start, before_last):
-                    violations.append(
-                        f"{where()}: idle gap of {start - before_last:.9f}s "
-                        f"while {in_flight_before} request(s) were in flight"
-                    )
+                no_gap(
+                    event.clock_s - latencies[-1],
+                    before_last,
+                    event.active if rest else prev_active,
+                )
                 decode(event.decode_ids)
                 if rest:
                     # The reservation only grows over a run, so matching
@@ -607,8 +630,7 @@ def _replay(
                 if track_models:
                     check_models(event.decode_ids)
         elif event.kind == "preempt":
-            if not _close(event.clock_s, prev_clock):
-                violations.append(f"{where()}: preemption consumed device time")
+            took_no_time("preemption")
             if event.request_id not in in_flight:
                 violations.append(
                     f"{where()}: preempted request {event.request_id} that was "
@@ -617,9 +639,7 @@ def _replay(
             else:
                 in_flight.discard(event.request_id)
                 swapped.discard(event.request_id)
-                preempt_count[event.request_id] = (
-                    preempt_count.get(event.request_id, 0) + 1
-                )
+                preempt_count[event.request_id] += 1
                 # The episode's work is discarded: it must be re-done from
                 # scratch by a later episode (checked at its completion).
                 prefill_tokens.pop(event.request_id, None)
@@ -633,14 +653,8 @@ def _replay(
                             f"page(s) but it held {released}"
                         )
         elif event.kind == "swap_out":
-            if event.latency_s < 0.0:
-                violations.append(f"{where()}: swap-out with negative latency")
-            start = event.clock_s - event.latency_s
-            if prev_active > 0 and not _close(start, prev_clock):
-                violations.append(
-                    f"{where()}: idle gap of {start - prev_clock:.9f}s while "
-                    f"{prev_active} request(s) were in flight"
-                )
+            latency_sign("swap-out")
+            no_gap(event.clock_s - event.latency_s, prev_clock, prev_active)
             if event.request_id not in in_flight:
                 violations.append(
                     f"{where()}: swapped out request {event.request_id} that "
@@ -663,14 +677,8 @@ def _replay(
                             f"page(s) but it held {moved}"
                         )
         elif event.kind == "swap_in":
-            if event.latency_s < 0.0:
-                violations.append(f"{where()}: swap-in with negative latency")
-            start = event.clock_s - event.latency_s
-            if prev_active > 0 and not _close(start, prev_clock):
-                violations.append(
-                    f"{where()}: idle gap of {start - prev_clock:.9f}s while "
-                    f"{prev_active} request(s) were in flight"
-                )
+            latency_sign("swap-in")
+            no_gap(event.clock_s - event.latency_s, prev_clock, prev_active)
             if event.request_id not in swapped:
                 violations.append(
                     f"{where()}: swapped in request {event.request_id} that "
@@ -687,8 +695,7 @@ def _replay(
                             f"page(s) but its host copy held {moved}"
                         )
         elif event.kind == "complete":
-            if not _close(event.clock_s, prev_clock):
-                violations.append(f"{where()}: completion consumed device time")
+            took_no_time("completion")
             if event.request_id in completed:
                 violations.append(f"{where()}: request {event.request_id} completed twice")
             elif event.request_id not in in_flight:
@@ -722,14 +729,8 @@ def _replay(
                 if ledger is not None:
                     ledger.release(event.request_id)
         elif event.kind == "model_swap":
-            if event.latency_s < 0.0:
-                violations.append(f"{where()}: model swap with negative latency")
-            start = event.clock_s - event.latency_s
-            if prev_active > 0 and not _close(start, prev_clock):
-                violations.append(
-                    f"{where()}: idle gap of {start - prev_clock:.9f}s while "
-                    f"{prev_active} request(s) were in flight"
-                )
+            latency_sign("model swap")
+            no_gap(event.clock_s - event.latency_s, prev_clock, prev_active)
             if event.tokens <= 0:
                 violations.append(
                     f"{where()}: model swap streamed {event.tokens} weight byte(s)"
@@ -757,8 +758,7 @@ def _replay(
                     f"{where()}: failure dropped {event.tokens} page(s) but "
                     f"the replica held {ledger.reserved}"
                 )
-            for rid in in_flight:
-                fail_drops[rid] = fail_drops.get(rid, 0) + 1
+            fail_drops.update(in_flight)
             in_flight.clear()
             swapped.clear()
             prefill_tokens.clear()
@@ -820,6 +820,9 @@ def check_invariants(
 ) -> list[str]:
     """Check the scheduler's invariants; returns violations (empty = sound).
 
+    The one-log case of :func:`check_cluster_invariants`: one replica,
+    routed the whole trace.
+
     ``page_tokens`` and ``admission`` (both or neither) additionally enable
     the exact page-ledger replay — pass the simulator's ``page_tokens`` and
     ``admission`` so every reported reservation is re-derived from the
@@ -829,74 +832,42 @@ def check_invariants(
     resident-model replay of multi-model logs; it also auto-enables when
     the log contains a ``model_swap`` event (see :func:`_replay`).
     """
-    if (page_tokens is None) != (admission is None):
-        raise ValueError("pass page_tokens and admission together (or neither)")
-    ledger: "_Ledger | None" = None
-    if page_tokens is not None and admission is not None:
-        ledger = _Ledger(page_tokens, admission)
-    violations: list[str] = []
-    by_id = {request.request_id: request for request in requests}
-    if len(by_id) != len(requests):
-        violations.append("trace contains duplicate request ids")
-
-    replay_violations, stats = _replay(
-        events, by_id, ledger, default_model=default_model
+    return check_cluster_invariants(
+        [events],
+        requests,
+        [requests],
+        page_tokens=page_tokens,
+        admission=admission,
+        default_model=default_model,
     )
-    violations.extend(replay_violations)
-    completed = stats["completed"]
-
-    for request in requests:
-        rid = request.request_id
-        if rid not in completed:
-            violations.append(f"request {rid} never completed")
-            continue
-        admits = stats["admit_count"].get(rid, 0)
-        preempts = stats["preempt_count"].get(rid, 0)
-        if admits != preempts + 1:
-            violations.append(
-                f"request {rid}: {admits} admission(s) but {preempts} "
-                "preemption(s) — every re-admission needs a preemption"
-            )
-    if stats["in_flight"]:
-        leftovers = ", ".join(str(rid) for rid in sorted(stats["in_flight"]))
-        violations.append(
-            f"request(s) {leftovers} still in flight at the end of the log"
-        )
-    if len(completed) != len(requests):
-        violations.append(
-            f"{len(completed)} requests completed, trace has {len(requests)}"
-        )
-    return violations
 
 
 def check_cluster_invariants(
     event_logs: "Sequence[Sequence[SimEvent]]",
     requests: Sequence[Request],
+    routed: "Sequence[Sequence[Request]]",
     page_tokens: "int | None" = None,
     admission: "str | None" = None,
     initial_replicas: "int | None" = None,
     default_model: "str | None" = None,
 ) -> list[str]:
-    """Check a cluster run with failures/failover/autoscaling; empty = sound.
+    """Check a run's or a fleet's logs against the trace; empty = sound.
 
-    Every replica's log is replayed independently against the *full* trace
-    (failover legitimately moves a request between replicas, so assignment
-    is not fixed), then the global books are balanced:
-
-    - every request of the trace completes **exactly once** across all
-      replicas (failover loses nothing, recomputes duplicate nothing);
-    - every admission is explained — globally, ``admits == preempts +
-      failure drops + 1`` per request, the token-conservation argument
-      extended across replica death;
-    - a dead replica emits nothing until its ``recover`` event, and a
-      failure drops exactly the pages and in-flight requests the replica's
-      replayed ledger holds;
-    - replicas beyond ``initial_replicas`` (default: all of them) were
-      autoscaled into existence and must open their log with the ``scale``
-      +1 marker.
+    ``routed[r]`` is replica ``r``'s routing record: every request routed
+    to it, once per route (a request failover re-routes appears once on
+    each replica it was routed to).  Every replica's log is replayed
+    independently against the *full* trace (failover legitimately moves a
+    request between replicas), then the books of the module docstring are
+    balanced.  Replicas beyond ``initial_replicas`` (default: all of them)
+    were autoscaled into existence and must open their log with the
+    ``scale`` +1 marker.
     """
     if (page_tokens is None) != (admission is None):
         raise ValueError("pass page_tokens and admission together (or neither)")
+    if len(routed) != len(event_logs):
+        raise ValueError(
+            f"{len(event_logs)} event log(s) but {len(routed)} routing record(s)"
+        )
     if initial_replicas is None:
         initial_replicas = len(event_logs)
     violations: list[str] = []
@@ -904,11 +875,13 @@ def check_cluster_invariants(
     if len(by_id) != len(requests):
         violations.append("trace contains duplicate request ids")
 
-    admit_total: dict[int, int] = {}
-    preempt_total: dict[int, int] = {}
-    drop_total: dict[int, int] = {}
-    completions: dict[int, int] = {}
-    for replica, events in enumerate(event_logs):
+    # Per request id, summed over the replicas.
+    admit_total: "Counter[int]" = Counter()
+    preempt_total: "Counter[int]" = Counter()
+    drop_total: "Counter[int]" = Counter()
+    completions: "Counter[int]" = Counter()
+    routes: "Counter[int]" = Counter()
+    for replica, (events, assigned) in enumerate(zip(event_logs, routed)):
         ledger: "_Ledger | None" = None
         if page_tokens is not None and admission is not None:
             ledger = _Ledger(page_tokens, admission)
@@ -929,18 +902,30 @@ def check_cluster_invariants(
                 f"replica {replica}: autoscaled replica's log does not open "
                 "with its scale-up marker"
             )
-        for rid, count in stats["admit_count"].items():
-            admit_total[rid] = admit_total.get(rid, 0) + count
-        for rid, count in stats["preempt_count"].items():
-            preempt_total[rid] = preempt_total.get(rid, 0) + count
-        for rid, count in stats["fail_drops"].items():
-            drop_total[rid] = drop_total.get(rid, 0) + count
-        for rid in stats["completed"]:
-            completions[rid] = completions.get(rid, 0) + 1
+        here = {request.request_id for request in assigned}
+        strays = sorted(rid for rid in stats["admit_count"] if rid not in here)
+        if strays:
+            violations.append(
+                f"replica {replica}: admitted request(s) "
+                f"{', '.join(map(str, strays))} never routed to it"
+            )
+        routes.update(request.request_id for request in assigned)
+        admit_total.update(stats["admit_count"])
+        preempt_total.update(stats["preempt_count"])
+        drop_total.update(stats["fail_drops"])
+        completions.update(stats["completed"])
 
     for request in requests:
         rid = request.request_id
-        done = completions.get(rid, 0)
+        drops = drop_total[rid]
+        reroutes = max(routes[rid] - 1, 0)
+        if drops > reroutes:
+            violations.append(
+                f"request {rid}: {drops} failure drop(s) but {reroutes} "
+                "re-route(s) — failover re-routes every request a failure "
+                "drops"
+            )
+        done = completions[rid]
         if done == 0:
             violations.append(f"request {rid} never completed")
             continue
@@ -948,13 +933,16 @@ def check_cluster_invariants(
             violations.append(
                 f"request {rid} completed {done} times across replicas"
             )
-        admits = admit_total.get(rid, 0)
-        preempts = preempt_total.get(rid, 0)
-        drops = drop_total.get(rid, 0)
+        admits = admit_total[rid]
+        preempts = preempt_total[rid]
         if admits != preempts + drops + 1:
             violations.append(
                 f"request {rid}: {admits} admission(s) but {preempts} "
                 f"preemption(s) and {drops} failure drop(s) — every "
                 "re-admission needs a preemption or a failure"
             )
+    if len(completions) != len(requests):
+        violations.append(
+            f"{len(completions)} requests completed, trace has {len(requests)}"
+        )
     return violations

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,8 +64,6 @@ def _snapshot(index=0, outstanding_requests=0, free=100, total=100):
         outstanding_tokens=outstanding_requests * 64,
         free_kv_pages=free,
         total_kv_pages=total,
-        routed_requests=0,
-        routed_tokens=0,
     )
 
 
@@ -799,8 +798,8 @@ class TestTamperedOpsLogs:
         return (
             [list(log) for log in cluster.events],
             trace,
-            dict(page_tokens=replica.page_tokens, admission=replica.admission,
-                 initial_replicas=2),
+            dict(routed=cluster.assignments, page_tokens=replica.page_tokens,
+                 admission=replica.admission, initial_replicas=2),
         )
 
     def _find(self, log, kind):
@@ -857,6 +856,30 @@ class TestTamperedOpsLogs:
         assert any("recovery without a preceding failure" in v
                    for v in violations)
 
+    def test_first_routes_alone_do_not_explain_failover(self):
+        logs, trace, kwargs = self._failover_logs()
+        routed = kwargs["routed"]
+        routes = Counter(r.request_id for assigned in routed for r in assigned)
+        rerouted = {rid for rid, count in routes.items() if count > 1}
+        assert rerouted
+        # Only replica 0 fails, so every re-routed request was first
+        # routed there: drop its later routes.
+        first_only = [routed[0]] + [
+            [r for r in assigned if r.request_id not in rerouted]
+            for assigned in routed[1:]
+        ]
+        assert check_cluster_invariants(logs, trace, **kwargs) == []
+        assert check_cluster_invariants(
+            logs, trace, **dict(kwargs, routed=first_only)
+        ) != []
+
+    def test_routing_record_must_cover_every_log(self):
+        logs, trace, kwargs = self._failover_logs()
+        with pytest.raises(ValueError, match="routing record"):
+            check_cluster_invariants(
+                logs, trace, **dict(kwargs, routed=kwargs["routed"][:1])
+            )
+
     def test_dropped_completion_is_caught_globally(self):
         logs, trace, kwargs = self._failover_logs()
         for log in logs:
@@ -884,8 +907,8 @@ class TestTamperedOpsLogs:
         return (
             [list(log) for log in cluster.events],
             trace,
-            dict(page_tokens=replica.page_tokens, admission=replica.admission,
-                 initial_replicas=1),
+            dict(routed=cluster.assignments, page_tokens=replica.page_tokens,
+                 admission=replica.admission, initial_replicas=1),
         )
 
     def test_sound_autoscaled_logs_pass(self):
@@ -913,6 +936,64 @@ class TestTamperedOpsLogs:
         violations = check_cluster_invariants(logs, trace, **kwargs)
         assert any("must carry +1 (spawn) or -1 (drain)" in v
                    for v in violations)
+
+
+class TestRoutingRecord:
+    """Every fleet, fixed or not, is held to its routing record."""
+
+    @pytest.mark.parametrize(
+        "ops",
+        ({}, dict(failures="single", autoscaler="queue-depth")),
+        ids=("fixed", "failover-autoscaled"),
+    )
+    def test_request_moved_between_replicas_is_caught(self, ops):
+        cost_model = make_cost_model("ianus")
+        model = GPT2_CONFIGS["m"]
+        generator = get_trace_generator("chatbot")
+        service_s = mean_service_time_s(cost_model, model, generator.workloads)
+        trace = generator.generate(120, 1.6 / service_s, seed=3)
+        cluster = ClusterSimulator(
+            cost_model, model, num_replicas=2, engine="array", **ops
+        )
+        metrics = cluster.simulate(trace, record_events=True)
+        assert (metrics.rerouted_requests > 0) == bool(ops)
+        assert cluster.validate_invariants() == []
+        routes = Counter(
+            r.request_id for assigned in cluster.assignments for r in assigned
+        )
+        moved = next(
+            r for r in cluster.assignments[0] if routes[r.request_id] == 1
+        )
+        first, second, *spawned = cluster.assignments
+        cluster.assignments = [
+            tuple(r for r in first if r is not moved), (*second, moved),
+            *spawned,
+        ]
+        assert cluster.validate_invariants() != []
+
+    def test_forged_failure_cannot_explain_a_second_admission(self):
+        # A fixed fleet re-routes nothing, so a forged fail + recover that
+        # balances a re-admission in the global books is still caught.
+        cluster = _cluster(num_replicas=2)
+        cluster.simulate(_trace(num=40, rate=60.0), record_events=True)
+        assert cluster.validate_invariants() == []
+        log = cluster.events[0]
+        index, admit = next(
+            (i, e) for i, e in enumerate(log)
+            if e.kind == "admit" and e.active == 1
+        )
+        fail = dataclasses.replace(
+            admit, kind="fail", request_id=None,
+            tokens=admit.kv_reserved_pages, decode_ids=(admit.request_id,),
+            active=0, kv_reserved_pages=0,
+        )
+        recover = dataclasses.replace(fail, kind="recover", tokens=0,
+                                      decode_ids=())
+        cluster.events[0] = log[:index + 1] + [fail, recover] + log[index:]
+        assert cluster.validate_invariants() == [
+            f"request {admit.request_id}: 1 failure drop(s) but 0 "
+            "re-route(s) — failover re-routes every request a failure drops"
+        ]
 
 
 # ======================================================================

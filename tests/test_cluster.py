@@ -548,7 +548,7 @@ class TestClusterPlumbing:
         prefix_pages = 64 // simulator.page_tokens
 
         def resident(request):
-            return _snapshot(0, run, [[first]], [192], request).resident_prefix_pages
+            return _snapshot(0, run, request).resident_prefix_pages
 
         assert run.kv.resident_prefix_pages(7) == prefix_pages
         assert resident(follower) == prefix_pages
@@ -558,8 +558,8 @@ class TestClusterPlumbing:
         def state(index, free, resident):
             return ReplicaSnapshot(
                 index=index, outstanding_requests=1, outstanding_tokens=100,
-                free_kv_pages=free, total_kv_pages=64, routed_requests=1,
-                routed_tokens=100, resident_prefix_pages=resident,
+                free_kv_pages=free, total_kv_pages=64,
+                resident_prefix_pages=resident,
             )
 
         request = Request(3, 0.0, 128, 8, prefix_id=7, prefix_tokens=64)

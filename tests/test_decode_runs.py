@@ -435,7 +435,8 @@ def _forge(rng, logs, states_by_log, by_id, default_model):
 
 def _forgery_bases():
     """Evented array-engine runs whose logs the forgeries start from:
-    ``(logs, trace, a simulator that recorded them, initial replicas)``."""
+    ``(logs, trace, a simulator that recorded them, the books' routing
+    record and initial replicas)``."""
     generator = get_trace_generator("chatbot")
     service_s = mean_service_time_s(COST_MODEL, MODEL, generator.workloads)
     bases = []
@@ -449,7 +450,10 @@ def _forgery_bases():
         kv_fraction=0.06, admission="optimistic", swap=True, link_gbps=16.0,
     )
     simulator.simulate(trace, record_events=True)
-    bases.append(([simulator.events], trace, simulator, 1))
+    bases.append((
+        [simulator.events], trace, simulator,
+        dict(routed=[trace], initial_replicas=1),
+    ))
     # Co-hosted models under optimistic admission: members of another
     # model and members still prefilling, beside page grants.
     trace = generator.generate(
@@ -460,15 +464,21 @@ def _forgery_bases():
         kv_fraction=0.06, admission="optimistic", preempt=True,
     )
     simulator.simulate(trace, record_events=True)
-    bases.append(([simulator.events], trace, simulator, 1))
+    bases.append((
+        [simulator.events], trace, simulator,
+        dict(routed=[trace], initial_replicas=1),
+    ))
     # The evented fleet: failures, autoscaling, three models.
     cluster, trace = _fleet(requests=16, seed=2)
     cluster.simulate(trace, record_events=True)
-    bases.append((cluster.events, trace, cluster.replicas[0], 3))
+    bases.append((
+        cluster.events, trace, cluster.replicas[0],
+        dict(routed=cluster.assignments, initial_replicas=3),
+    ))
     return bases
 
 
-def _verdicts(logs, trace, simulator, initial_replicas):
+def _verdicts(logs, trace, simulator, books):
     """Whether each checker finds a violation in ``logs`` (the
     single-replica checker only reads single logs)."""
     geometry = dict(
@@ -478,9 +488,7 @@ def _verdicts(logs, trace, simulator, initial_replicas):
     single = None
     if len(logs) == 1:
         single = bool(check_invariants(logs[0], trace, **geometry))
-    fleet = bool(check_cluster_invariants(
-        logs, trace, initial_replicas=initial_replicas, **geometry
-    ))
+    fleet = bool(check_cluster_invariants(logs, trace, **books, **geometry))
     return single, fleet
 
 
@@ -488,10 +496,10 @@ def test_closed_form_replay_keeps_the_verdict_of_the_steps():
     # 150 forged logs from each of the three bases.
     rng = random.Random(26)
     detected: dict[str, int] = {}
-    for logs, trace, simulator, initial in _forgery_bases():
+    for logs, trace, simulator, books in _forgery_bases():
         by_id = {request.request_id: request for request in trace}
         assert any(event.kind == "decode_run" for log in logs for event in log)
-        assert _verdicts(logs, trace, simulator, initial) == (
+        assert _verdicts(logs, trace, simulator, books) == (
             (False, False) if len(logs) == 1 else (None, False)
         )
         default_model = simulator.model.name
@@ -503,9 +511,9 @@ def test_closed_form_replay_keeps_the_verdict_of_the_steps():
                 continue
             kind, forged = forgery
             made += 1
-            verdicts = _verdicts(forged, trace, simulator, initial)
+            verdicts = _verdicts(forged, trace, simulator, books)
             expanded = [expand_runs(log) for log in forged]
-            assert verdicts == _verdicts(expanded, trace, simulator, initial), kind
+            assert verdicts == _verdicts(expanded, trace, simulator, books), kind
             if verdicts[1]:
                 detected[kind] = detected.get(kind, 0) + 1
     # Every kind of tampering was drawn and caught somewhere.

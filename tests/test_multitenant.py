@@ -217,8 +217,7 @@ class TestModelAwareRouter:
         return ReplicaSnapshot(
             index=index, outstanding_requests=0,
             outstanding_tokens=outstanding, free_kv_pages=free,
-            total_kv_pages=100, routed_requests=0, routed_tokens=0,
-            resident_model=resident_model,
+            total_kv_pages=100, resident_model=resident_model,
         )
 
     def test_prefers_resident_match_over_load(self):
@@ -275,6 +274,31 @@ class TestModelAwareRouter:
         assert data["slo_by_model_class"]
         for value in data["slo_by_model_class"].values():
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("engine", tuple(ENGINES))
+    def test_attainment_shares_are_python_floats(self, cost_model, engine):
+        # NumPy counts would make each share a numpy.float64, and a
+        # comparison of two of them a numpy.bool that json rejects.
+        trace = get_trace_generator("chatbot").generate(
+            40, 20.0, seed=7, num_classes=2, model_mix=MODEL_MIX
+        )
+        single = ServingSimulator(
+            cost_model, get_model(DEFAULT), engine=engine,
+            slo_targets=(0.5, 2.0), num_classes=2,
+        ).simulate([replace(request, model="") for request in trace])
+        fleet = ClusterSimulator(
+            cost_model, get_model(DEFAULT), num_replicas=2, engine=engine,
+            router="model-aware", models=_model_set(),
+            slo_targets=(0.5, 2.0), num_classes=2,
+        ).simulate(trace)
+        assert fleet.slo_by_model_class
+        for metrics in (single, fleet):
+            shares = [
+                metrics.slo_attainment,
+                *metrics.slo_by_class.values(),
+                *metrics.slo_by_model_class.values(),
+            ]
+            assert all(type(share) is float for share in shares), shares
 
 
 # ----------------------------------------------------------------------

@@ -171,6 +171,22 @@ class TestArrivalBatchedByteIdentity:
             scale = max(abs(expected), abs(actual), 1.0)
             assert abs(expected - actual) / scale <= 1e-9, field
 
+    @pytest.mark.parametrize("load", (0.3, 0.6, 0.9))
+    def test_completion_record_stays_in_clock_order(self, cost_model, load):
+        """Absorbed stretches join the completion record before the burst
+        after them runs, so the record stays in clock order (the cluster's
+        causal SLO window walks it with cursors)."""
+        generator = TRACES["chatbot"]
+        service = mean_service_time_s(cost_model, MODEL, generator.workloads)
+        trace = generator.generate(3000, load / service, seed=3)
+        simulator = ServingSimulator(
+            cost_model, MODEL, engine="array", policy="interleaved",
+            max_batch=8,
+        )
+        simulator.simulate(trace)
+        completion = simulator.last_run.completions.completion_s
+        assert all(a <= b for a, b in zip(completion, completion[1:]))
+
     def test_tight_kv_forces_fallback_and_stays_identical(
         self, cost_model, underload_rate
     ):
