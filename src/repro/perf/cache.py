@@ -57,8 +57,11 @@ __all__ = [
 #: Version of the persisted cache schema.  Bump whenever a timing model, a
 #: cached value layout, or a key ingredient changes: on-disk entries carrying
 #: an older version are discarded wholesale (stale timings silently reused
-#: across a model change would be far worse than a cold start).
-CACHE_SCHEMA_VERSION = 1
+#: across a model change would be far worse than a cold start).  Version 2:
+#: the ``decode-tables`` section holds pickled
+#: :class:`~repro.serving.decode_table.DecodeCostTable` objects (version 1
+#: held plain-list payloads of their columns).
+CACHE_SCHEMA_VERSION = 2
 
 #: Fingerprints are derived from the frozen config dataclass repr, which
 #: includes the class name and every field (and nested frozen dataclass)
@@ -375,9 +378,12 @@ _GLOBAL_BASELINE_CACHE = PassCostCache()
 
 #: Process-wide cache for the array engine's dense decode-cost tables,
 #: keyed (backend fingerprint, model fingerprint, anchor grid, kv range)
-#: and holding plain-list column payloads (see
-#: :func:`repro.serving.decode_table.table_to_payload`).  Tables are a few
-#: hundred KB each, so the bound is much tighter than the pass caches'.
+#: and holding each immutable
+#: :class:`~repro.serving.decode_table.DecodeCostTable` as it is: every
+#: run, replica and weight swap over one grid installs the same object
+#: (see :meth:`repro.serving.simulator.PassCostProvider.decode_table`),
+#: and the persistent layer pickles it.  Tables are a few hundred KB
+#: each, so the bound is much tighter than the pass caches'.
 _GLOBAL_DECODE_TABLE_CACHE = PassCostCache(maxsize=64)
 
 
@@ -425,7 +431,7 @@ def set_global_baseline_cache(cache: PassCostCache) -> PassCostCache:
 
 
 def global_decode_table_cache() -> PassCostCache:
-    """The process-wide decode-table payload cache."""
+    """The process-wide decode-table cache."""
     return _GLOBAL_DECODE_TABLE_CACHE
 
 

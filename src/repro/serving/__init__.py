@@ -33,8 +33,11 @@ Layering — who knows what:
     The *megatrace* engine.  ``ServingSimulator(..., engine="array")``
     swaps the per-request object hot loop for a columnar one (parallel
     state lists, dense :class:`~repro.serving.decode_table.DecodeCostTable`
-    pricing) behind the same ``SimulationRun`` API.  It advances a stable
-    all-decode batch to its next event in one call: an exact decode run
+    pricing) behind the same ``SimulationRun`` API.  A table is built once
+    per (backend, model, anchor grid, KV range) and process, in every form
+    the engine reads, and every run, replica and weight swap installs it by
+    reference.  The engine advances a stable all-decode batch to its next
+    event in one call: an exact decode run
     (``_decode_run``) performs ``fused_pass``'s own float operations and
     changes no number, while a prefix-sum macro-step (``_macro_step``,
     private-page batches on a floor-free table, no event log) agrees with
@@ -61,6 +64,10 @@ Layering — who knows what:
     reduces every completion record.  ``TraceGenerator.generate_stream`` feeds
     ``ServingSimulator.simulate_stream`` arrivals in O(chunk) memory —
     byte-identical to ``generate`` under every trace curve.
+:mod:`repro.serving.cluster`
+    :class:`ClusterSimulator`: routes one trace over ``R`` replicas, each
+    one run of the fleet's single ``ServingSimulator`` (spawned replicas
+    too), and pools their metrics into :class:`ClusterMetrics`.
 :mod:`repro.serving.validate`
     :func:`check_cluster_invariants`: replays every replica's recorded
     event log against the trace and balances one set of books against

@@ -18,10 +18,12 @@ streamed million-request day never materializes, and no per-request
 Python object survives its own lifetime.
 
 **Dense decode-cost tables.**  All decode pricing goes through a
-:class:`~repro.serving.decode_table.DecodeCostTable` built once per
-(model, backend, anchor grid) by the cost provider, one per co-hosted
-model: the inner loop reads plain Python floats out of dense lists and
-never touches the cost model.  Table entries are bit-identical to
+:class:`~repro.serving.decode_table.DecodeCostTable`, one per co-hosted
+model, built once per (backend, model, anchor grid, KV range) and process
+and shared through the decode-table cache: a run holds the resident
+model's table by reference and converts nothing, and its inner loops read
+plain Python floats out of the table's column and prefix-sum tuples
+without touching the cost model.  Table entries are bit-identical to
 ``provider.decode``, so per-iteration stepping reproduces the object
 engine's floating-point results *exactly*.
 
@@ -130,11 +132,6 @@ from repro.serving.simulator import (
 
 __all__ = ["ArraySimulationRun"]
 
-#: The decode-pricing state of a model without a table: KV range, the
-#: five columns, and whether decode runs may price from the columns (the
-#: order in which ``_swap_model`` installs a model's state).
-_NO_TABLE = (1, 0, None, None, None, None, None, False)
-
 
 class ArraySimulationRun(_RunLifecycle):
     """Columnar drop-in for :class:`~repro.serving.simulator.SimulationRun`."""
@@ -152,29 +149,14 @@ class ArraySimulationRun(_RunLifecycle):
         #: (see the module docstring).
         self._exact_kv = bool(sim.swap)
 
-        # Decode-cost table (dense lists + prefix sums); absent under
-        # exact pricing or unknown KV bounds, in which case every decode
-        # is priced through the provider (correct, per-iteration only).
-        (
-            self._tbl_lo,
-            self._tbl_hi,
-            self._lat,
-            self._em,
-            self._ep,
-            self._en,
-            self._fl,
-            self._run_table,
-        ) = _NO_TABLE
-        self._lat_max = 0.0
-        self._floor_free = False
-        self._base: "tuple | None" = None
-        self._np_prefix: "np.ndarray | None" = None
-        # Prefix-sum columns; absent on table-less runs (the absorbers
-        # only index them for decode segments, which a table-less run
-        # never prices in closed form — the ``plat is None`` guards).
-        self._plat = self._pem = self._pep = self._pen = self._pfl = None
+        # The resident model's decode-cost table, the provider's shared
+        # one, held by reference; ``None`` under exact pricing or unknown
+        # KV bounds, in which case every decode is priced through the
+        # provider (correct, per-iteration only).
+        table = None
         if not sim.provider.exact and kv_bounds is not None:
-            self._install_table(sim.provider.decode_table(*kv_bounds))
+            table = sim.provider.decode_table(*kv_bounds)
+        self._table = table
 
         # Request columns, indexed by row.  Rows recycle via _free.
         self._arr: list = []
@@ -259,40 +241,21 @@ class ArraySimulationRun(_RunLifecycle):
         # Multi-model residency: the per-iteration loop and decode runs
         # restrict each pass to the resident model's rows, and a weight
         # swap is paid when the active model changes (the object engine's
-        # sticky-resident scheduling over rows).  Every co-hosted model
-        # gets its own decode table up front; its columns, base and
-        # chunk-cost cache swap in with the weights.  Only the default
-        # model's table carries the prefix sums, which the macro-steps and
-        # absorbers read, and those stand down on multi-model runs.
+        # sticky-resident scheduling over rows).  Every co-hosted model's
+        # shared decode table is looked up once, up front (none when the
+        # default model has none); a model's table and chunk-cost cache
+        # swap in with its weights.  The macro-steps and absorbers stand
+        # down on multi-model runs; the decode runs price from whichever
+        # table is resident.
         self._multi = sim.multi_model
         if self._multi:
-            self._tables = {
-                sim.model.name: (
-                    self._tbl_lo,
-                    self._tbl_hi,
-                    self._lat,
-                    self._em,
-                    self._ep,
-                    self._en,
-                    self._fl,
-                    self._run_table,
-                )
-            }
-            self._bases: dict = (
-                {} if self._base is None else {sim.model.name: self._base}
-            )
-            if self._lat is not None:
-                for name, provider in sim.providers.items():
-                    if name not in self._tables:
-                        table = provider.decode_table(*kv_bounds)
-                        columns = table.columns()
-                        self._tables[name] = (
-                            table.kv_lo,
-                            table.kv_hi,
-                            *columns,
-                            min(columns[0]) >= 0.0,
-                        )
-                        self._bases[name] = table.base
+            #: Each hosted model's decode table (or ``None``).
+            self._tables = {sim.model.name: table}
+            for name, provider in sim.providers.items():
+                if name not in self._tables:
+                    self._tables[name] = (
+                        None if table is None else provider.decode_table(*kv_bounds)
+                    )
             self._chunks_by_model = {sim.model.name: self._chunk_costs}
         # Arrival-batched absorption gates (fixed for the run's lifetime).
         # _absorb_ok: whole idle-device arrival windows may be served in
@@ -304,12 +267,13 @@ class ArraySimulationRun(_RunLifecycle):
         # isolated requests never hit a floor, but the per-arrival
         # reference path would run per-iteration there and absorption
         # must not change which path produced the numbers.
+        floor_free = table is not None and table.floor_free
         self._absorb_ok = (
             self.events is None
             and sim.chunk_tokens == 0
             and not self._exact_kv
             and not sim.multi_model
-            and (self._floor_free or self._lat is None)
+            and (floor_free or table is None)
         )
         # _fcfs_absorb: concurrency-1 arrival-order service is a Lindley
         # recursion — queued arrivals absorb too, no isolation test.
@@ -322,56 +286,19 @@ class ArraySimulationRun(_RunLifecycle):
         # grants and a floor-free table.
         self._burst_ok = (
             self._absorb_ok
-            and self._floor_free
+            and floor_free
             and self._arrival_order
             and not self._optimistic
             and self._policy_cap > 1
         )
 
     # ------------------------------------------------------------------
-    def _install_table(self, table) -> None:
-        self._tbl_lo, self._tbl_hi = table.kv_lo, table.kv_hi
-        (self._lat, self._em, self._ep, self._en, self._fl) = table.columns()
-        (
-            self._plat,
-            self._pem,
-            self._pep,
-            self._pen,
-            self._pfl,
-        ) = table.prefix_sums()
-        # The prefix sums as one numpy matrix, a row per KV offset and a
-        # column per cost component (same floats: prefix_sums() is a
-        # tolist() of exactly this sequential cumsum), for the arrival
-        # absorber, which prices whole windows of decode runs at once.
-        columns = np.stack(
-            (
-                table.latency,
-                table.energy_memory,
-                table.energy_pim,
-                table.energy_npu,
-                table.flops,
-            ),
-            axis=1,
-        )
-        self._np_prefix = np.zeros((len(columns) + 1, 5))
-        np.cumsum(columns, axis=0, out=self._np_prefix[1:])
-        self._floor_free = table.floor_free
-        self._base = table.base
-        # Largest single-iteration latency on the table: a per-step cost
-        # can never exceed batch * max - shared, so macro budget caps that
-        # provably cannot bind are dismissed with one multiply.
-        self._lat_max = max(self._lat)
-        # A fused pass costs at least its largest member, so with no
-        # negative latency a decode run's clock sequence never decreases
-        # and its budget stop may bisect it.
-        self._run_table = min(self._lat) >= 0.0
-
     def _base_cost(self) -> tuple:
-        if self._base is None:
-            self._base = cost_tuple(self._provider.base())
-            if self._multi:
-                self._bases[self.resident_model] = self._base
-        return self._base
+        """The resident model's decode floor ``c(1)`` as a cost tuple."""
+        table = self._table
+        if table is not None:
+            return table.base
+        return cost_tuple(self._provider.base())
 
     # ------------------------------------------------------------------
     # Row management
@@ -560,14 +487,15 @@ class ArraySimulationRun(_RunLifecycle):
     # ------------------------------------------------------------------
     def _decode_cost(self, kv: int) -> tuple:
         """(latency, mem_j, pim_j, npu_j, flops) — bit-equal to decode()."""
-        if self._tbl_lo <= kv <= self._tbl_hi:
-            index = kv - self._tbl_lo
+        table = self._table
+        if table is not None and table.kv_lo <= kv <= table.kv_hi:
+            index = kv - table.kv_lo
             return (
-                self._lat[index],
-                self._em[index],
-                self._ep[index],
-                self._en[index],
-                self._fl[index],
+                table.latency[index],
+                table.energy_memory[index],
+                table.energy_pim[index],
+                table.energy_npu[index],
+                table.flops[index],
             )
         return cost_tuple(self._provider.decode(kv))
 
@@ -599,7 +527,8 @@ class ArraySimulationRun(_RunLifecycle):
         # from then on.
         macro_ok = (
             self.events is None
-            and self._floor_free
+            and self._table is not None
+            and self._table.floor_free
             and not self._exact_kv
             and not self._multi
         )
@@ -745,21 +674,11 @@ class ArraySimulationRun(_RunLifecycle):
         """Stream ``target``'s weights in over the host link (weight swap).
 
         Beyond the shared bookkeeping, the row engine re-points its cost
-        caches: the target's decode-table columns, its base and its
-        chunk-cost cache follow the weights.
+        caches: the target's decode table and chunk-cost cache follow the
+        weights.
         """
         super()._swap_model(target)
-        (
-            self._tbl_lo,
-            self._tbl_hi,
-            self._lat,
-            self._em,
-            self._ep,
-            self._en,
-            self._fl,
-            self._run_table,
-        ) = self._tables.get(target, _NO_TABLE)
-        self._base = self._bases.get(target)
+        self._table = self._tables[target]
         self._chunk_costs = self._chunks_by_model.setdefault(target, {})
 
     def _step(self) -> None:
@@ -914,8 +833,9 @@ class ArraySimulationRun(_RunLifecycle):
         The count is below 1 when a member sits below the table or at its
         top edge; the caller then runs one per-iteration step.
         """
-        lo = self._tbl_lo
-        span = self._tbl_hi - lo + 1
+        table = self._table
+        lo = table.kv_lo
+        span = table.kv_hi - lo + 1
         inp, out, generated = self._inp, self._out, self._generated
         offsets = []
         append = offsets.append
@@ -951,7 +871,7 @@ class ArraySimulationRun(_RunLifecycle):
         """
         kv = self.kv
         rid = self._rid
-        lo = self._tbl_lo
+        lo = self._table.kv_lo
         page_tokens = self._page_tokens
         kvs = [offset + lo for offset in offsets]
         held = [
@@ -1012,9 +932,10 @@ class ArraySimulationRun(_RunLifecycle):
         kv = self.kv
         rid = self._rid
         out, generated = self._out, self._generated
-        base = self._base  # a table is installed whenever macros run
+        table = self._table  # installed whenever macros run
+        base = table.base
         shared = self._batch_share * (batch_size - 1)
-        prefix_lat = self._plat
+        prefix_lat = table.prefix_latency
         shared_lat = shared * base[0]
 
         # Budget caps: stop at `until` and, while the admission gate is
@@ -1033,7 +954,7 @@ class ArraySimulationRun(_RunLifecycle):
         # factor absorbs summation rounding (~n*eps << 1e-9) so the
         # dismissal is sound even when the bound is nearly tight.
         if budget is not None and (
-            steps * batch_size * self._lat_max * 1.000000001 >= budget
+            steps * batch_size * table.latency_max * 1.000000001 >= budget
         ):
             lat_start = 0.0
             total = 0.0
@@ -1056,8 +977,8 @@ class ArraySimulationRun(_RunLifecycle):
                 steps = high
 
         j = steps
-        prefix_em, prefix_ep = self._pem, self._pep
-        prefix_en, prefix_fl = self._pen, self._pfl
+        prefix_em, prefix_ep = table.prefix_energy_memory, table.prefix_energy_pim
+        prefix_en, prefix_fl = table.prefix_energy_npu, table.prefix_flops
         sum_lat = 0.0
         sum_em = 0.0
         sum_ep = 0.0
@@ -1137,7 +1058,8 @@ class ArraySimulationRun(_RunLifecycle):
         ``False`` when not even one iteration can run here; the caller
         then runs one per-iteration step.
         """
-        if not self._run_table:
+        table = self._table
+        if table is None or not table.latency_nonnegative:
             return False
         active = self.active
         generated = self._generated
@@ -1165,7 +1087,7 @@ class ArraySimulationRun(_RunLifecycle):
         offsets, steps = self._run_bounds(batch)
         if steps < 1:
             return False
-        lat = self._lat
+        lat = table.latency
         threshold = until
         pending = self.pending
         if (
@@ -1208,7 +1130,7 @@ class ArraySimulationRun(_RunLifecycle):
             latencies = lat[offset:offset + steps]
         else:
             shared = self._batch_share * (size - 1)
-            floor = self._base_cost()
+            floor = table.base
             latencies = list(fused(lat, offsets, steps, shared * floor[0]))
         if threshold is None:
             end = reduce(add, latencies, self.clock)
@@ -1217,20 +1139,20 @@ class ArraySimulationRun(_RunLifecycle):
             crossing = bisect_left(clocks, threshold, 1)
             if crossing < steps:
                 steps = crossing
-                del latencies[crossing:]
+                latencies = latencies[:crossing]
             end = clocks[steps]
 
         if size == 1:
             stop = offset + steps
-            e_mem = self._em[offset:stop]
-            e_pim = self._ep[offset:stop]
-            e_npu = self._en[offset:stop]
-            flops = self._fl[offset:stop]
+            e_mem = table.energy_memory[offset:stop]
+            e_pim = table.energy_pim[offset:stop]
+            e_npu = table.energy_npu[offset:stop]
+            flops = table.flops[offset:stop]
         else:
-            e_mem = fused(self._em, offsets, steps, shared * floor[1])
-            e_pim = fused(self._ep, offsets, steps, shared * floor[2])
-            e_npu = fused(self._en, offsets, steps, shared * floor[3])
-            column = self._fl
+            e_mem = fused(table.energy_memory, offsets, steps, shared * floor[1])
+            e_pim = fused(table.energy_pim, offsets, steps, shared * floor[2])
+            e_npu = fused(table.energy_npu, offsets, steps, shared * floor[3])
+            column = table.flops
             flops = reduce(
                 partial(map, add),
                 [column[offset:offset + steps] for offset in offsets],
@@ -1380,15 +1302,17 @@ class ArraySimulationRun(_RunLifecycle):
         head_pages = -(-(i_tok + o) // page_tokens)
         head_ok = head_pages <= self.kv.total_pages
         dec = 0.0
+        table = self._table
         if head_ok and o > 1:
-            if self._np_prefix is None:
+            if table is None:
                 head_ok = False
             else:
-                beg = i_tok + 1 - self._tbl_lo
-                if beg < 0 or beg + o - 1 > self._tbl_hi - self._tbl_lo + 1:
+                beg = i_tok + 1 - table.kv_lo
+                if beg < 0 or beg + o - 1 > table.kv_hi - table.kv_lo + 1:
                     head_ok = False
                 else:
-                    dec = self._plat[beg + o - 1] - self._plat[beg]
+                    prefix_lat = table.prefix_latency
+                    dec = prefix_lat[beg + o - 1] - prefix_lat[beg]
         if head_ok:
             pre_head = self._chunk_costs.get((0, i_tok))
             if pre_head is None:
@@ -1434,10 +1358,10 @@ class ArraySimulationRun(_RunLifecycle):
         single = steps == 0
         # Each request's decode run, one column per cost component
         # (latency, memory, PIM and NPU energy, FLOPs).
-        prefix = self._np_prefix
-        if prefix is not None:
-            lo = self._tbl_lo
-            span = self._tbl_hi - lo + 1
+        if table is not None:
+            prefix = table.prefix_matrix
+            lo = table.kv_lo
+            span = table.kv_hi - lo + 1
             beg_v = inp + 1 - lo
             run = ~single & (beg_v >= 0) & (beg_v + steps <= span)
             eligible &= single | run
@@ -1611,8 +1535,8 @@ class ArraySimulationRun(_RunLifecycle):
         kv = self.kv
         page_tokens = self._page_tokens
         cap = self._policy_cap
-        lo = self._tbl_lo
-        span = self._tbl_hi - lo + 1
+        lo = self._table.kv_lo
+        span = self._table.kv_hi - lo + 1
         clock = self.clock
         head = arr[pending[0]]
         if until is not None and (head >= until or clock >= until):

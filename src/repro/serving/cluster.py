@@ -1,13 +1,15 @@
 """Multi-replica cluster serving: request routing over replicated devices.
 
-One IANUS appliance (or GPU) is a *replica*: a cost model plus a KV page
-accountant, simulated by :class:`~repro.serving.simulator.ServingSimulator`.
-A :class:`ClusterSimulator` fans a single arrival trace out over ``R``
-replicas through a pluggable :class:`Router` and pools the per-replica
-metrics into one :class:`ClusterMetrics` — the serving-layer counterpart of
-the paper's Sec. 7.1 scale-out, but at *request* rather than tensor
-granularity (each replica may itself be a multi-device cluster via
-``make_cost_model("ianus-xN")``).
+One IANUS appliance (or GPU) is a *replica*.  A :class:`ClusterSimulator`
+builds one :class:`~repro.serving.simulator.ServingSimulator` and makes
+each replica one run of it (``begin()``): a run owns its queues, clock and
+KV page accountant, while the cost providers and decode-cost tables it
+prices from are the fleet's one copy.  The cluster fans a single arrival
+trace out over ``R`` such runs through a pluggable :class:`Router` and
+pools the per-replica metrics into one :class:`ClusterMetrics` — the
+serving-layer counterpart of the paper's Sec. 7.1 scale-out, but at
+*request* rather than tensor granularity (each replica may itself be a
+multi-device cluster via ``make_cost_model("ianus-xN")``).
 
 Routing is **online and causal**: every router, on every fleet, runs one
 per-arrival loop.  For each arrival in order it applies the fleet events
@@ -56,10 +58,12 @@ activates the ops layer:
   recomputed from scratch, keeping their original arrival so latency
   accrues across the failure.  Recovery brings the replica back empty.
 - an :class:`~repro.serving.autoscale.Autoscaler` is consulted at every
-  arrival instant on router-visible state only.  A spawned replica warms
-  up for :func:`~repro.serving.autoscale.replica_warmup_s` (weights over
-  the host link plus one priming pass, priced by the cost model) before
-  it may serve; a drained replica finishes its routed work but takes no
+  arrival instant on router-visible state only.  A spawned replica is one
+  more run of the fleet's simulator: it installs the decode tables the
+  others price from by reference and builds nothing.  It warms up for
+  :func:`~repro.serving.autoscale.replica_warmup_s` (weights over the
+  host link plus one priming pass, priced by the cost model) before it
+  may serve; a drained replica finishes its routed work but takes no
   new requests.  Routers therefore receive a *subset* of snapshots and
   must return the chosen snapshot's ``index`` field.
 
@@ -328,7 +332,10 @@ class ClusterMetrics:
     peak_active: int
     preemptions: int
     recomputed_tokens: int
-    #: Requests / tokens routed to each replica, in replica order.
+    #: Routes to each replica and the tokens they carried, in replica
+    #: order.  Every route counts, as in ``ClusterSimulator.assignments``:
+    #: a request failover re-routes counts once at each replica it was
+    #: routed to, so the routes sum to the trace plus the re-routes.
     routed_requests: tuple[int, ...]
     routed_tokens: tuple[int, ...]
     #: max/min routed tokens over the replicas that received at least one
@@ -604,7 +611,7 @@ class _OpsState:
         self.rerouted = 0
         self.dropped_pages = 0
         self.peak_replicas = count
-        self._has_slo = bool(cluster.replicas[0].slo_targets)
+        self._has_slo = bool(cluster.simulator.slo_targets)
         #: Per run, the SLO window over its completion record: ``[lo, hi,
         #: met]``, entries ``lo:hi`` inside it and how many of those met
         #: their target (see :meth:`_window_attainment`).
@@ -767,7 +774,7 @@ class _OpsState:
         """
         if not self._has_slo:
             return None
-        targets = self.cluster.replicas[0].slo_targets
+        targets = self.cluster.simulator.slo_targets
         last = len(targets) - 1
         start = now - window_s
 
@@ -796,11 +803,7 @@ class _OpsState:
 
     def _spawn(self, now: float) -> None:
         cluster = self.cluster
-        replica = ServingSimulator(
-            cluster.cost_model, cluster.model, **cluster._simulator_kwargs
-        )
-        cluster.replicas.append(replica)
-        run = replica.begin(
+        run = cluster.simulator.begin(
             record_events=self.record_events, kv_bounds=self.bounds
         )
         run.clock = now
@@ -853,6 +856,11 @@ class _OpsState:
 class ClusterSimulator:
     """Fan one trace out over ``num_replicas`` identical replicas.
 
+    The fleet is one :class:`~repro.serving.simulator.ServingSimulator`,
+    :attr:`simulator`, built and validated once: each replica, initial or
+    spawned, is one run of it (``simulator.begin()``), so every replica
+    prices from the same cost providers and decode-cost tables.
+
     Parameters
     ----------
     cost_model:
@@ -876,9 +884,10 @@ class ClusterSimulator:
         (fixed fleet).
     **simulator_kwargs:
         Everything else (policy, admission, preempt, kv_fraction, ...) is
-        forwarded to each replica's
-        :class:`~repro.serving.simulator.ServingSimulator` — including
-        replicas spawned by the autoscaler mid-run.
+        forwarded to the fleet's one
+        :class:`~repro.serving.simulator.ServingSimulator`, which
+        validates it once; the replicas the autoscaler spawns mid-run are
+        runs of that simulator too.
     """
 
     def __init__(
@@ -912,17 +921,14 @@ class ClusterSimulator:
             self.autoscaler is None or isinstance(self.autoscaler, FixedAutoscaler)
         ):
             _check_fleet_survives(self.failures, num_replicas)
-        self._simulator_kwargs = dict(simulator_kwargs)
         self._initial_count = num_replicas
         self._warmup_s = (
             replica_warmup_s(cost_model, model)
             if self.autoscaler is not None
             else 0.0
         )
-        self.replicas = [
-            ServingSimulator(cost_model, model, **simulator_kwargs)
-            for _ in range(num_replicas)
-        ]
+        #: The simulator every replica is a run of.
+        self.simulator = ServingSimulator(cost_model, model, **simulator_kwargs)
         #: Per-replica event logs of the last simulate() (None entries when
         #: events were not recorded).
         self.events: "list[list] | None" = None
@@ -955,16 +961,13 @@ class ClusterSimulator:
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
         bounds = decode_kv_bounds(ordered)
         # A reused simulator must stay deterministic: stateful routers
-        # (round-robin's rotation) restart with every simulation, and the
-        # fleet shrinks back to its initial replicas (autoscaling grows
-        # self.replicas mid-run).
+        # (round-robin's rotation) restart with every simulation.
         self.router.reset()
         if self.autoscaler is not None:
             self.autoscaler.reset()
-        del self.replicas[self._initial_count :]
         runs: list[SimulationRun] = [
-            replica.begin(record_events=record_events, kv_bounds=bounds)
-            for replica in self.replicas
+            self.simulator.begin(record_events=record_events, kv_bounds=bounds)
+            for _ in range(self._initial_count)
         ]
         assignments: list[list[Request]] = [[] for _ in runs]
         routed_tokens = [0] * len(runs)
@@ -974,7 +977,7 @@ class ClusterSimulator:
         ops = _OpsState(
             self, runs, assignments, routed_tokens, start, record_events, bounds
         )
-        if self._profiling:
+        if self.simulator.profile:
             # Arrivals and failover both route through ops.route.
             _book_phase(ops, "route", self._route_phase, "route")
         for request in ordered:
@@ -995,15 +998,11 @@ class ClusterSimulator:
         self._last_trace = tuple(ordered)
         return self._pool(per_replica, ordered, routed_tokens, ops)
 
-    @property
-    def _profiling(self) -> bool:
-        return bool(self._simulator_kwargs.get("profile"))
-
     def pooled_phase_s(self) -> dict[str, float]:
         """Per-phase wall breakdown of the last ``simulate()``, pooled
         across replicas, plus the cluster's own ``route`` phase.
 
-        Populated when the replicas were built with ``profile=True``
+        Populated when the fleet was built with ``profile=True``
         (``repro serve --profile`` arranges this); phases absent from an
         engine are simply missing from the dict.
         """
@@ -1031,13 +1030,12 @@ class ClusterSimulator:
             raise RuntimeError(
                 "validate_invariants() needs simulate(record_events=True)"
             )
-        reference = self.replicas[0]
         return check_cluster_invariants(
             self.events,
             self._last_trace or (),
             self.assignments,
-            page_tokens=reference.page_tokens,
-            admission=reference.admission,
+            page_tokens=self.simulator.page_tokens,
+            admission=self.simulator.admission,
             initial_replicas=self._initial_count,
             default_model=self.model.name,
         )
@@ -1125,9 +1123,7 @@ class ClusterSimulator:
             recomputed_tokens=sum(
                 metrics.recomputed_tokens for metrics in per_replica
             ),
-            routed_requests=tuple(
-                metrics.num_requests for metrics in per_replica
-            ),
+            routed_requests=tuple(len(assigned) for assigned in ops.assignments),
             routed_tokens=tuple(routed_tokens),
             load_imbalance=imbalance,
             kv_peak_pages=kv_peak,
@@ -1156,7 +1152,7 @@ class ClusterSimulator:
             per_request=tuple(pooled),
             **request_aggregates(
                 completions,
-                self.replicas[0].slo_targets,
+                self.simulator.slo_targets,
                 self.model.name,
                 len(models) > 1,
             ),

@@ -5,9 +5,21 @@ The object engine prices every decode pass through
 bisect over the anchor grid and a :func:`~repro.core.costmodel.lerp_pass_cost`
 per *new* KV length.  That is fast enough at hundreds of requests but it is
 still a Python call per token; the array engine instead materializes the
-whole ``kv -> cost`` function once per (model, backend, anchor grid) as a
-:class:`DecodeCostTable`: five dense float64 columns (latency, the three
-dynamic-energy components, FLOPs) indexed by ``kv - kv_lo``.
+whole ``kv -> cost`` function as a :class:`DecodeCostTable`: five dense
+columns (latency, the three dynamic-energy components, FLOPs) indexed by
+``kv - kv_lo``.
+
+One form, one copy
+------------------
+A table is the only form its numbers take.  :func:`build_decode_table`
+computes everything the engine reads — the columns and their exclusive
+prefix sums as tuples of Python floats, the prefix sums again as one
+read-only numpy matrix for the arrival absorber, the ``c(1)`` base and the
+flags that gate the fast paths — once per (backend fingerprint, model
+fingerprint, anchor grid, KV range) per process.  The process-wide
+decode-table cache (:func:`repro.perf.cache.global_decode_table_cache`)
+holds the table as it is, every run, replica and weight swap installs it
+by reference, and the persistent layer pickles it across processes.
 
 Bit-exactness contract
 ----------------------
@@ -36,93 +48,59 @@ runs of decode iterations with prefix sums instead of per-iteration maxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.serving.simulator import cost_tuple
 
-__all__ = [
-    "DecodeCostTable",
-    "build_decode_table",
-    "table_to_payload",
-    "table_from_payload",
-]
+__all__ = ["DecodeCostTable", "build_decode_table"]
 
 
 @dataclass(frozen=True)
 class DecodeCostTable:
-    """Dense per-KV-length decode costs over ``[kv_lo, kv_hi]``.
+    """Dense per-KV-length decode costs over ``[kv_lo, kv_hi]``, in every
+    form the array engine reads (see the module docstring).
 
     ``latency[kv - kv_lo]`` (etc.) is bit-identical to
-    ``provider.decode(kv)`` — see the module docstring for the contract.
-    ``base`` is the ``c(1)`` floor as plain floats in the same column
-    order; ``prefix_*`` are exclusive prefix sums (``prefix[j] = sum of the
-    first j entries``) exposed as Python float lists so the engine's hot
-    loop aggregates iteration runs with two list indexings per column.
+    ``provider.decode(kv)``.  ``prefix_*`` are the columns' exclusive
+    prefix sums (``prefix[j]`` = sum of the first ``j`` entries), so the
+    engine's hot loops aggregate iteration runs with two tuple indexings
+    per column.  Built only by :func:`build_decode_table`; immutable, so
+    one table serves every run that prices over its grid.
     """
 
     kv_lo: int
     kv_hi: int
-    latency: np.ndarray
-    energy_memory: np.ndarray
-    energy_pim: np.ndarray
-    energy_npu: np.ndarray
-    flops: np.ndarray
+    latency: tuple
+    energy_memory: tuple
+    energy_pim: tuple
+    energy_npu: tuple
+    flops: tuple
+    prefix_latency: tuple
+    prefix_energy_memory: tuple
+    prefix_energy_pim: tuple
+    prefix_energy_npu: tuple
+    prefix_flops: tuple
     #: ``(latency, mem_j, pim_j, npu_j, flops)`` of the shared c(1) floor.
-    base: tuple[float, float, float, float, float]
+    base: tuple
     #: True when no fused-batch floor can bind on any batch from this
     #: table (every value >= its base component and latencies positive);
     #: the precondition of the array engine's prefix-sum macro stepping.
     floor_free: bool
-
-    def __post_init__(self) -> None:
-        size = self.kv_hi - self.kv_lo + 1
-        for column in (
-            self.latency,
-            self.energy_memory,
-            self.energy_pim,
-            self.energy_npu,
-            self.flops,
-        ):
-            if len(column) != size:
-                raise ValueError(
-                    f"column length {len(column)} does not cover "
-                    f"[{self.kv_lo}, {self.kv_hi}]"
-                )
-
-    def columns(self) -> "tuple[list, list, list, list, list]":
-        """The five columns as Python float lists (scalar hot-loop form)."""
-        return (
-            self.latency.tolist(),
-            self.energy_memory.tolist(),
-            self.energy_pim.tolist(),
-            self.energy_npu.tolist(),
-            self.flops.tolist(),
-        )
-
-    def prefix_sums(self) -> "tuple[list, list, list, list, list]":
-        """Exclusive prefix sums of the columns as Python float lists.
-
-        ``numpy.cumsum`` accumulates sequentially, so ``prefix[b] -
-        prefix[a]`` reproduces the left-to-right partial sums the object
-        engine would have accumulated (up to the subtraction's last-bit
-        rounding, which is why macro-stepped metrics are pinned to 1e-9
-        rather than bit-identical).
-        """
-        out = []
-        for column in (
-            self.latency,
-            self.energy_memory,
-            self.energy_pim,
-            self.energy_npu,
-            self.flops,
-        ):
-            prefix = np.empty(len(column) + 1, dtype=np.float64)
-            prefix[0] = 0.0
-            np.cumsum(column, out=prefix[1:])
-            out.append(prefix.tolist())
-        return tuple(out)
+    #: Largest single-iteration latency: a per-step cost never exceeds
+    #: ``batch * latency_max - shared``, so a macro-step budget above that
+    #: bound is dismissed with one multiply.
+    latency_max: float
+    #: No latency is negative, so a fused pass costs at least its largest
+    #: member, a decode run's clock never decreases and its budget stop
+    #: may bisect it.
+    latency_nonnegative: bool
+    #: The prefix sums as one read-only ``(n + 1, 5)`` matrix, a row per
+    #: KV offset and a column per cost component (the very floats of the
+    #: ``prefix_*`` tuples), for the arrival absorber, which prices whole
+    #: windows of decode runs at once.
+    prefix_matrix: np.ndarray = field(compare=False, repr=False)
 
 
 def _interpolate_column(
@@ -161,9 +139,8 @@ def build_decode_table(provider, kv_lo: int, kv_hi: int) -> DecodeCostTable:
     if kv_lo < kv_hi and len(provider._anchors) < 2:
         raise ValueError("provider has no anchor grid; call prepare() first")
 
-    # Column names in cost_tuple order.
-    names = ("latency", "energy_memory", "energy_pim", "energy_npu", "flops")
-    columns = {}
+    # One row per KV length, one column per cost component, in
+    # cost_tuple order.
     if kv_lo == kv_hi:
         # Single-value KV range (e.g. prompt == max context, so every
         # decode pass runs at one length): no interpolation structure is
@@ -171,94 +148,53 @@ def build_decode_table(provider, kv_lo: int, kv_hi: int) -> DecodeCostTable:
         # provider's own decode path and emit a 1-row table.  A grid with
         # fewer than two anchors is fine here; decode() falls back to
         # exact pricing for it, and so do we.
-        for name, value in zip(names, cost_tuple(provider.decode(kv_lo))):
-            columns[name] = np.asarray([value], dtype=np.float64)
+        matrix = np.asarray([cost_tuple(provider.decode(kv_lo))], dtype=np.float64)
     else:
         anchors = np.asarray(provider._anchors, dtype=np.int64)
-        anchor_costs = [
-            cost_tuple(provider._decode_exact(int(anchor))) for anchor in anchors
-        ]
+        anchor_costs = np.asarray(
+            [cost_tuple(provider._decode_exact(int(anchor))) for anchor in anchors],
+            dtype=np.float64,
+        )
         kv = np.arange(kv_lo, kv_hi + 1, dtype=np.int64)
-        for name, values in zip(names, zip(*anchor_costs)):
-            columns[name] = _interpolate_column(
-                kv, anchors, np.asarray(values, dtype=np.float64)
-            )
+        matrix = np.stack(
+            [
+                _interpolate_column(kv, anchors, anchor_costs[:, component])
+                for component in range(5)
+            ],
+            axis=1,
+        )
 
     # decode() consults _exact_costs before interpolating, and prepare()
     # deliberately keeps exact prices across grids — mirror that override
     # so a reused provider tables out exactly what decode() would return.
     for exact_kv, cost in provider._exact_costs.items():
         if kv_lo <= exact_kv <= kv_hi:
-            index = exact_kv - kv_lo
-            for name, value in zip(names, cost_tuple(cost)):
-                columns[name][index] = value
+            matrix[exact_kv - kv_lo] = cost_tuple(cost)
 
     base = cost_tuple(provider.base())
     floor_free = bool(
-        np.all(columns["latency"] > 0.0)
-        and np.all(columns["latency"] >= base[0])
-        and np.all(columns["energy_memory"] >= base[1])
-        and np.all(columns["energy_pim"] >= base[2])
-        and np.all(columns["energy_npu"] >= base[3])
+        np.all(matrix[:, 0] > 0.0) and np.all(matrix[:, :4] >= np.asarray(base[:4]))
     )
+    # numpy's cumsum adds sequentially, so ``prefix[b] - prefix[a]``
+    # reproduces the left-to-right partial sums the object engine would
+    # have accumulated, up to the subtraction's last-bit rounding (why
+    # macro-stepped metrics are pinned to 1e-9, not bit-identical).
+    prefix = np.zeros((len(matrix) + 1, 5))
+    np.cumsum(matrix, axis=0, out=prefix[1:])
+    prefix.setflags(write=False)
+    latency = matrix[:, 0].tolist()
     return DecodeCostTable(
-        kv_lo=kv_lo,
-        kv_hi=kv_hi,
-        latency=columns["latency"],
-        energy_memory=columns["energy_memory"],
-        energy_pim=columns["energy_pim"],
-        energy_npu=columns["energy_npu"],
-        flops=columns["flops"],
+        kv_lo,
+        kv_hi,
+        # The five columns, then their prefix sums, in cost_tuple order.
+        *map(tuple, matrix.T.tolist()),
+        *map(tuple, prefix.T.tolist()),
         base=base,
         floor_free=floor_free,
+        latency_max=max(latency),
+        latency_nonnegative=min(latency) >= 0.0,
+        prefix_matrix=prefix,
     )
-
-
-def table_to_payload(table: DecodeCostTable) -> dict:
-    """Plain-Python form of a table for the persistent cache layer.
-
-    The disk cache compares cached values with ``!=`` when merging and
-    pickles whole sections, so payloads stay numpy-free: five float lists,
-    the base tuple and the floor flag.  Round-trips bit-exactly —
-    ``float64 -> Python float -> float64`` is lossless.
-    """
-    return {
-        "kv_lo": table.kv_lo,
-        "kv_hi": table.kv_hi,
-        "latency": table.latency.tolist(),
-        "energy_memory": table.energy_memory.tolist(),
-        "energy_pim": table.energy_pim.tolist(),
-        "energy_npu": table.energy_npu.tolist(),
-        "flops": table.flops.tolist(),
-        "base": tuple(table.base),
-        "floor_free": table.floor_free,
-    }
-
-
-def table_from_payload(payload: dict) -> "DecodeCostTable | None":
-    """Rebuild a table from :func:`table_to_payload` output.
-
-    Returns ``None`` on any structural mismatch (wrong type, missing key,
-    column length inconsistent with the KV range) — a stale or corrupted
-    cache entry must degrade to a rebuild, never to a crash.
-    """
-    try:
-        table = DecodeCostTable(
-            kv_lo=int(payload["kv_lo"]),
-            kv_hi=int(payload["kv_hi"]),
-            latency=np.asarray(payload["latency"], dtype=np.float64),
-            energy_memory=np.asarray(payload["energy_memory"], dtype=np.float64),
-            energy_pim=np.asarray(payload["energy_pim"], dtype=np.float64),
-            energy_npu=np.asarray(payload["energy_npu"], dtype=np.float64),
-            flops=np.asarray(payload["flops"], dtype=np.float64),
-            base=tuple(payload["base"]),
-            floor_free=bool(payload["floor_free"]),
-        )
-    except Exception:  # noqa: BLE001 - corrupt cache entry means "rebuild"
-        return None
-    if len(table.base) != 5:
-        return None
-    return table
 
 
 def table_matches_provider(table: DecodeCostTable, provider, sample: int = 64) -> bool:

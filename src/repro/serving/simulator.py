@@ -265,9 +265,6 @@ class PassCostProvider:
         #: prepare() so a reused provider never mixes two grids.
         self._interp_costs: dict[int, PassCost] = {}
         self._anchors: list[int] = []
-        #: Dense decode tables keyed (kv_lo, kv_hi) — anchor-grid-dependent
-        #: like _interp_costs, cleared by prepare() with it.
-        self._tables: dict = {}
 
     # ------------------------------------------------------------------
     def prepare(self, kv_min: int, kv_max: int) -> None:
@@ -276,8 +273,11 @@ class PassCostProvider:
         Anchors are evaluated lazily; ``prepare`` only fixes their
         positions.  KV length 1 is always an anchor — it is the shared
         ``base`` of the fused-decode cost model.  Interpolated costs from a
-        previous grid are dropped, so reusing a provider (or simulator)
-        across traces yields the same metrics as a fresh one.
+        previous grid are dropped and those of the same grid kept, so every
+        run of a fleet's simulator shares one memo.  Exact prices are kept
+        across grids, and :meth:`decode` returns them before interpolating.
+        Decode tables need no dropping: the grid is part of their cache key
+        (see :meth:`decode_table`).
         """
         if kv_max < kv_min:
             raise ValueError("kv_max must be at least kv_min")
@@ -287,9 +287,10 @@ class PassCostProvider:
             anchors.update(
                 int(round(kv_min + i * step)) for i in range(KV_SAMPLES)
             )
-        self._anchors = sorted(anchors)
-        self._interp_costs.clear()
-        self._tables.clear()
+        anchors = sorted(anchors)
+        if anchors != self._anchors:
+            self._anchors = anchors
+            self._interp_costs.clear()
 
     def prefill(self, input_tokens: int) -> PassCost:
         """Cost of the summarization (prefill) pass — always exact."""
@@ -339,70 +340,38 @@ class PassCostProvider:
         return cost
 
     def decode_table(self, kv_lo: int, kv_hi: int):
-        """Dense ``kv -> cost`` table over ``[kv_lo, kv_hi]`` (array engine).
+        """The dense ``kv -> cost`` table over ``[kv_lo, kv_hi]`` (array
+        engine); every entry is bit-identical to :meth:`decode` at that KV
+        length (see :mod:`repro.serving.decode_table`).
 
-        Built once per (model, backend, anchor grid) — every entry is
-        bit-identical to :meth:`decode` at that KV length, and the anchor
-        evaluations it triggers route through the backend's shared
-        (persistently cacheable) pass-cost cache.  Memoized until the next
-        :meth:`prepare`; see :mod:`repro.serving.decode_table`.
-        """
-        key = (kv_lo, kv_hi)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._shared_table(kv_lo, kv_hi)
-            self._tables[key] = table
-        return table
-
-    def _shared_table(self, kv_lo: int, kv_hi: int):
-        """Fetch or build a table via the process-wide (optionally
-        persistent) decode-table cache.
-
-        The shared key is ``(backend fingerprint, model fingerprint, anchor
-        grid, kv range)`` — everything the columns depend on *except* this
-        provider's exact-cost overrides, so the shared path is skipped
-        whenever a non-anchor KV length in range has been priced exactly
-        (the override would make the table provider-history-dependent).
-        When :func:`repro.perf.cache.install_disk_caches` is active the
-        payload persists across processes, amortizing cold-start builds the
-        same way pass costs already are.
+        Looked up in the process-wide decode-table cache under
+        ``(backend fingerprint, model fingerprint, anchor grid, kv
+        range)``, everything the columns depend on, and built there on a
+        miss: one table per grid per process, which every run, replica and
+        weight swap installs by reference (and which the persistent layer
+        of :func:`repro.perf.cache.install_disk_caches` pickles across
+        processes).  The anchor evaluations of a build route through the
+        backend's shared pass-cost cache.  A table is built unshared when
+        the backend has no ``config_fingerprint`` (test doubles), or when a
+        non-anchor KV length in range has been priced exactly: that
+        override makes the table depend on this provider's history.
         """
         from repro.perf.cache import config_fingerprint, global_decode_table_cache
-        from repro.serving.decode_table import (
-            build_decode_table,
-            table_from_payload,
-            table_to_payload,
-        )
+        from repro.serving.decode_table import build_decode_table
 
         backend_fp = getattr(self.cost_model, "config_fingerprint", None)
-        if backend_fp is None:
-            config = getattr(self.cost_model, "config", None)
-            if config is not None:
-                try:
-                    backend_fp = config_fingerprint(config)
-                except TypeError:
-                    backend_fp = None
         anchors = tuple(self._anchors)
         anchor_set = set(anchors)
-        overridden = any(
-            kv_lo <= kv <= kv_hi and kv not in anchor_set
-            for kv in self._exact_costs
-        )
-        if backend_fp is None or overridden:
-            return build_decode_table(self, kv_lo, kv_hi)
-        try:
-            model_fp = config_fingerprint(self.model)
-        except TypeError:
+        if backend_fp is None or any(
+            kv_lo <= kv <= kv_hi and kv not in anchor_set for kv in self._exact_costs
+        ):
             return build_decode_table(self, kv_lo, kv_hi)
         shared = global_decode_table_cache()
-        shared_key = (backend_fp, model_fp, anchors, kv_lo, kv_hi)
-        payload = shared.get(shared_key)
-        if payload is not None:
-            table = table_from_payload(payload)
-            if table is not None:
-                return table
-        table = build_decode_table(self, kv_lo, kv_hi)
-        shared.put(shared_key, table_to_payload(table))
+        key = (backend_fp, config_fingerprint(self.model), anchors, kv_lo, kv_hi)
+        table = shared.get(key)
+        if table is None:
+            table = build_decode_table(self, kv_lo, kv_hi)
+            shared.put(key, table)
         return table
 
     def base(self) -> PassCost:

@@ -514,6 +514,26 @@ class TestFailover:
             assert request.arrival_s == by_id[request.request_id].arrival_s
             assert request.latency_s > 0
 
+    def test_routed_requests_count_every_route(self):
+        # A request failover re-routes counts at each replica it was
+        # routed to, as in routed_tokens and the routing record.
+        trace = get_trace_generator("chatbot").generate(64, 40.0, seed=3)
+        cluster = ClusterSimulator(
+            make_cost_model("ianus"), GPT2_CONFIGS["m"], num_replicas=2,
+            engine="array",
+            failures=SingleFailure(replica=0, at_s=0.4, recover_after_s=0.5),
+        )
+        metrics = cluster.simulate(trace, record_events=True)
+        assert metrics.rerouted_requests > 0
+        assert metrics.routed_requests == tuple(map(len, cluster.assignments))
+        assert sum(metrics.routed_requests) == (
+            len(trace) + metrics.rerouted_requests
+        )
+        assert metrics.routed_tokens == tuple(
+            sum(request.total_tokens for request in assigned)
+            for assigned in cluster.assignments
+        )
+
     def test_failure_without_recovery_finishes_on_survivor(self):
         trace = _trace(num=24, rate=60.0)
         cluster = _cluster(
@@ -603,6 +623,21 @@ class TestAutoscaling:
 
         assert run() == run()
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_reused_autoscaled_fleet_is_deterministic(self, engine):
+        # The fleet is one simulator: the replicas one simulate() spawns
+        # are runs of it and leave nothing behind for the next one.
+        trace = _trace(num=60, rate=150.0)
+        cluster = _cluster(
+            num_replicas=1, engine=engine,
+            autoscaler=make_autoscaler("queue-depth", high=2.0, low=0.3,
+                                       max_replicas=4),
+        )
+        first = cluster.simulate(trace)
+        second = cluster.simulate(trace)
+        assert first.scale_ups > 0
+        assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+
     def test_chaos_and_autoscaling_together(self):
         trace = _trace(
             num=70, rate=100.0, curve=DiurnalCurve(period_s=1.0, amplitude=0.6)
@@ -624,7 +659,7 @@ class TestAutoscaling:
 def _scanned_attainment(ops, now: float, window_s: float) -> "float | None":
     """The SLO window as a scan of every completion of every run: the
     oracle that ``_OpsState._window_attainment``'s cursors must match."""
-    targets = ops.cluster.replicas[0].slo_targets
+    targets = ops.cluster.simulator.slo_targets
     last = len(targets) - 1
     start = now - window_s
     met = total = 0
@@ -794,7 +829,7 @@ class TestTamperedOpsLogs:
         )
         cluster.simulate(trace, record_events=True)
         assert cluster.validate_invariants() == []
-        replica = cluster.replicas[0]
+        replica = cluster.simulator
         return (
             [list(log) for log in cluster.events],
             trace,
@@ -903,7 +938,7 @@ class TestTamperedOpsLogs:
         )
         cluster.simulate(trace, record_events=True)
         assert cluster.validate_invariants() == []
-        replica = cluster.replicas[0]
+        replica = cluster.simulator
         return (
             [list(log) for log in cluster.events],
             trace,

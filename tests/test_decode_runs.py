@@ -472,7 +472,7 @@ def _forgery_bases():
     cluster, trace = _fleet(requests=16, seed=2)
     cluster.simulate(trace, record_events=True)
     bases.append((
-        cluster.events, trace, cluster.replicas[0],
+        cluster.events, trace, cluster.simulator,
         dict(routed=cluster.assignments, initial_replicas=3),
     ))
     return bases

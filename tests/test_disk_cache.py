@@ -22,11 +22,26 @@ from repro.perf.cache import (
     default_cache_dir,
     flush_disk_caches,
     global_baseline_cache,
+    global_decode_table_cache,
     global_pass_cache,
     install_disk_caches,
     set_global_baseline_cache,
+    set_global_decode_table_cache,
     set_global_pass_cache,
 )
+
+
+@pytest.fixture(autouse=True)
+def _restore_globals():
+    """Put back the three process-wide caches that ``install_disk_caches``
+    (called directly and through the CLI) replaces."""
+    previous = (
+        global_pass_cache(), global_baseline_cache(), global_decode_table_cache()
+    )
+    yield
+    set_global_pass_cache(previous[0])
+    set_global_baseline_cache(previous[1])
+    set_global_decode_table_cache(previous[2])
 
 
 @pytest.fixture
@@ -201,14 +216,6 @@ class TestCacheDirOverride:
 
 
 class TestGlobalInstallation:
-    @pytest.fixture(autouse=True)
-    def _restore_globals(self):
-        previous_pass = global_pass_cache()
-        previous_baseline = global_baseline_cache()
-        yield
-        set_global_pass_cache(previous_pass)
-        set_global_baseline_cache(previous_baseline)
-
     def test_install_replaces_both_globals(self, tmp_path):
         pass_cache, baseline_cache = install_disk_caches(tmp_path)
         assert global_pass_cache() is pass_cache
@@ -240,14 +247,6 @@ class TestGlobalInstallation:
 
 
 class TestWarmEqualsCold:
-    @pytest.fixture(autouse=True)
-    def _restore_globals(self):
-        previous_pass = global_pass_cache()
-        previous_baseline = global_baseline_cache()
-        yield
-        set_global_pass_cache(previous_pass)
-        set_global_baseline_cache(previous_baseline)
-
     def test_fig15_rows_identical_cold_and_warm(self, tmp_path):
         from repro.perf import run_many
 
@@ -265,15 +264,53 @@ class TestWarmEqualsCold:
         assert warm_stats["disk_loads"] > 0  # second run actually started warm
 
 
-class TestUnwritableCacheDir:
-    @pytest.fixture(autouse=True)
-    def _restore_globals(self):
-        previous_pass = global_pass_cache()
-        previous_baseline = global_baseline_cache()
-        yield
-        set_global_pass_cache(previous_pass)
-        set_global_baseline_cache(previous_baseline)
+class TestDecodeTableSection:
+    """The decode-table section pickles each table as it is."""
 
+    def test_table_read_back_from_disk_prices_like_a_cold_build(
+        self, disk, monkeypatch
+    ):
+        import json
+
+        import numpy as np
+
+        from repro.core.costmodel import make_cost_model
+        from repro.models import GPT2_CONFIGS
+        from repro.serving import ServingSimulator, decode_table, get_trace_generator
+
+        cost_model = make_cost_model("ianus")
+        trace = get_trace_generator("chatbot").generate(40, 30.0, seed=3)
+
+        def served():
+            simulator = ServingSimulator(cost_model, GPT2_CONFIGS["m"], engine="array")
+            metrics = simulator.simulate(trace)
+            return json.dumps(metrics.to_dict()), simulator.last_run._table
+
+        written = PersistentPassCostCache(disk, "decode-tables", maxsize=64)
+        set_global_decode_table_cache(written)
+        cold, built = served()
+        assert written.flush() == 1
+        assert CACHE_SCHEMA_VERSION == 2
+        assert pickle.loads(disk.path.read_bytes())["schema"] == CACHE_SCHEMA_VERSION
+
+        # A fresh cache on the same file, as in the next process; the run
+        # must price from the table it reads back, never rebuild it.
+        fresh = PersistentPassCostCache(disk, "decode-tables", maxsize=64)
+        set_global_decode_table_cache(fresh)
+
+        def no_build(*args):
+            raise AssertionError("a table on disk was rebuilt")
+
+        monkeypatch.setattr(decode_table, "build_decode_table", no_build)
+        warm, read = served()
+        assert fresh.disk_loads == 1 and fresh.hits == 1
+        assert read == built and read is not built
+        assert np.array_equal(read.prefix_matrix, built.prefix_matrix)
+        assert not read.prefix_matrix.flags.writeable
+        assert warm == cold
+
+
+class TestUnwritableCacheDir:
     def test_flush_degrades_instead_of_raising(self):
         disk = DiskCacheFile("/dev/null/not-a-directory")
         cache = PersistentPassCostCache(disk, "ianus")

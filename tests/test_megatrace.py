@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
 from repro.cli import main
 from repro.core.costmodel import make_cost_model
 from repro.models import GPT2_CONFIGS
+from repro.perf import cache
 from repro.serving import (
     ENGINES,
     ClusterSimulator,
@@ -28,11 +30,14 @@ from repro.serving import (
     decode_kv_bounds,
     get_trace_generator,
 )
+from repro.serving import decode_table
 from repro.serving.decode_table import table_matches_provider
 from repro.serving.request import CompletionRecord
 from repro.serving.simulator import _percentile_sorted, request_aggregates
 from repro.serving.trace import TRACE_CURVES
 from repro.serving.validate import check_invariants, expand_runs
+
+from test_decode_runs import FLEET_MODELS, _fleet
 
 MODEL = GPT2_CONFIGS["m"]
 
@@ -206,15 +211,49 @@ class TestDecodeTable:
         with pytest.raises(ValueError, match="exact"):
             build_decode_table(simulator.provider, 1, 64)
 
+    def test_runs_of_one_simulator_share_one_table(self):
+        # Every form of a table is built once; a run installs it by
+        # reference and converts nothing.
+        simulator = ServingSimulator(make_cost_model("ianus"), MODEL, engine="array")
+        first, second = (simulator.begin(kv_bounds=(1, 300)) for _ in range(2))
+        assert first._table is second._table
+        assert isinstance(first._table.latency, tuple)
+        assert not first._table.prefix_matrix.flags.writeable
+
+    def test_fleet_builds_one_table_per_model(self, monkeypatch):
+        # Three co-hosted models, failures and spawned replicas: each
+        # model's table is built once, and every replica and weight swap
+        # prices from that one object.
+        builds = Counter()
+        build = decode_table.build_decode_table
+
+        def counted(provider, kv_lo, kv_hi):
+            builds[provider.model.name] += 1
+            return build(provider, kv_lo, kv_hi)
+
+        monkeypatch.setattr(decode_table, "build_decode_table", counted)
+        monkeypatch.setattr(
+            cache, "_GLOBAL_DECODE_TABLE_CACHE", cache.PassCostCache(maxsize=64)
+        )
+        cluster, trace = _fleet()
+        metrics = cluster.simulate(trace, record_events=True)
+        assert metrics.scale_ups > 0 and metrics.model_swaps > 0
+        assert builds == Counter(model.name for model in FLEET_MODELS)
+        runs = cluster._last_runs
+        assert len(runs) == 3 + metrics.scale_ups
+        for model in FLEET_MODELS:
+            tables = [run._tables[model.name] for run in runs]
+            assert all(table is tables[0] for table in tables)
+
     def test_prefix_sums_cover_columns(self):
         simulator = ServingSimulator(make_cost_model("ianus"), MODEL)
         simulator.provider.prepare(1, 200)
         table = simulator.provider.decode_table(1, 200)
-        prefix_lat = table.prefix_sums()[0]
+        prefix_lat = table.prefix_latency
         assert prefix_lat[0] == 0.0
         assert len(prefix_lat) == (table.kv_hi - table.kv_lo + 1) + 1
         span = prefix_lat[(table.kv_hi - table.kv_lo + 1)] - prefix_lat[0]
-        assert span == pytest.approx(float(table.latency.sum()), rel=1e-12)
+        assert span == pytest.approx(sum(table.latency), rel=1e-12)
 
 
 class TestArrayEngineDifferential:

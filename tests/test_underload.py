@@ -18,12 +18,7 @@ import pytest
 from repro.core.costmodel import make_cost_model
 from repro.models import GPT2_CONFIGS
 from repro.serving.array_engine import ArraySimulationRun
-from repro.serving.decode_table import (
-    build_decode_table,
-    table_from_payload,
-    table_matches_provider,
-    table_to_payload,
-)
+from repro.serving.decode_table import build_decode_table, table_matches_provider
 from repro.serving.simulator import (
     PassCostProvider,
     ServingSimulator,
@@ -243,23 +238,3 @@ class TestSingleValueKvTable:
             )
             results[engine] = _rows(simulator.simulate(trace))
         assert results["array"] == results["object"]
-
-    def test_payload_round_trip_is_bit_exact(self, cost_model):
-        provider = PassCostProvider(cost_model, MODEL)
-        provider.prepare(100, 400)
-        table = build_decode_table(provider, 100, 400)
-        rebuilt = table_from_payload(table_to_payload(table))
-        assert rebuilt is not None
-        assert rebuilt.kv_lo == table.kv_lo and rebuilt.kv_hi == table.kv_hi
-        assert rebuilt.base == table.base
-        assert rebuilt.floor_free == table.floor_free
-        for column in (
-            "latency", "energy_memory", "energy_pim", "energy_npu", "flops"
-        ):
-            assert getattr(rebuilt, column).tolist() == (
-                getattr(table, column).tolist()
-            )
-
-    def test_corrupt_payload_degrades_to_none(self):
-        assert table_from_payload({"kv_lo": 1}) is None
-        assert table_from_payload("not a payload") is None
