@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "across requests (default 0 = no sharing)")
     serve.add_argument("--prefix-tokens", type=int, default=None,
                        help="length of each shared prefix in tokens "
-                            "(default: the trace generator's mean prompt)")
+                            "(default: half the mix's shortest prompt)")
     serve.add_argument("--prefix-groups", type=int, default=1,
                        help="number of distinct shared prefixes sharing "
                             "requests are spread over (default 1)")
@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="offered load as a fraction of the backend's "
                                  "nominal capacity (default 0.5)")
     serve.add_argument("--max-batch", type=int, default=8,
-                       help="decode-batch cap of the interleaved policy")
+                       help="decode-batch cap of the batching policies "
+                            "(interleaved, srpt, priority; fcfs ignores it)")
     serve.add_argument("--exact", action="store_true",
                        help="price every decode KV length exactly instead of "
                             "interpolating over sampled anchors")

@@ -26,6 +26,9 @@ Layering — who knows what:
     NPU-MEM, A100, DFX), with memory-aware admission, optional chunked
     prefill, and FCFS / interleaved / SRPT / priority-class policies.  The
     only layer that touches cost models, and only through the protocol.
+    A decode price depends only on its KV length and its run's KV bounds
+    (:func:`~repro.serving.simulator.anchor_grid`), so a reused simulator
+    or fleet reports what a fresh one does.
     A run that cannot go on under its settings (a pool wedged without
     preemption, a livelock, every replica down) raises
     :class:`ServingStall`.
@@ -34,8 +37,8 @@ Layering — who knows what:
     swaps the per-request object hot loop for a columnar one (parallel
     state lists, dense :class:`~repro.serving.decode_table.DecodeCostTable`
     pricing) behind the same ``SimulationRun`` API.  A table is built once
-    per (backend, model, anchor grid, KV range) and process, in every form
-    the engine reads, and every run, replica and weight swap installs it by
+    per (backend, model, KV range) and process, in every form the engine
+    reads, and every run, replica and weight swap installs it by
     reference.  The engine advances a stable all-decode batch to its next
     event in one call: an exact decode run
     (``_decode_run``) performs ``fused_pass``'s own float operations and
@@ -53,7 +56,7 @@ Layering — who knows what:
     that does not depend on how requests are stored — policy decisions over
     :class:`RequestKeys`, victim choice, fused-pass pricing, host-link
     transfer time — and differ only in the admit/grow/preempt/swap/step
-    bodies over objects or rows.  ``profile=True`` books per-phase wall
+    bodies over objects or rows.  ``profile=True`` books per-phase self
     time from outside both loops.
     Pick ``array`` for million-request traces and sweeps; pick ``object``
     when stepping through or debugging individual scheduling decisions.

@@ -150,12 +150,11 @@ class ArraySimulationRun(_RunLifecycle):
         self._exact_kv = bool(sim.swap)
 
         # The resident model's decode-cost table, the provider's shared
-        # one, held by reference; ``None`` under exact pricing or unknown
-        # KV bounds, in which case every decode is priced through the
-        # provider (correct, per-iteration only).
-        table = None
-        if not sim.provider.exact and kv_bounds is not None:
-            table = sim.provider.decode_table(*kv_bounds)
+        # one, held by reference; ``None`` when the run prices exactly
+        # (exact mode or unknown KV bounds), in which case every decode is
+        # priced through the provider (correct, per-iteration only).
+        bounds = self.kv_bounds
+        table = None if bounds is None else sim.provider.decode_table(*bounds)
         self._table = table
 
         # Request columns, indexed by row.  Rows recycle via _free.
@@ -243,8 +242,8 @@ class ArraySimulationRun(_RunLifecycle):
         # swap is paid when the active model changes (the object engine's
         # sticky-resident scheduling over rows).  Every co-hosted model's
         # shared decode table is looked up once, up front (none when the
-        # default model has none); a model's table and chunk-cost cache
-        # swap in with its weights.  The macro-steps and absorbers stand
+        # run prices exactly); a model's table and chunk-cost cache swap
+        # in with its weights.  The macro-steps and absorbers stand
         # down on multi-model runs; the decode runs price from whichever
         # table is resident.
         self._multi = sim.multi_model
@@ -254,7 +253,7 @@ class ArraySimulationRun(_RunLifecycle):
             for name, provider in sim.providers.items():
                 if name not in self._tables:
                     self._tables[name] = (
-                        None if table is None else provider.decode_table(*kv_bounds)
+                        None if bounds is None else provider.decode_table(*bounds)
                     )
             self._chunks_by_model = {sim.model.name: self._chunk_costs}
         # Arrival-batched absorption gates (fixed for the run's lifetime).
@@ -497,7 +496,7 @@ class ArraySimulationRun(_RunLifecycle):
                 table.energy_npu[index],
                 table.flops[index],
             )
-        return cost_tuple(self._provider.decode(kv))
+        return cost_tuple(self._provider.decode(kv, self.kv_bounds))
 
     def _chunk_cost(self, prefix: int, chunk: int) -> tuple:
         key = (prefix, chunk)

@@ -979,7 +979,7 @@ class ClusterSimulator:
         )
         if self.simulator.profile:
             # Arrivals and failover both route through ops.route.
-            _book_phase(ops, "route", self._route_phase, "route")
+            _book_phase(ops, "route", self._route_phase, "route", [0.0])
         for request in ordered:
             arrival = request.arrival_s
             ops.apply_until(arrival)

@@ -23,8 +23,10 @@ by reference, and the persistent layer pickles it across processes.
 
 Bit-exactness contract
 ----------------------
-``table[kv]`` equals ``provider.decode(kv)`` **bit for bit** for every KV
-length in ``[kv_lo, kv_hi]``:
+``table[kv]`` equals ``provider.decode(kv, (kv_lo, kv_hi))`` **bit for
+bit** for every KV length in ``[kv_lo, kv_hi]``: a table prices a run whose
+KV bounds are its own range, over that range's
+:func:`~repro.serving.simulator.anchor_grid`.
 
 * anchor evaluations go through the provider's own ``_decode_exact`` (and
   with it the backend's shared, persistently cacheable pass-cost cache —
@@ -34,10 +36,7 @@ length in ``[kv_lo, kv_hi]``:
   ``w = (kv - low) / (high - low)`` — vectorized over the segment; the
   ``weight <= 0`` / ``weight >= 1`` early returns are reproduced with
   explicit masks (``a + 1.0 * (b - a)`` is *not* always ``b`` in floating
-  point, so the masks are load-bearing);
-* KV lengths the provider has already priced exactly (``_exact_costs``,
-  which ``prepare()`` deliberately keeps) override the interpolated value,
-  mirroring the ``decode()`` lookup order.
+  point, so the masks are load-bearing).
 
 The table also precomputes whether the fused-batch cost floors can ever
 bind on it (:attr:`DecodeCostTable.floor_free`): when every column value is
@@ -52,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.serving.simulator import cost_tuple
+from repro.serving.simulator import anchor_grid, cost_tuple
 
 __all__ = ["DecodeCostTable", "build_decode_table"]
 
@@ -63,11 +62,11 @@ class DecodeCostTable:
     form the array engine reads (see the module docstring).
 
     ``latency[kv - kv_lo]`` (etc.) is bit-identical to
-    ``provider.decode(kv)``.  ``prefix_*`` are the columns' exclusive
-    prefix sums (``prefix[j]`` = sum of the first ``j`` entries), so the
-    engine's hot loops aggregate iteration runs with two tuple indexings
-    per column.  Built only by :func:`build_decode_table`; immutable, so
-    one table serves every run that prices over its grid.
+    ``provider.decode(kv, (kv_lo, kv_hi))``.  ``prefix_*`` are the
+    columns' exclusive prefix sums (``prefix[j]`` = sum of the first ``j``
+    entries), so the engine's hot loops aggregate iteration runs with two
+    tuple indexings per column.  Built only by :func:`build_decode_table`;
+    immutable, so one table serves every run priced over its range.
     """
 
     kv_lo: int
@@ -125,32 +124,22 @@ def _interpolate_column(
 
 
 def build_decode_table(provider, kv_lo: int, kv_hi: int) -> DecodeCostTable:
-    """Materialize ``provider.decode`` over ``[kv_lo, kv_hi]`` (see module doc).
-
-    The provider must have its anchor grid prepared
-    (:meth:`~repro.serving.simulator.PassCostProvider.prepare`) and must
-    not be in ``exact`` mode — exact decoding has no anchor structure to
-    densify, so the array engine prices those passes one by one instead.
-    """
+    """Materialize ``provider.decode(kv, (kv_lo, kv_hi))`` over
+    ``[kv_lo, kv_hi]`` (see the module docstring)."""
     if kv_hi < kv_lo:
         raise ValueError("kv_hi must be at least kv_lo")
-    if provider.exact:
-        raise ValueError("exact providers price per KV length; no table to build")
-    if kv_lo < kv_hi and len(provider._anchors) < 2:
-        raise ValueError("provider has no anchor grid; call prepare() first")
 
     # One row per KV length, one column per cost component, in
     # cost_tuple order.
     if kv_lo == kv_hi:
-        # Single-value KV range (e.g. prompt == max context, so every
-        # decode pass runs at one length): no interpolation structure is
-        # needed or available — price the one length through the
-        # provider's own decode path and emit a 1-row table.  A grid with
-        # fewer than two anchors is fine here; decode() falls back to
-        # exact pricing for it, and so do we.
-        matrix = np.asarray([cost_tuple(provider.decode(kv_lo))], dtype=np.float64)
+        # Single-value KV range (e.g. prompt == max context): its one
+        # length is an anchor of a grid that may hold no other, so the
+        # table is one row, priced through the provider's decode path.
+        matrix = np.asarray(
+            [cost_tuple(provider.decode(kv_lo, (kv_lo, kv_hi)))], dtype=np.float64
+        )
     else:
-        anchors = np.asarray(provider._anchors, dtype=np.int64)
+        anchors = np.asarray(anchor_grid((kv_lo, kv_hi)), dtype=np.int64)
         anchor_costs = np.asarray(
             [cost_tuple(provider._decode_exact(int(anchor))) for anchor in anchors],
             dtype=np.float64,
@@ -163,13 +152,6 @@ def build_decode_table(provider, kv_lo: int, kv_hi: int) -> DecodeCostTable:
             ],
             axis=1,
         )
-
-    # decode() consults _exact_costs before interpolating, and prepare()
-    # deliberately keeps exact prices across grids — mirror that override
-    # so a reused provider tables out exactly what decode() would return.
-    for exact_kv, cost in provider._exact_costs.items():
-        if kv_lo <= exact_kv <= kv_hi:
-            matrix[exact_kv - kv_lo] = cost_tuple(cost)
 
     base = cost_tuple(provider.base())
     floor_free = bool(
@@ -202,8 +184,9 @@ def table_matches_provider(table: DecodeCostTable, provider, sample: int = 64) -
     span = table.kv_hi - table.kv_lo + 1
     step = max(1, span // sample)
     checked = list(range(table.kv_lo, table.kv_hi + 1, step)) + [table.kv_hi]
+    bounds = (table.kv_lo, table.kv_hi)
     for kv in checked:
-        cost = provider.decode(kv)
+        cost = provider.decode(kv, bounds)
         index = kv - table.kv_lo
         if (
             table.latency[index] != cost.latency_s

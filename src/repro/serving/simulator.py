@@ -103,13 +103,16 @@ fully — batching shares bytes, not math.
 Pass-cost provider
 ------------------
 :class:`PassCostProvider` fronts the cost model: prefill costs are always
-priced exactly (few distinct prompt lengths per mix), decode costs either
-exactly per KV length (``exact=True``) or by piecewise-linear interpolation
-over :data:`KV_SAMPLES` anchor lengths — the serving-level counterpart of the
-fast generation mode of :meth:`repro.core.system.IanusSystem.run`, and the
-reason a load sweep touches a handful of simulated passes instead of
-thousands.  Every anchor evaluation routes through the backend's shared
-(persistently cacheable) pass-cost cache.
+priced exactly (few distinct prompt lengths per mix), and a decode cost
+depends only on its KV length and its run's KV bounds: exact at an anchor
+of the bounds' :func:`anchor_grid`, piecewise-linear between two — the
+serving-level counterpart of the fast generation mode of
+:meth:`repro.core.system.IanusSystem.run`, and the reason a load sweep
+touches a handful of simulated passes instead of thousands.  A run prices
+over its trace's :func:`decode_kv_bounds`, or over ``None`` (no anchors,
+every length exact) under ``exact=True``, so a reused simulator reports
+what a fresh one does.  Every anchor evaluation routes through the
+backend's shared (persistently cacheable) pass-cost cache.
 
 Engines
 -------
@@ -165,7 +168,7 @@ import inspect
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, attrgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -200,6 +203,7 @@ __all__ = [
     "SimulationRun",
     "ServingSimulator",
     "ServingStall",
+    "anchor_grid",
     "decode_kv_bounds",
     "mean_service_time_s",
     "request_aggregates",
@@ -246,52 +250,41 @@ def _percentile_sorted(ordered: Sequence[float], q: float) -> float:
 # ----------------------------------------------------------------------
 # Pass-cost provider
 # ----------------------------------------------------------------------
-class PassCostProvider:
-    """Exact or KV-interpolating per-pass costing over one cost model."""
+@lru_cache(maxsize=256)
+def anchor_grid(kv_bounds: "tuple[int, int] | None") -> "tuple[int, ...]":
+    """The decode anchor grid of KV bounds ``(kv_min, kv_max)``, sorted.
 
-    def __init__(
-        self,
-        cost_model: CostModel,
-        model: ModelConfig,
-        exact: bool = False,
-    ) -> None:
+    KV length 1 is always an anchor — it is the shared ``base`` of the
+    fused-decode cost model — and so are both bounds and
+    :data:`KV_SAMPLES` evenly spaced lengths between them.  ``None``
+    (exact pricing) has no anchors.
+    """
+    if kv_bounds is None:
+        return ()
+    kv_min, kv_max = kv_bounds
+    if kv_max < kv_min:
+        raise ValueError("kv_max must be at least kv_min")
+    anchors = {1, kv_min, kv_max}
+    if kv_max > kv_min:
+        step = (kv_max - kv_min) / (KV_SAMPLES - 1)
+        anchors.update(int(round(kv_min + i * step)) for i in range(KV_SAMPLES))
+    return tuple(sorted(anchors))
+
+
+class PassCostProvider:
+    """Per-pass costing over one cost model: exact prefills, and decodes
+    priced by KV length and the run's KV bounds (see :meth:`decode`)."""
+
+    def __init__(self, cost_model: CostModel, model: ModelConfig) -> None:
         self.cost_model = cost_model
         self.model = model
-        self.exact = exact
         self._prefill_costs: dict[int, PassCost] = {}
-        #: Exactly-priced decode costs — valid forever, kept across prepare().
+        #: Decode costs priced by the cost model, by KV length.
         self._exact_costs: dict[int, PassCost] = {}
-        #: Interpolated decode costs — anchor-grid-dependent, cleared by
-        #: prepare() so a reused provider never mixes two grids.
-        self._interp_costs: dict[int, PassCost] = {}
-        self._anchors: list[int] = []
+        #: Decode prices by (KV length, KV bounds).
+        self._decode_costs: dict = {}
 
     # ------------------------------------------------------------------
-    def prepare(self, kv_min: int, kv_max: int) -> None:
-        """Choose the decode anchor grid for a known KV range.
-
-        Anchors are evaluated lazily; ``prepare`` only fixes their
-        positions.  KV length 1 is always an anchor — it is the shared
-        ``base`` of the fused-decode cost model.  Interpolated costs from a
-        previous grid are dropped and those of the same grid kept, so every
-        run of a fleet's simulator shares one memo.  Exact prices are kept
-        across grids, and :meth:`decode` returns them before interpolating.
-        Decode tables need no dropping: the grid is part of their cache key
-        (see :meth:`decode_table`).
-        """
-        if kv_max < kv_min:
-            raise ValueError("kv_max must be at least kv_min")
-        anchors = {1, kv_min, kv_max}
-        if kv_max > kv_min:
-            step = (kv_max - kv_min) / (KV_SAMPLES - 1)
-            anchors.update(
-                int(round(kv_min + i * step)) for i in range(KV_SAMPLES)
-            )
-        anchors = sorted(anchors)
-        if anchors != self._anchors:
-            self._anchors = anchors
-            self._interp_costs.clear()
-
     def prefill(self, input_tokens: int) -> PassCost:
         """Cost of the summarization (prefill) pass — always exact."""
         cost = self._prefill_costs.get(input_tokens)
@@ -320,54 +313,61 @@ class PassCostProvider:
             self.prefill(prefix_tokens + chunk_tokens), self.prefill(prefix_tokens)
         )
 
-    def decode(self, kv_length: int) -> PassCost:
-        """Cost of one single-request decode pass at ``kv_length``."""
-        cost = self._exact_costs.get(kv_length)
-        if cost is not None:
-            return cost
-        if self.exact or kv_length in self._anchors or len(self._anchors) < 2:
-            return self._decode_exact(kv_length)
-        cost = self._interp_costs.get(kv_length)
+    def decode(self, kv_length: int, kv_bounds: "tuple[int, int] | None") -> PassCost:
+        """Cost of one single-request decode pass at ``kv_length`` in a run
+        priced over ``kv_bounds``, and of nothing else: exact at an anchor
+        of :func:`anchor_grid` ``(kv_bounds)`` or on a grid of fewer than
+        two anchors (``None`` prices every length exactly), interpolated
+        between the two anchors around ``kv_length`` otherwise."""
+        key = (kv_length, kv_bounds)
+        cost = self._decode_costs.get(key)
         if cost is None:
-            position = bisect.bisect_left(self._anchors, kv_length)
-            position = min(max(position, 1), len(self._anchors) - 1)
-            low, high = self._anchors[position - 1], self._anchors[position]
-            weight = (kv_length - low) / (high - low)
-            cost = lerp_pass_cost(
-                self._decode_exact(low), self._decode_exact(high), weight
-            )
-            self._interp_costs[kv_length] = cost
+            anchors = anchor_grid(kv_bounds)
+            if len(anchors) < 2 or kv_length in anchors:
+                cost = self._decode_exact(kv_length)
+            else:
+                position = bisect.bisect_left(anchors, kv_length)
+                position = min(max(position, 1), len(anchors) - 1)
+                low, high = anchors[position - 1], anchors[position]
+                weight = (kv_length - low) / (high - low)
+                cost = lerp_pass_cost(
+                    self._decode_exact(low), self._decode_exact(high), weight
+                )
+            self._decode_costs[key] = cost
         return cost
 
     def decode_table(self, kv_lo: int, kv_hi: int):
         """The dense ``kv -> cost`` table over ``[kv_lo, kv_hi]`` (array
-        engine); every entry is bit-identical to :meth:`decode` at that KV
-        length (see :mod:`repro.serving.decode_table`).
+        engine) of a run priced over those bounds; every entry is
+        bit-identical to ``decode(kv, (kv_lo, kv_hi))`` (see
+        :mod:`repro.serving.decode_table`).
 
         Looked up in the process-wide decode-table cache under
         ``(backend fingerprint, model fingerprint, anchor grid, kv
         range)``, everything the columns depend on, and built there on a
-        miss: one table per grid per process, which every run, replica and
+        miss: one table per range per process, which every run, replica and
         weight swap installs by reference (and which the persistent layer
         of :func:`repro.perf.cache.install_disk_caches` pickles across
         processes).  The anchor evaluations of a build route through the
-        backend's shared pass-cost cache.  A table is built unshared when
-        the backend has no ``config_fingerprint`` (test doubles), or when a
-        non-anchor KV length in range has been priced exactly: that
-        override makes the table depend on this provider's history.
+        backend's shared pass-cost cache.  A backend without a
+        ``config_fingerprint`` (the test doubles) gets an unshared table.
         """
         from repro.perf.cache import config_fingerprint, global_decode_table_cache
         from repro.serving.decode_table import build_decode_table
 
         backend_fp = getattr(self.cost_model, "config_fingerprint", None)
-        anchors = tuple(self._anchors)
-        anchor_set = set(anchors)
-        if backend_fp is None or any(
-            kv_lo <= kv <= kv_hi and kv not in anchor_set for kv in self._exact_costs
-        ):
+        if backend_fp is None:
             return build_decode_table(self, kv_lo, kv_hi)
         shared = global_decode_table_cache()
-        key = (backend_fp, config_fingerprint(self.model), anchors, kv_lo, kv_hi)
+        # The grid follows from the range; it stays in the key, whose layout
+        # the persistent cache's files were written with.
+        key = (
+            backend_fp,
+            config_fingerprint(self.model),
+            anchor_grid((kv_lo, kv_hi)),
+            kv_lo,
+            kv_hi,
+        )
         table = shared.get(key)
         if table is None:
             table = build_decode_table(self, kv_lo, kv_hi)
@@ -433,10 +433,8 @@ def mean_service_time_s(
     """
     if not workloads:
         raise ValueError("workloads must be non-empty")
-    provider = PassCostProvider(cost_model, model, exact=exact)
-    kv_bounds = decode_kv_bounds(workloads)
-    if kv_bounds is not None:
-        provider.prepare(*kv_bounds)
+    provider = PassCostProvider(cost_model, model)
+    kv_bounds = None if exact else decode_kv_bounds(workloads)
     total = 0.0
     for workload in workloads:
         service = provider.prefill(workload.input_tokens).latency_s
@@ -444,7 +442,7 @@ def mean_service_time_s(
             workload.input_tokens + 1,
             workload.input_tokens + workload.output_tokens,
         ):
-            service += provider.decode(kv).latency_s
+            service += provider.decode(kv, kv_bounds).latency_s
         total += service
     return total / len(workloads)
 
@@ -1147,15 +1145,26 @@ class ServingMetrics:
 _ARRIVAL_KEY = attrgetter("arrival_s", "request_id")
 
 
-def _book_phase(owner, name: str, phase_s: dict, phase: str) -> None:
-    """Wrap ``owner``'s method ``name`` on the instance so that the wall
-    time of every call is added to ``phase_s[phase]``."""
+def _book_phase(
+    owner, name: str, phase_s: dict, phase: "str | None", nested: list
+) -> None:
+    """Wrap ``owner``'s method ``name`` on the instance so that every call
+    adds its self time to ``phase_s[phase]``: its wall time less that of
+    the profiled calls made inside it, which book their own (``nested[0]``
+    sums their wall time while it runs).  A ``None`` phase is a run's
+    ``_step``: prefill when the call ran a prefill pass, decode otherwise.
+    """
     method = getattr(owner, name)
 
     def timed(*args):
+        passes = owner.prefill_passes if phase is None else 0
+        outer, nested[0] = nested[0], 0.0
         start = perf_counter()
         result = method(*args)
-        phase_s[phase] += perf_counter() - start
+        elapsed = perf_counter() - start
+        booked = phase or ("prefill" if owner.prefill_passes != passes else "decode")
+        phase_s[booked] += elapsed - nested[0]
+        nested[0] = outer + elapsed
         return result
 
     setattr(owner, name, timed)
@@ -1168,30 +1177,25 @@ def _profile_phases(run: "_RunLifecycle") -> None:
     ``_admit`` books admit.  ``_step`` books prefill when it ran a prefill
     pass (``prefill_passes`` moved during the call) and decode otherwise.
     The array engine's ``_macro_step`` and ``_decode_run`` book decode and
-    its ``_absorb_arrivals`` absorb.  ``_finalize`` books metrics.  The loops
-    themselves carry no timing code, so an unprofiled run pays nothing.
+    its ``_absorb_arrivals`` absorb.  ``_finalize`` books metrics.  Each
+    call books its self time, so the burst runner's steps, which run inside
+    ``_absorb_arrivals``, count as prefill and decode only, and the phases
+    sum to at most the run's wall time.  The loops themselves carry no
+    timing code, so an unprofiled run pays nothing.
     """
     phase_s = run.phase_s
     phase_s.update(admit=0.0, prefill=0.0, decode=0.0)
-    _book_phase(run, "_admit", phase_s, "admit")
-    step = run._step
-
-    def timed_step() -> None:
-        passes = run.prefill_passes
-        start = perf_counter()
-        step()
-        phase = "prefill" if run.prefill_passes != passes else "decode"
-        phase_s[phase] += perf_counter() - start
-
-    run._step = timed_step
+    nested = [0.0]
+    _book_phase(run, "_admit", phase_s, "admit", nested)
+    _book_phase(run, "_step", phase_s, None, nested)
     for name in ("_macro_step", "_decode_run"):
         if hasattr(run, name):
-            _book_phase(run, name, phase_s, "decode")
+            _book_phase(run, name, phase_s, "decode", nested)
     if hasattr(run, "_absorb_arrivals"):
         phase_s["absorb"] = 0.0
-        _book_phase(run, "_absorb_arrivals", phase_s, "absorb")
+        _book_phase(run, "_absorb_arrivals", phase_s, "absorb", nested)
     phase_s["metrics"] = 0.0
-    _book_phase(run, "_finalize", phase_s, "metrics")
+    _book_phase(run, "_finalize", phase_s, "metrics", nested)
 
 
 class _RunLifecycle:
@@ -1224,9 +1228,9 @@ class _RunLifecycle:
         self.sim = sim
         self.kv = sim._new_accountant()
         self.events: "list[SimEvent] | None" = [] if record_events else None
-        if kv_bounds is not None:
-            for provider in sim.providers.values():
-                provider.prepare(*kv_bounds)
+        #: The KV bounds every decode of this run is priced over (see
+        #: :meth:`PassCostProvider.decode`); ``None`` prices exactly.
+        self.kv_bounds = None if sim.exact else kv_bounds
         #: Model whose weights are resident on the device right now.
         self.resident_model = sim.model.name
         self._provider = sim.provider
@@ -1725,7 +1729,10 @@ class SimulationRun(_RunLifecycle):
                     self.kv, head.request.request_id, head.next_kv_length
                 )
 
-        costs = [cost_tuple(provider.decode(f.next_kv_length)) for f in batch]
+        bounds = self.kv_bounds
+        costs = [
+            cost_tuple(provider.decode(f.next_kv_length, bounds)) for f in batch
+        ]
         latency, mem_j, pim_j, npu_j, pass_flops = fused_pass(
             carrier, costs, sim.batch_share, self._base_cost
         )
@@ -1893,7 +1900,8 @@ class ServingSimulator:
         at least 1 under every policy).
     exact:
         Price every decode KV length exactly instead of interpolating over
-        :data:`KV_SAMPLES` anchors (see :class:`PassCostProvider`).
+        the run's anchor grid: each run's KV bounds are ``None`` (see
+        :meth:`PassCostProvider.decode`).
     batch_share:
         Fraction of the decode cost floor shared across a fused batch (see
         the module docstring); 1.0 models fully shared weight streaming.
@@ -2088,15 +2096,14 @@ class ServingSimulator:
                 f"(see ServingPolicy); got {type(self.policy).__name__} — "
                 f"use engine='object' for custom policies"
             )
-        self.provider = PassCostProvider(cost_model, model, exact=exact)
+        self.exact = exact
+        self.provider = PassCostProvider(cost_model, model)
         #: Per-model pass-cost providers (the default model reuses
         #: ``self.provider`` so single-model costing is untouched).
         self.providers = {model.name: self.provider}
         for member in model_set:
             if member.name not in self.providers:
-                self.providers[member.name] = PassCostProvider(
-                    cost_model, member, exact=exact
-                )
+                self.providers[member.name] = PassCostProvider(cost_model, member)
         self._weight_bytes = {
             member.name: model_weight_bytes(member) for member in model_set
         }
@@ -2157,10 +2164,13 @@ class ServingSimulator:
     ) -> "SimulationRun":
         """Start an incremental run (see :class:`SimulationRun`).
 
-        ``kv_bounds`` fixes the decode interpolation anchors up front —
-        pass the :func:`decode_kv_bounds` of everything the run will ever
-        be offered (the cluster layer passes the whole trace's bounds, so a
+        ``kv_bounds`` are the KV bounds every decode of the run is priced
+        over (its anchor grid, see :meth:`PassCostProvider.decode`) — pass
+        the :func:`decode_kv_bounds` of everything the run will ever be
+        offered (the cluster layer passes the whole trace's bounds, so a
         one-replica cluster prices passes identically to ``simulate``).
+        ``None``, and every run of an ``exact`` simulator, prices each KV
+        length exactly.
         """
         if self.engine == "array":
             from repro.serving.array_engine import ArraySimulationRun
@@ -2205,8 +2215,9 @@ class ServingSimulator:
 
         ``kv_bounds`` cannot be derived from an unmaterialized trace —
         pass ``decode_kv_bounds(generator.workloads)`` (the mix-wide
-        bounds cover every request the generator can draw).  Without it
-        the provider prices decodes exactly, which is correct but slow.
+        bounds cover every request the generator can draw).  Without them
+        the run prices every decode exactly, which is correct but slow,
+        whatever this simulator ran before.
         """
         run = self.begin(kv_bounds=kv_bounds)
         self.events = run.events

@@ -27,7 +27,7 @@ from repro.perf.cache import (
     global_baseline_cache,
     global_pass_cache,
 )
-from repro.serving.simulator import KV_SAMPLES, PassCostProvider
+from repro.serving.simulator import KV_SAMPLES, PassCostProvider, anchor_grid
 
 #: The four backends the paper evaluates (the acceptance set of the layer).
 EVALUATED_BACKENDS = ("ianus", "npu-mem", "a100", "dfx")
@@ -201,36 +201,32 @@ class TestExactVsInterpolated:
     @pytest.mark.parametrize("name", EVALUATED_BACKENDS)
     def test_interpolated_decode_cost_close_to_exact(self, name):
         backend = make_cost_model(name)
-        fast = PassCostProvider(backend, MODEL, exact=False)
-        fast.prepare(65, 320)
-        exact = PassCostProvider(backend, MODEL, exact=True)
+        provider = PassCostProvider(backend, MODEL)
         for kv in (70, 129, 200, 311):
-            approx = fast.decode(kv)
-            truth = exact.decode(kv)
+            approx = provider.decode(kv, (65, 320))
+            truth = provider.decode(kv, None)
             assert approx.latency_s == pytest.approx(truth.latency_s, rel=0.05)
             assert approx.flops == pytest.approx(truth.flops, rel=0.05)
 
     @pytest.mark.parametrize("name", EVALUATED_BACKENDS)
     def test_anchor_kv_lengths_are_priced_exactly(self, name):
         backend = make_cost_model(name)
-        fast = PassCostProvider(backend, MODEL, exact=False)
-        fast.prepare(65, 320)
+        provider = PassCostProvider(backend, MODEL)
         for kv in (1, 65, 320):
-            assert fast.decode(kv).latency_s == backend.pass_cost(
+            assert provider.decode(kv, (65, 320)).latency_s == backend.pass_cost(
                 MODEL, StagePass(Stage.GENERATION, 1, kv)
             ).latency_s
 
     def test_anchor_grid_is_evenly_spaced_plus_the_base(self):
-        provider = PassCostProvider(make_cost_model("ianus"), MODEL, exact=False)
-        provider.prepare(65, 320)
         step = (320 - 65) / (KV_SAMPLES - 1)
         evenly = {int(round(65 + i * step)) for i in range(KV_SAMPLES)}
-        assert provider._anchors == sorted(evenly | {1})
-        assert len(provider._anchors) == KV_SAMPLES + 1
+        assert anchor_grid((65, 320)) == tuple(sorted(evenly | {1}))
+        assert len(anchor_grid((65, 320))) == KV_SAMPLES + 1
+        assert anchor_grid(None) == ()
 
     def test_prefill_is_always_exact(self):
         backend = make_cost_model("ianus")
-        provider = PassCostProvider(backend, MODEL, exact=False)
+        provider = PassCostProvider(backend, MODEL)
         assert provider.prefill(128).latency_s == backend.pass_cost(
             MODEL, SUMM_PASS
         ).latency_s

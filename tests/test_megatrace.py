@@ -29,8 +29,10 @@ from repro.serving import (
     build_decode_table,
     decode_kv_bounds,
     get_trace_generator,
+    mean_service_time_s,
 )
 from repro.serving import decode_table
+from repro.serving import simulator as simulator_module
 from repro.serving.decode_table import table_matches_provider
 from repro.serving.request import CompletionRecord
 from repro.serving.simulator import _percentile_sorted, request_aggregates
@@ -184,12 +186,11 @@ class TestStreamingTraces:
 class TestDecodeTable:
     def test_bit_exact_against_provider(self):
         simulator = ServingSimulator(make_cost_model("ianus"), MODEL)
-        simulator.provider.prepare(1, 600)
         table = build_decode_table(simulator.provider, 1, 600)
         assert isinstance(table, DecodeCostTable)
         assert (table.kv_hi - table.kv_lo + 1) == 600
         for kv in itertools.chain(range(1, 40), (128, 256, 555, 600)):
-            cost = simulator.provider.decode(kv)
+            cost = simulator.provider.decode(kv, (1, 600))
             index = kv - table.kv_lo
             assert table.latency[index] == cost.latency_s
             assert table.energy_memory[index] == cost.energy.normal_memory_j
@@ -198,18 +199,22 @@ class TestDecodeTable:
             assert table.flops[index] == cost.flops
         assert table_matches_provider(table, simulator.provider)
 
-    def test_provider_memoizes_and_prepare_invalidates(self):
-        simulator = ServingSimulator(make_cost_model("ianus"), MODEL)
-        simulator.provider.prepare(1, 300)
-        first = simulator.provider.decode_table(1, 300)
-        assert simulator.provider.decode_table(1, 300) is first
-        simulator.provider.prepare(1, 400)
-        assert simulator.provider.decode_table(1, 300) is not first
+    def test_tables_are_memoized_per_range(self):
+        provider = ServingSimulator(make_cost_model("ianus"), MODEL).provider
+        first = provider.decode_table(1, 300)
+        assert provider.decode_table(1, 300) is first
+        other = provider.decode_table(1, 400)
+        assert other is not first
+        assert (other.kv_lo, other.kv_hi) == (1, 400)
+        assert provider.decode_table(1, 300) is first
 
-    def test_exact_provider_refuses_table(self):
-        simulator = ServingSimulator(make_cost_model("ianus"), MODEL, exact=True)
-        with pytest.raises(ValueError, match="exact"):
-            build_decode_table(simulator.provider, 1, 64)
+    def test_exact_run_holds_no_table(self):
+        simulator = ServingSimulator(
+            make_cost_model("ianus"), MODEL, engine="array", exact=True
+        )
+        run = simulator.begin(kv_bounds=(1, 64))
+        assert run.kv_bounds is None
+        assert run._table is None
 
     def test_runs_of_one_simulator_share_one_table(self):
         # Every form of a table is built once; a run installs it by
@@ -247,7 +252,6 @@ class TestDecodeTable:
 
     def test_prefix_sums_cover_columns(self):
         simulator = ServingSimulator(make_cost_model("ianus"), MODEL)
-        simulator.provider.prepare(1, 200)
         table = simulator.provider.decode_table(1, 200)
         prefix_lat = table.prefix_latency
         assert prefix_lat[0] == 0.0
@@ -512,6 +516,25 @@ class TestPhaseProfiler:
         absorbed = engine == "array" and not record_events
         for phase in {"absorb", "metrics"} if absorbed else self.BASE_PHASES:
             assert phases[phase] > 0.0
+
+    def test_phases_sum_to_at_most_the_wall_time(self, monkeypatch):
+        # The burst runner steps from inside _absorb_arrivals; each phase
+        # books only its self time, so no second is counted twice.  The
+        # clock ticks once per read, so the sums are exact.
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            simulator_module, "perf_counter", lambda: float(next(ticks))
+        )
+        backend = make_cost_model("ianus")
+        generator = get_trace_generator("chatbot")
+        rate = 0.9 / mean_service_time_s(backend, MODEL, generator.workloads)
+        simulator = ServingSimulator(backend, MODEL, engine="array", profile=True)
+        start = next(ticks)
+        simulator.simulate(generator.generate(200, rate, seed=3))
+        wall = next(ticks) - start
+        phases = simulator.last_run.phase_s
+        assert phases["absorb"] > 0 and phases["prefill"] > 0
+        assert sum(phases.values()) <= wall
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_cluster_output_unchanged_and_route_booked(self, engine):

@@ -10,6 +10,8 @@ every ``benchmarks/bench_*.py`` module has a CI step.
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -341,3 +343,37 @@ class TestBenchmarksInCi:
         on_disk = {path.name for path in (root / "benchmarks").glob("bench_*.py")}
         assert sorted(on_disk - in_ci) == [], "benches that no CI step runs"
         assert sorted(in_ci - on_disk) == [], "CI steps naming a missing bench"
+
+
+class TestPerfbenchLayers:
+    def test_every_traced_entry_point_resolves(self):
+        # perfbench's tracer skips a name it cannot find, so an entry point
+        # renamed in src/ would make its layer read zero with no error.  It
+        # wraps a method through the __dict__ of the named class or of a
+        # loaded subclass, so an inherited method does not count.
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", root / "perfbench" / "spans.py"
+        )
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+
+        def family(cls):
+            if cls is None:
+                return []
+            return [cls] + [o for sub in cls.__subclasses__() for o in family(sub)]
+
+        missing = []
+        for _, module_name, class_name, names in spans.LAYERS:
+            module = importlib.import_module(module_name)
+            owners = family(getattr(module, class_name or "", None))
+            for name in names:
+                if class_name is None:
+                    found = hasattr(module, name)
+                else:
+                    found = any(name in vars(owner) for owner in owners)
+                if not found:
+                    missing.append(f"{class_name or module_name}.{name}")
+        # The accountant has no can_grow any more; the tracer's list names
+        # it until the next change to the benchmark (ROADMAP item 1).
+        assert missing == ["KvPageAccountant.can_grow"]

@@ -19,7 +19,10 @@ from repro.core.costmodel import make_cost_model
 from repro.core.system import IanusSystem
 from repro.energy.model import EnergyBreakdown
 from repro.models import BERT_CONFIGS, GPT2_CONFIGS, Workload
+from repro.perf import cache
 from repro.serving import (
+    ENGINES,
+    ClusterSimulator,
     Request,
     ServingSimulator,
     TRACES,
@@ -31,6 +34,23 @@ from repro.serving.request import RequestMetrics
 from repro.serving.simulator import _percentile_sorted, cost_tuple, fused_pass
 
 MODEL = GPT2_CONFIGS["m"]
+
+
+def _reuse_traces():
+    """Two traces whose decode KV bounds differ: 129-1023, then 129-767."""
+    return (
+        get_trace_generator("gpt2-paper").generate(20, 5.0, seed=1),
+        get_trace_generator("chatbot").generate(20, 5.0, seed=2),
+    )
+
+
+@pytest.fixture
+def cold_decode_tables(monkeypatch):
+    """An empty process-wide decode-table cache, as in a fresh process, so
+    the first run of a simulator builds its own tables."""
+    monkeypatch.setattr(
+        cache, "_GLOBAL_DECODE_TABLE_CACHE", cache.PassCostCache(maxsize=64)
+    )
 
 
 class TestRequest:
@@ -203,18 +223,46 @@ class TestSimulatorInvariants:
         ).simulate(trace)
         assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 
-    def test_reused_simulator_matches_a_fresh_one(self):
-        # prepare() must drop interpolated costs from the previous trace's
-        # anchor grid, so a reused simulator is byte-identical to a fresh one.
-        wide = get_trace_generator("gpt2-paper").generate(10, 4.0, seed=2)
-        narrow = self._trace()
-        reused = ServingSimulator(make_cost_model("a100"), MODEL, policy="interleaved")
-        reused.simulate(wide)
-        second = reused.simulate(narrow)
-        fresh = ServingSimulator(
-            make_cost_model("a100"), MODEL, policy="interleaved"
-        ).simulate(narrow)
-        assert json.dumps(second.to_dict()) == json.dumps(fresh.to_dict())
+    @pytest.mark.parametrize("play", ["simulate", "stream"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("backend", ["ianus", "a100"])
+    def test_reused_simulator_matches_a_fresh_one(
+        self, backend, engine, play, cold_decode_tables
+    ):
+        # A decode price depends only on its KV length and its run's KV
+        # bounds, so a run's numbers never depend on what the simulator
+        # ran before: not on the first trace's grid, and not, for a
+        # stream given no bounds (priced exactly), on any grid at all.
+        first, second = _reuse_traces()
+        plays = {
+            "simulate": lambda simulator: simulator.simulate(second),
+            "stream": lambda simulator: simulator.simulate_stream([second]),
+        }
+
+        def simulator():
+            return ServingSimulator(make_cost_model(backend), MODEL, engine=engine)
+
+        reused = simulator()
+        reused.simulate(first)
+        assert json.dumps(plays[play](reused).to_dict()) == json.dumps(
+            plays[play](simulator()).to_dict()
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_reused_fleet_matches_a_fresh_one(self, engine, cold_decode_tables):
+        first, second = _reuse_traces()
+
+        def cluster():
+            return ClusterSimulator(
+                make_cost_model("ianus"), MODEL, num_replicas=2, engine=engine,
+                failures="single", autoscaler="queue-depth",
+            )
+
+        reused = cluster()
+        reused.simulate(first)
+        assert json.dumps(reused.simulate(second).to_dict()) == json.dumps(
+            cluster().simulate(second).to_dict()
+        )
 
     def test_encoder_models_reject_generation_traces(self):
         bert = BERT_CONFIGS["base"]
@@ -278,8 +326,8 @@ class TestFusedDecodeCostModel:
         return ServingSimulator(make_cost_model("ianus"), MODEL, **kwargs)
 
     def _costs(self, simulator, kvs):
-        simulator.provider.prepare(min(kvs), max(kvs))
-        return [simulator.provider.decode(kv) for kv in kvs]
+        bounds = (min(kvs), max(kvs))
+        return [simulator.provider.decode(kv, bounds) for kv in kvs]
 
     def _fused_decode(self, simulator, costs):
         """(latency, energy, FLOPs) of a pure fused decode iteration,

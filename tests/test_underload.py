@@ -22,6 +22,7 @@ from repro.serving.decode_table import build_decode_table, table_matches_provide
 from repro.serving.simulator import (
     PassCostProvider,
     ServingSimulator,
+    anchor_grid,
     mean_service_time_s,
 )
 from repro.serving.trace import TRACE_CURVES, TRACES
@@ -206,7 +207,6 @@ class TestArrivalBatchedByteIdentity:
 class TestSingleValueKvTable:
     def test_single_value_range_builds_one_row(self, cost_model):
         provider = PassCostProvider(cost_model, MODEL)
-        provider.prepare(513, 513)
         table = build_decode_table(provider, 513, 513)
         assert (table.kv_hi - table.kv_lo + 1) == 1
         assert table_matches_provider(table, provider)
@@ -215,8 +215,7 @@ class TestSingleValueKvTable:
         """kv range collapsing onto the base anchor leaves a 1-anchor
         grid; the table must still build (the pre-PR 8 code raised)."""
         provider = PassCostProvider(cost_model, MODEL)
-        provider.prepare(1, 1)
-        assert len(provider._anchors) == 1
+        assert len(anchor_grid((1, 1))) == 1
         table = build_decode_table(provider, 1, 1)
         assert (table.kv_hi - table.kv_lo + 1) == 1
         assert table_matches_provider(table, provider)
