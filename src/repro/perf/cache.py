@@ -57,11 +57,13 @@ __all__ = [
 #: Version of the persisted cache schema.  Bump whenever a timing model, a
 #: cached value layout, or a key ingredient changes: on-disk entries carrying
 #: an older version are discarded wholesale (stale timings silently reused
-#: across a model change would be far worse than a cold start).  Version 2:
+#: across a model change would be far worse than a cold start).  Version 3:
 #: the ``decode-tables`` section holds pickled
-#: :class:`~repro.serving.decode_table.DecodeCostTable` objects (version 1
-#: held plain-list payloads of their columns).
-CACHE_SCHEMA_VERSION = 2
+#: :class:`~repro.serving.decode_table.DecodeCostTable` objects that carry
+#: their ``columns`` matrix (version 2 tables had none, and a decode run
+#: would fail reading one; version 1 held plain-list payloads of their
+#: columns).
+CACHE_SCHEMA_VERSION = 3
 
 #: Fingerprints are derived from the frozen config dataclass repr, which
 #: includes the class name and every field (and nested frozen dataclass)

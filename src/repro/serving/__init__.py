@@ -40,11 +40,11 @@ Layering — who knows what:
     per (backend, model, KV range) and process, in every form the engine
     reads, and every run, replica and weight swap installs it by
     reference.  The engine advances a stable all-decode batch to its next
-    event in one call: an exact decode run
-    (``_decode_run``) performs ``fused_pass``'s own float operations and
-    changes no number, while a prefix-sum macro-step (``_macro_step``,
-    private-page batches on a floor-free table, no event log) agrees with
-    stepping to 1e-9.  ``engine="object"`` (the default) remains the
+    event in one call: an exact decode run (``_decode_run``) performs
+    ``fused_pass``'s own float operations, in numpy for a batch of two or
+    more, and changes no number, while a prefix-sum macro-step
+    (``_macro_step``, private-page batches on a floor-free table, no event
+    log) agrees with stepping to 1e-9.  ``engine="object"`` (the default) remains the
     reference and the only engine for custom policies: with events
     recorded the array engine is bit-identical to it, once each
     ``decode_run`` event is expanded into its steps

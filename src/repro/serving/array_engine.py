@@ -21,11 +21,13 @@ Python object survives its own lifetime.
 :class:`~repro.serving.decode_table.DecodeCostTable`, one per co-hosted
 model, built once per (backend, model, anchor grid, KV range) and process
 and shared through the decode-table cache: a run holds the resident
-model's table by reference and converts nothing, and its inner loops read
-plain Python floats out of the table's column and prefix-sum tuples
-without touching the cost model.  Table entries are bit-identical to
-``provider.decode``, so per-iteration stepping reproduces the object
-engine's floating-point results *exactly*.
+model's table by reference and converts nothing.  Its per-iteration loop
+reads plain Python floats out of the table's column and prefix-sum
+tuples, and its decode runs and arrival absorber read the same floats
+out of the table's read-only numpy matrices, without touching the cost
+model.  Table entries are bit-identical to ``provider.decode``, so
+per-iteration stepping reproduces the object engine's floating-point
+results *exactly*.
 
 **Decode runs and macro-steps.**  When every active request is decoding,
 the batch membership is provably stable until the next completion
@@ -41,7 +43,9 @@ path).  Two methods do it:
 
 - ``_decode_run`` prices each iteration with ``fused_pass``'s own float
   operations and advances every running total by sequential adds, so
-  its results are bit-identical to stepping.  It serves shared
+  its results are bit-identical to stepping (:func:`_price_run`: a lone
+  member from the table's tuples, a batch of two or more in numpy, with
+  one sequential ``cumsum`` for all six totals).  It serves shared
   prefixes, the swap tier, co-hosted models (the resident model's rows),
   tables whose fused-batch floors may bind, batches with a member
   stalled on a page no victim can free, and every run with an event log.
@@ -112,9 +116,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from functools import partial, reduce
-from itertools import accumulate, islice, repeat
-from operator import add, sub
+from functools import reduce
+from itertools import accumulate, islice
+from operator import add
 
 import numpy as np
 
@@ -131,6 +135,84 @@ from repro.serving.simulator import (
 )
 
 __all__ = ["ArraySimulationRun"]
+
+
+def _price_run(
+    table,
+    offsets: "list[int]",
+    steps: int,
+    shared: float,
+    totals: tuple,
+    threshold: "float | None",
+) -> "tuple[int, list, tuple | list]":
+    """Price up to ``steps`` fused decode iterations of the members at
+    table ``offsets`` (in batch order), each as :func:`fused_pass` prices
+    it, and advance the six running ``totals`` (clock, busy time, the
+    three energies, FLOPs) by them.
+
+    Returns ``(steps, totals, latencies)``: the run stops after the first
+    iteration whose clock reaches ``threshold`` (``None``: no budget), and
+    the totals and the iterations' latencies come back as Python floats.
+
+    A lone member's costs are its table entries, read as tuple slices and
+    added with ``reduce(add)``, as ``fused_pass`` returns a lone cost as
+    it is.  Two or more members are priced in numpy, over slices of the
+    table's ``columns``, with ``fused_pass``'s operations in its order: a
+    sum over the members in batch order from 0.0, ``max(sum - shared *
+    floor, member max)`` for latency and the energies, and the plain sum
+    for FLOPs.  One ``cumsum`` then advances all six totals; it adds
+    sequentially, so every total is bit-identical to adding iteration by
+    iteration, and the budget stop searches the exact clock sequence.
+    ``shared`` is ``share * (len(offsets) - 1)``, and the table's
+    latencies must be nonnegative, so the clock never decreases.
+    """
+    if len(offsets) == 1:
+        offset = offsets[0]
+        latencies = table.latency[offset:offset + steps]
+        clock, busy, e_mem, e_pim, e_npu, flops = totals
+        if threshold is None:
+            end = reduce(add, latencies, clock)
+        else:
+            clocks = list(accumulate(latencies, initial=clock))
+            crossing = bisect_left(clocks, threshold, 1)
+            if crossing < steps:
+                steps = crossing
+                latencies = latencies[:crossing]
+            end = clocks[steps]
+        stop = offset + steps
+        return steps, [
+            end,
+            reduce(add, latencies, busy),
+            reduce(add, table.energy_memory[offset:stop], e_mem),
+            reduce(add, table.energy_pim[offset:stop], e_pim),
+            reduce(add, table.energy_npu[offset:stop], e_npu),
+            reduce(add, table.flops[offset:stop], flops),
+        ], latencies
+    # Each member's rows, one per iteration, as a view of the table.
+    columns = table.columns
+    first, *rest = [columns[offset:offset + steps] for offset in offsets]
+    total = 0.0 + first
+    top = first[:, :4]
+    for member in rest:
+        total += member
+        top = np.maximum(top, member[:, :4])
+    # Row 0 holds the totals so far and row j the costs of iteration j, in
+    # the totals' order: latency twice (clock, busy), energies, FLOPs.
+    priced = np.empty((steps + 1, 6))
+    priced[0] = totals
+    np.maximum(
+        total[:, :4] - [shared * value for value in table.base[:4]],
+        top,
+        out=priced[1:, 1:5],
+    )
+    priced[1:, 0] = priced[1:, 1]
+    priced[1:, 5] = total[:, 4]
+    running = priced.cumsum(axis=0)
+    if threshold is not None:
+        crossing = int(np.searchsorted(running[:, 0], threshold))
+        if crossing < steps:
+            steps = max(crossing, 1)
+    return steps, running[steps].tolist(), priced[1:steps + 1, 0].tolist()
 
 
 class ArraySimulationRun(_RunLifecycle):
@@ -1048,14 +1130,14 @@ class ArraySimulationRun(_RunLifecycle):
         that reads the log: under optimistic admission an iteration that
         grants a page runs alone, so a run stops before the next grant.
 
-        Each iteration is priced as ``fused_pass`` prices it: a
-        left-to-right sum from 0.0 and ``max`` over the members' cost values
-        in batch order, then ``max(sum - shared * floor, max)``, and a lone
-        member's values as they are.  Clock, busy time, the energies and FLOPs advance by
-        sequential adds, and the budget stop bisects the exact clock
-        sequence, so every number is bit-identical to stepping.  Returns
-        ``False`` when not even one iteration can run here; the caller
-        then runs one per-iteration step.
+        :func:`_price_run` prices the run: each iteration as ``fused_pass``
+        prices it (a lone member from the table's tuples, a batch of two
+        or more in numpy over slices of the table's ``columns``), clock,
+        busy time, the energies and FLOPs advanced by sequential adds, and
+        the budget stop found on the exact clock sequence, so every number
+        is bit-identical to stepping.  Returns ``False`` when not even one
+        iteration can run here; the caller then runs one per-iteration
+        step.
         """
         table = self._table
         if table is None or not table.latency_nonnegative:
@@ -1086,7 +1168,6 @@ class ArraySimulationRun(_RunLifecycle):
         offsets, steps = self._run_bounds(batch)
         if steps < 1:
             return False
-        lat = table.latency
         threshold = until
         pending = self.pending
         if (
@@ -1102,6 +1183,7 @@ class ArraySimulationRun(_RunLifecycle):
             # pass to cost at least its slowest member's first latency.
             # The guess only sizes the work: a run that stops short of
             # every boundary is exact too, and the next call carries on.
+            lat = table.latency
             first = max([lat[offset] for offset in offsets])
             if first > 0.0:
                 reach = (threshold - self.clock) / first + 2.0
@@ -1123,46 +1205,29 @@ class ArraySimulationRun(_RunLifecycle):
                 steps = 1 if grant <= 1 else min(steps, grant - 1)
 
         size = len(batch)
-        fused = self._fused_column
-        if size == 1:
-            offset = offsets[0]
-            latencies = lat[offset:offset + steps]
-        else:
-            shared = self._batch_share * (size - 1)
-            floor = table.base
-            latencies = list(fused(lat, offsets, steps, shared * floor[0]))
-        if threshold is None:
-            end = reduce(add, latencies, self.clock)
-        else:
-            clocks = list(accumulate(latencies, initial=self.clock))
-            crossing = bisect_left(clocks, threshold, 1)
-            if crossing < steps:
-                steps = crossing
-                latencies = latencies[:crossing]
-            end = clocks[steps]
-
-        if size == 1:
-            stop = offset + steps
-            e_mem = table.energy_memory[offset:stop]
-            e_pim = table.energy_pim[offset:stop]
-            e_npu = table.energy_npu[offset:stop]
-            flops = table.flops[offset:stop]
-        else:
-            e_mem = fused(table.energy_memory, offsets, steps, shared * floor[1])
-            e_pim = fused(table.energy_pim, offsets, steps, shared * floor[2])
-            e_npu = fused(table.energy_npu, offsets, steps, shared * floor[3])
-            column = table.flops
-            flops = reduce(
-                partial(map, add),
-                [column[offset:offset + steps] for offset in offsets],
-                repeat(0.0),
-            )
-        self.clock = end
-        self.busy = reduce(add, latencies, self.busy)
-        self._energy_mem = reduce(add, e_mem, self._energy_mem)
-        self._energy_pim = reduce(add, e_pim, self._energy_pim)
-        self._energy_npu = reduce(add, e_npu, self._energy_npu)
-        self.flops = reduce(add, flops, self.flops)
+        steps, totals, latencies = _price_run(
+            table,
+            offsets,
+            steps,
+            self._batch_share * (size - 1),
+            (
+                self.clock,
+                self.busy,
+                self._energy_mem,
+                self._energy_pim,
+                self._energy_npu,
+                self.flops,
+            ),
+            threshold,
+        )
+        (
+            self.clock,
+            self.busy,
+            self._energy_mem,
+            self._energy_pim,
+            self._energy_npu,
+            self.flops,
+        ) = totals
         self.decode_passes += steps
         self.decode_tokens += steps * size
         self._outstanding -= steps * size
@@ -1222,24 +1287,6 @@ class ArraySimulationRun(_RunLifecycle):
             ):
                 return []
         return granted
-
-    @staticmethod
-    def _fused_column(
-        column: list, offsets: "list[int]", steps: int, shared_floor: float
-    ):
-        """One cost component of ``steps`` fused decode iterations, as
-        ``fused_pass`` computes it: ``max(total - shared_floor,
-        max(values))`` per iteration over the members' values in batch
-        order, where ``total`` adds them left to right from 0.0 and
-        ``shared_floor`` is ``shared * floor``."""
-        parts = [column[offset:offset + steps] for offset in offsets]
-        # Member by member, each iteration's running sum from 0.0.
-        totals = reduce(partial(map, add), parts, repeat(0.0))
-        return map(
-            max,
-            map(sub, totals, repeat(shared_floor)),
-            map(max, zip(*parts)),
-        )
 
     # ------------------------------------------------------------------
     # Underload fast path: arrival-batched absorption

@@ -13,13 +13,14 @@ One form, one copy
 ------------------
 A table is the only form its numbers take.  :func:`build_decode_table`
 computes everything the engine reads — the columns and their exclusive
-prefix sums as tuples of Python floats, the prefix sums again as one
-read-only numpy matrix for the arrival absorber, the ``c(1)`` base and the
-flags that gate the fast paths — once per (backend fingerprint, model
-fingerprint, anchor grid, KV range) per process.  The process-wide
-decode-table cache (:func:`repro.perf.cache.global_decode_table_cache`)
-holds the table as it is, every run, replica and weight swap installs it
-by reference, and the persistent layer pickles it across processes.
+prefix sums as tuples of Python floats, the columns again as one
+read-only numpy matrix for the decode runs, the prefix sums again as one
+for the arrival absorber, the ``c(1)`` base and the flags that gate the
+fast paths — once per (backend fingerprint, model fingerprint, anchor
+grid, KV range) per process.  The process-wide decode-table cache
+(:func:`repro.perf.cache.global_decode_table_cache`) holds the table as
+it is, every run, replica and weight swap installs it by reference, and
+the persistent layer pickles it across processes.
 
 Bit-exactness contract
 ----------------------
@@ -65,7 +66,9 @@ class DecodeCostTable:
     ``provider.decode(kv, (kv_lo, kv_hi))``.  ``prefix_*`` are the
     columns' exclusive prefix sums (``prefix[j]`` = sum of the first ``j``
     entries), so the engine's hot loops aggregate iteration runs with two
-    tuple indexings per column.  Built only by :func:`build_decode_table`;
+    tuple indexings per column.  ``columns`` and ``prefix_matrix`` hold
+    the same floats as numpy matrices, for the paths that price many
+    iterations at once.  Built only by :func:`build_decode_table`;
     immutable, so one table serves every run priced over its range.
     """
 
@@ -93,8 +96,12 @@ class DecodeCostTable:
     latency_max: float
     #: No latency is negative, so a fused pass costs at least its largest
     #: member, a decode run's clock never decreases and its budget stop
-    #: may bisect it.
+    #: may search it.
     latency_nonnegative: bool
+    #: The five columns as one read-only ``(n, 5)`` matrix, a row per KV
+    #: offset in ``cost_tuple`` order (the very floats of the column
+    #: tuples), for the decode runs, which price a batch from slices of it.
+    columns: np.ndarray = field(compare=False, repr=False)
     #: The prefix sums as one read-only ``(n + 1, 5)`` matrix, a row per
     #: KV offset and a column per cost component (the very floats of the
     #: ``prefix_*`` tuples), for the arrival absorber, which prices whole
@@ -163,6 +170,7 @@ def build_decode_table(provider, kv_lo: int, kv_hi: int) -> DecodeCostTable:
     # macro-stepped metrics are pinned to 1e-9, not bit-identical).
     prefix = np.zeros((len(matrix) + 1, 5))
     np.cumsum(matrix, axis=0, out=prefix[1:])
+    matrix.setflags(write=False)
     prefix.setflags(write=False)
     latency = matrix[:, 0].tolist()
     return DecodeCostTable(
@@ -175,6 +183,7 @@ def build_decode_table(provider, kv_lo: int, kv_hi: int) -> DecodeCostTable:
         floor_free=floor_free,
         latency_max=max(latency),
         latency_nonnegative=min(latency) >= 0.0,
+        columns=matrix,
         prefix_matrix=prefix,
     )
 

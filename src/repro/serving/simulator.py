@@ -1308,15 +1308,18 @@ class _RunLifecycle:
 
     def _check_advance(self, until: "float | None") -> None:
         """The :meth:`advance_until` guards: the run is not finished and
-        the target does not move backwards.
+        the target is a number that does not move backwards.
 
         Simulated time only advances, so a caller handing a smaller
         ``until`` than its previous one holds a stale clock and gets a
-        ``ValueError`` rather than a silent no-op.
+        ``ValueError`` rather than a silent no-op.  A NaN target compares
+        false both ways, so no clock could be said to reach it.
         """
         if self.finished:
             raise ValueError("cannot advance a finished run")
         if until is not None:
+            if until != until:
+                raise ValueError("advance_until target must be a number, got nan")
             if self._last_until is not None and until < self._last_until:
                 raise ValueError(
                     f"advance_until moved backwards: target {until:.6f}s is "

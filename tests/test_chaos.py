@@ -248,6 +248,13 @@ class TestSteppingApiEdgeCases:
         with pytest.raises(ValueError, match="moved backwards"):
             run.advance_until(0.5)
 
+    def test_nan_advance_until_raises_value_error(self, engine):
+        run = self._run(engine)
+        run.offer(Request(0, 0.0, 16, 4))
+        run.advance_until(1.0)
+        with pytest.raises(ValueError, match="must be a number"):
+            run.advance_until(float("nan"))
+
     def test_double_finish_raises_value_error(self, engine):
         run = self._run(engine)
         run.offer(Request(0, 0.0, 16, 4))

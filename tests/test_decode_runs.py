@@ -3,8 +3,14 @@
 ``ArraySimulationRun._decode_run`` advances a stable all-decode batch to
 its next behavior boundary in one call, pricing every iteration with
 ``fused_pass``'s own float operations and advancing every running total
-by sequential adds.  It must therefore change no number at all:
+by sequential adds (``_price_run``: numpy and one ``cumsum`` for a batch
+of two or more).  It must therefore change no number at all:
 
+* on synthetic tables (binding floors, members sharing an offset,
+  all-zero columns, magnitudes from 1e-12 to 1e3, one to 16 members,
+  thresholds before, inside and past the run) ``_price_run`` returns, with
+  ``==``, the steps, totals and latencies of calling ``fused_pass`` once
+  per iteration, all as Python floats;
 * over generated configurations (policy, admission, preemption, swap,
   prefix sharing, chunked prefill, co-hosted models, KV budget, one-shot,
   streamed and clustered runs) every metric and per-request row equals,
@@ -30,7 +36,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import accumulate
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -51,7 +60,8 @@ from repro.serving import (
     make_policy,
     mean_service_time_s,
 )
-from repro.serving.array_engine import ArraySimulationRun
+from repro.serving.array_engine import ArraySimulationRun, _price_run
+from repro.serving.simulator import fused_pass
 from repro.serving.validate import expand_runs
 
 COST_MODEL = make_cost_model("ianus")
@@ -222,6 +232,106 @@ def test_detail_only_chooses_the_returned_rows(config):
         on, off = on[0], off[0]
         del on["per_request"], off["per_request"]
     assert on == off
+
+
+# ----------------------------------------------------------------------
+# One run's price equals fused_pass, iteration by iteration
+# ----------------------------------------------------------------------
+#: Column and total magnitudes: an all-zero column, or values up to one
+#: of these scales.
+MAGNITUDES = (0.0, 1e-12, 1e-6, 1e-3, 1.0, 1e3)
+
+
+@st.composite
+def priced_runs(draw) -> dict:
+    """A synthetic decode table and one run over it.  A column is all
+    zeros or spans one magnitude; the floor is zero, inside the values or
+    above them all (where it binds on every multi-member iteration);
+    members may share an offset; the threshold is absent, a fraction of
+    the run's span (before its start up to past its end) or one of its
+    exact clocks."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    size = draw(st.integers(min_value=1, max_value=16))
+    steps = draw(st.integers(min_value=1, max_value=48))
+    rows = steps + draw(st.integers(min_value=0, max_value=24))
+    scales = [draw(st.sampled_from(MAGNITUDES)) for _ in range(5)]
+    columns = np.array(
+        [[scale * rng.random() for scale in scales] for _ in range(rows)]
+    )
+    columns.setflags(write=False)
+    floor = draw(st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+    distinct = draw(st.integers(min_value=1, max_value=size))
+    pool = [rng.randrange(rows - steps + 1) for _ in range(distinct)]
+    return {
+        "table": SimpleNamespace(
+            columns=columns,
+            **dict(zip(
+                ("latency", "energy_memory", "energy_pim", "energy_npu", "flops"),
+                map(tuple, columns.T.tolist()),
+            )),
+            base=tuple(floor * scale for scale in scales),
+        ),
+        "offsets": [rng.choice(pool) for _ in range(size)],
+        "steps": steps,
+        "share": draw(st.sampled_from((1.0, 0.6, 0.0))),
+        "totals": tuple(
+            draw(st.sampled_from(MAGNITUDES)) * rng.random() for _ in range(6)
+        ),
+        "threshold": draw(st.one_of(
+            st.none(),
+            st.floats(min_value=-0.1, max_value=1.2),
+            st.integers(min_value=0, max_value=steps - 1),
+        )),
+    }
+
+
+def _priced_by_steps(table, offsets, steps, share, totals, threshold):
+    """The run iteration by iteration: one ``fused_pass`` over the
+    members' cost tuples, each component added into its total, stopping
+    after the first iteration whose clock reaches ``threshold``."""
+    costs = list(zip(
+        table.latency, table.energy_memory, table.energy_pim,
+        table.energy_npu, table.flops,
+    ))
+    clock, busy, e_mem, e_pim, e_npu, flops = totals
+    latencies = []
+    for j in range(steps):
+        cost = fused_pass(
+            None, [costs[offset + j] for offset in offsets], share,
+            lambda: table.base,
+        )
+        clock += cost[0]
+        busy += cost[0]
+        e_mem += cost[1]
+        e_pim += cost[2]
+        e_npu += cost[3]
+        flops += cost[4]
+        latencies.append(cost[0])
+        if threshold is not None and clock >= threshold:
+            break
+    return len(latencies), [clock, busy, e_mem, e_pim, e_npu, flops], latencies
+
+
+@given(run=priced_runs())
+@settings(max_examples=400, deadline=None)
+def test_a_run_is_priced_as_its_steps(run):
+    table, offsets, steps = run["table"], run["offsets"], run["steps"]
+    share, totals, threshold = run["share"], run["totals"], run["threshold"]
+    if threshold is not None:
+        # Place the threshold on this run's own clock sequence: a float
+        # is a fraction of its span, an integer one of its exact clocks.
+        unbounded = _priced_by_steps(table, offsets, steps, share, totals, None)
+        clocks = list(accumulate(unbounded[2], initial=totals[0]))
+        if isinstance(threshold, int):
+            threshold = clocks[threshold + 1]
+        else:
+            threshold = totals[0] + threshold * (clocks[-1] - totals[0])
+    expected = _priced_by_steps(table, offsets, steps, share, totals, threshold)
+    priced = _price_run(
+        table, offsets, steps, share * (len(offsets) - 1), totals, threshold
+    )
+    assert (priced[0], list(priced[1]), list(priced[2])) == expected
+    assert all(type(value) is float for value in (*priced[1], *priced[2]))
 
 
 def test_decode_runs_carry_the_overloaded_shared_prefix_regime():

@@ -290,7 +290,7 @@ class TestDecodeTableSection:
         set_global_decode_table_cache(written)
         cold, built = served()
         assert written.flush() == 1
-        assert CACHE_SCHEMA_VERSION == 2
+        assert CACHE_SCHEMA_VERSION == 3
         assert pickle.loads(disk.path.read_bytes())["schema"] == CACHE_SCHEMA_VERSION
 
         # A fresh cache on the same file, as in the next process; the run
@@ -305,8 +305,9 @@ class TestDecodeTableSection:
         warm, read = served()
         assert fresh.disk_loads == 1 and fresh.hits == 1
         assert read == built and read is not built
-        assert np.array_equal(read.prefix_matrix, built.prefix_matrix)
-        assert not read.prefix_matrix.flags.writeable
+        for matrix in ("columns", "prefix_matrix"):
+            assert np.array_equal(getattr(read, matrix), getattr(built, matrix))
+            assert not getattr(read, matrix).flags.writeable
         assert warm == cold
 
 

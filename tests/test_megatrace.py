@@ -222,7 +222,17 @@ class TestDecodeTable:
         simulator = ServingSimulator(make_cost_model("ianus"), MODEL, engine="array")
         first, second = (simulator.begin(kv_bounds=(1, 300)) for _ in range(2))
         assert first._table is second._table
-        assert isinstance(first._table.latency, tuple)
+        assert first._table.columns is second._table.columns
+        table = first._table
+        assert isinstance(table.latency, tuple)
+        # The matrix holds the very floats of the column tuples.
+        assert table.columns.T.tolist() == [
+            list(column) for column in (
+                table.latency, table.energy_memory, table.energy_pim,
+                table.energy_npu, table.flops,
+            )
+        ]
+        assert not first._table.columns.flags.writeable
         assert not first._table.prefix_matrix.flags.writeable
 
     def test_fleet_builds_one_table_per_model(self, monkeypatch):
@@ -249,6 +259,7 @@ class TestDecodeTable:
         for model in FLEET_MODELS:
             tables = [run._tables[model.name] for run in runs]
             assert all(table is tables[0] for table in tables)
+            assert all(table.columns is tables[0].columns for table in tables)
 
     def test_prefix_sums_cover_columns(self):
         simulator = ServingSimulator(make_cost_model("ianus"), MODEL)
