@@ -86,13 +86,31 @@ class DurationModel:
     ) -> float:
         """Duration in seconds of the command with these fields.
 
-        For callers that hold a command's fields but no :class:`Command`:
-        the engine pricing a replayed stream, the compiler sizing a prefetch
-        window before it builds the block.
+        For callers that hold a command's fields but no :class:`Command`,
+        such as the compiler sizing a prefetch window before it builds the
+        block.
         """
         return self._duration_cache(
             (unit, kind, dims, bytes_moved, pim_scope, fused_activation)
         )
+
+    def durations_of(
+        self,
+        units: list[Unit],
+        kinds: list[OpKind],
+        dims: list[tuple[int, ...]],
+        bytes_moved: list[int],
+        scopes: list[PimScope],
+        fused: list[bool],
+    ) -> list[float]:
+        """Durations of a stream's commands, from its parallel field lists.
+
+        The engine prices every stream and replay through here: one cache
+        lookup per command, under the very keys :meth:`duration_of` builds.
+        """
+        return list(map(
+            self._duration_cache, zip(units, kinds, dims, bytes_moved, scopes, fused)
+        ))
 
     def _duration_uncached(self, key) -> float:
         unit, kind, dims, bytes_moved, pim_scope, fused = key

@@ -34,6 +34,22 @@ The engine splits the work of simulating a stream in two:
 The finished :class:`Timeline` is cached per stream object (weakly keyed,
 guarded by the stream length so an appended-to stream is re-simulated).
 
+:meth:`EventEngine.simulate_range` schedules K replays of one template at
+once (an exact-mode generation run prices its KV lengths this way).  Each
+replay's durations, FLOPs and bytes are written into column k of ``(n, K)``
+matrices and the replay is dropped; the same schedule loop then runs over
+rows of K numbers, with ``np.maximum`` where a single stream uses the builtin
+``max``.  The reductions follow the single-stream rules column by column:
+the makespan is the largest end; a tag's interval union sorts the (start,
+end) pairs lexicographically, takes the running maximum of the ends and adds
+the merged segments' lengths in order (adding 0.0 is exact, so a column with
+fewer segments still matches); counters and FLOPs add in command order.  So
+each column equals :meth:`EventEngine.simulate` of its replay bit for bit.
+A range pays numpy's per-operation cost on every command and tag, which
+only several columns repay: a single stream stays on Python floats, and
+:class:`repro.core.IanusSystem` schedules fewer than
+:data:`~repro.core.system.MIN_RANGE_COLUMNS` replays one at a time.
+
 :class:`Timeline` is lazy: the engine stores parallel arrays of start/end
 times and only materializes :class:`ScheduledCommand` objects when a caller
 asks for ``timeline.commands`` (the Gantt renderer, a handful of tests).
@@ -46,12 +62,17 @@ from __future__ import annotations
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from repro.config import MemoryPolicy, SchedulingPolicy, SystemConfig
 from repro.ir.command import Command, CommandStream, OpKind, PimScope, Unit
 from repro.scheduling.durations import DurationModel
 
-__all__ = ["ScheduledCommand", "ActivityStats", "Timeline", "EventEngine"]
+__all__ = [
+    "ScheduledCommand", "ActivityStats", "Timeline", "TimelineColumns", "EventEngine",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,6 +163,36 @@ def _interval_union(intervals: list[tuple[float, float]]) -> float:
         else:
             current_end = max(current_end, end)
     total += current_end - current_start
+    return total
+
+
+def _column_union(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """:func:`_interval_union` of each row's (start, end) pairs, all rows at
+    once: the same sort, merges and additions in the same order.
+
+    A pair opens a merged segment when it starts after the running maximum
+    of the ends before it; the segment's length is that maximum at its last
+    pair less its first pair's start.  The lengths are added in order, with
+    0.0 at every pair that closes no segment.
+    """
+    order = np.lexsort((ends, starts))
+    starts = np.take_along_axis(starts, order, axis=1)
+    reach = np.maximum.accumulate(np.take_along_axis(ends, order, axis=1), axis=1)
+    opens = np.ones(starts.shape, dtype=bool)
+    opens[:, 1:] = starts[:, 1:] > reach[:, :-1]
+    closes = np.ones(starts.shape, dtype=bool)
+    closes[:, :-1] = opens[:, 1:]
+    first = np.maximum.accumulate(np.where(opens, starts, -np.inf), axis=1)
+    lengths = np.where(closes, reach - first, 0.0)
+    return np.add.accumulate(lengths, axis=1)[:, -1]
+
+
+def _added(numbers, rows, total):
+    """``total`` plus ``numbers[i]`` for each of ``rows``, one after another:
+    the order every counter, and a timeline's FLOPs, add in.  ``numbers``
+    holds a number per command or a row of K columns per command."""
+    for i in rows:
+        total = total + numbers[i]
     return total
 
 
@@ -286,8 +337,13 @@ class Timeline:
         return dict(self._breakdown_by_tag)
 
     def total_flops(self) -> float:
+        """Every command's FLOPs, added one after another in command order.
+
+        Not the builtin ``sum``: it compensates float sums from Python 3.12,
+        which a column of :meth:`EventEngine.simulate_range` cannot follow.
+        """
         if self._total_flops is None:
-            self._total_flops = sum(self._flops)
+            self._total_flops = _added(self._flops, range(len(self._flops)), 0.0)
         return self._total_flops
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -310,6 +366,8 @@ class _Structure:
         "tags",
         "scopes",
         "fused",
+        "unit_rows",
+        "tag_rows",
     )
 
     def __init__(self, engine: "EventEngine", stream: CommandStream) -> None:
@@ -327,6 +385,34 @@ class _Structure:
         self.tags = [c.tag for c in commands]
         self.scopes = [c.pim_scope for c in commands]
         self.fused = [c.fused_activation for c in commands]
+        #: The rows of each unit's commands, and of each breakdown tag's
+        #: (sync points aside) in order of first appearance, as
+        #: :meth:`Timeline.breakdown_by_tag` groups them.
+        self.unit_rows: dict[Unit, list[int]] = {unit: [] for unit in Unit}
+        self.tag_rows: dict[str, list[int]] = {}
+        for i, command in enumerate(commands):
+            self.unit_rows[command.unit].append(i)
+            if command.tag and command.unit is not Unit.SYNC:
+                self.tag_rows.setdefault(command.tag, []).append(i)
+
+
+@dataclass(frozen=True, slots=True)
+class TimelineColumns:
+    """K replays of one template, scheduled as the columns of one schedule
+    loop by :meth:`EventEngine.simulate_range`.
+
+    ``starts`` and ``ends`` hold one row per replay and one column per
+    command.  The lists hold, per replay and as Python numbers, what its
+    :class:`Timeline` reports: ``makespan``, ``breakdown_by_tag()``,
+    ``stats`` and ``total_flops()``.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    makespans: list[float]
+    breakdowns: list[dict[str, float]]
+    stats: list[ActivityStats]
+    flops: list[float]
 
 
 class EventEngine:
@@ -348,84 +434,19 @@ class EventEngine:
         if cached is not None and cached[0] == len(stream):
             return cached[1]
 
-        structure = self._structure(stream.template)
-        length = structure.length
-        if len(stream) != length:
-            raise ValueError(
-                f"stream {stream.label!r} has {len(stream)} of its template's "
-                f"{length} commands"
-            )
+        structure = self._structure(stream)
         flops, bytes_moved, dims = stream.numbers()
-        durations = list(map(
-            self.durations.duration_of, structure.units, structure.kinds, dims,
-            bytes_moved, structure.scopes, structure.fused,
-        ))
-
-        config = self.config
-        unified = config.memory_policy is MemoryPolicy.UNIFIED
-        naive = config.scheduling is SchedulingPolicy.NAIVE
-        pim_blocks_offchip = unified and config.pim_compute_enabled
-
-        ends: list[float] = [0.0] * length
-        starts: list[float] = [0.0] * length
-        unit_free: dict[object, float] = {}
-        unit_free_get = unit_free.get
-
-        #: End of the latest PIM macro scheduled so far; off-chip DMA commands
-        #: issued after a PIM macro wait for it under the unified organisation.
-        last_pim_end = 0.0
-        #: End of the latest off-chip DMA scheduled so far; a PIM macro waits
-        #: for in-flight normal accesses under the unified organisation.
-        last_offchip_end = 0.0
-        #: With naive scheduling each PIM macro is a global barrier.
-        barrier_time = 0.0
-        #: Running maximum end time (needed for the naive barrier semantics).
-        max_end = 0.0
-
-        resources = structure.resources
-        deps = structure.deps
-        is_pim = structure.is_pim
-        is_offchip = structure.is_offchip
-
-        for i in range(length):
-            start = barrier_time
-            for dep in deps[i]:
-                dep_end = ends[dep]
-                if dep_end > start:
-                    start = dep_end
-
-            keys = resources[i]
-            for key in keys:
-                free = unit_free_get(key, 0.0)
-                if free > start:
-                    start = free
-
-            if is_pim[i]:
-                if unified and last_offchip_end > start:
-                    start = last_offchip_end
-                if naive and max_end > start:
-                    start = max_end
-            elif is_offchip[i] and pim_blocks_offchip and last_pim_end > start:
-                start = last_pim_end
-
-            end = start + durations[i]
-            for key in keys:
-                unit_free[key] = end
-            starts[i] = start
-            ends[i] = end
-            if end > max_end:
-                max_end = end
-            if is_pim[i]:
-                if end > last_pim_end:
-                    last_pim_end = end
-                if naive and end > barrier_time:
-                    barrier_time = end
-            elif is_offchip[i] and end > last_offchip_end:
-                last_offchip_end = end
-
+        durations = self.durations.durations_of(
+            structure.units, structure.kinds, dims, bytes_moved,
+            structure.scopes, structure.fused,
+        )
+        starts, ends = self._schedule(structure, durations, 0.0, max)
         timeline = Timeline.from_arrays(
             label=stream.label,
-            stats=self._activity(structure, flops, bytes_moved, dims),
+            stats=ActivityStats(*self._counters(
+                structure, flops, bytes_moved,
+                self._row_activations(structure, dims), 0, 0.0,
+            )),
             cids=structure.cids,
             units=structure.units,
             kinds=structure.kinds,
@@ -435,17 +456,157 @@ class EventEngine:
             flops=flops,
             bytes_moved=bytes_moved,
         )
-        self._timeline_cache[stream] = (length, timeline)
+        self._timeline_cache[stream] = (structure.length, timeline)
         return timeline
 
-    def _structure(self, template: CommandStream) -> _Structure:
+    def simulate_range(
+        self, streams: Iterable[CommandStream], count: int
+    ) -> TimelineColumns:
+        """Schedule ``count`` replays of one template as the columns of one
+        schedule loop.
+
+        ``streams`` yields the replays (the template itself may be one).
+        Each is written into column k of preallocated ``(n, count)``
+        matrices of durations, FLOPs and bytes, then dropped, so a lazy
+        iterable holds one replay at a time.  Column k equals
+        :meth:`simulate` of replay k: the makespan, every start and end, the
+        tag breakdown, the stats and the FLOPs.
+        """
+        if count < 1:
+            raise ValueError(f"count must be positive, got {count}")
+        k = -1
+        for k, stream in enumerate(streams):
+            if k == count:
+                raise ValueError(f"more than the {count} streams announced")
+            if k and stream.template is not template:
+                raise ValueError(
+                    f"stream {stream.label!r} is not a replay of {template.label!r}"
+                )
+            structure = self._structure(stream)
+            if not k:
+                template = stream.template
+                shape = (structure.length, count)
+                durations, flops = np.empty(shape), np.empty(shape)
+                bytes_moved = np.empty(shape, dtype=np.int64)
+                activations = np.empty(count, dtype=np.int64)
+            replay_flops, replay_bytes, dims = stream.numbers()
+            durations[:, k] = self.durations.durations_of(
+                structure.units, structure.kinds, dims, replay_bytes,
+                structure.scopes, structure.fused,
+            )
+            flops[:, k] = replay_flops
+            bytes_moved[:, k] = replay_bytes
+            activations[k] = self._row_activations(structure, dims)
+        if k + 1 != count:
+            raise ValueError(f"{count} streams announced, {k + 1} given")
+
+        length = structure.length
+        zeros = np.zeros(count)
+        starts, ends = self._schedule(structure, list(durations), zeros, np.maximum)
+        # One row per replay, one column per command.
+        starts = np.array(starts).reshape(length, count).T.copy()
+        ends = np.array(ends).reshape(length, count).T.copy()
+        breakdowns: list[dict[str, float]] = [{} for _ in range(count)]
+        for tag, rows in structure.tag_rows.items():
+            union = _column_union(starts[:, rows], ends[:, rows])
+            for breakdown, value in zip(breakdowns, union.tolist()):
+                breakdown[tag] = value
+        counters = self._counters(
+            structure, flops, bytes_moved, activations,
+            np.zeros(count, dtype=np.int64), zeros,
+        )
+        return TimelineColumns(
+            starts=starts,
+            ends=ends,
+            makespans=ends.max(axis=1, initial=0.0).tolist(),
+            breakdowns=breakdowns,
+            stats=[
+                ActivityStats(*fields)
+                for fields in zip(*(counter.tolist() for counter in counters))
+            ],
+            flops=_added(flops, range(length), zeros).tolist(),
+        )
+
+    def _structure(self, stream: CommandStream) -> _Structure:
+        """The structure of ``stream``'s template, which it must replay whole."""
+        template = stream.template
         structure = self._structure_cache.get(template)
         if structure is None or structure.length != len(template):
             structure = _Structure(self, template)
             self._structure_cache[template] = structure
+        if len(stream) != structure.length:
+            raise ValueError(
+                f"stream {stream.label!r} has {len(stream)} of its template's "
+                f"{structure.length} commands"
+            )
         return structure
 
     # ------------------------------------------------------------------
+    def _schedule(self, structure: _Structure, durations: list, zero, maximum):
+        """Start and end of every command: the one schedule loop.
+
+        Generic over its element: a float per command, with ``zero`` 0.0
+        and the builtin ``max``, for one stream; a row of K floats per
+        command, with a row of zeros and ``np.maximum``, for K replays as
+        columns.  ``maximum(start, wait)`` keeps ``start`` unless the wait
+        ends later, in both.
+        """
+        config = self.config
+        unified = config.memory_policy is MemoryPolicy.UNIFIED
+        naive = config.scheduling is SchedulingPolicy.NAIVE
+        pim_blocks_offchip = unified and config.pim_compute_enabled
+
+        length = structure.length
+        ends = [zero] * length
+        starts = [zero] * length
+        unit_free: dict = {}
+        unit_free_get = unit_free.get
+
+        #: End of the latest PIM macro scheduled so far; off-chip DMA commands
+        #: issued after a PIM macro wait for it under the unified organisation.
+        last_pim_end = zero
+        #: End of the latest off-chip DMA scheduled so far; a PIM macro waits
+        #: for in-flight normal accesses under the unified organisation.
+        last_offchip_end = zero
+        #: With naive scheduling each PIM macro is a global barrier.
+        barrier_time = zero
+        #: Running maximum end time (needed for the naive barrier semantics).
+        max_end = zero
+
+        resources = structure.resources
+        deps = structure.deps
+        is_pim = structure.is_pim
+        is_offchip = structure.is_offchip
+
+        for i in range(length):
+            start = barrier_time
+            for dep in deps[i]:  # dependency
+                start = maximum(start, ends[dep])
+            keys = resources[i]
+            for key in keys:  # resource
+                start = maximum(start, unit_free_get(key, zero))
+            if is_pim[i]:
+                if unified:  # pim-after-dma
+                    start = maximum(start, last_offchip_end)
+                if naive:  # naive barrier
+                    start = maximum(start, max_end)
+            elif is_offchip[i] and pim_blocks_offchip:  # dma-after-pim
+                start = maximum(start, last_pim_end)
+
+            end = start + durations[i]
+            for key in keys:
+                unit_free[key] = end
+            starts[i] = start
+            ends[i] = end
+            max_end = maximum(max_end, end)
+            if is_pim[i]:
+                last_pim_end = maximum(last_pim_end, end)
+                if naive:
+                    barrier_time = maximum(barrier_time, end)
+            elif is_offchip[i]:
+                last_offchip_end = maximum(last_offchip_end, end)
+        return starts, ends
+
     def _resources(self, command: Command, num_chips: int) -> list[object]:
         """Resource instances a command occupies (empty for pure sync)."""
         if command.unit is Unit.SYNC:
@@ -456,34 +617,37 @@ class EventEngine:
             return [("pim", chip) for chip in range(num_chips)]
         return [(command.unit,)]
 
-    def _activity(
-        self,
-        structure: _Structure,
-        flops: list[float],
-        bytes_moved: list[int],
-        dims: list[tuple[int, ...]],
-    ) -> ActivityStats:
-        """Activity counts of one stream, accumulated in command order."""
-        stats = ActivityStats()
+    def _counters(
+        self, structure: _Structure, flops, bytes_moved, row_activations, zero, zero_flops
+    ) -> tuple:
+        """The :class:`ActivityStats` fields, in field order, of one stream
+        (numbers per command, ``zero`` 0 and ``zero_flops`` 0.0) or of K
+        replays (rows of K columns per command, rows of zeros).  Each
+        counter adds its unit's commands in command order."""
+        rows = structure.unit_rows
+        return (
+            _added(bytes_moved, rows[Unit.DMA_LOAD], zero),
+            _added(bytes_moved, rows[Unit.DMA_STORE], zero),
+            _added(bytes_moved, rows[Unit.PIM], zero),
+            row_activations,
+            _added(flops, rows[Unit.MATRIX_UNIT], zero_flops),
+            _added(flops, rows[Unit.VECTOR_UNIT], zero_flops),
+            _added(bytes_moved, rows[Unit.DMA_ONCHIP], zero),
+            zero + len(rows[Unit.PIM]),
+        )
+
+    def _row_activations(self, structure: _Structure, dims: list[tuple[int, ...]]) -> int:
+        """DRAM row activations of one stream's PIM macros, added in command
+        order."""
+        total = 0
         pim = self.durations.pim
-        for i, unit in enumerate(structure.units):
-            if unit is Unit.DMA_LOAD:
-                stats.offchip_read_bytes += bytes_moved[i]
-            elif unit is Unit.DMA_STORE:
-                stats.offchip_write_bytes += bytes_moved[i]
-            elif unit is Unit.DMA_ONCHIP:
-                stats.onchip_bytes += bytes_moved[i]
-            elif unit is Unit.PIM:
-                stats.pim_weight_bytes += bytes_moved[i]
-                stats.pim_macro_commands += 1
-                if pim is not None and len(dims[i]) >= 2:
-                    n, d_in, d_out = dims[i] if len(dims[i]) == 3 else (1, *dims[i])
-                    single = structure.scopes[i] is PimScope.SINGLE_CHIP
-                    device = self.durations.pim_single_chip if single else pim
-                    estimate = device.gemv(d_out, d_in, structure.fused[i])
-                    stats.pim_row_activations += estimate.row_activations * max(1, n)
-            elif unit is Unit.MATRIX_UNIT:
-                stats.matrix_unit_flops += flops[i]
-            elif unit is Unit.VECTOR_UNIT:
-                stats.vector_unit_flops += flops[i]
-        return stats
+        if pim is None:
+            return total
+        for i in structure.unit_rows[Unit.PIM]:
+            if len(dims[i]) >= 2:
+                n, d_in, d_out = dims[i] if len(dims[i]) == 3 else (1, *dims[i])
+                single = structure.scopes[i] is PimScope.SINGLE_CHIP
+                device = self.durations.pim_single_chip if single else pim
+                estimate = device.gemv(d_out, d_in, structure.fused[i])
+                total += estimate.row_activations * max(1, n)
+        return total

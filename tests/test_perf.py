@@ -10,6 +10,7 @@ every ``benchmarks/bench_*.py`` module has a CI step.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -19,9 +20,10 @@ from pathlib import Path
 import pytest
 
 from repro.config import SystemConfig
-from repro.core.system import IanusSystem
+from repro.core.system import MIN_RANGE_COLUMNS, IanusSystem
 from repro.ir.command import Command, CommandStream, OpKind, Unit
 from repro.models import GPT2_CONFIGS, Workload
+from repro.models.workload import Stage, StagePass
 from repro.perf import (
     PassCostCache,
     config_fingerprint,
@@ -121,6 +123,64 @@ class TestPassCostCacheBookkeeping:
         assert config_fingerprint(a) == config_fingerprint(b)
         assert config_fingerprint(a) != config_fingerprint(a.variant(num_cores=2))
         assert config_fingerprint(a, 1) != config_fingerprint(a, 2)
+
+    def test_exact_run_prices_each_kv_length_once(self):
+        """An exact run schedules its KV lengths as columns of one engine
+        call, yet each pass keeps its own entry: one miss and one put per
+        pass (the summarization and each KV length), as perfbench's
+        ``sim.passes_priced`` digests.  A rerun only hits and reports the
+        same numbers.  Cached values hold Python numbers and dicts only, so
+        the persisted pass-cost section keeps its layout."""
+
+        class CountingCache(PassCostCache):
+            def __init__(self):
+                super().__init__()
+                self.puts = []
+
+            def put(self, key, value):
+                self.puts.append(key)
+                super().put(key, value)
+
+        cache = CountingCache()
+        system = IanusSystem(SystemConfig.ianus(), pass_cache=cache)
+        workload = Workload(128, 256)
+        first = system.run(GPT2_CONFIGS["m"], workload, mode="exact")
+        passes = 1 + len(workload.generation_kv_lengths())
+        assert (cache.misses, cache.hits) == (passes, 0)
+        assert len(cache.puts) == len(set(cache.puts)) == passes
+        second = system.run(GPT2_CONFIGS["m"], workload, mode="exact")
+        assert (cache.misses, cache.hits, len(cache.puts)) == (passes, passes, passes)
+        assert _result_signature(second) == _result_signature(first)
+        for latency, breakdown, stats, flops in cache._entries.values():
+            assert type(latency) is float and type(flops) is float
+            assert type(breakdown) is dict
+            assert all(type(value) is float for value in breakdown.values())
+            assert [type(value) for value in dataclasses.astuple(stats)] == [
+                int, int, int, int, float, float, int, int
+            ]
+
+    @pytest.mark.parametrize("missed", [1, MIN_RANGE_COLUMNS - 1, MIN_RANGE_COLUMNS])
+    def test_missed_kv_lengths_are_columns_only_in_a_long_range(self, missed, monkeypatch):
+        """Fewer than ``MIN_RANGE_COLUMNS`` missed KV lengths are simulated
+        one pass at a time, more as the columns of one ``simulate_range``
+        call; either way each length costs what its pass alone does."""
+        system = IanusSystem(SystemConfig.ianus(), pass_cache=None)
+        model = GPT2_CONFIGS["m"]
+        counts = []
+        simulate_range = system.engine.simulate_range
+
+        def counted(streams, count):
+            counts.append(count)
+            return simulate_range(streams, count)
+
+        monkeypatch.setattr(system.engine, "simulate_range", counted)
+        kv_lengths = list(range(200, 200 + missed))
+        costs = system._generation_costs(model, kv_lengths)
+        assert counts == ([missed] if missed >= MIN_RANGE_COLUMNS else [])
+        for kv in kv_lengths:
+            assert costs[kv] == system._pass_cost_uncached(
+                model, StagePass(Stage.GENERATION, 1, kv)
+            )
 
     def test_system_uses_global_cache_by_default(self):
         system = IanusSystem(SystemConfig.ianus())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from repro.models import get_model
 from repro.models.workload import Stage, StagePass
 from repro.npu import MatrixUnitModel, VectorUnitModel
 from repro.pim import PimDeviceModel, TileMapping
-from repro.scheduling import DurationModel, EventEngine, check_timeline
+from repro.scheduling import (
+    DurationModel, EventEngine, ScheduledCommand, Timeline, check_timeline,
+)
 from repro.serving.request import CompletionRecord
 from repro.serving.simulator import request_aggregates
 from repro.serving.trace import (
@@ -264,6 +267,129 @@ def test_naive_schedule_never_faster_than_pas(stream):
         SystemConfig.ianus(scheduling=SchedulingPolicy.NAIVE)
     ).simulate(stream).makespan
     assert naive >= pas - 1e-12
+
+
+# ----------------------------------------------------------------------
+# Event engine columns
+# ----------------------------------------------------------------------
+def _pim_dims(draw):
+    shape = tuple(draw(st.sampled_from([64, 256, 1024])) for _ in range(2))
+    return (draw(st.integers(1, 4)), *shape) if draw(st.booleans()) else shape
+
+
+#: (unit, kind, draw of its dims) of every command kind a random template
+#: draws from; the PIM kinds only under a design with PIM compute.
+_COLUMN_KINDS = [
+    (Unit.MATRIX_UNIT, OpKind.FC_QKV,
+     lambda draw: tuple(draw(st.integers(1, 1024)) for _ in range(3))),
+    (Unit.VECTOR_UNIT, OpKind.LAYERNORM,
+     lambda draw: (draw(st.integers(1, 8)), draw(st.integers(1, 4096)))),
+    (Unit.VECTOR_UNIT, OpKind.SOFTMAX,
+     lambda draw: (draw(st.integers(1, 8)), draw(st.integers(1, 4096)))),
+    (Unit.DMA_LOAD, OpKind.WEIGHT_LOAD, lambda draw: ()),
+    (Unit.DMA_STORE, OpKind.KV_STORE, lambda draw: ()),
+    (Unit.DMA_ONCHIP, OpKind.ONCHIP_MOVE, lambda draw: ()),
+    (Unit.DMA_ONCHIP, OpKind.KEY_TRANSPOSE, lambda draw: ()),
+    (Unit.SYNC, OpKind.SYNC, lambda draw: ()),
+    (Unit.HOST, OpKind.DEVICE_COMM, lambda draw: (draw(st.integers(2, 4)),)),
+    (Unit.PIM, OpKind.PIM_GEMV, _pim_dims),
+    (Unit.PIM, OpKind.PIM_GEMV_GELU, _pim_dims),
+]
+
+
+@st.composite
+def replayed_templates(draw):
+    """(configuration, streams): a random template of up to 25 commands
+    under one design and 1-8 streams of its structure (the template first,
+    then replays), each with fresh dims, bytes (zero included) and FLOPs."""
+    config, _ = _DESIGNS[draw(st.sampled_from(sorted(_DESIGNS)))]
+    kinds = [
+        entry for entry in _COLUMN_KINDS
+        if config.pim_compute_enabled or entry[0] is not Unit.PIM
+    ]
+    shape = []
+    for index in range(draw(st.integers(min_value=1, max_value=25))):
+        unit, kind, dims = draw(st.sampled_from(kinds))
+        deps = draw(st.lists(
+            st.integers(0, index - 1), max_size=min(3, index), unique=True
+        )) if index else []
+        options = {}
+        if unit is Unit.PIM:
+            options["fused_activation"] = kind is OpKind.PIM_GEMV_GELU
+            if draw(st.booleans()):
+                options["pim_scope"] = PimScope.SINGLE_CHIP
+                options["pim_chip"] = draw(st.integers(0, 7))
+        tag = draw(st.sampled_from(["", "A", "B"]))
+        shape.append((unit, kind, dims, deps, tag, options))
+    streams = []
+    for replay in range(draw(st.integers(min_value=1, max_value=8))):
+        stream = (
+            ReplayedStream(streams[0], f"replay {replay}") if streams
+            else CommandStream(label="template")
+        )
+        for unit, kind, dims, deps, tag, options in shape:
+            stream.add(
+                unit, kind, dims=dims(draw),
+                bytes_moved=draw(st.one_of(st.just(0), st.integers(1, 1 << 22))),
+                flops=draw(st.floats(min_value=0.0, max_value=1e12)),
+                deps=deps, tag=tag, **options,
+            )
+        streams.append(stream)
+    return config, streams
+
+
+@st.composite
+def compiled_ranges(draw):
+    """(configuration, streams): one design's block of GPT-2 M/XL/2.5B or
+    Gemma 2B, for either stage, compiled at 1-8 KV lengths by one compiler
+    (the first is the template, the rest replay it)."""
+    config, devices = _DESIGNS[draw(st.sampled_from(sorted(_DESIGNS)))]
+    model = get_model(draw(st.sampled_from(["gpt2-m", "gpt2-xl", "gpt2-2.5b", "gemma-2b"])))
+    if draw(st.booleans()):
+        stage, tokens = Stage.GENERATION, 1
+    else:
+        stage, tokens = Stage.SUMMARIZATION, draw(st.integers(1, 512))
+    kvs = draw(st.lists(st.integers(tokens, 2048), min_size=1, max_size=8, unique=True))
+    compiler = Compiler(config, DurationModel.shared(config), num_devices=devices)
+    return config, [
+        compiler.compile_block(model, StagePass(stage, tokens, kv)).stream for kv in kvs
+    ]
+
+
+_STATS_TYPES = [int, int, int, int, float, float, int, int]
+
+
+@given(case=st.one_of(replayed_templates(), compiled_ranges()))
+@settings(max_examples=200, deadline=None)
+def test_each_column_equals_its_stream_simulated_alone(case):
+    """simulate_range schedules K streams of one template as columns; each
+    column equals simulate() of its stream with ==, as Python numbers, and
+    keeps check_timeline's contract.  Random templates are needed: compiled
+    blocks never tell the DMA-after-PIM wait apart (see the checker test)."""
+    config, streams = case
+    durations = DurationModel.shared(config)
+    columns = EventEngine(config, durations).simulate_range(iter(streams), len(streams))
+    reference = EventEngine(config, durations)
+    for k, stream in enumerate(streams):
+        timeline = reference.simulate(stream)
+        starts, ends = columns.starts[k].tolist(), columns.ends[k].tolist()
+        assert starts == [c.start for c in timeline.commands]
+        assert ends == [c.end for c in timeline.commands]
+        assert type(columns.makespans[k]) is float
+        assert columns.makespans[k] == timeline.makespan
+        breakdown = columns.breakdowns[k]
+        assert list(breakdown.items()) == list(timeline.breakdown_by_tag().items())
+        assert all(type(value) is float for value in breakdown.values())
+        stats = columns.stats[k]
+        assert astuple(stats) == astuple(timeline.stats)
+        assert [type(value) for value in astuple(stats)] == _STATS_TYPES
+        assert type(columns.flops[k]) is float
+        assert columns.flops[k] == timeline.total_flops()
+        scheduled = Timeline([
+            ScheduledCommand(c.cid, c.unit, c.kind, c.tag, start, end, c.flops, c.bytes_moved)
+            for c, start, end in zip(stream, starts, ends)
+        ], stats)
+        assert check_timeline(stream, scheduled, config) == []
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ design's compiled blocks as a system schedules them."""
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import pytest
 
@@ -311,6 +312,52 @@ class TestEventEngine:
             "LayerNorm", "Self-attention", "FC for Attention + Add", "FFN+Add", "FFN+Add",
         ]
         assert all(c.end - c.start == pytest.approx(SYNC_LATENCY_S) for c in syncs)
+
+
+class TestSimulateRange:
+    """What ``simulate_range`` accepts; ``tests/test_properties.py`` holds
+    each of its columns equal to ``simulate`` of the stream alone."""
+
+    @staticmethod
+    def _blocks(config, kv_lengths, compiler=None):
+        compiler = compiler or Compiler(config, DurationModel.shared(config))
+        for kv in kv_lengths:
+            yield compiler.compile_block(
+                GPT2_CONFIGS["m"], StagePass(Stage.GENERATION, 1, kv)
+            ).stream
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_count_must_match_the_streams(self, ianus_config, count):
+        blocks = list(self._blocks(ianus_config, [64, 65, 66]))
+        with pytest.raises(ValueError, match="announced"):
+            EventEngine(ianus_config).simulate_range(blocks, count)
+
+    def test_count_must_be_positive(self, ianus_config):
+        with pytest.raises(ValueError, match="positive"):
+            EventEngine(ianus_config).simulate_range([], 0)
+
+    def test_streams_must_replay_one_template(self, ianus_config):
+        # Two compilers build two templates of the same block.
+        blocks = [*self._blocks(ianus_config, [64]), *self._blocks(ianus_config, [65])]
+        with pytest.raises(ValueError, match="not a replay"):
+            EventEngine(ianus_config).simulate_range(blocks, 2)
+
+    def test_replays_are_dropped_as_they_are_read(self, ianus_config):
+        """Each replay is written into the columns and let go: while the
+        engine reads replay k, replay k - 2 is gone (the compiler keeps the
+        template, replay 0)."""
+        compiler = Compiler(ianus_config, DurationModel.shared(ianus_config))
+        refs = []
+
+        def replays():
+            for stream in self._blocks(ianus_config, range(64, 72), compiler):
+                if len(refs) >= 3:
+                    assert refs[-2]() is None
+                refs.append(weakref.ref(stream))
+                yield stream
+
+        columns = EventEngine(ianus_config).simulate_range(replays(), 8)
+        assert len(columns.makespans) == len(refs) == 8
 
 
 def _pim_overlap(timeline: Timeline) -> float:
