@@ -27,11 +27,18 @@ dependency structure is serial (no transpose-during-value-generation, no
 prefetching, no on-chip move during softmax), which — combined with the
 PIM-as-barrier rule in the engine — reproduces the "w/o scheduling" bars of
 Fig. 13.
+
+The builders are generic over the KV length: an ``int`` for one pass, or an
+int64 array of K lengths for a range compiled at once
+(:meth:`repro.compiler.Compiler.compile_range`), in which case every number
+computed from it is a length-K array of the per-pass numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.config import BYTES_PER_ELEMENT, FcMappingPolicy, SchedulingPolicy, SystemConfig
 from repro.ir.command import (
@@ -66,7 +73,8 @@ class AttentionContext:
     model: ModelConfig
     config: SystemConfig
     num_tokens: int
-    kv_length: int
+    #: One pass's KV length, or an int64 array of K of them.
+    kv_length: "int | np.ndarray"
     heads_on_core: int
     pim_chip: int
     qkv_unit: FcMappingPolicy
@@ -85,9 +93,12 @@ class AttentionContext:
         return self.config.scheduling is SchedulingPolicy.PAS
 
     @property
-    def kv_previous(self) -> int:
+    def kv_previous(self) -> "int | np.ndarray":
         """Context tokens generated before this pass (existing KV entries)."""
-        return max(0, self.kv_length - self.num_tokens)
+        previous = self.kv_length - self.num_tokens
+        if isinstance(previous, np.ndarray):
+            return np.maximum(previous, 0)
+        return max(0, previous)
 
 
 def _head_weight_bytes(ctx: AttentionContext) -> int:
@@ -248,7 +259,7 @@ def build_generation_attention_mu(
         # query generation on the PIM.
         concat = stream.add(
             Unit.VECTOR_UNIT, OpKind.KV_CONCAT,
-            flops=float(kv * hd), dims=(kv * hd,),
+            flops=kv * hd * 1.0, dims=(kv * hd,),
             deps=[gen_k, load_kpre], tag=TAG_ATTENTION, head=head,
         )
         transpose = stream.add(

@@ -19,7 +19,10 @@ core's scratch-pad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
 
 from repro.config import (
     AttentionMappingPolicy,
@@ -99,7 +102,8 @@ class Compiler:
         builds its stream command by command: that block is the template.
         Every later KV length re-runs the same builders into a
         :class:`~repro.ir.ReplayedStream` of the template, which records only
-        the commands' FLOPs, bytes and dimensions.
+        the commands' FLOPs, bytes and dimensions, all Python numbers.
+        :meth:`compile_range` re-runs them once for many KV lengths.
         """
         key = (model, stage_pass.stage, stage_pass.num_tokens)
         label = (
@@ -119,6 +123,41 @@ class Compiler:
         if template is None:
             self._templates[key] = block
         return block
+
+    def compile_range(
+        self, model: ModelConfig, passes: Sequence[StagePass]
+    ) -> CompiledBlock:
+        """:meth:`compile_block` of each of ``passes`` (one stage and token
+        count, any KV lengths), as the columns of one replay.
+
+        The builders run once, with the KV length an int64 column of the
+        passes' lengths, into a :class:`~repro.ir.ReplayedStream` with
+        ``columns=len(passes)``: a command's FLOPs, bytes and dims are
+        Python numbers where they do not depend on the KV length and arrays
+        of one entry per pass where they do, entry k equal to what
+        :meth:`compile_block` records for ``passes[k]``.  The block's
+        template is built first, at the first pass, if there is none.
+        """
+        if not passes:
+            raise ValueError("a range needs at least one pass")
+        first = passes[0]
+        key = (model, first.stage, first.num_tokens)
+        if any((model, p.stage, p.num_tokens) != key for p in passes):
+            raise ValueError("a range's passes must share their stage and tokens")
+        template = self._templates.get(key) or self.compile_block(model, first)
+        kv_lengths = np.array([p.kv_length for p in passes], dtype=np.int64)
+        stream = ReplayedStream(
+            template.stream,
+            f"{model.name}/{first.stage.value}/n{first.num_tokens}"
+            f"/{len(passes)} kv lengths",
+            columns=len(passes),
+        )
+        self._build_block(
+            stream, model, replace(first, kv_length=kv_lengths),
+            template.partition, template.fc_units,
+        )
+        stream.validate()
+        return replace(template, stream=stream)
 
     def _plan_block(
         self, model: ModelConfig, num_tokens: int
@@ -178,7 +217,11 @@ class Compiler:
         partition: WorkPartition,
         fc_units: dict[str, FcMappingPolicy],
     ) -> None:
-        """Append the commands of one block, mapped as ``fc_units`` says."""
+        """Append the commands of one block, mapped as ``fc_units`` says.
+
+        ``stage_pass.kv_length`` is an ``int``, or an int64 column of KV
+        lengths for :meth:`compile_range`.
+        """
         n = stage_pass.num_tokens
         d = model.embedding_dim
         d_ff = model.ffn_dim

@@ -18,12 +18,16 @@ two agree within a small tolerance (covered by the test suite) and the fast
 mode makes the full Fig. 8 sweep tractable in pure Python.
 
 Every KV length keeps its own pass-cache entry, so a warm cache hits per
-token.  The lengths a run misses are each compiled on their own; when there
-are at least :data:`MIN_RANGE_COLUMNS` of them (exact mode's per-token
-lengths) they are scheduled as the columns of one
+token.  When a run misses at least :data:`MIN_RANGE_COLUMNS` lengths (exact
+mode's per-token lengths, fast mode's five samples) it compiles them once,
+as the columns of one :meth:`~repro.compiler.Compiler.compile_range` replay,
+and schedules them in one
 :meth:`~repro.scheduling.EventEngine.simulate_range` call, each column equal
-to simulating that pass alone.  Fewer (fast mode's samples) are simulated
-one pass at a time, on Python floats.
+to that pass compiled and simulated alone.  The embedding and LM head do not
+depend on the KV length, so a range fetches their schedules once.  Fewer
+missed lengths, and single passes (the summarization pass, the serving
+layer's anchors), are compiled and simulated one at a time, on Python
+floats.
 """
 
 from __future__ import annotations
@@ -54,13 +58,15 @@ __all__ = ["IanusSystem", "devices_required"]
 #: Number of KV-length sample points used by the fast generation mode.
 FAST_MODE_SAMPLES = 5
 
-#: Fewest missed KV lengths a generation run schedules as the columns of one
-#: :meth:`~repro.scheduling.EventEngine.simulate_range` call.  A range pays
-#: numpy's per-operation cost on every command, so fewer lengths are cheaper
-#: one pass at a time: pricing GPT-2 M to 2.5B and Gemma 2B generation passes
-#: under ianus, npu-mem and partitioned as columns took 2.5-2.9x the single
-#: passes' time at one length, 0.9-1.1x at five and 0.7-0.9x at eight.
-MIN_RANGE_COLUMNS = 8
+#: Fewest missed KV lengths a generation run compiles and schedules as the
+#: columns of one range.  A range pays numpy's per-operation cost on every
+#: command, so fewer lengths are cheaper one pass at a time: pricing GPT-2 M
+#: to 2.5B and Gemma 2B generation passes under ianus, npu-mem and
+#: partitioned as columns took 3.3-3.7x the single passes' time at one
+#: length, 1.8-2.3x at two, 1.24-1.34x at three, 0.96-1.02x at four,
+#: 0.81-0.88x at five and 0.54-0.58x at eight (pass cache off, the fastest
+#: of 40 repetitions each).  Fast mode's five samples ride the columns.
+MIN_RANGE_COLUMNS = 5
 
 #: Sequence length whose KV cache :func:`devices_required` budgets for.
 MAX_SEQUENCE = 1024
@@ -310,10 +316,12 @@ class IanusSystem:
         """:meth:`_pass_cost` of the generation pass at each KV length.
 
         Each length keeps its own pass-cache entry and counts one miss when
-        it has none.  The missed lengths are compiled one after another;
-        at least :data:`MIN_RANGE_COLUMNS` of them are scheduled as the
-        columns of one :meth:`~repro.scheduling.EventEngine.simulate_range`
-        call, fewer one pass at a time.
+        it has none.  At least :data:`MIN_RANGE_COLUMNS` missed lengths are
+        compiled as the columns of one
+        :meth:`~repro.compiler.Compiler.compile_range` replay and scheduled in
+        one :meth:`~repro.scheduling.EventEngine.simulate_range` call, with
+        the embedding and LM head fetched once; fewer are priced one pass at
+        a time.
         """
         cache = self.pass_cache
         costs = {}
@@ -328,11 +336,11 @@ class IanusSystem:
         if len(missed) < MIN_RANGE_COLUMNS:
             priced = [self._pass_cost_uncached(model, p) for p in missed]
         else:
-            columns = self.engine.simulate_range(
-                (self.compiler.compile_block(model, p).stream for p in missed), len(missed)
-            )
+            block = self.compiler.compile_range(model, missed)
+            columns = self.engine.simulate_range(block.stream)
+            ends = self._pass_ends(model, 1)
             priced = [
-                self._assembled(model, stage_pass, *block)
+                self._assembled(model, stage_pass, ends, *block)
                 for stage_pass, *block in zip(
                     missed, columns.makespans, columns.breakdowns, columns.stats,
                     columns.flops,
@@ -357,47 +365,67 @@ class IanusSystem:
         block = self.compiler.compile_block(model, stage_pass)
         timeline = self.engine.simulate(block.stream)
         return self._assembled(
-            model, stage_pass, timeline.makespan, timeline.breakdown_by_tag(),
-            timeline.stats, timeline.total_flops(),
+            model, stage_pass, self._pass_ends(model, stage_pass.num_tokens),
+            timeline.makespan, timeline.breakdown_by_tag(), timeline.stats,
+            timeline.total_flops(),
         )
+
+    def _pass_ends(self, model: ModelConfig, num_tokens: int) -> tuple:
+        """What a pass of ``num_tokens`` tokens adds around its blocks, the
+        same at every KV length: the embedding's makespan, breakdown and
+        stats, and for a decoder the LM head's makespan, breakdown, and
+        stats and FLOPs scaled to all cores (``None`` otherwise)."""
+        embedding = self.engine.simulate(
+            self.compiler.compile_embedding(model, num_tokens)
+        )
+        lm_head = None
+        if model.is_decoder:
+            timeline = self.engine.simulate(self.compiler.compile_lm_head(model).stream)
+            cores = self.config.num_cores
+            lm_head = (
+                timeline.makespan,
+                timeline.breakdown_by_tag(),
+                timeline.stats.with_core_scaling(cores),
+                timeline.total_flops() * cores,
+            )
+        return (embedding.makespan, embedding.breakdown_by_tag(), embedding.stats), lm_head
 
     def _assembled(
         self,
         model: ModelConfig,
         stage_pass: StagePass,
+        ends: tuple,
         block_makespan: float,
         block_breakdown: dict[str, float],
         block_stats: ActivityStats,
         block_flops: float,
     ):
         """The full pass around one block's schedule: every block (with the
-        partitioned organisation's penalty), the embedding and, for a
-        decoder, the LM head, with the activity scaled to all cores."""
+        partitioned organisation's penalty), then the embedding and, for a
+        decoder, the LM head from :meth:`_pass_ends`, with the activity
+        scaled to all cores."""
         block_latency = block_makespan + self._partitioned_penalty(model, stage_pass)
-
-        embedding_stream = self.compiler.compile_embedding(model, stage_pass.num_tokens)
-        embedding_timeline = self.engine.simulate(embedding_stream)
+        (embedding_makespan, embedding_breakdown, embedding_stats), lm_head = ends
 
         cores = self.config.num_cores
-        latency = model.num_blocks * block_latency + embedding_timeline.makespan
+        latency = model.num_blocks * block_latency + embedding_makespan
         breakdown = {
             tag: value * model.num_blocks for tag, value in block_breakdown.items()
         }
-        breakdown = merge_breakdowns(breakdown, embedding_timeline.breakdown_by_tag())
+        breakdown = merge_breakdowns(breakdown, embedding_breakdown)
         stats = (
             block_stats.with_core_scaling(cores)
             .scaled(model.num_blocks)
-            .merge(embedding_timeline.stats)
+            .merge(embedding_stats)
         )
         flops = block_flops * model.num_blocks * cores
 
-        if model.is_decoder:
-            lm_head = self.compiler.compile_lm_head(model)
-            lm_timeline = self.engine.simulate(lm_head.stream)
-            latency += lm_timeline.makespan
-            breakdown = merge_breakdowns(breakdown, lm_timeline.breakdown_by_tag())
-            stats = stats.merge(lm_timeline.stats.with_core_scaling(cores))
-            flops += lm_timeline.total_flops() * cores
+        if lm_head is not None:
+            lm_makespan, lm_breakdown, lm_stats, lm_flops = lm_head
+            latency += lm_makespan
+            breakdown = merge_breakdowns(breakdown, lm_breakdown)
+            stats = stats.merge(lm_stats)
+            flops += lm_flops
 
         return latency, breakdown, stats, flops
 

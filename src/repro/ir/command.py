@@ -16,7 +16,11 @@ A block's structure (units, kinds, dependencies, tags) does not depend on the
 KV length, only some of its numbers do.  The builders that produced a stream
 can re-run into a :class:`ReplayedStream` of it, which checks each command
 against that template, keeps only the new FLOPs, bytes and dimensions, and
-builds :class:`Command` objects only when asked for them.
+builds :class:`Command` objects only when asked for them.  A replay can also
+stand for K passes at once, its ``columns``: the builders run once with the
+KV length as an int64 array of K lengths, and each FLOPs, bytes or
+dimension entry is a Python number where it does not depend on the KV length
+and a length-K array (column k for the k-th length) where it does.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = ["Unit", "OpKind", "PimScope", "Command", "CommandStream", "ReplayedStream"]
 
@@ -165,6 +171,10 @@ class CommandStream:
     pass.
     """
 
+    #: How many passes the numbers stand for as columns: ``None`` for a
+    #: stream of Python numbers (see :class:`ReplayedStream`).
+    columns: int | None = None
+
     def __init__(self, label: str = "") -> None:
         self.label = label
         self._commands: list[Command] = []
@@ -269,12 +279,25 @@ class ReplayedStream(CommandStream):
     dimensions may change.  :meth:`add` checks the unit and kind against the
     template, so a builder whose structure drifts raises, and records the
     three numbers; :class:`Command` objects are built only when something
-    iterates or indexes the stream.
+    iterates the stream.
+
+    With ``columns=K`` the replay stands for K passes at once: each number
+    is a Python scalar where it is the same in every pass, or a length-K
+    array where it is not (as the builders compute it from a column of K
+    KV lengths); :meth:`add` rejects an array of any other shape.  Such a
+    replay is priced by
+    :meth:`repro.scheduling.EventEngine.simulate_range`, one column per
+    pass; it builds no :class:`Command`, and iterating it raises.
     """
 
-    def __init__(self, template: CommandStream, label: str = "") -> None:
+    def __init__(
+        self, template: CommandStream, label: str = "", columns: int | None = None
+    ) -> None:
+        if columns is not None and columns < 1:
+            raise ValueError(f"a range of columns needs at least one, got {columns}")
         template = template.template
         self.label = label
+        self.columns = columns
         self._template = template
         self._structure = template._commands
         self._flops: list[float] = []
@@ -315,6 +338,13 @@ class ReplayedStream(CommandStream):
                 f"the template has {expected.unit.value}/{expected.kind.value}, "
                 f"the builder added {unit.value}/{kind.value}"
             )
+        if self.columns is not None:
+            for number in (flops, bytes_moved, *dims):
+                if isinstance(number, np.ndarray) and number.shape != (self.columns,):
+                    raise ValueError(
+                        f"command {cid} of {self.label!r} has a column of shape "
+                        f"{number.shape}, not ({self.columns},)"
+                    )
         self._flops.append(flops)
         self._bytes.append(bytes_moved)
         self._dims.append(tuple(dims))
@@ -343,6 +373,11 @@ class ReplayedStream(CommandStream):
 
     def _built(self) -> list[Command]:
         """The commands recorded so far, each built once on first access."""
+        if self.columns is not None:
+            raise ValueError(
+                f"replay {self.label!r} holds {self.columns} passes as columns "
+                f"and has no commands of its own"
+            )
         built = self._materialized
         for cid in range(len(built), len(self)):
             shape = self._structure[cid]

@@ -34,21 +34,29 @@ The engine splits the work of simulating a stream in two:
 The finished :class:`Timeline` is cached per stream object (weakly keyed,
 guarded by the stream length so an appended-to stream is re-simulated).
 
-:meth:`EventEngine.simulate_range` schedules K replays of one template at
-once (an exact-mode generation run prices its KV lengths this way).  Each
-replay's durations, FLOPs and bytes are written into column k of ``(n, K)``
-matrices and the replay is dropped; the same schedule loop then runs over
-rows of K numbers, with ``np.maximum`` where a single stream uses the builtin
-``max``.  The reductions follow the single-stream rules column by column:
-the makespan is the largest end; a tag's interval union sorts the (start,
-end) pairs lexicographically, takes the running maximum of the ends and adds
-the merged segments' lengths in order (adding 0.0 is exact, so a column with
-fewer segments still matches); counters and FLOPs add in command order.  So
-each column equals :meth:`EventEngine.simulate` of its replay bit for bit.
-A range pays numpy's per-operation cost on every command and tag, which
-only several columns repay: a single stream stays on Python floats, and
-:class:`repro.core.IanusSystem` schedules fewer than
-:data:`~repro.core.system.MIN_RANGE_COLUMNS` replays one at a time.
+:meth:`EventEngine.simulate_range` schedules K passes of one template at
+once (a generation run prices its missed KV lengths this way): the stream is
+one column replay (:class:`repro.ir.ReplayedStream` with ``columns=K``, from
+:meth:`repro.compiler.Compiler.compile_range`), whose numbers are Python
+scalars where no pass differs and length-K arrays where they do.  A command
+whose dims and bytes are scalars has one duration, looked up once; one whose
+dims or bytes vary is looked up once per column, and so are the DRAM row
+activations of a PIM command whose dims vary.  The same schedule loop then
+runs over rows of K numbers, with ``np.maximum`` where a single stream uses
+the builtin ``max``.  The reductions follow the single-stream rules column
+by column: the makespan is the largest end; a tag's interval union sorts
+the (start, end) pairs lexicographically, takes the running maximum of the
+ends and adds the merged segments' lengths in order (adding 0.0 is exact, so
+a column with fewer segments still matches); counters and FLOPs add in
+command order.  So each column equals :meth:`EventEngine.simulate` of its
+pass compiled alone, bit for bit.  Every number crosses into the duration
+model as a Python ``int`` (``.tolist()``): an ``np.int64`` key would hash
+equal to the ``int`` one in :class:`DurationModel`'s shared cache and leave
+``np.float64`` durations there for later single passes to read.  A range
+pays numpy's per-operation cost on every command and tag, which only
+several columns repay: a single stream stays on Python floats, and
+:class:`repro.core.IanusSystem` prices fewer than
+:data:`~repro.core.system.MIN_RANGE_COLUMNS` passes one at a time.
 
 :class:`Timeline` is lazy: the engine stores parallel arrays of start/end
 times and only materializes :class:`ScheduledCommand` objects when a caller
@@ -62,7 +70,6 @@ from __future__ import annotations
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -398,11 +405,11 @@ class _Structure:
 
 @dataclass(frozen=True, slots=True)
 class TimelineColumns:
-    """K replays of one template, scheduled as the columns of one schedule
+    """K passes of one template, scheduled as the columns of one schedule
     loop by :meth:`EventEngine.simulate_range`.
 
-    ``starts`` and ``ends`` hold one row per replay and one column per
-    command.  The lists hold, per replay and as Python numbers, what its
+    ``starts`` and ``ends`` hold one row per pass and one column per
+    command.  The lists hold, per pass and as Python numbers, what its
     :class:`Timeline` reports: ``makespan``, ``breakdown_by_tag()``,
     ``stats`` and ``total_flops()``.
     """
@@ -413,6 +420,13 @@ class TimelineColumns:
     breakdowns: list[dict[str, float]]
     stats: list[ActivityStats]
     flops: list[float]
+
+
+def _per_column(number, count: int) -> list:
+    """A scalar or a length-``count`` column as ``count`` Python numbers."""
+    if isinstance(number, np.ndarray):
+        return number.tolist()
+    return [number] * count
 
 
 class EventEngine:
@@ -433,6 +447,11 @@ class EventEngine:
         cached = self._timeline_cache.get(stream)
         if cached is not None and cached[0] == len(stream):
             return cached[1]
+        if stream.columns is not None:
+            raise ValueError(
+                f"stream {stream.label!r} holds {stream.columns} passes as "
+                f"columns; schedule it with simulate_range"
+            )
 
         structure = self._structure(stream)
         flops, bytes_moved, dims = stream.numbers()
@@ -441,11 +460,14 @@ class EventEngine:
             structure.scopes, structure.fused,
         )
         starts, ends = self._schedule(structure, durations, 0.0, max)
+        activations = sum(
+            self._row_activations(structure, i, dims[i])
+            for i in structure.unit_rows[Unit.PIM]
+        )
         timeline = Timeline.from_arrays(
             label=stream.label,
             stats=ActivityStats(*self._counters(
-                structure, flops, bytes_moved,
-                self._row_activations(structure, dims), 0, 0.0,
+                structure, flops, bytes_moved, activations, 0, 0.0,
             )),
             cids=structure.cids,
             units=structure.units,
@@ -459,53 +481,57 @@ class EventEngine:
         self._timeline_cache[stream] = (structure.length, timeline)
         return timeline
 
-    def simulate_range(
-        self, streams: Iterable[CommandStream], count: int
-    ) -> TimelineColumns:
-        """Schedule ``count`` replays of one template as the columns of one
+    def simulate_range(self, stream: CommandStream) -> TimelineColumns:
+        """Schedule the K passes of a column replay as the columns of one
         schedule loop.
 
-        ``streams`` yields the replays (the template itself may be one).
-        Each is written into column k of preallocated ``(n, count)``
-        matrices of durations, FLOPs and bytes, then dropped, so a lazy
-        iterable holds one replay at a time.  Column k equals
-        :meth:`simulate` of replay k: the makespan, every start and end, the
-        tag breakdown, the stats and the FLOPs.
+        ``stream`` has ``columns=K`` (see
+        :meth:`repro.compiler.Compiler.compile_range`); each FLOPs, bytes
+        and dims entry is a scalar or a length-K array.  Column k equals
+        :meth:`simulate` of pass k compiled alone: the makespan, every start
+        and end, the tag breakdown, the stats and the FLOPs.
         """
-        if count < 1:
-            raise ValueError(f"count must be positive, got {count}")
-        k = -1
-        for k, stream in enumerate(streams):
-            if k == count:
-                raise ValueError(f"more than the {count} streams announced")
-            if k and stream.template is not template:
-                raise ValueError(
-                    f"stream {stream.label!r} is not a replay of {template.label!r}"
-                )
-            structure = self._structure(stream)
-            if not k:
-                template = stream.template
-                shape = (structure.length, count)
-                durations, flops = np.empty(shape), np.empty(shape)
-                bytes_moved = np.empty(shape, dtype=np.int64)
-                activations = np.empty(count, dtype=np.int64)
-            replay_flops, replay_bytes, dims = stream.numbers()
-            durations[:, k] = self.durations.durations_of(
-                structure.units, structure.kinds, dims, replay_bytes,
-                structure.scopes, structure.fused,
-            )
-            flops[:, k] = replay_flops
-            bytes_moved[:, k] = replay_bytes
-            activations[k] = self._row_activations(structure, dims)
-        if k + 1 != count:
-            raise ValueError(f"{count} streams announced, {k + 1} given")
-
+        count = stream.columns
+        if count is None:
+            raise ValueError(f"stream {stream.label!r} is not a range of columns")
+        structure = self._structure(stream)
+        flops, bytes_moved, dims = stream.numbers()
         length = structure.length
+        units, kinds = structure.units, structure.kinds
+        scopes, fused = structure.scopes, structure.fused
+
+        # One duration (and, for a PIM macro, one count of row activations)
+        # per command whose dims and bytes are scalars; one per column where
+        # they vary, from each column's numbers as Python ints.
+        durations = []
+        activations = np.zeros(count, dtype=np.int64)
+        for i in range(length):
+            if not isinstance(bytes_moved[i], np.ndarray) and not any(
+                isinstance(dim, np.ndarray) for dim in dims[i]
+            ):
+                durations.append(self.durations.duration_of(
+                    units[i], kinds[i], dims[i], bytes_moved[i], scopes[i], fused[i]
+                ))
+                if units[i] is Unit.PIM:
+                    activations += self._row_activations(structure, i, dims[i])
+                continue
+            column_dims = list(zip(*(_per_column(dim, count) for dim in dims[i])))
+            column_dims = column_dims or [()] * count
+            durations.append(np.array(self.durations.durations_of(
+                [units[i]] * count, [kinds[i]] * count, column_dims,
+                _per_column(bytes_moved[i], count), [scopes[i]] * count,
+                [fused[i]] * count,
+            )))
+            if units[i] is Unit.PIM:
+                activations += np.array([
+                    self._row_activations(structure, i, column) for column in column_dims
+                ])
+
         zeros = np.zeros(count)
-        starts, ends = self._schedule(structure, list(durations), zeros, np.maximum)
-        # One row per replay, one column per command.
-        starts = np.array(starts).reshape(length, count).T.copy()
-        ends = np.array(ends).reshape(length, count).T.copy()
+        starts, ends = self._schedule(structure, durations, zeros, np.maximum)
+        # One row per pass, one column per command.
+        starts = np.array(starts).T.copy()
+        ends = np.array(ends).T.copy()
         breakdowns: list[dict[str, float]] = [{} for _ in range(count)]
         for tag, rows in structure.tag_rows.items():
             union = _column_union(starts[:, rows], ends[:, rows])
@@ -636,18 +662,14 @@ class EventEngine:
             zero + len(rows[Unit.PIM]),
         )
 
-    def _row_activations(self, structure: _Structure, dims: list[tuple[int, ...]]) -> int:
-        """DRAM row activations of one stream's PIM macros, added in command
-        order."""
-        total = 0
+    def _row_activations(
+        self, structure: _Structure, row: int, dims: tuple[int, ...]
+    ) -> int:
+        """DRAM row activations of the PIM macro at ``row``, with these dims."""
         pim = self.durations.pim
-        if pim is None:
-            return total
-        for i in structure.unit_rows[Unit.PIM]:
-            if len(dims[i]) >= 2:
-                n, d_in, d_out = dims[i] if len(dims[i]) == 3 else (1, *dims[i])
-                single = structure.scopes[i] is PimScope.SINGLE_CHIP
-                device = self.durations.pim_single_chip if single else pim
-                estimate = device.gemv(d_out, d_in, structure.fused[i])
-                total += estimate.row_activations * max(1, n)
-        return total
+        if pim is None or len(dims) < 2:
+            return 0
+        n, d_in, d_out = dims if len(dims) == 3 else (1, *dims)
+        single = structure.scopes[row] is PimScope.SINGLE_CHIP
+        device = self.durations.pim_single_chip if single else pim
+        return device.gemv(d_out, d_in, structure.fused[row]).row_activations * max(1, n)

@@ -14,13 +14,18 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.config import SystemConfig
-from repro.core.system import MIN_RANGE_COLUMNS, IanusSystem
+import repro
+import repro.core.system as system_module
+from repro.config import AttentionMappingPolicy, SystemConfig
+from repro.core.system import FAST_MODE_SAMPLES, MIN_RANGE_COLUMNS, IanusSystem
 from repro.ir.command import Command, CommandStream, OpKind, Unit
 from repro.models import GPT2_CONFIGS, Workload
 from repro.models.workload import Stage, StagePass
@@ -169,9 +174,9 @@ class TestPassCostCacheBookkeeping:
         counts = []
         simulate_range = system.engine.simulate_range
 
-        def counted(streams, count):
-            counts.append(count)
-            return simulate_range(streams, count)
+        def counted(stream):
+            counts.append(stream.columns)
+            return simulate_range(stream)
 
         monkeypatch.setattr(system.engine, "simulate_range", counted)
         kv_lengths = list(range(200, 200 + missed))
@@ -181,6 +186,78 @@ class TestPassCostCacheBookkeeping:
             assert costs[kv] == system._pass_cost_uncached(
                 model, StagePass(Stage.GENERATION, 1, kv)
             )
+
+    def test_fast_mode_prices_its_samples_as_columns(self, monkeypatch):
+        """Fast mode's five missed samples are at least ``MIN_RANGE_COLUMNS``
+        and ride one range."""
+        system = IanusSystem(SystemConfig.ianus(), pass_cache=None)
+        counts = []
+        simulate_range = system.engine.simulate_range
+
+        def counted(stream):
+            counts.append(stream.columns)
+            return simulate_range(stream)
+
+        monkeypatch.setattr(system.engine, "simulate_range", counted)
+        system.run(GPT2_CONFIGS["m"], Workload(64, 32))
+        assert counts == [FAST_MODE_SAMPLES] and FAST_MODE_SAMPLES >= MIN_RANGE_COLUMNS
+
+    def test_exact_pim_attention_run_equals_its_passes_one_by_one(self, monkeypatch):
+        """With QK^T and SV on the PIM, a column's durations and DRAM row
+        activations follow its own KV length: an exact run priced as
+        columns equals the run with every pass compiled and simulated
+        alone, pass by pass and in total."""
+        config = SystemConfig.ianus(attention_mapping=AttentionMappingPolicy.PIM)
+        model = GPT2_CONFIGS["m"]
+        workload = Workload(128, 64)
+        kv_lengths = workload.generation_kv_lengths()
+        columns = IanusSystem(config, pass_cache=None)
+        costs = columns._generation_costs(model, kv_lengths)
+        alone = IanusSystem(config, pass_cache=None)
+        activations = set()
+        for kv in kv_lengths:
+            cost = alone._pass_cost_uncached(model, StagePass(Stage.GENERATION, 1, kv))
+            assert costs[kv] == cost
+            assert list(costs[kv][1]) == list(cost[1])
+            activations.add(cost[2].pim_row_activations)
+        assert len(activations) > 1
+        ranged = columns.run(model, workload, mode="exact")
+        monkeypatch.setattr(system_module, "MIN_RANGE_COLUMNS", len(kv_lengths) + 1)
+        assert ranged == alone.run(model, workload, mode="exact")
+
+    def test_a_range_leaves_python_numbers_for_later_single_passes(self):
+        """A range looks its per-column durations up from Python ints.  An
+        ``np.int64`` key hashes equal to the ``int`` one in the shared
+        DurationModel cache, so numpy numbers cached by a range would reach
+        every later single pass at its KV lengths and change its repr."""
+        # A configuration of its own, so no other test warmed its cache.
+        config = SystemConfig.ianus(name="range-type-boundary")
+        model = GPT2_CONFIGS["m"]
+        system = IanusSystem(config, pass_cache=None)
+        system.run(model, Workload(128, 16), mode="exact")
+        cost = system._pass_cost(model, StagePass(Stage.GENERATION, 1, 140))
+        latency, breakdown, stats, flops = cost
+        assert type(latency) is float and type(flops) is float
+        assert all(type(value) is float for value in breakdown.values())
+        assert [type(value) for value in dataclasses.astuple(stats)] == [
+            int, int, int, int, float, float, int, int
+        ]
+        script = (
+            "from repro.config import SystemConfig\n"
+            "from repro.core.system import IanusSystem\n"
+            "from repro.models import GPT2_CONFIGS\n"
+            "from repro.models.workload import Stage, StagePass\n"
+            "system = IanusSystem(SystemConfig.ianus(name='range-type-boundary'),"
+            " pass_cache=None)\n"
+            "print(repr(system._pass_cost(GPT2_CONFIGS['m'],"
+            " StagePass(Stage.GENERATION, 1, 140))))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert fresh == repr(cost) + "\n"
 
     def test_system_uses_global_cache_by_default(self):
         system = IanusSystem(SystemConfig.ianus())

@@ -273,35 +273,50 @@ def test_naive_schedule_never_faster_than_pas(stream):
 # Event engine columns
 # ----------------------------------------------------------------------
 def _pim_dims(draw):
-    shape = tuple(draw(st.sampled_from([64, 256, 1024])) for _ in range(2))
-    return (draw(st.integers(1, 4)), *shape) if draw(st.booleans()) else shape
+    shape = (st.sampled_from([64, 256, 1024]),) * 2
+    return (st.integers(1, 4), *shape) if draw(st.booleans()) else shape
 
 
-#: (unit, kind, draw of its dims) of every command kind a random template
-#: draws from; the PIM kinds only under a design with PIM compute.
+#: (unit, kind, draw of its dims' strategies) of every command kind a random
+#: template draws from; the PIM kinds only under a design with PIM compute.
 _COLUMN_KINDS = [
-    (Unit.MATRIX_UNIT, OpKind.FC_QKV,
-     lambda draw: tuple(draw(st.integers(1, 1024)) for _ in range(3))),
+    (Unit.MATRIX_UNIT, OpKind.FC_QKV, lambda draw: (st.integers(1, 1024),) * 3),
     (Unit.VECTOR_UNIT, OpKind.LAYERNORM,
-     lambda draw: (draw(st.integers(1, 8)), draw(st.integers(1, 4096)))),
+     lambda draw: (st.integers(1, 8), st.integers(1, 4096))),
     (Unit.VECTOR_UNIT, OpKind.SOFTMAX,
-     lambda draw: (draw(st.integers(1, 8)), draw(st.integers(1, 4096)))),
+     lambda draw: (st.integers(1, 8), st.integers(1, 4096))),
     (Unit.DMA_LOAD, OpKind.WEIGHT_LOAD, lambda draw: ()),
     (Unit.DMA_STORE, OpKind.KV_STORE, lambda draw: ()),
     (Unit.DMA_ONCHIP, OpKind.ONCHIP_MOVE, lambda draw: ()),
     (Unit.DMA_ONCHIP, OpKind.KEY_TRANSPOSE, lambda draw: ()),
     (Unit.SYNC, OpKind.SYNC, lambda draw: ()),
-    (Unit.HOST, OpKind.DEVICE_COMM, lambda draw: (draw(st.integers(2, 4)),)),
+    (Unit.HOST, OpKind.DEVICE_COMM, lambda draw: (st.integers(2, 4),)),
     (Unit.PIM, OpKind.PIM_GEMV, _pim_dims),
     (Unit.PIM, OpKind.PIM_GEMV_GELU, _pim_dims),
 ]
 
+_BYTES = st.one_of(st.just(0), st.integers(1, 1 << 22))
+_FLOPS = st.floats(min_value=0.0, max_value=1e12)
+
+
+def _number(draw, strategy, count, dtype):
+    """A scalar, or a column of ``count`` numbers, drawn from ``strategy``."""
+    if draw(st.booleans()):
+        return draw(strategy)
+    return np.array([draw(strategy) for _ in range(count)], dtype=dtype)
+
+
+def _column(number, k):
+    """Entry ``k`` of a scalar or a column, as a Python number."""
+    return number.tolist()[k] if isinstance(number, np.ndarray) else number
+
 
 @st.composite
 def replayed_templates(draw):
-    """(configuration, streams): a random template of up to 25 commands
-    under one design and 1-8 streams of its structure (the template first,
-    then replays), each with fresh dims, bytes (zero included) and FLOPs."""
+    """(configuration, column replay, passes): a random template of up to
+    25 commands under one design, one replay of it with 1-8 columns (each
+    FLOPs, bytes and dims entry a scalar or a column: zero bytes included),
+    and each column as a replay of Python numbers."""
     config, _ = _DESIGNS[draw(st.sampled_from(sorted(_DESIGNS)))]
     kinds = [
         entry for entry in _COLUMN_KINDS
@@ -320,29 +335,48 @@ def replayed_templates(draw):
                 options["pim_scope"] = PimScope.SINGLE_CHIP
                 options["pim_chip"] = draw(st.integers(0, 7))
         tag = draw(st.sampled_from(["", "A", "B"]))
-        shape.append((unit, kind, dims, deps, tag, options))
-    streams = []
-    for replay in range(draw(st.integers(min_value=1, max_value=8))):
-        stream = (
-            ReplayedStream(streams[0], f"replay {replay}") if streams
-            else CommandStream(label="template")
+        shape.append((unit, kind, dims(draw), deps, tag, options))
+    template = CommandStream(label="template")
+    for unit, kind, dims, deps, tag, options in shape:
+        template.add(
+            unit, kind, dims=tuple(draw(dim) for dim in dims),
+            bytes_moved=draw(_BYTES), flops=draw(_FLOPS),
+            deps=deps, tag=tag, **options,
         )
-        for unit, kind, dims, deps, tag, options in shape:
+    count = draw(st.integers(min_value=1, max_value=8))
+    commands = [
+        (
+            _number(draw, _FLOPS, count, np.float64),
+            _number(draw, _BYTES, count, np.int64),
+            tuple(_number(draw, dim, count, np.int64) for dim in dims),
+        )
+        for _, _, dims, _, _, _ in shape
+    ]
+    streams = [ReplayedStream(template, "range", columns=count)] + [
+        ReplayedStream(template, f"column {k}") for k in range(count)
+    ]
+    for (unit, kind, _, deps, tag, options), (flops, bytes_moved, dims) in zip(
+        shape, commands
+    ):
+        streams[0].add(
+            unit, kind, flops=flops, bytes_moved=bytes_moved, dims=dims,
+            deps=deps, tag=tag, **options,
+        )
+        for k, stream in enumerate(streams[1:]):
             stream.add(
-                unit, kind, dims=dims(draw),
-                bytes_moved=draw(st.one_of(st.just(0), st.integers(1, 1 << 22))),
-                flops=draw(st.floats(min_value=0.0, max_value=1e12)),
+                unit, kind, flops=_column(flops, k),
+                bytes_moved=_column(bytes_moved, k),
+                dims=tuple(_column(dim, k) for dim in dims),
                 deps=deps, tag=tag, **options,
             )
-        streams.append(stream)
-    return config, streams
+    return config, streams[0], streams[1:]
 
 
 @st.composite
 def compiled_ranges(draw):
-    """(configuration, streams): one design's block of GPT-2 M/XL/2.5B or
-    Gemma 2B, for either stage, compiled at 1-8 KV lengths by one compiler
-    (the first is the template, the rest replay it)."""
+    """(configuration, column replay, passes): one design's block of GPT-2
+    M/XL/2.5B or Gemma 2B, for either stage, compiled by one compiler as a
+    range of 1-8 KV lengths and at each of them alone."""
     config, devices = _DESIGNS[draw(st.sampled_from(sorted(_DESIGNS)))]
     model = get_model(draw(st.sampled_from(["gpt2-m", "gpt2-xl", "gpt2-2.5b", "gemma-2b"])))
     if draw(st.booleans()):
@@ -350,9 +384,10 @@ def compiled_ranges(draw):
     else:
         stage, tokens = Stage.SUMMARIZATION, draw(st.integers(1, 512))
     kvs = draw(st.lists(st.integers(tokens, 2048), min_size=1, max_size=8, unique=True))
+    passes = [StagePass(stage, tokens, kv) for kv in kvs]
     compiler = Compiler(config, DurationModel.shared(config), num_devices=devices)
-    return config, [
-        compiler.compile_block(model, StagePass(stage, tokens, kv)).stream for kv in kvs
+    return config, compiler.compile_range(model, passes).stream, [
+        compiler.compile_block(model, stage_pass).stream for stage_pass in passes
     ]
 
 
@@ -362,14 +397,16 @@ _STATS_TYPES = [int, int, int, int, float, float, int, int]
 @given(case=st.one_of(replayed_templates(), compiled_ranges()))
 @settings(max_examples=200, deadline=None)
 def test_each_column_equals_its_stream_simulated_alone(case):
-    """simulate_range schedules K streams of one template as columns; each
-    column equals simulate() of its stream with ==, as Python numbers, and
-    keeps check_timeline's contract.  Random templates are needed: compiled
-    blocks never tell the DMA-after-PIM wait apart (see the checker test)."""
-    config, streams = case
+    """simulate_range schedules the K passes of one column replay as
+    columns; each column equals simulate() of its pass alone with ==, as
+    Python numbers, and keeps check_timeline's contract.  Random templates
+    are needed: compiled blocks never tell the DMA-after-PIM wait apart (see
+    the checker test)."""
+    config, columns_stream, streams = case
     durations = DurationModel.shared(config)
-    columns = EventEngine(config, durations).simulate_range(iter(streams), len(streams))
+    columns = EventEngine(config, durations).simulate_range(columns_stream)
     reference = EventEngine(config, durations)
+    assert len(columns.makespans) == len(streams)
     for k, stream in enumerate(streams):
         timeline = reference.simulate(stream)
         starts, ends = columns.starts[k].tolist(), columns.ends[k].tolist()
@@ -390,6 +427,36 @@ def test_each_column_equals_its_stream_simulated_alone(case):
             for c, start, end in zip(stream, starts, ends)
         ], stats)
         assert check_timeline(stream, scheduled, config) == []
+
+
+@pytest.mark.parametrize("model_name", ["gpt2-m", "gpt2-xl", "gpt2-2.5b", "gemma-2b"])
+@pytest.mark.parametrize("design", sorted(_DESIGNS))
+@given(kvs=st.lists(st.integers(1, 2048), min_size=1, max_size=16, unique=True))
+@settings(max_examples=6, deadline=None)
+def test_range_columns_equal_the_passes_compiled_alone(design, model_name, kvs):
+    """compile_range runs the generation builders once with the KV lengths
+    as a column: entry k of every command's FLOPs, bytes and dims equals
+    what compile_block records at the k-th length (any order, any gaps),
+    and only KV-dependent numbers are columns."""
+    config, devices = _DESIGNS[design]
+    model = get_model(model_name)
+    compiler = Compiler(config, DurationModel.shared(config), num_devices=devices)
+    passes = [StagePass(Stage.GENERATION, 1, kv) for kv in kvs]
+    columns = compiler.compile_range(model, passes).stream
+    assert columns.columns == len(kvs)
+    flops, bytes_moved, dims = columns.numbers()
+    for k, stage_pass in enumerate(passes):
+        alone = compiler.compile_block(model, stage_pass).stream.numbers()
+        assert [_column(value, k) for value in flops] == alone[0]
+        assert [_column(value, k) for value in bytes_moved] == alone[1]
+        assert [tuple(_column(dim, k) for dim in shape) for shape in dims] == alone[2]
+    # A column differs between lengths: every KV-dependent number is affine
+    # in the KV length, and no number that is not is held as a column.
+    entries = [*flops, *bytes_moved, *(dim for shape in dims for dim in shape)]
+    arrays = [entry for entry in entries if isinstance(entry, np.ndarray)]
+    assert arrays
+    if len(kvs) > 1:
+        assert all(len(set(array.tolist())) > 1 for array in arrays)
 
 
 # ----------------------------------------------------------------------

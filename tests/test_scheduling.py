@@ -5,8 +5,8 @@ design's compiled blocks as a system schedules them."""
 from __future__ import annotations
 
 import dataclasses
-import weakref
 
+import numpy as np
 import pytest
 
 from repro.compiler import Compiler
@@ -18,7 +18,7 @@ from repro.config import (
     SystemConfig,
 )
 from repro.core import IanusSystem
-from repro.ir import CommandStream, OpKind, PimScope, Unit
+from repro.ir import CommandStream, OpKind, PimScope, ReplayedStream, Unit
 from repro.models import GPT2_CONFIGS
 from repro.models.workload import Stage, StagePass
 from repro.scheduling import DurationModel, EventEngine, Timeline, check_timeline
@@ -315,49 +315,78 @@ class TestEventEngine:
 
 
 class TestSimulateRange:
-    """What ``simulate_range`` accepts; ``tests/test_properties.py`` holds
-    each of its columns equal to ``simulate`` of the stream alone."""
+    """What ``simulate_range`` and ``compile_range`` accept;
+    ``tests/test_properties.py`` holds each column equal to ``simulate`` of
+    its pass compiled alone."""
 
     @staticmethod
-    def _blocks(config, kv_lengths, compiler=None):
+    def _range(config, kv_lengths, compiler=None):
         compiler = compiler or Compiler(config, DurationModel.shared(config))
-        for kv in kv_lengths:
-            yield compiler.compile_block(
-                GPT2_CONFIGS["m"], StagePass(Stage.GENERATION, 1, kv)
-            ).stream
+        return compiler.compile_range(
+            GPT2_CONFIGS["m"], [StagePass(Stage.GENERATION, 1, kv) for kv in kv_lengths]
+        ).stream
 
-    @pytest.mark.parametrize("count", [2, 4])
-    def test_count_must_match_the_streams(self, ianus_config, count):
-        blocks = list(self._blocks(ianus_config, [64, 65, 66]))
-        with pytest.raises(ValueError, match="announced"):
-            EventEngine(ianus_config).simulate_range(blocks, count)
+    @staticmethod
+    def _template():
+        template = CommandStream(label="template")
+        load = template.add(Unit.DMA_LOAD, OpKind.KV_LOAD, bytes_moved=64)
+        template.add(
+            Unit.MATRIX_UNIT, OpKind.QKT, flops=1.0, dims=(1, 64, 8), deps=[load]
+        )
+        return template
 
-    def test_count_must_be_positive(self, ianus_config):
-        with pytest.raises(ValueError, match="positive"):
-            EventEngine(ianus_config).simulate_range([], 0)
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_a_column_of_the_wrong_length_raises(self, length):
+        replay = ReplayedStream(self._template(), columns=3)
+        load = replay.add(
+            Unit.DMA_LOAD, OpKind.KV_LOAD, bytes_moved=np.arange(3, dtype=np.int64)
+        )
+        with pytest.raises(ValueError, match=rf"command 1 .* shape \({length},\), not \(3,\)"):
+            replay.add(
+                Unit.MATRIX_UNIT, OpKind.QKT, flops=1.0,
+                dims=(1, 64, np.arange(length, dtype=np.int64)), deps=[load],
+            )
 
-    def test_streams_must_replay_one_template(self, ianus_config):
-        # Two compilers build two templates of the same block.
-        blocks = [*self._blocks(ianus_config, [64]), *self._blocks(ianus_config, [65])]
-        with pytest.raises(ValueError, match="not a replay"):
-            EventEngine(ianus_config).simulate_range(blocks, 2)
+    def test_an_empty_range_raises(self, ianus_config):
+        with pytest.raises(ValueError, match="at least one pass"):
+            self._range(ianus_config, [])
+        with pytest.raises(ValueError, match="at least one, got 0"):
+            ReplayedStream(self._template(), columns=0)
 
-    def test_replays_are_dropped_as_they_are_read(self, ianus_config):
-        """Each replay is written into the columns and let go: while the
-        engine reads replay k, replay k - 2 is gone (the compiler keeps the
-        template, replay 0)."""
+    def test_a_range_shares_one_stage_and_token_count(self, ianus_config):
         compiler = Compiler(ianus_config, DurationModel.shared(ianus_config))
-        refs = []
+        passes = [StagePass(Stage.GENERATION, 1, 64), StagePass(Stage.SUMMARIZATION, 1, 65)]
+        with pytest.raises(ValueError, match="share their stage and tokens"):
+            compiler.compile_range(GPT2_CONFIGS["m"], passes)
 
-        def replays():
-            for stream in self._blocks(ianus_config, range(64, 72), compiler):
-                if len(refs) >= 3:
-                    assert refs[-2]() is None
-                refs.append(weakref.ref(stream))
-                yield stream
+    def test_only_a_range_of_columns_is_scheduled_as_one(self, ianus_config):
+        stream = self._template()
+        with pytest.raises(ValueError, match="not a range of columns"):
+            EventEngine(ianus_config).simulate_range(stream)
 
-        columns = EventEngine(ianus_config).simulate_range(replays(), 8)
-        assert len(columns.makespans) == len(refs) == 8
+    def test_a_column_replay_builds_no_commands(self, ianus_config):
+        """Commands with array fields would read as one pass: a column
+        replay cannot be simulated alone, iterated or indexed."""
+        stream = self._range(ianus_config, [64, 100, 77])
+        assert stream.columns == 3
+        with pytest.raises(ValueError, match="simulate_range"):
+            EventEngine(ianus_config).simulate(stream)
+        with pytest.raises(ValueError, match="3 passes as columns"):
+            list(stream)
+        with pytest.raises(TypeError):
+            stream[0]
+        assert len(EventEngine(ianus_config).simulate_range(stream).makespans) == 3
+
+    def test_a_range_compiles_its_template_once(self, ianus_config):
+        """Without a template the first pass builds one; later ranges and
+        passes replay it."""
+        compiler = Compiler(ianus_config, DurationModel.shared(ianus_config))
+        first = self._range(ianus_config, [300, 64], compiler)
+        second = self._range(ianus_config, [65], compiler)
+        assert first.template is second.template
+        assert first.template.label.endswith("/kv300")
+        single = compiler.compile_block(GPT2_CONFIGS["m"], StagePass(Stage.GENERATION, 1, 66))
+        assert single.stream.template is first.template
 
 
 def _pim_overlap(timeline: Timeline) -> float:
