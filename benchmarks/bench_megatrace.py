@@ -4,8 +4,8 @@ Times the vectorized array serving engine
 (``ServingSimulator(engine="array")``) on three cells and pins the
 correctness side of each so a perf number can never hide a wrong one:
 
-* ``speedup`` — one trace served by both engines (pooled metrics agree to
-  1e-9; the per-iteration differential lives in ``tests/test_megatrace.py``)
+* ``speedup`` — one trace served by both engines (pooled metrics equal;
+  the per-iteration differential lives in ``tests/test_megatrace.py``)
   with the wall-clock ratio recorded;
 * ``megatrace_1m`` — a 1,000,000-request ``chatbot`` overload streamed
   through ``generate_stream``/``simulate_stream`` in O(chunk) memory with
@@ -81,17 +81,13 @@ def _simulator(engine: str, detail: bool = True) -> ServingSimulator:
     )
 
 
-def _pooled_close(reference, candidate, tol=1e-9) -> "list[str]":
+def _pooled_close(reference, candidate) -> "list[str]":
+    """The pooled fields that differ, compared with ``==``."""
     drifts = []
     for field in POOLED_FIELDS:
         expected = getattr(reference, field)
         actual = getattr(candidate, field)
-        if expected is None or actual is None:
-            if expected is not actual:
-                drifts.append(field)
-            continue
-        scale = max(abs(expected), abs(actual), 1.0)
-        if abs(expected - actual) / scale > tol:
+        if expected != actual:
             drifts.append(f"{field}: {expected!r} != {actual!r}")
     return drifts
 

@@ -570,9 +570,8 @@ def _run_serve(args: argparse.Namespace) -> int:
             return 2
         try:
             # A cluster always records events: they feed its KV peak.  The
-            # array engine keeps its exact decode runs under the log (one
-            # event per run); its macro-steps, absorbers and bursts stand
-            # down.
+            # array engine keeps its decode runs under the log (one event
+            # per run); its absorbers and bursts stand down.
             metrics = simulator.simulate(
                 trace, record_events=use_cluster or args.validate
             )
@@ -712,14 +711,14 @@ def _run_list() -> int:
         ("feature", "object", "array"),
         ("registered policies", "yes", "yes"),
         ("custom Policy subclass", "yes", "no (object engine only)"),
-        ("exact pricing (--exact)", "yes", "yes (per-iteration, no macro steps)"),
+        ("exact pricing (--exact)", "yes", "yes (per-iteration, no decode table)"),
         ("cluster (--replicas/--router)", "yes", "yes"),
         ("failure injection (--failures)", "yes", "yes"),
         ("autoscaling (--autoscaler)", "yes", "yes"),
-        ("event log (--validate)", "yes", "yes (exact decode runs, one event per run; other fast paths stand down)"),
-        ("prefix sharing (--prefix-share)", "yes", "yes (exact decode runs; other fast paths stand down)"),
-        ("host-DRAM swap (--swap)", "yes", "yes (exact decode runs; other fast paths stand down)"),
-        ("co-hosted model set (--models)", "yes", "yes (exact decode runs; other fast paths stand down)"),
+        ("event log (--validate)", "yes", "yes (decode runs, one event per run; other fast paths stand down)"),
+        ("prefix sharing (--prefix-share)", "yes", "yes (decode runs; other fast paths stand down)"),
+        ("host-DRAM swap (--swap)", "yes", "yes (decode runs; other fast paths stand down)"),
+        ("co-hosted model set (--models)", "yes", "yes (decode runs; other fast paths stand down)"),
         ("tenant shares (--tenant-slo)", "yes", "yes"),
         (
             "arrival-batched underload path", "no",
@@ -731,10 +730,9 @@ def _run_list() -> int:
     for feature, object_support, array_support in rows:
         print(f"  {feature:<{width}}  {object_support:<8} {array_support}")
     print("  (unsupported combinations fall back or raise with the reason; "
-          "the array engine matches the object engine bit-for-bit with "
-          "events recorded; only prefix-sum totals (macro-steps and the "
-          "arrival absorber) carry a 1e-9 tolerance, and per-request detail "
-          "changes no number)")
+          "time and energy are integer picoseconds and picojoules, so the "
+          "array engine matches the object engine bit-for-bit on every "
+          "path, and per-request detail changes no number)")
     return 0
 
 

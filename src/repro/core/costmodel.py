@@ -57,7 +57,6 @@ __all__ = [
     "ALL_BACKEND_NAMES",
     "make_cost_model",
     "lerp_pass_cost",
-    "diff_pass_cost",
 ]
 
 
@@ -115,40 +114,6 @@ def lerp_pass_cost(low: PassCost, high: PassCost, weight: float) -> PassCost:
         breakdown=breakdown,
         energy=energy,
         flops=mix(low.flops, high.flops),
-    )
-
-
-def diff_pass_cost(total: PassCost, prefix: PassCost) -> PassCost:
-    """Component-wise difference ``total - prefix`` between two pass costs.
-
-    Prices the *incremental* cost of extending a pass: the serving layer's
-    chunked prefill charges chunk ``i`` the difference between prefilling the
-    first ``prefix + chunk`` tokens and the first ``prefix`` tokens, so chunk
-    costs telescope back to the monolithic prefill cost (token and latency
-    conservation by construction).  Every component is floored at zero as a
-    guard against non-monotone cost models; for the monotone backends the
-    floor never triggers and the difference is exact.
-    """
-
-    def clamp(value: float) -> float:
-        return value if value > 0.0 else 0.0
-
-    breakdown = {
-        tag: clamp(total.breakdown.get(tag, 0.0) - prefix.breakdown.get(tag, 0.0))
-        for tag in dict.fromkeys([*total.breakdown, *prefix.breakdown])
-    }
-    energy = EnergyBreakdown(
-        normal_memory_j=clamp(
-            total.energy.normal_memory_j - prefix.energy.normal_memory_j
-        ),
-        pim_op_j=clamp(total.energy.pim_op_j - prefix.energy.pim_op_j),
-        npu_cores_j=clamp(total.energy.npu_cores_j - prefix.energy.npu_cores_j),
-    )
-    return PassCost(
-        latency_s=clamp(total.latency_s - prefix.latency_s),
-        breakdown=breakdown,
-        energy=energy,
-        flops=clamp(total.flops - prefix.flops),
     )
 
 

@@ -57,13 +57,14 @@ __all__ = [
 #: Version of the persisted cache schema.  Bump whenever a timing model, a
 #: cached value layout, or a key ingredient changes: on-disk entries carrying
 #: an older version are discarded wholesale (stale timings silently reused
-#: across a model change would be far worse than a cold start).  Version 3:
+#: across a model change would be far worse than a cold start).  Version 4:
 #: the ``decode-tables`` section holds pickled
-#: :class:`~repro.serving.decode_table.DecodeCostTable` objects that carry
-#: their ``columns`` matrix (version 2 tables had none, and a decode run
-#: would fail reading one; version 1 held plain-list payloads of their
+#: :class:`~repro.serving.decode_table.DecodeCostTable` objects of integer
+#: picoseconds, picojoules and FLOPs, with their ``c(1)`` base in unrounded
+#: ticks (version 3 tables held floats, and version 2 tables no
+#: ``columns`` matrix; version 1 held plain-list payloads of their
 #: columns).
-CACHE_SCHEMA_VERSION = 3
+CACHE_SCHEMA_VERSION = 4
 
 #: Fingerprints are derived from the frozen config dataclass repr, which
 #: includes the class name and every field (and nested frozen dataclass)

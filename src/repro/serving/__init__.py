@@ -40,16 +40,17 @@ Layering — who knows what:
     per (backend, model, KV range) and process, in every form the engine
     reads, and every run, replica and weight swap installs it by
     reference.  The engine advances a stable all-decode batch to its next
-    event in one call: an exact decode run (``_decode_run``) performs
-    ``fused_pass``'s own float operations, in numpy for a batch of two or
-    more, and changes no number, while a prefix-sum macro-step
-    (``_macro_step``, private-page batches on a floor-free table, no event
-    log) agrees with stepping to 1e-9.  ``engine="object"`` (the default) remains the
-    reference and the only engine for custom policies: with events
-    recorded the array engine is bit-identical to it, once each
-    ``decode_run`` event is expanded into its steps
-    (:func:`~repro.serving.validate.expand_runs`).  Both run classes derive
-    from one lifecycle base (counters, event log, offers and guards,
+    event in one call, its one all-decode stepper (``_decode_run``): from
+    the table's prefix sums in O(B) where no fused-pass floor can bind and
+    no event log needs per-iteration latencies, and per iteration (numpy
+    int64) otherwise.  Simulated time is integer picoseconds and energy
+    integer picojoules (:mod:`repro.serving.request`), so every path —
+    decode runs, arrival absorption, bursts, stepping — reports the same
+    numbers.  ``engine="object"`` (the default) remains the reference and
+    the only engine for custom policies: the array engine is bit-identical
+    to it, with events recorded once each ``decode_run`` event is expanded
+    into its steps (:func:`~repro.serving.validate.expand_runs`).  Both
+    run classes derive from one lifecycle base (counters, event log, offers and guards,
     failure/recovery/resubmit, swap-in admission, weight-swap pricing,
     the :class:`~repro.serving.request.CompletionRecord` every completion
     is appended to), and the two per-iteration loops share every rule

@@ -22,59 +22,56 @@ Python object survives its own lifetime.
 model, built once per (backend, model, anchor grid, KV range) and process
 and shared through the decode-table cache: a run holds the resident
 model's table by reference and converts nothing.  Its per-iteration loop
-reads plain Python floats out of the table's column and prefix-sum
-tuples, and its decode runs and arrival absorber read the same floats
-out of the table's read-only numpy matrices, without touching the cost
-model.  Table entries are bit-identical to ``provider.decode``, so
-per-iteration stepping reproduces the object engine's floating-point
-results *exactly*.
+reads Python ints out of the table's column and prefix-sum tuples, and
+its decode runs and arrival absorber read the same integers out of the
+table's read-only int64 matrices, without touching the cost model.
+Table entries are bit-identical to ``cost_tuple(provider.decode(...))``,
+and every total is an integer sum, so each path reproduces the object
+engine's results *exactly*.
 
-**Decode runs and macro-steps.**  When every active request is decoding,
-the batch membership is provably stable until the next completion
-(admission caps ``len(active)`` at the policy's concurrency gate, so
-every policy's batch is the whole active set, in an order that holds
-while each member gains one token per iteration).  The engine then
-advances the batch *k* iterations in one call, stopping exactly where
-the per-iteration loop would have changed behavior: the next completion,
-the next arrival that could be admitted, the ``until`` horizon, the
-table edge, or a KV grant that no longer fits (which falls back to one
-per-iteration step, so a preemption or swap-out runs the reference
-path).  Two methods do it:
+**Decode runs.**  When every active request is decoding, the batch
+membership is provably stable until the next completion (admission caps
+``len(active)`` at the policy's concurrency gate, so every policy's batch
+is the whole active set, in an order that holds while each member gains
+one token per iteration).  ``_decode_run``, the one all-decode stepper,
+then advances the batch *k* iterations in one call, stopping exactly
+where the per-iteration loop would have changed behavior: the next
+completion, the next arrival that could be admitted, the ``until``
+horizon, the table edge, or a KV grant that no longer fits (which falls
+back to one per-iteration step, so a preemption or swap-out runs the
+reference path).  It prices a run one of two ways, which give the same
+integers:
 
-- ``_decode_run`` prices each iteration with ``fused_pass``'s own float
-  operations and advances every running total by sequential adds, so
-  its results are bit-identical to stepping (:func:`_price_run`: a lone
-  member from the table's tuples, a batch of two or more in numpy, with
-  one sequential ``cumsum`` for all six totals).  It serves shared
-  prefixes, the swap tier, co-hosted models (the resident model's rows),
-  tables whose fused-batch floors may bind, batches with a member
-  stalled on a page no victim can free, and every run with an event log.
-- ``_macro_step`` prices the private-page regime under a floor-free
-  table (:attr:`~repro.serving.decode_table.DecodeCostTable.floor_free`)
-  in O(B) from the table's prefix sums, which is faster.  Prefix-sum
-  differences reorder float additions, which is why macro-stepped
-  aggregate metrics are pinned to ~1e-9 instead of bit-identical.
+- from the table's prefix sums in O(B) (O(B log k) to find a budget
+  stop, :func:`_bulk_stop`) wherever no iteration's floor can bind — a
+  lone member, or a floor-free table
+  (:attr:`~repro.serving.decode_table.DecodeCostTable.floor_free`) — and
+  no event log needs the iterations' latencies;
+- per iteration otherwise (:func:`_price_run`: numpy int64 over the
+  table's columns, with one ``cumsum`` for all six totals).
 
-``record_events=True`` disables the macro-steps and keeps the decode
-runs, which then record one ``decode_run`` event per run and take one
-events-only stop, before each page grant under optimistic admission (see
-``_decode_run``).  :func:`~repro.serving.validate.expand_runs` turns that
-log into the per-iteration one, **bit-identical** to the object engine's
-(the differential suite asserts exact equality).
+It serves shared prefixes, the swap tier, co-hosted models (the resident
+model's rows), batches with a member stalled on a page no victim can
+free, the burst runner's decodes and every run with an event log.  With
+``record_events=True`` each run records one ``decode_run`` event and
+takes one events-only stop, before each page grant under optimistic
+admission (see ``_decode_run``).
+:func:`~repro.serving.validate.expand_runs` turns that log into the
+per-iteration one, **bit-identical** to the object engine's (the
+differential suite asserts exact equality).
 
 **Arrival absorption and bursts.**  While the device idles between
 arrivals, the absorber, ``_absorb_window``, serves whole stretches of
 isolated requests (and, under concurrency-1 arrival-order policies,
 queued ones) in closed form: it prices a columnar window of pending
 arrivals at once, and every per-request time and running total it books
-comes out of the per-arrival path's own float operations, in that path's
-order.  An overlapping clump goes to the burst runner, ``_run_burst``,
-which specializes only admission (due arrivals go straight from
-``pending`` to ``active`` with worst-case grants); it prefills and
-decodes through the per-iteration loop's own ``_step`` and
-``_macro_step``.  Both are entered through ``_absorb_arrivals``; a run
-whose ``_absorb_arrivals`` returns ``False`` (tests monkeypatch it) takes
-the per-arrival reference path.
+is the integer the per-arrival path would book.  An overlapping clump
+goes to the burst runner, ``_run_burst``, which specializes only
+admission (due arrivals go straight from ``pending`` to ``active`` with
+worst-case grants); it prefills and decodes through the per-iteration
+loop's own ``_step`` and ``_decode_run``.  Both are entered through
+``_absorb_arrivals``; a run whose ``_absorb_arrivals`` returns ``False``
+(tests monkeypatch it) takes the per-arrival reference path.
 
 **One completion record.**  Every completion, whichever path served it,
 is appended to the lifecycle base's
@@ -86,15 +83,14 @@ only decides whether its rows come back as well.
 :class:`~repro.serving.kv_memory.KvPageAccountant` (``self.kv``), the
 same reference-counting ledger the object engine uses; its running
 counters make every pool read O(1), so the per-iteration loop, decode
-runs, macro-steps and the burst runner all reserve, grow and release
+runs and the burst runner all reserve, grow and release
 through it.  The absorbers complete requests without ever holding their
 pages and only roll its ``peak_reserved_pages`` high-water mark.  Once a
 run offers a shared-prefix request (``prefix_id >= 0``), or when it has
-the host-DRAM swap tier, the absorbers, the burst runner and the
-macro-steps stand down — their closed forms assume private pages that
-never leave the device — and the per-iteration loop runs with the decode
-runs, which read each member's held pages, shared ones included, from
-the ledger.
+the host-DRAM swap tier, the absorbers and the burst runner stand down —
+their closed forms assume private pages that never leave the device —
+and the per-iteration loop runs with the decode runs, which read each
+member's held pages, shared ones included, from the ledger.
 
 **One set of per-iteration rules.**  The per-iteration loop makes no
 decision of its own: the policy's admission gate and order, prefill pick
@@ -116,14 +112,12 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from functools import reduce
-from itertools import accumulate, islice
-from operator import add
+from itertools import islice
 
 import numpy as np
 
-from repro.energy.model import EnergyBreakdown
-from repro.serving.request import Request
+from repro.serving.decode_table import check_int64
+from repro.serving.request import Request, to_ps
 from repro.serving.simulator import (
     RequestKeys,
     _check_fits_alone,
@@ -131,82 +125,97 @@ from repro.serving.simulator import (
     _RunLifecycle,
     choose_victim,
     cost_tuple,
+    floor_ticks,
     fused_pass,
+    shared_floor,
 )
 
 __all__ = ["ArraySimulationRun"]
+
+
+#: The floor of a lone member's pass: it shares nothing.
+_NO_FLOOR = (0, 0, 0, 0)
+
+
+def _bulk_stop(
+    table, offsets: "list[int]", steps: int, floor: int, budget: int
+) -> int:
+    """The iterations a run whose floor never binds takes before its
+    elapsed time first reaches ``budget``, at most ``steps`` and at least
+    one: by bisection over the members' prefix-sum differences less
+    ``floor`` per iteration, in O(B log steps)."""
+    prefix_lat = table.prefix_latency
+    begun = elapsed = 0
+    for offset in offsets:
+        begun += prefix_lat[offset]
+        elapsed += prefix_lat[offset + steps]
+    if elapsed - begun - steps * floor < budget:
+        return steps
+    low, high = 0, steps
+    while high - low > 1:
+        mid = (low + high) // 2
+        elapsed = -begun - mid * floor
+        for offset in offsets:
+            elapsed += prefix_lat[offset + mid]
+        if elapsed < budget:
+            low = mid
+        else:
+            high = mid
+    return high
 
 
 def _price_run(
     table,
     offsets: "list[int]",
     steps: int,
-    shared: float,
+    floor: tuple,
     totals: tuple,
-    threshold: "float | None",
-) -> "tuple[int, list, tuple | list]":
-    """Price up to ``steps`` fused decode iterations of the members at
-    table ``offsets`` (in batch order), each as :func:`fused_pass` prices
-    it, and advance the six running ``totals`` (clock, busy time, the
-    three energies, FLOPs) by them.
+    threshold: "int | None",
+) -> "tuple[int, list, list]":
+    """Price up to ``steps`` fused decode iterations of two or more
+    members at table ``offsets``, each as :func:`fused_pass` prices it,
+    and advance the four running ``totals`` (clock, busy time, energy,
+    FLOPs) by them.
 
-    Returns ``(steps, totals, latencies)``: the run stops after the first
-    iteration whose clock reaches ``threshold`` (``None``: no budget), and
-    the totals and the iterations' latencies come back as Python floats.
-
-    A lone member's costs are its table entries, read as tuple slices and
-    added with ``reduce(add)``, as ``fused_pass`` returns a lone cost as
-    it is.  Two or more members are priced in numpy, over slices of the
-    table's ``columns``, with ``fused_pass``'s operations in its order: a
-    sum over the members in batch order from 0.0, ``max(sum - shared *
-    floor, member max)`` for latency and the energies, and the plain sum
-    for FLOPs.  One ``cumsum`` then advances all six totals; it adds
-    sequentially, so every total is bit-identical to adding iteration by
-    iteration, and the budget stop searches the exact clock sequence.
-    ``shared`` is ``share * (len(offsets) - 1)``, and the table's
-    latencies must be nonnegative, so the clock never decreases.
+    Returns ``(steps, totals, latencies)`` as Python ints: the run stops
+    after the first iteration whose clock reaches ``threshold`` (``None``:
+    no budget).  Numpy int64 over slices of the table's ``columns``: the
+    members' sum, ``max(sum - floor, member max)`` for latency and the
+    energies (``floor`` is :func:`shared_floor` of the batch), the plain
+    sum for FLOPs, then one ``cumsum`` advances all four totals and the
+    budget stop searches the clock sequence.  The table must be
+    nonnegative, so every partial sum lies between zero and the totals
+    plus the members' unfloored costs over the run; that bound, taken in
+    Python ints from the prefix sums, must fit int64, or ``OverflowError``
+    is raised before numpy could wrap.
     """
-    if len(offsets) == 1:
-        offset = offsets[0]
-        latencies = table.latency[offset:offset + steps]
-        clock, busy, e_mem, e_pim, e_npu, flops = totals
-        if threshold is None:
-            end = reduce(add, latencies, clock)
-        else:
-            clocks = list(accumulate(latencies, initial=clock))
-            crossing = bisect_left(clocks, threshold, 1)
-            if crossing < steps:
-                steps = crossing
-                latencies = latencies[:crossing]
-            end = clocks[steps]
-        stop = offset + steps
-        return steps, [
-            end,
-            reduce(add, latencies, busy),
-            reduce(add, table.energy_memory[offset:stop], e_mem),
-            reduce(add, table.energy_pim[offset:stop], e_pim),
-            reduce(add, table.energy_npu[offset:stop], e_npu),
-            reduce(add, table.flops[offset:stop], flops),
-        ], latencies
+    latency, energy, flops = [
+        sum([prefix[offset + steps] - prefix[offset] for offset in offsets])
+        for prefix in (table.prefix_latency, table.prefix_energy, table.prefix_flops)
+    ]
+    check_int64(
+        max(
+            abs(total) + cost
+            for total, cost in zip(totals, (latency, latency, energy, flops))
+        ),
+        "a decode run's totals",
+    )
     # Each member's rows, one per iteration, as a view of the table.
     columns = table.columns
     first, *rest = [columns[offset:offset + steps] for offset in offsets]
-    total = 0.0 + first
+    total = first.copy()
     top = first[:, :4]
     for member in rest:
         total += member
         top = np.maximum(top, member[:, :4])
+    fused = np.maximum(total[:, :4] - floor, top)
     # Row 0 holds the totals so far and row j the costs of iteration j, in
-    # the totals' order: latency twice (clock, busy), energies, FLOPs.
-    priced = np.empty((steps + 1, 6))
+    # the totals' order: latency twice (clock, busy), energy, FLOPs.
+    priced = np.empty((steps + 1, 4), dtype=np.int64)
     priced[0] = totals
-    np.maximum(
-        total[:, :4] - [shared * value for value in table.base[:4]],
-        top,
-        out=priced[1:, 1:5],
-    )
-    priced[1:, 0] = priced[1:, 1]
-    priced[1:, 5] = total[:, 4]
+    priced[1:, 0] = priced[1:, 1] = fused[:, 0]
+    priced[1:, 2] = fused[:, 1:].sum(axis=1)
+    priced[1:, 3] = total[:, 4]
     running = priced.cumsum(axis=0)
     if threshold is not None:
         crossing = int(np.searchsorted(running[:, 0], threshold))
@@ -226,9 +235,9 @@ class ArraySimulationRun(_RunLifecycle):
     ) -> None:
         super().__init__(sim, record_events, kv_bounds)
         #: Fast-path gate: with the swap tier (or once a shared-prefix
-        #: request is offered) the absorbers, bursts and macro-steps stand
-        #: down and only the per-iteration loop and the decode runs run
-        #: (see the module docstring).
+        #: request is offered) the absorbers and bursts stand down and
+        #: only the per-iteration loop and the decode runs run (see the
+        #: module docstring).
         self._exact_kv = bool(sim.swap)
 
         # The resident model's decode-cost table, the provider's shared
@@ -239,7 +248,10 @@ class ArraySimulationRun(_RunLifecycle):
         table = None if bounds is None else sim.provider.decode_table(*bounds)
         self._table = table
 
-        # Request columns, indexed by row.  Rows recycle via _free.
+        # Request columns, indexed by row (arrival and first token in
+        # picoseconds).  Rows recycle via _free; ``_req`` keeps each row's
+        # request as offered, for failover.
+        self._req: list = []
         self._arr: list = []
         self._inp: list = []
         self._out: list = []
@@ -257,7 +269,7 @@ class ArraySimulationRun(_RunLifecycle):
         # the arrival absorber reads a whole pending window, and records
         # the requests it completes, through one zero-copy
         # ``np.frombuffer`` + fancy index instead of a Python loop.
-        self._arr_t = array("d")
+        self._arr_t = array("q")
         self._inp_t = array("q")
         self._out_t = array("q")
         self._rid_t = array("q")
@@ -274,12 +286,8 @@ class ArraySimulationRun(_RunLifecycle):
         #: host DRAM and their progress survives until swap-in.
         self.swapped: "list[int]" = []
         #: Active rows still prefilling (generated == 0), maintained
-        #: incrementally so the macro-eligibility test is O(1).
+        #: incrementally so the decode-run eligibility test is O(1).
         self._num_prefilling = 0
-
-        self._energy_mem = 0.0
-        self._energy_pim = 0.0
-        self._energy_npu = 0.0
         self._outstanding = 0
 
         # The registered policies' batching contract (ServingPolicy): the
@@ -318,16 +326,15 @@ class ArraySimulationRun(_RunLifecycle):
             and self._arrival_order
             and not sim.multi_model
         )
-        self._chunk_costs: dict = {}
         # Multi-model residency: the per-iteration loop and decode runs
         # restrict each pass to the resident model's rows, and a weight
         # swap is paid when the active model changes (the object engine's
         # sticky-resident scheduling over rows).  Every co-hosted model's
         # shared decode table is looked up once, up front (none when the
-        # run prices exactly); a model's table and chunk-cost cache swap
-        # in with its weights.  The macro-steps and absorbers stand
-        # down on multi-model runs; the decode runs price from whichever
-        # table is resident.
+        # run prices exactly); a model's table (and its provider's chunk
+        # costs) swap in with its weights.  The absorbers stand down on
+        # multi-model runs; the decode runs price from whichever table is
+        # resident.
         self._multi = sim.multi_model
         if self._multi:
             #: Each hosted model's decode table (or ``None``).
@@ -337,24 +344,19 @@ class ArraySimulationRun(_RunLifecycle):
                     self._tables[name] = (
                         None if bounds is None else provider.decode_table(*bounds)
                     )
-            self._chunks_by_model = {sim.model.name: self._chunk_costs}
         # Arrival-batched absorption gates (fixed for the run's lifetime).
         # _absorb_ok: whole idle-device arrival windows may be served in
-        # closed form.  Requires monolithic prefill and no event log; a
-        # table is only needed for decode runs, so table-less runs (e.g.
-        # summarization, where every request decodes zero tokens past the
-        # prefill) still qualify — coverage masking excludes any request
-        # the table cannot price.  A non-floor-free table is excluded:
-        # isolated requests never hit a floor, but the per-arrival
-        # reference path would run per-iteration there and absorption
-        # must not change which path produced the numbers.
-        floor_free = table is not None and table.floor_free
+        # closed form.  Requires monolithic prefill, no event log and a
+        # nonnegative table; a table is only needed for decode runs, so
+        # table-less runs (e.g. summarization, where every request decodes
+        # zero tokens past the prefill) still qualify — coverage masking
+        # excludes any request the table cannot price.
         self._absorb_ok = (
             self.events is None
             and sim.chunk_tokens == 0
             and not self._exact_kv
             and not sim.multi_model
-            and (floor_free or table is None)
+            and (table is None or table.nonnegative)
         )
         # _fcfs_absorb: concurrency-1 arrival-order service is a Lindley
         # recursion — queued arrivals absorb too, no isolation test.
@@ -364,10 +366,10 @@ class ArraySimulationRun(_RunLifecycle):
         # _burst_ok: clumps of overlapping arrivals run through the
         # burst runner (its own admission loop, then the generic loop's
         # steps), valid under arrival-order admission with worst-case KV
-        # grants and a floor-free table.
+        # grants and a table.
         self._burst_ok = (
             self._absorb_ok
-            and floor_free
+            and table is not None
             and self._arrival_order
             and not self._optimistic
             and self._policy_cap > 1
@@ -375,11 +377,11 @@ class ArraySimulationRun(_RunLifecycle):
 
     # ------------------------------------------------------------------
     def _base_cost(self) -> tuple:
-        """The resident model's decode floor ``c(1)`` as a cost tuple."""
+        """The resident model's decode floor ``c(1)`` as :func:`floor_ticks`."""
         table = self._table
         if table is not None:
             return table.base
-        return cost_tuple(self._provider.base())
+        return floor_ticks(self._provider.base())
 
     # ------------------------------------------------------------------
     # Row management
@@ -389,12 +391,14 @@ class ArraySimulationRun(_RunLifecycle):
         if request.prefix_id >= 0:
             self._exact_kv = True
         self._outstanding += request.input_tokens + request.output_tokens
+        arrival = to_ps(request.arrival_s)
         if self._free:
             row = self._free.pop()
-            self._arr[row] = request.arrival_s
+            self._req[row] = request
+            self._arr[row] = arrival
             self._inp[row] = request.input_tokens
             self._out[row] = request.output_tokens
-            self._arr_t[row] = request.arrival_s
+            self._arr_t[row] = arrival
             self._inp_t[row] = request.input_tokens
             self._out_t[row] = request.output_tokens
             self._rid_t[row] = request.request_id
@@ -403,16 +407,17 @@ class ArraySimulationRun(_RunLifecycle):
             self._rid[row] = request.request_id
             self._prefilled[row] = 0
             self._generated[row] = 0
-            self._first[row] = 0.0
+            self._first[row] = 0
             self._pfx[row] = request.prefix_id
             self._pft[row] = request.prefix_tokens
             self._mdl[row] = request.model
             return row
         row = len(self._arr)
-        self._arr.append(request.arrival_s)
+        self._req.append(request)
+        self._arr.append(arrival)
         self._inp.append(request.input_tokens)
         self._out.append(request.output_tokens)
-        self._arr_t.append(request.arrival_s)
+        self._arr_t.append(arrival)
         self._inp_t.append(request.input_tokens)
         self._out_t.append(request.output_tokens)
         self._rid_t.append(request.request_id)
@@ -421,23 +426,11 @@ class ArraySimulationRun(_RunLifecycle):
         self._rid.append(request.request_id)
         self._prefilled.append(0)
         self._generated.append(0)
-        self._first.append(0.0)
+        self._first.append(0)
         self._pfx.append(request.prefix_id)
         self._pft.append(request.prefix_tokens)
         self._mdl.append(request.model)
         return row
-
-    def _request(self, row: int) -> Request:
-        return Request(
-            request_id=self._rid[row],
-            arrival_s=self._arr[row],
-            input_tokens=self._inp[row],
-            output_tokens=self._out[row],
-            priority_class=self._cls[row],
-            prefix_id=self._pfx[row],
-            prefix_tokens=self._pft[row],
-            model=self._mdl[row],
-        )
 
     # ------------------------------------------------------------------
     # Offers and router-visible state
@@ -471,7 +464,7 @@ class ArraySimulationRun(_RunLifecycle):
         for request in requests:
             if request.model or (request.output_tokens > 1 and not is_decoder):
                 check_servable(request)
-            key = (request.arrival_s, request.request_id)
+            key = (to_ps(request.arrival_s), request.request_id)
             if last_key is not None and key < last_key:
                 raise ValueError(
                     "requests must be offered in (arrival_s, request_id) order"
@@ -480,7 +473,7 @@ class ArraySimulationRun(_RunLifecycle):
             push(entry(request))
             self.offered += 1
             if self.first_arrival is None:
-                self.first_arrival = request.arrival_s
+                self.first_arrival = key[0]
 
     def _offer_bulk(self, requests) -> None:
         """Columnar append for large sorted batches: one list comprehension
@@ -488,15 +481,15 @@ class ArraySimulationRun(_RunLifecycle):
         branch-and-append chain per request.  Only entered when the free
         list is empty, so every new row lands at the tail and the typed
         shadows can be extended wholesale."""
-        arrs = [r.arrival_s for r in requests]
+        arrs = [to_ps(r.arrival_s) for r in requests]
         rids = [r.request_id for r in requests]
-        np_arr = np.array(arrs, dtype=np.float64)
+        np_arr = np.array(arrs, dtype=np.int64)
         diffs = np.diff(np_arr)
-        if len(requests) > 1 and not np.all(diffs >= 0.0):
+        if len(requests) > 1 and not np.all(diffs >= 0):
             raise ValueError(
                 "requests must be offered in (arrival_s, request_id) order"
             )
-        ties = np.nonzero(diffs == 0.0)[0] if len(requests) > 1 else ()
+        ties = np.nonzero(diffs == 0)[0] if len(requests) > 1 else ()
         for i in ties:
             if rids[i + 1] < rids[i]:
                 raise ValueError(
@@ -521,6 +514,7 @@ class ArraySimulationRun(_RunLifecycle):
         n = len(requests)
         row0 = len(self._arr)
         clss = [r.priority_class for r in requests]
+        self._req += requests
         self._arr += arrs
         self._inp += inps
         self._out += outs
@@ -528,7 +522,7 @@ class ArraySimulationRun(_RunLifecycle):
         self._rid += rids
         self._prefilled += [0] * n
         self._generated += [0] * n
-        self._first += [0.0] * n
+        self._first += [0] * n
         self._pfx += pfxs
         self._pft += [r.prefix_tokens for r in requests]
         self._mdl += mdls
@@ -555,19 +549,12 @@ class ArraySimulationRun(_RunLifecycle):
         """
         return self._outstanding
 
-    @property
-    def energy(self) -> EnergyBreakdown:
-        return EnergyBreakdown(
-            normal_memory_j=self._energy_mem,
-            pim_op_j=self._energy_pim,
-            npu_cores_j=self._energy_npu,
-        )
-
     # ------------------------------------------------------------------
     # Costs
     # ------------------------------------------------------------------
     def _decode_cost(self, kv: int) -> tuple:
-        """(latency, mem_j, pim_j, npu_j, flops) — bit-equal to decode()."""
+        """``cost_tuple(provider.decode(kv, bounds))``, off the table where
+        it covers ``kv``."""
         table = self._table
         if table is not None and table.kv_lo <= kv <= table.kv_hi:
             index = kv - table.kv_lo
@@ -580,39 +567,21 @@ class ArraySimulationRun(_RunLifecycle):
             )
         return cost_tuple(self._provider.decode(kv, self.kv_bounds))
 
-    def _chunk_cost(self, prefix: int, chunk: int) -> tuple:
-        key = (prefix, chunk)
-        cached = self._chunk_costs.get(key)
-        if cached is None:
-            cached = cost_tuple(self._provider.prefill_chunk(prefix, chunk))
-            self._chunk_costs[key] = cached
-        return cached
-
     # ------------------------------------------------------------------
     # The discrete-event loop
     # ------------------------------------------------------------------
     def advance_until(self, until: "float | None") -> None:
-        """Run every pass *starting* before ``until`` (all work if ``None``)."""
-        self._check_advance(until)
+        """Run every pass *starting* before ``until`` seconds (all work if
+        ``None``)."""
+        until = self._check_advance(until)
         arr = self._arr
         waiting = self.waiting
         active = self.active
         swapped = self.swapped
         pending = self.pending
         admit = self._policy.admit
-        # All-decode iterations run in bulk: by prefix-sum macro-steps on
-        # private pages under a floor-free table without an event log, by
-        # exact decode runs everywhere else (one event per run).  An offer
-        # since the last advance may have brought the run's first
-        # shared-prefix request; the macro-steps and absorbers stand down
-        # from then on.
-        macro_ok = (
-            self.events is None
-            and self._table is not None
-            and self._table.floor_free
-            and not self._exact_kv
-            and not self._multi
-        )
+        # An offer since the last advance may have brought the run's first
+        # shared-prefix request; the absorbers stand down from then on.
         absorb_ok = self._absorb_ok and not self._exact_kv
         while True:
             while pending and arr[pending[0]] <= self.clock:
@@ -641,10 +610,7 @@ class ArraySimulationRun(_RunLifecycle):
                     f"policy {self.sim.policy.name!r} left the device idle with "
                     f"{len(self.waiting)} admissible request(s) waiting"
                 )  # pragma: no cover - defensive, no shipped policy does this
-            if macro_ok:
-                if not self._num_prefilling and self._macro_step(until):
-                    continue
-            elif self._decode_run(until):
+            if self._decode_run(until):
                 continue
             self._step()
 
@@ -687,7 +653,7 @@ class ArraySimulationRun(_RunLifecycle):
         row = self.swapped.pop(0)
         request_id = self._rid[row]
         pages = self.kv.swap_in(request_id)
-        latency = self.sim._link_seconds(pages * self.kv.page_bytes)
+        latency = self.sim._link_ps(pages * self.kv.page_bytes)
         self.clock += latency
         self.busy += latency
         self.active.append(row)
@@ -707,7 +673,7 @@ class ArraySimulationRun(_RunLifecycle):
         self.active.remove(victim)
         if self._generated[victim] == 0:
             self._num_prefilling -= 1
-        latency = self.sim._link_seconds(pages * self.kv.page_bytes)
+        latency = self.sim._link_ps(pages * self.kv.page_bytes)
         self.clock += latency
         self.busy += latency
         self.swapped.append(victim)
@@ -754,13 +720,11 @@ class ArraySimulationRun(_RunLifecycle):
     def _swap_model(self, target: str) -> None:
         """Stream ``target``'s weights in over the host link (weight swap).
 
-        Beyond the shared bookkeeping, the row engine re-points its cost
-        caches: the target's decode table and chunk-cost cache follow the
-        weights.
+        Beyond the shared bookkeeping, the row engine re-points its decode
+        table: the target's follows the weights.
         """
         super()._swap_model(target)
         self._table = self._tables[target]
-        self._chunk_costs = self._chunks_by_model.setdefault(target, {})
 
     def _step(self) -> None:
         """One device iteration — the per-iteration (bit-exact) path."""
@@ -776,7 +740,8 @@ class ArraySimulationRun(_RunLifecycle):
                 if generated[row] == 0:
                     chunk = self._inp[row] - self._prefilled[row]
                     self._prefill_only_step(
-                        row, chunk, self._chunk_cost(self._prefilled[row], chunk)
+                        row, chunk,
+                        self._provider.prefill_chunk(self._prefilled[row], chunk),
                     )
                     return
         sim = self.sim
@@ -814,7 +779,7 @@ class ArraySimulationRun(_RunLifecycle):
                 if sim.chunk_tokens == 0
                 else min(sim.chunk_tokens, remaining)
             )
-            carrier = self._chunk_cost(self._prefilled[row], chunk)
+            carrier = self._provider.prefill_chunk(self._prefilled[row], chunk)
             if sim.chunk_tokens and decodable:
                 batch = policy.decode_batch(decodable, keys)
             elif sim.chunk_tokens == 0 and self.events is None:
@@ -834,14 +799,12 @@ class ArraySimulationRun(_RunLifecycle):
                 )
 
         costs = [self._decode_cost(inp[r] + generated[r]) for r in batch]
-        latency, e_mem, e_pim, e_npu, pass_flops = fused_pass(
+        latency, mem, pim, npu, pass_flops = fused_pass(
             carrier, costs, self._batch_share, self._base_cost
         )
         self.clock += latency
         self.busy += latency
-        self._energy_mem += e_mem
-        self._energy_pim += e_pim
-        self._energy_npu += e_npu
+        self.energy_pj += mem + pim + npu
         self.flops += pass_flops
         if carrier is not None:
             self.prefill_passes += 1
@@ -888,9 +851,7 @@ class ArraySimulationRun(_RunLifecycle):
         clock = self.clock + carrier[0]
         self.clock = clock
         self.busy += carrier[0]
-        self._energy_mem += carrier[1]
-        self._energy_pim += carrier[2]
-        self._energy_npu += carrier[3]
+        self.energy_pj += carrier[1] + carrier[2] + carrier[3]
         self.flops += carrier[4]
         self.prefill_passes += 1
         self._prefilled[row] += chunk
@@ -904,8 +865,7 @@ class ArraySimulationRun(_RunLifecycle):
             self._record_completion(row)
 
     # ------------------------------------------------------------------
-    # All-decode stretches in bulk: the shared step bounds, the
-    # prefix-sum macro-step and the exact decode run
+    # All-decode stretches in bulk: the step bounds and the decode run
     # ------------------------------------------------------------------
     def _run_bounds(self, batch: "list[int]") -> "tuple[list[int], int]":
         """Each member's table offset, and the most decode iterations the
@@ -992,117 +952,9 @@ class ArraySimulationRun(_RunLifecycle):
             if -(-(kv_now + steps - 1) // page_tokens) > pages_held:
                 kv.grow(rid[row], kv_now + steps - 1)
 
-    def _macro_step(self, until: "float | None") -> bool:
-        """Advance up to the next behavior boundary in O(B) per probe.
-
-        Returns ``False`` when this boundary cannot be macro-stepped (KV
-        out of table range, or an optimistic grant that needs preemption)
-        — the caller then runs one per-iteration step.
-        """
-        active = self.active
-        batch_size = len(active)
-        offsets, steps = self._run_bounds(active)
-        if steps < 1:
-            return False
-        optimistic = self._optimistic
-        if optimistic:
-            steps, kvs, held = self._fit_growth(active, offsets, steps)
-            if steps < 1:
-                return False
-
-        kv = self.kv
-        rid = self._rid
-        out, generated = self._out, self._generated
-        table = self._table  # installed whenever macros run
-        base = table.base
-        shared = self._batch_share * (batch_size - 1)
-        prefix_lat = table.prefix_latency
-        shared_lat = shared * base[0]
-
-        # Budget caps: stop at `until` and, while the admission gate is
-        # open, at the next pending arrival (at a full batch arrivals
-        # merely queue — bulk-moved at the loop top after this macro
-        # ends).  elapsed(j) is monotone in j, so capping by each budget
-        # in turn equals one cap by the smallest budget.
-        budget = None if until is None else until - self.clock
-        if self.pending and batch_size < self._policy_cap:
-            arrival_budget = self._arr[self.pending[0]] - self.clock
-            if budget is None or arrival_budget < budget:
-                budget = arrival_budget
-        # Conservative dismissal: elapsed(steps) can never exceed
-        # steps * batch * lat_max, so a budget above that bound cannot
-        # bind and the exact O(B) scans are skipped.  The inflation
-        # factor absorbs summation rounding (~n*eps << 1e-9) so the
-        # dismissal is sound even when the bound is nearly tight.
-        if budget is not None and (
-            steps * batch_size * table.latency_max * 1.000000001 >= budget
-        ):
-            lat_start = 0.0
-            total = 0.0
-            for offset in offsets:
-                lat_start += prefix_lat[offset]
-                total += prefix_lat[offset + steps]
-            if total - lat_start - steps * shared_lat >= budget:
-                # Smallest j in [1, steps] with elapsed(j) >= budget.
-                low, high = 0, steps  # elapsed(low) < budget <= elapsed(high)
-                while high - low > 1:
-                    mid = (low + high) // 2
-                    elapsed = 0.0
-                    for offset in offsets:
-                        elapsed += prefix_lat[offset + mid]
-                    elapsed = elapsed - lat_start - mid * shared_lat
-                    if elapsed < budget:
-                        low = mid
-                    else:
-                        high = mid
-                steps = high
-
-        j = steps
-        prefix_em, prefix_ep = table.prefix_energy_memory, table.prefix_energy_pim
-        prefix_en, prefix_fl = table.prefix_energy_npu, table.prefix_flops
-        sum_lat = 0.0
-        sum_em = 0.0
-        sum_ep = 0.0
-        sum_en = 0.0
-        sum_fl = 0.0
-        finished = None
-        for offset, row in zip(offsets, active):
-            offset_j = offset + j
-            sum_lat += prefix_lat[offset_j] - prefix_lat[offset]
-            sum_em += prefix_em[offset_j] - prefix_em[offset]
-            sum_ep += prefix_ep[offset_j] - prefix_ep[offset]
-            sum_en += prefix_en[offset_j] - prefix_en[offset]
-            sum_fl += prefix_fl[offset_j] - prefix_fl[offset]
-            new_generated = generated[row] + j
-            generated[row] = new_generated
-            if new_generated >= out[row]:
-                if finished is None:
-                    finished = [row]
-                else:
-                    finished.append(row)
-        delta = sum_lat - j * shared_lat
-        self.clock += delta
-        self.busy += delta
-        self._energy_mem += sum_em - j * shared * base[1]
-        self._energy_pim += sum_ep - j * shared * base[2]
-        self._energy_npu += sum_en - j * shared * base[3]
-        self.flops += sum_fl
-        self.decode_passes += j
-        self.decode_tokens += j * batch_size
-        self._outstanding -= j * batch_size
-
-        if optimistic:
-            self._grant_growth(active, kvs, held, j)
-        if finished is not None:
-            for row in finished:
-                active.remove(row)
-                kv.release(rid[row])
-                self._record_completion(row)
-        return True
-
-    def _decode_run(self, until: "float | None") -> bool:
+    def _decode_run(self, until: "int | None") -> bool:
         """Advance a stable all-decode batch to its next behavior boundary
-        in one call, with :func:`fused_pass`'s own float operations.
+        in one call: the one all-decode stepper.
 
         The batch is the policy's decode batch over the active rows (the
         resident model's, on a multi-model run), none of them prefilling,
@@ -1130,17 +982,17 @@ class ArraySimulationRun(_RunLifecycle):
         that reads the log: under optimistic admission an iteration that
         grants a page runs alone, so a run stops before the next grant.
 
-        :func:`_price_run` prices the run: each iteration as ``fused_pass``
-        prices it (a lone member from the table's tuples, a batch of two
-        or more in numpy over slices of the table's ``columns``), clock,
-        busy time, the energies and FLOPs advanced by sequential adds, and
-        the budget stop found on the exact clock sequence, so every number
-        is bit-identical to stepping.  Returns ``False`` when not even one
-        iteration can run here; the caller then runs one per-iteration
-        step.
+        Where no iteration's floor can bind (a lone member, or a
+        floor-free table) and no event log needs the iterations'
+        latencies, the run costs its members' prefix-sum differences less
+        one floor per iteration, in O(B) (and :func:`_bulk_stop` finds a
+        budget stop); otherwise :func:`_price_run` prices it per
+        iteration, as ``fused_pass`` would.  Both give the integers
+        stepping gives.  Returns ``False`` when not even one iteration can
+        run here; the caller then runs one per-iteration step.
         """
         table = self._table
-        if table is None or not table.latency_nonnegative:
+        if table is None or not table.nonnegative:
             return False
         active = self.active
         generated = self._generated
@@ -1155,11 +1007,15 @@ class ArraySimulationRun(_RunLifecycle):
             # carrier pass: both belong to the per-iteration loop.
             if not decodable or not all(generated[row] for row in decodable):
                 return False
+            batch = self._policy.decode_batch(decodable, self._keys)
         elif self._num_prefilling:
             return False
+        elif self._arrival_order:
+            # Every active row decodes, so an arrival-order policy's batch
+            # is all of them, in queue order (its batching contract).
+            batch = active
         else:
-            decodable = active
-        batch = self._policy.decode_batch(decodable, self._keys)
+            batch = self._policy.decode_batch(active, self._keys)
         optimistic = self._optimistic
         if optimistic:
             batch = self._granted(batch)
@@ -1178,18 +1034,20 @@ class ArraySimulationRun(_RunLifecycle):
             arrival = self._arr[pending[0]]
             if threshold is None or arrival < threshold:
                 threshold = arrival
-        if threshold is not None:
+        size = len(batch)
+        events = self.events
+        bulk = size == 1 or (events is None and table.floor_free)
+        if threshold is not None and not bulk:
             # Price no further than the threshold can reach, taking each
             # pass to cost at least its slowest member's first latency.
             # The guess only sizes the work: a run that stops short of
             # every boundary is exact too, and the next call carries on.
             lat = table.latency
             first = max([lat[offset] for offset in offsets])
-            if first > 0.0:
-                reach = (threshold - self.clock) / first + 2.0
+            if first > 0:
+                reach = (threshold - self.clock) // first + 2
                 if reach < steps:
-                    steps = max(1, int(reach))
-        events = self.events
+                    steps = max(1, reach)
         if optimistic:
             steps, kvs, held = self._fit_growth(batch, offsets, steps)
             if steps < 1:
@@ -1204,30 +1062,45 @@ class ArraySimulationRun(_RunLifecycle):
                 )
                 steps = 1 if grant <= 1 else min(steps, grant - 1)
 
-        size = len(batch)
-        steps, totals, latencies = _price_run(
-            table,
-            offsets,
-            steps,
-            self._batch_share * (size - 1),
-            (
-                self.clock,
-                self.busy,
-                self._energy_mem,
-                self._energy_pim,
-                self._energy_npu,
-                self.flops,
-            ),
-            threshold,
+        floor = (
+            _NO_FLOOR
+            if size == 1
+            else shared_floor(self._batch_share * (size - 1), table.base)
         )
-        (
-            self.clock,
-            self.busy,
-            self._energy_mem,
-            self._energy_pim,
-            self._energy_npu,
-            self.flops,
-        ) = totals
+        if bulk:
+            # No iteration costs more than every member's largest latency
+            # less the floor, so a budget past that bound cannot bind.
+            budget = None if threshold is None else threshold - self.clock
+            if budget is not None and (
+                steps * (size * table.latency_max - floor[0]) >= budget
+            ):
+                steps = _bulk_stop(table, offsets, steps, floor[0], budget)
+            prefix_lat, prefix_energy = table.prefix_latency, table.prefix_energy
+            prefix_flops = table.prefix_flops
+            latency = -steps * floor[0]
+            # No energy's floor binds either, so their sum is the
+            # members' summed energy less the three floors.
+            energy = -steps * (floor[1] + floor[2] + floor[3])
+            flops = 0
+            for offset in offsets:
+                stop = offset + steps
+                latency += prefix_lat[stop] - prefix_lat[offset]
+                energy += prefix_energy[stop] - prefix_energy[offset]
+                flops += prefix_flops[stop] - prefix_flops[offset]
+            self.clock += latency
+            self.busy += latency
+            self.energy_pj += energy
+            self.flops += flops
+        else:
+            steps, totals, latencies = _price_run(
+                table,
+                offsets,
+                steps,
+                floor,
+                (self.clock, self.busy, self.energy_pj, self.flops),
+                threshold,
+            )
+            self.clock, self.busy, self.energy_pj, self.flops = totals
         self.decode_passes += steps
         self.decode_tokens += steps * size
         self._outstanding -= steps * size
@@ -1236,6 +1109,9 @@ class ArraySimulationRun(_RunLifecycle):
             self._grant_growth(batch, kvs, held, steps)
         rid = self._rid
         if events is not None:
+            if bulk:
+                # A lone member: its latencies are the table's, by reference.
+                latencies = table.latency[offsets[0]:offsets[0] + steps]
             self._emit(
                 "decode_run",
                 decode_ids=tuple(rid[row] for row in batch),
@@ -1254,7 +1130,8 @@ class ArraySimulationRun(_RunLifecycle):
                 active.remove(row)
                 kv.release(rid[row])
                 self._record_completion(row)
-                self._emit("complete", request_id=rid[row])
+                if events is not None:
+                    self._emit("complete", request_id=rid[row])
         return True
 
     def _granted(self, batch: "list[int]") -> "list[int]":
@@ -1296,7 +1173,7 @@ class ArraySimulationRun(_RunLifecycle):
     #: stays cache-resident.
     _ABSORB_WINDOW = 4096
 
-    def _absorb_arrivals(self, until: "float | None") -> bool:
+    def _absorb_arrivals(self, until: "int | None") -> bool:
         """Serve arrivals straight off the pending queue while the device
         is idle, without running the discrete-event loop per pass.
 
@@ -1315,7 +1192,7 @@ class ArraySimulationRun(_RunLifecycle):
                 break
         return progressed
 
-    def _absorb_window(self, until: "float | None") -> "tuple[bool, bool]":
+    def _absorb_window(self, until: "int | None") -> "tuple[bool, bool]":
         """Absorb one columnar window of pending arrivals.
 
         Prices every request's whole lifetime (monolithic prefill + full
@@ -1324,14 +1201,15 @@ class ArraySimulationRun(_RunLifecycle):
         completing before the next arrives) are served in closed form,
         overlapping clumps run through the burst runner, and under
         concurrency-1 arrival-order policies queued stretches absorb
-        through the Lindley recursion.  Every float operation that reaches
-        a number is the per-arrival path's: a request starts at the later
-        of its arrival and the clock, its first token adds the prefill to
+        through the Lindley recursion.  A request starts at the later of
+        its arrival and the clock, its first token adds the prefill to
         that start and its completion adds the decode run to the first
         token; a stretch adds its passes to busy time, the energies and
-        FLOPs one at a time, prefill then decode run per request, and
-        appends its completions to the record before the burst after it
-        runs, so the record stays in completion order.  Returns
+        FLOPs, and appends its completions to the record before the burst
+        after it runs, so the record stays in completion order.  Every
+        number is an integer, so each equals the per-arrival path's.  The
+        window's int64 instants are bounded before numpy adds them, and
+        the stretch totals are summed as Python ints.  Returns
         ``(progressed, keep_going)``; ``keep_going`` means the whole
         window was consumed and another window may follow.
         """
@@ -1347,7 +1225,7 @@ class ArraySimulationRun(_RunLifecycle):
         page_tokens = self._page_tokens
         head_pages = -(-(i_tok + o) // page_tokens)
         head_ok = head_pages <= self.kv.total_pages
-        dec = 0.0
+        dec = 0
         table = self._table
         if head_ok and o > 1:
             if table is None:
@@ -1359,10 +1237,9 @@ class ArraySimulationRun(_RunLifecycle):
                 else:
                     prefix_lat = table.prefix_latency
                     dec = prefix_lat[beg + o - 1] - prefix_lat[beg]
+        prefill_cost = self._provider.prefill_chunk
         if head_ok:
-            pre_head = self._chunk_costs.get((0, i_tok))
-            if pre_head is None:
-                pre_head = self._chunk_cost(0, i_tok)
+            pre_head = prefill_cost(0, i_tok)
             # Under a queued (concurrency-1 arrival-order) policy the head
             # may arrive while the previous window's tail is still being
             # served: service starts at the clock, not the arrival.  On
@@ -1395,7 +1272,7 @@ class ArraySimulationRun(_RunLifecycle):
         peek = rows_list[take] if len(rows_list) > take else -1
         del rows_list[take:]
         rows = np.array(rows_list, dtype=np.int64)
-        a = np.frombuffer(self._arr_t, dtype=np.float64)[rows]
+        a = np.frombuffer(self._arr_t, dtype=np.int64)[rows]
         inp = np.frombuffer(self._inp_t, dtype=np.int64)[rows]
         out = np.frombuffer(self._out_t, dtype=np.int64)[rows]
         total_pages = -((inp + out) // -page_tokens)
@@ -1417,45 +1294,47 @@ class ArraySimulationRun(_RunLifecycle):
             )
         else:
             eligible &= single
-            dec = np.zeros((take, 5))
+            dec = np.zeros((take, 5), dtype=np.int64)
         uniq, inverse = np.unique(inp, return_inverse=True)
-        chunk_cost = self._chunk_cost
         pre = np.array(
-            [chunk_cost(0, int(v)) for v in uniq], dtype=np.float64
+            [prefill_cost(0, tokens) for tokens in uniq.tolist()], dtype=np.int64
         )[inverse]
         if self._fcfs_absorb:
             # The Lindley recursion completion_i = max(arrival_i,
-            # completion_{i-1}) + prefill_i + decode_i, a request at a time
-            # and added left to right as the per-arrival path adds it, up
-            # to the first request the window refuses.  It seeds from the
-            # clock (completion_{-1} = self.clock): across window
-            # boundaries the previous window's tail may still be in
-            # service when this window's head arrived.
+            # completion_{i-1}) + service_i up to the first request the
+            # window refuses, seeded from the clock (completion_{-1}: the
+            # previous window's tail may still be in service when this
+            # window's head arrived).  In integers its closed form is
+            # exact: completion_i = S_i + max(clock, max over j <= i of
+            # arrival_j - S_{j-1}), with S the services' running sum.
             refused = np.flatnonzero(~eligible)
             served = int(refused[0]) if refused.size else take
-            completions = [self.clock]
-            push = completions.append
-            clock = self.clock
-            for arrival, prefill, decode in zip(
-                a[:served].tolist(),
-                pre[:served, 0].tolist(),
-                dec[:served, 0].tolist(),
-            ):
-                start = arrival if arrival > clock else clock
-                clock = (start + prefill) + decode
-                push(clock)
+            check_int64(
+                max(self.clock, int(a.max()))
+                + served * (int(pre[:, 0].max()) + int(dec[:, 0].max())),
+                "an absorbed window's completions",
+            )
+            service = pre[:served, 0] + dec[:served, 0]
+            spent = np.cumsum(service)
+            latest = np.maximum.accumulate(a[:served] - (spent - service))
             # The clock, then every request's completion.  Completions
             # never decrease, so the ones past ``until`` are a suffix.
-            completion = np.fromiter(completions, np.float64, served + 1)
+            completion = np.empty(served + 1, dtype=np.int64)
+            completion[0] = self.clock
+            completion[1:] = spent + np.maximum(latest, self.clock)
             if until is not None:
                 served = int(np.searchsorted(completion[1:], until, "right"))
             eligible[served:] = False
             # Each request starts at the later of its arrival and the
             # previous completion; its first token is that start plus its
-            # prefill, the loop's own first add.
+            # prefill.
             first = np.maximum(a[:served], completion[:served]) + pre[:served, 0]
             completion = completion[1:served + 1]
         else:
+            check_int64(
+                int(a.max()) + int(pre[:, 0].max()) + int(dec[:, 0].max()),
+                "an absorbed window's completions",
+            )
             first = a + pre[:, 0]
             completion = first + dec[:, 0]
             if until is not None:
@@ -1463,13 +1342,13 @@ class ArraySimulationRun(_RunLifecycle):
             # Isolation: the request must complete before the next
             # arrival lands (ties allowed — an arrival exactly at the
             # completion instant never joins the batch).
-            nxt = np.empty(take, dtype=np.float64)
+            nxt = np.empty(take, dtype=np.int64)
             nxt[: take - 1] = a[1:]
-            nxt[take - 1] = arr[peek] if peek >= 0 else np.inf
+            nxt[take - 1] = arr[peek] if peek >= 0 else np.iinfo(np.int64).max
             eligible &= completion <= nxt
         # The passes in the order the per-arrival path runs them: each
         # request's prefill, then its decode run.
-        passes = np.empty((2 * take, 5))
+        passes = np.empty((2 * take, 5), dtype=np.int64)
         passes[0::2] = pre
         passes[1::2] = dec
         bad = np.flatnonzero(~eligible).tolist()
@@ -1488,37 +1367,26 @@ class ArraySimulationRun(_RunLifecycle):
                 mask[i:j] = True
                 for _ in range(j - i):
                     pending.popleft()
-                self.clock = float(completion[j - 1])
+                self.clock = int(completion[j - 1])
                 # The stretch completes before the burst after it starts,
                 # so its completions go on the record now, in clock order.
                 record.request_id.frombytes(rid[i:j].tobytes())
-                record.arrival_s.frombytes(a[i:j].tobytes())
-                record.first_token_s.frombytes(first[i:j].tobytes())
-                record.completion_s.frombytes(completion[i:j].tobytes())
+                record.arrival.frombytes(a[i:j].tobytes())
+                record.first_token.frombytes(first[i:j].tobytes())
+                record.completion.frombytes(completion[i:j].tobytes())
                 record.input_tokens.frombytes(inp[i:j].tobytes())
                 record.output_tokens.frombytes(out[i:j].tobytes())
                 record.priority_class.frombytes(cls[i:j].tobytes())
                 absorbed = rows_list[i:j]
                 record.model.extend([mdl[row] for row in absorbed])
                 free.extend(absorbed)
-                # Add the stretch's passes one at a time: np.cumsum adds
-                # sequentially (np.sum would add pairwise).
-                totals = np.empty((2 * (j - i) + 1, 5))
-                totals[0] = (
-                    self.busy,
-                    self._energy_mem,
-                    self._energy_pim,
-                    self._energy_npu,
-                    self.flops,
+                # The stretch's passes, summed as Python ints.
+                busy, mem, pim, npu, flops = map(
+                    sum, passes[2 * i:2 * j].T.tolist()
                 )
-                totals[1:] = passes[2 * i:2 * j]
-                (
-                    self.busy,
-                    self._energy_mem,
-                    self._energy_pim,
-                    self._energy_npu,
-                    self.flops,
-                ) = np.cumsum(totals, axis=0)[-1].tolist()
+                self.busy += busy
+                self.energy_pj += mem + pim + npu
+                self.flops += flops
                 i = j
                 continue
             if burst_ok:
@@ -1558,16 +1426,16 @@ class ArraySimulationRun(_RunLifecycle):
         keep = (not aborted) and i >= take and bool(pending)
         return (k > 0 or i > 0), keep
 
-    def _run_burst(self, until: "float | None") -> int:
+    def _run_burst(self, until: "int | None") -> int:
         """Drain one busy period (arrival-order policy, worst-case grants,
-        monolithic prefill, floor-free table, no events).
+        monolithic prefill, a decode table, no events).
 
         Only admission is specialized: due arrivals move from ``pending``
         straight to ``active``, skipping the ``waiting`` queue and the
         policy hooks.  Prefills run through :meth:`_step` (its
         ``_mono_fast`` shortcut always holds here) and all-decode stretches
-        through :meth:`_macro_step`, so every float operation is the
-        generic loop's and per-request results stay byte-identical.
+        through :meth:`_decode_run`, so every number is the generic
+        loop's and per-request results stay byte-identical.
 
         Returns 0 (nothing admitted, no state change), 1 (period drained,
         device idle again), or 2 (progressed, then hit a condition the
@@ -1620,7 +1488,7 @@ class ArraySimulationRun(_RunLifecycle):
                 self._step()
             elif not active:
                 return 1
-            elif not self._macro_step(until):
+            elif not self._decode_run(until):
                 return 2
             clock = self.clock
             if until is not None and clock >= until:
@@ -1688,7 +1556,7 @@ class ArraySimulationRun(_RunLifecycle):
         # rows persist here, so reset the progress columns now.
         self._prefilled[victim] = 0
         self._generated[victim] = 0
-        self._first[victim] = 0.0
+        self._first[victim] = 0
         self._requeue(victim)
         self._emit("preempt", request_id=self._rid[victim], tokens=pages)
 
@@ -1715,7 +1583,7 @@ class ArraySimulationRun(_RunLifecycle):
     def _clear_queues(self) -> "list[Request]":
         """Empty every queue for ``fail``; the rows return to the free list."""
         rows = [*self.active, *self.swapped, *self.waiting, *self.pending]
-        lost = [self._request(row) for row in rows]
+        lost = [self._req[row] for row in rows]
         self._free.extend(rows)
         self.active.clear()
         self.swapped.clear()

@@ -27,8 +27,7 @@ the ``make_policy`` / ``make_router`` validated-construction idiom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from repro.models.workload import Stage, StagePass
@@ -234,16 +233,11 @@ class KvPressureAutoscaler(Autoscaler):
     def decide(self, signal: AutoscalerSignal) -> int:
         if not signal.snapshots:
             return 0
-        # Added left to right from 0.0: the builtin sum compensates float
-        # sums from Python 3.12 on, and a decision must not hang on it.
-        pressure = reduce(
-            add,
-            (
-                1.0 - snapshot.free_kv_pages / snapshot.total_kv_pages
-                for snapshot in signal.snapshots
-                if snapshot.total_kv_pages > 0
-            ),
-            0.0,
+        # Exact shares of page counts: no order of addition matters.
+        pressure = sum(
+            Fraction(snap.total_kv_pages - snap.free_kv_pages, snap.total_kv_pages)
+            for snap in signal.snapshots
+            if snap.total_kv_pages > 0
         ) / len(signal.snapshots)
         if pressure > self.high:
             return 1

@@ -76,16 +76,16 @@ their warm-up ends.  Only a fleet with every replica down raises.
 The fleet's cost is metered in **replica-seconds** (the energy/price
 proxy the chaos benches trade against SLO attainment): each replica is
 billed from the trace start (or its spawn) until it fails, empties after
-a drain, or the run ends.  With no failure schedule and no autoscaler the
-ops layer is inert and the run is byte-identical to the plain cluster.
+a drain, or the run ends.  The meter counts picoseconds, as the runs'
+clocks do, so a fixed fleet's reads exactly ``R x makespan``.  With no
+failure schedule and no autoscaler the ops layer is inert and the run is
+byte-identical to the plain cluster.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from typing import Sequence
 
 from repro.core.costmodel import CostModel
@@ -99,11 +99,13 @@ from repro.serving.autoscale import (
 )
 from repro.serving.failures import FailureSchedule, make_failure_schedule
 from repro.serving.request import CompletionRecord, Request, RequestMetrics
+from repro.serving.request import to_j, to_ps, to_s
 from repro.serving.simulator import (
     ServingMetrics,
     ServingSimulator,
     ServingStall,
     SimulationRun,
+    _arrival_key,
     _book_phase,
     _validated_construct,
     decode_kv_bounds,
@@ -285,7 +287,7 @@ def cluster_kv_peak(event_logs: "Sequence[Sequence]") -> int:
     # (clock, replica, sequence) is unique, so the tuples sort by it
     # without a key function.
     merged = sorted(
-        (event.clock_s, replica_index, sequence, event.kv_reserved_pages)
+        (event.clock, replica_index, sequence, event.kv_reserved_pages)
         for replica_index, events in enumerate(event_logs)
         for sequence, event in enumerate(events)
     )
@@ -568,11 +570,12 @@ class _OpsState:
 
     Owns the fleet's liveness/draining/warm-up state, applies the failure
     schedule (failover included), consults the autoscaler, meters
-    replica-seconds, and holds the candidate rule and route step that
-    arrivals and failover share.  Without a failure schedule or
-    autoscaler it is inert: every replica stays eligible, and the pooled
-    metrics bill the fixed fleet as ``R x makespan`` instead of reading
-    its meter.
+    replica time in picoseconds, and holds the candidate rule and route
+    step that arrivals and failover share.  Without a failure schedule or
+    autoscaler it is inert: every replica stays eligible, and its meter
+    bills each from the trace start to the last completion.  Instants the
+    fleet is handed (arrivals, failures, warm-ups) stay in seconds; the
+    meter converts them where it bills.
     """
 
     def __init__(
@@ -581,7 +584,7 @@ class _OpsState:
         runs: "list[SimulationRun]",
         assignments: "list[list[Request]]",
         routed_tokens: "list[int]",
-        start: float,
+        start: int,
         record_events: bool,
         bounds: "tuple[int, int] | None",
     ) -> None:
@@ -600,10 +603,12 @@ class _OpsState:
         self.draining = [False] * count
         #: Initial replicas are warm from the start; spawned ones wait.
         self.ready_at = [float("-inf")] * count
-        #: Open billing segment per replica (None while failed/closed).
-        self.open_clock: "list[float | None]" = [start] * count
-        self.seconds = [0.0] * count
-        self.drain_clock = [0.0] * count
+        #: Open billing segment's start per replica, in picoseconds (None
+        #: while failed/closed), the picoseconds billed so far, and where
+        #: a drain began.
+        self.open_clock: "list[int | None]" = [start] * count
+        self.billed = [0] * count
+        self.drain_clock = [0] * count
         self.failures = 0
         self.recoveries = 0
         self.scale_ups = 0
@@ -776,22 +781,24 @@ class _OpsState:
             return None
         targets = self.cluster.simulator.slo_targets
         last = len(targets) - 1
-        start = now - window_s
+        start = to_ps(now - window_s)
+        now = to_ps(now)
 
         def met_target(record, i: int) -> bool:
+            # The latency of CompletionRecord.durations, as rows report it.
             target = targets[min(record.priority_class[i], last)]
-            return record.completion_s[i] - record.arrival_s[i] <= target
+            return to_s(record.completion[i] - record.arrival[i]) <= target
 
         met = 0
         total = 0
         for run, window in zip(self.runs, self._windows):
             record = run.completions
-            completion_s = record.completion_s
+            completion = record.completion
             lo, hi, inside_met = window
-            while hi < len(completion_s) and completion_s[hi] <= now:
+            while hi < len(completion) and completion[hi] <= now:
                 inside_met += met_target(record, hi)
                 hi += 1
-            while lo < hi and completion_s[lo] < start:
+            while lo < hi and completion[lo] < start:
                 inside_met -= met_target(record, lo)
                 lo += 1
             window[:] = lo, hi, inside_met
@@ -806,7 +813,7 @@ class _OpsState:
         run = cluster.simulator.begin(
             record_events=self.record_events, kv_bounds=self.bounds
         )
-        run.clock = now
+        run.clock = to_ps(now)
         run.note_scale(+1)
         self.runs.append(run)
         self.assignments.append([])
@@ -814,9 +821,9 @@ class _OpsState:
         self.alive.append(True)
         self.draining.append(False)
         self.ready_at.append(now + cluster._warmup_s)
-        self.open_clock.append(now)
-        self.seconds.append(0.0)
-        self.drain_clock.append(0.0)
+        self.open_clock.append(run.clock)
+        self.billed.append(0)
+        self.drain_clock.append(0)
         self._windows.append([0, 0, 0])
         self.scale_ups += 1
         self._note_peak()
@@ -829,19 +836,20 @@ class _OpsState:
             snapshots, key=lambda snap: (snap.outstanding_tokens, -snap.index)
         ).index
         self.draining[choice] = True
-        self.drain_clock[choice] = now
+        self.drain_clock[choice] = to_ps(now)
         self.runs[choice].note_scale(-1)
         self.scale_downs += 1
 
-    # -- replica-seconds -----------------------------------------------
-    def _close_segment(self, index: int, end: float) -> None:
+    # -- replica time --------------------------------------------------
+    def _close_segment(self, index: int, end: int) -> None:
         begin = self.open_clock[index]
         if begin is not None:
-            self.seconds[index] += max(0.0, end - begin)
+            self.billed[index] += max(0, end - begin)
             self.open_clock[index] = None
 
-    def close_out(self, global_end: float) -> None:
-        """Close every open billing segment at the end of the run."""
+    def close_out(self, global_end: int) -> None:
+        """Close every open billing segment at the end of the run (all
+        instants in picoseconds)."""
         for index in range(len(self.runs)):
             if self.open_clock[index] is None:
                 continue
@@ -942,10 +950,6 @@ class ClusterSimulator:
         self._last_runs: "list[SimulationRun]" = []
         self._route_phase = {"route": 0.0}
 
-    @property
-    def _ops_active(self) -> bool:
-        return self.failures is not None or self.autoscaler is not None
-
     # ------------------------------------------------------------------
     def simulate(
         self, requests: Sequence[Request], record_events: bool = True
@@ -958,7 +962,7 @@ class ClusterSimulator:
         skip both (the KV peak then falls back to the summed per-replica
         peaks, an upper bound).
         """
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+        ordered = sorted(requests, key=_arrival_key)
         bounds = decode_kv_bounds(ordered)
         # A reused simulator must stay deterministic: stateful routers
         # (round-robin's rotation) restart with every simulation.
@@ -971,7 +975,7 @@ class ClusterSimulator:
         ]
         assignments: list[list[Request]] = [[] for _ in runs]
         routed_tokens = [0] * len(runs)
-        start = ordered[0].arrival_s if ordered else 0.0
+        start = to_ps(ordered[0].arrival_s) if ordered else 0
         self._last_runs = runs
         self._route_phase = {"route": 0.0}
         ops = _OpsState(
@@ -1061,26 +1065,21 @@ class ClusterSimulator:
             ),
             key=lambda metrics: metrics.request_id,
         )
-        makespan = 0.0
-        last_completion = ordered[0].arrival_s if ordered else 0.0
-        if completions and ordered:
-            last_completion = max(completions.completion_s)
-            makespan = last_completion - ordered[0].arrival_s
-        # Float totals add left to right from 0.0 on every Python (the
-        # builtin sum compensates from 3.12 on).
-        busy = reduce(add, (metrics.busy_s for metrics in per_replica), 0.0)
+        # Totals in picoseconds and picojoules, read off the runs (which
+        # share per_replica's order) and converted once.
+        runs = ops.runs
+        start = last_completion = to_ps(ordered[0].arrival_s) if ordered else 0
+        if completions:
+            last_completion = max(completions.completion)
+        makespan = last_completion - start
+        busy = sum(run.busy for run in runs)
         # One definition of utilization for every fleet: summed busy over
-        # summed provisioned replica-seconds.  Fleets differ only in
-        # where replica_seconds comes from — metered billing segments
-        # under ops, R x makespan for a fixed fleet (a fleet with an
-        # inert schedule meters to exactly R x makespan, so the two
-        # agree wherever both apply).
-        if self._ops_active:
-            ops.close_out(last_completion)
-            replica_seconds = reduce(add, ops.seconds, 0.0)
-        else:
-            replica_seconds = len(per_replica) * makespan
-        utilization = busy / replica_seconds if replica_seconds > 0 else 0.0
+        # the summed replica time the meter billed (exactly R x makespan
+        # on a fixed fleet).
+        ops.close_out(last_completion)
+        billed = sum(ops.billed)
+        utilization = busy / billed if billed > 0 else 0.0
+        makespan_s = to_s(makespan)
         output_tokens = sum(metrics.output_tokens for metrics in per_replica)
         models = per_replica[0].models
         # Imbalance is a skew ratio over the replicas that actually
@@ -1107,16 +1106,14 @@ class ClusterSimulator:
             admission=per_replica[0].admission,
             num_replicas=len(per_replica),
             num_requests=len(completions),
-            makespan_s=makespan,
-            busy_s=busy,
+            makespan_s=makespan_s,
+            busy_s=to_s(busy),
             utilization=utilization,
             output_tokens=output_tokens,
-            tokens_per_s=output_tokens / makespan if makespan > 0 else 0.0,
-            requests_per_s=len(completions) / makespan if makespan > 0 else 0.0,
-            energy_j=reduce(
-                add, (metrics.energy_j for metrics in per_replica), 0.0
-            ),
-            flops=reduce(add, (metrics.flops for metrics in per_replica), 0.0),
+            tokens_per_s=output_tokens / makespan_s if makespan > 0 else 0.0,
+            requests_per_s=len(completions) / makespan_s if makespan > 0 else 0.0,
+            energy_j=to_j(sum(run.energy_pj for run in runs)),
+            flops=float(sum(run.flops for run in runs)),
             admissions=sum(metrics.admissions for metrics in per_replica),
             peak_active=sum(metrics.peak_active for metrics in per_replica),
             preemptions=sum(metrics.preemptions for metrics in per_replica),
@@ -1140,14 +1137,12 @@ class ClusterSimulator:
             dropped_kv_pages=ops.dropped_pages,
             scale_ups=ops.scale_ups,
             scale_downs=ops.scale_downs,
-            replica_seconds=replica_seconds,
+            replica_seconds=to_s(billed),
             peak_replicas=ops.peak_replicas,
             warmup_s=self._warmup_s,
             models=models,
             model_swaps=sum(metrics.model_swaps for metrics in per_replica),
-            model_swap_s=reduce(
-                add, (metrics.model_swap_s for metrics in per_replica), 0.0
-            ),
+            model_swap_s=to_s(sum(run.model_swap_ps for run in runs)),
             per_replica=per_replica,
             per_request=tuple(pooled),
             **request_aggregates(

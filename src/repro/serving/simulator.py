@@ -50,8 +50,8 @@ Chunked prefill
 ---------------
 With ``chunk_tokens > 0`` a prompt is prefilled in scheduler-visible chunks
 instead of one head-of-line-blocking pass.  Chunk ``i`` is priced at the
-*incremental* cost ``C(prefix + chunk) - C(prefix)``
-(:func:`~repro.core.costmodel.diff_pass_cost`), so chunk costs telescope to
+*incremental* cost ``C(prefix + chunk) - C(prefix)`` in ticks
+(:meth:`PassCostProvider.prefill_chunk`), so chunk costs telescope to
 the monolithic prefill cost — a chunk size >= the prompt is a byte-identical
 no-op, and chunking conserves both tokens and total prefill work.  Each
 chunk iteration is *fused* with one decode token for the policy's decode
@@ -100,6 +100,14 @@ trace reproduce ``IanusSystem.run(mode="exact")`` latency.  Energy follows
 the same sharing (shared weight reads are shared DRAM energy); FLOPs sum
 fully — batching shares bytes, not math.
 
+Simulated units
+---------------
+A run counts time in picoseconds, energy in picojoules and FLOPs, all as
+integers (:mod:`repro.serving.request`): :func:`cost_tuple` converts a
+pass cost where it enters a run, and every way of adding the same passes
+gives the same numbers.  A batch's shared floor is one integer per batch
+size, rounded once from the backend's float price (:func:`shared_floor`).
+
 Pass-cost provider
 ------------------
 :class:`PassCostProvider` fronts the cost model: prefill costs are always
@@ -127,20 +135,18 @@ Two interchangeable implementations sit behind ``begin``/``simulate``
 ``engine="array"``
     The vectorized fast core (:mod:`repro.serving.array_engine`): columnar
     request state, decode costs from a dense per-(model, backend) lookup
-    table (:mod:`repro.serving.decode_table`), exact decode runs that
-    advance a stable all-decode batch to its next event in one call, and
-    prefix-sum macro-steps and arrival absorption that price whole runs
-    of decode iterations at once.  Simulates a day of production traffic
-    — a million requests — in seconds.  With ``record_events=True`` the
-    macro-steps and arrival absorption stand down and the decode runs
-    keep running, each recorded as one ``decode_run`` event;
-    :func:`~repro.serving.validate.expand_runs` turns that log into the
-    object engine's per-iteration one *bit for bit*.  The decode runs
-    change no number, while runs that macro-step or absorb match to ~1e-9
-    (a prefix-sum difference rounds differently from the adds it
-    replaces).  Requires a registered policy
-    (the four in :data:`POLICIES`): its fast paths rely on their batching
-    contract (see :class:`ServingPolicy`).
+    table (:mod:`repro.serving.decode_table`), decode runs that advance a
+    stable all-decode batch to its next event in one call, and arrival
+    absorption that serves whole windows of isolated requests at once.
+    Simulates a day of production traffic — a million requests — in
+    seconds.  With ``record_events=True`` the arrival absorption stands
+    down and the decode runs keep running, each recorded as one
+    ``decode_run`` event; :func:`~repro.serving.validate.expand_runs`
+    turns that log into the object engine's per-iteration one *bit for
+    bit*.  Every fast path reports the object engine's numbers exactly:
+    time and energy are integers.  Requires a registered policy (the four
+    in :data:`POLICIES`): its fast paths rely on their batching contract
+    (see :class:`ServingPolicy`).
 
 Both engines' per-iteration loops apply the rules of this module, each
 written once: the policy decisions (over the :class:`RequestKeys` each
@@ -168,20 +174,20 @@ import inspect
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from operator import add, attrgetter
+from functools import lru_cache
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.costmodel import CostModel, PassCost, diff_pass_cost, lerp_pass_cost
-from repro.energy.model import EnergyBreakdown
+from repro.core.costmodel import CostModel, PassCost, lerp_pass_cost
 from repro.models.flops import model_weight_bytes
 from repro.models.transformer import ModelConfig
 from repro.models.workload import Stage, StagePass
 from repro.serving.kv_memory import DEFAULT_PAGE_TOKENS, KvPageAccountant
 from repro.serving.request import CompletionRecord, Request, RequestMetrics
+from repro.serving.request import to_j, to_pj, to_ps, to_s
 from repro.serving.validate import SimEvent, check_invariants
 
 __all__ = [
@@ -197,6 +203,8 @@ __all__ = [
     "choose_victim",
     "cost_tuple",
     "fused_pass",
+    "floor_ticks",
+    "shared_floor",
     "ADMISSION_MODES",
     "ENGINES",
     "ServingMetrics",
@@ -279,6 +287,8 @@ class PassCostProvider:
         self.cost_model = cost_model
         self.model = model
         self._prefill_costs: dict[int, PassCost] = {}
+        #: Prefill-chunk cost tuples by (prefix, chunk) tokens.
+        self._chunk_costs: dict = {}
         #: Decode costs priced by the cost model, by KV length.
         self._exact_costs: dict[int, PassCost] = {}
         #: Decode prices by (KV length, KV bounds).
@@ -296,22 +306,32 @@ class PassCostProvider:
             self._prefill_costs[input_tokens] = cost
         return cost
 
-    def prefill_chunk(self, prefix_tokens: int, chunk_tokens: int) -> PassCost:
-        """Incremental cost of prefilling ``chunk_tokens`` after a prefix.
+    def prefill_chunk(self, prefix_tokens: int, chunk_tokens: int) -> tuple:
+        """Incremental :func:`cost_tuple` of prefilling ``chunk_tokens``
+        after a prefix.
 
-        Priced as ``C(prefix + chunk) - C(prefix)`` so a request's chunk
-        costs telescope to its monolithic prefill cost exactly (and a chunk
-        covering the whole prompt *is* the monolithic pass).
+        Priced as ``C(prefix + chunk) - C(prefix)`` over the two passes'
+        integer cost tuples, so a request's chunk costs telescope to its
+        monolithic prefill cost exactly (and a chunk covering the whole
+        prompt *is* the monolithic pass).  Each component is floored at
+        zero, which binds only where a backend's prefill cost drops as the
+        prompt grows.
         """
-        if chunk_tokens < 1:
-            raise ValueError("chunk_tokens must be at least 1")
-        if prefix_tokens < 0:
-            raise ValueError("prefix_tokens must be non-negative")
-        if prefix_tokens == 0:
-            return self.prefill(chunk_tokens)
-        return diff_pass_cost(
-            self.prefill(prefix_tokens + chunk_tokens), self.prefill(prefix_tokens)
-        )
+        key = (prefix_tokens, chunk_tokens)
+        cost = self._chunk_costs.get(key)
+        if cost is None:
+            if chunk_tokens < 1:
+                raise ValueError("chunk_tokens must be at least 1")
+            if prefix_tokens < 0:
+                raise ValueError("prefix_tokens must be non-negative")
+            cost = cost_tuple(self.prefill(prefix_tokens + chunk_tokens))
+            if prefix_tokens:
+                before = cost_tuple(self.prefill(prefix_tokens))
+                cost = tuple(
+                    max(whole - head, 0) for whole, head in zip(cost, before)
+                )
+            self._chunk_costs[key] = cost
+        return cost
 
     def decode(self, kv_length: int, kv_bounds: "tuple[int, int] | None") -> PassCost:
         """Cost of one single-request decode pass at ``kv_length`` in a run
@@ -460,7 +480,8 @@ class _InFlight:
     request: Request
     prefilled: int = 0
     generated: int = 0
-    first_token_s: float = 0.0
+    #: Clock of the first token, in picoseconds.
+    first_token: int = 0
 
     @property
     def prefill_done(self) -> bool:
@@ -501,7 +522,7 @@ class RequestKeys(NamedTuple):
     live_remaining: Callable[[Any], int]
     #: Priority class of an admitted request.
     live_class: Callable[[Any], int]
-    #: ``(generated, prefilled, arrival_s, request_id)`` of an admitted
+    #: ``(generated, prefilled, arrival, request_id)`` of an admitted
     #: request — what a preemption would throw away, and its age.
     live_progress: Callable[[Any], tuple]
 
@@ -512,8 +533,8 @@ _OBJECT_KEYS = RequestKeys(
     queued_class=attrgetter("priority_class"),
     live_remaining=attrgetter("remaining_tokens"),
     live_class=attrgetter("request.priority_class"),
-    live_progress=attrgetter(
-        "generated", "prefilled", "request.arrival_s", "request.request_id"
+    live_progress=lambda f: (
+        f.generated, f.prefilled, to_ps(f.request.arrival_s), f.request.request_id
     ),
 )
 
@@ -789,23 +810,53 @@ def choose_victim(active: Sequence, protected: set, keys: RequestKeys):
     for entry in active:
         if entry in protected:
             continue
-        generated, prefilled, arrival_s, request_id = progress(entry)
-        key = (generated, prefilled, -arrival_s, -request_id)
+        generated, prefilled, arrival, request_id = progress(entry)
+        key = (generated, prefilled, -arrival, -request_id)
         if best is None or key < best:
             victim, best = entry, key
     return victim
 
 
+def cost_row(
+    latency_s: float, memory_j: float, pim_j: float, npu_j: float, flops: float
+) -> tuple:
+    """The integer ``(latency, mem, pim, npu, flops)`` tuple the
+    per-iteration rules compute over: picoseconds, picojoules, FLOPs."""
+    return to_ps(latency_s), to_pj(memory_j), to_pj(pim_j), to_pj(npu_j), round(flops)
+
+
 def cost_tuple(cost: PassCost) -> tuple:
-    """A pass cost as the ``(latency, mem_j, pim_j, npu_j, flops)`` tuple
-    the per-iteration rules compute over."""
+    """A pass cost as its integer :func:`cost_row`."""
     energy = cost.energy
-    return (
+    return cost_row(
         cost.latency_s,
         energy.normal_memory_j,
         energy.pim_op_j,
         energy.npu_cores_j,
         cost.flops,
+    )
+
+
+def floor_ticks(cost: PassCost) -> tuple:
+    """The decode floor ``c(1)``'s latency and energies in ticks, not yet
+    rounded (rounded, they are its :func:`cost_tuple`)."""
+    energy = cost.energy
+    seconds_or_joules = (
+        cost.latency_s, energy.normal_memory_j, energy.pim_op_j, energy.npu_cores_j
+    )
+    return tuple(value * 1e12 for value in seconds_or_joules)
+
+
+@lru_cache(maxsize=256)
+def shared_floor(shared: float, base: tuple) -> tuple:
+    """A fused pass's shareable floor ``shared * base`` (``shared`` is
+    ``share`` times ``B - 1``, or ``B`` with a carrier; ``base`` is
+    :func:`floor_ticks`): one integer per batch size for latency and each
+    energy, rounded once from the backend's price, but never above
+    ``shared`` rounded bases, so it cannot bind on a column that stays at
+    its base (PIM energy does not grow with the KV length)."""
+    return tuple(
+        min(round(shared * value), round(shared * round(value))) for value in base[:4]
     )
 
 
@@ -818,17 +869,14 @@ def fused_pass(
     """One device iteration: an optional prefill chunk fused with decodes.
 
     Every cost is a :func:`cost_tuple`; ``base()`` returns the decode
-    floor ``c(1)`` of the resident model as one (it is priced only when
-    the pass fuses two or more members).  Without a carrier the first
-    decode member pays the floor and the other ``B - 1`` ride along; with
-    a carrier (a prefill chunk, which streams every FC weight anyway) all
-    ``B`` decode floors are shareable, scaled by ``share``.  Latency and
-    each energy component are floored at the largest member — a fused
-    pass cannot beat its largest constituent — and FLOPs sum in full:
-    batching shares bytes, not math.  Every sum adds left to right from
-    0.0, as the builtin ``sum`` does before Python 3.12 (from 3.12 on it
-    compensates float sums, which would move the numbers); the array
-    engine's decode runs repeat these operations.
+    floor ``c(1)`` of the resident model as :func:`floor_ticks` (it is
+    priced only when the pass fuses two or more members).  Without a
+    carrier the first decode member pays the floor and the other
+    ``B - 1`` ride along; with a carrier (a prefill chunk, which streams
+    every FC weight anyway) all ``B`` decode floors are shareable, scaled
+    by ``share`` (:func:`shared_floor`).  Latency and each energy component are
+    floored at the largest member — a fused pass cannot beat its largest
+    constituent — and FLOPs sum in full: batching shares bytes, not math.
     """
     if carrier is None:
         if len(costs) == 1:
@@ -840,14 +888,14 @@ def fused_pass(
     else:
         parts = [carrier, *costs]
         shared = share * len(costs)
-    latency, mem_j, pim_j, npu_j, flops = zip(*parts)
-    floor = base()
+    latency, mem, pim, npu, flops = zip(*parts)
+    floor = shared_floor(shared, base())
     return (
-        max(reduce(add, latency, 0.0) - shared * floor[0], max(latency)),
-        max(reduce(add, mem_j, 0.0) - shared * floor[1], max(mem_j)),
-        max(reduce(add, pim_j, 0.0) - shared * floor[2], max(pim_j)),
-        max(reduce(add, npu_j, 0.0) - shared * floor[3], max(npu_j)),
-        reduce(add, flops, 0.0),
+        max(sum(latency) - floor[0], max(latency)),
+        max(sum(mem) - floor[1], max(mem)),
+        max(sum(pim) - floor[2], max(pim)),
+        max(sum(npu) - floor[3], max(npu)),
+        sum(flops),
     )
 
 
@@ -887,29 +935,27 @@ def request_aggregates(
     """Latency, TTFT and TPOT means and percentiles plus SLO attainment.
 
     The request-level fields shared by :class:`ServingMetrics` and the
-    cluster's pooled metrics, reduced from a completion record.  No field
-    depends on the order of the record: the means divide a ``math.fsum``
-    (the correctly rounded sum, on every Python), the percentiles read
-    sorted copies and attainment counts.  With ``slo_targets`` class ``c``
+    cluster's pooled metrics, reduced from a completion record; all but
+    the means read the durations its rows carry
+    (:meth:`CompletionRecord.durations`).  No field depends on the order
+    of the record: the latency and TTFT means divide a sum of integer
+    picoseconds, the TPOT mean (of per-request ratios) divides a
+    ``math.fsum``, the percentiles read sorted copies and attainment
+    counts.  With ``slo_targets`` class ``c``
     is scored against ``slo_targets[min(c, len - 1)]``, and attainment is
     reported overall, by class and — with ``by_model``, for co-hosted
     model sets — by ``"model/class"``; a run with no completed request
     attains 1.0.
     """
 
-    def mean(values: np.ndarray) -> float:
-        return math.fsum(values.tolist()) / len(values) if len(values) else 0.0
+    def mean(ticks: np.ndarray) -> float:  # a Python-int sum: exact
+        return to_s(sum(ticks.tolist())) / len(ticks) if len(ticks) else 0.0
 
-    arrival = np.asarray(completions.arrival_s)
-    first = np.asarray(completions.first_token_s)
-    completion = np.asarray(completions.completion_s)
-    out = np.asarray(completions.output_tokens)
-    latencies = completion - arrival
-    ttfts = first - arrival
-    multi = out > 1
-    tpots = (completion[multi] - first[multi]) / (out[multi] - 1)
-    ordered_latencies = np.sort(latencies)
-    ordered_ttfts = np.sort(ttfts)
+    arrival = np.asarray(completions.arrival)
+    latency_s, ttft_s, tpot_s = completions.durations()
+    tpots = tpot_s[np.asarray(completions.output_tokens) > 1]
+    ordered_latencies = np.sort(latency_s)
+    ordered_ttfts = np.sort(ttft_s)
     slo_attainment: "float | None" = None
     slo_by_class: dict[str, float] = {}
     slo_by_model_class: dict[str, float] = {}
@@ -917,7 +963,7 @@ def request_aggregates(
         if len(completions):
             classes = np.asarray(completions.priority_class)
             targets = np.asarray(slo_targets, dtype=np.float64)
-            met = latencies <= targets[np.minimum(classes, len(targets) - 1)]
+            met = latency_s <= targets[np.minimum(classes, len(targets) - 1)]
             # Python ints, so each share is a Python float (NumPy counts
             # would make it a numpy.float64, and comparisons numpy.bool).
             slo_attainment = int(np.count_nonzero(met)) / met.size
@@ -939,13 +985,15 @@ def request_aggregates(
         else:
             slo_attainment = 1.0
     return {
-        "latency_mean_s": mean(latencies),
+        "latency_mean_s": mean(np.asarray(completions.completion) - arrival),
         "latency_p50_s": float(_percentile_sorted(ordered_latencies, 50.0)),
         "latency_p99_s": float(_percentile_sorted(ordered_latencies, 99.0)),
-        "ttft_mean_s": mean(ttfts),
+        "ttft_mean_s": mean(np.asarray(completions.first_token) - arrival),
         "ttft_p50_s": float(_percentile_sorted(ordered_ttfts, 50.0)),
         "ttft_p99_s": float(_percentile_sorted(ordered_ttfts, 99.0)),
-        "tpot_mean_s": mean(tpots),
+        "tpot_mean_s": (
+            math.fsum(tpots.tolist()) / len(tpots) if len(tpots) else 0.0
+        ),
         "slo_attainment": slo_attainment,
         "slo_by_class": slo_by_class,
         "slo_by_model_class": slo_by_model_class,
@@ -1142,7 +1190,10 @@ class ServingMetrics:
         return "\n".join(lines)
 
 
-_ARRIVAL_KEY = attrgetter("arrival_s", "request_id")
+def _arrival_key(request: Request) -> tuple:
+    """A request's ``(arrival, id)`` order key, the arrival in picoseconds
+    (the order every queue and offer keeps)."""
+    return to_ps(request.arrival_s), request.request_id
 
 
 def _book_phase(
@@ -1176,8 +1227,8 @@ def _profile_phases(run: "_RunLifecycle") -> None:
 
     ``_admit`` books admit.  ``_step`` books prefill when it ran a prefill
     pass (``prefill_passes`` moved during the call) and decode otherwise.
-    The array engine's ``_macro_step`` and ``_decode_run`` book decode and
-    its ``_absorb_arrivals`` absorb.  ``_finalize`` books metrics.  Each
+    The array engine's ``_decode_run`` books decode and its
+    ``_absorb_arrivals`` absorb.  ``_finalize`` books metrics.  Each
     call books its self time, so the burst runner's steps, which run inside
     ``_absorb_arrivals``, count as prefill and decode only, and the phases
     sum to at most the run's wall time.  The loops themselves carry no
@@ -1188,9 +1239,8 @@ def _profile_phases(run: "_RunLifecycle") -> None:
     nested = [0.0]
     _book_phase(run, "_admit", phase_s, "admit", nested)
     _book_phase(run, "_step", phase_s, None, nested)
-    for name in ("_macro_step", "_decode_run"):
-        if hasattr(run, name):
-            _book_phase(run, name, phase_s, "decode", nested)
+    if hasattr(run, "_decode_run"):
+        _book_phase(run, "_decode_run", phase_s, "decode", nested)
     if hasattr(run, "_absorb_arrivals"):
         phase_s["absorb"] = 0.0
         _book_phase(run, "_absorb_arrivals", phase_s, "absorb", nested)
@@ -1205,7 +1255,9 @@ class _RunLifecycle:
     ``ArraySimulationRun`` (columnar rows) both derive from this class.
     It owns the clock and the counters, the event log, the lifecycle
     guards, failure and recovery bookkeeping, the swap-in admission loop
-    and the weight-swap pricing.
+    and the weight-swap pricing.  The clock, busy time and weight-swap
+    time are picoseconds, the three energy totals picojoules and FLOPs a
+    count, all Python ints.
 
     Each engine supplies its queues (``pending``, ``waiting``, ``active``,
     ``swapped``) and these state-bound hooks:
@@ -1235,10 +1287,11 @@ class _RunLifecycle:
         self.resident_model = sim.model.name
         self._provider = sim.provider
         self.model_swaps = 0
-        self.model_swap_s = 0.0
-        self.clock = 0.0
-        self.busy = 0.0
-        self.flops = 0.0
+        self.model_swap_ps = 0
+        self.clock = 0
+        self.busy = 0
+        self.energy_pj = 0
+        self.flops = 0
         self.prefill_passes = 0
         self.decode_passes = 0
         self.decode_tokens = 0
@@ -1250,7 +1303,7 @@ class _RunLifecycle:
         self.swap_ins = 0
         self.swapped_pages_total = 0
         self.offered = 0
-        self.first_arrival: "float | None" = None
+        self.first_arrival: "int | None" = None
         self.finished = False
         #: Set by :meth:`fail` — a dead replica takes no work until recovery.
         self.dead = False
@@ -1276,7 +1329,7 @@ class _RunLifecycle:
         """Inject one request; offers must come in ``(arrival, id)`` order."""
         self._check_live("offer a request to")
         self.sim._check_servable(request)
-        if self.pending and _ARRIVAL_KEY(request) < self._arrival_key(
+        if self.pending and _arrival_key(request) < self._arrival_key(
             self.pending[-1]
         ):
             raise ValueError(
@@ -1285,7 +1338,7 @@ class _RunLifecycle:
         self.pending.append(self._entry(request))
         self.offered += 1
         if self.first_arrival is None:
-            self.first_arrival = request.arrival_s
+            self.first_arrival = to_ps(request.arrival_s)
 
     def offer_many(self, requests) -> None:
         """Offer a batch of requests in ``(arrival, id)`` order.
@@ -1306,9 +1359,10 @@ class _RunLifecycle:
             + len(self.swapped)
         )
 
-    def _check_advance(self, until: "float | None") -> None:
+    def _check_advance(self, until: "float | None") -> "int | None":
         """The :meth:`advance_until` guards: the run is not finished and
-        the target is a number that does not move backwards.
+        the target is a number that does not move backwards.  Returns the
+        target in picoseconds (``None`` for no target).
 
         Simulated time only advances, so a caller handing a smaller
         ``until`` than its previous one holds a stale clock and gets a
@@ -1326,6 +1380,8 @@ class _RunLifecycle:
                     f"before the previous target {self._last_until:.6f}s"
                 )
             self._last_until = until
+            return to_ps(until)
+        return None
 
     def finish(self) -> ServingMetrics:
         """Drain all remaining work and return the run's metrics."""
@@ -1334,18 +1390,18 @@ class _RunLifecycle:
         self.advance_until(None)
         self.finished = True
         makespan = (
-            self.clock - self.first_arrival if self.first_arrival is not None else 0.0
+            self.clock - self.first_arrival if self.first_arrival is not None else 0
         )
         return self._finalize(makespan)
 
-    def _finalize(self, makespan: float) -> ServingMetrics:
+    def _finalize(self, makespan: int) -> ServingMetrics:
         return self.sim._finalize(self, makespan)
 
     # ------------------------------------------------------------------
     def _emit(
         self,
         kind: str,
-        latency: float = 0.0,
+        latency: int = 0,
         request_id: "int | None" = None,
         tokens: int = 0,
         decode_ids: tuple = (),
@@ -1356,8 +1412,8 @@ class _RunLifecycle:
             self.events.append(
                 SimEvent(
                     kind=kind,
-                    clock_s=self.clock,
-                    latency_s=latency,
+                    clock=self.clock,
+                    latency=latency,
                     request_id=request_id,
                     tokens=tokens,
                     decode_ids=decode_ids,
@@ -1403,13 +1459,13 @@ class _RunLifecycle:
         """Stream ``target``'s weights in over the host link (weight swap)."""
         sim = self.sim
         moved = sim._weight_bytes[target]
-        latency = sim._link_seconds(moved)
+        latency = sim._link_ps(moved)
         self.clock += latency
         self.busy += latency
         self.resident_model = target
         self._provider = sim.providers[target]
         self.model_swaps += 1
-        self.model_swap_s += latency
+        self.model_swap_ps += latency
         self._emit("model_swap", latency=latency, tokens=moved, model=target)
 
     def _check_livelock(self) -> None:
@@ -1437,7 +1493,7 @@ class _RunLifecycle:
     # Failure injection and failover (driven by the cluster layer)
     # ------------------------------------------------------------------
     def fail(self, now: float) -> "tuple[list[Request], int]":
-        """Kill this replica at instant ``now``.
+        """Kill this replica at instant ``now`` (seconds).
 
         Every KV page is dropped (the cache dies with the device) and every
         request routed here but not yet completed is returned — in
@@ -1456,23 +1512,22 @@ class _RunLifecycle:
             sorted(map(self._flight_id, (*self.active, *self.swapped)))
         )
         lost = self._clear_queues()
-        lost.sort(key=_ARRIVAL_KEY)
+        lost.sort(key=_arrival_key)
         pages = self.kv.release_all()
-        if now > self.clock:
-            self.clock = now
+        self.clock = max(self.clock, to_ps(now))
         self.dead = True
         self._emit("fail", tokens=pages, decode_ids=dropped_ids)
         return lost, pages
 
     def recover(self, now: float) -> None:
-        """Bring a failed replica back (empty: its KV cache did not survive)."""
+        """Bring a failed replica back at instant ``now`` (seconds), empty:
+        its KV cache did not survive."""
         if self.finished:
             raise ValueError("cannot recover a finished run")
         if not self.dead:
             raise ValueError("cannot recover a replica that is not dead")
         self.dead = False
-        if now > self.clock:
-            self.clock = now
+        self.clock = max(self.clock, to_ps(now))
         self._emit("recover")
 
     def resubmit(self, request: Request) -> None:
@@ -1487,17 +1542,19 @@ class _RunLifecycle:
         self._check_live("resubmit a request to")
         self._requeue(self._entry(request))
         self.offered += 1
-        if self.first_arrival is None or request.arrival_s < self.first_arrival:
-            self.first_arrival = request.arrival_s
+        arrival = to_ps(request.arrival_s)
+        if self.first_arrival is None or arrival < self.first_arrival:
+            self.first_arrival = arrival
 
     def catch_up(self, now: float) -> None:
-        """Jump an idle replica's clock forward to ``now``.
+        """Jump an idle replica's clock forward to ``now`` (seconds).
 
         Failover resubmits bypass the pending queue (and with it the idle
         jump in ``advance_until``), so the cluster calls this first —
         otherwise an idle survivor would start recomputing a victim's work
         *before* the failure instant.
         """
+        now = to_ps(now)
         if (
             now > self.clock
             and not self.active
@@ -1534,7 +1591,7 @@ class SimulationRun(_RunLifecycle):
     """
 
     _flight_id = staticmethod(attrgetter("request.request_id"))
-    _arrival_key = staticmethod(_ARRIVAL_KEY)
+    _arrival_key = staticmethod(_arrival_key)
 
     def __init__(
         self,
@@ -1549,7 +1606,6 @@ class SimulationRun(_RunLifecycle):
         #: Swapped-out requests, oldest first; their private KV pages live
         #: in host DRAM and their progress is preserved until swap-in.
         self.swapped: list[_InFlight] = []
-        self.energy = EnergyBreakdown.zero()
 
     def _entry(self, request: Request) -> Request:
         return request
@@ -1584,15 +1640,16 @@ class SimulationRun(_RunLifecycle):
         ``<= until``, so the run never invents knowledge of the future.
         Targets must not move backwards (see :meth:`_check_advance`).
         """
-        self._check_advance(until)
+        until = self._check_advance(until)
+        pending = self.pending
         while True:
-            while self.pending and self.pending[0].arrival_s <= self.clock:
-                self.waiting.append(self.pending.popleft())
+            while pending and to_ps(pending[0].arrival_s) <= self.clock:
+                self.waiting.append(pending.popleft())
             if not self.waiting and not self.active and not self.swapped:
-                if self.pending and (
-                    until is None or self.pending[0].arrival_s <= until
+                if pending and (
+                    until is None or to_ps(pending[0].arrival_s) <= until
                 ):
-                    self.clock = self.pending[0].arrival_s
+                    self.clock = to_ps(pending[0].arrival_s)
                     self._emit("idle")
                     continue
                 return
@@ -1612,7 +1669,7 @@ class SimulationRun(_RunLifecycle):
         flight = self.swapped.pop(0)
         request_id = flight.request.request_id
         pages = self.kv.swap_in(request_id)
-        latency = self.sim._link_seconds(pages * self.kv.page_bytes)
+        latency = self.sim._link_ps(pages * self.kv.page_bytes)
         self.clock += latency
         self.busy += latency
         self.active.append(flight)
@@ -1686,7 +1743,7 @@ class SimulationRun(_RunLifecycle):
 
     def _base_cost(self) -> tuple:
         """The resident model's decode floor, for :func:`fused_pass`."""
-        return cost_tuple(self._provider.base())
+        return floor_ticks(self._provider.base())
 
     def _step(self) -> None:
         """One device iteration: a prefill chunk and/or a fused decode batch."""
@@ -1714,7 +1771,7 @@ class SimulationRun(_RunLifecycle):
                 if sim.chunk_tokens == 0
                 else min(sim.chunk_tokens, remaining)
             )
-            carrier = cost_tuple(provider.prefill_chunk(flight.prefilled, chunk))
+            carrier = provider.prefill_chunk(flight.prefilled, chunk)
             # A chunked iteration piggybacks one decode token per batch
             # member on the chunk's weight streaming (Sarathi-style);
             # monolithic prefills keep the pass pure.
@@ -1736,12 +1793,12 @@ class SimulationRun(_RunLifecycle):
         costs = [
             cost_tuple(provider.decode(f.next_kv_length, bounds)) for f in batch
         ]
-        latency, mem_j, pim_j, npu_j, pass_flops = fused_pass(
+        latency, mem, pim, npu, pass_flops = fused_pass(
             carrier, costs, sim.batch_share, self._base_cost
         )
         self.clock += latency
         self.busy += latency
-        self.energy = self.energy + EnergyBreakdown(mem_j, pim_j, npu_j)
+        self.energy_pj += mem + pim + npu
         self.flops += pass_flops
         if carrier is not None:
             self.prefill_passes += 1
@@ -1762,7 +1819,7 @@ class SimulationRun(_RunLifecycle):
             flight.prefilled += chunk
             if flight.prefill_done:
                 flight.generated = 1
-                flight.first_token_s = self.clock
+                flight.first_token = self.clock
                 if flight.done:
                     finished.append(flight)
         for f in batch:
@@ -1775,8 +1832,8 @@ class SimulationRun(_RunLifecycle):
             self.kv.release(request.request_id)
             self.completions.append(
                 request.request_id,
-                request.arrival_s,
-                f.first_token_s,
+                to_ps(request.arrival_s),
+                f.first_token,
                 self.clock,
                 request.input_tokens,
                 request.output_tokens,
@@ -1873,7 +1930,7 @@ class SimulationRun(_RunLifecycle):
         request = victim.request
         pages = self.kv.swap_out(request.request_id)
         self.active.remove(victim)
-        latency = self.sim._link_seconds(pages * self.kv.page_bytes)
+        latency = self.sim._link_ps(pages * self.kv.page_bytes)
         self.clock += latency
         self.busy += latency
         self.swapped.append(victim)
@@ -2140,10 +2197,10 @@ class ServingSimulator:
                 "must be summarization-only (output_tokens == 1)"
             )
 
-    def _link_seconds(self, nbytes: int) -> float:
-        """Transfer time of ``nbytes`` over the host link (KV page swaps
-        and model weight swaps alike)."""
-        return nbytes * 8.0 / (self.link_gbps * 1e9)
+    def _link_ps(self, nbytes: int) -> int:
+        """Transfer time of ``nbytes`` over the host link, in picoseconds
+        (KV page swaps and model weight swaps alike)."""
+        return to_ps(nbytes * 8.0 / (self.link_gbps * 1e9))
 
     def _config_for(self, request: Request) -> ModelConfig:
         """The :class:`ModelConfig` a request targets ("" = the default)."""
@@ -2190,7 +2247,7 @@ class ServingSimulator:
         self, requests: Sequence[Request], record_events: bool = False
     ) -> ServingMetrics:
         """Play a trace to completion and return its metrics."""
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+        ordered = sorted(requests, key=_arrival_key)
         run = self.begin(
             record_events=record_events, kv_bounds=decode_kv_bounds(ordered)
         )
@@ -2261,27 +2318,28 @@ class ServingSimulator:
         )
 
     # ------------------------------------------------------------------
-    def _finalize(self, run, makespan: float) -> ServingMetrics:
+    def _finalize(self, run, makespan: int) -> ServingMetrics:
         """The run's metrics: the request-level fields of its completion
         record plus its counters, and — with ``per_request_detail`` — the
-        record's rows."""
+        record's rows.  Ticks become seconds and joules here."""
         completions = run.completions
         num_requests = len(completions)
         output_tokens = sum(completions.output_tokens)
         busy = run.busy
         decode_passes = run.decode_passes
         kv = run.kv
+        makespan_s = to_s(makespan)
         return ServingMetrics(
             backend=self.cost_model.name,
             model=self.model.name,
             policy=self.policy.name,
-            makespan_s=makespan,
-            busy_s=busy,
+            makespan_s=makespan_s,
+            busy_s=to_s(busy),
             utilization=busy / makespan if makespan > 0 else 0.0,
-            tokens_per_s=output_tokens / makespan if makespan > 0 else 0.0,
-            requests_per_s=num_requests / makespan if makespan > 0 else 0.0,
-            energy_j=run.energy.total_j,
-            flops=run.flops,
+            tokens_per_s=output_tokens / makespan_s if makespan > 0 else 0.0,
+            requests_per_s=num_requests / makespan_s if makespan > 0 else 0.0,
+            energy_j=to_j(run.energy_pj),
+            flops=float(run.flops),
             prefill_passes=run.prefill_passes,
             decode_passes=decode_passes,
             mean_decode_batch=(
@@ -2307,7 +2365,7 @@ class ServingSimulator:
                 else ()
             ),
             model_swaps=run.model_swaps,
-            model_swap_s=run.model_swap_s,
+            model_swap_s=to_s(run.model_swap_ps),
             num_requests=num_requests,
             output_tokens=output_tokens,
             per_request=(

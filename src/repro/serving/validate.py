@@ -25,7 +25,8 @@ work conservation
     an ``idle`` clock jump is only legal when nothing is in flight, and
     every ``step`` (and every iteration of a decode run) must start
     exactly where the previous one left the clock whenever work was in
-    flight.
+    flight.  Clocks and latencies are integer picoseconds, so "exactly"
+    is ``==``.
 token conservation (across preemption)
     Per in-flight *episode* (admit → complete/preempt), prefill chunk
     tokens never exceed the prompt and decodes never start before the
@@ -71,34 +72,22 @@ The array engine records a stable all-decode stretch as one
 events it stands for, byte for byte.  The replay checks a run in closed
 form, O(batch) per run plus one pass over its latencies: the same batch,
 counts and reservation hold at every iteration, so each check runs once,
-and the decode counts and the ledger advance by the run's length.  Its
+and the decode counts and the ledger advance by the run's length.  With
+integer clocks an iteration that starts where the previous one ended
+stays there, so only the run's last iteration can show a gap, and its
 verdict is the one its steps would get (a log has violations exactly
 when its expansion has).
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from itertools import islice
-from operator import add
 from typing import Iterator, Sequence
 
-from repro.serving.request import Request
+from repro.serving.request import Request, to_s
 
 __all__ = ["SimEvent", "check_invariants", "check_cluster_invariants", "expand_runs"]
-
-#: Relative slack for floating-point clock comparisons.
-_CLOCK_EPS = 1e-9
-
-#: Longest iteration, in seconds, whose start the closed-form replay takes
-#: on trust.  Below it, ``(clock + latency) - latency`` rounds to within
-#: ``_CLOCK_EPS`` of ``clock``, so no step inside a run can show a gap; a
-#: run with a longer, non-positive or non-finite latency is replayed step
-#: by step instead.
-_RUN_LATENCY_BOUND_S = 1e6
 
 
 @dataclass(frozen=True)
@@ -109,7 +98,7 @@ class SimEvent:
     -----
     ``idle``
         The device had nothing admitted and jumped the clock to the next
-        arrival.  ``latency_s`` is 0; legal only with nothing in flight.
+        arrival.  ``latency`` is 0; legal only with nothing in flight.
     ``admit``
         A request was admitted: its KV pages were committed (``tokens`` is
         the page count — the worst-case ``input + output`` pages under
@@ -119,14 +108,14 @@ class SimEvent:
         One device iteration: a prefill chunk of ``request_id``
         (``tokens`` chunk tokens; ``request_id`` is ``None`` for a pure
         decode iteration) fused with one decode token for each request in
-        ``decode_ids``.  ``latency_s`` is the iteration's device time.
+        ``decode_ids``.  ``latency`` is the iteration's device time.
     ``decode_run``
         Consecutive pure-decode iterations of one batch: each decoded one
         token for every request in ``decode_ids``.  ``latencies`` holds
         the iterations' device times, in order (its length is the
-        iteration count); ``clock_s`` is the clock after the last one,
+        iteration count); ``clock`` is the clock after the last one,
         and ``active`` and ``kv_reserved_pages`` held after every one of
-        them.  ``latency_s`` is 0 and ``request_id`` is ``None``.  Stands
+        them.  ``latency`` is 0 and ``request_id`` is ``None``.  Stands
         for the ``step`` events :func:`expand_runs` rebuilds.
     ``preempt``
         ``request_id`` was evicted to free KV pages (``tokens`` is the
@@ -134,13 +123,13 @@ class SimEvent:
         Instantaneous; emitted only under optimistic admission.
     ``swap_out``
         ``request_id``'s private KV pages (``tokens``) were moved to host
-        DRAM over the modeled link; ``latency_s`` is the transfer time
+        DRAM over the modeled link; ``latency`` is the transfer time
         (it advances the clock).  The request keeps its progress and its
         shared-prefix reference; it must not prefill, decode or complete
         until its ``swap_in``.
     ``swap_in``
         ``request_id``'s private pages (``tokens``) were restored to the
-        pool; ``latency_s`` is the transfer time.  The request resumes
+        pool; ``latency`` is the transfer time.  The request resumes
         exactly where it was swapped out — nothing is recomputed.
     ``complete``
         ``request_id`` finished and released its KV pages.  Instantaneous.
@@ -154,7 +143,7 @@ class SimEvent:
     ``model_swap``
         The replica swapped its *active model*: the weights of ``model``
         were streamed in over the host link (``tokens`` is the byte count
-        moved, ``latency_s`` the transfer time — it advances the clock).
+        moved, ``latency`` the transfer time — it advances the clock).
         Only emitted by multi-model replicas; until the next
         ``model_swap`` every prefill/decode must belong to ``model``.
     ``scale``
@@ -162,13 +151,14 @@ class SimEvent:
         spawned — must be its log's first event) or -1 (this replica was
         marked draining: it finishes its work but takes no new routes).
 
-    ``clock_s`` is the simulation time *after* the event; ``active`` is
-    the in-flight request count after it.
+    ``clock`` is the simulation time *after* the event; ``active`` is
+    the in-flight request count after it.  ``clock``, ``latency`` and
+    ``latencies`` are integer picoseconds.
     """
 
     kind: str
-    clock_s: float
-    latency_s: float = 0.0
+    clock: int
+    latency: int = 0
     request_id: "int | None" = None
     tokens: int = 0
     decode_ids: tuple[int, ...] = ()
@@ -180,11 +170,7 @@ class SimEvent:
     model: str = ""
     #: Per-iteration device times of a ``decode_run``; () on every other
     #: kind.
-    latencies: tuple[float, ...] = ()
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _CLOCK_EPS * max(1.0, abs(a), abs(b))
+    latencies: tuple[int, ...] = ()
 
 
 def _expandable(event: SimEvent) -> bool:
@@ -199,10 +185,10 @@ def _expandable(event: SimEvent) -> bool:
     )
 
 
-def _steps(run: SimEvent, clock: float) -> Iterator[SimEvent]:
+def _steps(run: SimEvent, clock: int) -> Iterator[SimEvent]:
     """The ``step`` events of a decode run that starts at ``clock``: each
     iteration's clock is the previous one plus its latency, as the engine
-    advances it, and the last one ends at the run's ``clock_s``."""
+    advances it, and the last one ends at the run's ``clock``."""
     *head, last = run.latencies
     shared = dict(
         decode_ids=run.decode_ids,
@@ -213,44 +199,26 @@ def _steps(run: SimEvent, clock: float) -> Iterator[SimEvent]:
     for latency in head:
         clock += latency
         yield SimEvent("step", clock, latency, **shared)
-    yield SimEvent("step", run.clock_s, last, **shared)
+    yield SimEvent("step", run.clock, last, **shared)
 
 
 def expand_runs(events: Sequence[SimEvent]) -> list[SimEvent]:
     """The per-iteration log that ``events`` stands for: every decode run
     replaced by its ``step`` events.
 
-    A run starts at the clock of the event before it (0.0 at the head of
-    a log, where a run's replay starts too).  On an engine's log this is
+    A run starts at the clock of the event before it (0 at the head of a
+    log, where a run's replay starts too).  On an engine's log this is
     byte for byte the log the same run records with its decode runs off.
     """
     expanded: list[SimEvent] = []
-    clock = 0.0
+    clock = 0
     for event in events:
         if _expandable(event):
             expanded.extend(_steps(event, clock))
         else:
             expanded.append(event)
-        clock = event.clock_s
+        clock = event.clock
     return expanded
-
-
-def _replayed(events: Sequence[SimEvent]) -> Iterator[tuple[int, SimEvent]]:
-    """``(index, event)`` over a log, with every decode run whose steps
-    the closed form cannot vouch for replaced by those steps (under the
-    run's index): one that starts at a non-finite clock or holds a latency
-    outside ``(0, _RUN_LATENCY_BOUND_S]``."""
-    clock = 0.0
-    for index, event in enumerate(events):
-        if _expandable(event) and not (
-            math.isfinite(clock)
-            and all(0.0 < latency <= _RUN_LATENCY_BOUND_S for latency in event.latencies)
-        ):
-            for step in _steps(event, clock):
-                yield index, step
-        else:
-            yield index, event
-        clock = event.clock_s
 
 
 def _pages_for(tokens: int, page_tokens: int) -> int:
@@ -421,7 +389,7 @@ def _replay(
     admit_count: "Counter[int]" = Counter()
     preempt_count: "Counter[int]" = Counter()
     fail_drops: "Counter[int]" = Counter()
-    prev_clock = 0.0
+    prev_clock = 0
     prev_active = 0
     dead = False
     scale_up_first = False
@@ -429,7 +397,7 @@ def _replay(
     def where() -> str:
         # The current event's label, formatted only when a violation
         # names it.
-        return f"event {index} ({event.kind} @ {event.clock_s:.6f}s)"
+        return f"event {index} ({event.kind} @ {to_s(event.clock):.6f}s)"
 
     def decode(decode_ids: "tuple[int, ...]") -> None:
         """One decode token for each of ``decode_ids``."""
@@ -471,22 +439,22 @@ def _replay(
 
     def took_no_time(noun: str) -> None:
         """The zero-duration rule: the event spent no device time."""
-        if not _close(event.clock_s, prev_clock):
+        if event.clock != prev_clock:
             violations.append(f"{where()}: {noun} consumed device time")
 
     def latency_sign(noun: str, strict: bool = False) -> None:
         """The latency-sign rule: a step takes positive device time
         (``strict``), a transfer a non-negative one."""
-        if (event.latency_s <= 0.0) if strict else (event.latency_s < 0.0):
+        if (event.latency <= 0) if strict else (event.latency < 0):
             sign = "non-positive" if strict else "negative"
             violations.append(f"{where()}: {noun} with {sign} latency")
 
-    def no_gap(start: float, before: float, in_flight: int) -> None:
+    def no_gap(start: int, before: int, in_flight: int) -> None:
         """The work-conservation gap rule: while requests are in flight,
         a pass starts where the previous one left the clock."""
-        if in_flight > 0 and not _close(start, before):
+        if in_flight > 0 and start != before:
             violations.append(
-                f"{where()}: idle gap of {start - before:.9f}s while "
+                f"{where()}: idle gap of {to_s(start - before):.9f}s while "
                 f"{in_flight} request(s) were in flight"
             )
 
@@ -498,9 +466,11 @@ def _replay(
                 f"{ledger.reserved}"
             )
 
-    for index, event in _replayed(events):
-        if event.clock_s < prev_clock - _CLOCK_EPS:
-            violations.append(f"{where()}: clock moved backwards from {prev_clock:.6f}s")
+    for index, event in enumerate(events):
+        if event.clock < prev_clock:
+            violations.append(
+                f"{where()}: clock moved backwards from {to_s(prev_clock):.6f}s"
+            )
         if event.kv_reserved_pages > event.kv_total_pages:
             violations.append(
                 f"{where()}: KV over-subscription — {event.kv_reserved_pages} "
@@ -545,7 +515,7 @@ def _replay(
             latency_sign("step", strict=True)
             if event.request_id is None and not event.decode_ids:
                 violations.append(f"{where()}: step scheduled no work")
-            no_gap(event.clock_s - event.latency_s, prev_clock, prev_active)
+            no_gap(event.clock - event.latency, prev_clock, prev_active)
             if event.request_id is not None:
                 if event.request_id not in in_flight:
                     violations.append(
@@ -583,12 +553,9 @@ def _replay(
                     + tuple(event.decode_ids)
                 )
         elif event.kind == "decode_run":
-            # A well-formed run gets here only when its latencies all lie
-            # in (0, bound] and it starts at a finite clock (_replayed
-            # expands the others), so no iteration's latency is flagged,
-            # no clock falls and no iteration but the last can start away
-            # from where the previous one ended: the checks below are
-            # those of its steps.
+            # The checks of its steps: each iteration takes positive time,
+            # so no clock falls and no iteration but the last can start
+            # away from where the previous one ended.
             latencies = event.latencies
             if not _expandable(event):
                 violations.append(
@@ -599,19 +566,20 @@ def _replay(
             else:
                 if not event.decode_ids:
                     violations.append(f"{where()}: decode run scheduled no work")
+                if min(latencies) <= 0:
+                    violations.append(f"{where()}: step with non-positive latency")
                 rest = len(latencies) - 1
-                # The clock before the last iteration, added up as the
-                # engine adds it.
-                before_last = reduce(add, islice(latencies, rest), prev_clock)
-                if event.clock_s < before_last - _CLOCK_EPS:
+                # The clock before the last iteration.
+                before_last = prev_clock + sum(latencies) - latencies[-1]
+                if event.clock < before_last:
                     violations.append(
                         f"{where()}: clock moved backwards within the run, "
-                        f"from {before_last:.6f}s"
+                        f"from {to_s(before_last):.6f}s"
                     )
                 # The last iteration follows the run's own first ones, if
                 # it has any.
                 no_gap(
-                    event.clock_s - latencies[-1],
+                    event.clock - latencies[-1],
                     before_last,
                     event.active if rest else prev_active,
                 )
@@ -654,7 +622,7 @@ def _replay(
                         )
         elif event.kind == "swap_out":
             latency_sign("swap-out")
-            no_gap(event.clock_s - event.latency_s, prev_clock, prev_active)
+            no_gap(event.clock - event.latency, prev_clock, prev_active)
             if event.request_id not in in_flight:
                 violations.append(
                     f"{where()}: swapped out request {event.request_id} that "
@@ -678,7 +646,7 @@ def _replay(
                         )
         elif event.kind == "swap_in":
             latency_sign("swap-in")
-            no_gap(event.clock_s - event.latency_s, prev_clock, prev_active)
+            no_gap(event.clock - event.latency, prev_clock, prev_active)
             if event.request_id not in swapped:
                 violations.append(
                     f"{where()}: swapped in request {event.request_id} that "
@@ -730,7 +698,7 @@ def _replay(
                     ledger.release(event.request_id)
         elif event.kind == "model_swap":
             latency_sign("model swap")
-            no_gap(event.clock_s - event.latency_s, prev_clock, prev_active)
+            no_gap(event.clock - event.latency, prev_clock, prev_active)
             if event.tokens <= 0:
                 violations.append(
                     f"{where()}: model swap streamed {event.tokens} weight byte(s)"
@@ -797,7 +765,7 @@ def _replay(
         # full ledger.
         if event.kind not in ("preempt", "swap_out"):
             check_ledger()
-        prev_clock = event.clock_s
+        prev_clock = event.clock
         prev_active = event.active
 
     stats = {

@@ -52,6 +52,7 @@ from repro.serving import (
 )
 from repro.serving.autoscale import WEIGHT_LINK_BYTES_PER_S
 from repro.serving.cluster import ReplicaSnapshot, _OpsState
+from repro.serving.request import to_ps, to_s
 from repro.serving.simulator import mean_service_time_s
 
 from test_serving_invariants import MODEL, LinearCostModel
@@ -483,9 +484,7 @@ class TestInertOpsDifferential:
         assert cluster.events[0] == single.events
         assert cluster_metrics.failure_schedule == "none"
         assert cluster_metrics.autoscaler == "fixed"
-        assert cluster_metrics.replica_seconds == pytest.approx(
-            cluster_metrics.makespan_s
-        )
+        assert cluster_metrics.replica_seconds == cluster_metrics.makespan_s
         assert cluster.validate_invariants() == []
 
 
@@ -518,7 +517,9 @@ class TestFailover:
         trace, _, _, metrics = self._chaos_pair()
         by_id = {r.request_id: r for r in trace}
         for request in metrics.per_request:
-            assert request.arrival_s == by_id[request.request_id].arrival_s
+            # The original arrival, on the picosecond grid every run keeps.
+            original = by_id[request.request_id].arrival_s
+            assert request.arrival_s == to_s(to_ps(original))
             assert request.latency_s > 0
 
     def test_routed_requests_count_every_route(self):
@@ -668,16 +669,16 @@ def _scanned_attainment(ops, now: float, window_s: float) -> "float | None":
     oracle that ``_OpsState._window_attainment``'s cursors must match."""
     targets = ops.cluster.simulator.slo_targets
     last = len(targets) - 1
-    start = now - window_s
+    start, now = to_ps(now - window_s), to_ps(now)
     met = total = 0
     for run in ops.runs:
         record = run.completions
         for arrival, completion, cls in zip(
-            record.arrival_s, record.completion_s, record.priority_class
+            record.arrival, record.completion, record.priority_class
         ):
             if start <= completion <= now:
                 total += 1
-                if completion - arrival <= targets[min(cls, last)]:
+                if to_s(completion - arrival) <= targets[min(cls, last)]:
                     met += 1
     return None if total == 0 else met / total
 

@@ -1,16 +1,24 @@
 """Exact decode runs of the array engine.
 
-``ArraySimulationRun._decode_run`` advances a stable all-decode batch to
-its next behavior boundary in one call, pricing every iteration with
-``fused_pass``'s own float operations and advancing every running total
-by sequential adds (``_price_run``: numpy and one ``cumsum`` for a batch
-of two or more).  It must therefore change no number at all:
+``ArraySimulationRun._decode_run``, the one all-decode stepper, advances
+a stable all-decode batch to its next behavior boundary in one call.
+Simulated time and energy are integers (picoseconds, picojoules), so it
+may price a run from the table's prefix sums where no fused-pass floor
+binds (stopping where ``_bulk_stop`` finds) and per iteration otherwise
+(``_price_run``: numpy int64 and one ``cumsum``), and must change no
+number at all:
 
-* on synthetic tables (binding floors, members sharing an offset,
-  all-zero columns, magnitudes from 1e-12 to 1e3, one to 16 members,
-  thresholds before, inside and past the run) ``_price_run`` returns, with
-  ``==``, the steps, totals and latencies of calling ``fused_pass`` once
-  per iteration, all as Python floats;
+* on synthetic integer tables (binding floors, members sharing an offset,
+  all-zero columns, magnitudes from 1 to 1e12, one to 16 members,
+  thresholds before, inside and past the run) ``_price_run`` (two or
+  more members) returns, with ``==``, the steps, totals and latencies of
+  calling ``fused_pass`` once per iteration, all as Python ints; where no
+  floor binds, ``_bulk_stop`` stops where the steps do and the prefix
+  sums less the floors give the same totals;
+* totals a numpy path would compute past int64 raise ``OverflowError``
+  instead of wrapping: a decode table's prefix sums, a decode run's
+  totals and an absorbed window's completions, under a cost model with
+  huge prices;
 * over generated configurations (policy, admission, preemption, swap,
   prefix sharing, chunked prefill, co-hosted models, KV budget, one-shot,
   streamed and clustered runs) every metric and per-request row equals,
@@ -60,8 +68,13 @@ from repro.serving import (
     make_policy,
     mean_service_time_s,
 )
-from repro.serving.array_engine import ArraySimulationRun, _price_run
-from repro.serving.simulator import fused_pass
+from repro.core.costmodel import PassCost
+from repro.energy.model import EnergyBreakdown
+from repro.models.workload import Stage
+from repro.serving.array_engine import ArraySimulationRun, _bulk_stop, _price_run
+from repro.serving.decode_table import build_decode_table
+from repro.serving.request import Request
+from repro.serving.simulator import PassCostProvider, fused_pass, shared_floor
 from repro.serving.validate import expand_runs
 
 COST_MODEL = make_cost_model("ianus")
@@ -238,44 +251,66 @@ def test_detail_only_chooses_the_returned_rows(config):
 # One run's price equals fused_pass, iteration by iteration
 # ----------------------------------------------------------------------
 #: Column and total magnitudes: an all-zero column, or values up to one
-#: of these scales.
-MAGNITUDES = (0.0, 1e-12, 1e-6, 1e-3, 1.0, 1e3)
+#: of these scales (in picoseconds, picojoules or FLOPs).
+MAGNITUDES = (0, 1, 10**3, 10**6, 10**9, 10**12)
+
+#: The five cost columns' names, in ``cost_tuple`` order.
+COLUMNS = ("latency", "energy_memory", "energy_pim", "energy_npu", "flops")
+
+
+def _synthetic_table(rows: "list[tuple]", base: tuple) -> SimpleNamespace:
+    """What the pricers read of a decode table, built from integer rows as
+    ``build_decode_table`` builds it."""
+    columns = list(zip(*rows))
+    matrix = np.array(rows, dtype=np.int64)
+    matrix.setflags(write=False)
+    prefixes = [tuple(accumulate(column, initial=0)) for column in columns]
+    return SimpleNamespace(
+        columns=matrix,
+        **dict(zip(COLUMNS, columns)),
+        prefix_latency=prefixes[0],
+        prefix_energy=tuple(map(sum, zip(*prefixes[1:4]))),
+        prefix_flops=prefixes[4],
+        base=base,
+        latency_max=max(columns[0]),
+        floor_free=min(columns[0]) > 0
+        and all(
+            min(column) >= round(floor) for column, floor in zip(columns, base[:4])
+        ),
+    )
 
 
 @st.composite
 def priced_runs(draw) -> dict:
     """A synthetic decode table and one run over it.  A column is all
-    zeros or spans one magnitude; the floor is zero, inside the values or
-    above them all (where it binds on every multi-member iteration);
-    members may share an offset; the threshold is absent, a fraction of
-    the run's span (before its start up to past its end) or one of its
-    exact clocks."""
+    zeros or spans one magnitude; the floor is zero, at most every value,
+    inside the values or above them all (where it binds on every
+    multi-member iteration); members may share an offset; the threshold
+    is absent, a fraction of the run's span (before its start up to past
+    its end) or one of its exact clocks."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     size = draw(st.integers(min_value=1, max_value=16))
     steps = draw(st.integers(min_value=1, max_value=48))
-    rows = steps + draw(st.integers(min_value=0, max_value=24))
+    count = steps + draw(st.integers(min_value=0, max_value=24))
     scales = [draw(st.sampled_from(MAGNITUDES)) for _ in range(5)]
-    columns = np.array(
-        [[scale * rng.random() for scale in scales] for _ in range(rows)]
-    )
-    columns.setflags(write=False)
-    floor = draw(st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+    rows = [tuple(rng.randrange(scale + 1) for scale in scales) for _ in range(count)]
+    floor = draw(st.sampled_from((0.0, "min", 0.5, 1.0, 2.0)))
+    if floor == "min":
+        # The columns' minima, or a backend's unrounded price just below
+        # or just above them (where shared_floor's cap keeps it free).
+        nudge = draw(st.sampled_from((0, -0.4, 0.3)))
+        base = tuple(max(low + nudge, 0) for low in map(min, zip(*rows)))
+    else:
+        base = tuple(round(floor * scale) for scale in scales)
     distinct = draw(st.integers(min_value=1, max_value=size))
-    pool = [rng.randrange(rows - steps + 1) for _ in range(distinct)]
+    pool = [rng.randrange(count - steps + 1) for _ in range(distinct)]
     return {
-        "table": SimpleNamespace(
-            columns=columns,
-            **dict(zip(
-                ("latency", "energy_memory", "energy_pim", "energy_npu", "flops"),
-                map(tuple, columns.T.tolist()),
-            )),
-            base=tuple(floor * scale for scale in scales),
-        ),
+        "table": _synthetic_table(rows, base),
         "offsets": [rng.choice(pool) for _ in range(size)],
         "steps": steps,
         "share": draw(st.sampled_from((1.0, 0.6, 0.0))),
         "totals": tuple(
-            draw(st.sampled_from(MAGNITUDES)) * rng.random() for _ in range(6)
+            rng.randrange(draw(st.sampled_from(MAGNITUDES)) + 1) for _ in range(4)
         ),
         "threshold": draw(st.one_of(
             st.none(),
@@ -287,13 +322,14 @@ def priced_runs(draw) -> dict:
 
 def _priced_by_steps(table, offsets, steps, share, totals, threshold):
     """The run iteration by iteration: one ``fused_pass`` over the
-    members' cost tuples, each component added into its total, stopping
-    after the first iteration whose clock reaches ``threshold``."""
+    members' cost tuples, added into the clock, busy time, energy and
+    FLOPs, stopping after the first iteration whose clock reaches
+    ``threshold``."""
     costs = list(zip(
         table.latency, table.energy_memory, table.energy_pim,
         table.energy_npu, table.flops,
     ))
-    clock, busy, e_mem, e_pim, e_npu, flops = totals
+    clock, busy, energy, flops = totals
     latencies = []
     for j in range(steps):
         cost = fused_pass(
@@ -302,14 +338,12 @@ def _priced_by_steps(table, offsets, steps, share, totals, threshold):
         )
         clock += cost[0]
         busy += cost[0]
-        e_mem += cost[1]
-        e_pim += cost[2]
-        e_npu += cost[3]
+        energy += cost[1] + cost[2] + cost[3]
         flops += cost[4]
         latencies.append(cost[0])
         if threshold is not None and clock >= threshold:
             break
-    return len(latencies), [clock, busy, e_mem, e_pim, e_npu, flops], latencies
+    return len(latencies), [clock, busy, energy, flops], latencies
 
 
 @given(run=priced_runs())
@@ -325,13 +359,92 @@ def test_a_run_is_priced_as_its_steps(run):
         if isinstance(threshold, int):
             threshold = clocks[threshold + 1]
         else:
-            threshold = totals[0] + threshold * (clocks[-1] - totals[0])
+            threshold = totals[0] + round(threshold * (clocks[-1] - totals[0]))
     expected = _priced_by_steps(table, offsets, steps, share, totals, threshold)
-    priced = _price_run(
-        table, offsets, steps, share * (len(offsets) - 1), totals, threshold
-    )
-    assert (priced[0], list(priced[1]), list(priced[2])) == expected
-    assert all(type(value) is float for value in (*priced[1], *priced[2]))
+    floor = shared_floor(share * (len(offsets) - 1), table.base)
+    if len(offsets) > 1:
+        priced = _price_run(table, offsets, steps, floor, totals, threshold)
+        assert (priced[0], priced[1], priced[2]) == expected
+        assert all(type(value) is int for value in (*priced[1], *priced[2]))
+    if len(offsets) == 1 or table.floor_free:
+        # Where no floor binds, a run costs its members' prefix-sum
+        # differences less one floor per iteration.
+        ran = steps
+        if threshold is not None:
+            ran = _bulk_stop(table, offsets, steps, floor[0], threshold - totals[0])
+        assert ran == expected[0]
+        spent = [
+            sum(prefix[offset + ran] - prefix[offset] for offset in offsets)
+            - ran * floor_part
+            for prefix, floor_part in zip(
+                (table.prefix_latency, table.prefix_energy, table.prefix_flops),
+                (floor[0], floor[1] + floor[2] + floor[3], 0),
+            )
+        ]
+        assert [
+            total + cost for total, cost in zip(totals, (spent[0], *spent))
+        ] == expected[1]
+
+
+def test_a_floor_rounds_once_but_never_past_the_rounded_bases():
+    # Two riders at 10.6 ticks: 21.2 rounds to 21, under the 22 of two
+    # rounded bases.  At 10.4 ticks 20.8 would round to 21, past the 20
+    # the riders pay, and bind on a column that stays at its base.
+    assert shared_floor(2.0, (10.6, 10.4, 0.0, 7.0)) == (21, 20, 0, 14)
+    assert shared_floor(1.5, (10.6, 10.4, 0.0, 7.0)) == (16, 15, 0, 10)
+
+
+class HugePrices:
+    """A backend whose every pass takes 10^6 s (10^18 ps) and as many
+    joules, so a few passes add up past int64."""
+
+    name = "huge-prices"
+
+    def pass_cost(self, model, stage_pass) -> PassCost:
+        seconds = 1e6 * (1 + stage_pass.kv_length / 1e3)
+        if stage_pass.stage is Stage.SUMMARIZATION:
+            seconds = 1e6
+        return PassCost(
+            latency_s=seconds,
+            breakdown={"huge": seconds},
+            energy=EnergyBreakdown(seconds / 3, seconds / 3, seconds / 3),
+            flops=1e6,
+        )
+
+    def cache_stats(self) -> dict:
+        return {}
+
+
+class TestInt64Bounds:
+    """Numpy's int64 wraps silently; every numpy path raises instead."""
+
+    def test_table_prefix_sums_past_int64_raise(self):
+        provider = PassCostProvider(HugePrices(), MODEL)
+        # Each entry fits (about 1e18 ps); sixteen of them do not.
+        with pytest.raises(OverflowError, match="decode table prefix sums"):
+            build_decode_table(provider, 10, 25)
+
+    def test_decode_run_totals_past_int64_raise(self):
+        table = build_decode_table(PassCostProvider(HugePrices(), MODEL), 10, 14)
+        floor = shared_floor(0.0, table.base)
+        totals = (0,) * 4
+        assert _price_run(table, [0, 1], 2, floor, totals, None)[0] == 2
+        # From a clock of 5e18 ps, two members' four iterations (8e18 ps)
+        # would pass int64.
+        late = (5 * 10**18,) + totals[1:]
+        with pytest.raises(OverflowError, match="decode run's totals"):
+            _price_run(table, [0, 1], 4, floor, late, None)
+
+    @pytest.mark.parametrize("policy", ["interleaved", "fcfs"])
+    def test_absorbed_window_past_int64_raises(self, policy):
+        # One prefill of 1e6 s from an arrival at 9e6 s ends past the
+        # 9.2e18 ps of int64 (about 106 days), in the isolated-stretch
+        # branch and in FCFS's Lindley closed form alike.
+        simulator = ServingSimulator(
+            HugePrices(), MODEL, engine="array", policy=policy
+        )
+        with pytest.raises(OverflowError, match="absorbed window"):
+            simulator.simulate([Request(0, 9.0e6, 16, 1)])
 
 
 def test_decode_runs_carry_the_overloaded_shared_prefix_regime():
@@ -482,13 +595,13 @@ def _forge(rng, logs, states_by_log, by_id, default_model):
     if kind == "latency":
         latencies = list(run.latencies)
         latencies[rng.randrange(len(latencies))] = rng.choice(
-            (0.0, -1e-9, -latencies[0])
+            (0, -1, -latencies[0])
         )
         forged = dataclasses.replace(run, latencies=tuple(latencies))
     elif kind == "clock":
-        shift = rng.choice((1e-15, 1e-6, 0.3, 1.0)) * run.latencies[-1]
+        shift = max(1, round(rng.choice((1e-9, 1e-6, 0.3, 1.0)) * run.latencies[-1]))
         forged = dataclasses.replace(
-            run, clock_s=run.clock_s + rng.choice((shift, -shift))
+            run, clock=run.clock + rng.choice((shift, -shift))
         )
     elif kind in ("add", "unadmitted", "swapped", "prefilling", "other-model"):
         if kind == "add":
@@ -535,7 +648,7 @@ def _forge(rng, logs, states_by_log, by_id, default_model):
             return None
         forged = dataclasses.replace(
             rng.choice((run, log[after])),
-            clock_s=log[after].clock_s,
+            clock=log[after].clock,
             latencies=run.latencies + log[after].latencies,
         )
         del log[after]

@@ -290,7 +290,7 @@ class TestDecodeTableSection:
         set_global_decode_table_cache(written)
         cold, built = served()
         assert written.flush() == 1
-        assert CACHE_SCHEMA_VERSION == 3
+        assert CACHE_SCHEMA_VERSION == 4
         assert pickle.loads(disk.path.read_bytes())["schema"] == CACHE_SCHEMA_VERSION
 
         # A fresh cache on the same file, as in the next process; the run

@@ -1,9 +1,10 @@
 """Tests for the megatrace serving core (PR 7).
 
 Pins the vectorized array engine to the reference object engine
-(bit-identical event logs and per-request metrics on the per-iteration
-path; pooled metrics to 1e-9 where macro-stepping reorders float
-accumulation), the streaming trace iterator to ``generate()``
+(bit-identical event logs, per-request and pooled metrics on every path:
+simulated time and energy are integers, so the prefix-sum decode runs and
+the arrival absorber add up to what stepping does), the streaming trace
+iterator to ``generate()``
 (byte-identical arrivals for every curve, seed and chunk size), the
 dense decode-cost table to ``PassCostProvider.decode`` (bit for bit),
 and the CLI/cluster/experiment surfaces of the ``engine`` knob.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -35,7 +37,7 @@ from repro.serving import decode_table
 from repro.serving import simulator as simulator_module
 from repro.serving.decode_table import table_matches_provider
 from repro.serving.request import CompletionRecord
-from repro.serving.simulator import _percentile_sorted, request_aggregates
+from repro.serving.simulator import _percentile_sorted, cost_tuple, request_aggregates
 from repro.serving.trace import TRACE_CURVES
 from repro.serving.validate import check_invariants, expand_runs
 
@@ -62,19 +64,12 @@ def _simulate(engine, trace, record_events, detail=True, **kwargs):
     return metrics, simulator.events
 
 
-def _assert_pooled_close(reference, candidate, tol=1e-9):
+def _assert_pooled_close(reference, candidate):
+    """Every pooled field equal, with ``==``, whichever path ran."""
     for field in POOLED_FIELDS:
         expected = getattr(reference, field)
         actual = getattr(candidate, field)
-        if expected is None or actual is None:
-            assert expected is actual, field
-        elif isinstance(expected, float) or isinstance(actual, float):
-            scale = max(abs(expected), abs(actual), 1.0)
-            assert abs(expected - actual) / scale <= tol, (
-                f"{field}: {expected!r} != {actual!r}"
-            )
-        else:
-            assert expected == actual, field
+        assert expected == actual, f"{field}: {expected!r} != {actual!r}"
 
 
 class TestEngineSelection:
@@ -192,11 +187,14 @@ class TestDecodeTable:
         for kv in itertools.chain(range(1, 40), (128, 256, 555, 600)):
             cost = simulator.provider.decode(kv, (1, 600))
             index = kv - table.kv_lo
-            assert table.latency[index] == cost.latency_s
-            assert table.energy_memory[index] == cost.energy.normal_memory_j
-            assert table.energy_pim[index] == cost.energy.pim_op_j
-            assert table.energy_npu[index] == cost.energy.npu_cores_j
-            assert table.flops[index] == cost.flops
+            assert (
+                table.latency[index],
+                table.energy_memory[index],
+                table.energy_pim[index],
+                table.energy_npu[index],
+                table.flops[index],
+            ) == cost_tuple(cost)
+            assert table.columns[index].tolist() == list(cost_tuple(cost))
         assert table_matches_provider(table, simulator.provider)
 
     def test_tables_are_memoized_per_range(self):
@@ -265,10 +263,17 @@ class TestDecodeTable:
         simulator = ServingSimulator(make_cost_model("ianus"), MODEL)
         table = simulator.provider.decode_table(1, 200)
         prefix_lat = table.prefix_latency
-        assert prefix_lat[0] == 0.0
+        assert prefix_lat[0] == 0
         assert len(prefix_lat) == (table.kv_hi - table.kv_lo + 1) + 1
         span = prefix_lat[(table.kv_hi - table.kv_lo + 1)] - prefix_lat[0]
-        assert span == pytest.approx(sum(table.latency), rel=1e-12)
+        assert span == sum(table.latency)
+        assert table.prefix_matrix[:, 0].tolist() == list(prefix_lat)
+        # One prefix of the three energies together.
+        energies = (table.energy_memory, table.energy_pim, table.energy_npu)
+        assert table.prefix_energy[-1] == sum(map(sum, energies))
+        assert table.prefix_matrix[:, 1:4].sum(axis=1).tolist() == list(
+            table.prefix_energy
+        )
 
 
 class TestArrayEngineDifferential:
@@ -316,7 +321,7 @@ class TestArrayEngineDifferential:
         ("skewed", "srpt"),
         ("dfx-paper", "priority"),
     ])
-    def test_macro_path_pools_to_1e9(self, trace_name, policy):
+    def test_fast_paths_pool_exactly(self, trace_name, policy):
         trace = get_trace_generator(trace_name).generate(
             60, 9.0, seed=11, num_classes=3 if policy == "priority" else 1,
         )
@@ -325,8 +330,9 @@ class TestArrayEngineDifferential:
             slo_targets=(0.5, 2.0, 8.0) if policy == "priority" else None,
         )
         reference, _ = _simulate("object", trace, True, **kwargs)
-        macro, _ = _simulate("array", trace, False, **kwargs)
-        _assert_pooled_close(reference, macro)
+        fast, _ = _simulate("array", trace, False, **kwargs)
+        _assert_pooled_close(reference, fast)
+        assert fast.per_request == reference.per_request
         pooled_only, _ = _simulate("array", trace, False, detail=False, **kwargs)
         assert pooled_only.per_request == ()
         _assert_pooled_close(reference, pooled_only)
@@ -404,16 +410,43 @@ class TestArrayEngineDifferential:
 class TestPercentileSortOnce:
     def test_percentile_does_not_require_presorted_input(self):
         # Completed requests arrive in request-id order, not latency order.
-        latencies = [5.0, 1.0, 4.0, 2.0, 3.0]
+        latencies = [5, 1, 4, 2, 3]
         completed = CompletionRecord()
         for i, latency in enumerate(latencies):
-            completed.append(i, 0.0, latency / 2, latency, 16, 4, 0, "")
+            completed.append(
+                i, 0, latency * 10**12 // 2, latency * 10**12, 16, 4, 0, ""
+            )
         aggregates = request_aggregates(completed, None, MODEL.name, False)
         assert aggregates["latency_p50_s"] == 3.0
         assert aggregates["latency_p99_s"] == pytest.approx(4.96)
         assert aggregates["ttft_p50_s"] == 1.5
         # Sort-once micro-assert: the record's columns are left untouched.
-        assert list(completed.completion_s) == latencies
+        assert list(completed.completion) == [
+            latency * 10**12 for latency in latencies
+        ]
+
+    def test_rows_carry_the_aggregates_durations(self):
+        # Each latency lands exactly on its class's SLO target.  At a
+        # day-scale arrival the float difference of the two converted
+        # instants falls short of the 30.123456789 ms measured, and numpy
+        # converts a latency past 2**53 ps to a larger float than the
+        # correctly rounded one; either would flip a verdict.
+        arrival = 86_399_123_456_789_123
+        short, long = 30_123_456_789, 2**53 + 11
+        completed = CompletionRecord()
+        completed.append(0, arrival, arrival + 10**9, arrival + short, 16, 4, 0, "")
+        completed.append(1, 0, 10**9, long, 16, 4, 1, "")
+        targets = (short / 10**12, long / 10**12)
+        aggregates = request_aggregates(completed, targets, MODEL.name, False)
+        rows = completed.rows(targets)
+        assert [row.latency_s for row in rows] == list(targets)
+        assert [row.slo_met for row in rows] == [True, True]
+        assert aggregates["slo_attainment"] == 1.0
+        latencies = sorted(row.latency_s for row in rows)
+        ttfts = sorted(row.ttft_s for row in rows)
+        assert aggregates["latency_p99_s"] == _percentile_sorted(latencies, 99)
+        assert aggregates["ttft_p50_s"] == _percentile_sorted(ttfts, 50)
+        assert aggregates["tpot_mean_s"] == math.fsum(row.tpot_s for row in rows) / 2
 
     def test_finalize_percentiles_match_manual(self):
         trace = get_trace_generator("chatbot").generate(32, 6.0, seed=1)

@@ -26,7 +26,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import ModelAwareRouter, ReplicaSnapshot
 from repro.serving.failures import SingleFailure
-from repro.serving.request import Request
+from repro.serving.request import Request, to_ps, to_s
 from repro.serving.validate import expand_runs
 
 BACKEND = "ianus"
@@ -411,14 +411,12 @@ class TestReplicaSecondsAccounting:
         metered = ClusterSimulator(
             cost_model, model, num_replicas=3, autoscaler="fixed"
         ).simulate(trace)
-        # Same busy time over the same replica-seconds: one utilization
-        # definition, whichever path computed replica_seconds.
-        assert metered.replica_seconds == pytest.approx(
-            fixed.replica_seconds, rel=1e-12
-        )
-        assert metered.utilization == pytest.approx(
-            fixed.utilization, rel=1e-12
-        )
+        # One meter bills every fleet: a fixed fleet's reads exactly
+        # R x makespan in picoseconds (the makespan round-trips exactly at
+        # this scale), and the inert autoscaler's fleet reads the same.
+        assert fixed.replica_seconds == to_s(3 * to_ps(fixed.makespan_s))
+        assert metered.replica_seconds == fixed.replica_seconds
+        assert metered.utilization == fixed.utilization
 
     def test_fast_recovery_does_not_double_bill(self, cost_model):
         # Long prefills keep the straddling pass running past a 0.1 ms

@@ -28,7 +28,7 @@ from repro.pim import PimDeviceModel, TileMapping
 from repro.scheduling import (
     DurationModel, EventEngine, ScheduledCommand, Timeline, check_timeline,
 )
-from repro.serving.request import CompletionRecord
+from repro.serving.request import CompletionRecord, to_ps, to_s
 from repro.serving.simulator import request_aggregates
 from repro.serving.trace import (
     ConstantCurve,
@@ -149,11 +149,12 @@ def test_request_percentiles_ignore_completion_order(latencies, seed):
     order = list(range(len(latencies)))
     shuffled = list(order)
     random.Random(seed).shuffle(shuffled)
+    ticks = [to_ps(latency) for latency in latencies]
     records = []
     for ids in (order, shuffled):
         record = CompletionRecord()
         for i in ids:
-            record.append(i, 0.0, latencies[i] / 2, latencies[i], 16, 4, 0, "")
+            record.append(i, 0, ticks[i] // 2, ticks[i], 16, 4, 0, "")
         records.append(record)
     ours, theirs = (
         request_aggregates(record, None, "m", False) for record in records
@@ -163,7 +164,7 @@ def test_request_percentiles_ignore_completion_order(latencies, seed):
         "ttft_mean_s", "ttft_p50_s", "ttft_p99_s", "tpot_mean_s",
     ):
         assert ours[key] == theirs[key], key
-    assert min(latencies) <= ours["latency_p50_s"] <= max(latencies)
+    assert to_s(min(ticks)) <= ours["latency_p50_s"] <= to_s(max(ticks))
 
 
 # ----------------------------------------------------------------------

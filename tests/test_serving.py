@@ -17,7 +17,6 @@ import pytest
 from repro.config import SystemConfig
 from repro.core.costmodel import make_cost_model
 from repro.core.system import IanusSystem
-from repro.energy.model import EnergyBreakdown
 from repro.models import BERT_CONFIGS, GPT2_CONFIGS, Workload
 from repro.perf import cache
 from repro.serving import (
@@ -30,8 +29,14 @@ from repro.serving import (
     make_policy,
     mean_service_time_s,
 )
-from repro.serving.request import RequestMetrics
-from repro.serving.simulator import _percentile_sorted, cost_tuple, fused_pass
+from repro.models.workload import Stage, StagePass
+from repro.serving.request import CompletionRecord, to_ps, to_s
+from repro.serving.simulator import (
+    _percentile_sorted,
+    cost_tuple,
+    floor_ticks,
+    fused_pass,
+)
 
 MODEL = GPT2_CONFIGS["m"]
 
@@ -72,14 +77,15 @@ class TestRequest:
         assert request.total_tokens == 192
 
     def test_metrics_derivations(self):
-        metrics = RequestMetrics(
-            request_id=0, arrival_s=1.0, first_token_s=1.5,
-            completion_s=3.5, input_tokens=128, output_tokens=5,
-        )
-        assert metrics.ttft_s == pytest.approx(0.5)
-        assert metrics.latency_s == pytest.approx(2.5)
-        assert metrics.tpot_s == pytest.approx(0.5)
-        single = RequestMetrics(0, 0.0, 0.25, 0.25, 128, 1)
+        # A row's durations come from the record's integer instants.
+        record = CompletionRecord()
+        record.append(0, to_ps(1.0), to_ps(1.5), to_ps(3.5), 128, 5, 0, "")
+        record.append(1, 0, to_ps(0.25), to_ps(0.25), 128, 1, 0, "")
+        metrics, single = record.rows(None)
+        assert (metrics.arrival_s, metrics.completion_s) == (1.0, 3.5)
+        assert metrics.ttft_s == 0.5
+        assert metrics.latency_s == 2.5
+        assert metrics.tpot_s == 0.5
         assert single.tpot_s == 0.0
 
 
@@ -139,15 +145,30 @@ class TestPercentile:
             _percentile_sorted([], 101)
 
 
+def _pass_seconds(system, workload: Workload, model=MODEL) -> float:
+    """A lone request's latency: its hardware passes (the prefill, then
+    one decode per KV length), each converted to picoseconds by the
+    serving layer's boundary function, summed, and reported in seconds."""
+    prompt = workload.input_tokens
+    passes = [StagePass(Stage.SUMMARIZATION, prompt, prompt)] + [
+        StagePass(Stage.GENERATION, 1, kv)
+        for kv in range(prompt + 1, prompt + workload.output_tokens)
+    ]
+    return to_s(sum(to_ps(system.pass_cost(model, p).latency_s) for p in passes))
+
+
 class TestOneRequestExactness:
-    """A one-request trace reproduces single-request ``run`` latency."""
+    """A one-request trace reproduces its hardware passes exactly."""
 
     def test_generation_request_matches_exact_mode(self):
         system = IanusSystem(SystemConfig.ianus())
-        reference = system.run(MODEL, Workload(128, 32), mode="exact").total_latency_s
+        workload = Workload(128, 32)
+        reference = system.run(MODEL, workload, mode="exact").total_latency_s
         simulator = ServingSimulator(system, MODEL, policy="fcfs", exact=True)
         metrics = simulator.simulate([Request(0, 0.0, 128, 32)])
-        assert metrics.latency_mean_s == pytest.approx(reference, rel=1e-12)
+        assert metrics.latency_mean_s == _pass_seconds(system, workload)
+        # The boundary moves each of the 32 passes by at most 0.5 ps.
+        assert abs(metrics.latency_mean_s - reference) <= 32 * 0.5e-12
         assert metrics.per_request[0].latency_s == metrics.latency_mean_s
         assert metrics.output_tokens == 32
 
@@ -156,7 +177,7 @@ class TestOneRequestExactness:
         reference = system.run(MODEL, Workload(256, 1), mode="exact").total_latency_s
         simulator = ServingSimulator(system, MODEL, policy="fcfs", exact=True)
         metrics = simulator.simulate([Request(0, 0.0, 256, 1)])
-        assert metrics.latency_mean_s == reference
+        assert metrics.latency_mean_s == to_s(to_ps(reference))
 
     def test_ttft_is_the_prefill_latency_for_an_idle_server(self):
         system = IanusSystem(SystemConfig.ianus())
@@ -166,7 +187,7 @@ class TestOneRequestExactness:
         metrics = ServingSimulator(system, MODEL, policy="fcfs", exact=True).simulate(
             [Request(0, 0.0, 128, 8)]
         )
-        assert metrics.ttft_mean_s == pytest.approx(prefill, rel=1e-12)
+        assert metrics.ttft_mean_s == to_s(to_ps(prefill))
 
 
 class TestSimulatorInvariants:
@@ -329,56 +350,52 @@ class TestFusedDecodeCostModel:
         bounds = (min(kvs), max(kvs))
         return [simulator.provider.decode(kv, bounds) for kv in kvs]
 
-    def _fused_decode(self, simulator, costs):
-        """(latency, energy, FLOPs) of a pure fused decode iteration,
-        priced by the rule both engines share."""
-        latency, mem_j, pim_j, npu_j, flops = fused_pass(
+    def _fused_decode(self, simulator, costs, priced=False):
+        """(latency, (mem, pim, npu), FLOPs) of a pure fused decode
+        iteration in integer ticks, priced by the rule both engines share
+        (``costs`` are pass costs, or cost tuples when ``priced``)."""
+        latency, mem, pim, npu, flops = fused_pass(
             None,
-            [cost_tuple(cost) for cost in costs],
+            costs if priced else [cost_tuple(cost) for cost in costs],
             simulator.batch_share,
-            lambda: cost_tuple(simulator.provider.base()),
+            lambda: floor_ticks(simulator.provider.base()),
         )
-        return latency, EnergyBreakdown(mem_j, pim_j, npu_j), flops
+        return latency, (mem, pim, npu), flops
 
     def test_batch_of_one_is_exactly_the_single_pass(self):
         simulator = self._simulator()
         (cost,) = self._costs(simulator, [200])
         latency, energy, flops = self._fused_decode(simulator, [cost])
-        assert latency == cost.latency_s
-        assert energy == cost.energy
-        assert flops == cost.flops
+        assert (latency, *energy, flops) == cost_tuple(cost)
 
     def test_fused_batch_is_cheaper_than_serial_but_not_free(self):
         simulator = self._simulator()
         costs = self._costs(simulator, [150, 200, 250, 300])
-        latency, _, flops = self._fused_decode(simulator, costs)
-        serial = sum(cost.latency_s for cost in costs)
-        slowest = max(cost.latency_s for cost in costs)
+        costs = [cost_tuple(cost) for cost in costs]
+        latency, _, flops = self._fused_decode(simulator, costs, priced=True)
+        serial = sum(cost[0] for cost in costs)
+        slowest = max(cost[0] for cost in costs)
         assert slowest <= latency < serial
-        assert flops == sum(cost.flops for cost in costs)  # math is not shared
+        assert flops == sum(cost[4] for cost in costs)  # math is not shared
 
     def test_share_zero_recovers_serial_decoding(self):
         simulator = self._simulator(batch_share=0.0)
-        costs = self._costs(simulator, [150, 250])
-        latency, _, _ = self._fused_decode(simulator, costs)
-        assert latency == sum(cost.latency_s for cost in costs)
-
-    def test_members_add_left_to_right_on_every_python(self):
-        # From Python 3.12 the builtin sum compensates float sums:
-        # sum([1.0, 1e-16, 1e-16]) reads 1.0000000000000002 there, 1.0
-        # on 3.10 and 3.11.  A fused pass must price the same everywhere.
-        members = [(latency, 0.0, 0.0, 0.0, 0.0) for latency in (1.0, 1e-16, 1e-16)]
-        latency, *_ = fused_pass(None, members, 0.0, lambda: (1.0,) * 5)
-        assert latency == (1.0 + 1e-16) + 1e-16
+        costs = [cost_tuple(cost) for cost in self._costs(simulator, [150, 250])]
+        latency, _, _ = self._fused_decode(simulator, costs, priced=True)
+        assert latency == sum(cost[0] for cost in costs)
 
     def test_mean_service_time_matches_fcfs_run_to_completion(self):
+        # The calibration adds the passes' float latencies; the run adds
+        # them as picoseconds, each rounded once at the boundary, so the
+        # two agree to half a picosecond per priced pass (one prefill and
+        # seven decodes here).
         backend = make_cost_model("ianus")
         workloads = (Workload(128, 8),)
         service = mean_service_time_s(backend, MODEL, workloads, exact=True)
         metrics = ServingSimulator(backend, MODEL, policy="fcfs", exact=True).simulate(
             [Request(0, 0.0, 128, 8)]
         )
-        assert service == pytest.approx(metrics.latency_mean_s, rel=1e-12)
+        assert abs(service - metrics.latency_mean_s) <= 8 * 0.5e-12
 
 
 class TestServingExperiment:

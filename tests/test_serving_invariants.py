@@ -44,7 +44,10 @@ from repro.serving import (
     kv_budget_bytes,
     mean_service_time_s,
 )
+from repro.serving.request import to_ps
 from repro.serving.simulator import _percentile_sorted
+
+from test_serving import _pass_seconds
 
 MODEL = GPT2_CONFIGS["m"]
 
@@ -78,6 +81,27 @@ class LinearCostModel:
 
     def cache_stats(self) -> dict:
         return {}
+
+
+class DroppingPrefillCostModel(LinearCostModel):
+    """A non-monotone backend: past 64 tokens a prompt prefills at half
+    of :class:`LinearCostModel`'s latency, energy and FLOPs."""
+
+    name = "dropping-stub"
+
+    def pass_cost(self, model, stage_pass) -> PassCost:
+        cost = super().pass_cost(model, stage_pass)
+        if stage_pass.stage is not Stage.SUMMARIZATION or stage_pass.num_tokens <= 64:
+            return cost
+        latency = cost.latency_s / 2
+        return PassCost(
+            latency_s=latency,
+            breakdown={"stub": latency},
+            energy=EnergyBreakdown(
+                normal_memory_j=latency * 0.5, pim_op_j=0.0, npu_cores_j=0.0
+            ),
+            flops=cost.flops / 2,
+        )
 
 
 def _simulate(policy, seed, chunk_tokens=0, num_requests=10, rate=30.0,
@@ -172,7 +196,7 @@ class TestValidatorCatchesViolations:
         index = self._first_index(events, "step")
         # Stretch the clock without work: the next step starts late.
         tampered = [
-            e if i <= index else dataclasses.replace(e, clock_s=e.clock_s + 0.5)
+            e if i <= index else dataclasses.replace(e, clock=e.clock + to_ps(0.5))
             for i, e in enumerate(events)
         ]
         assert any("idle gap" in v for v in check_invariants(tampered, trace))
@@ -253,10 +277,10 @@ class TestChunkedPrefillExactness:
 
     def test_chunk_covering_the_prompt_is_a_noop(self):
         # Regression pin: with chunking enabled but chunk >= prompt, the
-        # one-request trace still reproduces IanusSystem.run to 1e-12 and
-        # is byte-identical to the unchunked simulation.
+        # one-request trace still reproduces its hardware passes exactly
+        # and is byte-identical to the unchunked simulation.
         system = IanusSystem(SystemConfig.ianus())
-        reference = system.run(MODEL, Workload(128, 32), mode="exact").total_latency_s
+        reference = _pass_seconds(system, Workload(128, 32))
         unchunked = ServingSimulator(system, MODEL, policy="fcfs", exact=True)
         chunked = ServingSimulator(
             system, MODEL, policy="fcfs", exact=True, chunk_tokens=128
@@ -264,7 +288,7 @@ class TestChunkedPrefillExactness:
         trace = [Request(0, 0.0, 128, 32)]
         baseline = unchunked.simulate(trace)
         noop = chunked.simulate(trace)
-        assert noop.latency_mean_s == pytest.approx(reference, rel=1e-12)
+        assert noop.latency_mean_s == reference
         base_dict = baseline.to_dict()
         noop_dict = noop.to_dict()
         assert base_dict.pop("chunk_tokens") == 0
@@ -273,17 +297,34 @@ class TestChunkedPrefillExactness:
 
     def test_multi_chunk_prefill_telescopes(self):
         # Four 32-token chunks of a lone 128-token prompt cost exactly the
-        # monolithic pass (incremental costs telescope; no decodes can
-        # interleave with a single request in flight).
+        # monolithic pass (incremental integer costs telescope; no decodes
+        # can interleave with a single request in flight).
         system = IanusSystem(SystemConfig.ianus())
-        reference = system.run(MODEL, Workload(128, 8), mode="exact").total_latency_s
+        reference = _pass_seconds(system, Workload(128, 8))
         chunked = ServingSimulator(
             system, MODEL, policy="interleaved", exact=True, chunk_tokens=32
         )
         metrics = chunked.simulate([Request(0, 0.0, 128, 8)], record_events=True)
         assert metrics.prefill_passes == 4
-        assert metrics.latency_mean_s == pytest.approx(reference, rel=1e-9)
+        assert metrics.latency_mean_s == reference
         assert check_invariants(chunked.events, [Request(0, 0.0, 128, 8)]) == []
+
+    def test_a_cheaper_longer_prefix_prices_its_chunk_at_zero(self):
+        # Where the prefill cost drops as the prompt grows, the chunk that
+        # crosses the drop is floored at zero in every component instead
+        # of moving the clock backwards or booking negative energy.
+        provider = ServingSimulator(
+            DroppingPrefillCostModel(), MODEL, chunk_tokens=32
+        ).provider
+        assert provider.prefill_chunk(64, 32) == (0, 0, 0, 0, 0)
+        latency, memory, _, _, flops = provider.prefill_chunk(96, 32)
+        assert min(latency, memory, flops) > 0
+        assert provider.prefill_chunk(32, 32) == tuple(
+            whole - head
+            for whole, head in zip(
+                provider.prefill_chunk(0, 64), provider.prefill_chunk(0, 32)
+            )
+        )
 
     def test_chunking_conserves_total_prefill_work(self):
         # Across a whole multi-request trace the summed busy time moves
@@ -292,11 +333,9 @@ class TestChunkedPrefillExactness:
         trace, _, unchunked = _simulate("fcfs", 11, chunk_tokens=0)
         _, _, chunked = _simulate("fcfs", 11, chunk_tokens=64)
         # FCFS runs one request at a time, so no decode piggybacking ever
-        # happens and the totals must agree to float noise.
-        assert chunked.busy_s == pytest.approx(unchunked.busy_s, rel=1e-9)
-        assert chunked.latency_mean_s == pytest.approx(
-            unchunked.latency_mean_s, rel=1e-9
-        )
+        # happens, and integer chunk costs telescope: the totals agree.
+        assert chunked.busy_s == unchunked.busy_s
+        assert chunked.latency_mean_s == unchunked.latency_mean_s
 
 
 class TestCrossPolicyMetamorphic:
