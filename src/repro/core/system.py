@@ -23,22 +23,34 @@ mode's per-token lengths, fast mode's five samples) it compiles them once,
 as the columns of one :meth:`~repro.compiler.Compiler.compile_range` replay,
 and schedules them in one
 :meth:`~repro.scheduling.EventEngine.simulate_range` call, each column equal
-to that pass compiled and simulated alone.  The embedding and LM head do not
-depend on the KV length, so a range fetches their schedules once.  Fewer
-missed lengths, and single passes (the summarization pass, the serving
-layer's anchors), are compiled and simulated one at a time, on Python
-floats.
+to that pass compiled and simulated alone.  Fewer missed lengths, and single
+passes (the summarization pass, the serving layer's anchors), are compiled
+and simulated one at a time, on Python floats.
+
+One pass assembly (``IanusSystem._assembled``) turns a range's columns, or a
+single pass as a range of one, into pass-cache entries.  The embedding, the
+LM head and the partitioned organisation's placement terms do not depend on
+the KV length, so it fetches them once per range, and a missed KV length
+builds nothing but its entry: one breakdown dict and one
+:class:`~repro.scheduling.events.ActivityStats`.  A run reads its entries in
+place and adds them into running totals; only ``IanusSystem._pass_cost``,
+which hands a pass to its caller (:meth:`IanusSystem.pass_cost`, the
+summarization pass), copies one.  Every total is added left to right in a
+fixed order, never with the builtin ``sum`` (which compensates from Python
+3.12), ``math.fsum`` or ``np.sum``, so each number is the same on every
+Python.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import add, attrgetter
 
 from repro.compiler.compiler import Compiler
 from repro.config import MemoryPolicy, SystemConfig
 from repro.core.costmodel import PassCost
-from repro.core.results import InferenceResult, StageResult, merge_breakdowns
+from repro.core.results import InferenceResult, StageResult
 from repro.energy.model import EnergyModel
 from repro.memory import make_memory_system
 from repro.memory.unified import MemoryCapacityError
@@ -72,11 +84,22 @@ MIN_RANGE_COLUMNS = 5
 MAX_SEQUENCE = 1024
 
 
+#: An :class:`ActivityStats`' fields as a tuple, in declaration order.
+_stats_fields = attrgetter(*(field.name for field in fields(ActivityStats)))
+
+
 def _copied(cost: tuple) -> tuple:
     """A pass cost with fresh copies of its mutable pieces, so a caller and
     the pass cache never alias (and corrupt) one entry."""
     latency, breakdown, stats, flops = cost
     return latency, dict(breakdown), replace(stats), flops
+
+
+def _merge_into(total: dict[str, float], breakdown: dict[str, float]) -> None:
+    """Add ``breakdown`` into ``total`` tag by tag, new tags last:
+    :func:`~repro.core.results.merge_breakdowns` of the two, in place."""
+    for tag, value in breakdown.items():
+        total[tag] = total.get(tag, 0.0) + value
 
 
 def devices_required(model: ModelConfig, config: SystemConfig) -> int:
@@ -222,9 +245,12 @@ class IanusSystem:
 
         sample_results = self._generation_costs(model, samples)
 
+        # Running totals, added to left to right in the order below: each
+        # stats field (what ActivityStats.merge adds, without building the
+        # stats), and each tag in order of first appearance.
         total_latency = 0.0
         total_flops = 0.0
-        total_stats = ActivityStats()
+        total_stats = list(_stats_fields(ActivityStats()))
         breakdown_acc: dict[str, float] = {}
         sample_kvs = sorted(sample_results)
 
@@ -241,8 +267,8 @@ class IanusSystem:
                 latency, breakdown, stats, flops = sampled
                 total_latency += latency
                 total_flops += flops
-                total_stats = total_stats.merge(stats)
-                breakdown_acc = merge_breakdowns(breakdown_acc, breakdown)
+                total_stats = list(map(add, total_stats, _stats_fields(stats)))
+                _merge_into(breakdown_acc, breakdown)
                 continue
             position = bisect.bisect_left(sample_kvs, kv)
             position = min(max(position, 1), len(sample_kvs) - 1)
@@ -263,15 +289,14 @@ class IanusSystem:
                 + weight_sum * (brk_h.get(tag, 0.0) - brk_l.get(tag, 0.0))
                 for tag in dict.fromkeys([*brk_l, *brk_h])
             }
-            breakdown_acc = merge_breakdowns(breakdown_acc, segment_breakdown)
-            total_stats = total_stats.merge(stats_l.scaled(count - weight_sum)).merge(
-                stats_h.scaled(weight_sum)
-            )
+            _merge_into(breakdown_acc, segment_breakdown)
+            for stats, scale in ((stats_l, count - weight_sum), (stats_h, weight_sum)):
+                total_stats = list(map(add, total_stats, _stats_fields(stats.scaled(scale))))
 
         return StageResult(
             latency_s=total_latency,
             breakdown=breakdown_acc,
-            energy=self.energy_model.from_stats(total_stats),
+            energy=self.energy_model.from_stats(ActivityStats(*total_stats)),
             flops=total_flops,
             num_tokens=len(kv_lengths),
         )
@@ -313,42 +338,42 @@ class IanusSystem:
         return cost
 
     def _generation_costs(self, model: ModelConfig, kv_lengths: list[int]) -> dict:
-        """:meth:`_pass_cost` of the generation pass at each KV length.
+        """The pass-cache entry of the generation pass at each KV length.
 
-        Each length keeps its own pass-cache entry and counts one miss when
-        it has none.  At least :data:`MIN_RANGE_COLUMNS` missed lengths are
+        Each length keeps its own entry and counts one miss when it has
+        none.  At least :data:`MIN_RANGE_COLUMNS` missed lengths are
         compiled as the columns of one
         :meth:`~repro.compiler.Compiler.compile_range` replay and scheduled in
-        one :meth:`~repro.scheduling.EventEngine.simulate_range` call, with
-        the embedding and LM head fetched once; fewer are priced one pass at
-        a time.
+        one :meth:`~repro.scheduling.EventEngine.simulate_range` call; fewer
+        are priced one pass at a time.  The entries are the cache's own, not
+        copies: only :meth:`_run_generation` reads them, and it must not
+        change them.
         """
         cache = self.pass_cache
         costs = {}
         missed = []
+        keys = []
         for kv in kv_lengths:
             stage_pass = StagePass(stage=Stage.GENERATION, num_tokens=1, kv_length=kv)
-            hit = None if cache is None else cache.get(self._pass_key(model, stage_pass))
+            key = self._pass_key(model, stage_pass)
+            hit = None if cache is None else cache.get(key)
             if hit is None:
                 missed.append(stage_pass)
+                keys.append(key)
             else:
-                costs[kv] = _copied(hit)
+                costs[kv] = hit
         if len(missed) < MIN_RANGE_COLUMNS:
             priced = [self._pass_cost_uncached(model, p) for p in missed]
         else:
             block = self.compiler.compile_range(model, missed)
             columns = self.engine.simulate_range(block.stream)
-            ends = self._pass_ends(model, 1)
-            priced = [
-                self._assembled(model, stage_pass, ends, *block)
-                for stage_pass, *block in zip(
-                    missed, columns.makespans, columns.breakdowns, columns.stats,
-                    columns.flops,
-                )
-            ]
-        for stage_pass, cost in zip(missed, priced):
+            priced = self._assembled(
+                model, missed, columns.makespans, columns.breakdowns,
+                columns.stats, columns.flops,
+            )
+        for stage_pass, key, cost in zip(missed, keys, priced):
             if cache is not None:
-                cache.put(self._pass_key(model, stage_pass), _copied(cost))
+                cache.put(key, cost)
             costs[stage_pass.kv_length] = cost
         return costs
 
@@ -364,89 +389,118 @@ class IanusSystem:
     def _pass_cost_uncached(self, model: ModelConfig, stage_pass: StagePass):
         block = self.compiler.compile_block(model, stage_pass)
         timeline = self.engine.simulate(block.stream)
-        return self._assembled(
-            model, stage_pass, self._pass_ends(model, stage_pass.num_tokens),
-            timeline.makespan, timeline.breakdown_by_tag(), timeline.stats,
-            timeline.total_flops(),
+        [cost] = self._assembled(
+            model, [stage_pass], [timeline.makespan], [timeline.breakdown_by_tag()],
+            [timeline.stats], [timeline.total_flops()],
         )
+        return cost
 
     def _pass_ends(self, model: ModelConfig, num_tokens: int) -> tuple:
         """What a pass of ``num_tokens`` tokens adds around its blocks, the
-        same at every KV length: the embedding's makespan, breakdown and
-        stats, and for a decoder the LM head's makespan, breakdown, and
-        stats and FLOPs scaled to all cores (``None`` otherwise)."""
+        same at every KV length: the makespan, breakdown and stats fields
+        of the embedding and, for a decoder, of the LM head with its
+        activity scaled to all cores; and the LM head's FLOPs scaled to all
+        cores (``None`` for an encoder)."""
         embedding = self.engine.simulate(
             self.compiler.compile_embedding(model, num_tokens)
         )
-        lm_head = None
-        if model.is_decoder:
-            timeline = self.engine.simulate(self.compiler.compile_lm_head(model).stream)
-            cores = self.config.num_cores
-            lm_head = (
-                timeline.makespan,
-                timeline.breakdown_by_tag(),
-                timeline.stats.with_core_scaling(cores),
-                timeline.total_flops() * cores,
-            )
-        return (embedding.makespan, embedding.breakdown_by_tag(), embedding.stats), lm_head
+        ends = [(embedding.makespan, embedding.breakdown_by_tag(),
+                 _stats_fields(embedding.stats))]
+        if not model.is_decoder:
+            return ends, None
+        timeline = self.engine.simulate(self.compiler.compile_lm_head(model).stream)
+        cores = self.config.num_cores
+        ends.append((
+            timeline.makespan,
+            timeline.breakdown_by_tag(),
+            _stats_fields(timeline.stats.with_core_scaling(cores)),
+        ))
+        return ends, timeline.total_flops() * cores
 
     def _assembled(
         self,
         model: ModelConfig,
-        stage_pass: StagePass,
-        ends: tuple,
-        block_makespan: float,
-        block_breakdown: dict[str, float],
-        block_stats: ActivityStats,
-        block_flops: float,
-    ):
-        """The full pass around one block's schedule: every block (with the
-        partitioned organisation's penalty), then the embedding and, for a
-        decoder, the LM head from :meth:`_pass_ends`, with the activity
-        scaled to all cores."""
-        block_latency = block_makespan + self._partitioned_penalty(model, stage_pass)
-        (embedding_makespan, embedding_breakdown, embedding_stats), lm_head = ends
+        stage_passes: list[StagePass],
+        makespans: list[float],
+        breakdowns: list[dict[str, float]],
+        stats: list[ActivityStats],
+        flops: list[float],
+    ) -> list[tuple]:
+        """Each full pass, ``(latency, breakdown, stats, FLOPs)``, around its
+        block's schedule: one pass, or the columns of a range, which share
+        one token count.
 
-        cores = self.config.num_cores
-        latency = model.num_blocks * block_latency + embedding_makespan
-        breakdown = {
-            tag: value * model.num_blocks for tag, value in block_breakdown.items()
-        }
-        breakdown = merge_breakdowns(breakdown, embedding_breakdown)
-        stats = (
-            block_stats.with_core_scaling(cores)
-            .scaled(model.num_blocks)
-            .merge(embedding_stats)
-        )
-        flops = block_flops * model.num_blocks * cores
+        Every block (with the partitioned organisation's penalty) comes
+        first, then the embedding and, for a decoder, the LM head, fetched
+        once from :meth:`_pass_ends`.  Each pass builds one breakdown and
+        one :class:`ActivityStats`, adding left to right:
 
-        if lm_head is not None:
-            lm_makespan, lm_breakdown, lm_stats, lm_flops = lm_head
-            latency += lm_makespan
-            breakdown = merge_breakdowns(breakdown, lm_breakdown)
-            stats = stats.merge(lm_stats)
-            flops += lm_flops
-
-        return latency, breakdown, stats, flops
+        - latency: ``blocks * (makespan + penalty)``, plus the embedding's
+          makespan, plus the LM head's;
+        - breakdown: each block tag times ``blocks``, then the embedding's
+          tags added, then the LM head's (``merge_breakdowns``' order);
+        - stats: ``with_core_scaling(cores).scaled(blocks)`` of the block's,
+          field by field, then the embedding's fields added, then the LM
+          head's;
+        - FLOPs: ``block * blocks * cores``, plus the LM head's.
+        """
+        ends, lm_flops = self._pass_ends(model, stage_passes[0].num_tokens)
+        blocks, cores = model.num_blocks, self.config.num_cores
+        costs = []
+        for penalty, makespan, block_breakdown, block_stats, block_flops in zip(
+            self._partitioned_penalties(model, stage_passes),
+            makespans, breakdowns, stats, flops,
+        ):
+            latency = blocks * (makespan + penalty)
+            breakdown = {tag: value * blocks for tag, value in block_breakdown.items()}
+            read, write, pim_weights, activations, matrix, vector, onchip, macros = (
+                _stats_fields(block_stats)
+            )
+            counters = [
+                round(read * cores * blocks),
+                round(write * cores * blocks),
+                round(pim_weights * blocks),
+                round(activations * blocks),
+                matrix * cores * blocks,
+                vector * cores * blocks,
+                round(onchip * cores * blocks),
+                round(macros * blocks),
+            ]
+            for end_makespan, end_breakdown, end_counters in ends:
+                latency += end_makespan
+                _merge_into(breakdown, end_breakdown)
+                counters = list(map(add, counters, end_counters))
+            total_flops = block_flops * blocks * cores
+            if lm_flops is not None:
+                total_flops += lm_flops
+            costs.append((latency, breakdown, ActivityStats(*counters), total_flops))
+        return costs
 
     # ------------------------------------------------------------------
-    def _partitioned_penalty(self, model: ModelConfig, stage_pass: StagePass) -> float:
-        """Extra per-block time in the partitioned organisation (Fig. 13).
+    def _partitioned_penalties(
+        self, model: ModelConfig, stage_passes: list[StagePass]
+    ) -> list[float]:
+        """Extra per-block time of each pass in the partitioned organisation
+        (Fig. 13).
 
         FC parameters that could not be duplicated into the NPU region must be
         moved from the PIM region when the matrix unit needs them; the
         movement competes with PIM computation, so it is exposed latency
-        (Sec. 6.2: for GPT-2 2.5B the parameters no longer fit twice).
+        (Sec. 6.2: for GPT-2 2.5B the parameters no longer fit twice).  The
+        placement's terms that do not depend on the KV length are taken once
+        for all the passes.
         """
         if self.config.memory_policy is not MemoryPolicy.PARTITIONED:
-            return 0.0
-        fraction = self.memory_system.non_duplicated_fraction(
-            model, max_sequence_length=stage_pass.kv_length
+            return [0.0] * len(stage_passes)
+        fractions = self.memory_system.non_duplicated_fractions(
+            model, [stage_pass.kv_length for stage_pass in stage_passes]
         )
-        if fraction <= 0.0:
-            return 0.0
-        non_duplicated_bytes = fraction * model.fc_params_per_block * 2
-        return non_duplicated_bytes / self.config.offchip_bandwidth
+        bandwidth = self.config.offchip_bandwidth
+        return [
+            0.0 if fraction <= 0.0
+            else fraction * model.fc_params_per_block * 2 / bandwidth
+            for fraction in fractions
+        ]
 
     # ------------------------------------------------------------------
     # Introspection helpers used by tests and examples

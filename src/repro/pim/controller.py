@@ -17,6 +17,7 @@ model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.config import BYTES_PER_ELEMENT, PimConfig
@@ -120,51 +121,73 @@ class PimMemoryController:
     def run_gemv_program(self, mapping, fused_gelu: bool = False) -> MicroProgramResult:
         """Fused decode-and-execute of a GEMV macro command.
 
-        Semantically identical to decoding the macro with the PCU
+        Equal, field for field, to decoding the macro with the PCU
         (:meth:`repro.pim.pcu.PimControlUnit.decode`) and interpreting the
-        micro program with :meth:`run_micro_program` — the per-tile sequence
-        (global-buffer write, activate, MAC stream, optional activation
-        function, accumulator read on the last column tile, precharge) is
-        applied in the same order with the same operands — but without
-        materializing the micro-command objects, which dominates the cost of
-        estimating large (e.g. LM-head) operations.  Covered by an
-        equivalence test against the decode-then-interpret path.
+        micro program with :meth:`run_micro_program` over a
+        :class:`~repro.pim.dram.DramBank`, which stays the reference an
+        equivalence test compares this walk against.  It builds no micro
+        command, :class:`~repro.pim.address_mapping.Tile` or bank: it walks
+        the row tiles and, within each, the column tiles, holding the bus
+        and bank times in local variables.  Per tile it applies the same
+        float operations in the same order: the global-buffer write on the
+        bus, the activate at the later of bus and bank (``+ tRCD_RD`` to the
+        MAC stream, ``+ tRAS`` to the earliest precharge), the MAC stream
+        (``count * tCCD_L``), on the last column tile the activation
+        function and the accumulator read, and the precharge at the later
+        of the bank and the earliest precharge (``+ tRP``).  A precharge
+        ends before the next activate's issue, so that issue is the
+        activate's own start.  A tile's transfer and MAC times depend only
+        on its width, so they are computed once per distinct width (a full
+        tile, and a partial last column tile); the counters are integer
+        closed forms of the tile counts.
         """
-        bank = DramBank(self.config.timing)
-        channel_bw = self.config.channel_external_bandwidth
-        af_ns = self.config.activation_cycles / self.config.pu_frequency_hz * 1e9
-        in_features = mapping.in_features
+        config = self.config
+        timing = config.timing
+        t_rcd, t_ras, t_rp = timing.tRCD_RD, timing.tRAS, timing.tRP
+        af_ns = config.activation_cycles / config.pu_frequency_hz * 1e9
+        read_ns = config.result_read_ns
+        row_tiles, col_tiles = mapping.row_tiles, mapping.col_tiles
+        last_cols = mapping.in_features - (col_tiles - 1) * mapping.tile_cols
+
+        bus_bytes = mapping.out_features * BYTES_PER_ELEMENT
+        mac_columns = 0
+        tiles = []  # (transfer time, MAC time, last column tile) per column tile
+        for used_cols, count, last in (
+            (mapping.tile_cols, col_tiles - 1, False), (last_cols, 1, True)
+        ):
+            segment_bytes = used_cols * BYTES_PER_ELEMENT
+            macs = math.ceil(used_cols / mapping.config.elements_per_mac)
+            bus_bytes += row_tiles * count * segment_bytes
+            mac_columns += row_tiles * count * macs
+            tiles += [(
+                segment_bytes / config.channel_external_bandwidth * 1e9,
+                macs * timing.tCCD_L,
+                last,
+            )] * count
 
         bank_time_ns = 0.0
         bus_time_ns = 0.0
-        bus_bytes = 0
-        mac_columns = 0
-        af_commands = 0
+        for _ in range(row_tiles):
+            for transfer_ns, mac_ns, last in tiles:
+                bus_time_ns = bus_time_ns + transfer_ns
+                start = bus_time_ns if bus_time_ns > bank_time_ns else bank_time_ns
+                done = start + t_rcd + mac_ns
+                precharge = start + t_ras
+                if done > precharge:
+                    precharge = done
+                if last:
+                    if fused_gelu:
+                        done = done + af_ns
+                    done = done + read_ns
+                if precharge > done:
+                    done = precharge
+                bank_time_ns = done + t_rp
 
-        for tile in mapping.tiles():
-            segment_bytes = tile.used_cols * BYTES_PER_ELEMENT
-            transfer_ns = segment_bytes / channel_bw * 1e9
-            bus_time_ns = max(bus_time_ns, 0.0) + transfer_ns
-            bus_bytes += segment_bytes
-            start = max(bank_time_ns, bus_time_ns)
-            bank_time_ns = bank.activate(tile.row_address, start)
-            macs = mapping.mac_commands_per_tile(tile)
-            bank_time_ns = bank.column_access(bank_time_ns, count=macs)
-            mac_columns += macs
-            is_last_col_tile = (tile.col_start + tile.used_cols) >= in_features
-            if fused_gelu and is_last_col_tile:
-                bank_time_ns += af_ns
-                af_commands += 1
-            if is_last_col_tile:
-                bank_time_ns += self.config.result_read_ns
-                bus_bytes += tile.used_rows * BYTES_PER_ELEMENT
-            bank_time_ns = bank.precharge(bank_time_ns)
-
-        elapsed = max(bank_time_ns, bus_time_ns)
+        elapsed = bus_time_ns if bus_time_ns > bank_time_ns else bank_time_ns
         return MicroProgramResult(
             elapsed_ns=elapsed,
-            row_activations=bank.activations * self.config.banks_per_channel,
+            row_activations=mapping.num_tiles * config.banks_per_channel,
             mac_column_commands=mac_columns,
             bus_bytes=bus_bytes,
-            activation_function_commands=af_commands,
+            activation_function_commands=row_tiles if fused_gelu else 0,
         )

@@ -77,7 +77,7 @@ class TestPartitionedMemorySystem:
     def test_gpt2_2_5b_cannot_fully_duplicate(self):
         """Sec. 6.2: the 2.5B model's FC parameters no longer fit twice."""
         system = PartitionedMemorySystem(SystemConfig.partitioned())
-        fraction = system.non_duplicated_fraction(GPT2_CONFIGS["2.5b"], max_sequence_length=768)
+        [fraction] = system.non_duplicated_fractions(GPT2_CONFIGS["2.5b"], [768])
         assert fraction > 0.1
 
     def test_concurrent_pim_and_dma_allowed(self):

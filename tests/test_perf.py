@@ -21,10 +21,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 import repro.core.system as system_module
-from repro.config import AttentionMappingPolicy, SystemConfig
+from repro.config import AttentionMappingPolicy, MemoryPolicy, SystemConfig
+from repro.core.results import merge_breakdowns
 from repro.core.system import FAST_MODE_SAMPLES, MIN_RANGE_COLUMNS, IanusSystem
 from repro.ir.command import Command, CommandStream, OpKind, Unit
 from repro.models import GPT2_CONFIGS, Workload
@@ -37,6 +39,51 @@ from repro.perf import (
     write_report,
 )
 from repro.scheduling.events import ActivityStats, EventEngine, ScheduledCommand, Timeline
+
+
+#: (configuration, devices, GPT-2 size), named by backend: every design's
+#: range entries must equal its single passes.  The partitioned design runs
+#: GPT-2 2.5B, whose non-duplicated FC fraction, and so its per-block
+#: penalty, changes with the KV length (0.31-0.40 over KV lengths 1-1024).
+_RANGE_DESIGNS = [
+    pytest.param(SystemConfig.ianus, 1, "m", id="ianus"),
+    pytest.param(SystemConfig.npu_mem, 1, "m", id="npu-mem"),
+    pytest.param(SystemConfig.ianus, 2, "m", id="ianus-x2"),
+    pytest.param(SystemConfig.partitioned, 1, "2.5b", id="partitioned-gpt2-2.5b"),
+]
+
+
+def _pass_by_object_methods(system, model, stage_pass):
+    """One full pass assembled with ``ActivityStats``' and
+    ``merge_breakdowns``' own methods and a full ``place()``: the reference
+    for the float operations, and their order, of the one pass assembly."""
+    block = system.block_timeline(model, stage_pass)
+    embedding = system.engine.simulate(
+        system.compiler.compile_embedding(model, stage_pass.num_tokens)
+    )
+    lm_head = system.engine.simulate(system.compiler.compile_lm_head(model).stream)
+    blocks, cores = model.num_blocks, system.config.num_cores
+    penalty = 0.0
+    if system.config.memory_policy is MemoryPolicy.PARTITIONED:
+        placement = system.memory_system.place(model, stage_pass.kv_length)
+        fraction = placement.non_duplicated_fc_bytes / model.fc_param_bytes
+        if fraction > 0.0:
+            penalty = (
+                fraction * model.fc_params_per_block * 2 / system.config.offchip_bandwidth
+            )
+    latency = blocks * (block.makespan + penalty) + embedding.makespan + lm_head.makespan
+    breakdown = merge_breakdowns(
+        {tag: value * blocks for tag, value in block.breakdown_by_tag().items()},
+        embedding.breakdown_by_tag(),
+        lm_head.breakdown_by_tag(),
+    )
+    stats = (
+        block.stats.with_core_scaling(cores).scaled(blocks)
+        .merge(embedding.stats)
+        .merge(lm_head.stats.with_core_scaling(cores))
+    )
+    flops = block.total_flops() * blocks * cores + lm_head.total_flops() * cores
+    return latency, breakdown, stats, flops
 
 
 def _result_signature(result):
@@ -91,6 +138,40 @@ class TestPassCostCacheCorrectness:
         assert fast.generation.flops == pytest.approx(exact.generation.flops, rel=0.02)
         assert fast.energy.total_mj == pytest.approx(exact.energy.total_mj, rel=0.05)
 
+    def test_what_callers_change_never_reaches_the_cache(self):
+        """A run reads its generation entries in place, without copies, so
+        what a caller gets must never be an entry: changing a stage
+        breakdown of ``run``, a breakdown of ``pass_cost`` or a stats
+        field of ``_pass_cost`` leaves a rerun on the warm cache with the
+        first run's numbers."""
+        system = IanusSystem(SystemConfig.ianus(), pass_cache=PassCostCache())
+        model = GPT2_CONFIGS["m"]
+        workload = Workload(64, 12)
+        stage_pass = StagePass(Stage.GENERATION, 1, 70)  # one of the run's passes
+        first = system.run(model, workload, mode="exact")
+        expected = (repr(first), repr(system.pass_cost(model, stage_pass)))
+
+        for stage in (first.summarization, first.generation):
+            for tag in stage.breakdown:
+                stage.breakdown[tag] = -1.0
+        system.pass_cost(model, stage_pass).breakdown["FFN+Add"] = -1.0
+        for kv in (65, 70, 75):  # the first, a middle and the last KV length
+            latency, breakdown, stats, flops = system._pass_cost(
+                model, StagePass(Stage.GENERATION, 1, kv)
+            )
+            breakdown["LM head"] = -1.0
+            stats.pim_row_activations += 10**9
+            stats.matrix_unit_flops = -1.0
+        latency, breakdown, stats, flops = system._pass_cost(
+            model, StagePass(Stage.SUMMARIZATION, 64, 64)
+        )
+        breakdown["Embedding"] = -1.0
+        stats.offchip_read_bytes = -1
+
+        rerun = system.run(model, workload, mode="exact")
+        assert (repr(rerun), repr(system.pass_cost(model, stage_pass))) == expected
+        assert system.pass_cache.misses == 1 + len(workload.generation_kv_lengths())
+
     def test_different_configs_do_not_share_entries(self):
         model = GPT2_CONFIGS["m"]
         workload = Workload(48, 1)
@@ -129,13 +210,15 @@ class TestPassCostCacheBookkeeping:
         assert config_fingerprint(a) != config_fingerprint(a.variant(num_cores=2))
         assert config_fingerprint(a, 1) != config_fingerprint(a, 2)
 
-    def test_exact_run_prices_each_kv_length_once(self):
+    @pytest.mark.parametrize("make_config,devices,model_key", _RANGE_DESIGNS)
+    def test_exact_run_prices_each_kv_length_once(self, make_config, devices, model_key):
         """An exact run schedules its KV lengths as columns of one engine
         call, yet each pass keeps its own entry: one miss and one put per
         pass (the summarization and each KV length), as perfbench's
         ``sim.passes_priced`` digests.  A rerun only hits and reports the
         same numbers.  Cached values hold Python numbers and dicts only, so
-        the persisted pass-cost section keeps its layout."""
+        the persisted pass-cost section keeps its layout, and each equals
+        its pass assembled with the stats' and breakdowns' own methods."""
 
         class CountingCache(PassCostCache):
             def __init__(self):
@@ -147,16 +230,20 @@ class TestPassCostCacheBookkeeping:
                 super().put(key, value)
 
         cache = CountingCache()
-        system = IanusSystem(SystemConfig.ianus(), pass_cache=cache)
+        system = IanusSystem(make_config(), num_devices=devices, pass_cache=cache)
+        model = GPT2_CONFIGS[model_key]
         workload = Workload(128, 256)
-        first = system.run(GPT2_CONFIGS["m"], workload, mode="exact")
+        first = system.run(model, workload, mode="exact")
         passes = 1 + len(workload.generation_kv_lengths())
         assert (cache.misses, cache.hits) == (passes, 0)
         assert len(cache.puts) == len(set(cache.puts)) == passes
-        second = system.run(GPT2_CONFIGS["m"], workload, mode="exact")
+        second = system.run(model, workload, mode="exact")
         assert (cache.misses, cache.hits, len(cache.puts)) == (passes, passes, passes)
         assert _result_signature(second) == _result_signature(first)
-        for latency, breakdown, stats, flops in cache._entries.values():
+        for key, entry in cache._entries.items():
+            stage_pass = StagePass(*key[2:])
+            assert repr(entry) == repr(_pass_by_object_methods(system, model, stage_pass))
+            latency, breakdown, stats, flops = entry
             assert type(latency) is float and type(flops) is float
             assert type(breakdown) is dict
             assert all(type(value) is float for value in breakdown.values())
@@ -164,13 +251,19 @@ class TestPassCostCacheBookkeeping:
                 int, int, int, int, float, float, int, int
             ]
 
+    @pytest.mark.parametrize("make_config,devices,model_key", _RANGE_DESIGNS)
     @pytest.mark.parametrize("missed", [1, MIN_RANGE_COLUMNS - 1, MIN_RANGE_COLUMNS])
-    def test_missed_kv_lengths_are_columns_only_in_a_long_range(self, missed, monkeypatch):
+    def test_missed_kv_lengths_are_columns_only_in_a_long_range(
+        self, missed, make_config, devices, model_key, monkeypatch
+    ):
         """Fewer than ``MIN_RANGE_COLUMNS`` missed KV lengths are simulated
         one pass at a time, more as the columns of one ``simulate_range``
-        call; either way each length costs what its pass alone does."""
-        system = IanusSystem(SystemConfig.ianus(), pass_cache=None)
-        model = GPT2_CONFIGS["m"]
+        call; either way each length's entry is its pass alone, field for
+        field: latency, breakdown in key order, every stats field and FLOPs,
+        each of the same type."""
+        config = make_config()
+        system = IanusSystem(config, num_devices=devices, pass_cache=None)
+        model = GPT2_CONFIGS[model_key]
         counts = []
         simulate_range = system.engine.simulate_range
 
@@ -179,13 +272,21 @@ class TestPassCostCacheBookkeeping:
             return simulate_range(stream)
 
         monkeypatch.setattr(system.engine, "simulate_range", counted)
-        kv_lengths = list(range(200, 200 + missed))
+        kv_lengths = list(range(200, 200 + 150 * missed, 150))
+        if config.memory_policy is MemoryPolicy.PARTITIONED:
+            fractions = system.memory_system.non_duplicated_fractions(model, kv_lengths)
+            assert len(set(fractions)) == missed and min(fractions) > 0.0
         costs = system._generation_costs(model, kv_lengths)
         assert counts == ([missed] if missed >= MIN_RANGE_COLUMNS else [])
         for kv in kv_lengths:
-            assert costs[kv] == system._pass_cost_uncached(
+            alone = IanusSystem(config, num_devices=devices, pass_cache=None)
+            latency, breakdown, stats, flops = alone._pass_cost_uncached(
                 model, StagePass(Stage.GENERATION, 1, kv)
             )
+            assert costs[kv][0] == latency and costs[kv][3] == flops
+            assert list(costs[kv][1].items()) == list(breakdown.items())
+            assert dataclasses.astuple(costs[kv][2]) == dataclasses.astuple(stats)
+            assert repr(costs[kv]) == repr((latency, breakdown, stats, flops))
 
     def test_fast_mode_prices_its_samples_as_columns(self, monkeypatch):
         """Fast mode's five missed samples are at least ``MIN_RANGE_COLUMNS``
@@ -361,6 +462,37 @@ class TestSlotsPass:
         assert not hasattr(timeline, "__dict__")
 
 
+def _gemv_both_ways(config, out_features, in_features, fused_gelu, channels):
+    """One GEMV estimated by the fused walk and by decoding the macro with
+    the PCU and interpreting its micro program over a ``DramBank``."""
+    from repro.pim.address_mapping import TileMapping
+    from repro.pim.commands import MacroKind, MacroPimCommand
+    from repro.pim.controller import PimMemoryController
+    from repro.pim.pcu import PimControlUnit
+
+    macro = MacroPimCommand(
+        kind=MacroKind.GEMV_GELU if fused_gelu else MacroKind.GEMV,
+        out_features=out_features,
+        in_features=in_features,
+        channels=channels,
+        fused_gelu=fused_gelu,
+    )
+    controller = PimMemoryController(config)
+    reference = controller.run_micro_program(
+        PimControlUnit(config).decode(macro).micro_commands
+    )
+    fused = controller.run_gemv_program(
+        TileMapping(
+            config,
+            out_features=out_features,
+            in_features=in_features,
+            compute_channels=channels,
+        ),
+        fused_gelu=fused_gelu,
+    )
+    return fused, reference
+
+
 class TestFusedGemvProgram:
     @pytest.mark.parametrize(
         "out_features,in_features,fused_gelu,channels",
@@ -371,39 +503,68 @@ class TestFusedGemvProgram:
             (64, 768, False, 2),       # single-chip channel count
             (1280, 5120, True, 4),
             (100, 100, False, 8),      # partial tiles in both dimensions
+            # The GEMVs paper-exact estimates: the GPT-2 M, XL and 2.5B LM
+            # heads and fused-GELU FFNs on the partitioned organisation's
+            # four channels and the unified one's eight.
+            (50257, 1024, False, 4),
+            (50257, 1024, False, 8),
+            (50257, 1536, False, 4),
+            (50257, 1536, False, 8),
+            (50257, 1920, False, 4),
+            (50257, 1920, False, 8),
+            (4096, 1024, True, 4),
+            (6144, 1536, True, 4),
+            (6144, 1536, True, 8),
+            (7680, 1920, True, 4),
+            (7680, 1920, True, 8),
         ],
     )
     def test_fused_path_equals_decode_then_interpret(
         self, out_features, in_features, fused_gelu, channels
     ):
         from repro.config import PimConfig
-        from repro.pim.address_mapping import TileMapping
-        from repro.pim.commands import MacroKind, MacroPimCommand
-        from repro.pim.controller import PimMemoryController
-        from repro.pim.pcu import PimControlUnit
 
-        config = PimConfig()
-        macro = MacroPimCommand(
-            kind=MacroKind.GEMV_GELU if fused_gelu else MacroKind.GEMV,
-            out_features=out_features,
-            in_features=in_features,
-            channels=channels,
-            fused_gelu=fused_gelu,
-        )
-        controller = PimMemoryController(config)
-        reference = controller.run_micro_program(
-            PimControlUnit(config).decode(macro).micro_commands
-        )
-        fused = controller.run_gemv_program(
-            TileMapping(
-                config,
-                out_features=out_features,
-                in_features=in_features,
-                compute_channels=channels,
-            ),
-            fused_gelu=fused_gelu,
+        fused, reference = _gemv_both_ways(
+            PimConfig(), out_features, in_features, fused_gelu, channels
         )
         assert fused == reference  # exact equality, including float timings
+        assert repr(fused) == repr(reference)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        channels=st.integers(1, 8),
+        full_row_tiles=st.integers(0, 3),
+        partial_rows=st.integers(0, 126),
+        full_col_tiles=st.integers(0, 3),
+        partial_cols=st.integers(1, 1023),
+        fused_gelu=st.booleans(),
+        timings=st.tuples(*[st.floats(0.1, 100.0)] * 5),
+        data_rate_gbps=st.floats(1.0, 32.0),
+    )
+    def test_fused_path_equals_decode_then_interpret_on_partial_tiles(
+        self, channels, full_row_tiles, partial_rows, full_col_tiles,
+        partial_cols, fused_gelu, timings, data_rate_gbps,
+    ):
+        """Partial tiles in both dimensions, under drawn DRAM timings and
+        bus rates.  The default timings and bus rate make every partial sum
+        exact in binary, so only drawn ones pin the walk's order of float
+        operations."""
+        from repro.config import DramTimingConfig, PimConfig
+
+        tRCD_RD, tRAS, tRP, tCCD_L, result_read_ns = timings
+        config = PimConfig(
+            timing=DramTimingConfig(tRCD_RD=tRCD_RD, tRAS=tRAS, tRP=tRP, tCCD_L=tCCD_L),
+            result_read_ns=result_read_ns,
+            data_rate_gbps=data_rate_gbps,
+        )
+        tile_rows = config.banks_per_channel * channels
+        out_features = full_row_tiles * tile_rows + partial_rows % (tile_rows - 1) + 1
+        in_features = full_col_tiles * config.row_elements + partial_cols
+        fused, reference = _gemv_both_ways(
+            config, out_features, in_features, fused_gelu, channels
+        )
+        assert fused == reference
+        assert repr(fused) == repr(reference)
 
 
 class TestParallelRunner:
