@@ -246,8 +246,8 @@ class IanusSystem:
         sample_results = self._generation_costs(model, samples)
 
         # Running totals, added to left to right in the order below: each
-        # stats field (what ActivityStats.merge adds, without building the
-        # stats), and each tag in order of first appearance.
+        # stats field (without building an ActivityStats per pass), and
+        # each tag in order of first appearance.
         total_latency = 0.0
         total_flops = 0.0
         total_stats = list(_stats_fields(ActivityStats()))

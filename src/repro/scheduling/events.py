@@ -109,18 +109,6 @@ class ActivityStats:
     onchip_bytes: int = 0
     pim_macro_commands: int = 0
 
-    def merge(self, other: "ActivityStats") -> "ActivityStats":
-        return ActivityStats(
-            offchip_read_bytes=self.offchip_read_bytes + other.offchip_read_bytes,
-            offchip_write_bytes=self.offchip_write_bytes + other.offchip_write_bytes,
-            pim_weight_bytes=self.pim_weight_bytes + other.pim_weight_bytes,
-            pim_row_activations=self.pim_row_activations + other.pim_row_activations,
-            matrix_unit_flops=self.matrix_unit_flops + other.matrix_unit_flops,
-            vector_unit_flops=self.vector_unit_flops + other.vector_unit_flops,
-            onchip_bytes=self.onchip_bytes + other.onchip_bytes,
-            pim_macro_commands=self.pim_macro_commands + other.pim_macro_commands,
-        )
-
     def scaled(self, factor: float) -> "ActivityStats":
         # Byte and event counters are rounded, not truncated: fast-mode
         # interpolation scales by fractional weights, and truncation would

@@ -38,6 +38,17 @@ byte**.  The registry :data:`TRACE_CURVES` names the shapes
 (``constant``, ``diurnal``, ``flash-crowd``, ``step``);
 :func:`make_trace_curve` is the validated construction point (same idiom
 as ``make_policy`` / ``make_router``).
+
+The inversion (:meth:`TraceCurve.advance`) bisects the exposure to full
+double precision, and its path defines the arrival instants.  The diurnal
+curve, the one a simulated day runs, walks that same path but calls
+``cos`` only at the midpoints where the comparison could go either way:
+a proven bound on the float exposure's rounding error settles every
+midpoint outside a narrow band around the root, in the manner of the
+floating-point filters of exact geometric predicates (Shewchuk, "Adaptive
+Precision Floating-Point Arithmetic and Fast Robust Geometric
+Predicates", 1997).  Its arrivals are the plain bisection's, bit for bit,
+at about a quarter of the ``cos`` calls.
 """
 
 from __future__ import annotations
@@ -69,8 +80,27 @@ __all__ = [
 #: Cap on the bisection iterations of the curve inversion — enough to
 #: reach full double precision on any bracket.  The loop stops earlier,
 #: once the bracket cannot shrink (after 28-53, median 42, on perfbench's
-#: serve-day diurnal curves).
+#: serve-day diurnal curves).  Every iteration counts against the cap,
+#: whether it evaluates the curve or a proven band settles its midpoint
+#: (:meth:`DiurnalCurve.advance`).
 _INVERT_ITERATIONS = 100
+
+#: The diurnal inversion's band (:meth:`DiurnalCurve.advance`).  Above
+#: this amplitude the exposure's slope, at least ``1 - amplitude``, is too
+#: flat for a narrow band, and every midpoint is evaluated.
+_BAND_MAX_AMPLITUDE = 0.999
+#: The band is built only when the error bound is at most this share of
+#: the area: a wider band leaves too few midpoints to settle to repay the
+#: Newton steps and the two edge checks.
+_BAND_GATE = 2.0**-16
+#: Newton steps allowed to reach the band's centre before giving up.
+_BAND_NEWTON_STEPS = 8
+#: A bracket inside ``(-_BAND_SPAN, _BAND_SPAN)`` keeps ``low + high``
+#: finite, so every midpoint lies in the bracket.
+_BAND_SPAN = 2.0**1020
+#: The band that settles no midpoint: ``mid <= -inf`` and ``mid >= inf``
+#: are false for every finite midpoint.
+_UNSETTLED = (-math.inf, math.inf)
 
 
 def _check_finite(name: str, value: float, positive: bool = False) -> None:
@@ -100,7 +130,9 @@ class TraceCurve:
     iteration could move ``high``, the value returned: the result is
     bit-identical to a fixed :data:`_INVERT_ITERATIONS`-iteration
     bisection (unless ``low + high`` overflows), and deterministic on
-    every platform.
+    every platform.  A subclass may skip evaluating the exposure at a
+    midpoint whose comparison it has proven, as :class:`DiurnalCurve`
+    does, but it must walk this path and return this ``high``.
     """
 
     name = "curve"
@@ -116,7 +148,9 @@ class TraceCurve:
         raise NotImplementedError
 
     def advance(self, t0: float, area: float) -> float:
-        """The instant ``t >= t0`` at which ``exposure(t0, t)`` reaches ``area``."""
+        """The instant ``t >= t0`` at which ``exposure(t0, t)`` reaches
+        ``area``: the bisection this class's docstring describes, on the
+        bracket ``[t0, t0 + area / min_multiplier()]``."""
         if area <= 0.0:
             return t0
         low = t0
@@ -207,29 +241,140 @@ class DiurnalCurve(TraceCurve):
         return 1.0 - self.amplitude
 
     def advance(self, t0, area):
-        # The base-class bisection with ``exposure(t0, mid)`` inlined and
-        # its ``t0`` half computed once per call: the same float
-        # operations in the same order, so the same bits, at one ``cos``
-        # per iteration instead of two.
+        """The base-class bisection, calling ``cos`` only at the midpoints
+        that a proven error bound cannot settle.
+
+        The loop is the base class's with ``exposure(t0, mid)`` inlined and
+        its ``t0`` half, ``cos0``, computed once per call: the same float
+        operations in the same order, so the same bits.  Write ``g_f(x)``
+        for the float value of its expression, ``(x - t0) + swing * (cos0 -
+        cos(2pi * (x - phase) / period))``, and ``g(x)`` for that expression
+        in exact arithmetic over the same float constants (``2pi`` is
+        ``2.0 * math.pi``; ``swing`` and ``cos0`` are the floats computed
+        below).  Let u = 2**-53, ``[t0, high]`` the initial bracket,
+        W = high - t0, theta(x) = 2pi * (x - phase) / period, theta0 =
+        theta(t0) and k = swing * 2pi / period.
+
+        *g increases.*  g'(x) = 1 + k * sin(theta(x)) >= 1 - k, and
+        ``swing`` rounds amplitude * period / 2pi twice, so
+        k <= amplitude * (1 + u)**2 < 1 for an amplitude up to
+        :data:`_BAND_MAX_AMPLITUDE`.
+
+        *The bound.*  For every float x in the bracket, |g_f(x) - g(x)| is
+        at most, to first order in u, one term per rounding:
+
+        - u * W for ``x - t0``;
+        - swing * 3u * |theta| for the angle's subtraction, product and
+          quotient (each off by a relative u at most; cos is 1-Lipschitz),
+          with |theta| <= |theta0| + 2pi * W / period on the bracket:
+          at most swing * 3u * |theta0| + 3u * k * W;
+        - swing * 4u for libm's ``cos``, 2 ulp of a value in [-1, 1];
+        - u * k * W for ``cos0 - cos``, whose operands differ by at most
+          2pi * W / period plus the errors above;
+        - u * k * W for the product with ``swing``;
+        - u * (1 + k) * W for the final sum, as |g| <= (1 + k) * W.
+
+        With k < 1 they add up to less than u * (8W + swing * (3|theta0| +
+        4)).  :meth:`_band` takes E = 2u * (8W + area + swing * (3|theta0|
+        + 4)) + 2**-1022: twice that sum, which covers the second-order
+        terms and E's own rounding; 2u * area for the rounding of the
+        thresholds ``area -+ 2E`` below; and 2**-1022 for the absolute
+        error of any underflow.
+
+        *The band.*  Newton steps estimate the root of g(x) = area, and
+        floats a < b around it, inside ``(t0, high)``, are kept only if
+        g_f(a) < area - 2E and g_f(b) >= area + 2E.  Then every float
+        x <= a of the bracket has g_f(x) <= g(x) + E <= g(a) + E <=
+        g_f(a) + 2E < area, so the bisection would set ``low = x``, and
+        every x >= b has g_f(x) >= g(b) - E >= g_f(b) - 2E >= area, so it
+        would set ``high = x`` (the last step of each chain holds for the
+        float thresholds too: E's 2u * area term covers their rounding).  The loop settles those midpoints without
+        ``cos`` and evaluates the rest as before: it walks the base
+        class's path, every iteration counting against
+        :data:`_INVERT_ITERATIONS`, and returns its ``high``.  Every
+        midpoint lies in the bracket, since the band needs a bracket
+        inside ``(-_BAND_SPAN, _BAND_SPAN)``, where ``low + high`` cannot
+        overflow.  Where a precondition fails (the amplitude, a non-finite
+        or empty bracket, E above :data:`_BAND_GATE` of the area, Newton
+        leaving the bracket or not converging, an edge that does not
+        check) the band is :data:`_UNSETTLED` and every midpoint is
+        evaluated.
+        """
         if area <= 0.0:
             return t0
         low = t0
         high = t0 + area / self.min_multiplier()
         phase, period = self.phase_s, self.period_s
-        swing = self.amplitude * period / (2.0 * math.pi)
-        cos0 = math.cos(self._angle(t0))
+        twopi = 2.0 * math.pi
+        swing = self.amplitude * period / twopi
         cos = math.cos
+        cos0 = cos(twopi * (t0 - phase) / period)
+        below, above = self._band(t0, area, high, swing, cos0)
         for _ in range(_INVERT_ITERATIONS):
             mid = 0.5 * (low + high)
             if mid == low or mid == high:
                 break
-            if (mid - t0) + swing * (
-                cos0 - cos(2.0 * math.pi * (mid - phase) / period)
+            if mid <= below:
+                low = mid
+            elif mid >= above:
+                high = mid
+            elif (mid - t0) + swing * (
+                cos0 - cos(twopi * (mid - phase) / period)
             ) < area:
                 low = mid
             else:
                 high = mid
         return high
+
+    def _band(self, t0, area, high, swing, cos0):
+        """The floats ``(a, b)`` of :meth:`advance`'s proof, checked, or
+        :data:`_UNSETTLED` where a precondition fails."""
+        if not (
+            self.amplitude <= _BAND_MAX_AMPLITUDE
+            and -_BAND_SPAN < t0 < high < _BAND_SPAN
+        ):
+            return _UNSETTLED
+        phase, period = self.phase_s, self.period_s
+        twopi = 2.0 * math.pi
+        omega = twopi / period
+        k = swing * omega
+        theta = twopi * (t0 - phase) / period
+        error = 2.0**-52 * (
+            8.0 * (high - t0) + area + swing * (3.0 * abs(theta) + 4.0)
+        ) + 2.0**-1022
+        if not error <= area * _BAND_GATE:
+            return _UNSETTLED
+        cos, sin = math.cos, math.sin
+        # Newton from the second-order Taylor estimate at t0 (``cos0`` for
+        # cos(theta0)).  A step of s leaves g about s**2 * k * omega / (1 - k)
+        # from the area at most, so the steps stop once that is below E.
+        slope = 1.0 + k * sin(theta)
+        x = area / slope
+        x = t0 + x * (1.0 - 0.5 * k * omega * cos0 * x / slope)
+        curvature = k * omega / (1.0 - k)
+        for _ in range(_BAND_NEWTON_STEPS):
+            if not t0 < x < high:
+                return _UNSETTLED
+            theta = twopi * (x - phase) / period
+            slope = 1.0 + k * sin(theta)
+            step = ((x - t0) + swing * (cos0 - cos(theta)) - area) / slope
+            x -= step
+            if step * step * curvature <= error:
+                break
+        else:
+            return _UNSETTLED
+        # Wide enough that the edges check even when the estimate is E off.
+        half = 4.0 * error / slope
+        a, b = x - half, x + half
+        if (
+            t0 < a < b < high
+            and (a - t0) + swing * (cos0 - cos(twopi * (a - phase) / period))
+            < area - 2.0 * error
+            and (b - t0) + swing * (cos0 - cos(twopi * (b - phase) / period))
+            >= area + 2.0 * error
+        ):
+            return a, b
+        return _UNSETTLED
 
     def describe(self) -> str:
         return (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.config import EnergyConfig, SystemConfig
@@ -29,12 +31,16 @@ class TestEnergyBreakdown:
         assert combined.total_j == pytest.approx(7.5)
 
     def test_addition_and_scaling(self, energy_model):
-        """Energy is linear in activity: the generation stage integrates its
-        sampled passes by merging and scaling their activity statistics."""
+        """Energy is linear in activity: the generation stage adds its
+        passes' activity statistics field by field into running totals,
+        scaling the sampled passes' in fast mode, and prices the totals."""
         a = ActivityStats(offchip_read_bytes=3 * 10**6, pim_weight_bytes=10**7,
                           matrix_unit_flops=2e9)
         b = ActivityStats(onchip_bytes=5 * 10**6, vector_unit_flops=4e8)
-        merged = energy_model.from_stats(a.merge(b))
+        merged = energy_model.from_stats(ActivityStats(**{
+            field.name: getattr(a, field.name) + getattr(b, field.name)
+            for field in fields(ActivityStats)
+        }))
         summed = energy_model.from_stats(a) + energy_model.from_stats(b)
         assert merged.total_j == pytest.approx(summed.total_j)
         scaled = energy_model.from_stats(a.scaled(2.5))

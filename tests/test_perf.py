@@ -55,8 +55,9 @@ _RANGE_DESIGNS = [
 
 def _pass_by_object_methods(system, model, stage_pass):
     """One full pass assembled with ``ActivityStats``' and
-    ``merge_breakdowns``' own methods and a full ``place()``: the reference
-    for the float operations, and their order, of the one pass assembly."""
+    ``merge_breakdowns``' own methods, a field-by-field stats sum and a
+    full ``place()``: the reference for the float operations, and their
+    order, of the one pass assembly."""
     block = system.block_timeline(model, stage_pass)
     embedding = system.engine.simulate(
         system.compiler.compile_embedding(model, stage_pass.num_tokens)
@@ -77,11 +78,17 @@ def _pass_by_object_methods(system, model, stage_pass):
         embedding.breakdown_by_tag(),
         lm_head.breakdown_by_tag(),
     )
-    stats = (
-        block.stats.with_core_scaling(cores).scaled(blocks)
-        .merge(embedding.stats)
-        .merge(lm_head.stats.with_core_scaling(cores))
+    parts = (
+        block.stats.with_core_scaling(cores).scaled(blocks),
+        embedding.stats,
+        lm_head.stats.with_core_scaling(cores),
     )
+    # Each field added left to right: block, then embedding, then LM head.
+    stats = ActivityStats(**{
+        field.name: (getattr(parts[0], field.name) + getattr(parts[1], field.name))
+        + getattr(parts[2], field.name)
+        for field in dataclasses.fields(ActivityStats)
+    })
     flops = block.total_flops() * blocks * cores + lm_head.total_flops() * cores
     return latency, breakdown, stats, flops
 

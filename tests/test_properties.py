@@ -30,12 +30,14 @@ from repro.scheduling import (
 )
 from repro.serving.request import CompletionRecord, to_ps, to_s
 from repro.serving.simulator import request_aggregates
+from repro.serving import trace as trace_module
 from repro.serving.trace import (
     ConstantCurve,
     DiurnalCurve,
     FlashCrowdCurve,
     StepCurve,
     TraceCurve,
+    get_trace_generator,
 )
 
 PIM = PimConfig()
@@ -694,6 +696,116 @@ def test_curve_advance_equals_fixed_iteration_bisection(case):
     assert TraceCurve.advance(curve, t0, area) == expected
     assert curve.advance(t0, 0.0) == t0
     assert curve.advance(t0, -area) == t0
+
+
+class _ReferenceDiurnal(DiurnalCurve):
+    """A diurnal curve inverted by :func:`_reference_advance`."""
+
+    def advance(self, t0, area):
+        return _reference_advance(self, t0, area)
+
+
+#: Diurnal streams of the ``chatbot`` mix: (requests, rate, seed, knobs).
+_DIURNAL_STREAMS = {
+    # CI's day (``--trace-curve diurnal:period-s=440,amplitude=0.8,
+    # phase-s=110``, 3,000 requests at seed 3), its requests over one period.
+    "ci-day": (3_000, 3_000 / 440.0, 3, dict(period_s=440.0, amplitude=0.8, phase_s=110.0)),
+    # serve-day's shape: one period over the horizon, from the trough.
+    "serve-day": (8_000, 20.0, 1, dict(period_s=400.0, amplitude=0.8, phase_s=100.0)),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(_DIURNAL_STREAMS))
+def test_diurnal_stream_equals_the_reference_bisection(stream):
+    """Every arrival of a diurnal day equals, one by one, the arrival the
+    100-iteration bisection gives: the band settles only midpoints whose
+    comparison it has proven, at the scale a day runs."""
+    requests, rate, seed, knobs = _DIURNAL_STREAMS[stream]
+    generator = get_trace_generator("chatbot")
+    arrivals = [
+        request.arrival_s
+        for request in generator.generate(requests, rate, seed=seed, curve=DiurnalCurve(**knobs))
+    ]
+    expected = [
+        request.arrival_s
+        for request in generator.generate(
+            requests, rate, seed=seed, curve=_ReferenceDiurnal(**knobs)
+        )
+    ]
+    mismatches = [i for i, (a, b) in enumerate(zip(arrivals, expected)) if a != b]
+    assert not mismatches, f"{len(mismatches)} arrivals differ, first at {mismatches[0]}"
+    assert len(arrivals) == len(expected) == requests
+
+
+@st.composite
+def hard_diurnal_inversions(draw):
+    """(curve, t0, area) where the band is hardest to get right: amplitudes
+    on both sides of its 0.999 cap; ``t0`` at or within 4 ulps of 0, of
+    a power of two, or of a phase crossing up to 1e4 periods on; areas
+    from 2**-8 to 2**8 times where the band's gate opens."""
+    period = draw(st.floats(min_value=1e-3, max_value=1e6))
+    amplitude = draw(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=0.99),
+            st.floats(min_value=0.99, max_value=1.0, exclude_max=True),
+        )
+    )
+    phase = draw(_OFFSET)
+    t0 = draw(
+        st.one_of(
+            st.just(0.0),
+            st.builds(
+                lambda sign, exponent: sign * 2.0**exponent,
+                st.sampled_from([-1.0, 1.0]),
+                st.integers(min_value=-60, max_value=60),
+            ),
+            st.integers(min_value=0, max_value=10_000).map(lambda k: phase + k * period),
+        )
+    )
+    direction = draw(st.sampled_from([-math.inf, math.inf]))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        t0 = math.nextafter(t0, direction)
+    # The gate opens where 2**16 times the error bound reaches the area:
+    # about 2**-36 * swing * (3|theta0| + 4) for a small bracket.
+    swing = amplitude * period / (2.0 * math.pi)
+    theta0 = 2.0 * math.pi * (t0 - phase) / period
+    gate = 2.0**-36 * swing * (3.0 * abs(theta0) + 4.0) + 2.0**-1000
+    area = gate * 2.0 ** draw(st.floats(min_value=-8.0, max_value=8.0))
+    return DiurnalCurve(period_s=period, amplitude=amplitude, phase_s=phase), t0, area
+
+
+@given(case=hard_diurnal_inversions())
+@settings(max_examples=400, deadline=None)
+def test_diurnal_band_holds_in_its_hard_regions(case):
+    curve, t0, area = case
+    assert curve.advance(t0, area) == _reference_advance(curve, t0, area)
+
+
+class _CountingMath:
+    """The ``math`` module, counting ``cos`` calls."""
+
+    def __init__(self):
+        self.cos_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def cos(self, x):
+        self.cos_calls += 1
+        return math.cos(x)
+
+
+def test_diurnal_advance_calls_cos_only_near_the_root(monkeypatch):
+    """On CI's day the band engages: ``advance`` averages at most 15
+    ``cos`` calls, where evaluating every midpoint takes ~43."""
+    requests, rate, seed, knobs = _DIURNAL_STREAMS["ci-day"]
+    counting = _CountingMath()
+    monkeypatch.setattr(trace_module, "math", counting)
+    get_trace_generator("chatbot").generate(
+        requests, rate, seed=seed, curve=DiurnalCurve(**knobs)
+    )
+    # One ``advance`` call per request.
+    assert counting.cos_calls <= 15 * requests
 
 
 if __name__ == "__main__":  # pragma: no cover
