@@ -295,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chunk-tokens", type=int, default=0,
                        help="prefill chunk size in tokens; chunks piggyback "
                             "decode tokens (default 0 = whole-prompt prefill)")
-    serve.add_argument("--engine", default="object",
-                       help="simulation engine: 'object' (reference, "
-                            "per-iteration) or 'array' (vectorized megatrace "
-                            "core; same metrics, much faster)")
+    serve.add_argument("--engine", default="array",
+                       help="simulation engine: 'array' (default: the fast "
+                            "paths) or 'object' (the per-iteration "
+                            "reference; same metrics, slower)")
     serve.add_argument("--profile", action="store_true",
                        help="print per-phase wall time (trace generation, "
-                            "admit, prefill, decode, metrics; absorb on the "
-                            "array engine, route on clusters)")
+                            "admit, absorb, prefill, decode, metrics; route "
+                            "on clusters)")
     serve.add_argument("--validate", action="store_true",
                        help="replay the event log through the scheduling-"
                             "invariant checker; exit nonzero on violation")
@@ -706,33 +706,16 @@ def _run_list() -> int:
     for name in AUTOSCALERS:
         print(f"  {name}")
     print()
-    print("serving engines (`repro serve --engine`) x feature support:")
-    rows = [
-        ("feature", "object", "array"),
-        ("registered policies", "yes", "yes"),
-        ("custom Policy subclass", "yes", "no (object engine only)"),
-        ("exact pricing (--exact)", "yes", "yes (per-iteration, no decode table)"),
-        ("cluster (--replicas/--router)", "yes", "yes"),
-        ("failure injection (--failures)", "yes", "yes"),
-        ("autoscaling (--autoscaler)", "yes", "yes"),
-        ("event log (--validate)", "yes", "yes (decode runs, one event per run; other fast paths stand down)"),
-        ("prefix sharing (--prefix-share)", "yes", "yes (decode runs; other fast paths stand down)"),
-        ("host-DRAM swap (--swap)", "yes", "yes (decode runs; other fast paths stand down)"),
-        ("co-hosted model set (--models)", "yes", "yes (decode runs; other fast paths stand down)"),
-        ("tenant shares (--tenant-slo)", "yes", "yes"),
-        (
-            "arrival-batched underload path", "no",
-            "yes (events off, no --chunk-tokens, no sharing/swap, no --models)",
-        ),
-        ("phase profile (--profile)", "yes", "yes"),
-    ]
-    width = max(len(row[0]) for row in rows)
-    for feature, object_support, array_support in rows:
-        print(f"  {feature:<{width}}  {object_support:<8} {array_support}")
-    print("  (unsupported combinations fall back or raise with the reason; "
-          "time and energy are integer picoseconds and picojoules, so the "
-          "array engine matches the object engine bit-for-bit on every "
-          "path, and per-request detail changes no number)")
+    print("serving engines (`repro serve --engine`):")
+    print("  array   (default) the per-iteration loop plus its fast paths: decode")
+    print("          runs (not under --exact), and with events off, no")
+    print("          --chunk-tokens, no sharing, swap or --models, arrival-batched")
+    print("          absorption and bursts")
+    print("  object  the per-iteration reference: the same loop, fast paths off")
+    print("  (a custom Policy subclass runs the reference under either engine;")
+    print("  time and energy are integer picoseconds and picojoules, so both")
+    print("  engines report the same numbers on every path, and per-request")
+    print("  detail changes no number)")
     return 0
 
 

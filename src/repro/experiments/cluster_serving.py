@@ -117,14 +117,13 @@ def run(fast: bool = True) -> ExperimentResult:
     return sweep(fast).execute()
 
 
-def _simulator_kwargs(admission: str, engine: str = "object") -> dict:
+def _simulator_kwargs(admission: str) -> dict:
     return {
         "policy": POLICY,
         "max_batch": MAX_BATCH,
         "kv_fraction": KV_FRACTION,
         "admission": admission,
         "preempt": True,
-        "engine": engine,
     }
 
 
@@ -157,11 +156,10 @@ def _run_cell(params: dict) -> dict:
     from repro.serving.simulator import ServingSimulator
 
     admission = params["admission"]
-    engine = params.get("engine", "object")
     if params["mode"] == "single":
         cost_model, model, trace, service_s, rate_rps = _trace_and_rate(params, 1)
         simulator = ServingSimulator(
-            cost_model, model, **_simulator_kwargs(admission, engine)
+            cost_model, model, **_simulator_kwargs(admission)
         )
         metrics = simulator.simulate(trace, record_events=True)
         violations = simulator.validate_invariants()
@@ -180,7 +178,7 @@ def _run_cell(params: dict) -> dict:
         model,
         num_replicas=replicas,
         router=params["router"],
-        **_simulator_kwargs(admission, engine),
+        **_simulator_kwargs(admission),
     )
     metrics = cluster.simulate(trace, record_events=True)
     violations = cluster.validate_invariants()

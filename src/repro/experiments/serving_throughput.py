@@ -137,9 +137,6 @@ def _run_cell(params: dict) -> dict:
         chunk_tokens=params["chunk_tokens"],
         kv_fraction=params["kv_fraction"],
         slo_targets=tuple(scale * service_s for scale in SLO_SCALES),
-        # Sweep grids may opt into the vectorized engine per cell; the
-        # default grid stays on the reference engine.
-        engine=params.get("engine", "object"),
     )
     metrics = simulator.simulate(trace, record_events=True)
     violations = simulator.validate_invariants()

@@ -33,41 +33,39 @@ Layering — who knows what:
     preemption, a livelock, every replica down) raises
     :class:`ServingStall`.
 :mod:`repro.serving.array_engine` / :mod:`repro.serving.decode_table`
-    The *megatrace* engine.  ``ServingSimulator(..., engine="array")``
-    swaps the per-request object hot loop for a columnar one (parallel
-    state lists, dense :class:`~repro.serving.decode_table.DecodeCostTable`
-    pricing) behind the same ``SimulationRun`` API.  A table is built once
-    per (backend, model, KV range) and process, in every form the engine
-    reads, and every run, replica and weight swap installs it by
-    reference.  The engine advances a stable all-decode batch to its next
-    event in one call, its one all-decode stepper (``_decode_run``): from
-    the table's prefix sums in O(B) where no fused-pass floor can bind and
-    no event log needs per-iteration latencies, and per iteration (numpy
-    int64) otherwise.  Simulated time is integer picoseconds and energy
+    :class:`ArraySimulationRun`, the one run class behind ``begin``,
+    ``simulate``, ``simulate_stream`` and every cluster replica: columnar request state (parallel state lists) and
+    one per-iteration loop whose
+    admit/grow/preempt/swap/step bodies apply the simulator module's rules
+    (policy decisions over :class:`RequestKeys`, victim choice, fused-pass
+    pricing, host-link transfer time).  Decode prices come from a dense
+    :class:`~repro.serving.decode_table.DecodeCostTable`, built once per
+    (backend, model, KV range) and process, in every form the run reads;
+    every run, replica and weight swap installs it by reference.
+    ``ServingSimulator(engine=...)`` decides whether the fast paths ride
+    on that loop.  ``engine="array"`` (the default) runs them: the decode
+    runs (``_decode_run``, the one all-decode stepper) advance a stable
+    all-decode batch to its next event in one call — from the table's
+    prefix sums in O(B) where no fused-pass floor can bind and no event
+    log needs per-iteration latencies, and per iteration (numpy int64)
+    otherwise — and arrival absorption and bursts serve idle-device
+    windows.  ``engine="object"`` is the per-iteration reference, with
+    every fast path off; a policy outside the registry runs it under
+    either value, since the fast paths rely on the registered policies'
+    batching contract.  Simulated time is integer picoseconds and energy
     integer picojoules (:mod:`repro.serving.request`), so every path —
     decode runs, arrival absorption, bursts, stepping — reports the same
-    numbers.  ``engine="object"`` (the default) remains the reference and
-    the only engine for custom policies: the array engine is bit-identical
-    to it, with events recorded once each ``decode_run`` event is expanded
-    into its steps (:func:`~repro.serving.validate.expand_runs`).  Both
-    run classes derive from one lifecycle base (counters, event log, offers and guards,
-    failure/recovery/resubmit, swap-in admission, weight-swap pricing,
-    the :class:`~repro.serving.request.CompletionRecord` every completion
-    is appended to), and the two per-iteration loops share every rule
-    that does not depend on how requests are stored — policy decisions over
-    :class:`RequestKeys`, victim choice, fused-pass pricing, host-link
-    transfer time — and differ only in the admit/grow/preempt/swap/step
-    bodies over objects or rows.  ``profile=True`` books per-phase self
-    time from outside both loops.
-    Pick ``array`` for million-request traces and sweeps; pick ``object``
-    when stepping through or debugging individual scheduling decisions.
-    :data:`ENGINES` lists the valid names; unknown names raise with that
-    list.  ``per_request_detail=False`` leaves the ``RequestMetrics`` rows
-    out of a run's or a fleet's result and changes no other number: one
+    numbers, and with events recorded the fast log equals the reference's
+    once each ``decode_run`` event is expanded into its steps
+    (:func:`~repro.serving.validate.expand_runs`).  ``profile=True`` books
+    per-phase self time from outside the loop.  :data:`ENGINES` lists the
+    valid names; unknown names raise with that list.
+    ``per_request_detail=False`` leaves the ``RequestMetrics`` rows out of
+    a run's or a fleet's result and changes no other number: one
     aggregator, :func:`~repro.serving.simulator.request_aggregates`,
-    reduces every completion record.  ``TraceGenerator.generate_stream`` feeds
-    ``ServingSimulator.simulate_stream`` arrivals in O(chunk) memory —
-    byte-identical to ``generate`` under every trace curve.
+    reduces every completion record.  ``TraceGenerator.generate_stream``
+    feeds ``ServingSimulator.simulate_stream`` arrivals in O(chunk) memory
+    — byte-identical to ``generate`` under every trace curve.
 :mod:`repro.serving.cluster`
     :class:`ClusterSimulator`: routes one trace over ``R`` replicas, each
     one run of the fleet's single ``ServingSimulator`` (spawned replicas
@@ -98,6 +96,7 @@ shardable :class:`~repro.experiments.base.Sweep`, and ``repro serve``
 exposes a single simulation from the command line.
 """
 
+from repro.serving.array_engine import ArraySimulationRun
 from repro.serving.autoscale import (
     AUTOSCALERS,
     Autoscaler,
@@ -152,7 +151,6 @@ from repro.serving.simulator import (
     ServingPolicy,
     ServingSimulator,
     ServingStall,
-    SimulationRun,
     SrptPolicy,
     decode_kv_bounds,
     make_policy,
@@ -191,7 +189,7 @@ __all__ = [
     "cluster_kv_peak",
     "ADMISSION_MODES",
     "ENGINES",
-    "SimulationRun",
+    "ArraySimulationRun",
     "DecodeCostTable",
     "build_decode_table",
     "decode_kv_bounds",

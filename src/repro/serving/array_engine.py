@@ -1,14 +1,13 @@
-"""The vectorized serving-event core ("megatrace") behind ``engine="array"``.
+"""The serving run: one discrete-event loop over columnar request state.
 
-:class:`ArraySimulationRun` derives from the same lifecycle base as
-:class:`~repro.serving.simulator.SimulationRun` and inherits everything a
-run does outside its request store: the counters and the event log, the
-lifecycle guards, ``offer``, ``fail`` / ``recover`` / ``resubmit`` /
-``catch_up`` / ``note_scale``, the swap-in admission loop and the
-weight-swap pricing.  The one-shot ``simulate``, the streaming
-``simulate_stream`` and the whole cluster layer therefore run on it
-unchanged.  Three things make it two orders of magnitude faster than the
-reference object engine:
+:meth:`ServingSimulator.begin <repro.serving.simulator.ServingSimulator.begin>`
+returns an :class:`ArraySimulationRun`, the one run class behind the
+one-shot ``simulate``, the streaming ``simulate_stream`` and every replica
+of the cluster layer.  The run owns all mutable state: the queues, the
+clock and counters, the KV ledger, the event log and the completion
+record.  The simulator it was created from supplies the immutable
+configuration and the scheduling rules, each written once in
+:mod:`repro.serving.simulator`.
 
 **Columnar request state.**  Requests live as parallel columns
 (arrival / prompt / output / prefilled / generated / ...) indexed by a
@@ -16,6 +15,30 @@ reference object engine:
 list on completion, so resident state is O(outstanding requests) — a
 streamed million-request day never materializes, and no per-request
 Python object survives its own lifetime.
+
+**One per-iteration loop.**  ``advance_until`` admits at pass boundaries
+and runs one ``_step`` per device iteration: a prefill chunk, a fused
+decode batch, or both.  The loop makes no decision of its own: the
+policy's admission gate and order, prefill pick and decode batch (over
+:class:`~repro.serving.simulator.RequestKeys` readers of the row
+columns), the preemption victim, the fused-pass price and the host-link
+transfer time are the simulator module's functions.  Only the
+state-bound bodies — admit, grow, preempt, swap and step over rows — are
+written here.  ``engine="object"`` runs this loop alone, pass by pass:
+it is the per-iteration reference every differential compares against,
+and the path a :class:`~repro.serving.simulator.ServingPolicy` subclass
+outside the registry takes under either engine value.
+
+**Fast paths.**  With ``engine="array"`` and a registered policy, the
+run's constructor turns on four fast paths, which rely on the registered
+policies' batching contract (:class:`~repro.serving.simulator.
+ServingPolicy`): its concurrency cap ``max_batch`` and whether it serves
+in queue order (``arrival_order``).  They are the decode runs, the
+arrival absorber, the burst runner and ``_step``'s monolithic-prefill
+shortcut, described below.  Simulated time and energy are integers, so
+each reports the numbers stepping reports, exactly.  The bulk offer path
+and ``_step``'s prefill-only branch depend on no contract and run in both
+modes.
 
 **Dense decode-cost tables.**  All decode pricing goes through a
 :class:`~repro.serving.decode_table.DecodeCostTable`, one per co-hosted
@@ -26,8 +49,7 @@ reads Python ints out of the table's column and prefix-sum tuples, and
 its decode runs and arrival absorber read the same integers out of the
 table's read-only int64 matrices, without touching the cost model.
 Table entries are bit-identical to ``cost_tuple(provider.decode(...))``,
-and every total is an integer sum, so each path reproduces the object
-engine's results *exactly*.
+and every total is an integer sum.
 
 **Decode runs.**  When every active request is decoding, the batch
 membership is provably stable until the next completion (admission caps
@@ -57,7 +79,7 @@ free, the burst runner's decodes and every run with an event log.  With
 takes one events-only stop, before each page grant under optimistic
 admission (see ``_decode_run``).
 :func:`~repro.serving.validate.expand_runs` turns that log into the
-per-iteration one, **bit-identical** to the object engine's (the
+per-iteration one, **bit-identical** to the reference's (the
 differential suite asserts exact equality).
 
 **Arrival absorption and bursts.**  While the device idles between
@@ -74,37 +96,23 @@ loop's own ``_step`` and ``_decode_run``.  Both are entered through
 (tests monkeypatch it) takes the per-arrival reference path.
 
 **One completion record.**  Every completion, whichever path served it,
-is appended to the lifecycle base's
+is appended to the run's
 :class:`~repro.serving.request.CompletionRecord`, and the simulator
 reduces the run's request-level metrics from it; ``per_request_detail``
 only decides whether its rows come back as well.
 
 **One KV ledger.**  Every run books its pages in the simulator's
-:class:`~repro.serving.kv_memory.KvPageAccountant` (``self.kv``), the
-same reference-counting ledger the object engine uses; its running
-counters make every pool read O(1), so the per-iteration loop, decode
-runs and the burst runner all reserve, grow and release
-through it.  The absorbers complete requests without ever holding their
-pages and only roll its ``peak_reserved_pages`` high-water mark.  Once a
-run offers a shared-prefix request (``prefix_id >= 0``), or when it has
-the host-DRAM swap tier, the absorbers and the burst runner stand down —
-their closed forms assume private pages that never leave the device —
-and the per-iteration loop runs with the decode runs, which read each
-member's held pages, shared ones included, from the ledger.
-
-**One set of per-iteration rules.**  The per-iteration loop makes no
-decision of its own: the policy's admission gate and order, prefill pick
-and decode batch (over :class:`~repro.serving.simulator.RequestKeys`
-readers of the row columns), the preemption victim, the fused-pass price
-and the host-link transfer time are the simulator module's functions,
-the same ones the object engine calls.  Only the state-bound bodies —
-admit, grow, preempt, swap and step over rows — are written here, one
-operation for each of the object engine's, which is why its event logs,
-decode runs expanded, are bit-identical to the object engine's.  The
-fast paths read two facts
-off the policy's batching contract (:class:`~repro.serving.simulator.
-ServingPolicy`): its concurrency cap ``max_batch`` and whether it serves
-in queue order (``arrival_order``).
+:class:`~repro.serving.kv_memory.KvPageAccountant` (``self.kv``), a
+reference-counting ledger whose running counters make every pool read
+O(1), so the per-iteration loop, decode runs and the burst runner all
+reserve, grow and release through it.  The absorbers complete requests
+without ever holding their pages and only roll its
+``peak_reserved_pages`` high-water mark.  Once a run offers a
+shared-prefix request (``prefix_id >= 0``), or when it has the host-DRAM
+swap tier, the absorbers and the burst runner stand down — their closed
+forms assume private pages that never leave the device — and the
+per-iteration loop runs with the decode runs, which read each member's
+held pages, shared ones included, from the ledger.
 """
 
 from __future__ import annotations
@@ -117,18 +125,22 @@ from itertools import islice
 import numpy as np
 
 from repro.serving.decode_table import check_int64
-from repro.serving.request import Request, to_ps
+from repro.serving.request import CompletionRecord, Request, to_ps
 from repro.serving.simulator import (
+    POLICIES,
     RequestKeys,
+    ServingMetrics,
+    ServingStall,
+    _arrival_key,
     _check_fits_alone,
     _pool_exhausted,
-    _RunLifecycle,
     choose_victim,
     cost_tuple,
     floor_ticks,
     fused_pass,
     shared_floor,
 )
+from repro.serving.validate import SimEvent
 
 __all__ = ["ArraySimulationRun"]
 
@@ -224,8 +236,23 @@ def _price_run(
     return steps, running[steps].tolist(), priced[1:steps + 1, 0].tolist()
 
 
-class ArraySimulationRun(_RunLifecycle):
-    """Columnar drop-in for :class:`~repro.serving.simulator.SimulationRun`."""
+class ArraySimulationRun:
+    """One in-progress simulation over a
+    :class:`~repro.serving.simulator.ServingSimulator`.
+
+    Created by :meth:`ServingSimulator.begin
+    <repro.serving.simulator.ServingSimulator.begin>`.  The one-shot
+    ``simulate`` offers the whole (sorted) trace and drains; the cluster
+    layer instead drives one run per replica — it advances every replica
+    to a request's arrival instant (:meth:`advance_until`), reads the
+    replicas' router-visible state, and :meth:`offer`\\ s the request to the
+    chosen one.  Offering a trace incrementally at its arrival instants
+    produces the *same* event log and metrics as the one-shot path,
+    because the scheduler only acts at pass boundaries in both cases.
+
+    The clock, busy time and weight-swap time are picoseconds, the three
+    energy totals picojoules and FLOPs a count, all Python ints.
+    """
 
     def __init__(
         self,
@@ -233,7 +260,43 @@ class ArraySimulationRun(_RunLifecycle):
         record_events: bool = False,
         kv_bounds: "tuple[int, int] | None" = None,
     ) -> None:
-        super().__init__(sim, record_events, kv_bounds)
+        self.sim = sim
+        self.kv = sim._new_accountant()
+        self.events: "list[SimEvent] | None" = [] if record_events else None
+        #: The KV bounds every decode of this run is priced over (see
+        #: :meth:`PassCostProvider.decode`); ``None`` prices exactly.
+        self.kv_bounds = None if sim.exact else kv_bounds
+        #: Model whose weights are resident on the device right now.
+        self.resident_model = sim.model.name
+        self._provider = sim.provider
+        self.model_swaps = 0
+        self.model_swap_ps = 0
+        self.clock = 0
+        self.busy = 0
+        self.energy_pj = 0
+        self.flops = 0
+        self.prefill_passes = 0
+        self.decode_passes = 0
+        self.decode_tokens = 0
+        self.admissions = 0
+        self.peak_active = 0
+        self.preemptions = 0
+        self.recomputed_tokens = 0
+        self.swap_outs = 0
+        self.swap_ins = 0
+        self.swapped_pages_total = 0
+        self.offered = 0
+        self.first_arrival: "int | None" = None
+        self.finished = False
+        #: Set by :meth:`fail` — a dead replica takes no work until recovery.
+        self.dead = False
+        self._last_until: "float | None" = None
+        #: Wall time per simulator phase, booked by the phase profiler
+        #: when ``sim.profile`` (see :meth:`ServingSimulator.begin`).
+        self.phase_s: dict[str, float] = {}
+        #: Every request completed here, the one source of the run's
+        #: request-level metrics (and of its per-request rows).
+        self.completions = CompletionRecord()
         #: Fast-path gate: with the swap tier (or once a shared-prefix
         #: request is offered) the absorbers and bursts stand down and
         #: only the per-iteration loop and the decode runs run (see the
@@ -290,20 +353,14 @@ class ArraySimulationRun(_RunLifecycle):
         self._num_prefilling = 0
         self._outstanding = 0
 
-        # The registered policies' batching contract (ServingPolicy): the
-        # fast paths read the concurrency cap and queue-order flag off the
-        # policy, and every decision the per-iteration loop makes is the
-        # policy's own, over these readers of the row columns.
+        # Every decision the per-iteration loop makes is the policy's own,
+        # over these readers of the row columns.
         self._policy = sim.policy
         self._policy_cap = sim.policy.max_batch
         self._arrival_order = sim.policy.arrival_order
         inp, out, cls = self._inp, self._out, self._cls
         prefilled, generated = self._prefilled, self._generated
         arr, rid = self._arr, self._rid
-        # The lifecycle base's readers of a row's request id and
-        # (arrival, id) key.
-        self._flight_id = rid.__getitem__
-        self._arrival_key = lambda row: (arr[row], rid[row])
         self._keys = RequestKeys(
             queued_total=lambda row: inp[row] + out[row],
             queued_class=cls.__getitem__,
@@ -318,23 +375,29 @@ class ArraySimulationRun(_RunLifecycle):
         self._is_decoder = sim.model.is_decoder
         self._optimistic = sim.admission == "optimistic"
         self._batch_share = sim.batch_share
-        # True when _step may take the monolithic-prefill shortcut: the
-        # conditions are all fixed for the lifetime of the run.
+        # The fast paths rely on the registered policies' batching
+        # contract; ``engine="object"``, and any other policy, runs the
+        # per-iteration loop alone.  Every gate below is fixed for the
+        # lifetime of the run.
+        fast = sim.engine == "array" and type(sim.policy) in POLICIES.values()
+        #: Whether all-decode stretches run as decode runs.
+        self._decode_runs = fast
+        # True when _step may take the monolithic-prefill shortcut.
         self._mono_fast = (
-            sim.chunk_tokens == 0
+            fast
+            and sim.chunk_tokens == 0
             and self.events is None
             and self._arrival_order
             and not sim.multi_model
         )
         # Multi-model residency: the per-iteration loop and decode runs
         # restrict each pass to the resident model's rows, and a weight
-        # swap is paid when the active model changes (the object engine's
-        # sticky-resident scheduling over rows).  Every co-hosted model's
-        # shared decode table is looked up once, up front (none when the
-        # run prices exactly); a model's table (and its provider's chunk
-        # costs) swap in with its weights.  The absorbers stand down on
-        # multi-model runs; the decode runs price from whichever table is
-        # resident.
+        # swap is paid when the active model changes (sticky-resident
+        # scheduling).  Every co-hosted model's shared decode table is
+        # looked up once, up front (none when the run prices exactly); a
+        # model's table (and its provider's chunk costs) swap in with its
+        # weights.  The absorbers stand down on multi-model runs; the
+        # decode runs price from whichever table is resident.
         self._multi = sim.multi_model
         if self._multi:
             #: Each hosted model's decode table (or ``None``).
@@ -344,7 +407,6 @@ class ArraySimulationRun(_RunLifecycle):
                     self._tables[name] = (
                         None if bounds is None else provider.decode_table(*bounds)
                     )
-        # Arrival-batched absorption gates (fixed for the run's lifetime).
         # _absorb_ok: whole idle-device arrival windows may be served in
         # closed form.  Requires monolithic prefill, no event log and a
         # nonnegative table; a table is only needed for decode runs, so
@@ -352,7 +414,8 @@ class ArraySimulationRun(_RunLifecycle):
         # zero tokens past the prefill) still qualify — coverage masking
         # excludes any request the table cannot price.
         self._absorb_ok = (
-            self.events is None
+            fast
+            and self.events is None
             and sim.chunk_tokens == 0
             and not self._exact_kv
             and not sim.multi_model
@@ -374,6 +437,173 @@ class ArraySimulationRun(_RunLifecycle):
             and not self._optimistic
             and self._policy_cap > 1
         )
+
+    # ------------------------------------------------------------------
+    # Lifecycle guards and the end of a run
+    # ------------------------------------------------------------------
+    def _check_live(self, action: str) -> None:
+        """Refuse new work on a finished run or a failed replica."""
+        if self.finished:
+            raise ValueError(f"cannot {action} a finished run")
+        if self.dead:
+            raise ValueError(f"cannot {action} a failed replica")
+
+    def _check_advance(self, until: "float | None") -> "int | None":
+        """The :meth:`advance_until` guards: the run is not finished and
+        the target is a number that does not move backwards.  Returns the
+        target in picoseconds (``None`` for no target).
+
+        Simulated time only advances, so a caller handing a smaller
+        ``until`` than its previous one holds a stale clock and gets a
+        ``ValueError`` rather than a silent no-op.  A NaN target compares
+        false both ways, so no clock could be said to reach it.
+        """
+        if self.finished:
+            raise ValueError("cannot advance a finished run")
+        if until is not None:
+            if until != until:
+                raise ValueError("advance_until target must be a number, got nan")
+            if self._last_until is not None and until < self._last_until:
+                raise ValueError(
+                    f"advance_until moved backwards: target {until:.6f}s is "
+                    f"before the previous target {self._last_until:.6f}s"
+                )
+            self._last_until = until
+            return to_ps(until)
+        return None
+
+    def finish(self) -> ServingMetrics:
+        """Drain all remaining work and return the run's metrics."""
+        if self.finished:
+            raise ValueError("finish() called twice on the same run")
+        self.advance_until(None)
+        self.finished = True
+        makespan = (
+            self.clock - self.first_arrival if self.first_arrival is not None else 0
+        )
+        return self._finalize(makespan)
+
+    def _finalize(self, makespan: int) -> ServingMetrics:
+        return self.sim._finalize(self, makespan)
+
+    def _emit(
+        self,
+        kind: str,
+        latency: int = 0,
+        request_id: "int | None" = None,
+        tokens: int = 0,
+        decode_ids: tuple = (),
+        model: str = "",
+        latencies: tuple = (),
+    ) -> None:
+        if self.events is not None:
+            self.events.append(
+                SimEvent(
+                    kind=kind,
+                    clock=self.clock,
+                    latency=latency,
+                    request_id=request_id,
+                    tokens=tokens,
+                    decode_ids=decode_ids,
+                    active=len(self.active),
+                    kv_reserved_pages=self.kv.reserved_pages,
+                    kv_total_pages=self.kv.total_pages,
+                    model=model,
+                    latencies=latencies,
+                )
+            )
+
+    def _check_livelock(self) -> None:
+        """Raise when preemptions or swap-outs outrun the offers 50 to 1."""
+        bound = 50 * max(self.offered, 1)
+        if self.preemptions > bound:  # pragma: no cover
+            raise ServingStall(
+                f"preemption livelock: {self.preemptions} preemptions over "
+                f"{self.offered} offered request(s)"
+            )
+        if self.swap_outs > bound:  # pragma: no cover
+            raise ServingStall(
+                f"swap livelock: {self.swap_outs} swap-outs over "
+                f"{self.offered} offered request(s)"
+            )
+
+    # ------------------------------------------------------------------
+    # Failure injection and failover (driven by the cluster layer)
+    # ------------------------------------------------------------------
+    def fail(self, now: float) -> "tuple[list[Request], int]":
+        """Kill this replica at instant ``now`` (seconds).
+
+        Every KV page is dropped (the cache dies with the device) and every
+        request routed here but not yet completed is returned — in
+        ``(arrival, id)`` order — for the cluster to fail over to
+        survivors, which recompute them from scratch.  Failure lands at
+        pass granularity: the caller advances the run to ``now`` first, so
+        passes that started before the instant stand (their completions are
+        safe) and everything else is lost.  Returns ``(lost, pages)`` where
+        ``pages`` is the KV page count dropped.
+        """
+        if self.finished:
+            raise ValueError("cannot fail a finished run")
+        if self.dead:
+            raise ValueError("replica is already dead")
+        rid = self._rid
+        dropped_ids = tuple(sorted(rid[row] for row in (*self.active, *self.swapped)))
+        lost = self._clear_queues()
+        lost.sort(key=_arrival_key)
+        pages = self.kv.release_all()
+        self.clock = max(self.clock, to_ps(now))
+        self.dead = True
+        self._emit("fail", tokens=pages, decode_ids=dropped_ids)
+        return lost, pages
+
+    def recover(self, now: float) -> None:
+        """Bring a failed replica back at instant ``now`` (seconds), empty:
+        its KV cache did not survive."""
+        if self.finished:
+            raise ValueError("cannot recover a finished run")
+        if not self.dead:
+            raise ValueError("cannot recover a replica that is not dead")
+        self.dead = False
+        self.clock = max(self.clock, to_ps(now))
+        self._emit("recover")
+
+    def resubmit(self, request: Request) -> None:
+        """Re-inject a failed-over request for recompute from scratch.
+
+        Unlike :meth:`offer`, arrival order against the pending queue is
+        not enforced: the request's original arrival may predate requests
+        this replica has already seen.  It keeps that original arrival, so
+        its latency keeps accruing across the failure — failover does not
+        reset the clock.
+        """
+        self._check_live("resubmit a request to")
+        self._requeue(self._entry(request))
+        self.offered += 1
+        arrival = to_ps(request.arrival_s)
+        if self.first_arrival is None or arrival < self.first_arrival:
+            self.first_arrival = arrival
+
+    def catch_up(self, now: float) -> None:
+        """Jump an idle replica's clock forward to ``now`` (seconds).
+
+        Failover resubmits bypass the pending queue (and with it the idle
+        jump in ``advance_until``), so the cluster calls this first —
+        otherwise an idle survivor would start recomputing a victim's work
+        *before* the failure instant.
+        """
+        now = to_ps(now)
+        if (
+            now > self.clock
+            and not self.active
+            and not self.waiting
+            and not self.swapped
+        ):
+            self.clock = now
+            self._emit("idle")
+
+    def note_scale(self, delta: int) -> None:
+        """Record an autoscaling decision (+1 spawn, -1 drain) in the log."""
+        self._emit("scale", tokens=delta)
 
     # ------------------------------------------------------------------
     def _base_cost(self) -> tuple:
@@ -435,10 +665,21 @@ class ArraySimulationRun(_RunLifecycle):
     # ------------------------------------------------------------------
     # Offers and router-visible state
     # ------------------------------------------------------------------
-    # The lifecycle base's offer, bound in this class body so that
-    # tracers that wrap ``ArraySimulationRun.__dict__`` entries (as
-    # perfbench/spans.py does) see it; ``finish`` below likewise.
-    offer = _RunLifecycle.offer
+    def offer(self, request: Request) -> None:
+        """Inject one request; offers must come in ``(arrival, id)`` order."""
+        self._check_live("offer a request to")
+        self.sim._check_servable(request)
+        pending = self.pending
+        if pending and _arrival_key(request) < (
+            self._arr[pending[-1]], self._rid[pending[-1]]
+        ):
+            raise ValueError(
+                "requests must be offered in (arrival_s, request_id) order"
+            )
+        pending.append(self._entry(request))
+        self.offered += 1
+        if self.first_arrival is None:
+            self.first_arrival = to_ps(request.arrival_s)
 
     def offer_many(self, requests) -> None:
         """Bulk :meth:`offer`: the liveness guard runs once per batch, the
@@ -460,7 +701,9 @@ class ArraySimulationRun(_RunLifecycle):
         entry = self._entry
         is_decoder = self._is_decoder
         check_servable = self.sim._check_servable
-        last_key = self._arrival_key(pending[-1]) if pending else None
+        last_key = (
+            (self._arr[pending[-1]], self._rid[pending[-1]]) if pending else None
+        )
         for request in requests:
             if request.model or (request.output_tokens > 1 and not is_decoder):
                 check_servable(request)
@@ -540,13 +783,20 @@ class ArraySimulationRun(_RunLifecycle):
             self.first_arrival = arrs[0]
 
     @property
-    def outstanding_tokens(self) -> int:
-        """Prompt + output tokens not yet computed across live requests.
+    def outstanding_requests(self) -> int:
+        """Requests routed here and not yet completed."""
+        return (
+            len(self.pending)
+            + len(self.waiting)
+            + len(self.active)
+            + len(self.swapped)
+        )
 
-        Maintained incrementally (offer/chunk/decode/preempt/fail), so it
-        is O(1) here yet integer-identical to the object engine's O(n)
-        sums — the cluster's routers see the same numbers either way.
-        """
+    @property
+    def outstanding_tokens(self) -> int:
+        """Prompt + output tokens not yet computed across live requests,
+        maintained incrementally (offer/chunk/decode/preempt/fail), so a
+        router reads it in O(1)."""
         return self._outstanding
 
     # ------------------------------------------------------------------
@@ -572,7 +822,14 @@ class ArraySimulationRun(_RunLifecycle):
     # ------------------------------------------------------------------
     def advance_until(self, until: "float | None") -> None:
         """Run every pass *starting* before ``until`` seconds (all work if
-        ``None``)."""
+        ``None``).
+
+        A pass that starts before ``until`` may end after it — exactly as
+        in the one-shot loop, where arrivals during a pass wait for the
+        next pass boundary.  Idle clock jumps stop at the last arrival
+        ``<= until``, so the run never invents knowledge of the future.
+        Targets must not move backwards (see :meth:`_check_advance`).
+        """
         until = self._check_advance(until)
         arr = self._arr
         waiting = self.waiting
@@ -583,6 +840,7 @@ class ArraySimulationRun(_RunLifecycle):
         # An offer since the last advance may have brought the run's first
         # shared-prefix request; the absorbers stand down from then on.
         absorb_ok = self._absorb_ok and not self._exact_kv
+        decode_runs = self._decode_runs
         while True:
             while pending and arr[pending[0]] <= self.clock:
                 waiting.append(pending.popleft())
@@ -610,11 +868,51 @@ class ArraySimulationRun(_RunLifecycle):
                     f"policy {self.sim.policy.name!r} left the device idle with "
                     f"{len(self.waiting)} admissible request(s) waiting"
                 )  # pragma: no cover - defensive, no shipped policy does this
-            if self._decode_run(until):
+            if decode_runs and self._decode_run(until):
                 continue
             self._step()
 
     # ------------------------------------------------------------------
+    # Admission, swap-in and requeueing
+    # ------------------------------------------------------------------
+    def _admit(self) -> None:
+        # Admission is instantaneous: commit KV pages and make the
+        # request scheduler-visible.  Both gates must agree — the
+        # policy's concurrency cap and the page pool.  Swapped-out
+        # requests come back first (they hold completed work a recompute
+        # would repay), then new admissions in the policy's order.
+        self._swap_in_ready()
+        self._admit_waiting()
+        # The device may be idle with the pool pinned: every active slot
+        # empty, yet swapped requests cannot return because resident
+        # shared-prefix pages (theirs or their peers') crowd the pool.
+        # Sacrifice the youngest swapped request for recompute until the
+        # oldest fits again — each round shrinks the swap set, and a lone
+        # swapped request always fits (fits_alone held at admission).
+        admit = self._policy.admit
+        while not self.active and self.swapped and admit(len(self.active)):
+            if self.kv.can_swap_in(self._rid[self.swapped[0]]):
+                self._swap_in_head()
+            else:
+                self._preempt_swapped(len(self.swapped) - 1)
+            self._admit_waiting()
+
+    def _swap_in_ready(self) -> None:
+        """Restore swapped-out rows, oldest first, while they fit."""
+        admit = self._policy.admit
+        while self.swapped and admit(len(self.active)):
+            if not self.kv.can_swap_in(self._rid[self.swapped[0]]):
+                break
+            self._swap_in_head()
+
+    def _requeue(self, row: int) -> None:
+        """Re-insert a preempted or resubmitted row, keeping ``waiting``
+        arrival-sorted."""
+        arr, rid = self._arr, self._rid
+        key = (arr[row], rid[row])
+        index = bisect_left(self.waiting, key, key=lambda r: (arr[r], rid[r]))
+        self.waiting.insert(index, row)
+
     def _admit_waiting(self) -> None:
         """Admit waiting rows while the policy and the pool allow, in the
         policy's order (shared-prefix requests charge only their unique
@@ -694,12 +992,18 @@ class ArraySimulationRun(_RunLifecycle):
         self._recompute(self.swapped.pop(index))
 
     # ------------------------------------------------------------------
-    # Multi-model residency (the object engine's sticky-resident
-    # scheduling over rows; only reached when the simulator hosts a
+    # Multi-model residency (only reached when the simulator hosts a
     # model set)
     # ------------------------------------------------------------------
     def _sync_model(self) -> None:
-        """Swap weights when no resident-model work is runnable."""
+        """Swap weights when no resident-model work is runnable.
+
+        Sticky-resident scheduling: while *any* active row uses the
+        resident model the iteration is restricted to that model and no
+        swap is paid.  Only when the resident model has nothing runnable
+        does the replica stream in the weights of the policy's preferred
+        next request (prefill first, mirroring :meth:`_step`'s structure).
+        """
         resident = self.resident_model
         mdl = self._mdl
         default = self.sim.model.name
@@ -718,13 +1022,19 @@ class ArraySimulationRun(_RunLifecycle):
         self._swap_model(mdl[target] or default)
 
     def _swap_model(self, target: str) -> None:
-        """Stream ``target``'s weights in over the host link (weight swap).
-
-        Beyond the shared bookkeeping, the row engine re-points its decode
-        table: the target's follows the weights.
-        """
-        super()._swap_model(target)
+        """Stream ``target``'s weights in over the host link (weight swap);
+        its provider and decode table follow the weights."""
+        sim = self.sim
+        moved = sim._weight_bytes[target]
+        latency = sim._link_ps(moved)
+        self.clock += latency
+        self.busy += latency
+        self.resident_model = target
+        self._provider = sim.providers[target]
         self._table = self._tables[target]
+        self.model_swaps += 1
+        self.model_swap_ps += latency
+        self._emit("model_swap", latency=latency, tokens=moved, model=target)
 
     def _step(self) -> None:
         """One device iteration — the per-iteration (bit-exact) path."""
@@ -748,7 +1058,7 @@ class ArraySimulationRun(_RunLifecycle):
         if self._multi:
             # Sticky-resident scheduling: restrict the pass to the
             # resident model's rows, paying a weight swap first when the
-            # resident model has nothing runnable (as the object engine).
+            # resident model has nothing runnable.
             self._sync_model()
             resident = self.resident_model
             mdl = self._mdl
@@ -1500,11 +1810,21 @@ class ArraySimulationRun(_RunLifecycle):
     def _grow_batch(
         self, batch: "list[int]", carrier_row: "int | None"
     ) -> "list[int]":
-        """The object engine's ``_grow_batch`` over rows: grants route
-        through the accountant (shared pages never grow), and with the
-        swap tier a victim's pages move to host DRAM instead of being
-        thrown away — preempting a swapped row stays the last resort when
-        resident shared-prefix pages pin the pool."""
+        """Grant each decode member the pages its next pass needs.
+
+        Members are processed in the policy's priority order, and grants
+        route through the accountant (shared pages never grow).  A member
+        whose growth does not fit evicts the least-progressed unprotected
+        victim until it fits, or is stalled for this iteration.  With the
+        swap tier the victim's private pages move to host DRAM (its
+        progress survives; it resumes via swap-in); otherwise — with
+        ``preempt=True`` — the victim is preempted for recompute.  When
+        swapping every active victim still does not free enough (resident
+        shared-prefix pages of swapped peers can pin the pool), the
+        youngest swapped row is preempted outright, which releases its
+        prefix reference — so the first member can always be granted:
+        every admitted request fits the pool alone.
+        """
         kv = self.kv
         sim = self.sim
         rid = self._rid
@@ -1552,8 +1872,7 @@ class ArraySimulationRun(_RunLifecycle):
         self.recomputed_tokens += lost
         self._outstanding += lost
         self._check_livelock()
-        # The object engine builds a fresh _InFlight at re-admission;
-        # rows persist here, so reset the progress columns now.
+        # The row persists, so reset its progress columns for re-admission.
         self._prefilled[victim] = 0
         self._generated[victim] = 0
         self._first[victim] = 0
@@ -1575,9 +1894,6 @@ class ArraySimulationRun(_RunLifecycle):
             self._mdl[row],
         )
         self._free.append(row)
-
-    # Bound here for the same reason as ``offer`` above.
-    finish = _RunLifecycle.finish
 
     # ------------------------------------------------------------------
     def _clear_queues(self) -> "list[Request]":

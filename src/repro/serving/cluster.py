@@ -14,7 +14,8 @@ multi-device cluster via ``make_cost_model("ianus-xN")``).
 Routing is **online and causal**: every router, on every fleet, runs one
 per-arrival loop.  For each arrival in order it applies the fleet events
 due by then, advances every replica holding outstanding work to the
-arrival instant (:meth:`~repro.serving.simulator.SimulationRun.advance_until`;
+arrival instant
+(:meth:`~repro.serving.array_engine.ArraySimulationRun.advance_until`;
 failed and idle replicas hold none, so nothing router-visible could move
 on them), consults the autoscaler, chooses the candidate replicas, and
 runs the route step — snapshot the candidates, ask the router, check its
@@ -90,6 +91,7 @@ from typing import Sequence
 
 from repro.core.costmodel import CostModel
 from repro.models.transformer import ModelConfig
+from repro.serving.array_engine import ArraySimulationRun
 from repro.serving.autoscale import (
     Autoscaler,
     AutoscalerSignal,
@@ -104,7 +106,6 @@ from repro.serving.simulator import (
     ServingMetrics,
     ServingSimulator,
     ServingStall,
-    SimulationRun,
     _arrival_key,
     _book_phase,
     _validated_construct,
@@ -514,7 +515,7 @@ class ClusterMetrics:
 # Cluster simulator
 # ----------------------------------------------------------------------
 def _snapshot(
-    index: int, run: SimulationRun, request: "Request | None" = None
+    index: int, run: ArraySimulationRun, request: "Request | None" = None
 ) -> ReplicaSnapshot:
     """The router-visible state of one replica at this instant.
 
@@ -581,7 +582,7 @@ class _OpsState:
     def __init__(
         self,
         cluster: "ClusterSimulator",
-        runs: "list[SimulationRun]",
+        runs: "list[ArraySimulationRun]",
         assignments: "list[list[Request]]",
         routed_tokens: "list[int]",
         start: int,
@@ -947,7 +948,7 @@ class ClusterSimulator:
         self._last_trace: "tuple[Request, ...] | None" = None
         #: Runs and routing wall time of the last simulate(), for
         #: :meth:`pooled_phase_s`.
-        self._last_runs: "list[SimulationRun]" = []
+        self._last_runs: "list[ArraySimulationRun]" = []
         self._route_phase = {"route": 0.0}
 
     # ------------------------------------------------------------------
@@ -969,7 +970,7 @@ class ClusterSimulator:
         self.router.reset()
         if self.autoscaler is not None:
             self.autoscaler.reset()
-        runs: list[SimulationRun] = [
+        runs: list[ArraySimulationRun] = [
             self.simulator.begin(record_events=record_events, kv_bounds=bounds)
             for _ in range(self._initial_count)
         ]
@@ -1007,8 +1008,7 @@ class ClusterSimulator:
         across replicas, plus the cluster's own ``route`` phase.
 
         Populated when the fleet was built with ``profile=True``
-        (``repro serve --profile`` arranges this); phases absent from an
-        engine are simply missing from the dict.
+        (``repro serve --profile`` arranges this).
         """
         pooled: dict[str, float] = {}
         for run in self._last_runs:

@@ -1,10 +1,11 @@
-"""Dense decode-cost lookup tables for the vectorized serving engine.
+"""Dense decode-cost lookup tables for the serving run.
 
-The object engine prices every decode pass through
-:meth:`repro.serving.simulator.PassCostProvider.decode` — a dict lookup, a
-bisect over the anchor grid and a :func:`~repro.core.costmodel.lerp_pass_cost`
-per *new* KV length.  That is fast enough at hundreds of requests but it is
-still a Python call per token; the array engine instead materializes the
+Pricing a decode pass through
+:meth:`repro.serving.simulator.PassCostProvider.decode` costs a dict
+lookup, a bisect over the anchor grid and a
+:func:`~repro.core.costmodel.lerp_pass_cost` per *new* KV length.  That is
+fast enough at hundreds of requests but it is still a Python call per
+token; a run instead materializes the
 whole ``kv -> cost`` function as a :class:`DecodeCostTable`: five dense
 integer columns (latency in picoseconds, the three dynamic-energy
 components in picojoules, FLOPs) indexed by ``kv - kv_lo``.

@@ -176,7 +176,7 @@ class KvPageAccountant:
 
     Every mutating call keeps a running count of resident pages, so
     ``reserved_pages`` and ``free_pages`` are O(1) reads — cheap enough
-    for the array engine's hot loops, which consult them once per
+    for the serving run's hot loops, which consult them once per
     admission and decode grant.
     """
 

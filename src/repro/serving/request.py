@@ -193,8 +193,8 @@ class RequestMetrics:
 class CompletionRecord:
     """A run's completed requests as parallel columns, in completion order.
 
-    Both serving engines append every completion here, one at a time or
-    (the array engine's arrival absorber) a window at once; the numeric
+    A serving run appends every completion here, one at a time or (the
+    arrival absorber) a window at once; the numeric
     columns are typed arrays (:mod:`array`), which numpy reads without a
     copy, and the three instants (``arrival``, ``first_token``,
     ``completion``) are picoseconds.  The aggregate metrics are reduced

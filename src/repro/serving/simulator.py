@@ -37,7 +37,8 @@ Two admission modes are supported:
 
 Incremental runs
 ----------------
-:meth:`ServingSimulator.begin` returns a :class:`SimulationRun` — the same
+:meth:`ServingSimulator.begin` returns an
+:class:`~repro.serving.array_engine.ArraySimulationRun` — the
 discrete-event loop exposed as ``offer`` / ``advance_until`` / ``finish``
 steps, so a caller can interleave request injection with simulation time.
 ``simulate`` is the one-shot wrapper (offer everything, drain); the cluster
@@ -124,47 +125,44 @@ backend's shared (persistently cacheable) pass-cost cache.
 
 Engines
 -------
-Two interchangeable implementations sit behind ``begin``/``simulate``
-(:data:`ENGINES`, selected by ``ServingSimulator(engine=...)``):
-
-``engine="object"`` (default)
-    The reference discrete-event loop in this module — per-request
-    ``_InFlight`` objects, a cost-provider call per pass.  Always correct,
-    supports custom :class:`ServingPolicy` subclasses, comfortable up to
-    tens of thousands of requests.
-``engine="array"``
-    The vectorized fast core (:mod:`repro.serving.array_engine`): columnar
-    request state, decode costs from a dense per-(model, backend) lookup
-    table (:mod:`repro.serving.decode_table`), decode runs that advance a
-    stable all-decode batch to its next event in one call, and arrival
-    absorption that serves whole windows of isolated requests at once.
-    Simulates a day of production traffic — a million requests — in
-    seconds.  With ``record_events=True`` the arrival absorption stands
-    down and the decode runs keep running, each recorded as one
-    ``decode_run`` event; :func:`~repro.serving.validate.expand_runs`
-    turns that log into the object engine's per-iteration one *bit for
-    bit*.  Every fast path reports the object engine's numbers exactly:
-    time and energy are integers.  Requires a registered policy (the four
-    in :data:`POLICIES`): its fast paths rely on their batching contract
-    (see :class:`ServingPolicy`).
-
-Both engines' per-iteration loops apply the rules of this module, each
-written once: the policy decisions (over the :class:`RequestKeys` each
-engine supplies), :func:`choose_victim`, :func:`fused_pass` over
+Every run is one :class:`~repro.serving.array_engine.ArraySimulationRun`:
+columnar request state and one per-iteration loop, whose admit, grow,
+preempt, swap and step bodies apply the rules of this module, each
+written once: the policy decisions (over the :class:`RequestKeys` the run
+supplies), :func:`choose_victim`, :func:`fused_pass` over
 :func:`cost_tuple`\\ s, the host-link transfer time and the
-unservable-request, exhausted-pool and not-a-decoder errors.  Both run
-classes derive from one lifecycle base (``_RunLifecycle``), which holds
-everything that does not touch the request store: the clock and
-counters, the event log, offers and the lifecycle guards, failure,
-recovery and resubmission, the swap-in admission loop, the weight-swap
-pricing and the one :class:`~repro.serving.request.CompletionRecord`
-every completion is appended to.  :func:`request_aggregates` reduces
-that record for both engines and for the cluster's pooled metrics, so
-``per_request_detail`` only decides whether the rows come back.  What
-stays mirrored is the state-bound admit/grow/preempt/swap/step bodies,
-written once per storage layout.
-``profile=True`` times the phases from outside both loops: ``begin``
-attaches a profiler that wraps the run's phase methods on the instance.
+unservable-request, exhausted-pool and not-a-decoder errors.
+``ServingSimulator(engine=...)`` (:data:`ENGINES`) only decides whether the
+fast paths ride on that loop:
+
+``engine="array"`` (default)
+    Decode runs advance a stable all-decode batch to its next event in one
+    call, priced from the dense per-(model, backend) decode table
+    (:mod:`repro.serving.decode_table`), and arrival absorption serves
+    whole windows of isolated requests at once.  Simulates a day of
+    production traffic — a million requests — in seconds.  With
+    ``record_events=True`` the arrival absorption stands down and the
+    decode runs keep running, each recorded as one ``decode_run`` event;
+    :func:`~repro.serving.validate.expand_runs` turns that log into the
+    per-iteration one *bit for bit*.  Every fast path reports the
+    per-iteration numbers exactly: time and energy are integers.  The fast
+    paths rely on the registered policies' batching contract (see
+    :class:`ServingPolicy`), so a policy outside :data:`POLICIES` runs the
+    per-iteration loop alone.
+``engine="object"``
+    The per-iteration reference: the same loop with every fast path off,
+    one scheduling decision per pass.  The differential tests and the
+    ``kv-hierarchy`` and ``multi-tenant`` studies compare the two.
+
+The run holds the clock and counters, the event log, offers and the
+lifecycle guards, failure, recovery and resubmission, the swap-in
+admission loop, the weight-swap pricing and the one
+:class:`~repro.serving.request.CompletionRecord` every completion is
+appended to.  :func:`request_aggregates` reduces that record for a run
+and for the cluster's pooled metrics, so ``per_request_detail`` only
+decides whether the rows come back.  ``profile=True`` times the phases
+from outside the loop: ``begin`` attaches a profiler that wraps the
+run's phase methods on the instance.
 """
 
 from __future__ import annotations
@@ -172,10 +170,9 @@ from __future__ import annotations
 import bisect
 import inspect
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -208,7 +205,6 @@ __all__ = [
     "ADMISSION_MODES",
     "ENGINES",
     "ServingMetrics",
-    "SimulationRun",
     "ServingSimulator",
     "ServingStall",
     "anchor_grid",
@@ -220,8 +216,8 @@ __all__ = [
 #: Admission-control modes of the simulator (see the module docstring).
 ADMISSION_MODES = ("worst-case", "optimistic")
 
-#: Simulation engines (see the module docstring): the reference
-#: object-graph loop, and the vectorized array core behind the same API.
+#: Simulation engines (see the module docstring): the per-iteration
+#: reference, and the same loop with its fast paths on.
 ENGINES = ("object", "array")
 
 #: Number of KV-length anchors of the interpolating provider.
@@ -470,48 +466,13 @@ def mean_service_time_s(
 # ----------------------------------------------------------------------
 # Scheduling policies
 # ----------------------------------------------------------------------
-@dataclass(eq=False)
-class _InFlight:
-    """Mutable in-flight request state (internal to the simulator).
-
-    Compared and hashed by identity: the engine keeps one per admission.
-    """
-
-    request: Request
-    prefilled: int = 0
-    generated: int = 0
-    #: Clock of the first token, in picoseconds.
-    first_token: int = 0
-
-    @property
-    def prefill_done(self) -> bool:
-        return self.prefilled >= self.request.input_tokens
-
-    @property
-    def done(self) -> bool:
-        return self.prefill_done and self.generated >= self.request.output_tokens
-
-    @property
-    def next_kv_length(self) -> int:
-        """KV length of this request's next decode pass."""
-        return self.request.input_tokens + self.generated
-
-    @property
-    def remaining_tokens(self) -> int:
-        """Prompt tokens still to prefill plus output tokens still to emit."""
-        return (self.request.input_tokens - self.prefilled) + (
-            self.request.output_tokens - self.generated
-        )
-
-
 class RequestKeys(NamedTuple):
     """How an engine reads the keys its per-iteration rules compare.
 
     The policy decisions and :func:`choose_victim` are written once, over
-    these readers; each engine supplies readers over however it stores
-    requests (``Request``/``_InFlight`` objects here, row indices into
-    columns in the array engine).  ``queued_*`` read a waiting entry,
-    ``live_*`` an admitted one.
+    these readers; the run supplies readers over how it stores requests
+    (row indices into columns, see :mod:`repro.serving.array_engine`).
+    ``queued_*`` read a waiting entry, ``live_*`` an admitted one.
     """
 
     #: Prompt + output tokens of a waiting request.
@@ -525,18 +486,6 @@ class RequestKeys(NamedTuple):
     #: ``(generated, prefilled, arrival, request_id)`` of an admitted
     #: request — what a preemption would throw away, and its age.
     live_progress: Callable[[Any], tuple]
-
-
-#: The object engine's readers: waiting ``Request``s, admitted ``_InFlight``s.
-_OBJECT_KEYS = RequestKeys(
-    queued_total=attrgetter("total_tokens"),
-    queued_class=attrgetter("priority_class"),
-    live_remaining=attrgetter("remaining_tokens"),
-    live_class=attrgetter("request.priority_class"),
-    live_progress=lambda f: (
-        f.generated, f.prefilled, to_ps(f.request.arrival_s), f.request.request_id
-    ),
-)
 
 
 def _first_min(keys: Iterable[int]) -> int:
@@ -553,14 +502,14 @@ class ServingPolicy:
     ``prefill_index`` picks which admitted-but-unprefilled request runs its
     next chunk; ``decode_batch`` picks the fully-prefilled requests that
     advance one token in the next decode iteration.  Every hook reads
-    requests only through the engine's :class:`RequestKeys` (``keys``), so
-    one rule serves both engines.
+    requests only through the run's :class:`RequestKeys` (``keys``), so
+    one rule serves every path of the run.
 
-    The base class is the *batching contract* the array engine's fast
-    paths rely on, which every registered policy keeps: at most
-    ``max_batch`` requests are admitted at once and decoded per iteration,
-    and every decodable request joins the batch while there is room, so
-    when all admitted requests decode the batch is all of them.  With
+    The base class is the *batching contract* the fast paths
+    (``engine="array"``) rely on, which every registered policy keeps: at
+    most ``max_batch`` requests are admitted at once and decoded per
+    iteration, and every decodable request joins the batch while there is
+    room, so when all admitted requests decode the batch is all of them.  With
     ``arrival_order`` admission, prefill and the decode batch also follow
     queue order.  At the default ``max_batch = 1`` the base class is FCFS.
     """
@@ -795,7 +744,7 @@ def make_policy(name: str, **kwargs) -> ServingPolicy:
 
 
 # ----------------------------------------------------------------------
-# Per-iteration rules shared by both engines
+# Per-iteration rules, each written once for every path of a run
 # ----------------------------------------------------------------------
 def choose_victim(active: Sequence, protected: set, keys: RequestKeys):
     """The admitted request whose preemption loses the least work.
@@ -1221,725 +1170,27 @@ def _book_phase(
     setattr(owner, name, timed)
 
 
-def _profile_phases(run: "_RunLifecycle") -> None:
+def _profile_phases(run) -> None:
     """The phase profiler: book ``run``'s wall time per phase in
     ``run.phase_s`` by wrapping its phase methods on the instance.
 
     ``_admit`` books admit.  ``_step`` books prefill when it ran a prefill
     pass (``prefill_passes`` moved during the call) and decode otherwise.
-    The array engine's ``_decode_run`` books decode and its
-    ``_absorb_arrivals`` absorb.  ``_finalize`` books metrics.  Each
-    call books its self time, so the burst runner's steps, which run inside
-    ``_absorb_arrivals``, count as prefill and decode only, and the phases
-    sum to at most the run's wall time.  The loops themselves carry no
+    ``_decode_run`` books decode and ``_absorb_arrivals`` absorb (both 0
+    on a run whose fast paths are off).  ``_finalize`` books metrics.
+    Each call books its self time, so the burst runner's steps, which run
+    inside ``_absorb_arrivals``, count as prefill and decode only, and the
+    phases sum to at most the run's wall time.  The loop itself carries no
     timing code, so an unprofiled run pays nothing.
     """
     phase_s = run.phase_s
-    phase_s.update(admit=0.0, prefill=0.0, decode=0.0)
+    phase_s.update(admit=0.0, prefill=0.0, decode=0.0, absorb=0.0, metrics=0.0)
     nested = [0.0]
     _book_phase(run, "_admit", phase_s, "admit", nested)
     _book_phase(run, "_step", phase_s, None, nested)
-    if hasattr(run, "_decode_run"):
-        _book_phase(run, "_decode_run", phase_s, "decode", nested)
-    if hasattr(run, "_absorb_arrivals"):
-        phase_s["absorb"] = 0.0
-        _book_phase(run, "_absorb_arrivals", phase_s, "absorb", nested)
-    phase_s["metrics"] = 0.0
+    _book_phase(run, "_decode_run", phase_s, "decode", nested)
+    _book_phase(run, "_absorb_arrivals", phase_s, "absorb", nested)
     _book_phase(run, "_finalize", phase_s, "metrics", nested)
-
-
-class _RunLifecycle:
-    """Everything a run does that does not touch its request store.
-
-    :class:`SimulationRun` (``_InFlight`` objects) and the array engine's
-    ``ArraySimulationRun`` (columnar rows) both derive from this class.
-    It owns the clock and the counters, the event log, the lifecycle
-    guards, failure and recovery bookkeeping, the swap-in admission loop
-    and the weight-swap pricing.  The clock, busy time and weight-swap
-    time are picoseconds, the three energy totals picojoules and FLOPs a
-    count, all Python ints.
-
-    Each engine supplies its queues (``pending``, ``waiting``, ``active``,
-    ``swapped``) and these state-bound hooks:
-
-    - ``_flight_id(entry)`` and ``_arrival_key(entry)`` read an active or
-      swapped entry's request id and a waiting entry's ``(arrival, id)``;
-    - ``_entry(request)`` makes the queue entry of a request routed here;
-    - ``_clear_queues()`` empties every queue for :meth:`fail` and returns
-      the requests they held;
-    - ``_admit_waiting``, ``_swap_in_head``, ``_preempt_swapped`` and
-      ``_step`` do the per-iteration work.
-    """
-
-    def __init__(
-        self,
-        sim: "ServingSimulator",
-        record_events: bool = False,
-        kv_bounds: "tuple[int, int] | None" = None,
-    ) -> None:
-        self.sim = sim
-        self.kv = sim._new_accountant()
-        self.events: "list[SimEvent] | None" = [] if record_events else None
-        #: The KV bounds every decode of this run is priced over (see
-        #: :meth:`PassCostProvider.decode`); ``None`` prices exactly.
-        self.kv_bounds = None if sim.exact else kv_bounds
-        #: Model whose weights are resident on the device right now.
-        self.resident_model = sim.model.name
-        self._provider = sim.provider
-        self.model_swaps = 0
-        self.model_swap_ps = 0
-        self.clock = 0
-        self.busy = 0
-        self.energy_pj = 0
-        self.flops = 0
-        self.prefill_passes = 0
-        self.decode_passes = 0
-        self.decode_tokens = 0
-        self.admissions = 0
-        self.peak_active = 0
-        self.preemptions = 0
-        self.recomputed_tokens = 0
-        self.swap_outs = 0
-        self.swap_ins = 0
-        self.swapped_pages_total = 0
-        self.offered = 0
-        self.first_arrival: "int | None" = None
-        self.finished = False
-        #: Set by :meth:`fail` — a dead replica takes no work until recovery.
-        self.dead = False
-        self._last_until: "float | None" = None
-        #: Wall time per simulator phase, booked by the phase profiler
-        #: when ``sim.profile`` (see :meth:`ServingSimulator.begin`).
-        self.phase_s: dict[str, float] = {}
-        #: Every request completed here, the one source of the run's
-        #: request-level metrics (and of its per-request rows).
-        self.completions = CompletionRecord()
-
-    # ------------------------------------------------------------------
-    # Offers, lifecycle guards and the end of a run
-    # ------------------------------------------------------------------
-    def _check_live(self, action: str) -> None:
-        """Refuse new work on a finished run or a failed replica."""
-        if self.finished:
-            raise ValueError(f"cannot {action} a finished run")
-        if self.dead:
-            raise ValueError(f"cannot {action} a failed replica")
-
-    def offer(self, request: Request) -> None:
-        """Inject one request; offers must come in ``(arrival, id)`` order."""
-        self._check_live("offer a request to")
-        self.sim._check_servable(request)
-        if self.pending and _arrival_key(request) < self._arrival_key(
-            self.pending[-1]
-        ):
-            raise ValueError(
-                "requests must be offered in (arrival_s, request_id) order"
-            )
-        self.pending.append(self._entry(request))
-        self.offered += 1
-        if self.first_arrival is None:
-            self.first_arrival = to_ps(request.arrival_s)
-
-    def offer_many(self, requests) -> None:
-        """Offer a batch of requests in ``(arrival, id)`` order.
-
-        Semantically a loop over :meth:`offer`; the array engine overrides
-        this with a bulk path that hoists the guards out of the loop.
-        """
-        for request in requests:
-            self.offer(request)
-
-    @property
-    def outstanding_requests(self) -> int:
-        """Requests routed here and not yet completed."""
-        return (
-            len(self.pending)
-            + len(self.waiting)
-            + len(self.active)
-            + len(self.swapped)
-        )
-
-    def _check_advance(self, until: "float | None") -> "int | None":
-        """The :meth:`advance_until` guards: the run is not finished and
-        the target is a number that does not move backwards.  Returns the
-        target in picoseconds (``None`` for no target).
-
-        Simulated time only advances, so a caller handing a smaller
-        ``until`` than its previous one holds a stale clock and gets a
-        ``ValueError`` rather than a silent no-op.  A NaN target compares
-        false both ways, so no clock could be said to reach it.
-        """
-        if self.finished:
-            raise ValueError("cannot advance a finished run")
-        if until is not None:
-            if until != until:
-                raise ValueError("advance_until target must be a number, got nan")
-            if self._last_until is not None and until < self._last_until:
-                raise ValueError(
-                    f"advance_until moved backwards: target {until:.6f}s is "
-                    f"before the previous target {self._last_until:.6f}s"
-                )
-            self._last_until = until
-            return to_ps(until)
-        return None
-
-    def finish(self) -> ServingMetrics:
-        """Drain all remaining work and return the run's metrics."""
-        if self.finished:
-            raise ValueError("finish() called twice on the same run")
-        self.advance_until(None)
-        self.finished = True
-        makespan = (
-            self.clock - self.first_arrival if self.first_arrival is not None else 0
-        )
-        return self._finalize(makespan)
-
-    def _finalize(self, makespan: int) -> ServingMetrics:
-        return self.sim._finalize(self, makespan)
-
-    # ------------------------------------------------------------------
-    def _emit(
-        self,
-        kind: str,
-        latency: int = 0,
-        request_id: "int | None" = None,
-        tokens: int = 0,
-        decode_ids: tuple = (),
-        model: str = "",
-        latencies: tuple = (),
-    ) -> None:
-        if self.events is not None:
-            self.events.append(
-                SimEvent(
-                    kind=kind,
-                    clock=self.clock,
-                    latency=latency,
-                    request_id=request_id,
-                    tokens=tokens,
-                    decode_ids=decode_ids,
-                    active=len(self.active),
-                    kv_reserved_pages=self.kv.reserved_pages,
-                    kv_total_pages=self.kv.total_pages,
-                    model=model,
-                    latencies=latencies,
-                )
-            )
-
-    def _admit(self) -> None:
-        # Admission is instantaneous: commit KV pages and make the
-        # request scheduler-visible.  Both gates must agree — the
-        # policy's concurrency cap and the page pool.  Swapped-out
-        # requests come back first (they hold completed work a recompute
-        # would repay), then new admissions in the policy's order.
-        self._swap_in_ready()
-        self._admit_waiting()
-        # The device may be idle with the pool pinned: every active slot
-        # empty, yet swapped requests cannot return because resident
-        # shared-prefix pages (theirs or their peers') crowd the pool.
-        # Sacrifice the youngest swapped request for recompute until the
-        # oldest fits again — each round shrinks the swap set, and a lone
-        # swapped request always fits (fits_alone held at admission).
-        admit = self.sim.policy.admit
-        while not self.active and self.swapped and admit(len(self.active)):
-            if self.kv.can_swap_in(self._flight_id(self.swapped[0])):
-                self._swap_in_head()
-            else:
-                self._preempt_swapped(len(self.swapped) - 1)
-            self._admit_waiting()
-
-    def _swap_in_ready(self) -> None:
-        """Restore swapped-out requests, oldest first, while they fit."""
-        admit = self.sim.policy.admit
-        while self.swapped and admit(len(self.active)):
-            if not self.kv.can_swap_in(self._flight_id(self.swapped[0])):
-                break
-            self._swap_in_head()
-
-    def _swap_model(self, target: str) -> None:
-        """Stream ``target``'s weights in over the host link (weight swap)."""
-        sim = self.sim
-        moved = sim._weight_bytes[target]
-        latency = sim._link_ps(moved)
-        self.clock += latency
-        self.busy += latency
-        self.resident_model = target
-        self._provider = sim.providers[target]
-        self.model_swaps += 1
-        self.model_swap_ps += latency
-        self._emit("model_swap", latency=latency, tokens=moved, model=target)
-
-    def _check_livelock(self) -> None:
-        """Raise when preemptions or swap-outs outrun the offers 50 to 1."""
-        bound = 50 * max(self.offered, 1)
-        if self.preemptions > bound:  # pragma: no cover
-            raise ServingStall(
-                f"preemption livelock: {self.preemptions} preemptions over "
-                f"{self.offered} offered request(s)"
-            )
-        if self.swap_outs > bound:  # pragma: no cover
-            raise ServingStall(
-                f"swap livelock: {self.swap_outs} swap-outs over "
-                f"{self.offered} offered request(s)"
-            )
-
-    def _requeue(self, entry) -> None:
-        """Re-insert a preempted or resubmitted entry, keeping ``waiting``
-        arrival-sorted."""
-        key = self._arrival_key
-        index = bisect.bisect_left(self.waiting, key(entry), key=key)
-        self.waiting.insert(index, entry)
-
-    # ------------------------------------------------------------------
-    # Failure injection and failover (driven by the cluster layer)
-    # ------------------------------------------------------------------
-    def fail(self, now: float) -> "tuple[list[Request], int]":
-        """Kill this replica at instant ``now`` (seconds).
-
-        Every KV page is dropped (the cache dies with the device) and every
-        request routed here but not yet completed is returned — in
-        ``(arrival, id)`` order — for the cluster to fail over to
-        survivors, which recompute them from scratch.  Failure lands at
-        pass granularity: the caller advances the run to ``now`` first, so
-        passes that started before the instant stand (their completions are
-        safe) and everything else is lost.  Returns ``(lost, pages)`` where
-        ``pages`` is the KV page count dropped.
-        """
-        if self.finished:
-            raise ValueError("cannot fail a finished run")
-        if self.dead:
-            raise ValueError("replica is already dead")
-        dropped_ids = tuple(
-            sorted(map(self._flight_id, (*self.active, *self.swapped)))
-        )
-        lost = self._clear_queues()
-        lost.sort(key=_arrival_key)
-        pages = self.kv.release_all()
-        self.clock = max(self.clock, to_ps(now))
-        self.dead = True
-        self._emit("fail", tokens=pages, decode_ids=dropped_ids)
-        return lost, pages
-
-    def recover(self, now: float) -> None:
-        """Bring a failed replica back at instant ``now`` (seconds), empty:
-        its KV cache did not survive."""
-        if self.finished:
-            raise ValueError("cannot recover a finished run")
-        if not self.dead:
-            raise ValueError("cannot recover a replica that is not dead")
-        self.dead = False
-        self.clock = max(self.clock, to_ps(now))
-        self._emit("recover")
-
-    def resubmit(self, request: Request) -> None:
-        """Re-inject a failed-over request for recompute from scratch.
-
-        Unlike :meth:`offer`, arrival order against the pending queue is
-        not enforced: the request's original arrival may predate requests
-        this replica has already seen.  It keeps that original arrival, so
-        its latency keeps accruing across the failure — failover does not
-        reset the clock.
-        """
-        self._check_live("resubmit a request to")
-        self._requeue(self._entry(request))
-        self.offered += 1
-        arrival = to_ps(request.arrival_s)
-        if self.first_arrival is None or arrival < self.first_arrival:
-            self.first_arrival = arrival
-
-    def catch_up(self, now: float) -> None:
-        """Jump an idle replica's clock forward to ``now`` (seconds).
-
-        Failover resubmits bypass the pending queue (and with it the idle
-        jump in ``advance_until``), so the cluster calls this first —
-        otherwise an idle survivor would start recomputing a victim's work
-        *before* the failure instant.
-        """
-        now = to_ps(now)
-        if (
-            now > self.clock
-            and not self.active
-            and not self.waiting
-            and not self.swapped
-        ):
-            self.clock = now
-            self._emit("idle")
-
-    def note_scale(self, delta: int) -> None:
-        """Record an autoscaling decision (+1 spawn, -1 drain) in the log."""
-        self._emit("scale", tokens=delta)
-
-
-class SimulationRun(_RunLifecycle):
-    """One in-progress simulation over a :class:`ServingSimulator`.
-
-    Created by :meth:`ServingSimulator.begin`.  The one-shot
-    :meth:`ServingSimulator.simulate` offers the whole (sorted) trace and
-    drains; the cluster layer instead drives one run per replica — it
-    advances every replica to a request's arrival instant
-    (:meth:`advance_until`), reads the replicas' router-visible state, and
-    :meth:`offer`\\ s the request to the chosen one.  Offering a trace
-    incrementally at its arrival instants produces the *same* event log and
-    metrics as the one-shot path, because the scheduler only acts at pass
-    boundaries in both cases.
-
-    The run owns all mutable state (queues, clock, KV accountant, event
-    log, counters); the simulator it was created from supplies the
-    immutable configuration (policy, provider, admission mode).  This
-    class holds the request store — ``_InFlight`` objects — and the
-    per-iteration bodies over it; the rest of the lifecycle is shared
-    with the array engine (see :class:`_RunLifecycle`).
-    """
-
-    _flight_id = staticmethod(attrgetter("request.request_id"))
-    _arrival_key = staticmethod(_arrival_key)
-
-    def __init__(
-        self,
-        sim: "ServingSimulator",
-        record_events: bool = False,
-        kv_bounds: "tuple[int, int] | None" = None,
-    ) -> None:
-        super().__init__(sim, record_events, kv_bounds)
-        self.pending: "deque[Request]" = deque()
-        self.waiting: list[Request] = []
-        self.active: list[_InFlight] = []
-        #: Swapped-out requests, oldest first; their private KV pages live
-        #: in host DRAM and their progress is preserved until swap-in.
-        self.swapped: list[_InFlight] = []
-
-    def _entry(self, request: Request) -> Request:
-        return request
-
-    def _clear_queues(self) -> "list[Request]":
-        lost = [flight.request for flight in (*self.active, *self.swapped)]
-        lost.extend(self.waiting)
-        lost.extend(self.pending)
-        for queue in (self.active, self.swapped, self.waiting, self.pending):
-            queue.clear()
-        return lost
-
-    # ------------------------------------------------------------------
-    # Router-visible state (read by the cluster layer between offers)
-    # ------------------------------------------------------------------
-    @property
-    def outstanding_tokens(self) -> int:
-        """Prompt + output tokens not yet computed across live requests."""
-        tokens = sum(request.total_tokens for request in self.pending)
-        tokens += sum(request.total_tokens for request in self.waiting)
-        tokens += sum(flight.remaining_tokens for flight in self.active)
-        tokens += sum(flight.remaining_tokens for flight in self.swapped)
-        return tokens
-
-    # ------------------------------------------------------------------
-    def advance_until(self, until: "float | None") -> None:
-        """Run every pass *starting* before ``until`` (all work if ``None``).
-
-        A pass that starts before ``until`` may end after it — exactly as
-        in the one-shot loop, where arrivals during a pass wait for the
-        next pass boundary.  Idle clock jumps stop at the last arrival
-        ``<= until``, so the run never invents knowledge of the future.
-        Targets must not move backwards (see :meth:`_check_advance`).
-        """
-        until = self._check_advance(until)
-        pending = self.pending
-        while True:
-            while pending and to_ps(pending[0].arrival_s) <= self.clock:
-                self.waiting.append(pending.popleft())
-            if not self.waiting and not self.active and not self.swapped:
-                if pending and (
-                    until is None or to_ps(pending[0].arrival_s) <= until
-                ):
-                    self.clock = to_ps(pending[0].arrival_s)
-                    self._emit("idle")
-                    continue
-                return
-            if until is not None and self.clock >= until:
-                return
-            self._admit()
-            if not self.active:
-                raise RuntimeError(
-                    f"policy {self.sim.policy.name!r} left the device idle with "
-                    f"{len(self.waiting)} admissible request(s) waiting"
-                )  # pragma: no cover - defensive, no shipped policy does this
-            self._step()
-
-    # ------------------------------------------------------------------
-    def _swap_in_head(self) -> None:
-        """Pay the link transfer and re-activate the oldest swapped request."""
-        flight = self.swapped.pop(0)
-        request_id = flight.request.request_id
-        pages = self.kv.swap_in(request_id)
-        latency = self.sim._link_ps(pages * self.kv.page_bytes)
-        self.clock += latency
-        self.busy += latency
-        self.active.append(flight)
-        self.swap_ins += 1
-        self.swapped_pages_total += pages
-        if len(self.active) > self.peak_active:
-            self.peak_active = len(self.active)
-        self._emit("swap_in", latency=latency, request_id=request_id, tokens=pages)
-
-    def _admit_waiting(self) -> None:
-        # KV blocking is head-of-line on the policy's own admission order
-        # (no smaller-request bypass), which keeps admission
-        # starvation-free under every policy.  Worst-case mode commits the
-        # full input + output tokens; optimistic mode commits the prompt
-        # only and grows during decode (_grow_batch).  Requests with a
-        # shared prefix charge only their unique new pages.
-        sim, kv, policy = self.sim, self.kv, self.sim.policy
-        while self.waiting and policy.admit(len(self.active)):
-            index = policy.next_admission(self.waiting, self.active, _OBJECT_KEYS)
-            if index is None:
-                break
-            request = self.waiting[index]
-            _check_fits_alone(kv, request.request_id, request.total_tokens)
-            commit_tokens = (
-                request.input_tokens
-                if sim.admission == "optimistic"
-                else request.total_tokens
-            )
-            if not kv.can_reserve(
-                commit_tokens, request.prefix_id, request.prefix_tokens
-            ):
-                break
-            pages = kv.reserve(
-                request.request_id,
-                commit_tokens,
-                request.prefix_id,
-                request.prefix_tokens,
-            )
-            self.waiting.pop(index)
-            self.active.append(_InFlight(request))
-            self.admissions += 1
-            if len(self.active) > self.peak_active:
-                self.peak_active = len(self.active)
-            self._emit("admit", request_id=request.request_id, tokens=pages)
-
-    def _model_of(self, request: Request) -> str:
-        """The model a request runs on ("" in a request means the default)."""
-        return request.model or self.sim.model.name
-
-    def _sync_model(self) -> None:
-        """Swap weights when no resident-model work is runnable.
-
-        Sticky-resident scheduling: while *any* active request uses the
-        resident model the iteration is restricted to that model and no
-        swap is paid.  Only when the resident model has nothing runnable
-        does the replica stream in the weights of the policy's preferred
-        next request (prefill-first, mirroring :meth:`_step`'s structure).
-        """
-        sim = self.sim
-        resident = self.resident_model
-        if any(self._model_of(f.request) == resident for f in self.active):
-            return
-        prefilling = [f for f in self.active if not f.prefill_done]
-        if prefilling:
-            target = prefilling[sim.policy.prefill_index(prefilling, _OBJECT_KEYS)]
-        else:
-            decodable = [f for f in self.active if f.prefill_done]
-            batch = sim.policy.decode_batch(decodable, _OBJECT_KEYS)
-            target = batch[0] if batch else decodable[0]
-        self._swap_model(self._model_of(target.request))
-
-    def _base_cost(self) -> tuple:
-        """The resident model's decode floor, for :func:`fused_pass`."""
-        return floor_ticks(self._provider.base())
-
-    def _step(self) -> None:
-        """One device iteration: a prefill chunk and/or a fused decode batch."""
-        sim = self.sim
-        eligible = self.active
-        if sim.multi_model:
-            self._sync_model()
-            eligible = [
-                flight
-                for flight in self.active
-                if self._model_of(flight.request) == self.resident_model
-            ]
-        prefilling = [flight for flight in eligible if not flight.prefill_done]
-        decodable = [flight for flight in eligible if flight.prefill_done]
-        provider = self._provider
-        flight: "_InFlight | None" = None
-        carrier: "tuple | None" = None
-        chunk = 0
-        batch: list[_InFlight] = []
-        if prefilling:
-            flight = prefilling[sim.policy.prefill_index(prefilling, _OBJECT_KEYS)]
-            remaining = flight.request.input_tokens - flight.prefilled
-            chunk = (
-                remaining
-                if sim.chunk_tokens == 0
-                else min(sim.chunk_tokens, remaining)
-            )
-            carrier = provider.prefill_chunk(flight.prefilled, chunk)
-            # A chunked iteration piggybacks one decode token per batch
-            # member on the chunk's weight streaming (Sarathi-style);
-            # monolithic prefills keep the pass pure.
-            if sim.chunk_tokens and decodable:
-                batch = sim.policy.decode_batch(decodable, _OBJECT_KEYS)
-        else:
-            batch = sim.policy.decode_batch(decodable, _OBJECT_KEYS)
-
-        if sim.admission == "optimistic" and batch:
-            requested = batch
-            batch = self._grow_batch(batch, flight)
-            if carrier is None and not batch:
-                head = requested[0]
-                raise _pool_exhausted(
-                    self.kv, head.request.request_id, head.next_kv_length
-                )
-
-        bounds = self.kv_bounds
-        costs = [
-            cost_tuple(provider.decode(f.next_kv_length, bounds)) for f in batch
-        ]
-        latency, mem, pim, npu, pass_flops = fused_pass(
-            carrier, costs, sim.batch_share, self._base_cost
-        )
-        self.clock += latency
-        self.busy += latency
-        self.energy_pj += mem + pim + npu
-        self.flops += pass_flops
-        if carrier is not None:
-            self.prefill_passes += 1
-        if batch:
-            self.decode_passes += 1
-            self.decode_tokens += len(batch)
-        if self.events is not None:
-            self._emit(
-                "step",
-                latency=latency,
-                request_id=None if flight is None else flight.request.request_id,
-                tokens=chunk,
-                decode_ids=tuple(f.request.request_id for f in batch),
-            )
-
-        finished: list[_InFlight] = []
-        if flight is not None:
-            flight.prefilled += chunk
-            if flight.prefill_done:
-                flight.generated = 1
-                flight.first_token = self.clock
-                if flight.done:
-                    finished.append(flight)
-        for f in batch:
-            f.generated += 1
-            if f.done:
-                finished.append(f)
-        for f in finished:
-            request = f.request
-            self.active.remove(f)
-            self.kv.release(request.request_id)
-            self.completions.append(
-                request.request_id,
-                to_ps(request.arrival_s),
-                f.first_token,
-                self.clock,
-                request.input_tokens,
-                request.output_tokens,
-                request.priority_class,
-                request.model,
-            )
-            self._emit("complete", request_id=request.request_id)
-
-    # ------------------------------------------------------------------
-    # Optimistic admission: on-demand growth, preempt-and-recompute,
-    # and the host-DRAM swap tier
-    # ------------------------------------------------------------------
-    def _grow_batch(
-        self, batch: "list[_InFlight]", carrier_flight: "_InFlight | None"
-    ) -> "list[_InFlight]":
-        """Grant each decode member the pages its next pass needs.
-
-        Members are processed in the policy's priority order.  A member
-        whose growth does not fit evicts the least-progressed unprotected
-        victim until it fits, or is stalled for this iteration.  With the
-        swap tier enabled the victim's private pages move to host DRAM
-        (its progress survives; it resumes via swap-in); otherwise — with
-        ``preempt=True`` — the victim is preempted for recompute.  When
-        swapping every active victim still does not free enough (resident
-        shared-prefix pages of swapped peers can pin the pool), the
-        youngest swapped request is preempted outright, which releases
-        its prefix reference — so the first member can always be granted:
-        every admitted request fits the pool alone.
-        """
-        kv = self.kv
-        granted: list[_InFlight] = []
-        protected: set[_InFlight] = set()
-        if carrier_flight is not None:
-            protected.add(carrier_flight)
-        for f in batch:
-            if f not in self.active:
-                continue  # evicted by an earlier member's growth
-            need = kv.grow_need(f.request.request_id, f.next_kv_length)
-            if need > 0 and need > kv.free_pages and (
-                self.sim.swap or self.sim.preempt
-            ):
-                protected.add(f)
-                while need > kv.free_pages:
-                    victim = choose_victim(self.active, protected, _OBJECT_KEYS)
-                    if victim is not None:
-                        if self.sim.swap:
-                            self._swap_out(victim)
-                        else:
-                            self._preempt(victim)
-                        continue
-                    if self.sim.swap and self.swapped:
-                        self._preempt_swapped(len(self.swapped) - 1)
-                        continue
-                    break  # everyone left is protected: stall, not deadlock
-            if need <= kv.free_pages:
-                kv.grow(f.request.request_id, f.next_kv_length)
-                granted.append(f)
-                protected.add(f)
-        return granted
-
-    def _preempt(self, victim: _InFlight) -> None:
-        """Evict one request: release its pages, re-enqueue for recompute."""
-        self.active.remove(victim)
-        self._recompute(victim)
-
-    def _preempt_swapped(self, index: int) -> None:
-        """Preempt a swapped-out request: discard its host copy, recompute.
-
-        The last-resort path when resident shared-prefix pages pin the
-        pool — releasing the request drops its prefix reference, freeing
-        the shared pages once the last member leaves.
-        """
-        self._recompute(self.swapped.pop(index))
-
-    def _recompute(self, victim: _InFlight) -> None:
-        """Release a victim's pages and re-enqueue its request to
-        recompute from scratch."""
-        request = victim.request
-        pages = self.kv.release(request.request_id)
-        self.preemptions += 1
-        self.recomputed_tokens += victim.prefilled + victim.generated
-        self._check_livelock()
-        self._requeue(request)
-        self._emit("preempt", request_id=request.request_id, tokens=pages)
-
-    def _swap_out(self, victim: _InFlight) -> None:
-        """Move a victim's private pages to host DRAM over the link.
-
-        Unlike preemption the victim's prefill/decode progress survives;
-        it rejoins the active set via swap-in with nothing to recompute.
-        The transfer occupies the device timeline (and the link), priced
-        from the page size and ``link_gbps``.
-        """
-        request = victim.request
-        pages = self.kv.swap_out(request.request_id)
-        self.active.remove(victim)
-        latency = self.sim._link_ps(pages * self.kv.page_bytes)
-        self.clock += latency
-        self.busy += latency
-        self.swapped.append(victim)
-        self.swap_outs += 1
-        self.swapped_pages_total += pages
-        self._check_livelock()
-        self._emit(
-            "swap_out", latency=latency, request_id=request.request_id, tokens=pages
-        )
 
 
 class ServingSimulator:
@@ -2001,13 +1252,13 @@ class ServingSimulator:
         swap transfers (``pages * page_bytes * 8 / (link_gbps * 1e9)``
         seconds per direction).  Only meaningful with ``swap=True``.
     engine:
-        ``"object"`` (default) or ``"array"`` — see the module docstring's
-        *Engines* section.  The array engine requires a registered policy
-        name/class (its fast paths rely on the registered policies'
-        batching contract) and numpy.
+        ``"array"`` (default) runs the fast paths, ``"object"`` the
+        per-iteration reference alone — see the module docstring's
+        *Engines* section.  A policy outside :data:`POLICIES` runs the
+        reference under either value.
     profile:
-        Record a per-phase wall-time breakdown (``admit`` / ``prefill`` /
-        ``decode`` / ``metrics``, plus ``absorb`` on the array engine) in
+        Record a per-phase wall-time breakdown (``admit`` / ``absorb`` /
+        ``prefill`` / ``decode`` / ``metrics``) in
         ``run.phase_s`` — read it from ``simulator.last_run`` after
         ``simulate``; ``repro serve --profile`` prints it.  :meth:`begin`
         attaches the phase profiler, which wraps the run's phase methods
@@ -2053,7 +1304,7 @@ class ServingSimulator:
         preempt: bool = True,
         swap: bool = False,
         link_gbps: float = 16.0,
-        engine: str = "object",
+        engine: str = "array",
         profile: bool = False,
         per_request_detail: bool = True,
         models: "Sequence[ModelConfig] | None" = None,
@@ -2148,14 +1399,6 @@ class ServingSimulator:
         self.engine = engine
         self.profile = profile
         self.per_request_detail = per_request_detail
-        if engine == "array" and type(self.policy) not in POLICIES.values():
-            known = ", ".join(cls.__name__ for cls in POLICIES.values())
-            raise ValueError(
-                f"engine 'array' only supports the registered policies "
-                f"({known}): its fast paths rely on their batching contract "
-                f"(see ServingPolicy); got {type(self.policy).__name__} — "
-                f"use engine='object' for custom policies"
-            )
         self.exact = exact
         self.provider = PassCostProvider(cost_model, model)
         #: Per-model pass-cost providers (the default model reuses
@@ -2173,7 +1416,7 @@ class ServingSimulator:
         self.events: "list[SimEvent] | None" = None
         #: The run behind the last one-shot ``simulate``/``simulate_stream``
         #: (profiling reads ``last_run.phase_s``).
-        self.last_run: "SimulationRun | None" = None
+        self.last_run: "ArraySimulationRun | None" = None
         #: The trace of the last ``simulate``, for :meth:`validate_invariants`.
         self._last_trace: "list[Request] | None" = None
 
@@ -2221,8 +1464,9 @@ class ServingSimulator:
         self,
         record_events: bool = False,
         kv_bounds: "tuple[int, int] | None" = None,
-    ) -> "SimulationRun":
-        """Start an incremental run (see :class:`SimulationRun`).
+    ) -> "ArraySimulationRun":
+        """Start an incremental run (see
+        :class:`~repro.serving.array_engine.ArraySimulationRun`).
 
         ``kv_bounds`` are the KV bounds every decode of the run is priced
         over (its anchor grid, see :meth:`PassCostProvider.decode`) — pass
@@ -2232,13 +1476,11 @@ class ServingSimulator:
         ``None``, and every run of an ``exact`` simulator, prices each KV
         length exactly.
         """
-        if self.engine == "array":
-            from repro.serving.array_engine import ArraySimulationRun
+        from repro.serving.array_engine import ArraySimulationRun
 
-            run_class = ArraySimulationRun
-        else:
-            run_class = SimulationRun
-        run = run_class(self, record_events=record_events, kv_bounds=kv_bounds)
+        run = ArraySimulationRun(
+            self, record_events=record_events, kv_bounds=kv_bounds
+        )
         if self.profile:
             _profile_phases(run)
         return run

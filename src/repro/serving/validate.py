@@ -67,7 +67,7 @@ is reported: a forged ``fail`` that explains a second admission drops a
 request that was never re-routed, and a request served away from where
 it was routed is admitted by a replica it was never routed to.
 
-The array engine records a stable all-decode stretch as one
+A run's decode runs record a stable all-decode stretch as one
 ``decode_run`` event, and :func:`expand_runs` rebuilds the ``step``
 events it stands for, byte for byte.  The replay checks a run in closed
 form, O(batch) per run plus one pass over its latencies: the same batch,

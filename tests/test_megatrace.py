@@ -12,6 +12,7 @@ and the CLI/cluster/experiment surfaces of the ``engine`` knob.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ from repro.serving import (
     ENGINES,
     ClusterSimulator,
     DecodeCostTable,
+    ServingPolicy,
     ServingSimulator,
     build_decode_table,
     decode_kv_bounds,
@@ -82,20 +84,58 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="object"):
             ServingSimulator(make_cost_model("ianus"), MODEL, engine="warp")
 
-    def test_array_engine_requires_registered_policy(self):
-        from repro.serving import FcfsPolicy
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_custom_policy_runs_and_matches_the_policy_it_copies(self, engine):
+        """A policy outside the registry runs the per-iteration loop under
+        either engine value, replays clean, and serves exactly as the
+        registered policy it copies (whose fast paths run on the array
+        engine: expanded, its log is the copy's)."""
 
-        class Odd(FcfsPolicy):
-            name = "odd"
+        class ShortestFirst(ServingPolicy):
+            """``srpt``, written against the public hooks."""
 
-        with pytest.raises(ValueError, match="array"):
-            ServingSimulator(
-                make_cost_model("ianus"), MODEL, engine="array", policy=Odd()
+            name = "shortest-first"
+            arrival_order = False
+
+            def __init__(self, max_batch):
+                self.max_batch = max_batch
+
+            def admit_index(self, waiting, keys):
+                totals = [keys.queued_total(entry) for entry in waiting]
+                return totals.index(min(totals))
+
+            def prefill_index(self, prefilling, keys):
+                remaining = [keys.live_remaining(entry) for entry in prefilling]
+                return remaining.index(min(remaining))
+
+            def decode_batch(self, decodable, keys):
+                return sorted(decodable, key=keys.live_remaining)[: self.max_batch]
+
+        trace = get_trace_generator("chatbot").generate(48, 20.0, seed=5)
+        kwargs = dict(admission="optimistic", kv_fraction=0.02)
+        runs = {}
+        for policy in (ShortestFirst(4), "srpt"):
+            simulator = ServingSimulator(
+                make_cost_model("ianus"), MODEL, policy=policy, max_batch=4,
+                engine=engine, **kwargs,
             )
+            metrics = simulator.simulate(trace, record_events=True)
+            assert simulator.validate_invariants() == []
+            runs[simulator.policy.name] = (metrics.to_dict(), simulator.events)
+        copy, copy_log = runs["shortest-first"]
+        registered, registered_log = runs["srpt"]
+        assert copy["preemptions"] > 0
+        assert copy.pop("policy") == "shortest-first"
+        assert registered.pop("policy") == "srpt"
+        assert copy == registered
+        assert not any(event.kind == "decode_run" for event in copy_log)
+        assert expand_runs(registered_log) == copy_log
+        if engine == "array":
+            assert any(event.kind == "decode_run" for event in registered_log)
 
-    def test_default_engine_is_object(self):
+    def test_default_engine_is_array(self):
         simulator = ServingSimulator(make_cost_model("ianus"), MODEL)
-        assert simulator.engine == "object"
+        assert simulator.engine == "array"
 
 
 class TestStreamingTraces:
@@ -478,10 +518,9 @@ class TestServeCliEngine:
         assert code == 0
         out = capsys.readouterr().out
         assert f"profile [{engine}]" in out
-        for phase in ("trace-gen", "admit", "prefill", "decode", "metrics"):
+        for phase in ("trace-gen", "admit", "absorb", "prefill", "decode",
+                      "metrics"):
             assert f"{phase} " in out
-        # Only the array engine has an arrival absorber to book.
-        assert ("| absorb " in out) == (engine == "array")
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_profile_covers_cluster_runs(self, engine, capsys):
@@ -490,10 +529,9 @@ class TestServeCliEngine:
         assert code == 0
         out = capsys.readouterr().out
         assert f"profile [{engine}, pooled x2]" in out
-        for phase in ("trace-gen", "route", "admit", "prefill", "decode",
-                      "metrics"):
+        for phase in ("trace-gen", "route", "admit", "absorb", "prefill",
+                      "decode", "metrics"):
             assert f"{phase} " in out
-        assert ("| absorb " in out) == (engine == "array")
 
     def test_engines_agree_from_the_cli(self, capsys):
         def report(engine):
@@ -510,17 +548,23 @@ class TestServeCliEngine:
 
 
 class TestExperimentEngineKnob:
-    def test_serving_cell_accepts_engine_param(self):
-        from repro.experiments.serving_throughput import _run_cell
+    def test_serving_cell_matches_the_reference_engine(self, monkeypatch):
+        from repro.experiments import serving_throughput
 
         params = dict(
             backend="ianus", policy="interleaved", chunk_tokens=0,
             kv_fraction=1.0, load=0.6, num_requests=16, seed=0,
         )
-        reference = _run_cell(dict(params))
-        array = _run_cell(dict(params, engine="array"))
-        assert array["violations"] == 0
-        assert array["metrics"] == reference["metrics"]
+        fast = serving_throughput._run_cell(dict(params))
+        # The cells run the default engine; the same cell on the
+        # per-iteration reference reports the same metrics.
+        monkeypatch.setattr(
+            simulator_module, "ServingSimulator",
+            functools.partial(ServingSimulator, engine="object"),
+        )
+        reference = serving_throughput._run_cell(dict(params))
+        assert fast["violations"] == reference["violations"] == 0
+        assert fast["metrics"] == reference["metrics"]
 
 
 class TestPhaseProfiler:
@@ -528,12 +572,12 @@ class TestPhaseProfiler:
     simulated output stays the unprofiled run's, byte for byte."""
 
     BASE_PHASES = {"admit", "prefill", "decode", "metrics"}
+    #: Every run books the same phases; ``absorb`` stays 0 with the fast
+    #: paths off.
+    PHASES = BASE_PHASES | {"absorb"}
 
     def _trace(self):
         return get_trace_generator("chatbot").generate(32, 8.0, seed=4)
-
-    def _phases(self, engine):
-        return self.BASE_PHASES | ({"absorb"} if engine == "array" else set())
 
     @pytest.mark.parametrize("record_events", [False, True])
     @pytest.mark.parametrize("engine", ENGINES)
@@ -554,7 +598,7 @@ class TestPhaseProfiler:
             if not profile:
                 assert phases == {}
         assert outputs[True] == outputs[False]
-        assert set(phases) == self._phases(engine)
+        assert set(phases) == self.PHASES
         # Without an event log the array engine absorbs this underloaded
         # trace in closed form; with one it steps every pass.
         absorbed = engine == "array" and not record_events
@@ -598,6 +642,6 @@ class TestPhaseProfiler:
             if not profile:
                 assert phases == {"route": 0.0}
         assert outputs[True] == outputs[False]
-        assert set(phases) == self._phases(engine) | {"route"}
+        assert set(phases) == self.PHASES | {"route"}
         for phase in self.BASE_PHASES | {"route"}:
             assert phases[phase] > 0.0
